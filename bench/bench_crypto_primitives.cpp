@@ -135,6 +135,32 @@ void BM_EcdsaVerifyBatch(benchmark::State& state, const Curve& curve) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+// --- field arithmetic: the bottom row of the cost ledger ----------------
+
+void BM_FieldMul(benchmark::State& state, const Curve& curve) {
+  // One Montgomery multiplication in the curve's base field (4 limbs on
+  // P-256, 6 on P-384), chained so each call waits on the previous one.
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-mul")));
+  U384 acc = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  const U384 b = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) {
+    acc = fp.mul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+
+void BM_FieldInv(benchmark::State& state, const Curve& curve) {
+  // One Fermat inversion (the cost inside every to_affine), chained.
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-inv")));
+  U384 acc = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) {
+    acc = fp.inv(acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+
 // --- scalar-multiplication paths (the fast paths vs the naive ladder) ----
 
 void BM_ScalarMultNaive(benchmark::State& state, const Curve& curve) {
@@ -214,6 +240,10 @@ int main(int argc, char** argv) {
   for (const auto* curve : {&revelio::crypto::p256(),
                             &revelio::crypto::p384()}) {
     const std::string name = curve->params().name == "P-256" ? "P256" : "P384";
+    benchmark::RegisterBenchmark(("BM_FieldMul/" + name).c_str(), BM_FieldMul,
+                                 std::cref(*curve));
+    benchmark::RegisterBenchmark(("BM_FieldInv/" + name).c_str(), BM_FieldInv,
+                                 std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_ScalarMultNaive/" + name).c_str(),
                                  BM_ScalarMultNaive, std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_ScalarMultWnaf/" + name).c_str(),

@@ -77,10 +77,10 @@ Curve::Curve(const CurveParams& params)
   }
   sqrt_exp_.limbs[U384::kLimbs - 1] = p_plus_1.limbs[U384::kLimbs - 1] >> 2;
 
-  order_bits_ = static_cast<unsigned>(params_.byte_length * 8);
-  half_bits_ = order_bits_ / 2;  // 128 (P-256) / 192 (P-384): whole limbs
+  const auto order_bits = static_cast<unsigned>(params_.byte_length * 8);
+  half_bits_ = order_bits / 2;  // 128 (P-256) / 192 (P-384): whole limbs
   const ecp::Aff g{fp_.to_mont(params_.gx), fp_.to_mont(params_.gy), false};
-  fixed_base_ = std::make_unique<ecp::FixedBaseTable>(fp_, g, order_bits_);
+  fixed_base_ = std::make_unique<ecp::FixedBaseTable>(fp_, g, order_bits);
   verify_cache_ =
       std::make_unique<ecp::VerifyTableCache>(kVerifyCacheCapacity);
 }
@@ -177,15 +177,15 @@ Curve::Point Curve::scalar_mult_base(const U384& k) const {
 std::shared_ptr<ecp::VerifyTables> Curve::build_verify_tables(
     const Point& q) const {
   auto tables = std::make_shared<ecp::VerifyTables>();
-  tables->half_bits = half_bits_;
-  tables->width = kWnafWidth;
   const ecp::Jac base{fp_.to_mont(q.x), fp_.to_mont(q.y), fp_.one()};
-  tables->low = ecp::odd_multiples(fp_, base, kWnafWidth);
   ecp::Jac shifted = base;
   for (unsigned i = 0; i < half_bits_; ++i) {
     shifted = ecp::jac_double(fp_, shifted);
   }
-  tables->high = ecp::odd_multiples(fp_, shifted, kWnafWidth);
+  // Both tables share one inversion.
+  auto both = ecp::odd_multiples_many(fp_, {base, shifted}, kWnafWidth);
+  tables->low = std::move(both[0]);
+  tables->high = std::move(both[1]);
   return tables;
 }
 
@@ -214,43 +214,7 @@ void Curve::pin_verify_tables(const Point& q) const {
 
 Curve::Point Curve::double_scalar_mult_base(const U384& u1, const U384& u2,
                                             const Point& q) const {
-  const U384 a = reduce_scalar(u1);
-  if (q.infinity) return scalar_mult_base(a);
-  const U384 b = reduce_scalar(u2);
-  if (b.is_zero()) return scalar_mult_base(a);
-
-  const auto tables = tables_for(q);
-
-  // Split b at half_bits (a whole number of limbs): b = hi * 2^half + lo.
-  const std::size_t split_limb = half_bits_ / 64;
-  U384 lo = b;
-  U384 hi;
-  for (std::size_t i = split_limb; i < U384::kLimbs; ++i) {
-    hi.limbs[i - split_limb] = b.limbs[i];
-    lo.limbs[i] = 0;
-  }
-
-  const auto digits_lo = ecp::wnaf_recode(lo, kWnafWidth);
-  const auto digits_hi = ecp::wnaf_recode(hi, kWnafWidth);
-
-  // One shared doubling chain of half_bits steps covers both halves of
-  // u2 * Q; the u1 * G term needs no doublings at all (fixed-base table)
-  // and is folded in at the end.
-  ecp::Jac acc = ecp::Jac::inf();
-  const std::size_t steps = std::max(digits_lo.size(), digits_hi.size());
-  for (std::size_t i = steps; i-- > 0;) {
-    acc = ecp::jac_double(fp_, acc);
-    if (i < digits_lo.size() && digits_lo[i] != 0) {
-      acc = apply_digit_aff(fp_, acc, digits_lo[i], tables->low);
-    }
-    if (i < digits_hi.size() && digits_hi[i] != 0) {
-      acc = apply_digit_aff(fp_, acc, digits_hi[i], tables->high);
-    }
-  }
-  if (!a.is_zero()) {
-    acc = ecp::jac_add(fp_, acc, fixed_base_->mul(fp_, a));
-  }
-  return to_affine(acc);
+  return multi_scalar_mult_base(u1, {MsmTerm{u2, q}}, {});
 }
 
 Curve::Point Curve::multi_scalar_mult_base(
@@ -258,9 +222,8 @@ Curve::Point Curve::multi_scalar_mult_base(
     const std::vector<MsmTerm>& small_terms) const {
   const U384 a = reduce_scalar(base_scalar);
 
-  // Full-width terms ride the same split-and-cache machinery as
-  // double_scalar_mult_base: two half-length wNAF digit strings against the
-  // per-key low/high tables.
+  // Full-width terms are split at half_bits: two half-length wNAF digit
+  // strings against the per-key low/high tables.
   struct FullPlan {
     std::shared_ptr<const ecp::VerifyTables> tables;
     std::vector<std::int8_t> lo;

@@ -11,6 +11,12 @@
 // per-public-key LRU table cache for the u1*G + u2*Q form ECDSA
 // verification needs. The naive double-and-add ladder is kept as
 // `scalar_mult_naive` — the reference the property tests compare against.
+//
+// Field arithmetic runs on MontCtx, which sizes itself to the modulus: 4
+// limbs for P-256's fields, 6 for P-384's, each with its own R = 2^(64K).
+// Montgomery forms never leave the computations built on a context (the
+// ecp layer, ECDSA's scalar algebra); every Point, scalar and encoding
+// this interface exchanges is in the plain domain.
 #pragma once
 
 #include <memory>
@@ -78,7 +84,8 @@ class Curve {
   /// u1 * G + u2 * Q in one pass: fixed-base table for the G term,
   /// Strauss–Shamir over a half-length shared doubling chain for the Q term
   /// (u2 split at half the order bits against cached tables for Q and
-  /// 2^half * Q). This is the ECDSA verification hot path.
+  /// 2^half * Q). This is the ECDSA verification hot path, and the
+  /// one-term case of multi_scalar_mult_base.
   Point double_scalar_mult_base(const U384& u1, const U384& u2,
                                 const Point& q) const;
 
@@ -148,7 +155,6 @@ class Curve {
   U384 a_mont_;  // -3 mod p, Montgomery domain
   U384 b_mont_;
   U384 sqrt_exp_;  // (p + 1) / 4 — both primes are 3 mod 4
-  unsigned order_bits_;
   unsigned half_bits_;  // Strauss–Shamir split point (multiple of 64)
   std::unique_ptr<ecp::FixedBaseTable> fixed_base_;
   std::unique_ptr<ecp::VerifyTableCache> verify_cache_;

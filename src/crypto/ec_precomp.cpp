@@ -101,38 +101,20 @@ Jac jac_from_affine(const MontCtx& fp, const Aff& a) {
 
 std::vector<Aff> batch_normalize(const MontCtx& fp,
                                  const std::vector<Jac>& pts) {
-  std::vector<Aff> out(pts.size());
-  // prefix[i] = product of the first i+1 finite z coordinates.
-  std::vector<U384> prefix;
-  prefix.reserve(pts.size());
-  U384 acc = fp.one();
+  std::vector<U384> zs;
+  zs.reserve(pts.size());
   for (const Jac& p : pts) {
-    if (!p.is_inf()) acc = fp.mul(acc, p.z);
-    prefix.push_back(acc);
+    if (!p.is_inf()) zs.push_back(p.z);
   }
-  if (prefix.empty()) return out;
-
-  // One inversion for the whole batch, then peel back per point.
-  U384 inv_acc = fp.inv(acc);
-  for (std::size_t i = pts.size(); i-- > 0;) {
-    const Jac& p = pts[i];
-    if (p.is_inf()) continue;
-    // Inverse of this point's z: inv_acc * (product of earlier finite z's).
-    U384 zinv;
-    bool have_earlier = false;
-    for (std::size_t j = i; j-- > 0;) {
-      if (!pts[j].is_inf()) {
-        zinv = fp.mul(inv_acc, prefix[j]);
-        have_earlier = true;
-        break;
-      }
-    }
-    if (!have_earlier) zinv = inv_acc;
-    const U384 zinv2 = fp.mul(zinv, zinv);
-    out[i].x = fp.mul(p.x, zinv2);
-    out[i].y = fp.mul(p.y, fp.mul(zinv2, zinv));
-    out[i].inf = false;
-    inv_acc = fp.mul(inv_acc, p.z);
+  const std::vector<U384> zinvs = fp.batch_inv(zs);
+  std::vector<Aff> out(pts.size());
+  auto zinv = zinvs.begin();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (pts[i].is_inf()) continue;
+    const U384 zinv2 = fp.mul(*zinv, *zinv);
+    out[i] = Aff{fp.mul(pts[i].x, zinv2),
+                 fp.mul(pts[i].y, fp.mul(zinv2, *zinv)), false};
+    ++zinv;
   }
   return out;
 }
@@ -177,22 +159,10 @@ std::vector<std::int8_t> wnaf_recode(const U384& k, unsigned width) {
   return digits;
 }
 
-std::vector<Aff> odd_multiples(const MontCtx& fp, const Jac& p,
-                               unsigned width) {
-  const std::size_t count = std::size_t{1} << (width - 1);  // 1,3,...,2^w-1
-  std::vector<Jac> jac(count);
-  jac[0] = p;
-  const Jac twice = jac_double(fp, p);
-  for (std::size_t i = 1; i < count; ++i) {
-    jac[i] = jac_add(fp, jac[i - 1], twice);
-  }
-  return batch_normalize(fp, jac);
-}
-
 std::vector<std::vector<Aff>> odd_multiples_many(const MontCtx& fp,
                                                  const std::vector<Jac>& pts,
                                                  unsigned width) {
-  const std::size_t count = std::size_t{1} << (width - 1);
+  const std::size_t count = std::size_t{1} << (width - 1);  // 1,3,...,2^w-1
   std::vector<Jac> all;
   all.reserve(pts.size() * count);
   for (const Jac& p : pts) {

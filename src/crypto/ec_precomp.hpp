@@ -71,12 +71,10 @@ std::vector<Aff> batch_normalize(const MontCtx& fp, const std::vector<Jac>& pts)
 /// the curve order first, which guarantees it).
 std::vector<std::int8_t> wnaf_recode(const U384& k, unsigned width);
 
-/// Odd multiples {1, 3, 5, ..., 2^(w-1)-1... } of a point: table[i] holds
-/// (2i+1) * P in Montgomery affine. Sized for wNAF width `width`.
-std::vector<Aff> odd_multiples(const MontCtx& fp, const Jac& p, unsigned width);
-
-/// Odd-multiple tables for MANY points at once, normalized together: the
-/// whole batch shares a single field inversion instead of one per point.
+/// Odd-multiple tables for MANY points at once, normalized together:
+/// out[j][i] holds (2i+1) * pts[j] in Montgomery affine, sized for wNAF
+/// width `width`, and the whole batch shares a single field inversion
+/// instead of one per point.
 /// This is what makes per-signature R tables affordable in batch ECDSA
 /// verification — at N=64 the per-table inversions would otherwise rival
 /// the ladder itself.
@@ -119,9 +117,7 @@ class FixedBaseTable {
 /// scalars over one shared doubling chain.
 struct VerifyTables {
   std::vector<Aff> low;    // odd multiples of Q
-  std::vector<Aff> high;   // odd multiples of 2^half_bits * Q
-  unsigned half_bits = 0;
-  unsigned width = 0;
+  std::vector<Aff> high;   // odd multiples of 2^half * Q
 };
 
 /// Bounded LRU cache of VerifyTables keyed by the SEC1 point encoding.

@@ -236,22 +236,13 @@ std::vector<bool> ecdsa_verify_batch(const Curve& curve,
   if (!batched.empty()) {
     const std::vector<U384> coeffs = batch_coefficients(curve, items, zs);
 
-    // All s_i^-1 with ONE field inversion (Montgomery's trick): invert the
-    // running product, then peel one factor per item walking backwards.
-    std::vector<U384> s_inv(batched.size());
-    {
-      std::vector<U384> prefix(batched.size());
-      U384 acc = fn.one();
-      for (std::size_t j = 0; j < batched.size(); ++j) {
-        acc = fn.mul(acc, fn.to_mont(items[batched[j]].sig.s));
-        prefix[j] = acc;
-      }
-      U384 inv_acc = fn.inv(acc);
-      for (std::size_t j = batched.size(); j-- > 0;) {
-        s_inv[j] = j == 0 ? inv_acc : fn.mul(inv_acc, prefix[j - 1]);
-        inv_acc = fn.mul(inv_acc, fn.to_mont(items[batched[j]].sig.s));
-      }
+    // All s_i^-1 with ONE field inversion.
+    std::vector<U384> s_mont;
+    s_mont.reserve(batched.size());
+    for (const std::size_t i : batched) {
+      s_mont.push_back(fn.to_mont(items[i].sig.s));
     }
+    const std::vector<U384> s_inv = fn.batch_inv(s_mont);
 
     // Fold the G terms into one scalar and group equal public keys into one
     // full-width term each (the gateway verifies one VCEK across sessions).

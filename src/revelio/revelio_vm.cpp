@@ -353,6 +353,11 @@ Status RevelioVm::acquire_key_from_leader(const net::Address& leader) {
 
   auto key_bytes = crypto::ecies_open(crypto::p256(), identity_.d, wrapped);
   if (!key_bytes.ok()) return key_bytes.error();
+  // A P-256 private key is exactly 32 bytes; anything else would overrun
+  // the decoder (> 48 bytes) or alias a differently encoded key.
+  if (key_bytes->size() != 32) {
+    return Error::make("revelio.bad_key_response", "wrapped key length");
+  }
   const crypto::U384 key = crypto::U384::from_bytes_be(*key_bytes);
   // Sanity: the received private key must match the certificate.
   const auto derived = crypto::p256().scalar_mult_base(key);

@@ -203,6 +203,11 @@ Result<SecureChannel> SecureChannel::complete(
     const ChannelIdentity& self, const PeerPolicy& policy,
     ByteView initiator_state, const ChannelHello& responder_hello,
     const KdsService::VcekResponse& responder_kds, std::uint64_t now_us) {
+  // The state initiate() handed out is the 32-byte ephemeral scalar.
+  if (initiator_state.size() != 32) {
+    return Error::make("channel.bad_initiator_state",
+                       "expected a 32-byte ephemeral scalar");
+  }
   // 1. Verify the responder's evidence.
   auto bundle = EvidenceBundle::parse(responder_hello.evidence);
   if (!bundle.ok()) return bundle.error();

@@ -53,6 +53,8 @@ class SecureChannel {
       crypto::HmacDrbg& entropy, std::uint64_t now_us);
 
   /// Initiator side: verifies the responder and establishes.
+  /// `initiator_state` must be the 32 bytes initiate() wrote; any other
+  /// length fails closed with channel.bad_initiator_state.
   static Result<SecureChannel> complete(
       const ChannelIdentity& self, const PeerPolicy& policy,
       ByteView initiator_state, const ChannelHello& responder_hello,

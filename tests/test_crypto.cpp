@@ -439,6 +439,198 @@ TEST(MontCtx, AddSubModular) {
   EXPECT_EQ(ctx.sub(b, a).limbs[0], 11u);  // -2 mod 13
 }
 
+// ------------------------------------------- Montgomery width (K = 4 / 6)
+
+// The four curve contexts: P-256's run on 4 limbs, P-384's on 6.
+struct WidthCase {
+  const char* name;
+  const MontCtx& ctx;
+  std::size_t limbs;
+};
+
+std::vector<WidthCase> width_cases() {
+  return {{"P-256 p", p256().field(), 4},
+          {"P-256 n", p256().scalar_field(), 4},
+          {"P-384 p", p384().field(), 6},
+          {"P-384 n", p384().scalar_field(), 6}};
+}
+
+// Plain-domain references built only from MontCtx::add, so they share no
+// code with the multiplier or the wide-input fold.
+U384 ref_reduce(const MontCtx& ctx, const U384& x) {
+  U384 acc;
+  for (std::size_t i = 384; i-- > 0;) {
+    acc = ctx.add(acc, acc);
+    if (x.bit(i)) acc = ctx.add(acc, U384::from_u64(1));
+  }
+  return acc;
+}
+
+U384 ref_mulmod(const MontCtx& ctx, const U384& a, const U384& b) {
+  U384 acc;
+  for (std::size_t i = b.bit_length(); i-- > 0;) {
+    acc = ctx.add(acc, acc);
+    if (b.bit(i)) acc = ctx.add(acc, a);
+  }
+  return acc;
+}
+
+void expect_width(const WidthCase& c, const U384& v) {
+  for (std::size_t i = c.limbs; i < U384::kLimbs; ++i) {
+    EXPECT_EQ(v.limbs[i], 0u) << c.name << " limb " << i;
+  }
+}
+
+U384 random_below(HmacDrbg& drbg, const U384& m) {
+  U384 v = U384::from_bytes_be(drbg.generate((m.bit_length() + 7) / 8));
+  // Each modulus is above half its byte width, so one subtraction suffices.
+  if (!(v < m)) sub_with_borrow(v, v, m);
+  return v;
+}
+
+TEST(MontWidth, CurveContextsPickTheirLimbCount) {
+  for (const auto& c : width_cases()) {
+    // one() is R mod m with R = 2^(64K): (R - 1) has K limbs of ones.
+    U384 r_minus_1;
+    for (std::size_t i = 0; i < c.limbs; ++i) r_minus_1.limbs[i] = ~0ULL;
+    EXPECT_EQ(c.ctx.one(),
+              c.ctx.add(ref_reduce(c.ctx, r_minus_1), U384::from_u64(1)))
+        << c.name;
+    expect_width(c, c.ctx.one());
+    // one() * one() == one() * R: from_mont(one()) is 1.
+    EXPECT_EQ(c.ctx.from_mont(c.ctx.one()), U384::from_u64(1)) << c.name;
+  }
+}
+
+TEST(MontWidth, MulMatchesShiftAndAddReference) {
+  HmacDrbg drbg(to_bytes(std::string_view("mont-width")));
+  for (const auto& c : width_cases()) {
+    const U384& m = c.ctx.modulus();
+    U384 m_minus_1;
+    sub_with_borrow(m_minus_1, m, U384::from_u64(1));
+    std::vector<U384> operands = {U384::zero(), U384::from_u64(1), m_minus_1,
+                                  U384::from_u64(2)};
+    for (int i = 0; i < 12; ++i) operands.push_back(random_below(drbg, m));
+    for (const U384& a : operands) {
+      for (const U384& b : operands) {
+        const U384 want = ref_mulmod(c.ctx, a, b);
+        const U384 got =
+            c.ctx.from_mont(c.ctx.mul(c.ctx.to_mont(a), c.ctx.to_mont(b)));
+        EXPECT_EQ(got, want) << c.name;
+        // Operands taken as Montgomery forms directly: mul(a, b) * R == a * b.
+        const U384 direct = c.ctx.mul(a, b);
+        EXPECT_EQ(ref_mulmod(c.ctx, direct, c.ctx.one()), want) << c.name;
+        expect_width(c, got);
+        expect_width(c, direct);
+      }
+    }
+  }
+}
+
+TEST(MontWidth, CarryLimbProductsReduceCorrectly) {
+  // Montgomery operands whose CIOS sum (a*b + q*m) / R reaches 2^(64K), so
+  // the final subtraction has to see the carry limb t[K]. Found offline by
+  // evaluating that sum exactly for R = 2^256 (P-256) and 2^384 (P-384).
+  struct Pair {
+    const MontCtx& ctx;
+    std::size_t limbs;
+    const char* a;
+    const char* b;
+  };
+  const Pair pairs[] = {
+      {p256().field(), 4,
+       "7f15052434b9b5df9e7769b10f4205b4907a70c31012f037b64ce4228c38fb29",
+       "ec66a78795e761d17731af10506bf2efc6f877186d76b07e881ed162ae2eb154"},
+      {p256().scalar_field(), 4,
+       "81b0d3c2dc575e53bcec1f5fdf618e38158d41100f59714f3a6a66787e9fa851",
+       "997a8f42ce9697d6fc9d274b2697ae8aad138875cb0d9fa65e3aa09b6fc6808d"},
+      {p384().field(), 6,
+       "e4811b8cdd3869cafda9e0d0199b91b7180067a3edfaa78f0da149ccee12f797"
+       "a4007eaab035ad1836719cb4a9da75da",
+       "f87aea615584a223546cf8679847574905828a257cb1f38ac0a7f0838eb8e15a"
+       "adc3e0d7d1d387622be37fbe14fb86db"},
+      {p384().scalar_field(), 6,
+       "e3b93c874f301f23c9af688e34527914e2318291331b4ae4af8ed2c54c4375d9"
+       "48b89ce48bf03bd8676a68d9589b63f6",
+       "b68e448815fbc1c1aecb6f00f53c241155904c95b97d5b496d612991da0ea990"
+       "4b057ff1063326606b0a8d0944a37ca0"},
+  };
+  for (const Pair& p : pairs) {
+    const WidthCase c{"carry", p.ctx, p.limbs};
+    const U384 a = U384::from_hex(p.a);
+    const U384 b = U384::from_hex(p.b);
+    const U384 product = p.ctx.mul(a, b);
+    EXPECT_TRUE(product < p.ctx.modulus());
+    EXPECT_EQ(ref_mulmod(p.ctx, product, p.ctx.one()),
+              ref_mulmod(p.ctx, a, b));
+    expect_width(c, product);
+  }
+}
+
+TEST(MontWidth, WideInputsFoldToThePlainResidue) {
+  U384 all_ones;
+  all_ones.limbs.fill(~0ULL);  // 2^384 - 1
+  // n * 2^128 + 5, with n = P-256's group order: fills limbs 2..5.
+  const U384& n = p256().params().n;
+  U384 n_shifted = U384::from_u64(5);
+  for (std::size_t i = 0; i + 2 < U384::kLimbs; ++i) {
+    n_shifted.limbs[i + 2] = n.limbs[i];
+  }
+  HmacDrbg drbg(to_bytes(std::string_view("mont-wide")));
+  for (const auto& c : width_cases()) {
+    std::vector<U384> inputs = {all_ones, n_shifted};
+    for (int i = 0; i < 8; ++i) {
+      inputs.push_back(U384::from_bytes_be(drbg.generate(48)));
+    }
+    for (const U384& x : inputs) {
+      const U384 residue = ref_reduce(c.ctx, x);
+      EXPECT_EQ(c.ctx.reduce(x), residue) << c.name;
+      const U384 mont = c.ctx.to_mont(x);
+      EXPECT_EQ(mont, ref_mulmod(c.ctx, residue, c.ctx.one())) << c.name;
+      expect_width(c, mont);
+    }
+  }
+  EXPECT_EQ(p256().scalar_field().reduce(n_shifted), U384::from_u64(5));
+}
+
+TEST(MontWidth, WindowedPowMatchesBitwiseReference) {
+  HmacDrbg drbg(to_bytes(std::string_view("mont-pow")));
+  for (const auto& c : width_cases()) {
+    const U384 a = c.ctx.to_mont(random_below(drbg, c.ctx.modulus()));
+    std::vector<U384> exponents = {U384::zero(), U384::from_u64(1),
+                                   U384::from_u64(15), U384::from_u64(16),
+                                   U384::from_u64(0x10001)};
+    for (int i = 0; i < 3; ++i) {
+      exponents.push_back(U384::from_bytes_be(drbg.generate(48)));
+    }
+    for (const U384& e : exponents) {
+      U384 want = c.ctx.one();
+      for (std::size_t i = e.bit_length(); i-- > 0;) {
+        want = c.ctx.mul(want, want);
+        if (e.bit(i)) want = c.ctx.mul(want, a);
+      }
+      EXPECT_EQ(c.ctx.pow(a, e), want) << c.name;
+    }
+    EXPECT_EQ(c.ctx.from_mont(c.ctx.mul(a, c.ctx.inv(a))), U384::from_u64(1))
+        << c.name;
+    EXPECT_TRUE(c.ctx.inv(U384::zero()).is_zero()) << c.name;
+  }
+}
+
+TEST(MontWidth, WideScalarBaseMultMatchesNaiveLadder) {
+  // 48-byte scalars, the shape bench_crypto_primitives feeds P-256 too.
+  HmacDrbg drbg(to_bytes(std::string_view("mont-wide-scalar")));
+  for (const Curve* curve : {&p256(), &p384()}) {
+    for (int i = 0; i < 3; ++i) {
+      const U384 k = U384::from_bytes_be(drbg.generate(48));
+      const auto fast = curve->scalar_mult_base(k);
+      const auto naive = curve->scalar_mult_naive(k, curve->generator());
+      EXPECT_EQ(curve->encode_point(fast), curve->encode_point(naive))
+          << curve->params().name;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- EC
 
 TEST(EcP256, GeneratorOnCurve) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "crypto/ecies.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/metrics.hpp"
 #include "revelio/revelio_vm.hpp"
@@ -287,6 +288,58 @@ TEST_F(RevelioFixture, KeyRequestFromUntrustedImageRefused) {
   auto response = net::HttpResponse::parse(*raw);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 403);
+}
+
+TEST_F(RevelioFixture, WrappedKeyOfWrongLengthFailsClosed) {
+  provision_standard_fleet();
+  // A rogue "leader" replays the real leader's evidence (so mutual
+  // attestation passes) but wraps a plaintext that is not a 32-byte key.
+  auto follower = deploy_node("10.0.0.4", image);
+  const net::Address rogue{"6.6.6.6", 9443};
+  Bytes plaintext;
+  HmacDrbg rogue_drbg(to_bytes(std::string_view("rogue-leader")));
+  auto field = [](Bytes& out, ByteView v) {
+    append_u32be(out, static_cast<std::uint32_t>(v.size()));
+    append(out, v);
+  };
+  network.listen(rogue, [&](ByteView raw, const net::Address&) {
+    auto request = net::HttpRequest::parse(raw);
+    auto bundle = EvidenceBundle::parse(request->body);
+    auto wrapped = crypto::ecies_seal(crypto::p256(), bundle->payload,
+                                      plaintext, rogue_drbg);
+    Bytes body;
+    field(body, nodes[0]->identity_evidence().serialize());
+    field(body, *wrapped);
+    return net::HttpResponse::ok(std::move(body)).serialize();
+  });
+
+  Bytes install;
+  field(install, sp->issued_certificate()->serialize());
+  append_u32be(install, 0);  // no chain
+  field(install, to_bytes(rogue.host));
+  append_u32be(install, rogue.port);
+  net::HttpRequest request;
+  request.method = "POST";
+  request.path = "/revelio/certificate";
+  request.host = kDomain;
+  request.body = install;
+
+  Bytes padded(1, 0x00);
+  append(padded, rogue_drbg.generate(32));
+  for (const Bytes& bad : {padded, rogue_drbg.generate(64),
+                           rogue_drbg.generate(31), Bytes{}}) {
+    plaintext = bad;
+    auto raw = network.call({"6.6.6.6", 1}, follower->bootstrap_address(),
+                            request.serialize());
+    ASSERT_TRUE(raw.ok());
+    auto response = net::HttpResponse::parse(*raw);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 502) << bad.size();
+    EXPECT_NE(to_string(response->body).find("revelio.bad_key_response"),
+              std::string::npos)
+        << bad.size() << ": " << to_string(response->body);
+    EXPECT_FALSE(follower->serving_tls());
+  }
 }
 
 // --------------------------------------------------------------- end-user

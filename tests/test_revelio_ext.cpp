@@ -160,6 +160,35 @@ TEST_F(ChannelFixture, StolenEvidenceWithoutKeyRefused) {
   EXPECT_EQ(r.error().code, "channel.bad_initiator_signature");
 }
 
+TEST_F(ChannelFixture, InitiatorStateOfWrongLengthFailsClosed) {
+  // The state is decoded as the ephemeral scalar; a longer buffer must not
+  // reach the 48-byte decoder, and a padded one must not alias the key.
+  const auto alice = make_identity("platform-a", "image-v1");
+  const auto bob = make_identity("platform-b", "image-v1");
+  const PeerPolicy policy = policy_trusting_all();
+  Bytes state;
+  const ChannelHello hello = SecureChannel::initiate(alice, drbg, state);
+  auto responded =
+      SecureChannel::respond(bob, policy, hello, kds_for(alice), drbg, 0);
+  ASSERT_TRUE(responded.ok()) << responded.error().to_string();
+
+  Bytes padded(1, 0x00);
+  append(padded, state);
+  Bytes oversized = state;
+  oversized.resize(64, 0xAB);
+  const Bytes truncated(state.begin(), state.begin() + 31);
+  for (const Bytes& bad : {padded, oversized, truncated, Bytes{}}) {
+    const auto r = SecureChannel::complete(alice, policy, bad,
+                                           responded->first, kds_for(bob), 0);
+    ASSERT_FALSE(r.ok()) << bad.size();
+    EXPECT_EQ(r.error().code, "channel.bad_initiator_state") << bad.size();
+  }
+  // The genuine state still completes the same handshake.
+  EXPECT_TRUE(SecureChannel::complete(alice, policy, state, responded->first,
+                                      kds_for(bob), 0)
+                  .ok());
+}
+
 TEST_F(ChannelFixture, HelloSerializationRoundTrip) {
   const auto alice = make_identity("platform-a", "image-v1");
   Bytes state;
