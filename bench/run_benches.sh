@@ -23,8 +23,12 @@
 # bench/BENCH_attestation.baseline.json; a stage whose virt_ms regresses by
 # more than 25% fails the run.
 #
-# Also writes BENCH_gateway.json: the event-driven session engine vs the
-# blocking lane model (bench_gateway). Gated: >= 3x staged-vs-blocking
+# Also writes BENCH_gateway.json from bench_gateway, which drives every
+# level through SessionEngine::run_staged: 64 full-crypto sessions at 1
+# and 4 workers as staged state machines, and as one-stage "blocking"
+# sessions whose lane-model makespan (session i on lane i % workers) the
+# bench computes itself; 1k/10k/100k synthetic sessions; a 1000-session
+# chaos soak; warm-restart levels. Gated: >= 3x staged-vs-blocking
 # virtual throughput at one worker, exactly one KDS fetch per cold
 # full-crypto level (single-flight), zero unverified-trust acceptances
 # everywhere (chaos soak included), >= 1000 parked sessions per worker at

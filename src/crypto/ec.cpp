@@ -206,10 +206,8 @@ std::shared_ptr<const ecp::VerifyTables> Curve::tables_for(
 
 void Curve::pin_verify_tables(const Point& q) const {
   if (q.infinity) return;
-  const Bytes key = encode_point(q);
-  auto& registry = ecp::PinnedTableRegistry::instance();
-  if (registry.get(key) != nullptr) return;  // already pinned
-  registry.pin(key, build_verify_tables(q));
+  ecp::PinnedTableRegistry::instance().pin(
+      encode_point(q), [&] { return build_verify_tables(q); });
 }
 
 Curve::Point Curve::double_scalar_mult_base(const U384& u1, const U384& u2,

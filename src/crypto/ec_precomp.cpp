@@ -269,8 +269,17 @@ std::shared_ptr<const VerifyTables> PinnedTableRegistry::get(
   return it->second;
 }
 
-bool PinnedTableRegistry::pin(const Bytes& key,
-                              std::shared_ptr<const VerifyTables> tables) {
+bool PinnedTableRegistry::pin(
+    const Bytes& key,
+    const std::function<std::shared_ptr<const VerifyTables>()>& build) {
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (entries_.count(key) > 0) return true;
+    if (entries_.size() >= kCapacity) return false;
+  }
+  // Build outside the lock: readers keep verifying meanwhile. A racing pin
+  // of the same key wastes one build; the first insert wins.
+  auto tables = build();
   std::unique_lock<std::shared_mutex> lock(mutex_);
   if (entries_.count(key) > 0) return true;
   if (entries_.size() >= kCapacity) return false;

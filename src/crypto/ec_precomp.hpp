@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -167,9 +168,13 @@ class PinnedTableRegistry {
 
   std::shared_ptr<const VerifyTables> get(const Bytes& key) const;
 
-  /// Pins `tables` under `key`. Returns false (and pins nothing) when the
-  /// registry is full; returns true when pinned now or already present.
-  bool pin(const Bytes& key, std::shared_ptr<const VerifyTables> tables);
+  /// Pins the tables `build` returns under `key`. `build` runs only when
+  /// the key is new and the registry has room, so a full registry costs
+  /// no table build. Returns false (and pins nothing) when the registry is
+  /// full; returns true when pinned now or already present. The presence
+  /// probe counts as neither a hit nor a miss.
+  bool pin(const Bytes& key,
+           const std::function<std::shared_ptr<const VerifyTables>()>& build);
 
   struct Stats {
     std::uint64_t hits = 0;

@@ -78,7 +78,7 @@ struct TlsTrustConfig {
   std::uint64_t now_us = 0;     // for validity checks
   /// Optional chain-verification cache shared across handshakes (the
   /// browser reconnecting to the same server skips the chain walk).
-  pki::ChainVerifier* chain_cache = nullptr;
+  pki::ChainVerificationCache* chain_cache = nullptr;
 };
 
 /// Client side of an established session.

@@ -18,19 +18,10 @@ Bytes chain_store_key(const crypto::Digest32& key) {
   return k;
 }
 
-}  // namespace
-
-ChainVerificationCache::ChainVerificationCache(std::size_t capacity)
-    : capacity_(capacity) {}
-
-void ChainVerificationCache::attach_store(store::KvStore* kv) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  store_ = kv;
-}
-
-crypto::Digest32 ChainVerificationCache::cache_key(
-    const Certificate& leaf, const std::vector<Certificate>& intermediates,
-    const std::vector<Certificate>& roots, const ChainVerifyOptions& options) {
+crypto::Digest32 cache_key(const Certificate& leaf,
+                           const std::vector<Certificate>& intermediates,
+                           const std::vector<Certificate>& roots,
+                           const ChainVerifyOptions& options) {
   // Hash the exact bytes of every certificate involved: a re-issued leaf
   // (new validity window, new signature) or a rotated root set produces a
   // different key, which is the invalidation mechanism.
@@ -56,47 +47,66 @@ crypto::Digest32 ChainVerificationCache::cache_key(
   return h.finish();
 }
 
+}  // namespace
+
+ChainVerificationCache::ChainVerificationCache(std::size_t shards,
+                                               std::size_t capacity_per_shard)
+    : capacity_per_shard_(capacity_per_shard) {
+  if (shards == 0) shards = 1;
+  shards_.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
+}
+
+void ChainVerificationCache::attach_store(store::KvStore* kv) {
+  store_.store(kv, std::memory_order_release);
+}
+
+std::size_t ChainVerificationCache::shard_index(
+    const crypto::Digest32& key) const {
+  std::uint64_t prefix = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    prefix = (prefix << 8) | key[i];
+  }
+  return static_cast<std::size_t>(prefix % shards_.size());
+}
+
 Status ChainVerificationCache::verify(
     const Certificate& leaf, const std::vector<Certificate>& intermediates,
     const std::vector<Certificate>& roots, const ChainVerifyOptions& options) {
-  return verify_keyed(cache_key(leaf, intermediates, roots, options), leaf,
-                      intermediates, roots, options);
-}
-
-Status ChainVerificationCache::verify_keyed(
-    const crypto::Digest32& key, const Certificate& leaf,
-    const std::vector<Certificate>& intermediates,
-    const std::vector<Certificate>& roots, const ChainVerifyOptions& options) {
+  const crypto::Digest32 key = cache_key(leaf, intermediates, roots, options);
+  Shard& shard = *shards_[shard_index(key)];
   obs::Span span("pki.chain_verify");
   span.attr("chain_len",
             static_cast<std::uint64_t>(1 + intermediates.size()));
 
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    const auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) {
       // Half-open window, matching verify_chain: a hit must not be served
       // at the instant the chain expires.
       if (options.now_us >= it->second.valid_from_us &&
           options.now_us < it->second.valid_until_us) {
-        ++stats_.hits;
+        ++shard.stats.hits;
         obs::metrics().counter("pki.chain_cache.hit.count").inc();
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
         span.attr("cache", "hit");
         span.attr("result", "ok");
         return Status::success();
       }
       // Same chain, but the query time left the verified window: the
       // cached verdict no longer applies.
-      ++stats_.window_rejects;
+      ++shard.stats.window_rejects;
       obs::metrics().counter("pki.chain_cache.expiry.count").inc();
       span.attr("cache", "expired");
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
+      shard.lru.erase(it->second.lru_it);
+      shard.entries.erase(it);
     } else {
       span.attr("cache", "miss");
     }
-    ++stats_.misses;
+    ++shard.stats.misses;
     obs::metrics().counter("pki.chain_cache.miss.count").inc();
   }
 
@@ -105,16 +115,17 @@ Status ChainVerificationCache::verify_keyed(
   // because the fingerprint was recomputed from the bytes presented *now*,
   // and it is honored only while now_us stays inside that window. Anything
   // malformed is treated as a miss and re-verified (never trusted).
-  if (store_ != nullptr) {
-    if (const auto stored = store_->get(chain_store_key(key));
+  store::KvStore* kv = store_.load(std::memory_order_acquire);
+  if (kv != nullptr) {
+    if (const auto stored = kv->get(chain_store_key(key));
         stored && stored->size() == kChainValueSize) {
       const std::uint64_t from = read_u64be(*stored, 0);
       const std::uint64_t until = read_u64be(*stored, 8);
       if (from < until && options.now_us >= from && options.now_us < until) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.store_hits;
+        std::lock_guard<std::mutex> lock(shard.mu);
+        ++shard.stats.store_hits;
         obs::metrics().counter("pki.chain_cache.store_hit.count").inc();
-        insert_locked(key, from, until);
+        insert_locked(shard, key, from, until);
         span.attr("cache", "store_hit");
         span.attr("result", "ok");
         return Status::success();
@@ -142,107 +153,69 @@ Status ChainVerificationCache::verify_keyed(
   for (const auto& cert : intermediates) tighten(cert);
   for (const auto& cert : roots) tighten(cert);
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  insert_locked(key, from, until);
-  if (store_ != nullptr) {
+  std::lock_guard<std::mutex> lock(shard.mu);
+  insert_locked(shard, key, from, until);
+  if (kv != nullptr) {
     Bytes value;
     value.reserve(kChainValueSize);
     append_u64be(value, from);
     append_u64be(value, until);
     // Best effort: a failed write-through leaves the verdict memory-only
     // and the next restart re-verifies — slower, never less safe.
-    if (!store_->put(chain_store_key(key), value).ok()) {
-      ++stats_.store_write_failures;
+    if (!kv->put(chain_store_key(key), value).ok()) {
+      ++shard.stats.store_write_failures;
       obs::metrics().counter("pki.chain_cache.store_write_failure.count").inc();
     }
   }
   return st;
 }
 
-void ChainVerificationCache::insert_locked(const crypto::Digest32& key,
+void ChainVerificationCache::insert_locked(Shard& shard,
+                                           const crypto::Digest32& key,
                                            std::uint64_t from,
                                            std::uint64_t until) {
-  if (capacity_ == 0 || entries_.count(key) != 0) return;
-  if (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
+  if (capacity_per_shard_ == 0 || shard.entries.count(key) != 0) return;
+  if (shard.entries.size() >= capacity_per_shard_) {
+    shard.entries.erase(shard.lru.back());
+    shard.lru.pop_back();
+    ++shard.stats.evictions;
     obs::metrics().counter("pki.chain_cache.eviction.count").inc();
   }
-  lru_.push_front(key);
-  entries_[key] = Entry{from, until, lru_.begin()};
+  shard.lru.push_front(key);
+  shard.entries[key] = Entry{from, until, shard.lru.begin()};
 }
 
 ChainVerificationCache::Stats ChainVerificationCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats total;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    total.hits += shard->stats.hits;
+    total.misses += shard->stats.misses;
+    total.evictions += shard->stats.evictions;
+    total.window_rejects += shard->stats.window_rejects;
+    total.store_hits += shard->stats.store_hits;
+    total.store_write_failures += shard->stats.store_write_failures;
+  }
+  return total;
 }
 
 std::size_t ChainVerificationCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < shards_.size(); ++i) total += shard_size(i);
+  return total;
+}
+
+std::size_t ChainVerificationCache::shard_size(std::size_t i) const {
+  std::lock_guard<std::mutex> lock(shards_[i]->mu);
+  return shards_[i]->entries.size();
 }
 
 void ChainVerificationCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  lru_.clear();
-}
-
-ShardedChainCache::ShardedChainCache(std::size_t shards,
-                                     std::size_t capacity_per_shard) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(
-        std::make_unique<ChainVerificationCache>(capacity_per_shard));
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->entries.clear();
+    shard->lru.clear();
   }
-}
-
-std::size_t ShardedChainCache::shard_index(const crypto::Digest32& key) const {
-  std::uint64_t prefix = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    prefix = (prefix << 8) | key[i];
-  }
-  return static_cast<std::size_t>(prefix % shards_.size());
-}
-
-Status ShardedChainCache::verify(const Certificate& leaf,
-                                 const std::vector<Certificate>& intermediates,
-                                 const std::vector<Certificate>& roots,
-                                 const ChainVerifyOptions& options) {
-  const crypto::Digest32 key =
-      ChainVerificationCache::cache_key(leaf, intermediates, roots, options);
-  return shards_[shard_index(key)]->verify_keyed(key, leaf, intermediates,
-                                                 roots, options);
-}
-
-ChainVerificationCache::Stats ShardedChainCache::stats() const {
-  ChainVerificationCache::Stats total;
-  for (const auto& shard : shards_) {
-    const ChainVerificationCache::Stats s = shard->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.window_rejects += s.window_rejects;
-    total.store_hits += s.store_hits;
-    total.store_write_failures += s.store_write_failures;
-  }
-  return total;
-}
-
-std::size_t ShardedChainCache::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->size();
-  return total;
-}
-
-void ShardedChainCache::clear() {
-  for (auto& shard : shards_) shard->clear();
-}
-
-void ShardedChainCache::attach_store(store::KvStore* kv) {
-  for (auto& shard : shards_) shard->attach_store(kv);
 }
 
 }  // namespace revelio::pki

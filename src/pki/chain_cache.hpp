@@ -14,17 +14,16 @@
 // validity window) or to the root set changes the key, which is what
 // invalidates stale entries; capacity is a bounded LRU.
 //
-// Two implementations sit behind the ChainVerifier interface that
-// consumers (net::TlsTrustConfig, sevsnp::ReportVerifyOptions) hold a
-// pointer to:
-//   - ChainVerificationCache: one LRU under one mutex. Right for a single
-//     client, or per-session private caches.
-//   - ShardedChainCache: K independent ChainVerificationCache shards,
-//     selected by the cache-key fingerprint. Same semantics, but
-//     concurrent gateway sessions verifying *different* chains contend on
-//     different mutexes instead of serializing on one.
+// Lock-striped: the cache-key fingerprint picks one of `shards`
+// independent LRUs, each under its own mutex, so concurrent gateway
+// sessions verifying *different* chains contend on different mutexes
+// instead of serializing on one. Repeat verifications of the same chain
+// always land on the same shard. One shard (the default) is the plain
+// single-mutex LRU a single client wants. Consumers
+// (net::TlsTrustConfig, sevsnp::ReportVerifyOptions) hold a pointer to it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -37,50 +36,24 @@
 
 namespace revelio::pki {
 
-/// Interface for anything that can stand in for verify_chain. All
-/// implementations here are thread-safe: the gateway shares one verifier
-/// across concurrent sessions.
-class ChainVerifier {
+/// Thread-safe: the gateway shares one cache across concurrent sessions.
+class ChainVerificationCache {
  public:
-  virtual ~ChainVerifier() = default;
+  /// Total capacity = shards * capacity_per_shard.
+  explicit ChainVerificationCache(std::size_t shards = 1,
+                                  std::size_t capacity_per_shard = 64);
 
   /// Drop-in replacement for verify_chain (same arguments, same verdict
-  /// semantics), typically backed by a cache of prior successes.
-  virtual Status verify(const Certificate& leaf,
-                        const std::vector<Certificate>& intermediates,
-                        const std::vector<Certificate>& roots,
-                        const ChainVerifyOptions& options) = 0;
-};
-
-class ChainVerificationCache final : public ChainVerifier {
- public:
-  explicit ChainVerificationCache(std::size_t capacity = 64);
-
-  /// Returns the cached verdict when the same (chain, roots, dns
-  /// constraint) verified before and now_us is inside the recorded
+  /// semantics). Returns the cached verdict when the same (chain, roots,
+  /// dns constraint) verified before and now_us is inside the recorded
   /// validity intersection; otherwise verifies and caches on success.
-  /// Thread-safe: lookups and insertions serialize on one internal mutex;
-  /// the actual verify_chain work for a miss runs outside it (two misses
-  /// of the same chain may race to verify — both succeed, one caches).
+  /// Lookups and insertions serialize on the key's shard mutex; the actual
+  /// verify_chain work for a miss runs outside it (two misses of the same
+  /// chain may race to verify — both succeed, one caches).
   Status verify(const Certificate& leaf,
                 const std::vector<Certificate>& intermediates,
                 const std::vector<Certificate>& roots,
-                const ChainVerifyOptions& options) override;
-
-  /// The fingerprint verify() keys entries by: exact bytes of every
-  /// certificate supplied plus the DNS-name constraint. Public so that
-  /// ShardedChainCache can hash once, route, and pass the key down.
-  static crypto::Digest32 cache_key(const Certificate& leaf,
-                                    const std::vector<Certificate>& inters,
-                                    const std::vector<Certificate>& roots,
-                                    const ChainVerifyOptions& options);
-
-  /// verify() with the key already computed — must be the cache_key of the
-  /// same arguments. Same thread-safety as verify().
-  Status verify_keyed(const crypto::Digest32& key, const Certificate& leaf,
-                      const std::vector<Certificate>& intermediates,
-                      const std::vector<Certificate>& roots,
-                      const ChainVerifyOptions& options);
+                const ChainVerifyOptions& options);
 
   /// Durable tier behind this cache (attach_store): verified windows are
   /// written through under "chain/<fingerprint>" and consulted on an
@@ -90,7 +63,7 @@ class ChainVerificationCache final : public ChainVerifier {
   /// verdict can only ever apply to a byte-identical chain + root set +
   /// constraint, and the validity window is still enforced at query time.
   /// Store write failures degrade to memory-only (counted, never trusted).
-  /// The store must outlive the cache.
+  /// The store must be thread-safe and outlive the cache.
   void attach_store(store::KvStore* kv);
 
   struct Stats {
@@ -106,13 +79,20 @@ class ChainVerificationCache final : public ChainVerifier {
     /// Durable write-throughs that failed (entry stays memory-only).
     std::uint64_t store_write_failures = 0;
   };
-  /// Per-instance counters, read under the cache mutex (safe any time).
-  /// The same events are also reported process-wide through obs::metrics()
-  /// as pki.chain_cache.{hit,miss,eviction,expiry}.count, aggregated
-  /// across all caches.
+  /// Per-instance counters summed over shards, each read under its own
+  /// mutex (not one atomic snapshot, which only matters while updates are
+  /// in flight). The same events are also reported process-wide through
+  /// obs::metrics() as pki.chain_cache.{hit,miss,eviction,expiry}.count,
+  /// aggregated across all caches.
   Stats stats() const;
+  /// Entries currently cached, summed over shards.
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
+  std::size_t shard_count() const { return shards_.size(); }
+  /// Entry count of one shard (tests: key distribution, eviction).
+  std::size_t shard_size(std::size_t i) const;
+  /// Which shard a cache key routes to: first 8 bytes of the fingerprint
+  /// (big-endian) modulo the shard count.
+  std::size_t shard_index(const crypto::Digest32& key) const;
   void clear();
 
  private:
@@ -121,63 +101,21 @@ class ChainVerificationCache final : public ChainVerifier {
     std::uint64_t valid_until_us = 0;  // min(not_after) over the chain
     std::list<crypto::Digest32>::iterator lru_it;
   };
+  struct Shard {
+    mutable std::mutex mu;
+    std::list<crypto::Digest32> lru;  // front = most recently used
+    std::map<crypto::Digest32, Entry> entries;
+    Stats stats;
+  };
 
-  /// Inserts under the already-held mutex, evicting if needed.
-  void insert_locked(const crypto::Digest32& key, std::uint64_t from,
-                     std::uint64_t until);
+  /// Inserts under the shard's already-held mutex, evicting if needed.
+  void insert_locked(Shard& shard, const crypto::Digest32& key,
+                     std::uint64_t from, std::uint64_t until);
 
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<crypto::Digest32> lru_;  // front = most recently used
-  std::map<crypto::Digest32, Entry> entries_;
-  Stats stats_;
-  store::KvStore* store_ = nullptr;
-};
-
-/// Lock-striped chain cache: the cache-key fingerprint picks one of
-/// `shards` independent ChainVerificationCache instances, so concurrent
-/// verifications of unrelated chains (different clients, different server
-/// certs) proceed without sharing a mutex. Repeat verifications of the
-/// same chain always land on the same shard and hit its LRU exactly like
-/// the unsharded cache would. Total capacity = shards * capacity_per_shard.
-class ShardedChainCache final : public ChainVerifier {
- public:
-  explicit ShardedChainCache(std::size_t shards = 8,
-                             std::size_t capacity_per_shard = 64);
-
-  /// Thread-safe; hashes once, routes to the key's shard, then behaves
-  /// exactly like ChainVerificationCache::verify on that shard.
-  Status verify(const Certificate& leaf,
-                const std::vector<Certificate>& intermediates,
-                const std::vector<Certificate>& roots,
-                const ChainVerifyOptions& options) override;
-
-  /// Stats summed over all shards (each shard read under its own mutex;
-  /// the sum is not a single atomic snapshot, which only matters if
-  /// updates are in flight while reading).
-  ChainVerificationCache::Stats stats() const;
-  /// Entry count summed over all shards.
-  std::size_t size() const;
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Direct shard access for tests (distribution, per-shard eviction).
-  const ChainVerificationCache& shard(std::size_t i) const {
-    return *shards_[i];
-  }
-  void clear();
-
-  /// Which shard a cache key routes to: first 8 bytes of the fingerprint
-  /// (big-endian) modulo the shard count. Exposed for tests.
-  std::size_t shard_index(const crypto::Digest32& key) const;
-
-  /// Attaches the durable tier to every shard (they share the thread-safe
-  /// store; keys cannot collide across shards since the fingerprint picks
-  /// the shard). See ChainVerificationCache::attach_store.
-  void attach_store(store::KvStore* kv);
-
- private:
-  // unique_ptr: ChainVerificationCache owns a mutex, so the shard array
-  // must never reallocate or copy.
-  std::vector<std::unique_ptr<ChainVerificationCache>> shards_;
+  std::size_t capacity_per_shard_;
+  // unique_ptr: Shard owns a mutex, the array must never move.
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<store::KvStore*> store_{nullptr};
 };
 
 }  // namespace revelio::pki

@@ -28,6 +28,14 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
+/// Both shared caches: lock-striped, 64 entries per stripe.
+constexpr std::size_t kCacheShards = 8;
+constexpr std::size_t kCacheCapacityPerShard = 64;
+/// A batch-stage wavefront needs this many sessions to be worth one task.
+constexpr std::size_t kMinBatch = 2;
+/// Anomaly dumps kept per run (failures first, then tail sessions).
+constexpr std::size_t kMaxDumps = 128;
+
 }  // namespace
 
 const char* to_string(SessionState state) {
@@ -44,92 +52,13 @@ const char* to_string(SessionState state) {
 }
 
 SessionEngine::SessionEngine(SessionEngineConfig config)
-    : config_(config),
-      chain_cache_(config.chain_cache_shards,
-                   config.chain_cache_capacity_per_shard),
-      vcek_cache_(config.vcek_cache_shards,
-                  config.vcek_cache_capacity_per_shard) {}
+    : config_(std::move(config)),
+      chain_cache_(kCacheShards, kCacheCapacityPerShard),
+      vcek_cache_(kCacheShards, kCacheCapacityPerShard) {}
 
 unsigned SessionEngine::workers() const {
   return config_.workers == 0 ? common::ThreadPool::default_thread_count()
                               : config_.workers;
-}
-
-SessionEngine::Report SessionEngine::run(std::size_t sessions,
-                                         const SessionFn& fn) {
-  Report report;
-  report.sessions = sessions;
-  report.outcomes.assign(sessions, Status::success());
-  report.session_virt_ms.assign(sessions, 0.0);
-  if (sessions == 0) return report;
-
-  const auto real_start = std::chrono::steady_clock::now();
-  common::ThreadPool pool(workers());
-  pool.for_tasks(sessions, [&](std::size_t i) {
-    // Per-session observability: its own tracer always (the process
-    // tracer is not thread-safe), its own metrics registry when isolating.
-    obs::MetricsRegistry session_metrics;
-    obs::Tracer session_tracer;
-    session_tracer.set_enabled(config_.trace_sessions);
-    {
-      obs::ScopedThreadTracer tracer_scope(session_tracer);
-      std::optional<obs::ScopedThreadMetrics> metrics_scope;
-      if (config_.isolate_obs) metrics_scope.emplace(session_metrics);
-
-      SessionContext ctx;
-      ctx.index = i;
-      ctx.chain_cache = &chain_cache_;
-      ctx.vcek_cache = &vcek_cache_;
-      ctx.tracer = &session_tracer;
-      report.outcomes[i] = fn(ctx);
-      report.session_virt_ms[i] = ctx.virt_ms;
-    }
-    // Bindings restored: metrics() is the process registry again. Folding
-    // here — concurrently with other sessions ending — is the case the
-    // locked histogram merge exists for.
-    if (config_.isolate_obs && config_.merge_metrics) {
-      obs::metrics().merge_from(session_metrics);
-    }
-  });
-  const auto real_end = std::chrono::steady_clock::now();
-
-  report.real_elapsed_ms =
-      std::chrono::duration<double, std::milli>(real_end - real_start).count();
-  for (const auto& st : report.outcomes) {
-    if (st.ok()) {
-      ++report.succeeded;
-    } else {
-      ++report.failed;
-    }
-  }
-  if (report.real_elapsed_ms > 0.0) {
-    report.sessions_per_real_sec = static_cast<double>(sessions) /
-                                   (report.real_elapsed_ms / 1000.0);
-  }
-
-  // Virtual-time lane model: deterministic round-robin assignment (session
-  // i -> lane i % workers), independent of which OS thread actually ran
-  // which task. That keeps the makespan — and everything derived from it —
-  // reproducible run to run.
-  std::vector<double> lanes(std::min<std::size_t>(workers(), sessions), 0.0);
-  for (std::size_t i = 0; i < sessions; ++i) {
-    lanes[i % lanes.size()] += report.session_virt_ms[i];
-  }
-  report.virt_makespan_ms = *std::max_element(lanes.begin(), lanes.end());
-  if (report.virt_makespan_ms > 0.0) {
-    report.sessions_per_virtual_sec = static_cast<double>(sessions) /
-                                      (report.virt_makespan_ms / 1000.0);
-  }
-
-  std::vector<double> sorted = report.session_virt_ms;
-  std::sort(sorted.begin(), sorted.end());
-  report.virt_p50_ms = percentile(sorted, 0.50);
-  report.virt_p95_ms = percentile(sorted, 0.95);
-  report.virt_p99_ms = percentile(sorted, 0.99);
-
-  report.chain_stats = chain_cache_.stats();
-  report.vcek_stats = vcek_cache_.stats();
-  return report;
 }
 
 namespace {
@@ -334,9 +263,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         gate.peak_inflight = std::max(gate.peak_inflight, gate.inflight);
         flight(i, obs::FlightEventType::kAdmission, g, 0, now_us);
         ready.push_back(i);
-      } else if (admission.on_overload == AdmissionConfig::Overload::kPark &&
-                 (admission.max_parked == 0 ||
-                  gate.fifo.size() < admission.max_parked)) {
+      } else if (admission.on_overload == AdmissionConfig::Overload::kPark) {
         c.queued_at_us = now_us;
         gate.fifo.push_back(i);
         park_counter.inc();
@@ -414,9 +341,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
                static_cast<std::uint32_t>(to_us(r.stage_virt_ms)),
                now_us + to_us(r.stage_virt_ms));
       }
-      if (config_.isolate_obs && config_.merge_metrics) {
-        obs::metrics().merge_from(session_metrics);
-      }
+      if (config_.isolate_obs) obs::metrics().merge_from(session_metrics);
       results[slot] = std::move(r);
     };
     groups.clear();
@@ -449,7 +374,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       }
       // Commit only when there is something to amortize; otherwise groups
       // stay untouched and everything dispatches per-session.
-      if (coalesced >= std::max<std::size_t>(batching.min_batch, 1)) {
+      if (coalesced >= kMinBatch) {
         std::vector<std::vector<std::size_t>> kept;
         kept.reserve(groups.size() - subsumed.size());
         std::size_t s = 0;
@@ -491,9 +416,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         }
         batching.fn(items);
       }
-      if (config_.isolate_obs && config_.merge_metrics) {
-        obs::metrics().merge_from(batch_metrics);
-      }
+      if (config_.isolate_obs) obs::metrics().merge_from(batch_metrics);
       const double batch_real_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - real_t0)
@@ -657,7 +580,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
 
   // Dump-on-anomaly: failed/shed sessions first (their timelines answer
   // "why did this fail"), then the virtual-latency tail at or beyond the
-  // configured quantile, up to max_dumps total.
+  // configured quantile, up to kMaxDumps total.
   if (fr.enabled) {
     for (const auto& rec : recorders) report.recorder_bytes += rec.bytes();
     const double tail_ms =
@@ -665,7 +588,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
                        : percentile(sorted, std::clamp(fr.tail_quantile,
                                                        0.0, 1.0));
     const auto dump = [&](std::size_t i, const char* reason) {
-      if (report.anomaly_dumps.size() >= fr.max_dumps) return;
+      if (report.anomaly_dumps.size() >= kMaxDumps) return;
       report.anomaly_dumps.push_back(
           recorders[i].to_json(static_cast<std::uint64_t>(i), reason));
     };

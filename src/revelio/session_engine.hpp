@@ -2,13 +2,13 @@
 //
 // The paper evaluates one client attesting one Revelio VM; a deployment
 // fronts *many* clients at once. SessionEngine drives N independent client
-// sessions over a task-queue thread pool (common/parallel.hpp — each
-// session is one dynamically-claimed task, so long sessions don't convoy),
-// sharing exactly two pieces of state across them, both built for
-// concurrency:
+// sessions as explicit state machines over a deterministic virtual-time
+// EventLoop (common/event_loop.hpp), dispatching ready stages over a
+// task-queue thread pool (common/parallel.hpp), and shares exactly two
+// pieces of state across them, both built for concurrency:
 //
-//  - a ShardedChainCache (pki/chain_cache.hpp): certificate-chain verdicts,
-//    lock-striped so unrelated chains don't contend;
+//  - a ChainVerificationCache (pki/chain_cache.hpp): certificate-chain
+//    verdicts, lock-striped so unrelated chains don't contend;
 //  - a VcekCache (revelio/vcek_cache.hpp): VCEK chains from the KDS, with
 //    single-flight so a cold cache costs ONE fetch no matter how many
 //    sessions stampede it.
@@ -22,25 +22,24 @@
 //    binds its world's clock with ScopedClockCurrent;
 //  - each session gets its own Tracer bound via ScopedThreadTracer, so
 //    interleaved sessions produce coherent, isolated traces;
-//  - with isolate_obs, each session records into a private MetricsRegistry
-//    that the engine folds into the process registry when the session ends
-//    (obs/metrics.hpp merge_from — safe under concurrent session-end).
+//  - with isolate_obs, each stage records into a private MetricsRegistry
+//    that the engine folds into the process registry when the stage ends
+//    (obs/metrics.hpp merge_from — safe under concurrent stage-end).
 //
-// The Report separates the two clocks: real_elapsed_ms is wall time of the
-// whole run; the virtual-latency percentiles and the lane-model makespan
-// come from the per-session virtual durations the session function
-// reports, which are deterministic — benchmarks gate on them (see
+// One dispatched *stage* runs synchronously; the virtual time it consumes
+// (network round trips, retry backoff, chaos timeouts) becomes the
+// session's park interval, and the session costs a 40-byte heap event —
+// not a blocked thread — until its wake. That is what lets one worker
+// carry thousands of in-flight sessions (the 100k-session level in
+// bench_gateway). A session may also run as a single stage (kHandshake ->
+// kDone): bench_gateway's blocking baseline does exactly that. Admission
+// control bounds the in-flight gated stages (evidence/KDS fetches) with
+// park-or-shed overload policy, all exported as gw.* metrics.
+//
+// The StagedReport separates the two clocks: real_elapsed_ms is wall time
+// of the whole run; the virtual-latency percentiles and makespan come from
+// the deterministic schedule — benchmarks gate on them (see
 // bench/bench_gateway.cpp).
-// run_staged() is the event-driven successor to run(): sessions become
-// explicit state machines over a deterministic virtual-time EventLoop
-// (common/event_loop.hpp). One dispatched *stage* runs synchronously; the
-// virtual time it consumes (network round trips, retry backoff, chaos
-// timeouts) becomes the session's park interval, and the session costs a
-// 40-byte heap event — not a blocked thread — until its wake. That is what
-// lets one worker carry thousands of in-flight sessions (the 100k-session
-// level in bench_gateway). Admission control bounds the in-flight gated
-// stages (evidence/KDS fetches) with park-or-shed overload policy, all
-// exported as gw.* metrics.
 #pragma once
 
 #include <cstddef>
@@ -95,26 +94,17 @@ struct FlightRecorderConfig {
   bool enabled = false;
   std::size_t ring_events = 32;  // 16 bytes/event
   double tail_quantile = 0.99;
-  /// Cap on dumped timelines per run (failures first, then tail sessions).
-  std::size_t max_dumps = 128;
 };
 
 struct SessionEngineConfig {
-  /// Worker lanes (0 = ThreadPool::default_thread_count()). Also the lane
-  /// count of the virtual-time makespan model in Report.
+  /// Worker lanes (0 = ThreadPool::default_thread_count()).
   unsigned workers = 0;
-  std::size_t chain_cache_shards = 8;
-  std::size_t chain_cache_capacity_per_shard = 64;
-  std::size_t vcek_cache_shards = 8;
-  std::size_t vcek_cache_capacity_per_shard = 64;
-  /// Give each session a private MetricsRegistry for its duration.
+  /// Give each stage dispatch a private MetricsRegistry, folded into the
+  /// process-wide one when the dispatch ends.
   bool isolate_obs = true;
-  /// Fold each session's private registry into the process-wide one when
-  /// the session ends (only meaningful with isolate_obs).
-  bool merge_metrics = true;
   /// Enable each session's private tracer (spans cost nothing otherwise).
   bool trace_sessions = false;
-  /// Per-session flight recorder (run_staged only).
+  /// Per-session flight recorder.
   FlightRecorderConfig flight_recorder;
   /// Optional attestation audit chain. The engine appends a rejected
   /// verdict (failure_step "admission_shed") for every session shed by
@@ -134,38 +124,18 @@ struct SessionEngineConfig {
   std::function<void(std::uint64_t now_us)> on_virtual_time;
 };
 
-/// What one session sees while it runs. The cache pointers are shared with
-/// every other session and safe to use concurrently; everything a session
-/// builds beyond them must be its own.
-struct SessionContext {
-  std::size_t index = 0;                     // session number in [0, N)
-  pki::ChainVerifier* chain_cache = nullptr; // the engine's sharded cache
-  VcekCache* vcek_cache = nullptr;           // the engine's VCEK cache
-  /// The session's tracer (already bound to the thread; enabled iff
-  /// trace_sessions). Read finished spans from it before returning — it
-  /// dies with the session.
-  obs::Tracer* tracer = nullptr;
-  /// Out-parameter: the session's virtual duration, reported by the
-  /// session function (e.g. the world clock's delta across the session).
-  /// Feeds the Report's percentiles and makespan.
-  double virt_ms = 0.0;
-};
-
-/// One client session: attest, fetch, verify — whatever the caller stages.
-/// Runs on a pool lane; must only touch the shared caches through ctx and
-/// its own per-session/per-lane state. A failed Status marks the session
-/// failed in the Report; the engine itself never interprets the error.
-using SessionFn = std::function<Status(SessionContext&)>;
-
-/// What one *stage* of a staged session sees. Shared-cache rules are the
-/// same as SessionContext; the tracer and (with isolate_obs) the metrics
-/// registry are per-dispatch, merged into the process registry when the
-/// stage returns.
+/// What one *stage* of a staged session sees. The cache pointers are the
+/// engine's, shared with every other session and safe to use concurrently;
+/// everything a session builds beyond them must be its own. The tracer and
+/// (with isolate_obs) the metrics registry are per-dispatch, merged into
+/// the process registry when the stage returns.
 struct StagedContext {
   std::size_t index = 0;                      // session number in [0, N)
   SessionState state = SessionState::kHandshake;  // the stage to run NOW
-  pki::ChainVerifier* chain_cache = nullptr;
+  pki::ChainVerificationCache* chain_cache = nullptr;
   VcekCache* vcek_cache = nullptr;
+  /// The dispatch's tracer (already bound to the thread; enabled iff
+  /// trace_sessions). Read finished spans from it before returning.
   obs::Tracer* tracer = nullptr;
   /// Virtual time the session has accumulated across earlier stages.
   double total_virt_ms = 0.0;
@@ -213,20 +183,18 @@ using StagedBatchFn = std::function<void(std::vector<StagedBatchItem>&)>;
 /// session at a different stage keep per-session dispatch, so sessions
 /// sharing a world replica still never run concurrently. Per-session
 /// verdicts, audit records, and the transcript digest are bit-identical to
-/// unbatched dispatch.
+/// unbatched dispatch. A wavefront of one session dispatches per-session
+/// (nothing to amortize).
 struct BatchStageConfig {
   SessionState stage = SessionState::kVerify;
   StagedBatchFn fn;           // empty = batching off
-  /// Wavefronts smaller than this dispatch per-session (nothing to
-  /// amortize).
-  std::size_t min_batch = 2;
 };
 
 /// Backpressure for the two remote-fetch stages. A gated stage holds one
 /// unit of its gate's capacity from dispatch until the session's next wake
 /// (the park IS the in-flight fetch); a session arriving at a full gate is
-/// parked in the gate's FIFO (kPark) or failed closed with
-/// "gw.admission.shed" (kShed, or kPark with the FIFO at max_parked).
+/// parked in the gate's unbounded FIFO (kPark) or failed closed with
+/// "gw.admission.shed" (kShed).
 struct AdmissionConfig {
   /// Max in-flight evidence/BN fetches (0 = unlimited).
   std::size_t max_inflight_evidence = 0;
@@ -234,45 +202,11 @@ struct AdmissionConfig {
   std::size_t max_inflight_kds = 0;
   enum class Overload { kPark, kShed };
   Overload on_overload = Overload::kPark;
-  /// Park-queue bound per gate before shedding anyway (0 = unbounded).
-  std::size_t max_parked = 0;
 };
 
 class SessionEngine {
  public:
   explicit SessionEngine(SessionEngineConfig config = {});
-
-  struct Report {
-    std::size_t sessions = 0;
-    std::size_t succeeded = 0;
-    std::size_t failed = 0;
-    /// Per-session outcome, indexed by session number.
-    std::vector<Status> outcomes;
-    /// Per-session virtual duration as reported via ctx.virt_ms.
-    std::vector<double> session_virt_ms;
-
-    /// Wall-clock time of the whole run (not deterministic; not gated).
-    double real_elapsed_ms = 0.0;
-    double sessions_per_real_sec = 0.0;
-
-    /// Deterministic virtual-time lane model: session i is charged to lane
-    /// i % workers and lanes run in parallel, so the makespan is the
-    /// heaviest lane's total. This is what "concurrency" means under a
-    /// simulated clock — and what the gateway bench gates on.
-    double virt_makespan_ms = 0.0;
-    double sessions_per_virtual_sec = 0.0;
-    double virt_p50_ms = 0.0;
-    double virt_p95_ms = 0.0;
-    double virt_p99_ms = 0.0;
-
-    pki::ChainVerificationCache::Stats chain_stats;  // summed over shards
-    VcekCache::Stats vcek_stats;
-  };
-
-  /// Runs `sessions` instances of `fn` over the pool and aggregates. Not
-  /// re-entrant: one run() at a time per engine (the shared caches persist
-  /// across runs; construct a fresh engine for cold-cache measurements).
-  Report run(std::size_t sessions, const SessionFn& fn);
 
   struct StagedReport {
     std::size_t sessions = 0;
@@ -288,9 +222,8 @@ class SessionEngine {
     double sessions_per_real_sec = 0.0;
 
     /// Virtual completion time of the last session — the event loop's last
-    /// wake instant. Unlike run()'s lane model this is *measured* from the
-    /// schedule, so overlap is real: N sessions of latency L that overlap
-    /// perfectly finish at L, not N*L/workers.
+    /// wake instant. It is *measured* from the schedule, so overlap is
+    /// real: N sessions of latency L that overlap perfectly finish at L.
     double virt_makespan_ms = 0.0;
     double sessions_per_virtual_sec = 0.0;
     double virt_p50_ms = 0.0;
@@ -361,7 +294,7 @@ class SessionEngine {
 
     /// Flight-recorder anomaly dumps (JSON, one per anomalous session —
     /// failed/shed first, then the >= tail_quantile latency tail), capped
-    /// at FlightRecorderConfig::max_dumps. Empty when the recorder is off.
+    /// at 128 per run. Empty when the recorder is off.
     std::vector<std::string> anomaly_dumps;
     /// Fixed ring cost of all session recorders (0 when off); also
     /// included in engine_bytes.
@@ -375,22 +308,23 @@ class SessionEngine {
   /// ready stages are dispatched over the pool in deterministic batches
   /// (grouped by track — see TrackFn) and parked between stages on the
   /// event loop. Deterministic for fixed (sessions, fn behavior, admission,
-  /// track, workers) — the transcript digest is the proof. Same
-  /// re-entrancy rule as run().
+  /// track, workers) — the transcript digest is the proof. Not
+  /// re-entrant: one run at a time per engine (the shared caches persist
+  /// across runs; construct a fresh engine for cold-cache measurements).
   StagedReport run_staged(std::size_t sessions, const StagedSessionFn& fn,
                           const AdmissionConfig& admission = {},
                           const TrackFn& track = {},
                           const BatchStageConfig& batching = {});
 
-  /// Lanes the engine schedules on (== the makespan model's lane count).
+  /// Lanes the engine schedules on.
   unsigned workers() const;
 
-  pki::ShardedChainCache& chain_cache() { return chain_cache_; }
+  pki::ChainVerificationCache& chain_cache() { return chain_cache_; }
   VcekCache& vcek_cache() { return vcek_cache_; }
 
  private:
   SessionEngineConfig config_;
-  pki::ShardedChainCache chain_cache_;
+  pki::ChainVerificationCache chain_cache_;
   VcekCache vcek_cache_;
 };
 

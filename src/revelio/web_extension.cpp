@@ -1,5 +1,7 @@
 #include "revelio/web_extension.hpp"
 
+#include <algorithm>
+
 #include "crypto/ecdsa.hpp"
 #include "crypto/sha2.hpp"
 #include "fleet/tcb_horizon.hpp"
@@ -17,8 +19,7 @@ Browser::Browser(net::Network& network, std::string client_host,
     : network_(&network),
       client_host_(std::move(client_host)),
       trust_roots_(std::move(trust_roots)),
-      entropy_(std::move(entropy)),
-      chain_cache_(std::make_unique<pki::ChainVerificationCache>()) {}
+      entropy_(std::move(entropy)) {}
 
 Result<net::TlsSession*> Browser::session_for(const std::string& domain,
                                               std::uint16_t port,
@@ -34,8 +35,13 @@ Result<net::TlsSession*> Browser::session_for(const std::string& domain,
   trust.roots = trust_roots_;
   trust.server_name = domain;
   trust.now_us = network_->clock().now_us();
-  trust.chain_cache = external_chain_cache_ != nullptr ? external_chain_cache_
-                                                       : chain_cache_.get();
+  trust.chain_cache = shared_chain_cache_;
+  if (trust.chain_cache == nullptr) {
+    if (!own_chain_cache_) {
+      own_chain_cache_ = std::make_unique<pki::ChainVerificationCache>();
+    }
+    trust.chain_cache = own_chain_cache_.get();
+  }
   auto session = net::TlsSession::connect(
       *network_, {client_host_, next_port_++}, *address, trust, entropy_);
   if (!session.ok()) return session.error();
@@ -97,18 +103,45 @@ std::vector<net::Address> kds_replicas(const WebExtensionConfig& config) {
                   config.kds_mirrors.end());
   return replicas;
 }
+
+/// Maps a (split or whole) report-verify Status onto the checks struct:
+/// chain failures vs report_verify failures. True iff st is ok.
+bool apply_verify_status(const Status& st, AttestationChecks& checks) {
+  if (!st.ok()) {
+    // Distinguish chain failures from signature failures for the UI.
+    if (st.error().code == "snp.vcek_chain_invalid") {
+      checks.failure = st.error().to_string();
+      checks.failure_step = "chain";
+      return false;
+    }
+    checks.chain_ok = true;
+    checks.failure = st.error().to_string();
+    checks.failure_step = "report_verify";
+    return false;
+  }
+  checks.chain_ok = true;
+  checks.signature_ok = true;
+  return true;
+}
+
 }  // namespace
 
 WebExtension::WebExtension(Browser& browser, WebExtensionConfig config)
     : browser_(&browser),
       config_(std::move(config)),
-      kds_failover_(kds_replicas(config_), config_.kds_breaker, "kds"),
+      kds_failover_(kds_replicas(config_), {}, "kds"),
       retry_jitter_(to_bytes("ext-retry-jitter"), to_bytes(browser.host())),
-      chain_cache_(std::make_unique<pki::ChainVerificationCache>()),
-      chain_verifier_(config_.shared_chain_cache != nullptr
-                          ? config_.shared_chain_cache
-                          : static_cast<pki::ChainVerifier*>(
-                                chain_cache_.get())) {}
+      chain_cache_(config_.shared_chain_cache),
+      vcek_cache_(config_.shared_vcek_cache) {
+  if (chain_cache_ == nullptr) {
+    own_chain_cache_ = std::make_unique<pki::ChainVerificationCache>();
+    chain_cache_ = own_chain_cache_.get();
+  }
+  if (vcek_cache_ == nullptr) {
+    own_vcek_cache_ = std::make_unique<VcekCache>(/*shards=*/1);
+    vcek_cache_ = own_vcek_cache_.get();
+  }
+}
 
 void WebExtension::register_site(const std::string& domain,
                                  SiteRegistration site) {
@@ -137,81 +170,41 @@ Result<bool> WebExtension::discover(const std::string& domain,
 Result<KdsService::VcekResponse> WebExtension::fetch_vcek(
     const sevsnp::ChipId& chip, sevsnp::TcbVersion tcb,
     const net::Deadline& deadline) {
-  if (config_.shared_vcek_cache != nullptr) {
-    // Gateway mode: hit the shared cache; on a miss, this extension's own
-    // resilience stack (retry x failover, breakers) becomes the
-    // single-flight leader's fetch — concurrent sessions missing on the
-    // same (chip, tcb) wait for it instead of stampeding the KDS.
-    bool fetched = false;  // did THIS call run the leader fetch?
-    auto result = config_.shared_vcek_cache->get_or_fetch(chip, tcb, [&] {
-      fetched = true;
-      obs::Span span("ext.kds_fetch");
-      ++kds_fetches_;
-      obs::metrics().counter("ext.kds_fetch.count").inc();
-      SimClock& clock = browser_->network().clock();
-      auto response = net::with_retries(
-          clock, retry_jitter_, config_.retry, deadline, "ext.kds_fetch", [&] {
-            return kds_failover_.execute(clock, [&](const net::Address& kds) {
-              return KdsService::fetch(browser_->network(),
-                                       {browser_->host(), 39999}, kds, chip,
-                                       tcb);
-            });
+  // On a miss, this extension's own resilience stack (retry x failover,
+  // breakers) becomes the single-flight leader's fetch — with a shared
+  // cache, concurrent sessions missing on the same (chip, tcb) wait for it
+  // instead of stampeding the KDS.
+  bool fetched = false;  // did THIS call run the leader fetch?
+  auto result = vcek_cache_->get_or_fetch(chip, tcb, [&] {
+    fetched = true;
+    obs::Span span("ext.kds_fetch");
+    ++kds_fetches_;
+    obs::metrics().counter("ext.kds_fetch.count").inc();
+    SimClock& clock = browser_->network().clock();
+    // Retry wraps failover: each attempt sweeps the replica list (skipping
+    // open breakers), and the backoff between attempts is what lets an
+    // open breaker reach its half-open probe window.
+    auto response = net::with_retries(
+        clock, retry_jitter_, config_.retry, deadline, "ext.kds_fetch", [&] {
+          return kds_failover_.execute(clock, [&](const net::Address& kds) {
+            return KdsService::fetch(browser_->network(),
+                                     {browser_->host(), 39999}, kds, chip,
+                                     tcb);
           });
-      span.attr("result", response.ok() ? "ok" : response.error().code);
-      return response;
-    });
-    // Single-flight followers land on the hit side: they paid a wait, not
-    // a fetch — the flight timeline should say so.
-    obs::flight_record(fetched ? obs::FlightEventType::kCacheMiss
-                               : obs::FlightEventType::kCacheHit,
-                       /*arg=*/1);
-    return result;
-  }
-
-  const auto key = std::make_pair(chip.bytes(), tcb.encode());
-  if (config_.cache_vcek) {
-    const auto it = vcek_cache_.find(key);
-    if (it != vcek_cache_.end()) {
-      ++vcek_cache_hits_;
-      obs::metrics().counter("ext.vcek_cache.hit.count").inc();
-      obs::flight_record(obs::FlightEventType::kCacheHit, /*arg=*/1);
-      return it->second;
-    }
-  }
-  obs::flight_record(obs::FlightEventType::kCacheMiss, /*arg=*/1);
-  obs::Span span("ext.kds_fetch");
-  ++kds_fetches_;
-  obs::metrics().counter("ext.kds_fetch.count").inc();
-  SimClock& clock = browser_->network().clock();
-  // Retry wraps failover: each attempt sweeps the replica list (skipping
-  // open breakers), and the backoff between attempts is what lets an open
-  // breaker reach its half-open probe window.
-  auto response = net::with_retries(
-      clock, retry_jitter_, config_.retry, deadline, "ext.kds_fetch", [&] {
-        return kds_failover_.execute(clock, [&](const net::Address& kds) {
-          return KdsService::fetch(browser_->network(),
-                                   {browser_->host(), 39999}, kds, chip, tcb);
         });
-      });
-  span.attr("result", response.ok() ? "ok" : response.error().code);
-  if (!response.ok()) return response.error();
-  if (config_.cache_vcek) vcek_cache_[key] = *response;
-  return response;
-}
-
-Result<AttestationChecks> WebExtension::attest(const std::string& domain,
-                                               std::uint16_t port,
-                                               const Bytes& session_key,
-                                               const net::Deadline& deadline) {
-  obs::Span span("ext.attest");
-  span.attr("domain", domain);
-  auto checks = attest_impl(domain, port, session_key, deadline);
-  const std::string result =
-      !checks.ok() ? checks.error().code
-                   : (checks->all_ok() ? "ok" : checks->failure_step);
-  span.attr("result", result);
-  note_attest_result(result);
-  return checks;
+    span.attr("result", response.ok() ? "ok" : response.error().code);
+    return response;
+  });
+  // Single-flight followers land on the hit side: they paid a wait, not a
+  // fetch — the flight timeline should say so.
+  if (!fetched) {
+    ++vcek_cache_hits_;
+    obs::metrics().counter("ext.vcek_cache.hit.count").inc();
+  }
+  obs::flight_record(fetched ? obs::FlightEventType::kCacheMiss
+                             : obs::FlightEventType::kCacheHit,
+                     /*arg=*/1);
+  return result;
 }
 
 void WebExtension::note_attest_result(const std::string& result) {
@@ -263,93 +256,6 @@ void WebExtension::note_verdict(const AttestationChecks& checks,
   config_.audit_log->append(rec);
 }
 
-std::optional<EvidenceBundle> WebExtension::stage_evidence(
-    const std::string& domain, std::uint16_t port,
-    const net::Deadline& deadline, AttestationChecks& checks) {
-  ++attestations_;
-
-  // 1. Fetch the evidence from the well-known URL over the same session.
-  obs::Span evidence_span("ext.evidence_fetch");
-  SimClock& clock = browser_->network().clock();
-  auto evidence_response = net::with_retries(
-      clock, retry_jitter_, config_.retry, deadline, "ext.evidence_fetch",
-      [&] {
-        return browser_->get(domain, port, "/.well-known/revelio-attestation");
-      });
-  if (!evidence_response.ok() || evidence_response->response.status != 200) {
-    evidence_span.attr("result", "fetch_failed");
-    checks.failure = "evidence fetch failed";
-    checks.failure_step = "evidence_fetch";
-    return std::nullopt;
-  }
-  auto bundle = EvidenceBundle::parse(evidence_response->response.body);
-  if (!bundle.ok()) {
-    evidence_span.attr("result", "unparseable");
-    checks.failure = "evidence unparseable";
-    checks.failure_step = "evidence_parse";
-    return std::nullopt;
-  }
-  evidence_span.attr("result", "ok");
-  evidence_span.end();
-  checks.evidence_fetched = true;
-
-  // 2. REPORT_DATA must cover the served payload (the VM's identity key).
-  if (!bundle->binding_ok()) {
-    checks.failure = "REPORT_DATA does not cover the payload";
-    checks.failure_step = "binding";
-    return std::nullopt;
-  }
-  checks.binding_ok = true;
-  return *bundle;
-}
-
-Result<AttestationChecks> WebExtension::attest_impl(
-    const std::string& domain, std::uint16_t port, const Bytes& session_key,
-    const net::Deadline& deadline) {
-  AttestationChecks checks;
-
-  // Stages 1-2: evidence fetch + parse + REPORT_DATA binding.
-  auto bundle = stage_evidence(domain, port, deadline, checks);
-  if (!bundle.has_value()) {
-    note_verdict(checks, nullptr, nullptr, false);
-    return checks;
-  }
-
-  // 3. VCEK chain from the AMD KDS (cached across sessions).
-  auto kds = fetch_vcek(bundle->report.chip_id, bundle->report.reported_tcb,
-                        deadline);
-  if (!kds.ok()) {
-    checks.failure = "VCEK fetch failed: " + kds.error().to_string();
-    checks.failure_step = "kds_fetch";
-    note_verdict(checks, &*bundle, nullptr, false);
-    return checks;
-  }
-
-  // Stages 4-5: verification, measurement policy, TLS binding.
-  const bool ok = stage_verify(domain, *bundle, *kds, session_key, checks);
-  note_verdict(checks, &*bundle, &*kds, ok);
-  return checks;
-}
-
-bool WebExtension::apply_verify_status(const Status& st,
-                                       AttestationChecks& checks) {
-  if (!st.ok()) {
-    // Distinguish chain failures from signature failures for the UI.
-    if (st.error().code == "snp.vcek_chain_invalid") {
-      checks.failure = st.error().to_string();
-      checks.failure_step = "chain";
-      return false;
-    }
-    checks.chain_ok = true;
-    checks.failure = st.error().to_string();
-    checks.failure_step = "report_verify";
-    return false;
-  }
-  checks.chain_ok = true;
-  checks.signature_ok = true;
-  return true;
-}
-
 bool WebExtension::verify_policy(const std::string& domain,
                                  const EvidenceBundle& bundle,
                                  const Bytes& session_key,
@@ -379,12 +285,6 @@ bool WebExtension::verify_policy(const std::string& domain,
     return false;
   }
   checks.tls_binding_ok = true;
-
-  DomainState state;
-  state.attested = true;
-  state.attested_key = bundle.payload;
-  state.checks = checks;
-  state_[domain] = std::move(state);
   return true;
 }
 
@@ -425,27 +325,6 @@ bool WebExtension::check_tcb_horizon(const EvidenceBundle& bundle,
   return false;
 }
 
-bool WebExtension::stage_verify(const std::string& domain,
-                                const EvidenceBundle& bundle,
-                                const KdsService::VcekResponse& kds,
-                                const Bytes& session_key,
-                                AttestationChecks& checks) {
-  // Revocation and the fleet TCB horizon are checked before a single
-  // signature is examined: evidence from a revoked identity or below its
-  // chip's update horizon must not even reach the crypto.
-  if (!check_revocation(bundle, kds, checks)) return false;
-  if (!check_tcb_horizon(bundle, checks)) return false;
-  const SiteRegistration& site = sites_.at(domain);
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = browser_->network().clock().now_us();
-  options.minimum_tcb = site.minimum_tcb;
-  options.chain_cache = chain_verifier_;
-  const auto verify = sevsnp::verify_report(bundle.report, kds.vcek,
-                                            {kds.ask}, {kds.ark}, options);
-  if (!apply_verify_status(verify, checks)) return false;
-  return verify_policy(domain, bundle, session_key, checks);
-}
-
 Result<WebExtension::Verified> WebExtension::fetch(
     const std::string& domain, std::uint16_t port,
     const net::HttpRequest& request) {
@@ -476,20 +355,25 @@ Result<WebExtension::Verified> WebExtension::fetch(
 
   if (need_full_attestation) {
     span.attr("mode", "attest");
-    auto checks = attest(domain, port, result->tls_server_key, deadline);
-    if (!checks.ok()) {
-      span.attr("result", checks.error().code);
-      return checks.error();
+    StagedAttestation staged(*this, domain, port, result->tls_server_key,
+                             deadline);
+    Status st = Status::success();
+    {
+      obs::Span attest_span("ext.attest");
+      attest_span.attr("domain", domain);
+      st = staged.fetch_evidence();
+      if (st.ok()) st = staged.fetch_kds();
+      if (st.ok()) st = staged.verify();
+      attest_span.attr("result",
+                       st.ok() ? "ok" : staged.checks().failure_step);
     }
-    if (!checks->all_ok()) {
-      // Fail closed: surface the response-less verdict to the caller.
-      state_[domain].checks = *checks;
-      state_[domain].attested = false;
-      span.attr("result", "extension.attestation_failed");
-      return Error::make("extension.attestation_failed", checks->failure);
+    if (!st.ok()) {
+      // Fail closed: the verdict is in last_checks(), the page is not served.
+      span.attr("result", st.error().code);
+      return st.error();
     }
     span.attr("result", "ok");
-    return Verified{std::move(result->response), *checks};
+    return Verified{std::move(result->response), staged.checks()};
   }
 
   // Monitoring path: every request validates that the connection still
@@ -550,12 +434,38 @@ Status WebExtension::StagedAttestation::handshake() {
 
 Status WebExtension::StagedAttestation::fetch_evidence() {
   if (next_ != Stage::kEvidence) return wrong_stage("fetch_evidence");
-  bundle_ = ext_->stage_evidence(domain_, port_, deadline_, checks_);
-  if (!bundle_.has_value()) {
-    ext_->note_attest_result(checks_.failure_step);
-    ext_->note_verdict(checks_, nullptr, nullptr, false);
-    return Error::make("extension.attestation_failed", checks_.failure);
+  ++ext_->attestations_;
+
+  // Fetch the evidence from the well-known URL over the same session.
+  obs::Span span("ext.evidence_fetch");
+  SimClock& clock = ext_->browser_->network().clock();
+  auto fetched = net::with_retries(
+      clock, ext_->retry_jitter_, ext_->config_.retry, deadline_,
+      "ext.evidence_fetch", [&] {
+        return ext_->browser_->get(domain_, port_,
+                                   "/.well-known/revelio-attestation");
+      });
+  if (!fetched.ok() || fetched->response.status != 200) {
+    span.attr("result", "fetch_failed");
+    span.end();
+    return reject("evidence_fetch", "evidence fetch failed");
   }
+  auto bundle = EvidenceBundle::parse(fetched->response.body);
+  if (!bundle.ok()) {
+    span.attr("result", "unparseable");
+    span.end();
+    return reject("evidence_parse", "evidence unparseable");
+  }
+  span.attr("result", "ok");
+  span.end();
+  checks_.evidence_fetched = true;
+
+  // REPORT_DATA must cover the served payload (the VM's identity key).
+  if (!bundle->binding_ok()) {
+    return reject("binding", "REPORT_DATA does not cover the payload");
+  }
+  checks_.binding_ok = true;
+  bundle_ = std::move(*bundle);
   next_ = Stage::kKds;
   return Status::success();
 }
@@ -565,33 +475,34 @@ Status WebExtension::StagedAttestation::fetch_kds() {
   auto kds = ext_->fetch_vcek(bundle_->report.chip_id,
                               bundle_->report.reported_tcb, deadline_);
   if (!kds.ok()) {
-    checks_.failure = "VCEK fetch failed: " + kds.error().to_string();
-    checks_.failure_step = "kds_fetch";
-    ext_->note_attest_result(checks_.failure_step);
-    ext_->note_verdict(checks_, &*bundle_, nullptr, false);
-    return Error::make("extension.attestation_failed", checks_.failure);
+    return reject("kds_fetch", "VCEK fetch failed: " + kds.error().to_string());
   }
   kds_ = std::move(*kds);
   next_ = Stage::kVerify;
   return Status::success();
 }
 
+bool WebExtension::StagedAttestation::pass_gates() {
+  // Evidence from a revoked identity or below its chip's update horizon
+  // must not even reach the crypto.
+  return ext_->check_revocation(*bundle_, *kds_, checks_) &&
+         ext_->check_tcb_horizon(*bundle_, checks_);
+}
+
+sevsnp::ReportVerifyOptions WebExtension::StagedAttestation::verify_options()
+    const {
+  sevsnp::ReportVerifyOptions options;
+  options.now_us = ext_->browser_->network().clock().now_us();
+  options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
+  options.chain_cache = ext_->chain_cache_;
+  return options;
+}
+
 Status WebExtension::StagedAttestation::verify() {
   if (next_ != Stage::kVerify) return wrong_stage("verify");
-  const bool ok =
-      ext_->stage_verify(domain_, *bundle_, *kds_, session_key_, checks_);
-  ext_->note_verdict(checks_, &*bundle_, &*kds_, ok);
-  if (!ok) {
-    // Fail closed, mirroring fetch(): record the verdict so last_checks()
-    // shows why, and never serve the page.
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
-  }
-  ext_->note_attest_result("ok");
-  next_ = Stage::kPage;
-  return Status::success();
+  if (!pass_gates()) return conclude(false);
+  return finish_verify(sevsnp::verify_report(
+      bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, verify_options()));
 }
 
 Result<sevsnp::PreparedReportVerify>
@@ -599,37 +510,15 @@ WebExtension::StagedAttestation::verify_prepare() {
   if (next_ != Stage::kVerify || prepared_) {
     return wrong_stage("verify").error();
   }
-  if (!ext_->check_revocation(*bundle_, *kds_, checks_) ||
-      !ext_->check_tcb_horizon(*bundle_, checks_)) {
-    // Terminal like any other failed verify: audited, counted, fail closed
-    // — and the signature batch never sees this session.
-    ext_->note_verdict(checks_, &*bundle_, &*kds_, false);
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
-  }
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = ext_->browser_->network().clock().now_us();
-  options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
-  options.chain_cache = ext_->chain_verifier_;
+  // A gate rejection is terminal like any failed verify(), and the
+  // signature batch never sees this session.
+  if (!pass_gates()) return conclude(false).error();
   auto prepared = sevsnp::prepare_report_verify(
-      bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, options);
+      bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, verify_options());
   if (!prepared.ok()) {
-    // Terminal, exactly like a failed verify(): same counters, same audit
-    // record, same state writes, same error.
-    const Status st = prepared.error();
-    sevsnp::record_report_verify_result(st);
-    apply_verify_status(st, checks_);
-    ext_->note_verdict(checks_, &*bundle_, &*kds_, false);
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
+    sevsnp::record_report_verify_result(prepared.error());
+    return finish_verify(prepared.error()).error();
   }
-  // The VCEK is a well-known base every session of this gateway verifies
-  // against — share its precomputed tables process-wide.
-  crypto::p384().pin_verify_tables(prepared->vcek_pub);
   prepared_ = true;
   return *prepared;
 }
@@ -637,23 +526,41 @@ WebExtension::StagedAttestation::verify_prepare() {
 Status WebExtension::StagedAttestation::verify_finish(bool signature_ok) {
   if (next_ != Stage::kVerify || !prepared_) return wrong_stage("verify");
   prepared_ = false;
-  sevsnp::ReportVerifyOptions options;
-  options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
-  const Status st =
-      sevsnp::finish_report_verify(bundle_->report, signature_ok, options);
+  const Status st = sevsnp::finish_report_verify(bundle_->report,
+                                                 signature_ok,
+                                                 verify_options());
   sevsnp::record_report_verify_result(st);
-  bool ok = apply_verify_status(st, checks_);
-  if (ok) ok = ext_->verify_policy(domain_, *bundle_, session_key_, checks_);
+  return finish_verify(st);
+}
+
+Status WebExtension::StagedAttestation::finish_verify(
+    const Status& report_status) {
+  return conclude(apply_verify_status(report_status, checks_) &&
+                  ext_->verify_policy(domain_, *bundle_, session_key_,
+                                      checks_));
+}
+
+Status WebExtension::StagedAttestation::reject(const char* step,
+                                               std::string failure) {
+  checks_.failure = std::move(failure);
+  checks_.failure_step = step;
+  return conclude(false);
+}
+
+Status WebExtension::StagedAttestation::conclude(bool accepted) {
   ext_->note_verdict(
-      checks_, &*bundle_, &*kds_, ok,
-      audit_evidence_digest_ ? &*audit_evidence_digest_ : nullptr,
+      checks_, bundle_ ? &*bundle_ : nullptr, kds_ ? &*kds_ : nullptr,
+      accepted, audit_evidence_digest_ ? &*audit_evidence_digest_ : nullptr,
       audit_chain_digest_ ? &*audit_chain_digest_ : nullptr);
-  if (!ok) {
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
+  DomainState& state = ext_->state_[domain_];
+  state.attested = accepted;
+  state.checks = checks_;
+  if (!accepted) {
+    // Fail closed: last_checks() shows why, and the page is never served.
     ext_->note_attest_result(checks_.failure_step);
     return Error::make("extension.attestation_failed", checks_.failure);
   }
+  state.attested_key = bundle_->payload;
   ext_->note_attest_result("ok");
   next_ = Stage::kPage;
   return Status::success();
@@ -701,6 +608,19 @@ std::vector<Status> batch_verify_sessions(
     slots.push_back(k);
   }
   if (items.empty()) return out;
+
+  // The VCEK is a well-known base every session of this gateway verifies
+  // against: pin its precomputed tables process-wide, once per key.
+  std::vector<const crypto::Curve::Point*> pinned;
+  for (const auto& item : items) {
+    const bool seen = std::any_of(
+        pinned.begin(), pinned.end(), [&](const crypto::Curve::Point* p) {
+          return p->x == item.pub.x && p->y == item.pub.y;
+        });
+    if (seen) continue;
+    crypto::p384().pin_verify_tables(item.pub);
+    pinned.push_back(&item.pub);
+  }
 
   // Audit digests, eight sessions per multi-buffer SHA-256 pass. The lanes
   // advance in lockstep, so only aligned runs of equal-length encodings

@@ -64,17 +64,12 @@ class Browser {
   const std::string& host() const { return client_host_; }
   net::Network& network() { return *network_; }
 
-  /// Replaces the private handshake chain cache with a shared verifier
-  /// (e.g. the gateway's ShardedChainCache — thread-safe, so many browsers
-  /// on many lanes can share it). Pass nullptr to revert to the private
-  /// cache. The verifier must outlive the browser.
-  void set_chain_cache(pki::ChainVerifier* cache) {
-    external_chain_cache_ = cache;
-  }
-
-  /// Handshake chain-verification cache stats (benchmarks read these).
-  pki::ChainVerificationCache::Stats chain_cache_stats() const {
-    return chain_cache_->stats();
+  /// Replaces the private handshake chain cache with a shared one (e.g.
+  /// the gateway engine's — thread-safe, so many browsers on many lanes
+  /// can share it). Pass nullptr to revert to the private cache. The cache
+  /// must outlive the browser.
+  void set_chain_cache(pki::ChainVerificationCache* cache) {
+    shared_chain_cache_ = cache;
   }
 
  private:
@@ -86,11 +81,12 @@ class Browser {
   std::vector<pki::Certificate> trust_roots_;
   crypto::HmacDrbg entropy_;
   std::map<std::string, net::TlsSession> sessions_;
-  /// Reconnects to a known server revalidate its chain from this cache
-  /// (behind unique_ptr: the cache holds a mutex, Browser stays movable).
-  std::unique_ptr<pki::ChainVerificationCache> chain_cache_;
-  /// When set (set_chain_cache), used instead of chain_cache_.
-  pki::ChainVerifier* external_chain_cache_ = nullptr;
+  /// Reconnects to a known server revalidate its chain from this cache,
+  /// created on the first handshake that has no shared one (behind
+  /// unique_ptr: the cache holds a mutex, Browser stays movable).
+  std::unique_ptr<pki::ChainVerificationCache> own_chain_cache_;
+  /// When set (set_chain_cache), used instead of own_chain_cache_.
+  pki::ChainVerificationCache* shared_chain_cache_ = nullptr;
   std::uint16_t next_port_ = 40000;
 };
 
@@ -134,7 +130,6 @@ struct WebExtensionConfig {
   /// chain is self-authenticating (it must chain to the pinned AMD root),
   /// so fetching it from any mirror is safe.
   std::vector<net::Address> kds_mirrors;
-  bool cache_vcek = true;
   /// Simulated cost of querying the browser's connection context on every
   /// monitored request (the paper's 115.0 ms vs 100.9 ms plain delta).
   double connection_check_overhead_ms = 14.0;
@@ -146,20 +141,18 @@ struct WebExtensionConfig {
   /// Virtual-time budget for one full attestation pass (0 = unlimited),
   /// threaded as a Deadline through evidence + KDS sub-calls.
   double attest_deadline_ms = 0.0;
-  /// Breaker config shared by the per-KDS-replica circuit breakers.
-  net::CircuitBreaker::Config kds_breaker;
-  /// Gateway mode: a shared, thread-safe chain verifier (typically the
-  /// engine's ShardedChainCache) used for report-chain verification in
-  /// place of the extension's private cache. Must outlive the extension.
-  pki::ChainVerifier* shared_chain_cache = nullptr;
+  /// Gateway mode: a shared, thread-safe chain cache (typically the
+  /// engine's) used for report-chain verification in place of the
+  /// extension's private one. Must outlive the extension.
+  pki::ChainVerificationCache* shared_chain_cache = nullptr;
   /// Gateway mode: a shared VCEK cache with single-flight fetch
-  /// coalescing, replacing the private per-extension VCEK map (and making
-  /// cache_vcek irrelevant). Must outlive the extension.
+  /// coalescing, in place of the extension's private one-shard cache.
+  /// Must outlive the extension.
   VcekCache* shared_vcek_cache = nullptr;
-  /// When set, every attestation verdict — accept or reject, blocking or
-  /// staged path — is appended to this tamper-evident chain (measurement,
-  /// VCEK chain digest, TCB, checks bitmap, failure step, evidence
-  /// digest). Must outlive the extension; appends are thread-safe.
+  /// When set, every attestation verdict — accept or reject — is appended
+  /// to this tamper-evident chain (measurement, VCEK chain digest, TCB,
+  /// checks bitmap, failure step, evidence digest). Must outlive the
+  /// extension; appends are thread-safe.
   obs::AuditLog* audit_log = nullptr;
   /// Session id stamped on this extension's audit records (the gateway
   /// sets it to the session index; a lone extension can leave 0).
@@ -167,15 +160,13 @@ struct WebExtensionConfig {
   /// When set, the verify stage consults this set *before* any signature
   /// work and rejects fail-closed (failure_step "revocation") if the
   /// report's measurement, chip, or the fetched VCEK certificate has been
-  /// revoked — on every path: blocking, staged, and batch. Must outlive
-  /// the extension; checks are thread-safe.
+  /// revoked. Must outlive the extension; checks are thread-safe.
   const RevocationSet* revocation_set = nullptr;
   /// When set, the verify stage also consults the fleet's per-chip TCB
   /// update horizons *before* any signature work and rejects fail-closed
   /// (failure_step "tcb_horizon") any report whose TCB is below its
-  /// chip's announced minimum once the horizon instant has passed — on
-  /// every path: blocking, staged, and batch. Must outlive the extension;
-  /// checks are thread-safe.
+  /// chip's announced minimum once the horizon instant has passed. Must
+  /// outlive the extension; checks are thread-safe.
   const fleet::TcbHorizon* tcb_horizon = nullptr;
 };
 
@@ -199,15 +190,18 @@ class WebExtension {
   };
 
   /// Intercepted fetch: attests on first access / session change, monitors
-  /// the connection afterwards. Fails closed on any check failure.
+  /// the connection afterwards. Fails closed on any check failure. The page
+  /// is fetched first; a fresh session then runs the fetch_evidence ->
+  /// fetch_kds -> verify stages of a StagedAttestation.
   Result<Verified> fetch(const std::string& domain, std::uint16_t port,
                          const net::HttpRequest& request);
   Result<Verified> get(const std::string& domain, std::uint16_t port,
                        const std::string& path);
 
-  /// The attestation pipeline of fetch(), cut at its I/O boundaries so an
+  /// The attestation pipeline, cut at its I/O boundaries so an
   /// event-driven engine can run one stage per wake and park the session
-  /// between them. Stage order is fixed:
+  /// between them. fetch() runs the same stages back to back. Stage order
+  /// is fixed:
   ///
   ///   handshake() -> fetch_evidence() -> fetch_kds() -> verify()
   ///     -> fetch_page(path)
@@ -215,16 +209,14 @@ class WebExtension {
   /// Each stage returns Status: transport errors propagate with their
   /// original code; failed *checks* return "extension.attestation_failed"
   /// (fail closed, same as fetch()), with the step recorded in
-  /// checks().failure_step. Calling a stage out of order is a programming
-  /// error and returns "extension.stage_order". The checks sequence and
-  /// side effects (caches, DomainState, metrics) match the blocking path;
-  /// the only intended difference is that the page fetch happens *after*
-  /// verification, so it takes the monitoring path and pays
-  /// connection_check_overhead_ms.
+  /// checks().failure_step and last_checks(). Calling a stage out of
+  /// order is a programming error and returns "extension.stage_order".
+  /// Unlike fetch(), the page fetch happens *after* verification, so it
+  /// takes the monitoring path and pays connection_check_overhead_ms.
   ///
   /// Thread safety: none — one StagedAttestation belongs to one session,
   /// and the parent extension/browser must be externally serialized per
-  /// world, exactly like the blocking path.
+  /// world, exactly like fetch().
   class StagedAttestation {
    public:
     /// TLS connect (or session reuse); captures the server key.
@@ -232,8 +224,8 @@ class WebExtension {
     /// Evidence fetch from the well-known URL + parse + REPORT_DATA
     /// binding check.
     Status fetch_evidence();
-    /// VCEK chain from the KDS via the shared single-flight cache (or the
-    /// private one), with retry x failover.
+    /// VCEK chain from the KDS through the VCEK cache, with retry x
+    /// failover.
     Status fetch_kds();
     /// Pure compute: chain walk, report signature, measurement policy, TLS
     /// binding. Records the attested DomainState on success.
@@ -262,6 +254,17 @@ class WebExtension {
     StagedAttestation(WebExtension& ext, std::string domain,
                       std::uint16_t port)
         : ext_(&ext), domain_(std::move(domain)), port_(port) {}
+    /// fetch()'s pass: its page fetch already holds the session, so the
+    /// pass starts at fetch_evidence with that key and deadline.
+    StagedAttestation(WebExtension& ext, std::string domain,
+                      std::uint16_t port, Bytes session_key,
+                      net::Deadline deadline)
+        : ext_(&ext),
+          domain_(std::move(domain)),
+          port_(port),
+          next_(Stage::kEvidence),
+          deadline_(deadline),
+          session_key_(std::move(session_key)) {}
 
     enum class Stage : std::uint8_t {
       kHandshake,
@@ -272,6 +275,19 @@ class WebExtension {
       kDone,
     };
     Status wrong_stage(const char* want) const;
+    /// Fail-closed gates that run before any signature work: revocation,
+    /// then the fleet TCB horizon. False (checks_ set) when one rejects.
+    bool pass_gates();
+    sevsnp::ReportVerifyOptions verify_options() const;
+    /// Classifies the report-verify status, then applies the measurement
+    /// and TLS-binding policy, and concludes the session either way.
+    Status finish_verify(const Status& report_status);
+    /// Records `step` as the first failed check and concludes the session.
+    Status reject(const char* step, std::string failure);
+    /// The terminal verdict, accept or reject: flight event + audit record,
+    /// the DomainState last_checks() reads, the ext.attest.result.count
+    /// label, and the stage's status.
+    Status conclude(bool accepted);
 
     WebExtension* ext_;
     std::string domain_;
@@ -307,9 +323,6 @@ class WebExtension {
   std::uint64_t kds_fetches() const { return kds_fetches_; }
   std::uint64_t vcek_cache_hits() const { return vcek_cache_hits_; }
   std::uint64_t attestations_performed() const { return attestations_; }
-  pki::ChainVerificationCache::Stats chain_cache_stats() const {
-    return chain_cache_->stats();
-  }
 
  private:
   struct DomainState {
@@ -318,60 +331,27 @@ class WebExtension {
     AttestationChecks checks;
   };
 
-  /// Emits the "ext.attest" span + ext.attest.result.count counter around
-  /// attest_impl, which holds the actual check sequence.
-  Result<AttestationChecks> attest(const std::string& domain,
-                                   std::uint16_t port,
-                                   const Bytes& session_key,
-                                   const net::Deadline& deadline);
-  Result<AttestationChecks> attest_impl(const std::string& domain,
-                                        std::uint16_t port,
-                                        const Bytes& session_key,
-                                        const net::Deadline& deadline);
   Result<KdsService::VcekResponse> fetch_vcek(const sevsnp::ChipId& chip,
                                               sevsnp::TcbVersion tcb,
                                               const net::Deadline& deadline);
-  /// Shared stage bodies (blocking attest_impl and StagedAttestation both
-  /// call these, so check order and side effects cannot drift apart).
-  /// Fetches + parses the evidence and checks the REPORT_DATA binding;
-  /// on failure `checks` carries the step and the optional is empty.
-  std::optional<EvidenceBundle> stage_evidence(const std::string& domain,
-                                               std::uint16_t port,
-                                               const net::Deadline& deadline,
-                                               AttestationChecks& checks);
   /// Fail-closed revocation gate (config_.revocation_set): true when no
-  /// identity in the evidence is revoked (or no set is configured). Runs
-  /// before any signature work on every verify path.
+  /// identity in the evidence is revoked (or no set is configured).
   bool check_revocation(const EvidenceBundle& bundle,
                         const KdsService::VcekResponse& kds,
                         AttestationChecks& checks);
   /// Fail-closed fleet TCB-horizon gate (config_.tcb_horizon): true when
   /// the report's TCB is acceptable for its chip at the current virtual
-  /// instant (or no horizon set is configured). Runs next to the
-  /// revocation gate, before any signature work, on every verify path.
+  /// instant (or no horizon set is configured).
   bool check_tcb_horizon(const EvidenceBundle& bundle,
                          AttestationChecks& checks);
-  /// Chain/signature/measurement/TLS-binding checks; records the attested
-  /// DomainState and returns true iff everything passed.
-  bool stage_verify(const std::string& domain, const EvidenceBundle& bundle,
-                    const KdsService::VcekResponse& kds,
-                    const Bytes& session_key, AttestationChecks& checks);
-  /// Maps a (split or blocking) report-verify Status onto the checks
-  /// struct: chain failures vs report_verify failures, exactly as the
-  /// blocking path has always classified them. True iff st is ok.
-  static bool apply_verify_status(const Status& st,
-                                  AttestationChecks& checks);
-  /// Post-signature policy: measurement pin/registry, TLS binding, and the
-  /// attested DomainState write. Shared by stage_verify and the batch
-  /// path's verify_finish.
+  /// Post-signature policy: measurement pin/registry, then TLS binding.
   bool verify_policy(const std::string& domain, const EvidenceBundle& bundle,
                      const Bytes& session_key, AttestationChecks& checks);
-  /// Emits the ext.attest.result.count counter (shared by both paths).
   static void note_attest_result(const std::string& result);
-  /// Terminal-verdict bookkeeping shared by both paths: a kVerdict flight
-  /// event, and — when config_.audit_log is set — an AuditRecord built
-  /// from whatever evidence the session got as far as gathering (`bundle`
-  /// and `kds` may be null when the corresponding fetch never succeeded).
+  /// A kVerdict flight event, and — when config_.audit_log is set — an
+  /// AuditRecord built from whatever evidence the session got as far as
+  /// gathering (`bundle` and `kds` may be null when the corresponding
+  /// fetch never succeeded).
   /// The digest pointers let the batch path hand in evidence/chain hashes
   /// it computed 8 sessions at a time (Sha256x8); null = hash inline.
   void note_verdict(const AttestationChecks& checks,
@@ -388,13 +368,14 @@ class WebExtension {
   crypto::HmacDrbg retry_jitter_;
   std::map<std::string, SiteRegistration> sites_;
   std::map<std::string, DomainState> state_;
-  /// Memoizes the ARK -> ASK -> VCEK chain walk across attestations.
-  std::unique_ptr<pki::ChainVerificationCache> chain_cache_;
-  /// What report verification actually uses: config_.shared_chain_cache
-  /// when provided, else chain_cache_.get().
-  pki::ChainVerifier* chain_verifier_ = nullptr;
-  std::map<std::pair<Bytes, std::uint64_t>, KdsService::VcekResponse>
-      vcek_cache_;
+  /// Private caches, created only when the config shares none (behind
+  /// unique_ptr: both hold mutexes, WebExtension stays movable).
+  std::unique_ptr<pki::ChainVerificationCache> own_chain_cache_;
+  std::unique_ptr<VcekCache> own_vcek_cache_;
+  /// What verification uses: the shared cache if configured, else ours.
+  /// The ARK -> ASK -> VCEK chain walk is memoized across attestations.
+  pki::ChainVerificationCache* chain_cache_ = nullptr;
+  VcekCache* vcek_cache_ = nullptr;
   std::uint64_t kds_fetches_ = 0;
   std::uint64_t vcek_cache_hits_ = 0;
   std::uint64_t attestations_ = 0;

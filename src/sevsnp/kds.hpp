@@ -62,7 +62,7 @@ struct ReportVerifyOptions {
   /// Optional memoization of the VCEK chain walk: verifiers that see the
   /// same ARK/ASK/VCEK every session (the web extension, secure-channel
   /// peers) skip the two chain signature checks on a hit.
-  pki::ChainVerifier* chain_cache = nullptr;
+  pki::ChainVerificationCache* chain_cache = nullptr;
 };
 
 Status verify_report(const AttestationReport& report,

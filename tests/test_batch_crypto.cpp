@@ -555,5 +555,41 @@ TEST(BatchedStagedGateway, RejectionInsideBatchedWavefrontLandsInAuditChain) {
   EXPECT_EQ(summary->accepted, kSessions - 1);
 }
 
+// ---------------------------------------------------------------------------
+// Pinned registry at capacity. Kept last: it leaves the process-wide
+// registry full for anything that runs after it.
+
+TEST(PinnedTables, FullRegistryRefusesWithoutBuildingTables) {
+  using crypto::ecp::PinnedTableRegistry;
+  auto& registry = PinnedTableRegistry::instance();
+  int builds = 0;
+  const auto build = [&builds] {
+    ++builds;
+    return std::make_shared<const crypto::ecp::VerifyTables>();
+  };
+  // Earlier tests in this process may already hold pins: fill only the
+  // room that is left, with keys no curve point encodes to.
+  Bytes filler;
+  for (std::size_t i = registry.stats().pinned;
+       i < PinnedTableRegistry::kCapacity; ++i) {
+    filler = to_bytes("registry-filler-" + std::to_string(i));
+    ASSERT_TRUE(registry.pin(filler, build));
+  }
+  ASSERT_EQ(registry.stats().pinned, PinnedTableRegistry::kCapacity);
+  const int fill_builds = builds;
+  const auto probes = registry.stats();
+
+  EXPECT_FALSE(registry.pin(to_bytes(std::string_view("one-key-too-many")),
+                            build));
+  EXPECT_EQ(builds, fill_builds) << "a full registry must not build tables";
+  EXPECT_EQ(registry.stats().pinned, PinnedTableRegistry::kCapacity);
+  // Re-pinning a present key is a no-op, also without a build, and the
+  // presence probes count as neither hits nor misses.
+  if (!filler.empty()) EXPECT_TRUE(registry.pin(filler, build));
+  EXPECT_EQ(builds, fill_builds);
+  EXPECT_EQ(registry.stats().hits, probes.hits);
+  EXPECT_EQ(registry.stats().misses, probes.misses);
+}
+
 }  // namespace
 }  // namespace revelio::core

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "crypto/ecies.hpp"
+#include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
+#include "obs/audit_log.hpp"
 #include "obs/metrics.hpp"
 #include "revelio/revelio_vm.hpp"
+#include "revelio/revocation.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/web_extension.hpp"
@@ -733,6 +736,225 @@ TEST(EvidenceBundle, BindAndRoundTrip) {
   bundle.payload.push_back('!');
   EXPECT_FALSE(bundle.binding_ok());
   EXPECT_FALSE(EvidenceBundle::parse(to_bytes(std::string_view("x"))).ok());
+}
+
+// ------------------------------------------------------- verdict parity
+
+/// A fresh, identically seeded deployment: the standard fleet, plus an
+/// optional CA-valid lookalike server the domain can be repointed at.
+struct ParityWorld final : RevelioFixture {
+  void TestBody() override {}
+
+  /// Repoints the domain at a lookalike holding a CA-valid certificate for
+  /// a fresh key. It serves `evidence` on the well-known route and a page
+  /// everywhere else, so the blocking path's page fetch still succeeds.
+  void serve_lookalike(net::HttpResponse evidence) {
+    HmacDrbg drbg(to_bytes(std::string_view("lookalike")));
+    const auto key = crypto::ec_generate(crypto::p256(), drbg);
+    const auto csr = pki::make_csr(crypto::p256(), key,
+                                   {kDomain, "Lookalike", "US"}, {kDomain});
+    const std::string token = acme.request_challenge("lookalike", kDomain);
+    network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
+    auto cert = acme.finalize("lookalike", csr, [&](const auto& name) {
+      return network.dns_txt(name);
+    });
+    ASSERT_TRUE(cert.ok());
+    net::TlsServerIdentity identity;
+    identity.curve = &crypto::p256();
+    identity.key = key;
+    identity.certificate = *cert;
+    identity.intermediates = acme.intermediates();
+    const Bytes evidence_wire = evidence.serialize();
+    lookalike = std::make_unique<net::TlsServer>(
+        std::move(identity),
+        [evidence_wire](ByteView raw, const net::Address&) {
+          auto request = net::HttpRequest::parse(raw);
+          if (request.ok() &&
+              request->path == "/.well-known/revelio-attestation") {
+            return evidence_wire;
+          }
+          return net::HttpResponse::ok(
+                     to_bytes(std::string_view("<html>lookalike</html>")))
+              .serialize();
+        },
+        HmacDrbg(to_bytes(std::string_view("lookalike-entropy"))));
+    lookalike->install(network, {"6.6.6.6", 443});
+    network.dns_set_a(kDomain, "6.6.6.6");
+  }
+
+  std::unique_ptr<net::TlsServer> lookalike;
+};
+
+/// What one attestation pass left behind, reduced to what must not depend
+/// on the path that produced it. virt_us is deliberately absent: the
+/// blocking path fetches the page before it attests.
+struct Verdict {
+  std::string failure_step = "(no last_checks)";
+  std::vector<obs::AuditRecord> records;
+  std::vector<std::string> results;  // ext.attest.result.count keys
+};
+
+enum class VerifyPath { kBlocking, kStaged, kBatch };
+
+/// VCEKs issued in a parity world expire this long after it starts, so
+/// the "chain" case only has to advance the clock.
+constexpr std::uint64_t kParityVcekLifetimeUs = 3600ull * 1000 * 1000;
+
+/// A provisioned parity world plus the extension inputs a case adjusts.
+struct ParityRun {
+  ParityRun() {
+    world.kds.set_vcek_not_after(world.clock.now_us() + kParityVcekLifetimeUs);
+    world.provision_standard_fleet();
+    config.kds_address = {"kds.amd.com", 443};
+    site = world.manual_registration();
+  }
+
+  ParityWorld world;
+  WebExtensionConfig config;
+  SiteRegistration site;
+  RevocationSet revocations;
+  fleet::TcbHorizon horizon;
+};
+
+/// One reachable verdict ("" = accept) and how to provoke it.
+struct ParityCase {
+  std::string step;
+  std::function<void(ParityRun&)> setup;
+};
+
+Verdict run_parity_case(const ParityCase& c, VerifyPath path) {
+  ParityRun run;
+  c.setup(run);
+  Verdict out;
+  obs::AuditLog audit(/*checkpoint_interval=*/1024);
+  audit.set_sink([&](std::uint8_t, ByteView body) {
+    if (auto rec = obs::AuditRecord::parse(body); rec.ok()) {
+      out.records.push_back(*rec);
+    }
+    return Status::success();
+  });
+  run.config.audit_log = &audit;
+
+  Browser browser = run.world.make_browser();
+  WebExtension extension(browser, run.config);
+  extension.register_site(kDomain, run.site);
+  obs::MetricsRegistry metrics;
+  {
+    obs::ScopedThreadMetrics scope(metrics);
+    if (path == VerifyPath::kBlocking) {
+      (void)extension.get(kDomain, 443, "/");
+    } else {
+      auto staged = extension.begin_session(kDomain, 443);
+      if (staged.handshake().ok() && staged.fetch_evidence().ok() &&
+          staged.fetch_kds().ok()) {
+        if (path == VerifyPath::kStaged) {
+          (void)staged.verify();
+        } else {
+          (void)batch_verify_sessions({&staged});
+        }
+      }
+    }
+  }
+  if (const auto* checks = extension.last_checks(kDomain)) {
+    out.failure_step = checks->failure_step;
+  }
+  for (const auto& [key, counter] : metrics.counters()) {
+    if (key.rfind("ext.attest.result.count", 0) == 0 && counter.value() > 0) {
+      out.results.push_back(key);
+    }
+  }
+  return out;
+}
+
+std::vector<ParityCase> parity_cases() {
+  const sevsnp::TcbVersion newer{3, 0, 8, 115};
+  return {
+      {"", [](ParityRun&) {}},
+      {"evidence_fetch",
+       [](ParityRun& r) {
+         r.world.serve_lookalike(net::HttpResponse::not_found());
+       }},
+      {"evidence_parse",
+       [](ParityRun& r) {
+         r.world.serve_lookalike(
+             net::HttpResponse::ok(to_bytes(std::string_view("garbage"))));
+       }},
+      {"binding",
+       [](ParityRun& r) {
+         EvidenceBundle forged = r.world.nodes[0]->identity_evidence();
+         forged.payload[0] ^= 0x01;
+         r.world.serve_lookalike(net::HttpResponse::ok(forged.serialize()));
+       }},
+      {"kds_fetch",
+       [](ParityRun& r) {
+         r.config.kds_address = {"kds-offline.amd.com", 443};
+       }},
+      {"revocation",
+       [](ParityRun& r) {
+         ASSERT_TRUE(r.revocations
+                         .revoke_chip(r.world.platforms[0]->chip_id(),
+                                      "key leaked")
+                         .ok());
+         r.config.revocation_set = &r.revocations;
+       }},
+      {"tcb_horizon",
+       [newer](ParityRun& r) {
+         ASSERT_TRUE(r.horizon
+                         .announce(r.world.platforms[0]->chip_id(), newer,
+                                   r.world.clock.now_us(), "staged update")
+                         .ok());
+         r.config.tcb_horizon = &r.horizon;
+       }},
+      {"chain",
+       [](ParityRun& r) { r.world.clock.advance_us(kParityVcekLifetimeUs); }},
+      {"report_verify",
+       [newer](ParityRun& r) { r.site.minimum_tcb = newer; }},
+      {"measurement",
+       [](ParityRun& r) { r.site.expected_measurements[0][0] ^= 0x01; }},
+      {"tls_binding",
+       [](ParityRun& r) {
+         r.world.serve_lookalike(net::HttpResponse::ok(
+             r.world.nodes[0]->identity_evidence().serialize()));
+       }},
+  };
+}
+
+// Every reachable verdict is reached identically by the blocking fetch(),
+// the staged verify() and batch_verify_sessions: same failure step in
+// last_checks(), same audit record, same result label. This includes a
+// staged session that fails before verify (a 404 evidence route, an
+// offline KDS): its verdict must reach last_checks() too.
+TEST(VerdictParity, BlockingStagedAndBatchPathsAgree) {
+  for (const ParityCase& c : parity_cases()) {
+    SCOPED_TRACE("case " + (c.step.empty() ? std::string("accept") : c.step));
+    const std::string label =
+        "result=" + (c.step.empty() ? std::string("ok") : c.step);
+    const Verdict blocking = run_parity_case(c, VerifyPath::kBlocking);
+    ASSERT_EQ(blocking.failure_step, c.step);
+    ASSERT_EQ(blocking.records.size(), 1u);
+    ASSERT_EQ(blocking.results.size(), 1u);
+    EXPECT_NE(blocking.results[0].find(label), std::string::npos)
+        << blocking.results[0];
+    const obs::AuditRecord& want = blocking.records[0];
+    EXPECT_EQ(want.accepted, c.step.empty());
+    EXPECT_EQ(want.failure_step, c.step);
+
+    for (const VerifyPath path : {VerifyPath::kStaged, VerifyPath::kBatch}) {
+      SCOPED_TRACE(path == VerifyPath::kStaged ? "staged" : "batch");
+      const Verdict got = run_parity_case(c, path);
+      EXPECT_EQ(got.failure_step, blocking.failure_step);
+      EXPECT_EQ(got.results, blocking.results);
+      ASSERT_EQ(got.records.size(), 1u);
+      const obs::AuditRecord& rec = got.records[0];
+      EXPECT_EQ(rec.accepted, want.accepted);
+      EXPECT_EQ(rec.failure_step, want.failure_step);
+      EXPECT_EQ(rec.checks, want.checks);
+      EXPECT_EQ(rec.measurement, want.measurement);
+      EXPECT_EQ(rec.tcb, want.tcb);
+      EXPECT_EQ(rec.evidence_digest, want.evidence_digest);
+      EXPECT_EQ(rec.vcek_chain, want.vcek_chain);
+    }
+  }
 }
 
 }  // namespace

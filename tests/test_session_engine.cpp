@@ -208,7 +208,7 @@ TEST(SingleFlight, LeaderErrorReachesWaitersAndIsNotSticky) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedChainCache
+// ChainVerificationCache, lock-striped
 
 constexpr std::uint64_t kYearUs = 365ull * 24 * 3600 * 1000 * 1000;
 
@@ -243,7 +243,7 @@ struct ChainFixture {
   pki::CertificateAuthority inter;
 };
 
-TEST(ShardedChainCache, ConcurrentVerificationsAgreeAndHit) {
+TEST(ChainVerificationCache, ConcurrentVerificationsAgreeAndHit) {
   ChainFixture fx;
   constexpr int kLeaves = 16;
   std::vector<pki::Certificate> leaves;
@@ -255,7 +255,7 @@ TEST(ShardedChainCache, ConcurrentVerificationsAgreeAndHit) {
   pki::Certificate tampered = leaves[0];
   tampered.signature[0] ^= 0x01;
 
-  pki::ShardedChainCache cache(4, 16);
+  pki::ChainVerificationCache cache(4, 16);
   constexpr int kThreads = 8;
   constexpr int kIters = 100;
   std::atomic<int> good_failures{0};
@@ -294,12 +294,12 @@ TEST(ShardedChainCache, ConcurrentVerificationsAgreeAndHit) {
   // more than one shard (SHA-256 keyed, astronomically unlikely not to).
   int populated = 0;
   for (std::size_t s = 0; s < cache.shard_count(); ++s) {
-    if (cache.shard(s).size() > 0) ++populated;
+    if (cache.shard_size(s) > 0) ++populated;
   }
   EXPECT_GT(populated, 1);
 }
 
-TEST(ShardedChainCache, EvictionUnderContentionStaysCorrect) {
+TEST(ChainVerificationCache, EvictionUnderContentionStaysCorrect) {
   ChainFixture fx;
   constexpr int kLeaves = 8;
   std::vector<pki::Certificate> leaves;
@@ -310,7 +310,7 @@ TEST(ShardedChainCache, EvictionUnderContentionStaysCorrect) {
   }
   // One shard, capacity 2: eight chains hammering it from four threads
   // churn the LRU constantly. Verdicts must stay correct throughout.
-  pki::ShardedChainCache cache(1, 2);
+  pki::ChainVerificationCache cache(1, 2);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -437,30 +437,34 @@ TEST(VcekCache, DistinctChipsSpreadAcrossShardsAndEvict) {
 // ---------------------------------------------------------------------------
 // SessionEngine: scheduling, aggregation, obs isolation (synthetic sessions)
 
-TEST(SessionEngine, AggregatesLaneModelAndPercentiles) {
+TEST(SessionEngine, AggregatesOneStageSessionsAndPercentiles) {
   SessionEngineConfig config;
   config.workers = 4;
   SessionEngine engine(config);
-  const auto report = engine.run(8, [](SessionContext& ctx) -> Status {
-    EXPECT_NE(ctx.chain_cache, nullptr);
-    EXPECT_NE(ctx.vcek_cache, nullptr);
-    ctx.virt_ms = static_cast<double>(ctx.index + 1) * 10.0;
-    if (ctx.index == 3) return Error::make("test.synthetic_failure");
-    return Status::success();
-  });
+  const auto report =
+      engine.run_staged(8, [](StagedContext& ctx) -> SessionState {
+        EXPECT_NE(ctx.chain_cache, nullptr);
+        EXPECT_NE(ctx.vcek_cache, nullptr);
+        ctx.stage_virt_ms = static_cast<double>(ctx.index + 1) * 10.0;
+        if (ctx.index == 3) {
+          ctx.failure = Error::make("test.synthetic_failure");
+          return SessionState::kFailed;
+        }
+        return SessionState::kDone;
+      });
 
   EXPECT_EQ(report.sessions, 8u);
   EXPECT_EQ(report.succeeded, 7u);
   EXPECT_EQ(report.failed, 1u);
   ASSERT_FALSE(report.outcomes[3].ok());
   EXPECT_EQ(report.outcomes[3].error().code, "test.synthetic_failure");
-  // Round-robin lanes over 4 workers: lane 3 carries sessions 3 and 7
-  // (40 + 80 ms) — the heaviest lane, so the makespan.
-  EXPECT_DOUBLE_EQ(report.virt_makespan_ms, 120.0);
+  // Every session is one stage starting at t=0, so the makespan is the
+  // slowest session.
+  EXPECT_DOUBLE_EQ(report.virt_makespan_ms, 80.0);
   EXPECT_DOUBLE_EQ(report.virt_p50_ms, 40.0);
   EXPECT_DOUBLE_EQ(report.virt_p95_ms, 80.0);
   EXPECT_DOUBLE_EQ(report.virt_p99_ms, 80.0);
-  EXPECT_NEAR(report.sessions_per_virtual_sec, 8.0 / 0.12, 1e-6);
+  EXPECT_NEAR(report.sessions_per_virtual_sec, 8.0 / 0.08, 1e-6);
   EXPECT_GT(report.real_elapsed_ms, 0.0);
 }
 
@@ -472,7 +476,7 @@ TEST(SessionEngine, IsolatesSessionObsAndMergesAtSessionEnd) {
   config.trace_sessions = true;
   SessionEngine engine(config);
   std::vector<std::size_t> span_counts(16, 0);
-  const auto report = engine.run(16, [&](SessionContext& ctx) -> Status {
+  const auto report = engine.run_staged(16, [&](StagedContext& ctx) {
     // The worker thread must see a private registry, not the global one.
     EXPECT_NE(&obs::metrics(), global);
     obs::metrics().counter("gw.engine.test.count").inc();
@@ -484,7 +488,7 @@ TEST(SessionEngine, IsolatesSessionObsAndMergesAtSessionEnd) {
       span.attr("index", static_cast<std::uint64_t>(ctx.index));
     }
     span_counts[ctx.index] = ctx.tracer->finished_spans().size();
-    return Status::success();
+    return SessionState::kDone;
   });
   EXPECT_EQ(report.succeeded, 16u);
   // Merged: every session's private counter landed in the global registry.
@@ -604,22 +608,22 @@ struct GatewayWorld {
 };
 
 struct GatewayRun {
-  SessionEngine::Report report;
+  SessionEngine::StagedReport report;
   int unverified_accepts = 0;
   int wrong_bodies = 0;
 };
 
 /// Drives `sessions` full client sessions over `worlds` via the engine,
-/// sharing its caches. Each session: lock the world, bind its clock, fresh
-/// extension (fresh breakers/retry state — a new browser profile) wired to
-/// the shared caches, attest + fetch the page.
+/// sharing its caches. Each session is one blocking stage: lock the world,
+/// bind its clock, fresh extension (fresh breakers/retry state — a new
+/// browser profile) wired to the shared caches, attest + fetch the page.
 GatewayRun run_gateway(SessionEngine& engine,
                        std::vector<std::unique_ptr<GatewayWorld>>& worlds,
                        std::size_t sessions, int retry_attempts) {
   std::atomic<int> unverified{0};
   std::atomic<int> wrong_body{0};
   GatewayRun out;
-  out.report = engine.run(sessions, [&](SessionContext& ctx) -> Status {
+  out.report = engine.run_staged(sessions, [&](StagedContext& ctx) {
     GatewayWorld& world = *worlds[ctx.index % worlds.size()];
     std::lock_guard<std::mutex> world_lock(world.mu);
     ScopedClockCurrent clock_scope(world.clock);
@@ -636,18 +640,22 @@ GatewayRun run_gateway(SessionEngine& engine,
     extension.register_site(kDomain, world.registration());
 
     auto verified = extension.get(kDomain, 443, "/");
-    ctx.virt_ms = world.clock.now_ms() - virt_start;
-    if (!verified.ok()) return verified.error();
+    ctx.stage_virt_ms = world.clock.now_ms() - virt_start;
+    const auto fail = [&](Error error) {
+      ctx.failure = std::move(error);
+      return SessionState::kFailed;
+    };
+    if (!verified.ok()) return fail(verified.error());
     // Fail-closed: an accepted session must be fully verified, end to end.
     if (!verified->checks.all_ok()) {
       unverified.fetch_add(1);
-      return Error::make("test.unverified_trust_accepted");
+      return fail(Error::make("test.unverified_trust_accepted"));
     }
     if (to_string(verified->response.body) != kBody) {
       wrong_body.fetch_add(1);
-      return Error::make("test.body_mismatch");
+      return fail(Error::make("test.body_mismatch"));
     }
-    return Status::success();
+    return SessionState::kDone;
   });
   out.unverified_accepts = unverified.load();
   out.wrong_bodies = wrong_body.load();

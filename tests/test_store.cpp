@@ -712,7 +712,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
   {
     auto kv = must_open(env);
     ASSERT_TRUE(kv);
-    pki::ShardedChainCache cache(4, 16);
+    pki::ChainVerificationCache cache(4, 16);
     cache.attach_store(kv.get());
     ASSERT_TRUE(cache.verify(leaf, inters, roots, options).ok());
     EXPECT_EQ(cache.stats().misses, 1u);
@@ -722,7 +722,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
   env.crash_and_recover();
   auto kv = must_open(env);
   ASSERT_TRUE(kv);
-  pki::ShardedChainCache warm(4, 16);
+  pki::ChainVerificationCache warm(4, 16);
   warm.attach_store(kv.get());
   // Same chain bytes: served from the persisted verdict (store_hit).
   ASSERT_TRUE(warm.verify(leaf, inters, roots, options).ok());
@@ -734,7 +734,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
   // Outside the persisted validity window the verdict is NOT honored.
   pki::ChainVerifyOptions expired = options;
   expired.now_us = 2 * year;
-  pki::ShardedChainCache strict(4, 16);
+  pki::ChainVerificationCache strict(4, 16);
   strict.attach_store(kv.get());
   EXPECT_FALSE(strict.verify(leaf, inters, roots, expired).ok());
   EXPECT_EQ(strict.stats().store_hits, 0u);
@@ -747,7 +747,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
                        year);
   pki::ChainVerifyOptions other_opts = options;
   other_opts.dns_name = "other.example";
-  pki::ShardedChainCache fresh(4, 16);
+  pki::ChainVerificationCache fresh(4, 16);
   fresh.attach_store(kv.get());
   ASSERT_TRUE(fresh.verify(other, inters, roots, other_opts).ok());
   EXPECT_EQ(fresh.stats().store_hits, 0u) << "different chain, real verify";
