@@ -33,6 +33,11 @@ using namespace revelio;
 constexpr const char* kDomain = "svc.revelio.app";
 constexpr double kPageWorkMs = 90.5;  // server-side work on the app route
 
+/// Virtual milliseconds elapsed on `clock` since `before_us`.
+double ms_since(const SimClock& clock, SimClock::Micros before_us) {
+  return static_cast<double>(clock.now_us() - before_us) / 1000.0;
+}
+
 struct ClientRig {
   ClientRig()
       : network(clock),
@@ -70,7 +75,7 @@ struct ClientRig {
     net::HttpRouter routes;
     SimClock* clock_ptr = &clock;
     routes.route("GET", "/", [clock_ptr](const net::HttpRequest&) {
-      clock_ptr->advance_ms(kPageWorkMs);  // page assembly + app logic
+      clock_ptr->advance_us(SimClock::from_ms(kPageWorkMs));  // page assembly + app logic
       return net::HttpResponse::ok(
           to_bytes(std::string_view("<html>boundary node</html>")),
           "text/html");
@@ -136,10 +141,10 @@ void BM_NetworkLatency(benchmark::State& state) {
     return to_bytes(req);
   });
   for (auto _ : state) {
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     benchmark::DoNotOptimize(
         r.network.call({"laptop", 1}, {"10.0.0.9", 7}, {}));
-    state.SetIterationTime((r.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(r.clock, before) / 1000.0);
   }
 }
 
@@ -148,9 +153,9 @@ void BM_PlainHttpGet(benchmark::State& state) {
   core::Browser browser = r.make_browser();
   (void)browser.get(kDomain, 443, "/");  // establish the session
   for (auto _ : state) {
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     benchmark::DoNotOptimize(browser.get(kDomain, 443, "/"));
-    state.SetIterationTime((r.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(r.clock, before) / 1000.0);
   }
 }
 
@@ -160,10 +165,10 @@ void BM_GetWithRemoteAttestation(benchmark::State& state) {
     // Fresh browser + cold VCEK cache: the paper's "fresh web session".
     core::Browser browser = r.make_browser();
     core::WebExtension extension = r.make_extension(browser);
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     auto verified = extension.get(kDomain, 443, "/");
     benchmark::DoNotOptimize(verified);
-    state.SetIterationTime((r.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(r.clock, before) / 1000.0);
   }
 }
 
@@ -175,9 +180,9 @@ void BM_GetWithCachedVcek(benchmark::State& state) {
   for (auto _ : state) {
     browser.drop_session(kDomain);
     extension.invalidate(kDomain);
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     benchmark::DoNotOptimize(extension.get(kDomain, 443, "/"));
-    state.SetIterationTime((r.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(r.clock, before) / 1000.0);
   }
 }
 
@@ -187,9 +192,9 @@ void BM_GetWithConnectionValidation(benchmark::State& state) {
   core::WebExtension extension = r.make_extension(browser);
   (void)extension.get(kDomain, 443, "/");  // attested session
   for (auto _ : state) {
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     benchmark::DoNotOptimize(extension.get(kDomain, 443, "/"));
-    state.SetIterationTime((r.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(r.clock, before) / 1000.0);
   }
 }
 
@@ -210,9 +215,9 @@ BENCHMARK(BM_GetWithConnectionValidation)
 void print_table3() {
   auto& r = rig();
   auto measure = [&](auto&& fn) {
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     fn();
-    return r.clock.now_ms() - before;
+    return ms_since(r.clock, before);
   };
 
   r.network.listen({"10.0.0.9", 7}, [](ByteView req, const net::Address&) {
@@ -236,11 +241,11 @@ void print_table3() {
   });
   {
     // Isolate the KDS round trip.
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     (void)core::KdsService::fetch(
         r.network, {"laptop", 2}, {"kds.amd.com", 443}, r.platform->chip_id(),
         r.platform->tcb());
-    kds_ms = r.clock.now_ms() - before;
+    kds_ms = ms_since(r.clock, before);
   }
 
   const double monitored_ms = measure([&] {
@@ -280,10 +285,10 @@ void print_table3() {
 std::string run_traced_get(core::WebExtension& extension) {
   auto& r = rig();
   obs::tracer().clear();
-  const double before = r.clock.now_ms();
+  const SimClock::Micros before = r.clock.now_us();
   auto verified = extension.get(kDomain, 443, "/");
   if (!verified.ok()) std::abort();
-  const double total_virt_ms = r.clock.now_ms() - before;
+  const double total_virt_ms = ms_since(r.clock, before);
 
   struct Agg {
     std::uint64_t count = 0;
@@ -343,11 +348,11 @@ int run_stages_out(const char* path) {
     core::WebExtension ext = r.make_extension(b, std::move(config));
     auto warm = ext.get(kDomain, 443, "/");
     if (!warm.ok()) std::abort();
-    const double before = r.clock.now_ms();
+    const SimClock::Micros before = r.clock.now_us();
     for (int i = 0; i < kOverheadIters; ++i) {
       if (!ext.get(kDomain, 443, "/").ok()) std::abort();
     }
-    return (r.clock.now_ms() - before) / kOverheadIters;
+    return ms_since(r.clock, before) / kOverheadIters;
   };
   core::WebExtensionConfig plain_config;
   plain_config.kds_address = {"kds.amd.com", 443};

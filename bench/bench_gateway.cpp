@@ -368,7 +368,7 @@ Level run_blocking(std::vector<GatewayWorld*>& worlds, unsigned workers) {
         GatewayWorld& world = *worlds[ctx.index % worlds.size()];
         std::lock_guard<std::mutex> world_lock(world.mu);
         ScopedClockCurrent clock_scope(world.clock);
-        const double virt_start = world.clock.now_ms();
+        const SimClock::Micros virt_start = world.clock.now_us();
         const auto fail = [&](Error error) {
           ctx.failure = std::move(error);
           return core::SessionState::kFailed;
@@ -384,7 +384,8 @@ Level run_blocking(std::vector<GatewayWorld*>& worlds, unsigned workers) {
         extension.register_site(kDomain, world.registration());
 
         auto verified = extension.get(kDomain, 443, "/");
-        ctx.stage_virt_ms = world.clock.now_ms() - virt_start;
+        ctx.stage_virt_ms =
+            static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
         if (!verified.ok()) return fail(verified.error());
         if (!verified->checks.all_ok()) {
           unverified.fetch_add(1);
@@ -501,10 +502,11 @@ Level run_staged_full(std::vector<GatewayWorld*>& worlds, unsigned workers,
         GatewayWorld& world = *worlds[ctx.index % worlds.size()];
         std::lock_guard<std::mutex> world_lock(world.mu);
         ScopedClockCurrent clock_scope(world.clock);
-        const double virt_start = world.clock.now_ms();
+        const SimClock::Micros virt_start = world.clock.now_us();
         Slot& slot = slots[ctx.index];
         const auto finish = [&](core::SessionState next) {
-          ctx.stage_virt_ms = world.clock.now_ms() - virt_start;
+          ctx.stage_virt_ms =
+              static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
           return next;
         };
         const auto fail = [&](Error error) {

@@ -26,6 +26,11 @@ using namespace revelio;
 
 constexpr const char* kDomain = "svc.revelio.app";
 
+/// Virtual milliseconds elapsed on `clock` since `before_us`.
+double ms_since(const SimClock& clock, SimClock::Micros before_us) {
+  return static_cast<double>(clock.now_us() - before_us) / 1000.0;
+}
+
 struct Fleet {
   Fleet()
       : network(clock),
@@ -104,12 +109,12 @@ double measure_retrieval_sim_ms() {
   request.method = "GET";
   request.path = "/revelio/csr-bundle";
   request.host = kDomain;
-  const double before = f.clock.now_ms();
+  const SimClock::Micros before = f.clock.now_us();
   auto raw = f.network.call({"sp-node.internal", 9000},
                             f.nodes[0]->bootstrap_address(),
                             request.serialize());
   benchmark::DoNotOptimize(raw);
-  return f.clock.now_ms() - before;
+  return ms_since(f.clock, before);
 }
 
 /// Evidence validation: pure crypto over an already-retrieved bundle.
@@ -145,7 +150,7 @@ void BM_EvidenceValidation(benchmark::State& state) {
 void BM_CertificateGeneration(benchmark::State& state) {
   auto& f = fleet();
   for (auto _ : state) {
-    const double before = f.clock.now_ms();
+    const SimClock::Micros before = f.clock.now_us();
     const std::string token = f.acme.request_challenge("bench", kDomain);
     f.network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
     auto cert = f.acme.finalize("bench", f.nodes[0]->csr(),
@@ -154,7 +159,7 @@ void BM_CertificateGeneration(benchmark::State& state) {
                                 });
     f.network.dns_clear_txt("_acme-challenge." + std::string(kDomain));
     benchmark::DoNotOptimize(cert);
-    state.SetIterationTime((f.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(f.clock, before) / 1000.0);
   }
 }
 
@@ -164,10 +169,10 @@ void BM_FullFleetProvisioning(benchmark::State& state) {
     state.PauseTiming();
     Fleet local;
     state.ResumeTiming();
-    const double before = local.clock.now_ms();
+    const SimClock::Micros before = local.clock.now_us();
     auto outcomes = local.sp->provision_fleet();
     benchmark::DoNotOptimize(outcomes);
-    state.SetIterationTime((local.clock.now_ms() - before) / 1000.0);
+    state.SetIterationTime(ms_since(local.clock, before) / 1000.0);
   }
 }
 
@@ -188,7 +193,7 @@ void print_table2() {
   const double validation = measure_validation_real_ms();
 
   // Generation.
-  double before = f.clock.now_ms();
+  SimClock::Micros before = f.clock.now_us();
   const std::string token = f.acme.request_challenge("t2", kDomain);
   f.network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
   auto cert = f.acme.finalize("t2", f.nodes[0]->csr(),
@@ -196,7 +201,7 @@ void print_table2() {
                                 return f.network.dns_txt(name);
                               });
   f.network.dns_clear_txt("_acme-challenge." + std::string(kDomain));
-  const double generation = f.clock.now_ms() - before;
+  const double generation = ms_since(f.clock, before);
 
   // Distribution: the POST /revelio/certificate round trip (leader case
   // installs immediately, so this includes the node-side install work).
@@ -215,10 +220,10 @@ void print_table2() {
   post.path = "/revelio/certificate";
   post.host = kDomain;
   post.body = std::move(body);
-  before = f.clock.now_ms();
+  before = f.clock.now_us();
   auto raw = f.network.call({"sp-node.internal", 9000},
                             f.nodes[0]->bootstrap_address(), post.serialize());
-  const double distribution = f.clock.now_ms() - before;
+  const double distribution = ms_since(f.clock, before);
   benchmark::DoNotOptimize(raw);
 
   std::printf("\n=== Table 2: SSL certificate generation and distribution ===\n");

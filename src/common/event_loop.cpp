@@ -10,68 +10,35 @@ bool EventLoop::later(const Event& a, const Event& b) {
   return a.seq > b.seq;
 }
 
-std::uint64_t EventLoop::schedule_at(Micros due_us, std::size_t track,
-                                     std::uint64_t payload) {
-  Event e;
-  e.due_us = std::max(due_us, now_us_);
-  e.track = track;
-  e.seq = next_seq_++;
-  e.id = next_id_++;
-  e.payload = payload;
-  heap_.push_back(e);
+void EventLoop::schedule_at(Micros due_us, std::size_t track,
+                            std::uint64_t payload) {
+  heap_.push_back(
+      Event{std::max(due_us, now_us_), track, next_seq_++, payload});
   std::push_heap(heap_.begin(), heap_.end(), later);
-  live_.insert(e.id);
-  ++pending_;
   ++stats_.scheduled;
-  stats_.peak_pending = std::max(stats_.peak_pending, pending_);
-  return e.id;
+  stats_.peak_pending = std::max(stats_.peak_pending, heap_.size());
 }
 
-std::uint64_t EventLoop::schedule_after(Micros delay_us, std::size_t track,
-                                        std::uint64_t payload) {
-  return schedule_at(now_us_ + delay_us, track, payload);
-}
-
-bool EventLoop::cancel(std::uint64_t id) {
-  // Only ids that are still parked are cancellable: fired, unknown, and
-  // doubly-cancelled ids all report false.
-  if (live_.erase(id) == 0) return false;
-  cancelled_.insert(id);
-  // The heap slot stays until it surfaces; only the live count drops now.
-  --pending_;
-  ++stats_.cancelled;
-  return true;
+void EventLoop::schedule_after(Micros delay_us, std::size_t track,
+                               std::uint64_t payload) {
+  schedule_at(now_us_ + delay_us, track, payload);
 }
 
 void EventLoop::next_batch(std::vector<Event>& out) {
   out.clear();
-  // Skim cancelled tombstones off the top first so the batch instant is
-  // the earliest *live* due time.
-  while (!heap_.empty() && cancelled_.count(heap_.front().id) > 0) {
-    cancelled_.erase(heap_.front().id);
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    heap_.pop_back();
-  }
   if (heap_.empty()) return;
 
   const Micros due = heap_.front().due_us;
   now_us_ = due;
   while (!heap_.empty() && heap_.front().due_us == due) {
     std::pop_heap(heap_.begin(), heap_.end(), later);
-    Event e = heap_.back();
+    out.push_back(heap_.back());
     heap_.pop_back();
-    if (cancelled_.count(e.id) > 0) {
-      cancelled_.erase(e.id);
-      continue;
-    }
-    live_.erase(e.id);
-    --pending_;
-    out.push_back(e);
   }
   stats_.dispatched += out.size();
-  stats_.batches += out.empty() ? 0 : 1;
+  ++stats_.batches;
   stats_.max_batch = std::max(stats_.max_batch, out.size());
-  if (!out.empty()) stats_.end_us = due;
+  stats_.end_us = due;
 }
 
 std::vector<EventLoop::Event> EventLoop::next_batch() {

@@ -5,7 +5,7 @@
 // round trip *blocked its pool lane* for the whole virtual wait, so
 // throughput topped out near the pool width and memory grew with thread
 // stacks. This loop inverts that: a wait is a *scheduled wake event* — a
-// 40-byte heap entry — and the thread moves on to whichever session is
+// 32-byte heap entry — and the thread moves on to whichever session is
 // ready. One worker can carry tens of thousands of parked sessions.
 //
 // Determinism is the design constraint, same as parallel.hpp and
@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 namespace revelio::common {
@@ -48,30 +47,23 @@ class EventLoop {
     Micros due_us = 0;      // virtual instant the wake fires
     std::size_t track = 0;  // independence class (see class comment)
     std::uint64_t seq = 0;  // per-loop tiebreak within an instant
-    std::uint64_t id = 0;   // handle for cancel()
     std::uint64_t payload = 0;  // caller data (e.g. a session index)
   };
 
   EventLoop() = default;
 
   /// Schedules a wake at absolute virtual time `due_us` (clamped to now —
-  /// the past is not addressable). Returns the event id.
-  std::uint64_t schedule_at(Micros due_us, std::size_t track,
-                            std::uint64_t payload);
+  /// the past is not addressable).
+  void schedule_at(Micros due_us, std::size_t track, std::uint64_t payload);
   /// Schedules a wake `delay_us` after now_us().
-  std::uint64_t schedule_after(Micros delay_us, std::size_t track,
-                               std::uint64_t payload);
-
-  /// Cancels a scheduled event. Returns false if it already fired (or was
-  /// already cancelled). O(1); the heap slot is reclaimed lazily.
-  bool cancel(std::uint64_t id);
+  void schedule_after(Micros delay_us, std::size_t track,
+                      std::uint64_t payload);
 
   /// Virtual time of the most recent batch (0 before the first).
   Micros now_us() const { return now_us_; }
-  /// Events scheduled and not yet popped or cancelled — the loop's parked
-  /// population.
-  std::size_t pending() const { return pending_; }
-  bool empty() const { return pending_ == 0; }
+  /// Events scheduled and not yet popped — the loop's parked population.
+  std::size_t pending() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
   /// Pops every event due at the earliest pending instant, in (track, seq)
   /// order, advancing now_us() to that instant. Returns an empty vector
@@ -89,7 +81,6 @@ class EventLoop {
   struct Stats {
     std::uint64_t scheduled = 0;   // schedule_* calls accepted
     std::uint64_t dispatched = 0;  // events returned by next_batch
-    std::uint64_t cancelled = 0;
     std::uint64_t batches = 0;
     std::size_t max_batch = 0;     // largest single batch
     std::size_t peak_pending = 0;  // high-water parked population
@@ -98,10 +89,9 @@ class EventLoop {
   const Stats& stats() const { return stats_; }
 
   /// High-water heap footprint in bytes: peak simultaneously-pending
-  /// events times the per-event heap cost (the heap slot plus the
-  /// live-id set entry that makes cancel() O(1) and exact).
+  /// events times the heap slot size.
   std::size_t peak_heap_bytes() const {
-    return stats_.peak_pending * (sizeof(Event) + sizeof(std::uint64_t));
+    return stats_.peak_pending * sizeof(Event);
   }
 
  private:
@@ -110,12 +100,8 @@ class EventLoop {
   static bool later(const Event& a, const Event& b);
 
   std::vector<Event> heap_;
-  std::unordered_set<std::uint64_t> live_;  // parked, cancellable ids
-  std::unordered_set<std::uint64_t> cancelled_;
   Micros now_us_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
-  std::size_t pending_ = 0;
   Stats stats_;
 };
 
@@ -132,9 +118,6 @@ class EventLoop {
 
 /// Reports `us` of virtual wait to the scope bound on this thread, if any.
 void note_virtual_wait_us(std::uint64_t us);
-inline void note_virtual_wait_ms(double ms) {
-  note_virtual_wait_us(static_cast<std::uint64_t>(ms * 1000.0));
-}
 
 /// RAII: collects note_virtual_wait_us() calls made on this thread for the
 /// scope's lifetime. Scopes nest; the innermost wins (waits are charged to
@@ -147,7 +130,6 @@ class VirtualWaitScope {
   VirtualWaitScope& operator=(const VirtualWaitScope&) = delete;
 
   std::uint64_t waited_us() const { return waited_us_; }
-  double waited_ms() const { return static_cast<double>(waited_us_) / 1000.0; }
 
  private:
   friend void note_virtual_wait_us(std::uint64_t);

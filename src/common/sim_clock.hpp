@@ -5,6 +5,11 @@
 // latency against a virtual clock. Components that do real computational
 // work (hashing, AES, ECDSA) additionally take real time, which the
 // benchmarks measure directly.
+//
+// Virtual time has one unit: integer microseconds (SimClock::Micros), from
+// the clock through the session engine to the transcript digest. A
+// duration written in milliseconds (a config field, a paper latency) is
+// converted once, by SimClock::from_ms, where it is stored or first used.
 #pragma once
 
 #include <cstdint>
@@ -40,13 +45,16 @@ class SimClock {
   static const SimClock* current();
 
   Micros now_us() const { return now_us_; }
-  double now_ms() const { return static_cast<double>(now_us_) / 1000.0; }
 
   /// Advances virtual time; used by the network fabric and device models to
   /// charge latency for operations whose real cost is not reproducible here.
   void advance_us(Micros us) { now_us_ += us; }
-  void advance_ms(double ms) {
-    now_us_ += static_cast<Micros>(ms * 1000.0);
+
+  /// The one ms -> µs conversion: durations written in milliseconds
+  /// (config fields, the paper's latencies) become Micros here, once,
+  /// rounded to the nearest µs; zero and negative durations map to 0.
+  static Micros from_ms(double ms) {
+    return ms <= 0.0 ? 0 : static_cast<Micros>(ms * 1000.0 + 0.5);
   }
 
   void reset() { now_us_ = 0; }

@@ -14,9 +14,9 @@ namespace {
 /// to the world clock and report it to the event layer's wait observer
 /// (common/event_loop.hpp), so a staged session engine can park sessions
 /// for exactly this long instead of blocking a thread.
-void charge_wait_ms(SimClock& clock, double ms) {
-  clock.advance_ms(ms);
-  common::note_virtual_wait_ms(ms);
+void charge_wait(SimClock& clock, SimClock::Micros us) {
+  clock.advance_us(us);
+  common::note_virtual_wait_us(us);
 }
 }  // namespace
 
@@ -134,7 +134,8 @@ FaultPlan::Decision FaultPlan::decide(const std::string& from,
   }
   if (p.delay_prob > 0.0 && uniform() < p.delay_prob) {
     const double span = p.delay_max_ms - p.delay_min_ms;
-    d.extra_delay_ms = p.delay_min_ms + (span > 0.0 ? uniform() * span : 0.0);
+    d.extra_delay_us = SimClock::from_ms(
+        p.delay_min_ms + (span > 0.0 ? uniform() * span : 0.0));
     d.kind = "delay";
   }
   if (p.duplicate_prob > 0.0 && uniform() < p.duplicate_prob) {
@@ -158,14 +159,14 @@ bool Network::is_listening(const Address& addr) const {
 
 void Network::set_link_latency_ms(const std::string& a, const std::string& b,
                                   double ms) {
-  link_latency_ms_[{std::min(a, b), std::max(a, b)}] = ms;
+  link_latency_us_[{std::min(a, b), std::max(a, b)}] = SimClock::from_ms(ms);
 }
 
-double Network::latency_between(const std::string& a,
-                                const std::string& b) const {
-  if (a == b) return 0.05;  // loopback
-  const auto it = link_latency_ms_.find({std::min(a, b), std::max(a, b)});
-  return it == link_latency_ms_.end() ? default_latency_ms_ : it->second;
+SimClock::Micros Network::latency_between(const std::string& a,
+                                          const std::string& b) const {
+  if (a == b) return 50;  // loopback
+  const auto it = link_latency_us_.find({std::min(a, b), std::max(a, b)});
+  return it == link_latency_us_.end() ? default_latency_us_ : it->second;
 }
 
 Result<Bytes> Network::call(const Address& from, const Address& to,
@@ -182,7 +183,7 @@ Result<Bytes> Network::call(const Address& from, const Address& to,
       case MitmAction::Kind::kDrop:
         // The caller observes a timeout; a drop is never free — the full
         // configured timeout is charged to virtual time.
-        charge_wait_ms(*clock_, call_timeout_ms_);
+        charge_wait(*clock_, call_timeout_us_);
         return Error::make("net.timeout", "request dropped in transit");
       case MitmAction::Kind::kTamper:
         tampered = std::move(action.tampered_request);
@@ -203,22 +204,22 @@ Result<Bytes> Network::call(const Address& from, const Address& to,
         obs::metrics()
             .counter("net.fault.injected", {{"kind", d.kind}})
             .inc();
-        charge_wait_ms(*clock_, call_timeout_ms_);
+        charge_wait(*clock_, call_timeout_us_);
         return Error::make("net.unreachable",
                            target.to_string() + " (" + d.kind + ")");
       case FaultPlan::Decision::Verdict::kDrop:
         obs::metrics()
             .counter("net.fault.injected", {{"kind", d.kind}})
             .inc();
-        charge_wait_ms(*clock_, call_timeout_ms_);
+        charge_wait(*clock_, call_timeout_us_);
         return Error::make("net.timeout",
                            "dropped by fault plan: " + target.to_string());
       case FaultPlan::Decision::Verdict::kDeliver:
-        if (d.extra_delay_ms > 0.0) {
+        if (d.extra_delay_us > 0) {
           obs::metrics()
               .counter("net.fault.injected", {{"kind", "delay"}})
               .inc();
-          charge_wait_ms(*clock_, d.extra_delay_ms);
+          charge_wait(*clock_, d.extra_delay_us);
         }
         duplicate = d.duplicate;
         break;
@@ -227,11 +228,11 @@ Result<Bytes> Network::call(const Address& from, const Address& to,
 
   const auto it = handlers_.find(target);
   if (it == handlers_.end()) {
-    charge_wait_ms(*clock_, latency_between(from.host, target.host));
+    charge_wait(*clock_, latency_between(from.host, target.host));
     return Error::make("net.connection_refused", target.to_string());
   }
   // One round trip.
-  charge_wait_ms(*clock_, 2.0 * latency_between(from.host, target.host));
+  charge_wait(*clock_, 2 * latency_between(from.host, target.host));
   ++messages_delivered_;
   Bytes response = it->second(payload, from);
   if (duplicate) {

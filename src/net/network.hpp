@@ -100,7 +100,7 @@ class FaultPlan {
   struct Decision {
     enum class Verdict { kDeliver, kDrop, kUnreachable };
     Verdict verdict = Verdict::kDeliver;
-    double extra_delay_ms = 0.0;
+    SimClock::Micros extra_delay_us = 0;
     bool duplicate = false;
     const char* kind = "";  // metric label when a fault fired
   };
@@ -151,7 +151,9 @@ class Network {
   bool is_listening(const Address& addr) const;
 
   /// Default one-way latency between any two distinct hosts (ms).
-  void set_default_latency_ms(double ms) { default_latency_ms_ = ms; }
+  void set_default_latency_ms(double ms) {
+    default_latency_us_ = SimClock::from_ms(ms);
+  }
   /// Overrides the one-way latency between two hosts (symmetric).
   void set_link_latency_ms(const std::string& a, const std::string& b,
                            double ms);
@@ -179,8 +181,9 @@ class Network {
 
   /// Virtual time a caller waits before concluding a message was lost. A
   /// drop is never free: the full timeout is charged to the SimClock.
-  void set_call_timeout_ms(double ms) { call_timeout_ms_ = ms; }
-  double call_timeout_ms() const { return call_timeout_ms_; }
+  void set_call_timeout_ms(double ms) {
+    call_timeout_us_ = SimClock::from_ms(ms);
+  }
 
   std::uint64_t messages_delivered() const { return messages_delivered_; }
 
@@ -196,12 +199,14 @@ class Network {
   Result<Address> resolve(const std::string& name, std::uint16_t port) const;
 
  private:
-  double latency_between(const std::string& a, const std::string& b) const;
+  SimClock::Micros latency_between(const std::string& a,
+                                   const std::string& b) const;
 
   SimClock* clock_;
-  double default_latency_ms_ = 2.6;  // paper's base RTT is 5.2 ms
-  double call_timeout_ms_ = 1000.0;
-  std::map<std::pair<std::string, std::string>, double> link_latency_ms_;
+  SimClock::Micros default_latency_us_ = 2600;  // paper's base RTT: 5.2 ms
+  SimClock::Micros call_timeout_us_ = 1'000'000;
+  std::map<std::pair<std::string, std::string>, SimClock::Micros>
+      link_latency_us_;
   std::map<Address, Handler> handlers_;
   Interceptor interceptor_;
   std::optional<FaultPlan> fault_plan_;

@@ -4,8 +4,8 @@
 
 namespace revelio::net {
 
-double RetryPolicy::backoff_ms(std::uint32_t attempt,
-                               crypto::HmacDrbg& jitter_drbg) const {
+SimClock::Micros RetryPolicy::backoff_us(std::uint32_t attempt,
+                                         crypto::HmacDrbg& jitter_drbg) const {
   double backoff = initial_backoff_ms;
   for (std::uint32_t i = 1; i < attempt; ++i) {
     backoff *= multiplier;
@@ -19,21 +19,22 @@ double RetryPolicy::backoff_ms(std::uint32_t attempt,
     const double u = static_cast<double>(x >> 11) / 9007199254740992.0;
     backoff *= 1.0 - jitter + 2.0 * jitter * u;
   }
-  return backoff;
+  return SimClock::from_ms(backoff);
 }
 
 CircuitBreaker::CircuitBreaker(std::string endpoint)
     : CircuitBreaker(std::move(endpoint), Config{}) {}
 
 CircuitBreaker::CircuitBreaker(std::string endpoint, Config config)
-    : endpoint_(std::move(endpoint)), config_(config) {
+    : endpoint_(std::move(endpoint)),
+      config_(config),
+      open_us_(SimClock::from_ms(config.open_ms)) {
   transition(State::kClosed);
 }
 
 CircuitBreaker::State CircuitBreaker::state(const SimClock& clock) const {
   if (state_ == State::kOpen &&
-      clock.now_us() >= opened_at_us_ + static_cast<SimClock::Micros>(
-                                            config_.open_ms * 1000.0)) {
+      clock.now_us() >= opened_at_us_ + open_us_) {
     return State::kHalfOpen;
   }
   return state_;

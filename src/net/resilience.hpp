@@ -21,6 +21,7 @@
 // locking is a data race.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -54,8 +55,7 @@ class Deadline {
   /// Expires `budget_ms` of virtual time from now.
   static Deadline after_ms(const SimClock& clock, double budget_ms) {
     Deadline d;
-    d.expires_us_ =
-        clock.now_us() + static_cast<SimClock::Micros>(budget_ms * 1000.0);
+    d.expires_us_ = clock.now_us() + SimClock::from_ms(budget_ms);
     return d;
   }
 
@@ -63,17 +63,11 @@ class Deadline {
   bool expired(const SimClock& clock) const {
     return clock.now_us() >= expires_us_;
   }
-  double remaining_ms(const SimClock& clock) const {
-    if (is_unlimited()) return std::numeric_limits<double>::infinity();
-    if (clock.now_us() >= expires_us_) return 0.0;
-    return static_cast<double>(expires_us_ - clock.now_us()) / 1000.0;
-  }
-  /// A child budget: at most `budget_ms` from now, never later than this
-  /// deadline — how a sub-call inherits the caller's remaining time.
-  Deadline capped_ms(const SimClock& clock, double budget_ms) const {
-    Deadline child = after_ms(clock, budget_ms);
-    if (child.expires_us_ > expires_us_) child.expires_us_ = expires_us_;
-    return child;
+  /// Virtual time left; Micros max when unlimited.
+  SimClock::Micros remaining_us(const SimClock& clock) const {
+    if (is_unlimited()) return kNoExpiry;
+    if (clock.now_us() >= expires_us_) return 0;
+    return expires_us_ - clock.now_us();
   }
 
  private:
@@ -94,7 +88,8 @@ struct RetryPolicy {
   double jitter = 0.25;
 
   /// Backoff before retry number `attempt` (1 = after the first failure).
-  double backoff_ms(std::uint32_t attempt, crypto::HmacDrbg& jitter_drbg) const;
+  SimClock::Micros backoff_us(std::uint32_t attempt,
+                              crypto::HmacDrbg& jitter_drbg) const;
 };
 
 /// Per-endpoint circuit breaker over virtual time.
@@ -138,6 +133,7 @@ class CircuitBreaker {
 
   std::string endpoint_;
   Config config_;
+  SimClock::Micros open_us_;  // config_.open_ms
   State state_ = State::kClosed;
   std::uint32_t consecutive_failures_ = 0;
   std::uint32_t half_open_successes_ = 0;
@@ -248,18 +244,15 @@ auto with_retries(SimClock& clock, crypto::HmacDrbg& jitter_drbg,
       span.emplace("net.retry");
       span->attr("op", op);
     }
-    double backoff = policy.backoff_ms(attempt, jitter_drbg);
-    const double remaining = deadline.remaining_ms(clock);
-    if (backoff > remaining) backoff = remaining;
-    if (backoff > 0.0) {
-      // A backoff sleep is pure waiting: charge virtual time and report it
-      // to the event layer so a staged engine parks instead of blocking.
-      clock.advance_ms(backoff);
-      common::note_virtual_wait_ms(backoff);
-    }
+    const SimClock::Micros backoff = std::min(
+        policy.backoff_us(attempt, jitter_drbg), deadline.remaining_us(clock));
+    // A backoff sleep is pure waiting: charge virtual time and report it
+    // to the event layer so a staged engine parks instead of blocking.
+    clock.advance_us(backoff);
+    common::note_virtual_wait_us(backoff);
     obs::flight_record(obs::FlightEventType::kRetry,
                        static_cast<std::uint16_t>(attempt),
-                       static_cast<std::uint32_t>(backoff * 1000.0));
+                       static_cast<std::uint32_t>(backoff));
     obs::metrics().counter("retry.backoff.count", {{"op", op}}).inc();
     ++attempt;
   }

@@ -109,7 +109,7 @@ Result<Certificate> AcmeIssuer::finalize(const std::string& account,
 
   // Issue. The latency models Let's Encrypt's server-side pipeline and is
   // charged to the simulated clock (Table 2's dominant term).
-  clock_.advance_ms(config_.issuance_latency_ms);
+  clock_.advance_us(SimClock::from_ms(config_.issuance_latency_ms));
   auto cert = issuing_ca_->issue(csr, clock_.now_us(),
                                  clock_.now_us() + config_.cert_lifetime_us);
   if (!cert.ok()) return cert.error();

@@ -160,7 +160,7 @@ Status RevelioVm::create_identity(sevsnp::AmdSp& sp, net::Network& network) {
   const double real_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  guest_->clock().advance_ms(real_ms);
+  guest_->clock().advance_us(SimClock::from_ms(real_ms));
   boot_report_.phases.push_back(
       vm::BootPhase{"identity creation", real_ms, real_ms});
   return Status::success();

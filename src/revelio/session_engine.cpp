@@ -11,6 +11,7 @@
 #include "common/event_loop.hpp"
 #include "common/hex.hpp"
 #include "common/parallel.hpp"
+#include "common/sim_clock.hpp"
 #include "crypto/sha2.hpp"
 #include "obs/audit_log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -20,13 +21,18 @@ namespace revelio::core {
 
 namespace {
 
+using Micros = SimClock::Micros;
+
 /// Nearest-rank percentile over a sorted sample (q in (0, 1]).
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
+Micros percentile(const std::vector<Micros>& sorted, double q) {
+  if (sorted.empty()) return 0;
   const std::size_t rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
+
+/// The report's output edge: exact µs rendered as ms.
+double to_ms(Micros us) { return static_cast<double>(us) / 1000.0; }
 
 /// Both shared caches: lock-striped, 64 entries per stripe.
 constexpr std::size_t kCacheShards = 8;
@@ -83,28 +89,23 @@ std::uint8_t gate_for(SessionState state, const AdmissionConfig& admission) {
 struct Cell {
   SessionState next = SessionState::kHandshake;  // stage to run at wake
   std::uint8_t holds = kGateNone;  // gate capacity held through the park
-  double total_virt_ms = 0.0;
-  double wait_virt_ms = 0.0;
-  common::EventLoop::Micros queued_at_us = 0;  // set while in a gate FIFO
+  Micros total_us = 0;
+  Micros wait_us = 0;
+  Micros queued_at_us = 0;  // set while in a gate FIFO
 };
 
 /// What one dispatched stage produced (slot-indexed; written by exactly
 /// one pool lane, read by the driver after the batch join).
 struct StageResult {
   SessionState next = SessionState::kFailed;
-  double stage_virt_ms = 0.0;
-  double wait_ms = 0.0;
+  Micros stage_us = 0;
+  Micros wait_us = 0;
   /// Wall-clock compute of this dispatch (an even share of the batch's
   /// wall time when batched).
   double real_ms = 0.0;
   bool batched = false;
   Status failure = Status::success();
 };
-
-common::EventLoop::Micros to_us(double ms) {
-  return ms <= 0.0 ? 0
-                   : static_cast<common::EventLoop::Micros>(ms * 1000.0 + 0.5);
-}
 
 }  // namespace
 
@@ -150,7 +151,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   // Log-bucketed summary, not a fixed-bucket histogram: gate-FIFO waits
   // span microseconds to whole chaos timeouts, and the tail is the point.
   obs::Summary& wake_summary = metrics.summary("gw.wake.latency.ms");
-  std::vector<double> wake_latencies;
+  std::vector<Micros> wake_latencies;
 
   // Per-session flight recorders: a fixed 16-byte/event ring each,
   // preallocated up front so record() never touches the heap. Stage-body
@@ -166,7 +167,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   }
   const auto flight = [&](std::size_t i, obs::FlightEventType type,
                           std::uint16_t arg, std::uint32_t value,
-                          common::EventLoop::Micros t_us) {
+                          Micros t_us) {
     if (fr.enabled) recorders[i].record_at(t_us, type, arg, value);
   };
 
@@ -178,8 +179,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   obs::Summary stage_wait[kStageCount];
   obs::Summary stage_service[kStageCount];
   obs::Summary stage_real[kStageCount];
-  double stage_wait_total[kStageCount] = {};
-  double stage_service_total[kStageCount] = {};
+  Micros stage_wait_total[kStageCount] = {};
+  Micros stage_service_total[kStageCount] = {};
   double stage_real_total[kStageCount] = {};
   std::uint64_t stage_batched[kStageCount] = {};
 
@@ -191,8 +192,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     }
     report.final_states[i] = state;
     report.outcomes[i] = std::move(st);
-    report.session_virt_ms[i] = c.total_virt_ms;
-    report.wait_virt_ms += c.wait_virt_ms;
   };
 
   common::ThreadPool pool(workers());
@@ -203,14 +202,14 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   std::vector<std::size_t> batch_slots;  // ready slots routed to the hook
   // Virtual completion time of the latest-finishing session, including its
   // final stage (which needs no wake and so never reaches the loop clock).
-  double makespan_ms = 0.0;
+  Micros makespan_us = 0;
 
   while (true) {
     loop.next_batch(batch);
     if (batch.empty()) break;  // gate FIFOs are empty too: a non-empty
                                // FIFO implies a capacity holder, and every
                                // holder has a wake pending in the loop
-    const common::EventLoop::Micros now_us = loop.now_us();
+    const Micros now_us = loop.now_us();
     // Lifecycle hook: fleet operations fire here, on the driver thread,
     // with no stages in flight — deterministic in virtual time.
     if (config_.on_virtual_time) config_.on_virtual_time(now_us);
@@ -236,10 +235,9 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         gate.fifo.pop_front();
         ++gate.inflight;
         cells[i].holds = g;
-        const double waited =
-            static_cast<double>(now_us - cells[i].queued_at_us) / 1000.0;
-        wake_summary.observe(waited);
-        wake_latencies.push_back(waited);
+        const Micros waited_us = now_us - cells[i].queued_at_us;
+        wake_summary.observe(to_ms(waited_us));
+        wake_latencies.push_back(waited_us);
         flight(i, obs::FlightEventType::kWake,
                static_cast<std::uint16_t>(cells[i].next), 0, now_us);
         ready.push_back(i);
@@ -274,8 +272,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         shed_counter.inc();
         ++report.shed;
         flight(i, obs::FlightEventType::kAdmission, g, 2, now_us);
-        makespan_ms =
-            std::max(makespan_ms, static_cast<double>(now_us) / 1000.0);
+        makespan_us = std::max(makespan_us, now_us);
         if (config_.audit_log != nullptr) {
           // Shed sessions never reach the web extension, so the engine
           // itself must leave their rejected verdict in the audit trail.
@@ -325,7 +322,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         ctx.chain_cache = &chain_cache_;
         ctx.vcek_cache = &vcek_cache_;
         ctx.tracer = &session_tracer;
-        ctx.total_virt_ms = c.total_virt_ms;
         flight(i, obs::FlightEventType::kStageEnter,
                static_cast<std::uint16_t>(c.next), 0, now_us);
         const auto real_t0 = std::chrono::steady_clock::now();
@@ -333,13 +329,12 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         r.real_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - real_t0)
                         .count();
-        r.stage_virt_ms = ctx.stage_virt_ms;
+        r.stage_us = SimClock::from_ms(ctx.stage_virt_ms);
         r.failure = std::move(ctx.failure);
-        r.wait_ms = waits.waited_ms();
+        r.wait_us = waits.waited_us();
         flight(i, obs::FlightEventType::kStageExit,
                static_cast<std::uint16_t>(c.next),
-               static_cast<std::uint32_t>(to_us(r.stage_virt_ms)),
-               now_us + to_us(r.stage_virt_ms));
+               static_cast<std::uint32_t>(r.stage_us), now_us + r.stage_us);
       }
       if (config_.isolate_obs) obs::metrics().merge_from(session_metrics);
       results[slot] = std::move(r);
@@ -410,7 +405,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
           ctx.chain_cache = &chain_cache_;
           ctx.vcek_cache = &vcek_cache_;
           ctx.tracer = &batch_tracer;
-          ctx.total_virt_ms = cells[i].total_virt_ms;
           flight(i, obs::FlightEventType::kStageEnter,
                  static_cast<std::uint16_t>(batching.stage), 1, now_us);
         }
@@ -428,15 +422,14 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         const std::size_t i = ready[slot];
         StageResult r;
         r.next = items[k].next;
-        r.stage_virt_ms = items[k].ctx.stage_virt_ms;
+        r.stage_us = SimClock::from_ms(items[k].ctx.stage_virt_ms);
         r.failure = std::move(items[k].ctx.failure);
-        r.wait_ms = 0.0;  // batched stages are pure compute by contract
+        // wait_us stays 0: batched stages are pure compute by contract.
         r.real_ms = share;
         r.batched = true;
         flight(i, obs::FlightEventType::kStageExit,
                static_cast<std::uint16_t>(batching.stage),
-               static_cast<std::uint32_t>(to_us(r.stage_virt_ms)),
-               now_us + to_us(r.stage_virt_ms));
+               static_cast<std::uint32_t>(r.stage_us), now_us + r.stage_us);
         results[slot] = std::move(r);
       }
     };
@@ -469,24 +462,23 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       const std::size_t i = ready[slot];
       StageResult& r = results[slot];
       Cell& c = cells[i];
-      c.total_virt_ms += r.stage_virt_ms;
-      const double stage_wait_ms = std::min(r.wait_ms, r.stage_virt_ms);
-      c.wait_virt_ms += stage_wait_ms;
+      c.total_us += r.stage_us;
+      const Micros wait_us = std::min(r.wait_us, r.stage_us);
+      const Micros service_us = r.stage_us - wait_us;
+      c.wait_us += wait_us;
       // c.next still names the stage that just ran (advanced below).
       const auto stage_idx = static_cast<std::size_t>(c.next);
       if (stage_idx < kStageCount) {
-        stage_wait[stage_idx].observe(stage_wait_ms);
-        stage_service[stage_idx].observe(r.stage_virt_ms - stage_wait_ms);
-        stage_wait_total[stage_idx] += stage_wait_ms;
-        stage_service_total[stage_idx] += r.stage_virt_ms - stage_wait_ms;
+        stage_wait[stage_idx].observe(to_ms(wait_us));
+        stage_service[stage_idx].observe(to_ms(service_us));
+        stage_wait_total[stage_idx] += wait_us;
+        stage_service_total[stage_idx] += service_us;
         stage_real[stage_idx].observe(r.real_ms);
         stage_real_total[stage_idx] += r.real_ms;
         if (r.batched) ++stage_batched[stage_idx];
       }
       if (r.next == SessionState::kDone || r.next == SessionState::kFailed) {
-        makespan_ms = std::max(makespan_ms, static_cast<double>(now_us) /
-                                                    1000.0 +
-                                                r.stage_virt_ms);
+        makespan_us = std::max(makespan_us, now_us + r.stage_us);
       }
       if (r.next == SessionState::kDone) {
         finalize(i, SessionState::kDone, Status::success());
@@ -499,9 +491,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         c.next = r.next;
         flight(i, obs::FlightEventType::kPark,
                static_cast<std::uint16_t>(r.next),
-               static_cast<std::uint32_t>(to_us(r.stage_virt_ms)),
-               now_us);
-        loop.schedule_after(to_us(r.stage_virt_ms), track_of(i), i);
+               static_cast<std::uint32_t>(r.stage_us), now_us);
+        loop.schedule_after(r.stage_us, track_of(i), i);
       }
     }
     const std::size_t parked =
@@ -532,7 +523,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   report.events_dispatched = stats.dispatched;
   report.batches = stats.batches;
   report.max_batch = stats.max_batch;
-  report.virt_makespan_ms = makespan_ms;
+  report.virt_makespan_ms = to_ms(makespan_us);
   if (report.virt_makespan_ms > 0.0) {
     report.sessions_per_virtual_sec =
         static_cast<double>(sessions) / (report.virt_makespan_ms / 1000.0);
@@ -542,16 +533,23 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   report.peak_inflight_evidence = gates[kGateEvidence].peak_inflight;
   report.peak_inflight_kds = gates[kGateKds].peak_inflight;
 
-  std::vector<double> sorted = report.session_virt_ms;
+  Micros total_us = 0;
+  Micros wait_total_us = 0;
+  std::vector<Micros> sorted(sessions);
+  for (std::size_t i = 0; i < sessions; ++i) {
+    sorted[i] = cells[i].total_us;
+    report.session_virt_ms[i] = to_ms(cells[i].total_us);
+    total_us += cells[i].total_us;
+    wait_total_us += cells[i].wait_us;
+  }
   std::sort(sorted.begin(), sorted.end());
-  report.virt_p50_ms = percentile(sorted, 0.50);
-  report.virt_p95_ms = percentile(sorted, 0.95);
-  report.virt_p99_ms = percentile(sorted, 0.99);
+  report.virt_p50_ms = to_ms(percentile(sorted, 0.50));
+  report.virt_p95_ms = to_ms(percentile(sorted, 0.95));
+  report.virt_p99_ms = to_ms(percentile(sorted, 0.99));
   std::sort(wake_latencies.begin(), wake_latencies.end());
-  report.wake_p99_ms = percentile(wake_latencies, 0.99);
-  double total_virt = 0.0;
-  for (const double v : report.session_virt_ms) total_virt += v;
-  report.service_virt_ms = total_virt - report.wait_virt_ms;
+  report.wake_p99_ms = to_ms(percentile(wake_latencies, 0.99));
+  report.wait_virt_ms = to_ms(wait_total_us);
+  report.service_virt_ms = to_ms(total_us - wait_total_us);
 
   // Per-stage wait-vs-service rows, state-machine order; fold the same
   // summaries into the process registry for exporters.
@@ -564,8 +562,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     row.wait_p99_ms = stage_wait[s].quantile(0.99);
     row.service_p50_ms = stage_service[s].quantile(0.50);
     row.service_p99_ms = stage_service[s].quantile(0.99);
-    row.wait_total_ms = stage_wait_total[s];
-    row.service_total_ms = stage_service_total[s];
+    row.wait_total_ms = to_ms(stage_wait_total[s]);
+    row.service_total_ms = to_ms(stage_service_total[s]);
     row.real_p50_ms = stage_real[s].quantile(0.50);
     row.real_p99_ms = stage_real[s].quantile(0.99);
     row.real_total_ms = stage_real_total[s];
@@ -583,10 +581,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   // configured quantile, up to kMaxDumps total.
   if (fr.enabled) {
     for (const auto& rec : recorders) report.recorder_bytes += rec.bytes();
-    const double tail_ms =
-        sorted.empty() ? 0.0
-                       : percentile(sorted, std::clamp(fr.tail_quantile,
-                                                       0.0, 1.0));
+    const Micros tail_us =
+        percentile(sorted, std::clamp(fr.tail_quantile, 0.0, 1.0));
     const auto dump = [&](std::size_t i, const char* reason) {
       if (report.anomaly_dumps.size() >= kMaxDumps) return;
       report.anomaly_dumps.push_back(
@@ -600,7 +596,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     }
     for (std::size_t i = 0; i < sessions; ++i) {
       if (!report.outcomes[i].ok()) continue;
-      if (report.session_virt_ms[i] >= tail_ms) dump(i, "p99_tail");
+      if (cells[i].total_us >= tail_us) dump(i, "p99_tail");
     }
   }
 
@@ -615,20 +611,13 @@ SessionEngine::StagedReport SessionEngine::run_staged(
 
   // Transcript digest: the run's observable outcome, hashed in session
   // order. Two same-seed runs must produce the same hex string bit for bit.
-  // Virtual durations are hashed at the loop's own granularity (integer
-  // microseconds): the raw doubles carry sub-picosecond accumulation dust
-  // whose distribution depends on real thread interleaving, which is below
-  // anything the schedule can express and would make equal schedules hash
-  // unequal.
   crypto::Sha256 digest;
   for (std::size_t i = 0; i < sessions; ++i) {
     std::uint8_t rec[17];
     std::uint64_t idx = static_cast<std::uint64_t>(i);
     std::memcpy(rec, &idx, 8);
     rec[8] = static_cast<std::uint8_t>(report.final_states[i]);
-    const std::uint64_t virt_us = static_cast<std::uint64_t>(
-        std::llround(report.session_virt_ms[i] * 1000.0));
-    std::memcpy(rec + 9, &virt_us, 8);
+    std::memcpy(rec + 9, &cells[i].total_us, 8);
     digest.update(ByteView(rec, sizeof(rec)));
     if (!report.outcomes[i].ok()) {
       digest.update(to_bytes(report.outcomes[i].error().code));

@@ -28,7 +28,7 @@
 //
 // One dispatched *stage* runs synchronously; the virtual time it consumes
 // (network round trips, retry backoff, chaos timeouts) becomes the
-// session's park interval, and the session costs a 40-byte heap event —
+// session's park interval, and the session costs a 32-byte heap event —
 // not a blocked thread — until its wake. That is what lets one worker
 // carry thousands of in-flight sessions (the 100k-session level in
 // bench_gateway). A session may also run as a single stage (kHandshake ->
@@ -39,7 +39,8 @@
 // The StagedReport separates the two clocks: real_elapsed_ms is wall time
 // of the whole run; the virtual-latency percentiles and makespan come from
 // the deterministic schedule — benchmarks gate on them (see
-// bench/bench_gateway.cpp).
+// bench/bench_gateway.cpp). The engine counts virtual time in integer µs;
+// the report's *_ms fields are each converted once from those exact sums.
 #pragma once
 
 #include <cstddef>
@@ -137,13 +138,12 @@ struct StagedContext {
   /// The dispatch's tracer (already bound to the thread; enabled iff
   /// trace_sessions). Read finished spans from it before returning.
   obs::Tracer* tracer = nullptr;
-  /// Virtual time the session has accumulated across earlier stages.
-  double total_virt_ms = 0.0;
 
   /// Out: virtual duration of this stage (e.g. the world clock's delta
-  /// across it). The engine parks the session for exactly this long before
-  /// dispatching the returned state — the stage's I/O time IS the wake
-  /// delay.
+  /// across it). The engine converts it once to integer µs
+  /// (SimClock::from_ms) and parks the session for exactly that long
+  /// before dispatching the returned state — the stage's I/O time IS the
+  /// wake delay.
   double stage_virt_ms = 0.0;
   /// Out: why the session failed; read only when kFailed is returned.
   Status failure = Status::success();
@@ -230,7 +230,7 @@ class SessionEngine {
     double virt_p95_ms = 0.0;
     double virt_p99_ms = 0.0;
     /// Split of total session virtual time into I/O waits (reported by
-    /// net/resilience via note_virtual_wait) vs everything else.
+    /// net/resilience via note_virtual_wait_us) vs everything else.
     double wait_virt_ms = 0.0;
     double service_virt_ms = 0.0;
 

@@ -380,7 +380,8 @@ Result<WebExtension::Verified> WebExtension::fetch(
   // terminates at the attested key (the redirect defence).
   span.attr("mode", "monitor");
   obs::metrics().counter("ext.monitor.count").inc();
-  browser_->network().clock().advance_ms(config_.connection_check_overhead_ms);
+  browser_->network().clock().advance_us(
+      SimClock::from_ms(config_.connection_check_overhead_ms));
   if (!(result->tls_server_key == state_it->second.attested_key)) {
     state_it->second.attested = false;
     state_it->second.checks.tls_binding_ok = false;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/sim_clock.hpp"
+
 namespace revelio::vm {
 
 namespace {
@@ -90,7 +92,7 @@ Bytes InitrdSpec::serialize() const {
   for (const auto& service : services) {
     append_string(out, service.name);
     append_string(out, service.binary_path);
-    append_u64be(out, static_cast<std::uint64_t>(service.startup_ms * 1000.0));
+    append_u64be(out, SimClock::from_ms(service.startup_ms));
   }
   return out;
 }

@@ -22,7 +22,7 @@ class PhaseTimer {
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     const double real_ms =
         std::chrono::duration<double, std::milli>(elapsed).count();
-    clock_->advance_ms(real_ms + extra_sim_ms_);
+    clock_->advance_us(SimClock::from_ms(real_ms + extra_sim_ms_));
     report_->phases.push_back(
         BootPhase{name_, real_ms, real_ms + extra_sim_ms_});
   }

@@ -432,10 +432,11 @@ StagedBatchRun run_staged(SessionEngine& engine,
         GatewayWorld& world = *worlds[ctx.index % worlds.size()];
         std::lock_guard<std::mutex> world_lock(world.mu);
         ScopedClockCurrent clock_scope(world.clock);
-        const double virt_start = world.clock.now_ms();
+        const SimClock::Micros virt_start = world.clock.now_us();
         Slot& slot = slots[ctx.index];
         const auto finish = [&](SessionState next) {
-          ctx.stage_virt_ms = world.clock.now_ms() - virt_start;
+          ctx.stage_virt_ms =
+              static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
           return next;
         };
         const auto fail = [&](Error error) {

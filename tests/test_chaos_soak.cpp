@@ -221,7 +221,7 @@ SoakStats run_sessions(ChaosWorld& world, int count,
 /// requires clean sessions to succeed again.
 void expect_recovery(ChaosWorld& world) {
   world.network.fault_plan()->clear_faults();
-  world.clock.advance_ms(6000.0);  // past the default 5 s breaker cooldown
+  world.clock.advance_us(6'000'000);  // past the default 5 s breaker cooldown
   const SoakStats after = run_sessions(world, 3);
   EXPECT_EQ(after.succeeded, 3)
       << "sessions must succeed once faults clear and breakers half-open";

@@ -104,17 +104,24 @@ TEST(Result, VoidStatus) {
 TEST(SimClock, AdvancesMonotonically) {
   SimClock clock;
   EXPECT_EQ(clock.now_us(), 0u);
-  clock.advance_ms(1.5);
+  clock.advance_us(SimClock::from_ms(1.5));
   EXPECT_EQ(clock.now_us(), 1500u);
   clock.advance_us(500);
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 2.0);
+  EXPECT_EQ(clock.now_us(), 2000u);
   clock.reset();
   EXPECT_EQ(clock.now_us(), 0u);
 }
 
+TEST(SimClock, FromMsRoundsToTheNearestMicrosecond) {
+  EXPECT_EQ(SimClock::from_ms(2.01), 2010u) << "2.01 * 1000 is 2009.99...";
+  EXPECT_EQ(SimClock::from_ms(0.0004), 0u);
+  EXPECT_EQ(SimClock::from_ms(0.0005), 1u);
+  EXPECT_EQ(SimClock::from_ms(-3.0), 0u) << "no negative durations";
+}
+
 TEST(SimClock, FormatsTimestamp) {
   SimClock clock;
-  clock.advance_ms(3723004.0);  // 1h 2m 3s 4ms
+  clock.advance_us(SimClock::from_ms(3723004.0));  // 1h 2m 3s 4ms
   EXPECT_EQ(clock.to_string(), "T+01:02:03.004");
 }
 
@@ -123,7 +130,7 @@ TEST(SimClock, FormatsTimestamp) {
 // in the tracer. The registry must re-expose the surviving clock.
 TEST(SimClock, CurrentSurvivesCopyDestruction) {
   SimClock original;
-  original.advance_ms(5.0);
+  original.advance_us(5000);
   ASSERT_EQ(SimClock::current(), &original);
   {
     SimClock copy(original);

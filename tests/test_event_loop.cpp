@@ -73,39 +73,6 @@ TEST(EventLoop, ScheduleAfterIsRelativeToTheCurrentBatchInstant) {
   EXPECT_EQ(loop.now_us(), 300u);
 }
 
-TEST(EventLoop, CancelSuppressesDispatchAndIsIdempotent) {
-  EventLoop loop;
-  const auto keep = loop.schedule_at(100, 0, 1);
-  const auto drop = loop.schedule_at(100, 0, 2);
-  EXPECT_EQ(loop.pending(), 2u);
-
-  EXPECT_TRUE(loop.cancel(drop));
-  EXPECT_FALSE(loop.cancel(drop)) << "second cancel is a no-op";
-  EXPECT_FALSE(loop.cancel(9999)) << "unknown ids are rejected";
-  EXPECT_EQ(loop.pending(), 1u);
-
-  auto batch = loop.next_batch();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].id, keep);
-  EXPECT_FALSE(loop.cancel(keep)) << "already fired";
-  EXPECT_EQ(loop.stats().cancelled, 1u);
-}
-
-TEST(EventLoop, CancellingTheEntireEarliestInstantSkipsToTheNextOne) {
-  EventLoop loop;
-  const auto a = loop.schedule_at(100, 0, 1);
-  const auto b = loop.schedule_at(100, 1, 2);
-  loop.schedule_at(900, 0, 3);
-  EXPECT_TRUE(loop.cancel(a));
-  EXPECT_TRUE(loop.cancel(b));
-
-  auto batch = loop.next_batch();
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].payload, 3u);
-  EXPECT_EQ(loop.now_us(), 900u)
-      << "a fully-cancelled instant must not advance the clock to itself";
-}
-
 TEST(EventLoop, RunSerialDrainsHandlersThatReschedule) {
   EventLoop loop;
   loop.schedule_at(10, 0, 0);
@@ -126,8 +93,8 @@ TEST(EventLoop, StatsTrackPeaksAndHeapBytes) {
   EventLoop loop;
   for (std::uint64_t i = 0; i < 100; ++i) loop.schedule_at(i, 0, i);
   EXPECT_EQ(loop.stats().peak_pending, 100u);
-  EXPECT_EQ(loop.peak_heap_bytes(),
-            100 * (sizeof(EventLoop::Event) + sizeof(std::uint64_t)));
+  EXPECT_EQ(sizeof(EventLoop::Event), 32u);
+  EXPECT_EQ(loop.peak_heap_bytes(), 100 * sizeof(EventLoop::Event));
 
   std::size_t dispatched = 0;
   loop.run_serial([&](const EventLoop::Event&, EventLoop::Micros) {
@@ -169,9 +136,8 @@ TEST(VirtualWait, NoScopeBoundIsANoOp) {
 TEST(VirtualWait, ScopeCollectsReportedWaits) {
   common::VirtualWaitScope scope;
   common::note_virtual_wait_us(1500);
-  common::note_virtual_wait_ms(2.5);
+  common::note_virtual_wait_us(2500);
   EXPECT_EQ(scope.waited_us(), 4000u);
-  EXPECT_DOUBLE_EQ(scope.waited_ms(), 4.0);
 }
 
 TEST(VirtualWait, NestedScopesInnermostWins) {

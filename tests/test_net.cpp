@@ -28,12 +28,12 @@ TEST_F(NetFixture, CallReachesHandlerAndChargesLatency) {
     return concat(to_bytes(std::string_view("echo:")), req);
   });
   network.set_default_latency_ms(5.0);
-  const double before = clock.now_ms();
+  const auto before = clock.now_us();
   auto r = network.call({"10.0.0.9", 1234}, server,
                         to_bytes(std::string_view("hi")));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(to_string(*r), "echo:hi");
-  EXPECT_DOUBLE_EQ(clock.now_ms() - before, 10.0) << "one RTT";
+  EXPECT_EQ(clock.now_us() - before, 10'000u) << "one RTT";
 }
 
 TEST_F(NetFixture, ConnectionRefusedWithoutListener) {
@@ -52,12 +52,18 @@ TEST_F(NetFixture, CloseStopsListening) {
 
 TEST_F(NetFixture, LinkLatencyOverridesDefault) {
   network.set_default_latency_ms(10.0);
-  network.set_link_latency_ms("client", "server", 1.0);
   network.listen({"server", 80},
                  [](ByteView, const Address&) { return Bytes{}; });
-  const double before = clock.now_ms();
-  ASSERT_TRUE(network.call({"client", 1}, {"server", 80}, {}).ok());
-  EXPECT_DOUBLE_EQ(clock.now_ms() - before, 2.0);
+  // 2.01 ms is 2009.99... µs as a double: the round trip must charge
+  // 2 x 2010 µs, not a truncated 4019.
+  const std::pair<double, SimClock::Micros> cases[] = {{1.0, 2'000},
+                                                       {2.01, 4'020}};
+  for (const auto& [latency_ms, rtt_us] : cases) {
+    network.set_link_latency_ms("client", "server", latency_ms);
+    const auto before = clock.now_us();
+    ASSERT_TRUE(network.call({"client", 1}, {"server", 80}, {}).ok());
+    EXPECT_EQ(clock.now_us() - before, rtt_us) << latency_ms << " ms";
+  }
 }
 
 TEST_F(NetFixture, InterceptorCanDrop) {
@@ -68,12 +74,12 @@ TEST_F(NetFixture, InterceptorCanDrop) {
     return MitmAction::drop();
   });
   network.set_call_timeout_ms(500.0);
-  const double before = clock.now_ms();
+  const auto before = clock.now_us();
   auto r = network.call({"c", 1}, {"s", 80}, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, "net.timeout");
   // A drop is never free: the caller waits out the configured timeout.
-  EXPECT_DOUBLE_EQ(clock.now_ms() - before, 500.0);
+  EXPECT_EQ(clock.now_us() - before, 500'000u);
   network.clear_interceptor();
   EXPECT_TRUE(network.call({"c", 1}, {"s", 80}, {}).ok());
 }
@@ -144,9 +150,9 @@ TEST(FaultPlan, SameSeedSameSchedule) {
     const auto db = b.decide("x", "y", 0);
     const auto dc = c.decide("x", "y", 0);
     EXPECT_EQ(da.verdict, db.verdict);
-    EXPECT_DOUBLE_EQ(da.extra_delay_ms, db.extra_delay_ms);
+    EXPECT_EQ(da.extra_delay_us, db.extra_delay_us);
     EXPECT_EQ(da.duplicate, db.duplicate);
-    if (da.verdict != dc.verdict || da.extra_delay_ms != dc.extra_delay_ms ||
+    if (da.verdict != dc.verdict || da.extra_delay_us != dc.extra_delay_us ||
         da.duplicate != dc.duplicate) {
       c_diverged = true;
     }
@@ -166,12 +172,12 @@ TEST_F(NetFixture, FaultPlanDropChargesConfiguredTimeout) {
   network.set_call_timeout_ms(250.0);
   const auto before_faults =
       obs::metrics().counter_value("net.fault.injected", {{"kind", "drop"}});
-  const double before_ms = clock.now_ms();
+  const auto before = clock.now_us();
   auto r = network.call({"c", 1}, {"s", 80}, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, "net.timeout");
   EXPECT_TRUE(r.error().is_transient());
-  EXPECT_DOUBLE_EQ(clock.now_ms() - before_ms, 250.0)
+  EXPECT_EQ(clock.now_us() - before, 250'000u)
       << "a drop costs the full configured timeout, never zero";
   EXPECT_EQ(obs::metrics().counter_value("net.fault.injected",
                                          {{"kind", "drop"}}),
@@ -255,9 +261,9 @@ TEST_F(NetFixture, FaultPlanDelayAddsLatencyOnTopOfRtt) {
   FaultPlan plan(to_bytes(std::string_view("slow")));
   plan.set_default_profile(slow);
   network.set_fault_plan(std::move(plan));
-  const double before = clock.now_ms();
+  const auto before = clock.now_us();
   ASSERT_TRUE(network.call({"c", 1}, {"s", 80}, {}).ok());
-  EXPECT_DOUBLE_EQ(clock.now_ms() - before, 10.0 + 7.0);
+  EXPECT_EQ(clock.now_us() - before, 10'000u + 7'000u);
 }
 
 TEST_F(NetFixture, FaultPlanClearFaultsRestoresCleanDelivery) {
@@ -299,7 +305,7 @@ TEST_F(ResilienceFixture, RetriesTransientAndChargesBackoffToClock) {
   EXPECT_EQ(*r, 7);
   EXPECT_EQ(calls, 3);
   // Two backoffs: 50 ms then 100 ms, all virtual.
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 150.0);
+  EXPECT_EQ(clock.now_us(), 150'000u);
 }
 
 TEST_F(ResilienceFixture, NeverRetriesPermanentErrors) {
@@ -312,7 +318,7 @@ TEST_F(ResilienceFixture, NeverRetriesPermanentErrors) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, "tls.untrusted_certificate");
   EXPECT_EQ(calls, 1) << "a fail-closed verdict must not be retried";
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 0.0) << "no backoff charged";
+  EXPECT_EQ(clock.now_us(), 0u) << "no backoff charged";
 }
 
 TEST_F(ResilienceFixture, ReturnsLastTransientWhenAttemptsRunOut) {
@@ -333,7 +339,7 @@ TEST_F(ResilienceFixture, DeadlineExhaustionIsPermanent) {
   auto r = with_retries(clock, jitter, no_jitter(10), deadline, "test.op",
                         [&]() -> Result<int> {
                           ++calls;
-                          clock.advance_ms(60.0);  // the call itself is slow
+                          clock.advance_us(60'000);  // the call is slow
                           return Error::make("net.timeout");
                         });
   ASSERT_FALSE(r.ok());
@@ -343,34 +349,20 @@ TEST_F(ResilienceFixture, DeadlineExhaustionIsPermanent) {
   EXPECT_EQ(calls, 2) << "backoff was clamped to the remaining budget";
 }
 
-TEST_F(ResilienceFixture, DeadlineCapsChildBudgets) {
-  const Deadline parent = Deadline::after_ms(clock, 100.0);
-  const Deadline child = parent.capped_ms(clock, 500.0);
-  EXPECT_DOUBLE_EQ(child.remaining_ms(clock), 100.0)
-      << "a child never outlives its parent";
-  const Deadline small = parent.capped_ms(clock, 10.0);
-  EXPECT_DOUBLE_EQ(small.remaining_ms(clock), 10.0);
-  EXPECT_TRUE(Deadline::unlimited().is_unlimited());
-  EXPECT_FALSE(Deadline::unlimited().expired(clock));
-  clock.advance_ms(11.0);
-  EXPECT_TRUE(small.expired(clock));
-  EXPECT_DOUBLE_EQ(small.remaining_ms(clock), 0.0);
-}
-
 TEST_F(ResilienceFixture, BackoffIsCappedAndJittered) {
   RetryPolicy p;
   p.initial_backoff_ms = 50.0;
   p.multiplier = 2.0;
   p.max_backoff_ms = 300.0;
   p.jitter = 0.0;
-  EXPECT_DOUBLE_EQ(p.backoff_ms(1, jitter), 50.0);
-  EXPECT_DOUBLE_EQ(p.backoff_ms(2, jitter), 100.0);
-  EXPECT_DOUBLE_EQ(p.backoff_ms(4, jitter), 300.0) << "capped";
+  EXPECT_EQ(p.backoff_us(1, jitter), 50'000u);
+  EXPECT_EQ(p.backoff_us(2, jitter), 100'000u);
+  EXPECT_EQ(p.backoff_us(4, jitter), 300'000u) << "capped";
   p.jitter = 0.25;
   for (int i = 0; i < 50; ++i) {
-    const double b = p.backoff_ms(1, jitter);
-    EXPECT_GE(b, 50.0 * 0.75);
-    EXPECT_LE(b, 50.0 * 1.25);
+    const SimClock::Micros b = p.backoff_us(1, jitter);
+    EXPECT_GE(b, 37'500u);
+    EXPECT_LE(b, 62'500u);
   }
 }
 
@@ -389,16 +381,16 @@ TEST_F(ResilienceFixture, CircuitBreakerFullStateMachine) {
   EXPECT_FALSE(br.allow(clock)) << "open breaker short-circuits";
   EXPECT_EQ(br.times_opened(), 1u);
 
-  clock.advance_ms(100.0);  // cooldown elapses
+  clock.advance_us(100'000);  // cooldown elapses
   EXPECT_EQ(br.state(clock), CircuitBreaker::State::kHalfOpen);
   EXPECT_TRUE(br.allow(clock)) << "half-open admits a probe";
 
   br.on_failure(clock);  // failed probe re-opens for a fresh cooldown
   EXPECT_EQ(br.state(clock), CircuitBreaker::State::kOpen);
   EXPECT_EQ(br.times_opened(), 2u);
-  clock.advance_ms(99.0);
+  clock.advance_us(99'000);
   EXPECT_FALSE(br.allow(clock)) << "fresh cooldown, not the stale one";
-  clock.advance_ms(1.0);
+  clock.advance_us(1'000);
   EXPECT_TRUE(br.allow(clock));
 
   br.on_success(clock);  // successful probe closes
@@ -456,7 +448,7 @@ TEST_F(ResilienceFixture, FailoverSkipsOpenBreakersAndRecovers) {
   EXPECT_EQ(primary_calls, 1);
   EXPECT_TRUE(attempt().ok());  // open breaker: primary not even tried
   EXPECT_EQ(primary_calls, 1);
-  clock.advance_ms(200.0);      // cooldown: half-open admits a probe again
+  clock.advance_us(200'000);    // cooldown: half-open admits a probe again
   EXPECT_TRUE(attempt().ok());
   EXPECT_EQ(primary_calls, 2);
 }
@@ -853,7 +845,7 @@ TEST_F(TlsFixture, ExpiredServerCertificateRejected) {
                    [](ByteView, const Address&) { return Bytes{}; },
                    HmacDrbg(to_bytes(std::string_view("expired"))));
   server.install(network, {"10.0.0.6", 443});
-  clock.advance_ms(10.0);  // past the 1 ms validity
+  clock.advance_us(10'000);  // past the 1 ms validity
   auto session = TlsSession::connect(network, {"laptop", 1}, {"10.0.0.6", 443},
                                      trust_for("svc.example.com"), drbg);
   ASSERT_FALSE(session.ok());

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/event_loop.hpp"
 #include "common/single_flight.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/metrics.hpp"
@@ -627,7 +628,7 @@ GatewayRun run_gateway(SessionEngine& engine,
     GatewayWorld& world = *worlds[ctx.index % worlds.size()];
     std::lock_guard<std::mutex> world_lock(world.mu);
     ScopedClockCurrent clock_scope(world.clock);
-    const double virt_start = world.clock.now_ms();
+    const SimClock::Micros virt_start = world.clock.now_us();
 
     world.browser.drop_session(kDomain);
     WebExtensionConfig config;
@@ -640,7 +641,8 @@ GatewayRun run_gateway(SessionEngine& engine,
     extension.register_site(kDomain, world.registration());
 
     auto verified = extension.get(kDomain, 443, "/");
-    ctx.stage_virt_ms = world.clock.now_ms() - virt_start;
+    ctx.stage_virt_ms =
+        static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
     const auto fail = [&](Error error) {
       ctx.failure = std::move(error);
       return SessionState::kFailed;
@@ -825,6 +827,49 @@ TEST(StagedEngine, DrivesTheFullStateMachineAndAggregates) {
   EXPECT_EQ(report.peak_parked, kSessions);
   EXPECT_GT(report.bytes_per_parked_session, 0.0);
   EXPECT_FALSE(report.transcript_digest.empty());
+}
+
+TEST(StagedEngine, VirtualAccountingIsExactAtAnyClockOffset) {
+  // Every stage waits 5.2 ms on a world clock far from zero and reports
+  // its duration the way a ms-minded caller would: end/1000 - start/1000.
+  // That difference of large doubles is 5.2 ms plus dust; the engine must
+  // count 5200 µs exactly, so the stage rows show pure wait, no service.
+  constexpr std::size_t kSessions = 8;
+  std::vector<std::string> digests;
+  for (const SimClock::Micros offset_us : {12'345'678ull, 123'456'789ull}) {
+    SimClock clock;
+    clock.advance_us(offset_us);
+    SessionEngineConfig config;
+    config.workers = 1;  // one world clock, driven by one lane
+    SessionEngine engine(config);
+    const auto report = engine.run_staged(
+        kSessions, [&](StagedContext& ctx) -> SessionState {
+          const SimClock::Micros start_us = clock.now_us();
+          clock.advance_us(5'200);
+          common::note_virtual_wait_us(5'200);
+          ctx.stage_virt_ms = static_cast<double>(clock.now_us()) / 1000.0 -
+                              static_cast<double>(start_us) / 1000.0;
+          return ctx.state == SessionState::kPageFetch
+                     ? SessionState::kDone
+                     : static_cast<SessionState>(
+                           static_cast<int>(ctx.state) + 1);
+        });
+    ASSERT_EQ(report.succeeded, kSessions) << "offset " << offset_us;
+    ASSERT_EQ(report.stage_breakdown.size(), 5u);
+    for (const auto& row : report.stage_breakdown) {
+      EXPECT_EQ(row.count, kSessions);
+      EXPECT_EQ(row.service_total_ms, 0.0)
+          << to_string(row.stage) << " at offset " << offset_us;
+      EXPECT_EQ(row.wait_total_ms, 5.2 * static_cast<double>(row.count))
+          << to_string(row.stage) << " at offset " << offset_us;
+      EXPECT_EQ(row.service_p99_ms, 0.0);
+    }
+    EXPECT_EQ(report.service_virt_ms, 0.0);
+    for (const double v : report.session_virt_ms) EXPECT_EQ(v, 26.0);
+    digests.push_back(report.transcript_digest);
+  }
+  EXPECT_EQ(digests[0], digests[1])
+      << "the transcript must not depend on where the world clock started";
 }
 
 TEST(StagedEngine, OneWorkerParksThousandsOfSessions) {
@@ -1035,10 +1080,11 @@ StagedGatewayRun run_gateway_staged(
         GatewayWorld& world = *worlds[ctx.index % worlds.size()];
         std::lock_guard<std::mutex> world_lock(world.mu);
         ScopedClockCurrent clock_scope(world.clock);
-        const double virt_start = world.clock.now_ms();
+        const SimClock::Micros virt_start = world.clock.now_us();
         Slot& slot = slots[ctx.index];
         const auto finish = [&](SessionState next) {
-          ctx.stage_virt_ms = world.clock.now_ms() - virt_start;
+          ctx.stage_virt_ms =
+              static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
           return next;
         };
         const auto fail = [&](Error error) {

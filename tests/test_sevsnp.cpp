@@ -435,7 +435,7 @@ TEST_F(SnpFixture, ChannelRetriesFlakyTransportAndRecovers) {
   auto report = channel->request_report(rd);
   ASSERT_TRUE(report.ok()) << report.error().to_string();
   EXPECT_EQ(attempts, 3);
-  EXPECT_DOUBLE_EQ(clock.now_ms(), 150.0) << "50 + 100 ms virtual backoff";
+  EXPECT_EQ(clock.now_us(), 150'000u) << "50 + 100 ms virtual backoff";
   EXPECT_EQ(obs::metrics().counter_value("retry.attempts",
                                          {{"op", "snp.guest_channel"}}),
             before + 3);
