@@ -600,8 +600,7 @@ core::SessionEngine::StagedReport run_synthetic_once(std::size_t sessions,
                                                      bool recorder = false) {
   core::SessionEngineConfig config;
   config.workers = kScaleWorkers;
-  config.isolate_obs = false;  // 500k dispatches; skip per-stage registries
-  config.flight_recorder.enabled = recorder;
+  config.flight_recorder = recorder;
   core::SessionEngine engine(config);
   core::AdmissionConfig admission;
   admission.max_inflight_kds = 512;

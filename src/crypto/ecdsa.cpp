@@ -29,8 +29,8 @@ Result<EcdsaSignature> EcdsaSignature::decode(const Curve& curve,
 namespace {
 
 /// Counts the call and feeds its real (steady-clock) duration into a
-/// latency histogram when the enclosing scope exits. Sign/verify are the
-/// CPU-dominant primitives of the attestation path, so they get histograms
+/// latency summary when the enclosing scope exits. Sign/verify are the
+/// CPU-dominant primitives of the attestation path, so they get summaries
 /// rather than spans: they are called far too often to trace individually.
 class OpTimer {
  public:
@@ -42,8 +42,7 @@ class OpTimer {
                           std::chrono::steady_clock::now() - start_)
                           .count();
     obs::metrics()
-        .histogram(std::string("crypto.") + op_ + ".real_us",
-                   {50, 100, 250, 500, 1000, 2500, 5000, 10000})
+        .summary(std::string("crypto.") + op_ + ".real_us")
         .observe(us);
   }
 

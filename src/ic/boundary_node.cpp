@@ -81,10 +81,7 @@ net::HttpResponse BoundaryNode::handle(const net::HttpRequest& request) {
       .counter("bn.request.count",
                {{"status", std::to_string(response.status)}})
       .inc();
-  obs::metrics()
-      .histogram("bn.request.real_us",
-                 {50, 100, 250, 500, 1000, 2500, 5000, 10000})
-      .observe(real_us);
+  obs::metrics().summary("bn.request.real_us").observe(real_us);
   return response;
 }
 

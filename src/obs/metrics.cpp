@@ -3,51 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/json.hpp"
 
 namespace revelio::obs {
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::observe(double value) {
-  std::size_t i = 0;
-  while (i < bounds_.size() && value > bounds_[i]) ++i;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[i];
-  ++count_;
-  sum_ += value;
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  snap.bounds = bounds_;
-  snap.counts = counts_;
-  snap.count = count_;
-  snap.sum = sum_;
-  return snap;
-}
-
-void Histogram::merge_from(const Histogram& other) {
-  // Copy the source under its own lock, update under ours — never both, so
-  // two histograms merging into each other cannot deadlock.
-  const Snapshot src = other.snapshot();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (src.bounds == bounds_) {
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += src.counts[i];
-  } else {
-    // Incompatible bucketing: keep count/sum exact, park the source's
-    // observations in the +inf bucket rather than guessing a rebinning.
-    counts_.back() += src.count;
-  }
-  count_ += src.count;
-  sum_ += src.sum;
-}
 
 namespace {
 
@@ -143,7 +102,7 @@ double Summary::sum() const {
 
 void Summary::merge_from(const Summary& other) {
   // Copy the source under its own lock, fold under ours — never both held,
-  // so cross-merges cannot deadlock (same discipline as Histogram).
+  // so cross-merges cannot deadlock.
   std::map<std::int32_t, std::uint64_t> src_buckets;
   std::uint64_t src_count = 0;
   double src_sum = 0.0, src_min = 0.0, src_max = 0.0;
@@ -189,32 +148,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
   return gauges_[key];
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds,
-                                      const Labels& labels) {
-  const std::string key = render_key(name, labels);
-  std::vector<double> sorted = bounds;
-  std::sort(sorted.begin(), sorted.end());
-  std::lock_guard<std::mutex> lock(mu_);
-  // try_emplace: Histogram owns a mutex, so it must be built in place —
-  // and the existing entry wins the race, keeping first-caller bounds.
-  const auto [it, inserted] = histograms_.try_emplace(key, std::move(bounds));
-  if (!inserted && it->second.bounds() != sorted) {
-    auto render = [](const std::vector<double>& b) {
-      std::string s = "[";
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        if (i > 0) s += ",";
-        s += std::to_string(b[i]);
-      }
-      return s + "]";
-    };
-    throw std::invalid_argument(
-        "histogram '" + key + "' re-registered with conflicting bounds " +
-        render(sorted) + " (existing: " + render(it->second.bounds()) + ")");
-  }
-  return it->second;
-}
-
 Summary& MetricsRegistry::summary(const std::string& name,
                                   const Labels& labels) {
   const std::string key = render_key(name, labels);
@@ -246,146 +179,27 @@ std::string MetricsRegistry::to_json() const {
     first = false;
     out += "\"" + json_escape(key) + "\":" + json_number(g.value());
   }
-  out += "},\"histograms\":{";
+  out += "},\"summaries\":{";
   first = true;
-  for (const auto& [key, h] : histograms_) {
+  for (const auto& [key, s] : summaries_) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(key) + "\":{\"buckets\":[";
-    // snapshot(): buckets/count/sum come from one locked read, so an
-    // observe() racing with export cannot skew count against buckets.
-    const Histogram::Snapshot snap = h.snapshot();
-    for (std::size_t i = 0; i < snap.counts.size(); ++i) {
-      if (i > 0) out += ",";
-      const std::string le =
-          i < snap.bounds.size() ? json_number(snap.bounds[i]) : "\"+inf\"";
-      out += "{\"le\":" + le +
-             ",\"count\":" + std::to_string(snap.counts[i]) + "}";
-    }
-    out += "],\"count\":" + std::to_string(snap.count) +
-           ",\"sum\":" + json_number(snap.sum) + "}";
+    const Summary::Snapshot snap = s.snapshot();
+    out += "\"" + json_escape(key) +
+           "\":{\"count\":" + std::to_string(snap.count) +
+           ",\"sum\":" + json_number(snap.sum) +
+           ",\"min\":" + json_number(snap.min) +
+           ",\"max\":" + json_number(snap.max) +
+           ",\"p50\":" + json_number(snap.p50) +
+           ",\"p90\":" + json_number(snap.p90) +
+           ",\"p99\":" + json_number(snap.p99) +
+           ",\"p999\":" + json_number(snap.p999) + "}";
   }
-  out += "}";
-  // Emitted only when present so registries without summaries keep the
-  // historical three-section shape exporters (and the golden test) expect.
-  if (!summaries_.empty()) {
-    out += ",\"summaries\":{";
-    first = true;
-    for (const auto& [key, s] : summaries_) {
-      if (!first) out += ",";
-      first = false;
-      const Summary::Snapshot snap = s.snapshot();
-      out += "\"" + json_escape(key) +
-             "\":{\"count\":" + std::to_string(snap.count) +
-             ",\"sum\":" + json_number(snap.sum) +
-             ",\"min\":" + json_number(snap.min) +
-             ",\"max\":" + json_number(snap.max) +
-             ",\"p50\":" + json_number(snap.p50) +
-             ",\"p90\":" + json_number(snap.p90) +
-             ",\"p99\":" + json_number(snap.p99) +
-             ",\"p999\":" + json_number(snap.p999) + "}";
-    }
-    out += "}";
-  }
-  out += "}";
+  out += "}}";
   return out;
 }
 
-void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  // Stage 1: copy the source's values under its lock only. The staged
-  // copies decouple the two registry locks — this function never holds
-  // both, so concurrent cross-merges cannot deadlock.
-  std::vector<std::pair<std::string, std::uint64_t>> counter_vals;
-  std::vector<std::pair<std::string, double>> gauge_vals;
-  std::vector<std::string> histogram_keys;
-  std::vector<std::string> summary_keys;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    counter_vals.reserve(other.counters_.size());
-    for (const auto& [key, c] : other.counters_) {
-      counter_vals.emplace_back(key, c.value());
-    }
-    gauge_vals.reserve(other.gauges_.size());
-    for (const auto& [key, g] : other.gauges_) {
-      gauge_vals.emplace_back(key, g.value());
-    }
-    histogram_keys.reserve(other.histograms_.size());
-    for (const auto& [key, h] : other.histograms_) histogram_keys.push_back(key);
-    summary_keys.reserve(other.summaries_.size());
-    for (const auto& [key, s] : other.summaries_) summary_keys.push_back(key);
-  }
-
-  // Stage 2: fold into this registry. Counter/Gauge updates are atomic;
-  // histogram folds go through Histogram::merge_from, whose target-side
-  // read-modify-write runs under the target histogram's mutex — so any
-  // number of sessions ending at once merge without losing updates.
-  for (const auto& [key, value] : counter_vals) {
-    if (value == 0) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    counters_[key].inc(value);
-  }
-  for (const auto& [key, value] : gauge_vals) {
-    std::lock_guard<std::mutex> lock(mu_);
-    gauges_[key].add(value);
-  }
-  for (const auto& key : histogram_keys) {
-    // Re-find under the source lock (map *structure* needs it), then drop
-    // it — the node reference stays valid forever, and merge_from locks
-    // the histogram's own mutex for the actual read.
-    const Histogram* src = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(other.mu_);
-      src = &other.histograms_.at(key);
-    }
-    Histogram* dst = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = histograms_.find(key);
-      if (it != histograms_.end()) {
-        dst = &it->second;
-      } else {
-        dst = &histograms_.try_emplace(key, src->bounds()).first->second;
-      }
-    }
-    dst->merge_from(*src);
-  }
-  for (const auto& key : summary_keys) {
-    // Same discipline as histograms: node references are stable, and
-    // Summary::merge_from handles the value-level locking itself.
-    const Summary* src = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(other.mu_);
-      src = &other.summaries_.at(key);
-    }
-    Summary* dst = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      dst = &summaries_[key];
-    }
-    dst->merge_from(*src);
-  }
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  summaries_.clear();
-}
-
-namespace {
-thread_local MetricsRegistry* thread_metrics = nullptr;
-}  // namespace
-
-MetricsRegistry* set_thread_metrics(MetricsRegistry* m) {
-  MetricsRegistry* prev = thread_metrics;
-  thread_metrics = m;
-  return prev;
-}
-
 MetricsRegistry& metrics() {
-  if (thread_metrics != nullptr) return *thread_metrics;
   static MetricsRegistry registry;
   return registry;
 }

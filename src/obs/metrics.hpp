@@ -1,27 +1,20 @@
 // Process-wide metrics registry.
 //
-// Counters, gauges, fixed-bucket histograms and log-bucketed quantile
-// summaries, named by the `subsystem.verb.unit` convention (see DESIGN.md
-// "Observability"), with an optional label set rendered into the metric key
-// Prometheus-style: `pki.chain_verify.result.count{result=ok}`. The
-// registry is always on — incrementing a counter is one map lookup plus an
-// atomic add, cheap enough for every hot path in the simulation.
+// Counters, gauges and log-bucketed quantile summaries, named by the
+// `subsystem.verb.unit` convention (see DESIGN.md "Observability"), with an
+// optional label set rendered into the metric key Prometheus-style:
+// `pki.chain_verify.result.count{result=ok}`. The registry is always on —
+// incrementing a counter is one map lookup plus an atomic add, cheap enough
+// for every hot path in the simulation.
 //
-// Thread-safety: the registry became shared state when the bulk-data fast
-// path grew a thread pool (common/parallel.hpp), so it is now safe to use
-// from pool workers. Map structure is guarded by a registry mutex;
-// returned Counter/Gauge references stay valid forever (std::map nodes
-// are stable) and their updates are lock-free atomics; Histogram::observe
-// takes a per-histogram mutex, and Histogram::snapshot() reads all four
-// fields under the same mutex (use it, not bucket_counts(), when updates
-// may be in flight). Whole-map views (counters() etc.) are still meant
-// for quiescent, test/exporter-time reads.
-//
-// Session isolation: metrics() resolves per-thread — a gateway worker
-// with a registry bound via ScopedThreadMetrics reports into its own
-// session registry, which the engine folds into the process-wide one at
-// session end with merge_from() (counters/gauges add, histograms merge
-// bucket-wise under both locks — safe when many sessions end at once).
+// Thread-safety: there is one registry per process, and every thread —
+// the thread pool's workers and the session engine's lanes included —
+// writes straight into it. Map structure is guarded by a registry mutex;
+// returned Counter/Gauge/Summary references stay valid forever (std::map
+// nodes are stable). Counter and gauge updates are lock-free atomics;
+// Summary::observe takes a per-summary mutex, and Summary::snapshot() reads
+// count, sum and quantiles under the same mutex. Whole-map views
+// (counters() etc.) are meant for quiescent, test/exporter-time reads.
 //
 // Exporters serialize a point-in-time snapshot with to_json(); benchmarks
 // and the attack gallery read individual counters back with
@@ -79,72 +72,17 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: bucket i counts observations with
-/// value <= bounds[i] (first matching bucket wins); one implicit +inf
-/// bucket catches everything beyond the last bound.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  /// Thread-safe: serialized on an internal mutex (bucket search + three
-  /// updates have to land atomically for count/sum to stay consistent).
-  void observe(double value);
-
-  /// Consistent point-in-time copy of buckets + count + sum, taken under
-  /// the histogram mutex. The only safe way to read a histogram while
-  /// observe()/merge_from() may be running on other threads.
-  struct Snapshot {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;  // bounds.size() + 1 (+inf last)
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-  Snapshot snapshot() const;
-
-  /// Folds another histogram's observations into this one. Thread-safe
-  /// against concurrent observe()/merge_from() on *both* histograms: the
-  /// source is snapshotted under its own lock, then the target updated
-  /// under its lock (never both at once, so cross-merges cannot deadlock,
-  /// and concurrent merges into one target cannot lose updates — the
-  /// read-modify-write happens entirely under the target mutex). Matching
-  /// bucket bounds merge bucket-wise; mismatched bounds fold the source's
-  /// whole count into the +inf bucket (count/sum stay exact).
-  void merge_from(const Histogram& other);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket (non-cumulative) counts; size() == bounds().size() + 1,
-  /// the last entry being the +inf bucket. Returns a reference into live
-  /// storage — read it quiescent (tests, exporters), not mid-parallel-run;
-  /// use snapshot() otherwise.
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
-  std::uint64_t count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-  double sum() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sum_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> bounds_;         // ascending, fixed after construction
-  std::vector<std::uint64_t> counts_;  // bounds_.size() + 1
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-};
-
 /// Log-bucketed quantile summary: observations land in log-linear buckets
 /// (kSubBuckets per power of two), so any quantile can be estimated with a
-/// bounded *relative* error — unlike a fixed-bucket Histogram, whose error
-/// explodes outside its hand-picked bounds. This is what the exporters use
-/// for tail latency (p99/p999): the bucketing scheme is fixed by the class,
-/// so two summaries always merge exactly (bucket-wise), and merging N
-/// per-thread summaries is bit-identical to observing the union.
+/// bounded *relative* error and no hand-picked bounds. This is the one
+/// distribution type: latencies (p99/p999) and per-op timings alike. The
+/// bucketing scheme is fixed by the class, so two summaries always merge
+/// exactly (bucket-wise), and merging N per-thread summaries is
+/// bit-identical to observing the union.
 ///
 /// Thread-safety: observe/quantile/snapshot/merge_from serialize on an
-/// internal mutex, same policy as Histogram. merge_from copies the source
-/// under its lock, then folds under the target's — never both at once.
+/// internal mutex. merge_from copies the source under its lock, then folds
+/// under the target's — never both at once.
 class Summary {
  public:
   /// Buckets per power of two. Bucket width / lower bound = 1/32, so a
@@ -202,14 +140,6 @@ class MetricsRegistry {
   /// move) and safe to update from any thread.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  /// The first caller fixes the bucket bounds. Re-registering an existing
-  /// histogram with *different* bounds is a programming error and throws
-  /// std::invalid_argument naming the key and both bound lists — silently
-  /// keeping the first bounds (the old behaviour) made the second caller's
-  /// buckets quietly meaningless.
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const Labels& labels = {});
-  /// Log-bucketed quantile summary; no bounds to conflict on.
   Summary& summary(const std::string& name, const Labels& labels = {});
 
   /// Read-only probe: the counter's value if it exists, else 0. Tests and
@@ -218,21 +148,9 @@ class MetricsRegistry {
                               const Labels& labels = {}) const;
 
   /// Snapshot of everything:
-  /// {"counters":{...},"gauges":{...},"histograms":{...}} plus a
-  /// "summaries" section (count/sum/min/max/p50/p90/p99/p999) when any
-  /// summaries exist.
+  /// {"counters":{...},"gauges":{...},"summaries":{...}}, each summary as
+  /// count/sum/min/max/p50/p90/p99/p999.
   std::string to_json() const;
-
-  /// Folds every metric of `other` into this registry: counters and gauges
-  /// add their values, histograms merge via Histogram::merge_from (first
-  /// merge of a new key adopts the source's bucket bounds), summaries merge
-  /// exactly via Summary::merge_from. Thread-safe on
-  /// both sides; many sessions may merge into the process registry
-  /// concurrently while other threads keep updating it. `other` should be
-  /// quiescent (a finished session's registry) for an exact fold.
-  void merge_from(const MetricsRegistry& other);
-
-  void reset();
 
   /// Canonical key: `name` or `name{k1=v1,k2=v2}` (labels in given order).
   static std::string render_key(const std::string& name, const Labels& labels);
@@ -242,9 +160,6 @@ class MetricsRegistry {
   /// flight (updates to already-created metrics are fine to miss).
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
   const std::map<std::string, Summary>& summaries() const {
     return summaries_;
   }
@@ -253,33 +168,10 @@ class MetricsRegistry {
   mutable std::mutex mu_;  // guards map structure, not metric values
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
   std::map<std::string, Summary> summaries_;
 };
 
-/// The registry instrumentation on this thread reports into: the registry
-/// bound to this thread via set_thread_metrics / ScopedThreadMetrics if
-/// any, else the process-wide instance.
+/// The process-wide registry every instrumentation site reports into.
 MetricsRegistry& metrics();
-
-/// Binds `m` as this thread's registry (nullptr unbinds). Returns the
-/// previous binding. Prefer ScopedThreadMetrics.
-MetricsRegistry* set_thread_metrics(MetricsRegistry* m);
-
-/// RAII thread-registry binding: metrics recorded on this thread inside
-/// the scope land in `m` — how the session engine isolates per-session
-/// series before folding them into the process registry with merge_from().
-class ScopedThreadMetrics {
- public:
-  explicit ScopedThreadMetrics(MetricsRegistry& m)
-      : prev_(set_thread_metrics(&m)) {}
-  ~ScopedThreadMetrics() { set_thread_metrics(prev_); }
-
-  ScopedThreadMetrics(const ScopedThreadMetrics&) = delete;
-  ScopedThreadMetrics& operator=(const ScopedThreadMetrics&) = delete;
-
- private:
-  MetricsRegistry* prev_;
-};
 
 }  // namespace revelio::obs

@@ -41,6 +41,10 @@ constexpr std::size_t kCacheCapacityPerShard = 64;
 constexpr std::size_t kMinBatch = 2;
 /// Anomaly dumps kept per run (failures first, then tail sessions).
 constexpr std::size_t kMaxDumps = 128;
+/// Flight-recorder ring per session: 32 events of 16 bytes.
+constexpr std::size_t kRingEvents = 32;
+/// Sessions at or beyond this virtual-latency quantile dump their ring.
+constexpr double kTailQuantile = 0.99;
 
 }  // namespace
 
@@ -148,8 +152,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   obs::Gauge& queue_gauge = metrics.gauge("gw.admission.queue_depth");
   obs::Counter& park_counter = metrics.counter("gw.admission.park.count");
   obs::Counter& shed_counter = metrics.counter("gw.admission.shed.count");
-  // Log-bucketed summary, not a fixed-bucket histogram: gate-FIFO waits
-  // span microseconds to whole chaos timeouts, and the tail is the point.
+  // Gate-FIFO waits span microseconds to whole chaos timeouts, and the
+  // tail is the point: a log-bucketed summary keeps its relative error.
   obs::Summary& wake_summary = metrics.summary("gw.wake.latency.ms");
   std::vector<Micros> wake_latencies;
 
@@ -157,18 +161,18 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   // preallocated up front so record() never touches the heap. Stage-body
   // events arrive through the thread binding in run_stage; driver-side
   // events (park/wake/admission) are stamped with the loop clock directly.
-  const FlightRecorderConfig& fr = config_.flight_recorder;
+  const bool recording = config_.flight_recorder;
   std::vector<obs::FlightRecorder> recorders;
-  if (fr.enabled) {
+  if (recording) {
     recorders.reserve(sessions);
     for (std::size_t i = 0; i < sessions; ++i) {
-      recorders.emplace_back(fr.ring_events);
+      recorders.emplace_back(kRingEvents);
     }
   }
   const auto flight = [&](std::size_t i, obs::FlightEventType type,
                           std::uint16_t arg, std::uint32_t value,
                           Micros t_us) {
-    if (fr.enabled) recorders[i].record_at(t_us, type, arg, value);
+    if (recording) recorders[i].record_at(t_us, type, arg, value);
   };
 
   // Per-stage wait-vs-service attribution, accumulated on the driver in
@@ -302,18 +306,15 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     const auto run_stage = [&](std::size_t slot) {
       const std::size_t i = ready[slot];
       Cell& c = cells[i];
-      obs::MetricsRegistry session_metrics;
       obs::Tracer session_tracer;
       session_tracer.set_enabled(config_.trace_sessions);
       StageResult r;
       {
         obs::ScopedThreadTracer tracer_scope(session_tracer);
-        std::optional<obs::ScopedThreadMetrics> metrics_scope;
-        if (config_.isolate_obs) metrics_scope.emplace(session_metrics);
         // Bind the session's recorder so deep charge sites (retry backoff,
         // VCEK cache probes) hit this session's ring via flight_record().
         std::optional<obs::ScopedFlightRecorder> recorder_scope;
-        if (fr.enabled) recorder_scope.emplace(recorders[i]);
+        if (recording) recorder_scope.emplace(recorders[i]);
         common::VirtualWaitScope waits;
 
         StagedContext ctx;
@@ -336,7 +337,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
                static_cast<std::uint16_t>(c.next),
                static_cast<std::uint32_t>(r.stage_us), now_us + r.stage_us);
       }
-      if (config_.isolate_obs) obs::metrics().merge_from(session_metrics);
       results[slot] = std::move(r);
     };
     groups.clear();
@@ -387,16 +387,12 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     }
     const auto run_batch = [&]() {
       const auto real_t0 = std::chrono::steady_clock::now();
-      // One observability scope for the whole batch: a single registry
-      // merged once, one tracer — the batch is one unit of work.
-      obs::MetricsRegistry batch_metrics;
+      // One tracer for the whole batch — the batch is one unit of work.
       obs::Tracer batch_tracer;
       batch_tracer.set_enabled(config_.trace_sessions);
       std::vector<StagedBatchItem> items(batch_slots.size());
       {
         obs::ScopedThreadTracer tracer_scope(batch_tracer);
-        std::optional<obs::ScopedThreadMetrics> metrics_scope;
-        if (config_.isolate_obs) metrics_scope.emplace(batch_metrics);
         for (std::size_t k = 0; k < batch_slots.size(); ++k) {
           const std::size_t i = ready[batch_slots[k]];
           StagedContext& ctx = items[k].ctx;
@@ -410,7 +406,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         }
         batching.fn(items);
       }
-      if (config_.isolate_obs) obs::metrics().merge_from(batch_metrics);
       const double batch_real_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - real_t0)
@@ -578,11 +573,10 @@ SessionEngine::StagedReport SessionEngine::run_staged(
 
   // Dump-on-anomaly: failed/shed sessions first (their timelines answer
   // "why did this fail"), then the virtual-latency tail at or beyond the
-  // configured quantile, up to kMaxDumps total.
-  if (fr.enabled) {
+  // tail quantile, up to kMaxDumps total.
+  if (recording) {
     for (const auto& rec : recorders) report.recorder_bytes += rec.bytes();
-    const Micros tail_us =
-        percentile(sorted, std::clamp(fr.tail_quantile, 0.0, 1.0));
+    const Micros tail_us = percentile(sorted, kTailQuantile);
     const auto dump = [&](std::size_t i, const char* reason) {
       if (report.anomaly_dumps.size() >= kMaxDumps) return;
       report.anomaly_dumps.push_back(

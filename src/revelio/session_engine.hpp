@@ -21,10 +21,11 @@
 //  - SimClock resolution is thread-local (common/sim_clock.hpp) — a worker
 //    binds its world's clock with ScopedClockCurrent;
 //  - each session gets its own Tracer bound via ScopedThreadTracer, so
-//    interleaved sessions produce coherent, isolated traces;
-//  - with isolate_obs, each stage records into a private MetricsRegistry
-//    that the engine folds into the process registry when the stage ends
-//    (obs/metrics.hpp merge_from — safe under concurrent stage-end).
+//    interleaved sessions produce coherent, isolated traces.
+//
+// Metrics are not per-session: every stage writes straight into the one
+// process registry (obs/metrics.hpp), whose counters, gauges and summaries
+// are safe to update from any lane.
 //
 // One dispatched *stage* runs synchronously; the virtual time it consumes
 // (network round trips, retry backoff, chaos timeouts) becomes the
@@ -84,29 +85,18 @@ const char* to_string(SessionState state);
 /// to_string(ByteView) from the enclosing namespace for code inside core.
 using revelio::to_string;
 
-/// Per-session flight recorder policy for run_staged (obs/flight_recorder
-/// .hpp). Every session continuously records its last `ring_events` engine
-/// events; only anomalous sessions (failed, shed, or in the virtual-latency
-/// tail at or beyond `tail_quantile`) dump their timeline into
-/// StagedReport::anomaly_dumps. The rings' fixed memory cost is reported in
-/// StagedReport::recorder_bytes and counted into engine_bytes, next to the
-/// parked-session budget.
-struct FlightRecorderConfig {
-  bool enabled = false;
-  std::size_t ring_events = 32;  // 16 bytes/event
-  double tail_quantile = 0.99;
-};
-
 struct SessionEngineConfig {
   /// Worker lanes (0 = ThreadPool::default_thread_count()).
   unsigned workers = 0;
-  /// Give each stage dispatch a private MetricsRegistry, folded into the
-  /// process-wide one when the dispatch ends.
-  bool isolate_obs = true;
   /// Enable each session's private tracer (spans cost nothing otherwise).
   bool trace_sessions = false;
-  /// Per-session flight recorder.
-  FlightRecorderConfig flight_recorder;
+  /// Per-session flight recorder (obs/flight_recorder.hpp). Every session
+  /// continuously records its last 32 engine events in a fixed ring; only
+  /// anomalous sessions (failed, shed, or in the p99 virtual-latency tail)
+  /// dump their timeline into StagedReport::anomaly_dumps. The rings' fixed
+  /// memory cost is reported in StagedReport::recorder_bytes and counted
+  /// into engine_bytes, next to the parked-session budget.
+  bool flight_recorder = false;
   /// Optional attestation audit chain. The engine appends a rejected
   /// verdict (failure_step "admission_shed") for every session shed by
   /// admission control — shed sessions never reach the web extension, yet
@@ -127,9 +117,8 @@ struct SessionEngineConfig {
 
 /// What one *stage* of a staged session sees. The cache pointers are the
 /// engine's, shared with every other session and safe to use concurrently;
-/// everything a session builds beyond them must be its own. The tracer and
-/// (with isolate_obs) the metrics registry are per-dispatch, merged into
-/// the process registry when the stage returns.
+/// everything a session builds beyond them must be its own. The tracer is
+/// per-dispatch; metrics go straight to the process registry.
 struct StagedContext {
   std::size_t index = 0;                      // session number in [0, N)
   SessionState state = SessionState::kHandshake;  // the stage to run NOW
@@ -293,7 +282,7 @@ class SessionEngine {
     std::size_t max_stage_batch = 0;
 
     /// Flight-recorder anomaly dumps (JSON, one per anomalous session —
-    /// failed/shed first, then the >= tail_quantile latency tail), capped
+    /// failed/shed first, then the p99 virtual-latency tail), capped
     /// at 128 per run. Empty when the recorder is off.
     std::vector<std::string> anomaly_dumps;
     /// Fixed ring cost of all session recorders (0 when off); also

@@ -16,11 +16,11 @@
 //    later callers hit. Fetch failures are never cached and are delivered
 //    to every coalesced waiter; retries belong inside the fetch function.
 //
-// Metrics (process-wide via obs::metrics(), or the session registry when
-// one is bound): kds.fetch.count — real fetches executed (the acceptance
-// signal for dedup: N concurrent cold sessions must leave this at 1);
-// kds.fetch.hit.count — cache hits; kds.fetch.coalesced.count — callers
-// that waited on another caller's fetch instead of issuing their own.
+// Metrics (process-wide via obs::metrics()): kds.fetch.count — real
+// fetches executed (the acceptance signal for dedup: N concurrent cold
+// sessions must leave this at 1); kds.fetch.hit.count — cache hits;
+// kds.fetch.coalesced.count — callers that waited on another caller's
+// fetch instead of issuing their own.
 #pragma once
 
 #include <atomic>

@@ -254,38 +254,21 @@ TEST(Metrics, LabelsRenderPrometheusStyle) {
   EXPECT_EQ(reg.counter_value("missing"), 0u);    // absent reads as zero
 }
 
-TEST(Metrics, HistogramBucketBoundaries) {
-  obs::MetricsRegistry reg;
-  auto& h = reg.histogram("lat", {1.0, 5.0, 10.0});
-  h.observe(0.5);   // <= 1
-  h.observe(1.0);   // boundary: still the first bucket (le semantics)
-  h.observe(1.001); // > 1, <= 5
-  h.observe(10.0);  // boundary of the last finite bucket
-  h.observe(10.5);  // +inf
-  const auto& counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 23.001);
-}
-
 TEST(Metrics, RegistryJsonGolden) {
   obs::MetricsRegistry reg;
   reg.counter("a.count").inc(2);
   reg.counter("b.count", {{"r", "ok"}}).inc();
   reg.gauge("g").set(1.5);
-  auto& h = reg.histogram("h", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(3.0);
+  auto& s = reg.summary("s");
+  s.observe(0.5);
+  s.observe(3.0);
+  // p50 is the midpoint of 0.5's log bucket [0.5, 0.515625); the upper
+  // quantiles clamp to the exact max.
   EXPECT_EQ(reg.to_json(),
             "{\"counters\":{\"a.count\":2,\"b.count{r=ok}\":1},"
             "\"gauges\":{\"g\":1.5},"
-            "\"histograms\":{\"h\":{\"buckets\":["
-            "{\"le\":1,\"count\":1},{\"le\":2,\"count\":0},"
-            "{\"le\":\"+inf\",\"count\":1}],\"count\":2,\"sum\":3.5}}}");
+            "\"summaries\":{\"s\":{\"count\":2,\"sum\":3.5,\"min\":0.5,"
+            "\"max\":3,\"p50\":0.507812,\"p90\":3,\"p99\":3,\"p999\":3}}}");
 }
 
 TEST(Metrics, JsonEscaping) {

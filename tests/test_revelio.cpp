@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "crypto/ecies.hpp"
 #include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
@@ -839,28 +841,36 @@ Verdict run_parity_case(const ParityCase& c, VerifyPath path) {
   Browser browser = run.world.make_browser();
   WebExtension extension(browser, run.config);
   extension.register_site(kDomain, run.site);
-  obs::MetricsRegistry metrics;
-  {
-    obs::ScopedThreadMetrics scope(metrics);
-    if (path == VerifyPath::kBlocking) {
-      (void)extension.get(kDomain, 443, "/");
-    } else {
-      auto staged = extension.begin_session(kDomain, 443);
-      if (staged.handshake().ok() && staged.fetch_evidence().ok() &&
-          staged.fetch_kds().ok()) {
-        if (path == VerifyPath::kStaged) {
-          (void)staged.verify();
-        } else {
-          (void)batch_verify_sessions({&staged});
-        }
+  // The result counters this run moved, as deltas of the process registry.
+  const auto result_counts = [] {
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& [key, counter] : obs::metrics().counters()) {
+      if (key.rfind("ext.attest.result.count", 0) == 0) {
+        counts[key] = counter.value();
+      }
+    }
+    return counts;
+  };
+  const auto before = result_counts();
+  if (path == VerifyPath::kBlocking) {
+    (void)extension.get(kDomain, 443, "/");
+  } else {
+    auto staged = extension.begin_session(kDomain, 443);
+    if (staged.handshake().ok() && staged.fetch_evidence().ok() &&
+        staged.fetch_kds().ok()) {
+      if (path == VerifyPath::kStaged) {
+        (void)staged.verify();
+      } else {
+        (void)batch_verify_sessions({&staged});
       }
     }
   }
   if (const auto* checks = extension.last_checks(kDomain)) {
     out.failure_step = checks->failure_step;
   }
-  for (const auto& [key, counter] : metrics.counters()) {
-    if (key.rfind("ext.attest.result.count", 0) == 0 && counter.value() > 0) {
+  for (const auto& [key, value] : result_counts()) {
+    const auto it = before.find(key);
+    if (value > (it == before.end() ? 0 : it->second)) {
       out.results.push_back(key);
     }
   }

@@ -1,6 +1,6 @@
 // Concurrent attestation gateway: session engine, sharded caches,
-// single-flight KDS fetch coalescing, and the per-session observability
-// isolation they rely on. Runs tier-1 and under the tsan preset — most of
+// single-flight KDS fetch coalescing, and the per-session trace isolation
+// they rely on. Runs tier-1 and under the tsan preset — most of
 // these tests exist precisely to put real threads on the shared state.
 //
 // The end-to-end tests drive several complete simulated worlds (the
@@ -21,6 +21,7 @@
 #include "common/event_loop.hpp"
 #include "common/single_flight.hpp"
 #include "imagebuild/builder.hpp"
+#include "net/resilience.hpp"
 #include "obs/metrics.hpp"
 #include "pki/ca.hpp"
 #include "revelio/revelio_vm.hpp"
@@ -35,102 +36,24 @@ namespace {
 using crypto::HmacDrbg;
 
 // ---------------------------------------------------------------------------
-// Histogram / registry merge (the concurrent session-end bugfix)
+// Summary reads under concurrent writers
 
-TEST(MetricsMerge, SnapshotIsConsistentUnderConcurrentObserve) {
+TEST(Metrics, SummarySnapshotIsConsistentUnderConcurrentObserve) {
   obs::MetricsRegistry reg;
-  obs::Histogram& h = reg.histogram("gw.x.ms", {1.0, 10.0});
+  obs::Summary& summary = reg.summary("gw.x.ms");
   constexpr int kObservations = 200000;
-  std::thread writer([&h] {
-    for (int i = 0; i < kObservations; ++i) h.observe(3.0);
+  std::thread writer([&summary] {
+    for (int i = 0; i < kObservations; ++i) summary.observe(3.0);
   });
   // Every snapshot taken mid-write must be internally consistent: the
-  // bucket total, the count and the sum all describe the same instant.
+  // count, the sum and the quantiles all describe the same instant.
   for (int i = 0; i < 50; ++i) {
-    const obs::Histogram::Snapshot snap = h.snapshot();
-    std::uint64_t bucket_total = 0;
-    for (const auto c : snap.counts) bucket_total += c;
-    EXPECT_EQ(bucket_total, snap.count);
+    const obs::Summary::Snapshot snap = summary.snapshot();
     EXPECT_DOUBLE_EQ(snap.sum, 3.0 * static_cast<double>(snap.count));
+    EXPECT_DOUBLE_EQ(snap.p50, snap.count == 0 ? 0.0 : 3.0);
   }
   writer.join();
-  EXPECT_EQ(h.snapshot().count, static_cast<std::uint64_t>(kObservations));
-}
-
-TEST(MetricsMerge, ConcurrentSessionEndLosesNoObservations) {
-  // The regression this PR fixes: merging per-session histograms into one
-  // registry from many threads at once (sessions ending together) while
-  // other threads keep observing. Every observation must land exactly once.
-  obs::MetricsRegistry global;
-  constexpr int kSessions = 8;
-  constexpr int kPerSession = 2000;
-  constexpr int kDirect = 5000;
-
-  std::thread direct_writer([&global] {
-    obs::Histogram& h = global.histogram("gw.session.virt.ms", {1.0, 10.0});
-    for (int i = 0; i < kDirect; ++i) h.observe(5.0);
-  });
-  std::vector<std::thread> sessions;
-  sessions.reserve(kSessions);
-  for (int s = 0; s < kSessions; ++s) {
-    sessions.emplace_back([&global] {
-      obs::MetricsRegistry session;
-      obs::Histogram& h =
-          session.histogram("gw.session.virt.ms", {1.0, 10.0});
-      for (int i = 0; i < kPerSession; ++i) {
-        h.observe(static_cast<double>(i % 20));
-      }
-      session.counter("gw.sessions.count").inc();
-      session.gauge("gw.last.ms").add(1.0);
-      global.merge_from(session);
-    });
-  }
-  for (auto& t : sessions) t.join();
-  direct_writer.join();
-
-  const obs::Histogram::Snapshot snap =
-      global.histograms().at("gw.session.virt.ms").snapshot();
-  EXPECT_EQ(snap.count,
-            static_cast<std::uint64_t>(kSessions * kPerSession + kDirect));
-  std::uint64_t bucket_total = 0;
-  for (const auto c : snap.counts) bucket_total += c;
-  EXPECT_EQ(bucket_total, snap.count);
-  EXPECT_EQ(global.counter_value("gw.sessions.count"),
-            static_cast<std::uint64_t>(kSessions));
-  EXPECT_DOUBLE_EQ(global.gauges().at("gw.last.ms").value(),
-                   static_cast<double>(kSessions));
-}
-
-TEST(MetricsMerge, MismatchedBucketsFoldIntoOverflowKeepingTotalsExact) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.histogram("h", {10.0}).observe(2.0);
-  b.histogram("h", {1.0, 2.0}).observe(1.5);
-  b.histogram("h", {1.0, 2.0}).observe(100.0);
-  a.merge_from(b);
-  const obs::Histogram::Snapshot snap = a.histograms().at("h").snapshot();
-  EXPECT_EQ(snap.count, 3u);
-  EXPECT_DOUBLE_EQ(snap.sum, 103.5);
-  // a's own observation sits in its bucket; b's two observations (bounds
-  // differ) are parked in +inf rather than guessed into bins.
-  EXPECT_EQ(snap.counts[0], 1u);
-  EXPECT_EQ(snap.counts[1], 2u);
-}
-
-TEST(MetricsMerge, ThreadBindingIsolatesAndMergeFolds) {
-  obs::MetricsRegistry session;
-  obs::MetricsRegistry* global = &obs::metrics();
-  const std::uint64_t before = global->counter_value("gw.bind.count");
-  {
-    obs::ScopedThreadMetrics scope(session);
-    EXPECT_EQ(&obs::metrics(), &session);
-    obs::metrics().counter("gw.bind.count").inc(3);
-  }
-  EXPECT_EQ(&obs::metrics(), global);
-  EXPECT_EQ(global->counter_value("gw.bind.count"), before);
-  EXPECT_EQ(session.counter_value("gw.bind.count"), 3u);
-  global->merge_from(session);
-  EXPECT_EQ(global->counter_value("gw.bind.count"), before + 3);
+  EXPECT_EQ(summary.count(), static_cast<std::uint64_t>(kObservations));
 }
 
 // ---------------------------------------------------------------------------
@@ -469,20 +392,22 @@ TEST(SessionEngine, AggregatesOneStageSessionsAndPercentiles) {
   EXPECT_GT(report.real_elapsed_ms, 0.0);
 }
 
-TEST(SessionEngine, IsolatesSessionObsAndMergesAtSessionEnd) {
+TEST(SessionEngine, StagesWriteTheProcessRegistryAndIsolateSpans) {
   obs::MetricsRegistry* global = &obs::metrics();
   const std::uint64_t before = global->counter_value("gw.engine.test.count");
+  const std::uint64_t observed_before =
+      global->summary("gw.engine.test.ms").count();
   SessionEngineConfig config;
   config.workers = 4;
   config.trace_sessions = true;
   SessionEngine engine(config);
   std::vector<std::size_t> span_counts(16, 0);
   const auto report = engine.run_staged(16, [&](StagedContext& ctx) {
-    // The worker thread must see a private registry, not the global one.
-    EXPECT_NE(&obs::metrics(), global);
+    // Every lane reports into the one process registry.
+    EXPECT_EQ(&obs::metrics(), global);
     obs::metrics().counter("gw.engine.test.count").inc();
     obs::metrics()
-        .histogram("gw.engine.test.ms", {1.0, 10.0})
+        .summary("gw.engine.test.ms")
         .observe(static_cast<double>(ctx.index));
     {
       obs::Span span("gw.test.session");
@@ -492,13 +417,31 @@ TEST(SessionEngine, IsolatesSessionObsAndMergesAtSessionEnd) {
     return SessionState::kDone;
   });
   EXPECT_EQ(report.succeeded, 16u);
-  // Merged: every session's private counter landed in the global registry.
   EXPECT_EQ(global->counter_value("gw.engine.test.count"), before + 16);
-  const auto snap =
-      global->histograms().at("gw.engine.test.ms").snapshot();
-  EXPECT_GE(snap.count, 16u);
+  EXPECT_EQ(global->summary("gw.engine.test.ms").count(),
+            observed_before + 16);
   // Each session saw exactly its own span in its own tracer.
   for (const auto count : span_counts) EXPECT_EQ(count, 1u);
+}
+
+// Regression: stages used to record into private registries folded into
+// the process registry by *adding* gauges, so eight stages each opening
+// the same breaker left breaker.state at 8.0 — outside its 0/1/2 range.
+TEST(StagedEngine, GaugeSetInsideAStageIsNotSummed) {
+  SessionEngineConfig config;
+  config.workers = 1;
+  SessionEngine engine(config);
+  const auto report = engine.run_staged(8, [](StagedContext&) {
+    SimClock clock;
+    net::CircuitBreaker breaker("probe:443", {.failure_threshold = 1});
+    breaker.on_failure(clock);
+    return SessionState::kDone;
+  });
+  EXPECT_EQ(report.succeeded, 8u);
+  EXPECT_EQ(obs::metrics()
+                .gauge("breaker.state", {{"endpoint", "probe:443"}})
+                .value(),
+            1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -875,7 +818,6 @@ TEST(StagedEngine, VirtualAccountingIsExactAtAnyClockOffset) {
 TEST(StagedEngine, OneWorkerParksThousandsOfSessions) {
   SessionEngineConfig config;
   config.workers = 1;  // the whole point: parked sessions hold no thread
-  config.isolate_obs = false;
   SessionEngine engine(config);
   constexpr std::size_t kSessions = 4096;
 
@@ -906,7 +848,6 @@ TEST(StagedEngine, OneWorkerParksThousandsOfSessions) {
 TEST(StagedEngine, AdmissionControlBoundsInflightKdsAndParksTheRest) {
   SessionEngineConfig config;
   config.workers = 4;
-  config.isolate_obs = false;
   SessionEngine engine(config);
   constexpr std::size_t kSessions = 64;
   AdmissionConfig admission;
@@ -961,7 +902,6 @@ TEST(StagedEngine, AdmissionControlBoundsInflightKdsAndParksTheRest) {
 TEST(StagedEngine, ShedPolicyFailsClosedAndNeverReachesVerify) {
   SessionEngineConfig config;
   config.workers = 4;
-  config.isolate_obs = false;
   SessionEngine engine(config);
   constexpr std::size_t kSessions = 32;
   AdmissionConfig admission;
@@ -1007,8 +947,7 @@ TEST(StagedEngine, SameSeedRerunsAreBitIdentical) {
   const auto run_once = [](std::uint64_t salt) {
     SessionEngineConfig config;
     config.workers = 4;
-    config.isolate_obs = false;
-    SessionEngine engine(config);
+      SessionEngine engine(config);
     AdmissionConfig admission;
     admission.max_inflight_kds = 8;
     admission.max_inflight_evidence = 16;
