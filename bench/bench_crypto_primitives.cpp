@@ -150,8 +150,20 @@ void BM_FieldMul(benchmark::State& state, const Curve& curve) {
   }
 }
 
+void BM_FieldSqr(benchmark::State& state, const Curve& curve) {
+  // One Montgomery squaring (five of the eight products in a Jacobian
+  // doubling), chained like BM_FieldMul.
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-sqr")));
+  U384 acc = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) {
+    acc = fp.sqr(acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+
 void BM_FieldInv(benchmark::State& state, const Curve& curve) {
-  // One Fermat inversion (the cost inside every to_affine), chained.
+  // One safegcd inversion (the cost inside every to_affine), chained.
   const MontCtx& fp = curve.field();
   HmacDrbg drbg(to_bytes(std::string_view("bench-field-inv")));
   U384 acc = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
@@ -241,6 +253,8 @@ int main(int argc, char** argv) {
                             &revelio::crypto::p384()}) {
     const std::string name = curve->params().name == "P-256" ? "P256" : "P384";
     benchmark::RegisterBenchmark(("BM_FieldMul/" + name).c_str(), BM_FieldMul,
+                                 std::cref(*curve));
+    benchmark::RegisterBenchmark(("BM_FieldSqr/" + name).c_str(), BM_FieldSqr,
                                  std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_FieldInv/" + name).c_str(), BM_FieldInv,
                                  std::cref(*curve));

@@ -1,9 +1,10 @@
 // Fixed-width 384-bit unsigned integers and Montgomery modular arithmetic.
 //
 // U384 is sized for NIST P-384 (the curve AMD uses for VCEK signatures);
-// MontCtx runs on only the limbs its modulus needs. Montgomery
-// multiplication (CIOS) keeps scalar multiplication fast enough that the
-// test suite's thousands of ECDSA operations stay cheap.
+// MontCtx runs on only the limbs its modulus needs. A Montgomery
+// multiplication is one product step (a full 2K-limb product, or a
+// dedicated squaring) followed by one reduction step (word-by-word, or
+// P-256's special-form reduction); inversion is Bernstein–Yang safegcd.
 #pragma once
 
 #include <array>
@@ -70,7 +71,9 @@ std::uint64_t sub_with_borrow(U384& r, const U384& a, const U384& b);
 /// context works on K = 4 limbs when m < 2^256 and on K = 6 otherwise, with
 /// R = 2^(64K); a Montgomery form is therefore only meaningful to the
 /// context that made it and never leaves the computations built on it.
-/// Every result has zero limbs above K.
+/// Every result has zero limbs above K. The reduction is picked from the
+/// modulus value: P-256's p gets its special-form reduction, every other
+/// modulus the generic one; both give the same result bit for bit.
 class MontCtx {
  public:
   explicit MontCtx(const U384& modulus);
@@ -89,6 +92,9 @@ class MontCtx {
 
   /// Montgomery multiplication: a*b*R^-1 mod m.
   U384 mul(const U384& a, const U384& b) const;
+  /// Montgomery squaring: equal to mul(a, a), with each cross product
+  /// computed once where that pays (P-256's p and 6-limb moduli).
+  U384 sqr(const U384& a) const;
 
   /// Modular addition (either domain, operands < m).
   U384 add(const U384& a, const U384& b) const;
@@ -97,10 +103,13 @@ class MontCtx {
 
   /// a^e mod m; a in Montgomery domain, e plain; result Montgomery domain.
   /// Fixed 4-bit window: per exponent nibble, four squarings and at most
-  /// one multiplication by a precomputed a^1..a^15.
+  /// one multiplication by a precomputed a^1..a^15. Curve code needs it only
+  /// for the lift_x_even square root.
   U384 pow(const U384& a, const U384& e) const;
 
-  /// Modular inverse via Fermat (modulus must be prime); Montgomery domain.
+  /// Modular inverse by Bernstein–Yang safegcd; Montgomery domain. Valid
+  /// for any odd modulus with gcd(a, m) = 1; inv(0) is 0. Variable time in
+  /// a: its running time depends on the value inverted.
   U384 inv(const U384& a) const;
 
   /// inv() of every (nonzero) element for the price of one inversion and
@@ -111,12 +120,24 @@ class MontCtx {
   U384 one() const { return one_; }
 
  private:
+  friend U384 mont_mul_generic(const MontCtx& ctx, const U384& a,
+                               const U384& b);
+
   U384 m_;
   U384 r2_;    // R^2 mod m
+  U384 r3_;    // R^3 mod m: lifts safegcd's (aR)^-1 back to a^-1 R
   U384 one_;   // R mod m
   U384 wide_;  // 2^384 * R mod m: folds inputs wider than K limbs
-  std::uint64_t n0_;  // -m^-1 mod 2^64
-  std::size_t k_;     // limbs the arithmetic runs on: 4 or 6
+  std::array<std::int64_t, 7> m62_{};  // m in signed-62 limbs (5 or 7 used)
+  std::uint64_t n0_;      // -m^-1 mod 2^64
+  std::uint64_t minv62_;  // m^-1 mod 2^62
+  std::size_t k_;         // limbs the arithmetic runs on: 4 or 6
+  bool p256_;             // m is P-256's p: special-form reduction
 };
+
+/// The generic word-by-word Montgomery product at ctx's width, never the
+/// special-form reduction: the reference the property tests hold P-256's
+/// reduction to. Same contract as MontCtx::mul.
+U384 mont_mul_generic(const MontCtx& ctx, const U384& a, const U384& b);
 
 }  // namespace revelio::crypto

@@ -90,8 +90,8 @@ bool Curve::on_curve(const Point& pt) const {
   if (pt.x.cmp(params_.p) >= 0 || pt.y.cmp(params_.p) >= 0) return false;
   const U384 x = fp_.to_mont(pt.x);
   const U384 y = fp_.to_mont(pt.y);
-  const U384 y2 = fp_.mul(y, y);
-  const U384 x3 = fp_.mul(fp_.mul(x, x), x);
+  const U384 y2 = fp_.sqr(y);
+  const U384 x3 = fp_.mul(fp_.sqr(x), x);
   const U384 ax = fp_.mul(a_mont_, x);
   const U384 rhs = fp_.add(fp_.add(x3, ax), b_mont_);
   return y2 == rhs;
@@ -107,7 +107,7 @@ U384 Curve::reduce_scalar(const U384& k) const {
 Curve::Point Curve::to_affine(const ecp::Jac& p) const {
   if (p.is_inf()) return Point::at_infinity();
   const U384 zinv = fp_.inv(p.z);
-  const U384 zinv2 = fp_.mul(zinv, zinv);
+  const U384 zinv2 = fp_.sqr(zinv);
   const U384 zinv3 = fp_.mul(zinv2, zinv);
   return Point{fp_.from_mont(fp_.mul(p.x, zinv2)),
                fp_.from_mont(fp_.mul(p.y, zinv3)), false};
@@ -299,11 +299,11 @@ Curve::Point Curve::multi_scalar_mult_base(
 std::optional<Curve::Point> Curve::lift_x_even(const U384& x) const {
   if (x.cmp(params_.p) >= 0) return std::nullopt;
   const U384 xm = fp_.to_mont(x);
-  const U384 x3 = fp_.mul(fp_.mul(xm, xm), xm);
+  const U384 x3 = fp_.mul(fp_.sqr(xm), xm);
   const U384 rhs = fp_.add(fp_.add(x3, fp_.mul(a_mont_, xm)), b_mont_);
   const U384 y = fp_.pow(rhs, sqrt_exp_);
   // p = 3 mod 4: the pow is a square root iff rhs is a quadratic residue.
-  if (fp_.mul(y, y) != rhs) return std::nullopt;
+  if (fp_.sqr(y) != rhs) return std::nullopt;
   U384 y_plain = fp_.from_mont(y);
   if (y_plain.bit(0)) {
     sub_with_borrow(y_plain, params_.p, y_plain);

@@ -14,9 +14,12 @@
 //
 // Field arithmetic runs on MontCtx, which sizes itself to the modulus: 4
 // limbs for P-256's fields, 6 for P-384's, each with its own R = 2^(64K).
-// Montgomery forms never leave the computations built on a context (the
-// ecp layer, ECDSA's scalar algebra); every Point, scalar and encoding
-// this interface exchanges is in the plain domain.
+// P-256's base field takes its special-form reduction, and the Jacobian
+// formulas call MontCtx::sqr wherever they square. Every to_affine pays one
+// safegcd inversion, which is variable time in its input (DESIGN.md
+// "Constant-time status"). Montgomery forms never leave the computations
+// built on a context (the ecp layer, ECDSA's scalar algebra); every Point,
+// scalar and encoding this interface exchanges is in the plain domain.
 #pragma once
 
 #include <memory>

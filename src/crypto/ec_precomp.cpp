@@ -8,8 +8,8 @@ Jac jac_double(const MontCtx& fp, const Jac& p) {
   if (p.is_inf()) return p;
   if (p.y.is_zero()) return Jac::inf();
 
-  const U384 delta = fp.mul(p.z, p.z);
-  const U384 gamma = fp.mul(p.y, p.y);
+  const U384 delta = fp.sqr(p.z);
+  const U384 gamma = fp.sqr(p.y);
   const U384 beta = fp.mul(p.x, gamma);
   // alpha = 3 (x - delta)(x + delta)
   const U384 diff = fp.sub(p.x, delta);
@@ -22,12 +22,12 @@ Jac jac_double(const MontCtx& fp, const Jac& p) {
   const U384 beta2 = fp.add(beta, beta);
   const U384 beta4 = fp.add(beta2, beta2);
   const U384 beta8 = fp.add(beta4, beta4);
-  r.x = fp.sub(fp.mul(alpha, alpha), beta8);
+  r.x = fp.sub(fp.sqr(alpha), beta8);
   // Z3 = (y + z)^2 - gamma - delta
   const U384 yz = fp.add(p.y, p.z);
-  r.z = fp.sub(fp.sub(fp.mul(yz, yz), gamma), delta);
+  r.z = fp.sub(fp.sub(fp.sqr(yz), gamma), delta);
   // Y3 = alpha (4 beta - X3) - 8 gamma^2
-  const U384 gamma2 = fp.mul(gamma, gamma);
+  const U384 gamma2 = fp.sqr(gamma);
   const U384 g2 = fp.add(gamma2, gamma2);
   const U384 g4 = fp.add(g2, g2);
   const U384 g8 = fp.add(g4, g4);
@@ -39,8 +39,8 @@ Jac jac_add(const MontCtx& fp, const Jac& a, const Jac& b) {
   if (a.is_inf()) return b;
   if (b.is_inf()) return a;
 
-  const U384 z1z1 = fp.mul(a.z, a.z);
-  const U384 z2z2 = fp.mul(b.z, b.z);
+  const U384 z1z1 = fp.sqr(a.z);
+  const U384 z2z2 = fp.sqr(b.z);
   const U384 u1 = fp.mul(a.x, z2z2);
   const U384 u2 = fp.mul(b.x, z1z1);
   const U384 s1 = fp.mul(fp.mul(a.y, b.z), z2z2);
@@ -53,13 +53,13 @@ Jac jac_add(const MontCtx& fp, const Jac& a, const Jac& b) {
     return Jac::inf();
   }
 
-  const U384 hh = fp.mul(h, h);
+  const U384 hh = fp.sqr(h);
   const U384 hhh = fp.mul(h, hh);
   const U384 v = fp.mul(u1, hh);
 
   Jac out;
   // X3 = r^2 - HHH - 2V
-  out.x = fp.sub(fp.sub(fp.mul(r, r), hhh), fp.add(v, v));
+  out.x = fp.sub(fp.sub(fp.sqr(r), hhh), fp.add(v, v));
   // Y3 = r (V - X3) - S1 * HHH
   out.y = fp.sub(fp.mul(r, fp.sub(v, out.x)), fp.mul(s1, hhh));
   // Z3 = Z1 Z2 H
@@ -72,7 +72,7 @@ Jac jac_add_affine(const MontCtx& fp, const Jac& a, const Aff& b) {
   if (a.is_inf()) return jac_from_affine(fp, b);
 
   // Z2 = 1, so U1 = X1, S1 = Y1.
-  const U384 z1z1 = fp.mul(a.z, a.z);
+  const U384 z1z1 = fp.sqr(a.z);
   const U384 u2 = fp.mul(b.x, z1z1);
   const U384 s2 = fp.mul(fp.mul(b.y, a.z), z1z1);
 
@@ -83,12 +83,12 @@ Jac jac_add_affine(const MontCtx& fp, const Jac& a, const Aff& b) {
     return Jac::inf();
   }
 
-  const U384 hh = fp.mul(h, h);
+  const U384 hh = fp.sqr(h);
   const U384 hhh = fp.mul(h, hh);
   const U384 v = fp.mul(a.x, hh);
 
   Jac out;
-  out.x = fp.sub(fp.sub(fp.mul(r, r), hhh), fp.add(v, v));
+  out.x = fp.sub(fp.sub(fp.sqr(r), hhh), fp.add(v, v));
   out.y = fp.sub(fp.mul(r, fp.sub(v, out.x)), fp.mul(a.y, hhh));
   out.z = fp.mul(a.z, h);
   return out;
@@ -111,7 +111,7 @@ std::vector<Aff> batch_normalize(const MontCtx& fp,
   auto zinv = zinvs.begin();
   for (std::size_t i = 0; i < pts.size(); ++i) {
     if (pts[i].is_inf()) continue;
-    const U384 zinv2 = fp.mul(*zinv, *zinv);
+    const U384 zinv2 = fp.sqr(*zinv);
     out[i] = Aff{fp.mul(pts[i].x, zinv2),
                  fp.mul(pts[i].y, fp.mul(zinv2, *zinv)), false};
     ++zinv;

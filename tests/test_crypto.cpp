@@ -617,6 +617,110 @@ TEST(MontWidth, WindowedPowMatchesBitwiseReference) {
   }
 }
 
+// Edge operands for the product/reduction pair: 0, 1, m-1, m-2, the
+// Montgomery forms of 2^256 - 1 and of a 48-byte value, and random values.
+std::vector<U384> edge_operands(const MontCtx& ctx, HmacDrbg& drbg) {
+  const U384& m = ctx.modulus();
+  U384 m_minus_1, m_minus_2;
+  sub_with_borrow(m_minus_1, m, U384::from_u64(1));
+  sub_with_borrow(m_minus_2, m, U384::from_u64(2));
+  U384 ones_256;
+  for (std::size_t i = 0; i < 4; ++i) ones_256.limbs[i] = ~0ULL;
+  const U384 wide = U384::from_bytes_be(drbg.generate(48));
+  std::vector<U384> operands = {U384::zero(),          U384::from_u64(1),
+                                m_minus_1,             m_minus_2,
+                                ctx.to_mont(ones_256), ctx.to_mont(wide)};
+  for (int i = 0; i < 8; ++i) operands.push_back(random_below(drbg, m));
+  return operands;
+}
+
+TEST(MontWidth, SqrAndP256ReductionMatchReference) {
+  HmacDrbg drbg(to_bytes(std::string_view("mont-sqr")));
+  for (const auto& c : width_cases()) {
+    const std::vector<U384> operands = edge_operands(c.ctx, drbg);
+    for (const U384& a : operands) {
+      const U384 sq = c.ctx.sqr(a);
+      EXPECT_EQ(sq, c.ctx.mul(a, a)) << c.name;
+      EXPECT_EQ(ref_mulmod(c.ctx, sq, c.ctx.one()), ref_mulmod(c.ctx, a, a))
+          << c.name;
+      expect_width(c, sq);
+      for (const U384& b : operands) {
+        // P-256's p runs the special-form reduction; the others run the
+        // generic one, so this also pins the two paths to each other.
+        const U384 product = c.ctx.mul(a, b);
+        EXPECT_EQ(product, mont_mul_generic(c.ctx, a, b)) << c.name;
+        EXPECT_EQ(ref_mulmod(c.ctx, product, c.ctx.one()),
+                  ref_mulmod(c.ctx, a, b))
+            << c.name;
+      }
+    }
+  }
+}
+
+TEST(MontWidth, SquaresThatSetTheTopCarryReduceCorrectly) {
+  // Operands a < m whose reduction sum (a^2 + q*m) / R reaches 2^(64K), so
+  // the final subtraction has to see the deferred top carry. Found offline
+  // by evaluating that sum exactly for each modulus.
+  const std::pair<const MontCtx*, const char*> cases[] = {
+      {&p256().field(),
+       "f3a160712456de76aaadd6b855c6b62bd09e04924d52bc614bedce030297c5e5"},
+      {&p256().scalar_field(),
+       "a3d3e78633ef315a66015f07e7102bc28277cf38c2476a94bf91ac84a41ed1ed"},
+      {&p384().field(),
+       "afc689a3d05c1e1c7116661784707ef80c3b7036e5606e812e9c420037ebb374"
+       "f30149ee89f43d05589c8a56ffe1afe6"},
+      {&p384().scalar_field(),
+       "a2c6c1af38c9ca7cddfb157cc3d12a8e54278d70341ecb6ff2bbeb1a2a05aee1"
+       "efacef2eb8faf959e67488455f12d1ff"},
+  };
+  for (const auto& [ctx, hex] : cases) {
+    const U384 a = U384::from_hex(hex);
+    const U384 sq = ctx->sqr(a);
+    EXPECT_TRUE(sq < ctx->modulus());
+    EXPECT_EQ(sq, ctx->mul(a, a));
+    EXPECT_EQ(sq, mont_mul_generic(*ctx, a, a));
+    EXPECT_EQ(ref_mulmod(*ctx, sq, ctx->one()), ref_mulmod(*ctx, a, a));
+  }
+}
+
+TEST(MontWidth, SafegcdInverseMatchesFermat) {
+  for (const auto& c : width_cases()) {
+    const U384& m = c.ctx.modulus();
+    U384 m_minus_1, m_minus_2;
+    sub_with_borrow(m_minus_1, m, U384::from_u64(1));
+    sub_with_borrow(m_minus_2, m, U384::from_u64(2));
+    std::vector<U384> values = {U384::from_u64(1), U384::from_u64(2),
+                                m_minus_1, m_minus_2};
+    // Powers of two, and values whose top limbs are zero.
+    for (std::size_t bit : {1u, 61u, 62u, 63u, 64u, 124u, 127u, 200u, 255u}) {
+      U384 p;
+      p.limbs[bit / 64] = std::uint64_t{1} << (bit % 64);
+      values.push_back(p);
+    }
+    values.push_back(U384::from_u64(0xfedcba9876543210ULL));
+    values.push_back(U384::from_hex("0123456789abcdef0123456789abcdef"));
+    for (const U384& v : values) {
+      EXPECT_EQ(c.ctx.inv(v), c.ctx.pow(v, m_minus_2)) << c.name;
+      const U384 vm = c.ctx.to_mont(v);
+      EXPECT_EQ(c.ctx.mul(vm, c.ctx.inv(vm)), c.ctx.one()) << c.name;
+      expect_width(c, c.ctx.inv(v));
+    }
+    // Fermat's a^(m-2) is 0 at a = 0; safegcd keeps that.
+    EXPECT_TRUE(c.ctx.inv(U384::zero()).is_zero()) << c.name;
+  }
+}
+
+TEST(MontCtx, SafegcdInvertsModuloAnyOddModulus) {
+  // 1000001 = 101 * 9901 is not prime: Fermat would be wrong here, safegcd
+  // needs only gcd(a, m) = 1.
+  const MontCtx ctx(U384::from_u64(1000001));
+  for (std::uint64_t a : {1ULL, 2ULL, 100ULL, 9900ULL, 999999ULL, 1000000ULL}) {
+    const U384 am = ctx.to_mont(U384::from_u64(a));
+    EXPECT_EQ(ctx.from_mont(ctx.mul(am, ctx.inv(am))), U384::from_u64(1))
+        << a;
+  }
+}
+
 TEST(MontWidth, WideScalarBaseMultMatchesNaiveLadder) {
   // 48-byte scalars, the shape bench_crypto_primitives feeds P-256 too.
   HmacDrbg drbg(to_bytes(std::string_view("mont-wide-scalar")));

@@ -1,9 +1,12 @@
 // Tier-2 property tests: the optimized scalar-multiplication paths (wNAF,
 // fixed-base window table, Strauss–Shamir double-scalar) must agree with
 // the naive double-and-add reference ladder on random scalars and on the
-// boundary scalars 0, 1, n-1, n, n+1. Slow by design (the naive ladder is
-// the baseline the fast paths are benchmarked against); labelled `tier2`
-// in ctest so the tier-1 loop stays quick.
+// boundary scalars 0, 1, n-1, n, n+1; and on each of the four curve
+// moduli, safegcd inversion must agree with Fermat's pow(a, m - 2) and the
+// P-256 special-form reduction and squarings with the generic reduction,
+// over 10^5 seeded random inputs. Slow by design (the naive ladder is the
+// baseline the fast paths are benchmarked against); labelled `tier2` in
+// ctest so the tier-1 loop stays quick.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -226,6 +229,85 @@ INSTANTIATE_TEST_SUITE_P(Curves, EcEquivalence,
                                       ? "P256"
                                       : "P384";
                          });
+
+// ------------------------------------------------------- field arithmetic
+
+constexpr int kFieldInputs = 100000;
+
+struct FieldCase {
+  const char* name;
+  const MontCtx& (*ctx)();
+};
+
+const FieldCase kFieldCases[] = {
+    {"P256p", []() -> const MontCtx& { return p256().field(); }},
+    {"P256n", []() -> const MontCtx& { return p256().scalar_field(); }},
+    {"P384p", []() -> const MontCtx& { return p384().field(); }},
+    {"P384n", []() -> const MontCtx& { return p384().scalar_field(); }},
+};
+
+/// splitmix64: a cheap seeded stream, so 10^5 inputs cost next to nothing
+/// beside the arithmetic under test.
+struct SplitMix {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+};
+
+/// A value of up to `limbs` random limbs; every eighth one keeps only its
+/// low limbs, so short inputs get their share too.
+U384 random_limbs(SplitMix& rng, std::size_t limbs, int i) {
+  U384 v;
+  const std::size_t used = i % 8 == 0 ? 1 + rng.next() % limbs : limbs;
+  for (std::size_t l = 0; l < used; ++l) v.limbs[l] = rng.next();
+  return v;
+}
+
+/// A uniform-ish value below m (each modulus is above half its limb width,
+/// so one subtraction suffices).
+U384 random_below(SplitMix& rng, const MontCtx& ctx, int i) {
+  const std::size_t limbs = ctx.modulus().bit_length() > 256 ? 6 : 4;
+  U384 v = random_limbs(rng, limbs, i);
+  if (!(v < ctx.modulus())) sub_with_borrow(v, v, ctx.modulus());
+  return v;
+}
+
+class FieldEquivalence : public ::testing::TestWithParam<FieldCase> {
+ protected:
+  const MontCtx& ctx() const { return GetParam().ctx(); }
+};
+
+TEST_P(FieldEquivalence, SafegcdInverseMatchesFermat) {
+  SplitMix rng{0x5afe6cdULL};
+  U384 m_minus_2;
+  sub_with_borrow(m_minus_2, ctx().modulus(), U384::from_u64(2));
+  for (int i = 0; i < kFieldInputs; ++i) {
+    const U384 a = random_below(rng, ctx(), i);
+    ASSERT_EQ(ctx().inv(a), ctx().pow(a, m_minus_2)) << "input " << i;
+  }
+}
+
+TEST_P(FieldEquivalence, MulAndSqrMatchTheGenericReduction) {
+  SplitMix rng{0x9256ULL};
+  const std::size_t limbs = ctx().modulus().bit_length() > 256 ? 6 : 4;
+  for (int i = 0; i < kFieldInputs; ++i) {
+    const U384 a = random_below(rng, ctx(), i);
+    const U384 b = random_below(rng, ctx(), i + 3);
+    // mul's contract lets one operand reach 2^(64K).
+    const U384 wide = random_limbs(rng, limbs, i + 5);
+    ASSERT_EQ(ctx().mul(a, b), mont_mul_generic(ctx(), a, b)) << i;
+    ASSERT_EQ(ctx().mul(wide, b), mont_mul_generic(ctx(), wide, b)) << i;
+    ASSERT_EQ(ctx().sqr(a), mont_mul_generic(ctx(), a, a)) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Moduli, FieldEquivalence,
+                         ::testing::ValuesIn(kFieldCases),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace revelio::crypto

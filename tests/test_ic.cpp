@@ -53,6 +53,24 @@ TEST(Shamir, DifferentSubsetsAgree) {
   EXPECT_EQ(*shamir_recover(b), secret);
 }
 
+TEST(Shamir, EveryThresholdSubsetRecoversInAnyOrder) {
+  // Each subset and order gives different Lagrange denominators
+  // (x_j - x_i mod n, many of them "negative"), all inverted mod n.
+  HmacDrbg drbg(to_bytes(std::string_view("shamir-subsets")));
+  const U384 secret = U384::from_bytes_be(drbg.generate(31));
+  auto shares = shamir_split(secret, 3, 6, drbg);
+  ASSERT_TRUE(shares.ok());
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = i + 1; j < 6; ++j) {
+      for (std::size_t k = j + 1; k < 6; ++k) {
+        const auto& s = *shares;
+        EXPECT_EQ(*shamir_recover({s[i], s[j], s[k]}), secret);
+        EXPECT_EQ(*shamir_recover({s[k], s[i], s[j]}), secret);
+      }
+    }
+  }
+}
+
 TEST(Shamir, TooFewSharesYieldWrongSecret) {
   HmacDrbg drbg(to_bytes(std::string_view("shamir-3")));
   const U384 secret = U384::from_u64(42);
