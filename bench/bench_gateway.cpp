@@ -313,7 +313,8 @@ std::string level_json(const Level& level) {
          ",\"failures\":" + std::to_string(level.vcek_stats.failures) +
          ",\"store_hits\":" + std::to_string(level.vcek_stats.store_hits) +
          ",\"store_write_failures\":" +
-         std::to_string(level.vcek_stats.store_write_failures) + "}";
+         std::to_string(level.vcek_stats.store_write_failures) +
+         ",\"evictions\":" + std::to_string(level.vcek_stats.evictions) + "}";
   // Per-stage tail attribution: where a session's virtual time goes, split
   // into I/O wait vs service, with log-bucket p50/p99 per stage. This is
   // what run_benches.sh gates stage tails against.

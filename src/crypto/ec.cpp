@@ -197,7 +197,7 @@ std::shared_ptr<const ecp::VerifyTables> Curve::tables_for(
   if (auto pinned = ecp::PinnedTableRegistry::instance().get(key)) {
     return pinned;
   }
-  if (auto cached = verify_cache_->get(key)) return cached;
+  if (auto cached = verify_cache_->get(key)) return *cached;
 
   auto tables = build_verify_tables(q);
   verify_cache_->put(key, tables);

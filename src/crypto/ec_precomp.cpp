@@ -211,47 +211,6 @@ Jac FixedBaseTable::mul(const MontCtx& fp, const U384& k) const {
   return acc;
 }
 
-std::shared_ptr<const VerifyTables> VerifyTableCache::get(const Bytes& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.tables;
-}
-
-void VerifyTableCache::put(const Bytes& key,
-                           std::shared_ptr<const VerifyTables> tables) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (capacity_ == 0) return;
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.tables = std::move(tables);
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return;
-  }
-  if (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  lru_.push_front(key);
-  entries_[key] = Entry{std::move(tables), lru_.begin()};
-}
-
-VerifyTableCache::Stats VerifyTableCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t VerifyTableCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 PinnedTableRegistry& PinnedTableRegistry::instance() {
   static PinnedTableRegistry registry;
   return registry;

@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/lru_cache.hpp"
 #include "crypto/bigint.hpp"
 
 namespace revelio::crypto::ecp {
@@ -121,37 +121,10 @@ struct VerifyTables {
   std::vector<Aff> high;   // odd multiples of 2^half * Q
 };
 
-/// Bounded LRU cache of VerifyTables keyed by the SEC1 point encoding.
-/// Thread-safe; entries are shared_ptr so an eviction cannot invalidate a
-/// table mid-verification.
-class VerifyTableCache {
- public:
-  explicit VerifyTableCache(std::size_t capacity) : capacity_(capacity) {}
-
-  std::shared_ptr<const VerifyTables> get(const Bytes& key);
-  void put(const Bytes& key, std::shared_ptr<const VerifyTables> tables);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-  Stats stats() const;
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::shared_ptr<const VerifyTables> tables;
-    std::list<Bytes>::iterator lru_it;
-  };
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_;
-  std::list<Bytes> lru_;  // front = most recently used
-  std::map<Bytes, Entry> entries_;
-  Stats stats_;
-};
+/// Bounded LRU of VerifyTables keyed by the SEC1 point encoding. Values
+/// are shared_ptr so an eviction cannot invalidate a table mid-verification.
+using VerifyTableCache =
+    common::LruCache<Bytes, std::shared_ptr<const VerifyTables>>;
 
 /// Process-wide registry of PINNED verification tables for well-known bases
 /// (the AMD ARK/ASK and the fleet's VCEKs — the same handful of keys every

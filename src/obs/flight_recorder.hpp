@@ -20,9 +20,9 @@
 // issues no atomics. Charge sites reach the recorder through the same
 // thread-binding pattern as Tracer/MetricsRegistry: the engine binds the
 // session's recorder around a stage dispatch (ScopedFlightRecorder) and
-// deep call sites (resilience retries, VCEK cache probes) use the free
-// flight_record() helper, which is a no-op costing one thread-local load
-// when no recorder is bound.
+// deep call sites (resilience retries, VCEK and chain cache probes) use
+// the free flight_record() helper, which is a no-op costing one
+// thread-local load when no recorder is bound.
 #pragma once
 
 #include <cstddef>

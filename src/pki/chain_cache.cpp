@@ -1,5 +1,8 @@
 #include "pki/chain_cache.hpp"
 
+#include <algorithm>
+
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -9,6 +12,8 @@ namespace {
 
 constexpr std::string_view kChainKeyPrefix = "chain/";
 constexpr std::size_t kChainValueSize = 16;  // from_us || until_us, u64be
+/// Flight-recorder cache id (see obs::FlightEventType).
+constexpr std::uint16_t kFlightCacheId = 2;
 
 Bytes chain_store_key(const crypto::Digest32& key) {
   Bytes k;
@@ -49,66 +54,46 @@ crypto::Digest32 cache_key(const Certificate& leaf,
 
 }  // namespace
 
-ChainVerificationCache::ChainVerificationCache(std::size_t shards,
-                                               std::size_t capacity_per_shard)
-    : capacity_per_shard_(capacity_per_shard) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+ChainVerificationCache::ChainVerificationCache(std::size_t capacity)
+    : verdicts_(capacity) {}
 
 void ChainVerificationCache::attach_store(store::KvStore* kv) {
   store_.store(kv, std::memory_order_release);
-}
-
-std::size_t ChainVerificationCache::shard_index(
-    const crypto::Digest32& key) const {
-  std::uint64_t prefix = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    prefix = (prefix << 8) | key[i];
-  }
-  return static_cast<std::size_t>(prefix % shards_.size());
 }
 
 Status ChainVerificationCache::verify(
     const Certificate& leaf, const std::vector<Certificate>& intermediates,
     const std::vector<Certificate>& roots, const ChainVerifyOptions& options) {
   const crypto::Digest32 key = cache_key(leaf, intermediates, roots, options);
-  Shard& shard = *shards_[shard_index(key)];
   obs::Span span("pki.chain_verify");
   span.attr("chain_len",
             static_cast<std::uint64_t>(1 + intermediates.size()));
 
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      // Half-open window, matching verify_chain: a hit must not be served
-      // at the instant the chain expires.
-      if (options.now_us >= it->second.valid_from_us &&
-          options.now_us < it->second.valid_until_us) {
-        ++shard.stats.hits;
-        obs::metrics().counter("pki.chain_cache.hit.count").inc();
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-        span.attr("cache", "hit");
-        span.attr("result", "ok");
-        return Status::success();
-      }
-      // Same chain, but the query time left the verified window: the
-      // cached verdict no longer applies.
-      ++shard.stats.window_rejects;
-      obs::metrics().counter("pki.chain_cache.expiry.count").inc();
-      span.attr("cache", "expired");
-      shard.lru.erase(it->second.lru_it);
-      shard.entries.erase(it);
-    } else {
-      span.attr("cache", "miss");
+  if (const auto window = verdicts_.get(key)) {
+    // Half-open window, matching verify_chain: a hit must not be served
+    // at the instant the chain expires.
+    if (options.now_us >= window->valid_from_us &&
+        options.now_us < window->valid_until_us) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      obs::metrics().counter("pki.chain_cache.hit.count").inc();
+      obs::flight_record(obs::FlightEventType::kCacheHit, kFlightCacheId);
+      span.attr("cache", "hit");
+      span.attr("result", "ok");
+      return Status::success();
     }
-    ++shard.stats.misses;
-    obs::metrics().counter("pki.chain_cache.miss.count").inc();
+    // Same chain, but the query time left the verified window: the cached
+    // verdict no longer applies. A racing re-insert of this key carries
+    // the same window (the key hashes the bytes that define it), so
+    // erasing it too costs at most one extra miss.
+    window_rejects_.fetch_add(1, std::memory_order_relaxed);
+    obs::metrics().counter("pki.chain_cache.expiry.count").inc();
+    span.attr("cache", "expired");
+    verdicts_.erase(key);
+  } else {
+    span.attr("cache", "miss");
   }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  obs::metrics().counter("pki.chain_cache.miss.count").inc();
 
   // Durable tier: a previous run may have verified this exact chain. The
   // persisted record holds only the validity window — the verdict applies
@@ -119,13 +104,14 @@ Status ChainVerificationCache::verify(
   if (kv != nullptr) {
     if (const auto stored = kv->get(chain_store_key(key));
         stored && stored->size() == kChainValueSize) {
-      const std::uint64_t from = read_u64be(*stored, 0);
-      const std::uint64_t until = read_u64be(*stored, 8);
-      if (from < until && options.now_us >= from && options.now_us < until) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        ++shard.stats.store_hits;
+      const Window window{read_u64be(*stored, 0), read_u64be(*stored, 8)};
+      if (window.valid_from_us < window.valid_until_us &&
+          options.now_us >= window.valid_from_us &&
+          options.now_us < window.valid_until_us) {
+        store_hits_.fetch_add(1, std::memory_order_relaxed);
         obs::metrics().counter("pki.chain_cache.store_hit.count").inc();
-        insert_locked(shard, key, from, until);
+        obs::flight_record(obs::FlightEventType::kCacheHit, kFlightCacheId);
+        insert(key, window);
         span.attr("cache", "store_hit");
         span.attr("result", "ok");
         return Status::success();
@@ -133,6 +119,7 @@ Status ChainVerificationCache::verify(
     }
   }
 
+  obs::flight_record(obs::FlightEventType::kCacheMiss, kFlightCacheId);
   const Status st = verify_chain(leaf, intermediates, roots, options);
   obs::metrics()
       .counter("pki.chain_verify.result.count",
@@ -144,78 +131,47 @@ Status ChainVerificationCache::verify(
   // Conservative validity intersection over every certificate supplied,
   // not just the path verify_chain walked: a hit may only be served while
   // all of them remain valid.
-  std::uint64_t from = leaf.not_before_us;
-  std::uint64_t until = leaf.not_after_us;
+  Window window{leaf.not_before_us, leaf.not_after_us};
   auto tighten = [&](const Certificate& cert) {
-    from = std::max(from, cert.not_before_us);
-    until = std::min(until, cert.not_after_us);
+    window.valid_from_us = std::max(window.valid_from_us, cert.not_before_us);
+    window.valid_until_us = std::min(window.valid_until_us, cert.not_after_us);
   };
   for (const auto& cert : intermediates) tighten(cert);
   for (const auto& cert : roots) tighten(cert);
 
-  std::lock_guard<std::mutex> lock(shard.mu);
-  insert_locked(shard, key, from, until);
+  insert(key, window);
   if (kv != nullptr) {
     Bytes value;
     value.reserve(kChainValueSize);
-    append_u64be(value, from);
-    append_u64be(value, until);
+    append_u64be(value, window.valid_from_us);
+    append_u64be(value, window.valid_until_us);
     // Best effort: a failed write-through leaves the verdict memory-only
     // and the next restart re-verifies — slower, never less safe.
     if (!kv->put(chain_store_key(key), value).ok()) {
-      ++shard.stats.store_write_failures;
+      store_write_failures_.fetch_add(1, std::memory_order_relaxed);
       obs::metrics().counter("pki.chain_cache.store_write_failure.count").inc();
     }
   }
   return st;
 }
 
-void ChainVerificationCache::insert_locked(Shard& shard,
-                                           const crypto::Digest32& key,
-                                           std::uint64_t from,
-                                           std::uint64_t until) {
-  if (capacity_per_shard_ == 0 || shard.entries.count(key) != 0) return;
-  if (shard.entries.size() >= capacity_per_shard_) {
-    shard.entries.erase(shard.lru.back());
-    shard.lru.pop_back();
-    ++shard.stats.evictions;
+void ChainVerificationCache::insert(const crypto::Digest32& key,
+                                    Window window) {
+  if (verdicts_.put(key, window)) {
     obs::metrics().counter("pki.chain_cache.eviction.count").inc();
   }
-  shard.lru.push_front(key);
-  shard.entries[key] = Entry{from, until, shard.lru.begin()};
 }
 
 ChainVerificationCache::Stats ChainVerificationCache::stats() const {
-  Stats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.evictions += shard->stats.evictions;
-    total.window_rejects += shard->stats.window_rejects;
-    total.store_hits += shard->stats.store_hits;
-    total.store_write_failures += shard->stats.store_write_failures;
-  }
-  return total;
-}
-
-std::size_t ChainVerificationCache::size() const {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) total += shard_size(i);
-  return total;
-}
-
-std::size_t ChainVerificationCache::shard_size(std::size_t i) const {
-  std::lock_guard<std::mutex> lock(shards_[i]->mu);
-  return shards_[i]->entries.size();
-}
-
-void ChainVerificationCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-    shard->lru.clear();
-  }
+  Stats s;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.evictions = verdicts_.stats().evictions;
+  s.window_rejects = window_rejects_.load(std::memory_order_relaxed);
+  s.store_hits = store_hits_.load(std::memory_order_relaxed);
+  s.store_write_failures =
+      store_write_failures_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace revelio::pki

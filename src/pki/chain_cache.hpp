@@ -12,25 +12,16 @@
 // Failures are never cached: they can be time-dependent (expiry) and are
 // not on the hot path. Any change to a certificate's bytes (including its
 // validity window) or to the root set changes the key, which is what
-// invalidates stale entries; capacity is a bounded LRU.
-//
-// Lock-striped: the cache-key fingerprint picks one of `shards`
-// independent LRUs, each under its own mutex, so concurrent gateway
-// sessions verifying *different* chains contend on different mutexes
-// instead of serializing on one. Repeat verifications of the same chain
-// always land on the same shard. One shard (the default) is the plain
-// single-mutex LRU a single client wants. Consumers
-// (net::TlsTrustConfig, sevsnp::ReportVerifyOptions) hold a pointer to it.
+// invalidates stale entries; capacity is a bounded LRU
+// (common/lru_cache.hpp). Consumers (net::TlsTrustConfig,
+// sevsnp::ReportVerifyOptions) hold a pointer to it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
+#include "common/lru_cache.hpp"
 #include "pki/cert.hpp"
 #include "store/kv_store.hpp"
 
@@ -39,17 +30,15 @@ namespace revelio::pki {
 /// Thread-safe: the gateway shares one cache across concurrent sessions.
 class ChainVerificationCache {
  public:
-  /// Total capacity = shards * capacity_per_shard.
-  explicit ChainVerificationCache(std::size_t shards = 1,
-                                  std::size_t capacity_per_shard = 64);
+  explicit ChainVerificationCache(std::size_t capacity = 64);
 
   /// Drop-in replacement for verify_chain (same arguments, same verdict
   /// semantics). Returns the cached verdict when the same (chain, roots,
   /// dns constraint) verified before and now_us is inside the recorded
   /// validity intersection; otherwise verifies and caches on success.
-  /// Lookups and insertions serialize on the key's shard mutex; the actual
-  /// verify_chain work for a miss runs outside it (two misses of the same
-  /// chain may race to verify — both succeed, one caches).
+  /// The verify_chain work for a miss runs outside the cache lock (two
+  /// misses of the same chain may race to verify — both succeed, one
+  /// caches). Records a kCacheHit/kCacheMiss flight event (arg 2).
   Status verify(const Certificate& leaf,
                 const std::vector<Certificate>& intermediates,
                 const std::vector<Certificate>& roots,
@@ -79,43 +68,33 @@ class ChainVerificationCache {
     /// Durable write-throughs that failed (entry stays memory-only).
     std::uint64_t store_write_failures = 0;
   };
-  /// Per-instance counters summed over shards, each read under its own
-  /// mutex (not one atomic snapshot, which only matters while updates are
-  /// in flight). The same events are also reported process-wide through
-  /// obs::metrics() as pki.chain_cache.{hit,miss,eviction,expiry}.count,
-  /// aggregated across all caches.
+  /// Per-instance counters, each read atomically (not one snapshot, which
+  /// only matters while updates are in flight). The same events are also
+  /// reported process-wide through obs::metrics() as
+  /// pki.chain_cache.{hit,miss,eviction,expiry}.count, aggregated across
+  /// all caches.
   Stats stats() const;
-  /// Entries currently cached, summed over shards.
-  std::size_t size() const;
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Entry count of one shard (tests: key distribution, eviction).
-  std::size_t shard_size(std::size_t i) const;
-  /// Which shard a cache key routes to: first 8 bytes of the fingerprint
-  /// (big-endian) modulo the shard count.
-  std::size_t shard_index(const crypto::Digest32& key) const;
-  void clear();
+  /// Entries currently cached.
+  std::size_t size() const { return verdicts_.size(); }
 
  private:
-  struct Entry {
+  /// A cached verdict: the chain verified and stays valid in [from, until).
+  struct Window {
     std::uint64_t valid_from_us = 0;   // max(not_before) over the chain
     std::uint64_t valid_until_us = 0;  // min(not_after) over the chain
-    std::list<crypto::Digest32>::iterator lru_it;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<crypto::Digest32> lru;  // front = most recently used
-    std::map<crypto::Digest32, Entry> entries;
-    Stats stats;
   };
 
-  /// Inserts under the shard's already-held mutex, evicting if needed.
-  void insert_locked(Shard& shard, const crypto::Digest32& key,
-                     std::uint64_t from, std::uint64_t until);
+  /// Caches a verified window, counting an eviction if one made room.
+  void insert(const crypto::Digest32& key, Window window);
 
-  std::size_t capacity_per_shard_;
-  // unique_ptr: Shard owns a mutex, the array must never move.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  common::LruCache<crypto::Digest32, Window> verdicts_;
   std::atomic<store::KvStore*> store_{nullptr};
+
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> window_rejects_{0};
+  std::atomic<std::uint64_t> store_hits_{0};
+  std::atomic<std::uint64_t> store_write_failures_{0};
 };
 
 }  // namespace revelio::pki

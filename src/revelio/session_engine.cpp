@@ -34,9 +34,9 @@ Micros percentile(const std::vector<Micros>& sorted, double q) {
 /// The report's output edge: exact µs rendered as ms.
 double to_ms(Micros us) { return static_cast<double>(us) / 1000.0; }
 
-/// Both shared caches: lock-striped, 64 entries per stripe.
-constexpr std::size_t kCacheShards = 8;
-constexpr std::size_t kCacheCapacityPerShard = 64;
+/// Both shared caches hold 512 entries: a fresh attest_cold engine fills
+/// 64 chains and 32 VCEK keys, so no workload evicts.
+constexpr std::size_t kCacheCapacity = 512;
 /// A batch-stage wavefront needs this many sessions to be worth one task.
 constexpr std::size_t kMinBatch = 2;
 /// Anomaly dumps kept per run (failures first, then tail sessions).
@@ -63,8 +63,8 @@ const char* to_string(SessionState state) {
 
 SessionEngine::SessionEngine(SessionEngineConfig config)
     : config_(std::move(config)),
-      chain_cache_(kCacheShards, kCacheCapacityPerShard),
-      vcek_cache_(kCacheShards, kCacheCapacityPerShard) {}
+      chain_cache_(kCacheCapacity),
+      vcek_cache_(kCacheCapacity) {}
 
 unsigned SessionEngine::workers() const {
   return config_.workers == 0 ? common::ThreadPool::default_thread_count()
@@ -312,7 +312,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       {
         obs::ScopedThreadTracer tracer_scope(session_tracer);
         // Bind the session's recorder so deep charge sites (retry backoff,
-        // VCEK cache probes) hit this session's ring via flight_record().
+        // VCEK and chain cache probes) hit this session's ring via
+        // flight_record().
         std::optional<obs::ScopedFlightRecorder> recorder_scope;
         if (recording) recorder_scope.emplace(recorders[i]);
         common::VirtualWaitScope waits;

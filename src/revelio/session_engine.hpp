@@ -4,11 +4,12 @@
 // fronts *many* clients at once. SessionEngine drives N independent client
 // sessions as explicit state machines over a deterministic virtual-time
 // EventLoop (common/event_loop.hpp), dispatching ready stages over a
-// task-queue thread pool (common/parallel.hpp), and shares exactly two
-// pieces of state across them, both built for concurrency:
+// task-queue thread pool (common/parallel.hpp), and owns the two caches
+// its sessions share (DESIGN.md lists every structure sessions share, with
+// its bound):
 //
 //  - a ChainVerificationCache (pki/chain_cache.hpp): certificate-chain
-//    verdicts, lock-striped so unrelated chains don't contend;
+//    verdicts;
 //  - a VcekCache (revelio/vcek_cache.hpp): VCEK chains from the KDS, with
 //    single-flight so a cold cache costs ONE fetch no matter how many
 //    sessions stampede it.

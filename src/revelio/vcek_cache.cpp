@@ -73,50 +73,15 @@ std::optional<KdsService::VcekResponse> parse_response(
 
 }  // namespace
 
-VcekCache::VcekCache(std::size_t shards, std::size_t capacity_per_shard)
-    : capacity_per_shard_(capacity_per_shard == 0 ? 1 : capacity_per_shard) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+VcekCache::VcekCache(std::size_t capacity) : entries_(capacity) {}
 
-std::size_t VcekCache::shard_index(const Key& key) const {
-  // FNV-1a over the chip id bytes then the encoded TCB: cheap, stable, and
-  // spreads sequential chip ids across shards.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto byte : key.first) {
-    h ^= static_cast<std::uint64_t>(byte);
-    h *= 1099511628211ULL;
+std::optional<KdsService::VcekResponse> VcekCache::lookup(const Key& key) {
+  auto cached = entries_.get(key);
+  if (cached) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    obs::metrics().counter("kds.fetch.hit.count").inc();
   }
-  for (std::size_t i = 0; i < 8; ++i) {
-    h ^= (key.second >> (8 * i)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<std::size_t>(h % shards_.size());
-}
-
-bool VcekCache::lookup(Shard& shard, const Key& key,
-                       KdsService::VcekResponse* out) {
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return false;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.second);
-  *out = it->second.first;
-  return true;
-}
-
-void VcekCache::insert(Shard& shard, const Key& key,
-                       const KdsService::VcekResponse& response) {
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.entries.count(key) != 0) return;
-  if (shard.entries.size() >= capacity_per_shard_) {
-    shard.entries.erase(shard.lru.back());
-    shard.lru.pop_back();
-  }
-  shard.lru.push_front(key);
-  shard.entries.emplace(key, std::make_pair(response, shard.lru.begin()));
+  return cached;
 }
 
 void VcekCache::attach_store(store::KvStore* kv) {
@@ -126,24 +91,14 @@ void VcekCache::attach_store(store::KvStore* kv) {
 Result<KdsService::VcekResponse> VcekCache::get_or_fetch(
     const sevsnp::ChipId& chip, sevsnp::TcbVersion tcb, const FetchFn& fetch) {
   const Key key = std::make_pair(chip.bytes(), tcb.encode());
-  Shard& shard = *shards_[shard_index(key)];
-
-  KdsService::VcekResponse cached;
-  if (lookup(shard, key, &cached)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("kds.fetch.hit.count").inc();
-    return cached;
-  }
+  if (auto cached = lookup(key)) return std::move(*cached);
 
   bool coalesced = false;
-  auto result = shard.flights.run(key, &coalesced, [&] {
-    // Leader. Re-check the shard first: a previous flight may have filled
+  auto result = flights_.run(key, &coalesced, [&] {
+    // Leader. Re-check the LRU first: a previous flight may have filled
     // the entry between our miss and the flight starting.
-    KdsService::VcekResponse refilled;
-    if (lookup(shard, key, &refilled)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter("kds.fetch.hit.count").inc();
-      return Result<KdsService::VcekResponse>(refilled);
+    if (auto refilled = lookup(key)) {
+      return Result<KdsService::VcekResponse>(std::move(*refilled));
     }
 
     // Durable tier before the network: a chain persisted by a previous
@@ -156,7 +111,7 @@ Result<KdsService::VcekResponse> VcekCache::get_or_fetch(
         if (auto parsed = parse_response(key, *stored)) {
           store_hits_.fetch_add(1, std::memory_order_relaxed);
           obs::metrics().counter("kds.fetch.store_hit.count").inc();
-          insert(shard, key, *parsed);
+          entries_.put(key, *parsed);
           return Result<KdsService::VcekResponse>(std::move(*parsed));
         }
       }
@@ -170,7 +125,7 @@ Result<KdsService::VcekResponse> VcekCache::get_or_fetch(
     // Insert BEFORE the flight publishes: once any waiter observes the
     // result, the entry is already servable — no window where a fresh
     // caller misses a chain that a finished flight just fetched.
-    insert(shard, key, *fetched);
+    entries_.put(key, *fetched);
     if (kv != nullptr) {
       // Best effort: a failed write-through costs a re-fetch after the
       // next restart, nothing else.
@@ -200,29 +155,8 @@ VcekCache::Stats VcekCache::stats() const {
   s.store_hits = store_hits_.load(std::memory_order_relaxed);
   s.store_write_failures =
       store_write_failures_.load(std::memory_order_relaxed);
+  s.evictions = entries_.stats().evictions;
   return s;
-}
-
-std::size_t VcekCache::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->entries.size();
-  }
-  return total;
-}
-
-std::size_t VcekCache::shard_size(std::size_t i) const {
-  std::lock_guard<std::mutex> lock(shards_[i]->mu);
-  return shards_[i]->entries.size();
-}
-
-void VcekCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-    shard->lru.clear();
-  }
 }
 
 }  // namespace revelio::core

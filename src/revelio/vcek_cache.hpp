@@ -7,12 +7,10 @@
 // cold cache: the thundering herd AMD's production KDS is documented to
 // rate-limit). This cache gives the gateway one shared store:
 //
-//  - Lock-striped LRU: the key hashes to one of K independent shards,
-//    each with its own mutex and capacity, so sessions resolving
-//    *different* chips don't contend.
+//  - A bounded LRU (common/lru_cache.hpp) keyed by (chip id, TCB).
 //  - Single-flight misses: concurrent misses on the SAME key coalesce
 //    into one KDS fetch (common/single_flight.hpp); the leader inserts
-//    the response into the shard before publishing, so followers and all
+//    the response into the LRU before publishing, so followers and all
 //    later callers hit. Fetch failures are never cached and are delivered
 //    to every coalesced waiter; retries belong inside the fetch function.
 //
@@ -26,20 +24,17 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <utility>
-#include <vector>
 
+#include "common/lru_cache.hpp"
 #include "common/single_flight.hpp"
 #include "revelio/evidence.hpp"
 #include "store/kv_store.hpp"
 
 namespace revelio::core {
 
-/// Thread-safe sharded VCEK store. Values are whole KdsService::VcekResponse
+/// Thread-safe VCEK store. Values are whole KdsService::VcekResponse
 /// bundles (VCEK + ASK + ARK), copied out on every hit — the certificates
 /// are small and a copy keeps hits lock-free for the caller.
 class VcekCache {
@@ -51,8 +46,7 @@ class VcekCache {
   /// locks; at most one instance per key runs at a time.
   using FetchFn = std::function<Result<KdsService::VcekResponse>()>;
 
-  explicit VcekCache(std::size_t shards = 8,
-                     std::size_t capacity_per_shard = 64);
+  explicit VcekCache(std::size_t capacity = 64);
 
   /// Returns the cached chain for (chip, tcb), or executes `fetch` —
   /// coalescing with any concurrent fetch of the same key — and caches the
@@ -62,7 +56,7 @@ class VcekCache {
                                                 sevsnp::TcbVersion tcb,
                                                 const FetchFn& fetch);
 
-  /// Durable tier behind the shards (attach_store): fetched chains are
+  /// Durable tier behind the LRU (attach_store): fetched chains are
   /// written through under "vcek/<chip><tcb>" and consulted before paying a
   /// KDS round trip, so a restarted gateway resolves known (chip, TCB)
   /// pairs with zero fetches. The persisted bytes carry no authority —
@@ -78,52 +72,34 @@ class VcekCache {
   void attach_store(store::KvStore* kv);
 
   struct Stats {
-    std::uint64_t hits = 0;       // served from a shard without fetching
+    std::uint64_t hits = 0;       // served from the LRU without fetching
     std::uint64_t fetches = 0;    // FetchFn actually executed (leaders)
     std::uint64_t coalesced = 0;  // waited on another caller's fetch
     std::uint64_t failures = 0;   // get_or_fetch calls that returned error
     std::uint64_t store_hits = 0;  // served from the durable tier, no fetch
     std::uint64_t store_write_failures = 0;  // write-throughs that failed
+    std::uint64_t evictions = 0;  // entries dropped to make room
   };
   /// Atomic counters; readable at any time from any thread.
   Stats stats() const;
 
-  /// Entries currently cached, summed over shards.
-  std::size_t size() const;
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Entry count of one shard (tests: key distribution, eviction).
-  std::size_t shard_size(std::size_t i) const;
-  /// Which shard a key routes to (FNV-1a over chip bytes + TCB, mod K).
-  std::size_t shard_index(const Key& key) const;
-  void clear();
+  /// Entries currently cached.
+  std::size_t size() const { return entries_.size(); }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::list<Key> lru;  // front = most recently used
-    std::map<Key, std::pair<KdsService::VcekResponse,
-                            std::list<Key>::iterator>>
-        entries;
-    common::SingleFlight<Key, KdsService::VcekResponse> flights;
-  };
+  /// Returns the cached chain for `key`, counting a hit.
+  std::optional<KdsService::VcekResponse> lookup(const Key& key);
 
-  /// Looks `key` up in `shard`, refreshing LRU order on a hit.
-  bool lookup(Shard& shard, const Key& key, KdsService::VcekResponse* out);
-  /// Inserts into `shard` under its mutex (no-op if already present).
-  void insert(Shard& shard, const Key& key,
-              const KdsService::VcekResponse& response);
-
-  std::size_t capacity_per_shard_;
-  // unique_ptr: Shard owns a mutex, the array must never move.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  common::LruCache<Key, KdsService::VcekResponse> entries_;
+  common::SingleFlight<Key, KdsService::VcekResponse> flights_;
   std::atomic<store::KvStore*> store_{nullptr};
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> fetches_{0};
-  mutable std::atomic<std::uint64_t> coalesced_{0};
-  mutable std::atomic<std::uint64_t> failures_{0};
-  mutable std::atomic<std::uint64_t> store_hits_{0};
-  mutable std::atomic<std::uint64_t> store_write_failures_{0};
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> fetches_{0};
+  std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::uint64_t> failures_{0};
+  std::atomic<std::uint64_t> store_hits_{0};
+  std::atomic<std::uint64_t> store_write_failures_{0};
 };
 
 }  // namespace revelio::core

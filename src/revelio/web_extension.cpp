@@ -138,7 +138,7 @@ WebExtension::WebExtension(Browser& browser, WebExtensionConfig config)
     chain_cache_ = own_chain_cache_.get();
   }
   if (vcek_cache_ == nullptr) {
-    own_vcek_cache_ = std::make_unique<VcekCache>(/*shards=*/1);
+    own_vcek_cache_ = std::make_unique<VcekCache>();
     vcek_cache_ = own_vcek_cache_.get();
   }
 }

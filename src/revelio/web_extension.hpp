@@ -146,7 +146,7 @@ struct WebExtensionConfig {
   /// extension's private one. Must outlive the extension.
   pki::ChainVerificationCache* shared_chain_cache = nullptr;
   /// Gateway mode: a shared VCEK cache with single-flight fetch
-  /// coalescing, in place of the extension's private one-shard cache.
+  /// coalescing, in place of the extension's private one.
   /// Must outlive the extension.
   VcekCache* shared_vcek_cache = nullptr;
   /// When set, every attestation verdict — accept or reject — is appended

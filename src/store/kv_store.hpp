@@ -35,8 +35,8 @@
 //   - files from other generations (a compaction that crashed before or
 //     after its manifest commit) are deleted during recovery.
 //
-// Concurrency: one mutex around everything. The store sits behind caches
-// that already shard and coalesce; the durable tier's cost is fsync, not
+// Concurrency: one mutex around everything. The store sits behind LRU
+// caches that already coalesce; the durable tier's cost is fsync, not
 // lock contention.
 #pragma once
 

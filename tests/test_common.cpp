@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hex.hpp"
+#include "common/lru_cache.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/sim_clock.hpp"
@@ -206,6 +211,96 @@ TEST(Rng, BytesCoverValueSpace) {
   std::array<int, 256> histogram{};
   for (auto b : sample) ++histogram[b];
   for (int count : histogram) EXPECT_GT(count, 0);
+}
+
+using common::LruCache;
+
+TEST(LruCache, GetRefreshesRecencySoTheExactLruEntryIsEvicted) {
+  LruCache<int, std::string> cache(3);
+  cache.put(1, "one");
+  cache.put(2, "two");
+  cache.put(3, "three");
+  // Touch 1: 2 becomes the least recently used entry.
+  EXPECT_EQ(cache.get(1), "one");
+  EXPECT_TRUE(cache.put(4, "four"));  // evicts exactly 2
+  EXPECT_FALSE(cache.get(2).has_value());
+  EXPECT_EQ(cache.get(1), "one");
+  EXPECT_EQ(cache.get(3), "three");
+  EXPECT_EQ(cache.get(4), "four");
+  EXPECT_EQ(cache.size(), 3u);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+}
+
+TEST(LruCache, PutOnAPresentKeyKeepsOneEntryAndRefreshesIt) {
+  LruCache<int, std::string> cache(2);
+  cache.put(1, "first");
+  cache.put(2, "two");
+  EXPECT_FALSE(cache.put(1, "second"));  // present: no eviction
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.get(1), "first") << "the existing value is kept";
+  // The re-put refreshed 1, so the next insert evicts 2.
+  cache.put(3, "three");
+  EXPECT_FALSE(cache.get(2).has_value());
+  EXPECT_TRUE(cache.get(1).has_value());
+}
+
+TEST(LruCache, EraseDropsTheEntryWithoutCountingAnEviction) {
+  LruCache<int, int> cache(2);
+  cache.put(1, 10);
+  cache.put(2, 20);
+  cache.erase(1);
+  cache.erase(7);  // absent: no-op
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.get(1).has_value());
+  // The freed slot takes a new key without evicting 2.
+  EXPECT_FALSE(cache.put(3, 30));
+  EXPECT_EQ(cache.get(2), 20);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(LruCache, CapacityZeroStoresNothing) {
+  LruCache<int, int> cache(0);
+  EXPECT_FALSE(cache.put(1, 10));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.get(1).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(LruCache, ConcurrentChurnStaysBoundedAndCountsEveryGet) {
+  constexpr std::size_t kCapacity = 8;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 2000;
+  constexpr int kKeys = 32;
+  LruCache<int, int> cache(kCapacity);
+  std::atomic<bool> over_capacity{false};
+  std::atomic<bool> wrong_value{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOps; ++i) {
+        const int key = (t * 7 + i * 13) % kKeys;
+        if (const auto v = cache.get(key)) {
+          if (*v != key * key) wrong_value = true;
+        } else {
+          cache.put(key, key * key);
+        }
+        if (i % 3 == 0) cache.erase((key + 1) % kKeys);
+        if (cache.size() > kCapacity) over_capacity = true;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_FALSE(over_capacity.load());
+  EXPECT_FALSE(wrong_value.load());
+  EXPECT_LE(cache.size(), kCapacity);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses,
+            static_cast<std::uint64_t>(kThreads * kOps));
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 }  // namespace

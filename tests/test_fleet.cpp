@@ -368,7 +368,7 @@ TEST(VcekCacheDurable, RecordsAreBoundToTheirChipAndTcb) {
   ASSERT_TRUE(kv.ok());
 
   {
-    VcekCache cache(2, 8);
+    VcekCache cache(16);
     cache.attach_store(kv->get());
     auto got = cache.get_or_fetch(chip.chip_id(), old_tcb(),
                                   fetch_for(old_tcb()));
@@ -377,7 +377,7 @@ TEST(VcekCacheDurable, RecordsAreBoundToTheirChipAndTcb) {
   }
   // Warm restart, same key: served from the durable tier, zero fetches.
   {
-    VcekCache cache(2, 8);
+    VcekCache cache(16);
     cache.attach_store(kv->get());
     auto got = cache.get_or_fetch(
         chip.chip_id(), old_tcb(), []() -> Result<KdsService::VcekResponse> {
@@ -395,7 +395,7 @@ TEST(VcekCacheDurable, RecordsAreBoundToTheirChipAndTcb) {
   ASSERT_TRUE(old_record.has_value());
   ASSERT_TRUE((*kv)->put(store_key(new_tcb()), *old_record).ok());
   {
-    VcekCache cache(2, 8);
+    VcekCache cache(16);
     cache.attach_store(kv->get());
     auto got = cache.get_or_fetch(chip.chip_id(), new_tcb(),
                                   fetch_for(new_tcb()));
@@ -415,7 +415,7 @@ TEST(VcekCacheDurable, RecordsAreBoundToTheirChipAndTcb) {
   append_u64be(other_key, old_tcb().encode());
   ASSERT_TRUE((*kv)->put(other_key, *old_record).ok());
   {
-    VcekCache cache(2, 8);
+    VcekCache cache(16);
     cache.attach_store(kv->get());
     bool fetched = false;
     auto got = cache.get_or_fetch(

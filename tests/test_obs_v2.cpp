@@ -22,6 +22,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pki/ca.hpp"
 #include "revelio/session_engine.hpp"
 
 namespace revelio {
@@ -492,6 +493,21 @@ TEST(StagedEngine, RecorderDumpsAnomaliesAndBreaksDownStages) {
   config.audit_log = &audit;
   core::SessionEngine engine(config);
 
+  // The failing session walks a real chain through the engine's chain
+  // cache first (a miss, then a hit), so its dump must show the walk.
+  constexpr std::uint64_t kYearUs = 365ull * 24 * 3600 * 1000 * 1000;
+  crypto::HmacDrbg drbg(to_bytes(std::string_view("recorder-chain")));
+  auto root = pki::CertificateAuthority::create_root(
+      crypto::p256(), {"Recorder Root", "TestOrg", "US"}, 0, kYearUs, drbg);
+  const auto leaf_key = crypto::ec_generate(crypto::p256(), drbg);
+  const auto leaf = root.issue(
+      pki::make_csr(crypto::p256(), leaf_key,
+                    {"site.example", "Leaf", "US"}, {"site.example"}),
+      0, kYearUs);
+  ASSERT_TRUE(leaf.ok());
+  pki::ChainVerifyOptions chain_options;
+  chain_options.now_us = kYearUs / 2;
+
   constexpr std::size_t kSessions = 256;
   core::AdmissionConfig admission;
   admission.max_inflight_kds = 2;
@@ -504,6 +520,12 @@ TEST(StagedEngine, RecorderDumpsAnomaliesAndBreaksDownStages) {
         // Fail before the kds gate so the failure cannot be shed away.
         if (ctx.state == core::SessionState::kEvidenceFetch &&
             ctx.index == 7) {
+          for (int i = 0; i < 2; ++i) {
+            EXPECT_TRUE(ctx.chain_cache
+                            ->verify(*leaf, {}, {root.certificate()},
+                                     chain_options)
+                            .ok());
+          }
           ctx.failure = Error::make("test.evidence_rejected");
           return core::SessionState::kFailed;
         }
@@ -523,8 +545,15 @@ TEST(StagedEngine, RecorderDumpsAnomaliesAndBreaksDownStages) {
   bool saw_failed = false;
   bool saw_shed = false;
   for (const auto& dump : report.anomaly_dumps) {
-    if (dump.find("\"reason\":\"failed\"") != std::string::npos)
+    if (dump.find("\"reason\":\"failed\"") != std::string::npos) {
       saw_failed = true;
+      // The chain cache (cache id 2) recorded its miss, then its hit.
+      const auto miss = dump.find("\"type\":\"cache_miss\",\"arg\":2");
+      const auto hit = dump.find("\"type\":\"cache_hit\",\"arg\":2");
+      ASSERT_NE(miss, std::string::npos) << dump;
+      ASSERT_NE(hit, std::string::npos) << dump;
+      EXPECT_LT(miss, hit);
+    }
     if (dump.find("\"reason\":\"shed\"") != std::string::npos) saw_shed = true;
   }
   EXPECT_TRUE(saw_failed);

@@ -448,7 +448,7 @@ TEST_F(ChainCacheFixture, DnsConstraintIsPartOfTheKey) {
 }
 
 TEST_F(ChainCacheFixture, LruEvictionIsBounded) {
-  ChainVerificationCache cache(/*shards=*/1, /*capacity_per_shard=*/2);
+  ChainVerificationCache cache(/*capacity=*/2);
   const std::vector<Certificate> inters{inter.certificate()};
   const std::vector<Certificate> roots{root.certificate()};
   const auto a = issue_leaf("a.example", {"a.example"});

@@ -1,4 +1,4 @@
-// Concurrent attestation gateway: session engine, sharded caches,
+// Concurrent attestation gateway: session engine, shared LRU caches,
 // single-flight KDS fetch coalescing, and the per-session trace isolation
 // they rely on. Runs tier-1 and under the tsan preset — most of
 // these tests exist precisely to put real threads on the shared state.
@@ -132,7 +132,7 @@ TEST(SingleFlight, LeaderErrorReachesWaitersAndIsNotSticky) {
 }
 
 // ---------------------------------------------------------------------------
-// ChainVerificationCache, lock-striped
+// ChainVerificationCache
 
 constexpr std::uint64_t kYearUs = 365ull * 24 * 3600 * 1000 * 1000;
 
@@ -179,7 +179,7 @@ TEST(ChainVerificationCache, ConcurrentVerificationsAgreeAndHit) {
   pki::Certificate tampered = leaves[0];
   tampered.signature[0] ^= 0x01;
 
-  pki::ChainVerificationCache cache(4, 16);
+  pki::ChainVerificationCache cache(64);
   constexpr int kThreads = 8;
   constexpr int kIters = 100;
   std::atomic<int> good_failures{0};
@@ -206,7 +206,7 @@ TEST(ChainVerificationCache, ConcurrentVerificationsAgreeAndHit) {
 
   EXPECT_EQ(good_failures.load(), 0) << "valid chains must verify everywhere";
   EXPECT_EQ(bad_successes.load(), 0)
-      << "a tampered chain must fail even while hits fly on other shards";
+      << "a tampered chain must fail even while other chains hit";
   const auto stats = cache.stats();
   // Every distinct chain misses once; everything else is hits (failures
   // count as misses — they are never cached).
@@ -214,13 +214,6 @@ TEST(ChainVerificationCache, ConcurrentVerificationsAgreeAndHit) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads * kIters + kIters / 10));
   EXPECT_EQ(cache.size(), static_cast<std::size_t>(kLeaves));
-  // Cross-shard spread: 16 distinct chains across 4 shards must touch
-  // more than one shard (SHA-256 keyed, astronomically unlikely not to).
-  int populated = 0;
-  for (std::size_t s = 0; s < cache.shard_count(); ++s) {
-    if (cache.shard_size(s) > 0) ++populated;
-  }
-  EXPECT_GT(populated, 1);
 }
 
 TEST(ChainVerificationCache, EvictionUnderContentionStaysCorrect) {
@@ -232,9 +225,9 @@ TEST(ChainVerificationCache, EvictionUnderContentionStaysCorrect) {
     names.push_back("evict-" + std::to_string(i) + ".example");
     leaves.push_back(fx.issue_leaf(names.back()));
   }
-  // One shard, capacity 2: eight chains hammering it from four threads
-  // churn the LRU constantly. Verdicts must stay correct throughout.
-  pki::ChainVerificationCache cache(1, 2);
+  // Capacity 2: eight chains hammering it from four threads churn the
+  // LRU constantly. Verdicts must stay correct throughout.
+  pki::ChainVerificationCache cache(2);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
@@ -268,7 +261,7 @@ KdsService::VcekResponse fake_vcek(const std::string& tag) {
 }
 
 TEST(VcekCache, ConcurrentColdMissesCostExactlyOneFetch) {
-  VcekCache cache(4, 8);
+  VcekCache cache(8);
   sevsnp::ChipId chip;
   chip[0] = 0x42;
   const sevsnp::TcbVersion tcb{2, 0, 8, 115};
@@ -315,7 +308,7 @@ TEST(VcekCache, ConcurrentColdMissesCostExactlyOneFetch) {
 }
 
 TEST(VcekCache, FailuresAreDeliveredButNeverCached) {
-  VcekCache cache(2, 4);
+  VcekCache cache(4);
   sevsnp::ChipId chip;
   chip[0] = 0x07;
   const sevsnp::TcbVersion tcb{2, 0, 8, 115};
@@ -336,26 +329,34 @@ TEST(VcekCache, FailuresAreDeliveredButNeverCached) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(VcekCache, DistinctChipsSpreadAcrossShardsAndEvict) {
-  VcekCache cache(4, 2);
-  for (int i = 0; i < 32; ++i) {
+TEST(VcekCache, KeepsExactlyTheMostRecentChips) {
+  VcekCache cache(8);
+  int fetches = 0;
+  const auto get = [&](int i) {
     sevsnp::ChipId chip;
     chip[0] = static_cast<std::uint8_t>(i);
     auto r = cache.get_or_fetch(
         chip, sevsnp::TcbVersion{2, 0, 8, 115},
-        [i]() -> Result<KdsService::VcekResponse> {
+        [&fetches, i]() -> Result<KdsService::VcekResponse> {
+          ++fetches;
           return fake_vcek(std::to_string(i));
         });
     ASSERT_TRUE(r.ok());
-  }
-  // Per-shard LRU capacity 2 over 4 shards: at most 8 survivors.
-  EXPECT_LE(cache.size(), 8u);
-  std::size_t populated = 0;
-  for (std::size_t s = 0; s < cache.shard_count(); ++s) {
-    if (cache.shard_size(s) > 0) ++populated;
-  }
-  EXPECT_GT(populated, 1u);
-  EXPECT_EQ(cache.stats().fetches, 32u);
+    EXPECT_EQ(r->vcek.subject.common_name, "vcek-" + std::to_string(i));
+  };
+  for (int i = 0; i < 32; ++i) get(i);
+  EXPECT_EQ(fetches, 32);
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.stats().evictions, 24u);
+
+  // Capacity 8 keeps exactly chips 24-31: each is a hit, and chip 23, the
+  // last one evicted, is a fetch again.
+  for (int i = 24; i < 32; ++i) get(i);
+  EXPECT_EQ(fetches, 32);
+  EXPECT_EQ(cache.stats().hits, 8u);
+  get(23);
+  EXPECT_EQ(fetches, 33);
+  EXPECT_EQ(cache.stats().fetches, 33u);
 }
 
 // ---------------------------------------------------------------------------

@@ -644,7 +644,7 @@ TEST(VcekCachePersistence, WarmRestartServesChainsWithZeroFetches) {
   {
     auto kv = must_open(env);
     ASSERT_TRUE(kv);
-    core::VcekCache cache(4, 8);
+    core::VcekCache cache(32);
     cache.attach_store(kv.get());
     int fetches = 0;
     auto fetched = cache.get_or_fetch(chip, tcb, [&] {
@@ -661,7 +661,7 @@ TEST(VcekCachePersistence, WarmRestartServesChainsWithZeroFetches) {
   env.crash_and_recover();
   auto kv = must_open(env);
   ASSERT_TRUE(kv);
-  core::VcekCache warm(4, 8);
+  core::VcekCache warm(32);
   warm.attach_store(kv.get());
   auto served = warm.get_or_fetch(chip, tcb, [&]() {
     ADD_FAILURE() << "warm restart must not refetch";
@@ -680,7 +680,7 @@ TEST(VcekCachePersistence, WarmRestartServesChainsWithZeroFetches) {
   append(store_key, chip.view());
   append_u64be(store_key, tcb.encode());
   ASSERT_TRUE(kv->put(store_key, B("garbage")).ok());
-  core::VcekCache repaired(4, 8);
+  core::VcekCache repaired(32);
   repaired.attach_store(kv.get());
   int refetches = 0;
   auto again = repaired.get_or_fetch(chip, tcb, [&] {
@@ -712,7 +712,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
   {
     auto kv = must_open(env);
     ASSERT_TRUE(kv);
-    pki::ChainVerificationCache cache(4, 16);
+    pki::ChainVerificationCache cache(64);
     cache.attach_store(kv.get());
     ASSERT_TRUE(cache.verify(leaf, inters, roots, options).ok());
     EXPECT_EQ(cache.stats().misses, 1u);
@@ -722,7 +722,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
   env.crash_and_recover();
   auto kv = must_open(env);
   ASSERT_TRUE(kv);
-  pki::ChainVerificationCache warm(4, 16);
+  pki::ChainVerificationCache warm(64);
   warm.attach_store(kv.get());
   // Same chain bytes: served from the persisted verdict (store_hit).
   ASSERT_TRUE(warm.verify(leaf, inters, roots, options).ok());
@@ -734,7 +734,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
   // Outside the persisted validity window the verdict is NOT honored.
   pki::ChainVerifyOptions expired = options;
   expired.now_us = 2 * year;
-  pki::ChainVerificationCache strict(4, 16);
+  pki::ChainVerificationCache strict(64);
   strict.attach_store(kv.get());
   EXPECT_FALSE(strict.verify(leaf, inters, roots, expired).ok());
   EXPECT_EQ(strict.stats().store_hits, 0u);
@@ -747,7 +747,7 @@ TEST(ChainCachePersistence, WarmRestartSkipsReverification) {
                        year);
   pki::ChainVerifyOptions other_opts = options;
   other_opts.dns_name = "other.example";
-  pki::ChainVerificationCache fresh(4, 16);
+  pki::ChainVerificationCache fresh(64);
   fresh.attach_store(kv.get());
   ASSERT_TRUE(fresh.verify(other, inters, roots, other_opts).ok());
   EXPECT_EQ(fresh.stats().store_hits, 0u) << "different chain, real verify";
