@@ -201,6 +201,15 @@ void BM_ScalarMultFixedBase(benchmark::State& state, const Curve& curve) {
   }
 }
 
+void BM_CurveSetup(benchmark::State& state, const CurveParams& params) {
+  // The one-off per-process cost: Montgomery constants plus the generator's
+  // fixed-base table.
+  for (auto _ : state) {
+    const Curve curve(params);
+    benchmark::DoNotOptimize(&curve);
+  }
+}
+
 void BM_DoubleScalarMultCached(benchmark::State& state, const Curve& curve) {
   // Repeated same-key verification: after the first iteration the per-key
   // Strauss-Shamir tables come from the LRU cache — the ECDSA verify shape.
@@ -249,6 +258,12 @@ int main(int argc, char** argv) {
       ->Arg(8)
       ->Arg(64)
       ->Arg(512);
+  benchmark::RegisterBenchmark("BM_CurveSetup/P256", BM_CurveSetup,
+                               std::cref(revelio::crypto::p256_params()))
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("BM_CurveSetup/P384", BM_CurveSetup,
+                               std::cref(revelio::crypto::p384_params()))
+      ->Unit(benchmark::kMillisecond);
   for (const auto* curve : {&revelio::crypto::p256(),
                             &revelio::crypto::p384()}) {
     const std::string name = curve->params().name == "P-256" ? "P256" : "P384";

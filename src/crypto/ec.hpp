@@ -81,7 +81,7 @@ class Curve {
   Point scalar_mult(const U384& k, const Point& pt) const;
 
   /// k * G via the fixed-base window table: one mixed addition per nonzero
-  /// radix-16 digit of k, no doublings.
+  /// signed 7-bit digit of k (about 36 on P-256, 54 on P-384), no doublings.
   Point scalar_mult_base(const U384& k) const;
 
   /// u1 * G + u2 * Q in one pass: fixed-base table for the G term,

@@ -1,6 +1,7 @@
 #include "crypto/ec_precomp.hpp"
 
 #include <cassert>
+#include <cstdlib>
 
 namespace revelio::crypto::ecp {
 
@@ -183,30 +184,56 @@ std::vector<std::vector<Aff>> odd_multiples_many(const MontCtx& fp,
 
 FixedBaseTable::FixedBaseTable(const MontCtx& fp, const Aff& g,
                                unsigned scalar_bits) {
-  windows_ = (scalar_bits + kWindowBits - 1) / kWindowBits;
-  std::vector<Jac> jac;
-  jac.reserve(windows_ * 15);
+  windows_ = (scalar_bits + kWindowBits) / kWindowBits;  // ceil((bits+1)/w)
+  table_.reserve(std::size_t{windows_} * kEntries);
 
-  Jac base = jac_from_affine(fp, g);  // 16^i * G for the current window
+  // One window at a time, each normalized with its own inversion together
+  // with the next window's base: the base stays affine, so odd multiples
+  // are mixed additions (11 field ops; even ones double, 8), and only one
+  // window of Jacobian scratch is ever live beside the table.
+  Aff base = g;  // 2^(7i) * G for the current window
+  std::vector<Jac> m(kEntries + 1);  // m[d - 1] = d * base, then 2^7 * base
   for (unsigned w = 0; w < windows_; ++w) {
-    Jac multiple = base;
-    jac.push_back(multiple);  // 1 * 16^i * G
-    for (unsigned d = 2; d <= 15; ++d) {
-      multiple = jac_add(fp, multiple, base);
-      jac.push_back(multiple);
+    m[0] = jac_from_affine(fp, base);
+    for (unsigned d = 2; d <= kEntries; ++d) {
+      m[d - 1] = d % 2 == 0 ? jac_double(fp, m[d / 2 - 1])
+                            : jac_add_affine(fp, m[d - 2], base);
     }
-    for (unsigned b = 0; b < kWindowBits; ++b) base = jac_double(fp, base);
+    m[kEntries] = jac_double(fp, m[kEntries - 1]);
+    const std::vector<Aff> aff = batch_normalize(fp, m);
+    table_.insert(table_.end(), aff.begin(), aff.end() - 1);
+    base = aff.back();
   }
-  table_ = batch_normalize(fp, jac);
 }
 
 Jac FixedBaseTable::mul(const MontCtx& fp, const U384& k) const {
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kWindowBits) - 1;
+  constexpr int kTop = static_cast<int>(kEntries);  // the largest digit
   Jac acc = Jac::inf();
+  int carry = 0;
   for (unsigned w = 0; w < windows_; ++w) {
+    // 7 does not divide 64: a window that straddles two limbs ORs in the
+    // next one, and no read goes past the top limb.
     const unsigned bit = w * kWindowBits;
-    const unsigned digit =
-        (k.limbs[bit / 64] >> (bit % 64)) & ((1u << kWindowBits) - 1);
-    if (digit != 0) acc = jac_add_affine(fp, acc, entry(w, digit));
+    const unsigned limb = bit / 64;
+    const unsigned shift = bit % 64;
+    std::uint64_t raw = 0;
+    if (limb < U384::kLimbs) {
+      raw = k.limbs[limb] >> shift;
+      if (shift + kWindowBits > 64 && limb + 1 < U384::kLimbs) {
+        raw |= k.limbs[limb + 1] << (64 - shift);
+      }
+    }
+    // Digits run over [-63, 64]: a value above 64 becomes value - 128 and
+    // carries 1 into the next window.
+    const int value = static_cast<int>(raw & kMask) + carry;
+    carry = value > kTop ? 1 : 0;
+    const int digit = value - carry * 2 * kTop;
+    if (digit == 0) continue;
+    Aff entry = table_[std::size_t{w} * kEntries +
+                       static_cast<std::size_t>(std::abs(digit)) - 1];
+    if (digit < 0) entry.y = fp.sub(U384::zero(), entry.y);
+    acc = jac_add_affine(fp, acc, entry);
   }
   return acc;
 }

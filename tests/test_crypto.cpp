@@ -11,6 +11,7 @@
 #include "crypto/merkle.hpp"
 #include "crypto/modes.hpp"
 #include "crypto/sha2.hpp"
+#include "window_edge_scalars.hpp"
 
 namespace revelio::crypto {
 namespace {
@@ -732,6 +733,24 @@ TEST(MontWidth, WideScalarBaseMultMatchesNaiveLadder) {
       EXPECT_EQ(curve->encode_point(fast), curve->encode_point(naive))
           << curve->params().name;
     }
+  }
+}
+
+TEST(FixedBase, WindowEdgeScalarsMatchNaiveLadder) {
+  for (const Curve* curve : {&p256(), &p384()}) {
+    for (const U384& k : window_edge_scalars(*curve)) {
+      const auto fast = curve->scalar_mult_base(k);
+      const auto naive = curve->scalar_mult_naive(k, curve->generator());
+      EXPECT_EQ(curve->encode_point(fast), curve->encode_point(naive))
+          << curve->params().name << " k=" << to_hex(k.to_bytes_be());
+    }
+    // (n - 1) * G = -G.
+    U384 n_minus_1, neg_gy;
+    sub_with_borrow(n_minus_1, curve->params().n, U384::from_u64(1));
+    sub_with_borrow(neg_gy, curve->params().p, curve->params().gy);
+    const auto minus_g = curve->scalar_mult_base(n_minus_1);
+    EXPECT_EQ(minus_g.x, curve->params().gx) << curve->params().name;
+    EXPECT_EQ(minus_g.y, neg_gy) << curve->params().name;
   }
 }
 

@@ -1,7 +1,8 @@
 // Tier-2 property tests: the optimized scalar-multiplication paths (wNAF,
 // fixed-base window table, Strauss–Shamir double-scalar) must agree with
-// the naive double-and-add reference ladder on random scalars and on the
-// boundary scalars 0, 1, n-1, n, n+1; and on each of the four curve
+// the naive double-and-add reference ladder on random scalars, on the
+// boundary scalars 0, n, n+1 and on the fixed-base recoding edges
+// (window_edge_scalars.hpp: 1, n-1, ...); and on each of the four curve
 // moduli, safegcd inversion must agree with Fermat's pow(a, m - 2) and the
 // P-256 special-form reduction and squarings with the generic reduction,
 // over 10^5 seeded random inputs. Slow by design (the naive ladder is the
@@ -15,6 +16,7 @@
 #include "crypto/ec.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/sha2.hpp"
+#include "window_edge_scalars.hpp"
 
 namespace revelio::crypto {
 namespace {
@@ -34,10 +36,11 @@ bool same_point(const Curve::Point& a, const Curve::Point& b) {
 
 std::vector<U384> edge_scalars(const Curve& curve) {
   const U384& n = curve.params().n;
-  U384 n_minus_1, n_plus_1;
-  sub_with_borrow(n_minus_1, n, U384::from_u64(1));
+  U384 n_plus_1;
   add_with_carry(n_plus_1, n, U384::from_u64(1));
-  return {U384::zero(), U384::from_u64(1), n_minus_1, n, n_plus_1};
+  std::vector<U384> out = window_edge_scalars(curve);
+  out.insert(out.end(), {U384::zero(), n, n_plus_1});
+  return out;
 }
 
 class EcEquivalence : public ::testing::TestWithParam<const Curve*> {
@@ -101,12 +104,17 @@ TEST_P(EcEquivalence, DoubleScalarHandlesEdgeCombinations) {
   const Curve::Point g = curve().generator();
   const Curve::Point q = curve().scalar_mult_naive(U384::from_u64(5), g);
   const auto edges = edge_scalars(curve());
-  for (const U384& u1 : edges) {
-    for (const U384& u2 : edges) {
-      const Curve::Point expected = curve().add(
-          curve().scalar_mult_naive(u1, g), curve().scalar_mult_naive(u2, q));
-      EXPECT_TRUE(
-          same_point(curve().double_scalar_mult_base(u1, u2, q), expected));
+  std::vector<Curve::Point> naive_g, naive_q;
+  for (const U384& k : edges) {
+    naive_g.push_back(curve().scalar_mult_naive(k, g));
+    naive_q.push_back(curve().scalar_mult_naive(k, q));
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    for (std::size_t j = 0; j < edges.size(); ++j) {
+      const Curve::Point expected = curve().add(naive_g[i], naive_q[j]);
+      EXPECT_TRUE(same_point(
+          curve().double_scalar_mult_base(edges[i], edges[j], q), expected))
+          << "edges " << i << ", " << j;
     }
   }
 }
