@@ -57,20 +57,4 @@ void EventLoop::run_serial(
   }
 }
 
-// ---------------------------------------------------------------------------
-
-namespace {
-thread_local VirtualWaitScope* g_wait_scope = nullptr;
-}  // namespace
-
-void note_virtual_wait_us(std::uint64_t us) {
-  if (g_wait_scope != nullptr) g_wait_scope->waited_us_ += us;
-}
-
-VirtualWaitScope::VirtualWaitScope() : prev_(g_wait_scope) {
-  g_wait_scope = this;
-}
-
-VirtualWaitScope::~VirtualWaitScope() { g_wait_scope = prev_; }
-
 }  // namespace revelio::common

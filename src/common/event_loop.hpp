@@ -105,36 +105,4 @@ class EventLoop {
   Stats stats_;
 };
 
-// ---------------------------------------------------------------------------
-// Virtual-wait observation.
-//
-// Inside one dispatched stage, lower layers advance the world's SimClock
-// for time the session is *waiting* — network round trips and timeouts
-// (net/network.cpp), retry backoff sleeps (net/resilience.hpp). Under the
-// event engine those advances become the park duration of the next wake,
-// and the engine wants them split out from compute so it can report wait
-// vs service time. Layers that sleep report here; the accounting costs one
-// thread-local load when no scope is bound.
-
-/// Reports `us` of virtual wait to the scope bound on this thread, if any.
-void note_virtual_wait_us(std::uint64_t us);
-
-/// RAII: collects note_virtual_wait_us() calls made on this thread for the
-/// scope's lifetime. Scopes nest; the innermost wins (waits are charged to
-/// the nearest collector, which is always the stage being dispatched).
-class VirtualWaitScope {
- public:
-  VirtualWaitScope();
-  ~VirtualWaitScope();
-  VirtualWaitScope(const VirtualWaitScope&) = delete;
-  VirtualWaitScope& operator=(const VirtualWaitScope&) = delete;
-
-  std::uint64_t waited_us() const { return waited_us_; }
-
- private:
-  friend void note_virtual_wait_us(std::uint64_t);
-  std::uint64_t waited_us_ = 0;
-  VirtualWaitScope* prev_ = nullptr;
-};
-
 }  // namespace revelio::common

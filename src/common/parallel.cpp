@@ -8,8 +8,7 @@ namespace revelio::common {
 
 namespace {
 // Pool workers get globally-unique 1-based lane ids at spawn; 0 is every
-// other thread. Global (not per-pool) so two pools' lanes stay distinct
-// in a merged trace.
+// other thread.
 std::atomic<unsigned> next_lane_id{1};
 thread_local unsigned this_lane = 0;
 }  // namespace

@@ -114,8 +114,8 @@ class ThreadPool {
 
 /// Lane id of the calling thread: pool workers carry a process-globally
 /// unique 1-based id assigned at spawn; every non-pool thread (including
-/// the caller participating in a fan-out) reports 0. The tracer uses this
-/// to render pool work as parallel lanes in the Chrome trace export.
+/// the caller participating in a fan-out) reports 0. obs::Span uses this
+/// to stay inactive on pool workers (obs/trace.hpp).
 unsigned current_lane();
 
 /// Convenience wrapper over ThreadPool::global().

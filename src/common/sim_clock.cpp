@@ -7,7 +7,7 @@
 namespace revelio {
 namespace {
 // Registration order of every clock registered on this thread; current()
-// is the back. The registry is thread_local: each gateway worker sees only
+// is the back. The registry is per-thread: each gateway worker sees only
 // the clocks of the world it is currently driving, so concurrent session
 // worlds never race on (or mis-resolve) current(). Destroying a clock
 // erases exactly that entry, so a temporary copy dying re-exposes

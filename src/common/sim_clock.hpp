@@ -21,11 +21,11 @@ namespace revelio {
 ///
 /// Thread-safety: a SimClock instance is NOT thread-safe — it belongs to
 /// one simulated world, and a world is driven by one thread at a time.
-/// The current() registry is per-thread (thread_local), so concurrent
-/// session worlds on different gateway workers never observe each other's
-/// clocks. A clock must be constructed and destroyed on the same thread;
-/// to drive a world built on another thread, bind its clock with
-/// ScopedClockCurrent for the duration of the work.
+/// The current() registry is per-thread, so concurrent session worlds on
+/// different gateway workers never observe each other's clocks. A clock
+/// must be constructed and destroyed on the same thread; to drive a world
+/// built on another thread, bind its clock with ScopedClockCurrent for the
+/// duration of the work.
 class SimClock {
  public:
   using Micros = std::uint64_t;

@@ -4,19 +4,19 @@
 #include <cstdint>
 
 #include "common/bytes.hpp"
-#include "common/event_loop.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
 namespace revelio::net {
 
 namespace {
 /// Transport time is a *wait* from the caller's point of view: charge it
-/// to the world clock and report it to the event layer's wait observer
-/// (common/event_loop.hpp), so a staged session engine can park sessions
+/// to the world clock and to the bound session record
+/// (obs/flight_recorder.hpp), so a staged session engine can park sessions
 /// for exactly this long instead of blocking a thread.
 void charge_wait(SimClock& clock, SimClock::Micros us) {
   clock.advance_us(us);
-  common::note_virtual_wait_us(us);
+  obs::note_wait_us(us);
 }
 }  // namespace
 

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/event_loop.hpp"
 #include "common/result.hpp"
 #include "common/sim_clock.hpp"
 #include "crypto/drbg.hpp"
@@ -247,9 +246,9 @@ auto with_retries(SimClock& clock, crypto::HmacDrbg& jitter_drbg,
     const SimClock::Micros backoff = std::min(
         policy.backoff_us(attempt, jitter_drbg), deadline.remaining_us(clock));
     // A backoff sleep is pure waiting: charge virtual time and report it
-    // to the event layer so a staged engine parks instead of blocking.
+    // to the session record so a staged engine parks instead of blocking.
     clock.advance_us(backoff);
-    common::note_virtual_wait_us(backoff);
+    obs::note_wait_us(backoff);
     obs::flight_record(obs::FlightEventType::kRetry,
                        static_cast<std::uint16_t>(attempt),
                        static_cast<std::uint32_t>(backoff));

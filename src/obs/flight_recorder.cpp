@@ -1,6 +1,5 @@
 #include "obs/flight_recorder.hpp"
 
-#include "common/sim_clock.hpp"
 #include "obs/json.hpp"
 
 namespace revelio::obs {
@@ -31,12 +30,6 @@ const char* to_string(FlightEventType type) {
 
 FlightRecorder::FlightRecorder(std::size_t capacity_events) {
   ring_.resize(capacity_events == 0 ? 1 : capacity_events);
-}
-
-void FlightRecorder::record(FlightEventType type, std::uint16_t arg,
-                            std::uint32_t value) {
-  const SimClock* clock = SimClock::current();
-  record_at(clock == nullptr ? 0 : clock->now_us(), type, arg, value);
 }
 
 void FlightRecorder::record_at(std::uint64_t t_us, FlightEventType type,
@@ -84,20 +77,28 @@ std::string FlightRecorder::to_json(std::uint64_t session,
 }
 
 namespace {
-thread_local FlightRecorder* thread_recorder = nullptr;
+thread_local SessionRecord* bound_record = nullptr;
 }  // namespace
 
-FlightRecorder* flight_recorder() { return thread_recorder; }
+SessionRecord* session_record() { return bound_record; }
 
-FlightRecorder* set_flight_recorder(FlightRecorder* r) {
-  FlightRecorder* prev = thread_recorder;
-  thread_recorder = r;
-  return prev;
+ScopedSessionRecord::ScopedSessionRecord(SessionRecord* r)
+    : prev_(bound_record) {
+  bound_record = r;
 }
+
+ScopedSessionRecord::~ScopedSessionRecord() { bound_record = prev_; }
 
 void flight_record(FlightEventType type, std::uint16_t arg,
                    std::uint32_t value) {
-  if (thread_recorder != nullptr) thread_recorder->record(type, arg, value);
+  SessionRecord* r = bound_record;
+  if (r != nullptr && r->ring != nullptr) {
+    r->ring->record_at(r->now_us, type, arg, value);
+  }
+}
+
+void note_wait_us(std::uint64_t us) {
+  if (bound_record != nullptr) bound_record->waited_us += us;
 }
 
 }  // namespace revelio::obs

@@ -1,5 +1,5 @@
 // Per-session flight recorder: a fixed-budget ring of compact binary
-// events.
+// events, and the per-session record that binds it.
 //
 // At gateway scale (PR 6 parks 100k sessions per worker) a full Tracer per
 // session is unaffordable as an always-on tool — spans carry strings and
@@ -16,13 +16,18 @@
 // Concurrency model: a recorder belongs to ONE session and the engine
 // serializes a session's stages (sessions sharing a track never overlap,
 // and one session's stages are strictly ordered by the event loop), so
-// writes are single-threaded by construction — record() takes no lock and
-// issues no atomics. Charge sites reach the recorder through the same
-// thread-binding pattern as Tracer/MetricsRegistry: the engine binds the
-// session's recorder around a stage dispatch (ScopedFlightRecorder) and
-// deep call sites (resilience retries, VCEK and chain cache probes) use
-// the free flight_record() helper, which is a no-op costing one
-// thread-local load when no recorder is bound.
+// writes are single-threaded by construction — record_at() takes no lock
+// and issues no atomics.
+//
+// Deep call sites reach the session through ONE thread binding: the engine
+// binds the session's SessionRecord around each stage dispatch
+// (ScopedSessionRecord). The record carries the ring (null when the
+// recorder is off), the dispatch instant and the dispatch's virtual wait.
+// flight_record() (resilience retries, VCEK and chain cache probes,
+// verdicts) stamps its event with the dispatch instant, so a ring holds one
+// time base; note_wait_us() (network transport, retry backoff) adds to the
+// wait the engine splits out from service time. Both are no-ops costing
+// one thread-local load when no record is bound.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +66,7 @@ class FlightRecorder {
   /// One recorded event. 16 bytes, fixed — the ring's whole budget is
   /// capacity * sizeof(Event), no heap beyond the preallocated vector.
   struct Event {
-    std::uint64_t t_us = 0;   // virtual clock at record time
+    std::uint64_t t_us = 0;   // engine virtual time (µs)
     std::uint32_t value = 0;  // type-specific (see FlightEventType)
     std::uint16_t arg = 0;    // type-specific (see FlightEventType)
     std::uint8_t type = 0;    // FlightEventType
@@ -72,12 +77,8 @@ class FlightRecorder {
   /// Preallocates the ring; capacity is clamped to >= 1.
   explicit FlightRecorder(std::size_t capacity_events = 32);
 
-  /// Appends one event stamped with the thread's SimClock (0 if unbound).
-  /// Single-writer by contract; overwrites the oldest event when full.
-  void record(FlightEventType type, std::uint16_t arg = 0,
-              std::uint32_t value = 0);
-  /// Same, with an explicit timestamp — for the engine driver, whose
-  /// thread does not bind the session's world clock.
+  /// Appends one event stamped `t_us` (virtual µs). Single-writer by
+  /// contract; overwrites the oldest event when full.
   void record_at(std::uint64_t t_us, FlightEventType type,
                  std::uint16_t arg = 0, std::uint32_t value = 0);
 
@@ -105,32 +106,40 @@ class FlightRecorder {
   std::uint64_t count_ = 0;  // next slot = count_ % ring_.size()
 };
 
-/// The recorder bound to this thread, or nullptr. Binding follows the
-/// Tracer/MetricsRegistry pattern: the engine binds a session's recorder
-/// around each stage dispatch.
-FlightRecorder* flight_recorder();
+/// One session's observation record, bound around each of its stage
+/// dispatches. The engine keeps it for the whole run when the recorder is
+/// on (a staged attestation holds on to it; see
+/// WebExtension::StagedAttestation); otherwise it lives for one dispatch.
+struct SessionRecord {
+  FlightRecorder* ring = nullptr;  // the session's ring; null = recorder off
+  std::uint64_t now_us = 0;        // dispatch instant (engine virtual time)
+  std::uint64_t waited_us = 0;     // virtual wait reported this dispatch
+};
 
-/// Binds `r` as this thread's recorder (nullptr unbinds). Returns the
-/// previous binding. Prefer ScopedFlightRecorder.
-FlightRecorder* set_flight_recorder(FlightRecorder* r);
+/// The record bound to this thread, or nullptr.
+SessionRecord* session_record();
 
-/// Records into the thread-bound recorder; a no-op (one thread-local
-/// load) when none is bound — how deep charge sites (retry backoff, cache
-/// probes) stay free outside engine runs.
+/// RAII: binds `r` (nullptr unbinds) as this thread's record for the
+/// scope's lifetime. Bindings nest; the innermost wins.
+class ScopedSessionRecord {
+ public:
+  explicit ScopedSessionRecord(SessionRecord* r);
+  ~ScopedSessionRecord();
+
+  ScopedSessionRecord(const ScopedSessionRecord&) = delete;
+  ScopedSessionRecord& operator=(const ScopedSessionRecord&) = delete;
+
+ private:
+  SessionRecord* prev_;
+};
+
+/// Records into the bound record's ring, stamped with its dispatch
+/// instant; a no-op when no record or no ring is bound.
 void flight_record(FlightEventType type, std::uint16_t arg = 0,
                    std::uint32_t value = 0);
 
-class ScopedFlightRecorder {
- public:
-  explicit ScopedFlightRecorder(FlightRecorder& r)
-      : prev_(set_flight_recorder(&r)) {}
-  ~ScopedFlightRecorder() { set_flight_recorder(prev_); }
-
-  ScopedFlightRecorder(const ScopedFlightRecorder&) = delete;
-  ScopedFlightRecorder& operator=(const ScopedFlightRecorder&) = delete;
-
- private:
-  FlightRecorder* prev_;
-};
+/// Adds `us` of virtual wait (time the session spent waiting on I/O or a
+/// backoff, not computing) to the bound record; a no-op when none is bound.
+void note_wait_us(std::uint64_t us);
 
 }  // namespace revelio::obs

@@ -70,7 +70,6 @@ std::uint64_t Tracer::begin_span(std::string name) {
   record.name = std::move(name);
   record.virt_start_us = virt_now_us();
   record.real_start_ns = real_now_ns();
-  record.lane = common::current_lane();
   if (log_spans_) {
     log_debug("obs", "span#" + std::to_string(record.id) + " begin " +
                          record.name +
@@ -127,7 +126,6 @@ std::string Tracer::finished_spans_json() const {
            ",\"virt_start_us\":" + std::to_string(span.virt_start_us) +
            ",\"virt_us\":" + std::to_string(span.virt_us()) +
            ",\"real_us\":" + json_number(span.real_us()) +
-           ",\"lane\":" + std::to_string(span.lane) +
            ",\"attrs\":" + attrs_json(span) + "}";
   }
   out += "]";
@@ -149,19 +147,6 @@ std::string Tracer::chrome_trace_json() const {
   out +=
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
       "\"args\":{\"name\":\"real clock (cpu)\"}}";
-  // One extra real-clock row per pool lane that begun spans, so staged
-  // batches fanned out over the pool render as parallel lanes.
-  std::vector<std::uint32_t> lanes;
-  for (const auto& span : finished_) {
-    if (span.lane != 0) lanes.push_back(span.lane);
-  }
-  std::sort(lanes.begin(), lanes.end());
-  lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
-  for (const std::uint32_t lane : lanes) {
-    out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-           std::to_string(100 + lane) + ",\"args\":{\"name\":\"real clock (pool lane " +
-           std::to_string(lane) + ")\"}}";
-  }
   for (const auto& span : finished_) {
     std::string args = "{\"span_id\":" + std::to_string(span.id) +
                        ",\"parent_id\":" + std::to_string(span.parent_id);
@@ -169,15 +154,13 @@ std::string Tracer::chrome_trace_json() const {
       args += ",\"" + json_escape(key) + "\":\"" + json_escape(value) + "\"";
     }
     args += "}";
-    const std::uint32_t real_tid = span.lane == 0 ? 2 : 100 + span.lane;
     out += ",{\"name\":\"" + json_escape(span.name) +
            "\",\"cat\":\"virt\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":" +
            std::to_string(span.virt_start_us) +
            ",\"dur\":" + std::to_string(span.virt_us()) + ",\"args\":" + args +
            "}";
     out += ",{\"name\":\"" + json_escape(span.name) +
-           "\",\"cat\":\"real\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(real_tid) + ",\"ts\":" +
+           "\",\"cat\":\"real\",\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":" +
            json_number(
                static_cast<double>(span.real_start_ns - real_base) / 1000.0) +
            ",\"dur\":" + json_number(span.real_us()) + ",\"args\":" + args +
@@ -187,23 +170,14 @@ std::string Tracer::chrome_trace_json() const {
   return out;
 }
 
-namespace {
-thread_local Tracer* thread_tracer = nullptr;
-}  // namespace
-
-Tracer* set_thread_tracer(Tracer* t) {
-  Tracer* prev = thread_tracer;
-  thread_tracer = t;
-  return prev;
-}
-
 Tracer& tracer() {
-  if (thread_tracer != nullptr) return *thread_tracer;
   static Tracer t;
   return t;
 }
 
 Span::Span(std::string name) {
+  // Pool workers never touch the single-threaded process tracer.
+  if (common::current_lane() != 0) return;
   Tracer& t = tracer();
   if (!t.enabled()) return;
   id_ = t.begin_span(std::move(name));

@@ -3,16 +3,17 @@
 // A Span is an RAII timed region charged against *two* clocks at once: the
 // simulation's virtual clock (SimClock::current() — network latency and
 // calibrated device models) and the real monotonic clock (actual CPU work:
-// hashing, AES, ECDSA). A Tracer instance keeps the active-span stack —
-// re-entrant but deliberately single-threaded: one tracer is driven by one
-// thread. tracer() resolves per-thread: a thread with a bound tracer
-// (ScopedThreadTracer — how the gateway gives every concurrent session its
-// own isolated trace) sees that one; every other thread sees the
-// process-wide instance, which remains main-thread-only by convention.
-// Bulk-path thread-pool workers (common/parallel.hpp) must not construct
-// Spans; bulk code opens one span around the parallel region and reports
+// hashing, AES, ECDSA). The one process-wide Tracer (tracer()) keeps the
+// active-span stack — re-entrant but deliberately single-threaded, so it
+// belongs to the threads that are not thread-pool workers. A Span begun on
+// a pool-worker lane (common::current_lane() != 0, see
+// common/parallel.hpp) is inactive: bulk code and the session engine's
+// fanned-out stages open spans only on the calling lane and report
 // per-chunk work through the thread-safe metrics registry (metrics.hpp)
-// instead. The Tracer also keeps a bounded ring of finished spans.
+// instead. A 1-worker session engine runs every stage on the calling
+// lane, so its sessions trace whole. Per-session timelines at gateway
+// scale come from the flight recorder (flight_recorder.hpp). The Tracer
+// also keeps a bounded ring of finished spans.
 //
 // Exports: finished_spans_json() (a plain span list with both durations
 // and the parent links) and chrome_trace_json() (Chrome trace_event
@@ -42,7 +43,6 @@ struct SpanRecord {
   std::uint64_t virt_end_us = 0;
   std::uint64_t real_start_ns = 0;  // monotonic clock at begin/end
   std::uint64_t real_end_ns = 0;
-  std::uint32_t lane = 0;  // pool-worker lane at begin (0 = non-pool thread)
 
   std::uint64_t virt_us() const { return virt_end_us - virt_start_us; }
   double real_us() const {
@@ -86,12 +86,8 @@ class Tracer {
   std::string finished_spans_json() const;
 
   /// Chrome trace_event dump: one complete ("ph":"X") event per span per
-  /// clock, tid 1 = virtual clock, tid 2 = real clock for spans begun on
-  /// the driving thread. Spans begun on a pool-worker lane (a staged batch
-  /// fanned out via common::ThreadPool) put their real-clock event on
-  /// tid 100+lane instead, each with its own thread_name row — so parallel
-  /// batches render as parallel lanes, not one merged row. Real timestamps
-  /// are rebased to the earliest span so the trace starts near t=0.
+  /// clock, tid 1 = virtual clock, tid 2 = real clock. Real timestamps are
+  /// rebased to the earliest span so the trace starts near t=0.
   std::string chrome_trace_json() const;
 
  private:
@@ -112,35 +108,12 @@ class Tracer {
   std::deque<SpanRecord> finished_;
 };
 
-/// The tracer instrumentation on this thread reports into: the tracer
-/// bound to this thread via set_thread_tracer / ScopedThreadTracer if any,
-/// else the process-wide instance.
+/// The process-wide tracer.
 Tracer& tracer();
 
-/// Binds `t` as this thread's tracer (nullptr unbinds, restoring the
-/// process-wide instance). Returns the previous binding so callers can
-/// restore it. Prefer ScopedThreadTracer.
-Tracer* set_thread_tracer(Tracer* t);
-
-/// RAII thread-tracer binding: spans opened on this thread inside the
-/// scope land in `t`, isolated from every other thread's spans. Used by
-/// the session engine so interleaved concurrent sessions each produce a
-/// coherent, self-contained trace. `t` must outlive the scope; every span
-/// opened inside must also end inside.
-class ScopedThreadTracer {
- public:
-  explicit ScopedThreadTracer(Tracer& t) : prev_(set_thread_tracer(&t)) {}
-  ~ScopedThreadTracer() { set_thread_tracer(prev_); }
-
-  ScopedThreadTracer(const ScopedThreadTracer&) = delete;
-  ScopedThreadTracer& operator=(const ScopedThreadTracer&) = delete;
-
- private:
-  Tracer* prev_;
-};
-
 /// RAII span handle. Construct to open, destroy (or end()) to close.
-/// Inactive (zero-cost) when the tracer is disabled at construction time.
+/// Inactive (zero-cost) when the tracer is disabled at construction time
+/// or the constructing thread is a pool worker.
 class Span {
  public:
   explicit Span(std::string name);
@@ -157,7 +130,7 @@ class Span {
   /// Closes the span early; idempotent, the destructor becomes a no-op.
   void end();
 
-  /// 0 when inactive (tracer disabled at construction).
+  /// 0 when inactive.
   std::uint64_t id() const { return id_; }
 
  private:

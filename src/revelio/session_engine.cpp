@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
-#include <optional>
 #include <unordered_map>
 
 #include "common/event_loop.hpp"
@@ -158,15 +157,21 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   std::vector<Micros> wake_latencies;
 
   // Per-session flight recorders: a fixed 16-byte/event ring each,
-  // preallocated up front so record() never touches the heap. Stage-body
-  // events arrive through the thread binding in run_stage; driver-side
-  // events (park/wake/admission) are stamped with the loop clock directly.
+  // preallocated up front so recording never touches the heap. Stage-body
+  // events arrive through the session record bound in run_stage, stamped
+  // with the dispatch instant; driver-side events (park/wake/admission)
+  // are stamped with the loop clock directly. A recording session's record
+  // lives for the run, because a staged attestation keeps it for the batch
+  // path; otherwise a record lives on one dispatch's stack.
   const bool recording = config_.flight_recorder;
   std::vector<obs::FlightRecorder> recorders;
+  std::vector<obs::SessionRecord> records;
   if (recording) {
     recorders.reserve(sessions);
+    records.resize(sessions);
     for (std::size_t i = 0; i < sessions; ++i) {
       recorders.emplace_back(kRingEvents);
+      records[i].ring = &recorders[i];
     }
   }
   const auto flight = [&](std::size_t i, obs::FlightEventType type,
@@ -306,38 +311,31 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     const auto run_stage = [&](std::size_t slot) {
       const std::size_t i = ready[slot];
       Cell& c = cells[i];
-      obs::Tracer session_tracer;
-      session_tracer.set_enabled(config_.trace_sessions);
-      StageResult r;
-      {
-        obs::ScopedThreadTracer tracer_scope(session_tracer);
-        // Bind the session's recorder so deep charge sites (retry backoff,
-        // VCEK and chain cache probes) hit this session's ring via
-        // flight_record().
-        std::optional<obs::ScopedFlightRecorder> recorder_scope;
-        if (recording) recorder_scope.emplace(recorders[i]);
-        common::VirtualWaitScope waits;
+      obs::SessionRecord dispatch_record;
+      obs::SessionRecord& record = recording ? records[i] : dispatch_record;
+      record.now_us = now_us;
+      record.waited_us = 0;
+      obs::ScopedSessionRecord bind(&record);
 
-        StagedContext ctx;
-        ctx.index = i;
-        ctx.state = c.next;
-        ctx.chain_cache = &chain_cache_;
-        ctx.vcek_cache = &vcek_cache_;
-        ctx.tracer = &session_tracer;
-        flight(i, obs::FlightEventType::kStageEnter,
-               static_cast<std::uint16_t>(c.next), 0, now_us);
-        const auto real_t0 = std::chrono::steady_clock::now();
-        r.next = fn(ctx);
-        r.real_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - real_t0)
-                        .count();
-        r.stage_us = SimClock::from_ms(ctx.stage_virt_ms);
-        r.failure = std::move(ctx.failure);
-        r.wait_us = waits.waited_us();
-        flight(i, obs::FlightEventType::kStageExit,
-               static_cast<std::uint16_t>(c.next),
-               static_cast<std::uint32_t>(r.stage_us), now_us + r.stage_us);
-      }
+      StagedContext ctx;
+      ctx.index = i;
+      ctx.state = c.next;
+      ctx.chain_cache = &chain_cache_;
+      ctx.vcek_cache = &vcek_cache_;
+      flight(i, obs::FlightEventType::kStageEnter,
+             static_cast<std::uint16_t>(c.next), 0, now_us);
+      StageResult r;
+      const auto real_t0 = std::chrono::steady_clock::now();
+      r.next = fn(ctx);
+      r.real_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - real_t0)
+                      .count();
+      r.stage_us = SimClock::from_ms(ctx.stage_virt_ms);
+      r.failure = std::move(ctx.failure);
+      r.wait_us = record.waited_us;
+      flight(i, obs::FlightEventType::kStageExit,
+             static_cast<std::uint16_t>(c.next),
+             static_cast<std::uint32_t>(r.stage_us), now_us + r.stage_us);
       results[slot] = std::move(r);
     };
     groups.clear();
@@ -388,25 +386,21 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     }
     const auto run_batch = [&]() {
       const auto real_t0 = std::chrono::steady_clock::now();
-      // One tracer for the whole batch — the batch is one unit of work.
-      obs::Tracer batch_tracer;
-      batch_tracer.set_enabled(config_.trace_sessions);
       std::vector<StagedBatchItem> items(batch_slots.size());
-      {
-        obs::ScopedThreadTracer tracer_scope(batch_tracer);
-        for (std::size_t k = 0; k < batch_slots.size(); ++k) {
-          const std::size_t i = ready[batch_slots[k]];
-          StagedContext& ctx = items[k].ctx;
-          ctx.index = i;
-          ctx.state = batching.stage;
-          ctx.chain_cache = &chain_cache_;
-          ctx.vcek_cache = &vcek_cache_;
-          ctx.tracer = &batch_tracer;
-          flight(i, obs::FlightEventType::kStageEnter,
-                 static_cast<std::uint16_t>(batching.stage), 1, now_us);
-        }
-        batching.fn(items);
+      for (std::size_t k = 0; k < batch_slots.size(); ++k) {
+        const std::size_t i = ready[batch_slots[k]];
+        StagedContext& ctx = items[k].ctx;
+        ctx.index = i;
+        ctx.state = batching.stage;
+        ctx.chain_cache = &chain_cache_;
+        ctx.vcek_cache = &vcek_cache_;
+        // The hook binds each session's own record around its share of
+        // the batch; stamp that record with this dispatch's instant.
+        if (recording) records[i].now_us = now_us;
+        flight(i, obs::FlightEventType::kStageEnter,
+               static_cast<std::uint16_t>(batching.stage), 1, now_us);
       }
+      batching.fn(items);
       const double batch_real_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - real_t0)

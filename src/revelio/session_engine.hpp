@@ -16,17 +16,19 @@
 //
 // Everything else is per-session. The simulation's core objects (Network,
 // SimClock, TLS sessions) are single-threaded by design, so each session
-// (or each lane) drives its own world replica; the engine's per-thread
-// bindings keep the worlds from bleeding into each other:
+// (or each lane) drives its own world replica; two per-thread bindings
+// keep the worlds from bleeding into each other:
 //
-//  - SimClock resolution is thread-local (common/sim_clock.hpp) — a worker
+//  - SimClock resolution is thread-local (common/sim_clock.hpp) — a stage
 //    binds its world's clock with ScopedClockCurrent;
-//  - each session gets its own Tracer bound via ScopedThreadTracer, so
-//    interleaved sessions produce coherent, isolated traces.
+//  - the engine binds the session's obs::SessionRecord
+//    (obs/flight_recorder.hpp) around each dispatch: its flight ring, the
+//    dispatch instant, and the virtual wait lower layers report.
 //
 // Metrics are not per-session: every stage writes straight into the one
 // process registry (obs/metrics.hpp), whose counters, gauges and summaries
-// are safe to update from any lane.
+// are safe to update from any lane. Spans go to the process tracer from
+// the calling lane only (obs/trace.hpp).
 //
 // One dispatched *stage* runs synchronously; the virtual time it consumes
 // (network round trips, retry backoff, chaos timeouts) becomes the
@@ -52,7 +54,6 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "obs/trace.hpp"
 #include "pki/chain_cache.hpp"
 #include "revelio/vcek_cache.hpp"
 
@@ -89,8 +90,6 @@ using revelio::to_string;
 struct SessionEngineConfig {
   /// Worker lanes (0 = ThreadPool::default_thread_count()).
   unsigned workers = 0;
-  /// Enable each session's private tracer (spans cost nothing otherwise).
-  bool trace_sessions = false;
   /// Per-session flight recorder (obs/flight_recorder.hpp). Every session
   /// continuously records its last 32 engine events in a fixed ring; only
   /// anomalous sessions (failed, shed, or in the p99 virtual-latency tail)
@@ -118,16 +117,13 @@ struct SessionEngineConfig {
 
 /// What one *stage* of a staged session sees. The cache pointers are the
 /// engine's, shared with every other session and safe to use concurrently;
-/// everything a session builds beyond them must be its own. The tracer is
-/// per-dispatch; metrics go straight to the process registry.
+/// everything a session builds beyond them must be its own. Metrics go
+/// straight to the process registry.
 struct StagedContext {
   std::size_t index = 0;                      // session number in [0, N)
   SessionState state = SessionState::kHandshake;  // the stage to run NOW
   pki::ChainVerificationCache* chain_cache = nullptr;
   VcekCache* vcek_cache = nullptr;
-  /// The dispatch's tracer (already bound to the thread; enabled iff
-  /// trace_sessions). Read finished spans from it before returning.
-  obs::Tracer* tracer = nullptr;
 
   /// Out: virtual duration of this stage (e.g. the world clock's delta
   /// across it). The engine converts it once to integer µs
@@ -220,7 +216,7 @@ class SessionEngine {
     double virt_p95_ms = 0.0;
     double virt_p99_ms = 0.0;
     /// Split of total session virtual time into I/O waits (reported by
-    /// net/resilience via note_virtual_wait_us) vs everything else.
+    /// net/resilience via obs::note_wait_us) vs everything else.
     double wait_virt_ms = 0.0;
     double service_virt_ms = 0.0;
 

@@ -596,6 +596,7 @@ std::vector<Status> batch_verify_sessions(
   for (std::size_t k = 0; k < sessions.size(); ++k) {
     StagedAttestation* session = sessions[k];
     if (session == nullptr) continue;
+    obs::ScopedSessionRecord bind(session->record_);
     auto prep = session->verify_prepare();
     if (!prep.ok()) {
       out[k] = prep.error();
@@ -675,7 +676,9 @@ std::vector<Status> batch_verify_sessions(
   std::size_t rejected = 0;
   for (std::size_t j = 0; j < slots.size(); ++j) {
     rejected += verdicts[j] ? 0 : 1;
-    out[slots[j]] = sessions[slots[j]]->verify_finish(verdicts[j]);
+    StagedAttestation& session = *sessions[slots[j]];
+    obs::ScopedSessionRecord bind(session.record_);
+    out[slots[j]] = session.verify_finish(verdicts[j]);
   }
   span.attr("rejected", static_cast<std::uint64_t>(rejected));
   return out;

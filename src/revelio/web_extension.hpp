@@ -18,6 +18,7 @@
 #include "net/http.hpp"
 #include "net/resilience.hpp"
 #include "net/tls.hpp"
+#include "obs/flight_recorder.hpp"
 #include "revelio/evidence.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/vcek_cache.hpp"
@@ -217,6 +218,12 @@ class WebExtension {
   /// Thread safety: none — one StagedAttestation belongs to one session,
   /// and the parent extension/browser must be externally serialized per
   /// world, exactly like fetch().
+  ///
+  /// Lifetime: a pass keeps the session record (obs/flight_recorder.hpp)
+  /// bound when it began, so a batched verify stage, which runs outside
+  /// the session's own dispatch, still lands in the session's flight ring.
+  /// A pass begun inside SessionEngine::run_staged must therefore finish
+  /// inside that run.
   class StagedAttestation {
    public:
     /// TLS connect (or session reuse); captures the server key.
@@ -266,6 +273,13 @@ class WebExtension {
           deadline_(deadline),
           session_key_(std::move(session_key)) {}
 
+    /// The bound session record if it carries a ring, else null: only
+    /// the engine's per-session records outlive their dispatch.
+    static obs::SessionRecord* held_record() {
+      obs::SessionRecord* r = obs::session_record();
+      return r != nullptr && r->ring != nullptr ? r : nullptr;
+    }
+
     enum class Stage : std::uint8_t {
       kHandshake,
       kEvidence,
@@ -292,6 +306,7 @@ class WebExtension {
     WebExtension* ext_;
     std::string domain_;
     std::uint16_t port_ = 0;
+    obs::SessionRecord* record_ = held_record();
     Stage next_ = Stage::kHandshake;
     bool prepared_ = false;  // verify_prepare succeeded, awaiting finish
     net::Deadline deadline_;
@@ -386,9 +401,12 @@ class WebExtension {
 /// per-session verify_prepare, ONE crypto::ecdsa_verify_batch over every
 /// prepared signature (the per-signature offender fallback lives inside
 /// it), audit evidence/chain digests hashed eight sessions at a time, then
-/// per-session verify_finish. The returned statuses are slot-parallel with
-/// `sessions` and identical to what each session's own verify() would have
-/// produced; null entries are skipped and left as success.
+/// per-session verify_finish. Each session's prepare and finish run with
+/// its own session record bound, so their flight events (chain-cache
+/// probe, verdict) land in that session's ring. The returned statuses are
+/// slot-parallel with `sessions` and identical to what each session's own
+/// verify() would have produced; null entries are skipped and left as
+/// success.
 std::vector<Status> batch_verify_sessions(
     const std::vector<WebExtension::StagedAttestation*>& sessions);
 

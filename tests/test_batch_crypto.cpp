@@ -4,15 +4,18 @@
 // registry under threads, and the batched verify stage end to end — a
 // staged gateway wavefront through ONE batch dispatch must reproduce the
 // unbatched transcript digest exactly, and a bad session inside a batched
-// wavefront must land as a rejection in the tamper-evident audit chain.
+// wavefront must land as a rejection in the tamper-evident audit chain
+// and as a verdict in its own flight ring, on the engine's time base.
 // Labelled `batchcrypto`; runs tier-1 and under the asan/tsan presets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -554,6 +557,111 @@ TEST(BatchedStagedGateway, RejectionInsideBatchedWavefrontLandsInAuditChain) {
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(audit.records(), kSessions);
   EXPECT_EQ(summary->accepted, kSessions - 1);
+}
+
+/// One flight-ring event of an anomaly dump: its instant and type name.
+struct DumpEvent {
+  std::uint64_t t_us = 0;
+  std::string type;
+};
+
+std::vector<DumpEvent> dump_events(const std::string& dump) {
+  static const std::regex kEvent("\\{\"t_us\":(\\d+),\"type\":\"(\\w+)\"");
+  std::vector<DumpEvent> out;
+  for (std::sregex_iterator it(dump.begin(), dump.end(), kEvent), end;
+       it != end; ++it) {
+    out.push_back({std::stoull((*it)[1].str()), (*it)[2].str()});
+  }
+  return out;
+}
+
+/// The anomaly dump of `session`, or "" when it has none.
+std::string dump_of(const SessionEngine::StagedReport& report,
+                    std::size_t session) {
+  const std::string prefix =
+      "{\"session\":" + std::to_string(session) + ",";
+  for (const auto& dump : report.anomaly_dumps) {
+    if (dump.rfind(prefix, 0) == 0) return dump;
+  }
+  return "";
+}
+
+TEST(BatchedStagedGateway, BatchedVerifyLandsInTheSessionsFlightRing) {
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kBad = 5;
+  SessionEngineConfig config;
+  config.workers = 1;
+  config.flight_recorder = true;
+  SessionEngine engine(config);
+  auto worlds = build_worlds(4, "batch-ring");
+
+  const StagedBatchRun run = run_staged(engine, worlds, kSessions,
+                                        /*batch_verify=*/true, nullptr, kBad);
+
+  ASSERT_GE(run.report.batch_calls, 1u);
+  ASSERT_FALSE(run.report.outcomes[kBad].ok());
+  const std::string dump = dump_of(run.report, kBad);
+  ASSERT_NE(dump.find("\"reason\":\"failed\""), std::string::npos) << dump;
+  // The rejection the batch concluded is in the session's own ring...
+  EXPECT_NE(dump.find("\"type\":\"verdict\",\"arg\":0"), std::string::npos)
+      << dump;
+  // ...and so is the chain-cache probe (cache id 2) of its verify_prepare.
+  const auto verify_enter = dump.find(
+      "\"type\":\"stage_enter\",\"arg\":" +
+      std::to_string(static_cast<int>(SessionState::kVerify)));
+  ASSERT_NE(verify_enter, std::string::npos) << dump;
+  const bool probed =
+      dump.find("\"type\":\"cache_hit\",\"arg\":2", verify_enter) !=
+          std::string::npos ||
+      dump.find("\"type\":\"cache_miss\",\"arg\":2", verify_enter) !=
+          std::string::npos;
+  EXPECT_TRUE(probed) << dump;
+}
+
+TEST(BatchedStagedGateway, FlightRingsKeepTheEnginesTimeBase) {
+  // Events raised deep in a stage (cache probes, retries, verdicts) must
+  // carry the engine's virtual time, not the world clock the stage drove,
+  // so every ring reads on one time base inside the run's makespan.
+  const std::vector<std::string> deep = {"retry", "cache_hit", "cache_miss",
+                                         "verdict"};
+  for (const bool batch_verify : {false, true}) {
+    SessionEngineConfig config;
+    config.workers = 1;
+    config.flight_recorder = true;
+    SessionEngine engine(config);
+    auto worlds = build_worlds(4, "ring-clock");
+    const StagedBatchRun run =
+        run_staged(engine, worlds, 8, batch_verify, nullptr, /*bad=*/5);
+    ASSERT_FALSE(run.report.anomaly_dumps.empty());
+    const auto makespan_us = static_cast<std::uint64_t>(
+        std::llround(run.report.virt_makespan_ms * 1000.0));
+    for (const auto& dump : run.report.anomaly_dumps) {
+      // Eight-session rings hold about 19 of their 32 events: nothing
+      // wrapped, so every deep event follows its stage's enter.
+      ASSERT_NE(dump.find("\"dropped\":0"), std::string::npos) << dump;
+      std::uint64_t enter_us = 0;
+      bool in_stage = false;
+      std::vector<std::uint64_t> stage_deep;
+      for (const DumpEvent& e : dump_events(dump)) {
+        EXPECT_LE(e.t_us, makespan_us) << e.type << " in " << dump;
+        if (e.type == "stage_enter") {
+          enter_us = e.t_us;
+          in_stage = true;
+          stage_deep.clear();
+        } else if (e.type == "stage_exit") {
+          for (const std::uint64_t t : stage_deep) {
+            EXPECT_GE(t, enter_us) << dump;
+            EXPECT_LE(t, e.t_us) << dump;
+          }
+          in_stage = false;
+        } else if (std::find(deep.begin(), deep.end(), e.type) !=
+                   deep.end()) {
+          EXPECT_TRUE(in_stage) << e.type << " outside a stage in " << dump;
+          stage_deep.push_back(e.t_us);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-// Deterministic virtual-time event loop (common/event_loop.hpp) and the
-// single-flight failure-propagation contract the staged engine relies on.
+// Deterministic virtual-time event loop (common/event_loop.hpp), the
+// virtual-wait accounting stages report into the session record
+// (obs/flight_recorder.hpp), and the single-flight failure-propagation
+// contract the staged engine relies on.
 //
 // Runs tier-1 and under `ctest -L eventloop` / `-L tsan`: the EventLoop
 // itself is single-threaded by contract, but the SingleFlight suites here
@@ -19,6 +21,7 @@
 #include "common/event_loop.hpp"
 #include "common/result.hpp"
 #include "common/single_flight.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace revelio {
 namespace {
@@ -130,26 +133,29 @@ TEST(EventLoop, IdenticalSchedulesProduceIdenticalTranscripts) {
 // Virtual-wait observation
 
 TEST(VirtualWait, NoScopeBoundIsANoOp) {
-  common::note_virtual_wait_us(123);  // must not crash or leak anywhere
+  obs::note_wait_us(123);  // must not crash or leak anywhere
 }
 
 TEST(VirtualWait, ScopeCollectsReportedWaits) {
-  common::VirtualWaitScope scope;
-  common::note_virtual_wait_us(1500);
-  common::note_virtual_wait_us(2500);
-  EXPECT_EQ(scope.waited_us(), 4000u);
+  obs::SessionRecord record;
+  obs::ScopedSessionRecord bind(&record);
+  obs::note_wait_us(1500);
+  obs::note_wait_us(2500);
+  EXPECT_EQ(record.waited_us, 4000u);
 }
 
 TEST(VirtualWait, NestedScopesInnermostWins) {
-  common::VirtualWaitScope outer;
+  obs::SessionRecord outer;
+  obs::ScopedSessionRecord bind_outer(&outer);
   {
-    common::VirtualWaitScope inner;
-    common::note_virtual_wait_us(100);
-    EXPECT_EQ(inner.waited_us(), 100u);
+    obs::SessionRecord inner;
+    obs::ScopedSessionRecord bind_inner(&inner);
+    obs::note_wait_us(100);
+    EXPECT_EQ(inner.waited_us, 100u);
   }
-  common::note_virtual_wait_us(7);
-  EXPECT_EQ(outer.waited_us(), 7u)
-      << "inner waits are charged to the inner scope only";
+  obs::note_wait_us(7);
+  EXPECT_EQ(outer.waited_us, 7u)
+      << "inner waits are charged to the inner record only";
 }
 
 // ---------------------------------------------------------------------------

@@ -140,10 +140,10 @@ TEST(Trace, FinishedSpansJsonGolden) {
   EXPECT_EQ(
       obs::tracer().finished_spans_json(),
       "[{\"id\":2,\"parent_id\":1,\"name\":\"child\","
-      "\"virt_start_us\":10,\"virt_us\":5,\"real_us\":0.5,\"lane\":0,"
+      "\"virt_start_us\":10,\"virt_us\":5,\"real_us\":0.5,"
       "\"attrs\":{\"k\":\"v\"}},"
       "{\"id\":1,\"parent_id\":0,\"name\":\"root\","
-      "\"virt_start_us\":0,\"virt_us\":15,\"real_us\":1.5,\"lane\":0,"
+      "\"virt_start_us\":0,\"virt_us\":15,\"real_us\":1.5,"
       "\"attrs\":{}}]");
 }
 

@@ -1,7 +1,8 @@
 // PR 7 observability layer: log-bucket quantile summaries, the per-session
-// flight recorder, the tamper-evident attestation audit chain, and
-// pool-lane tagging in the Chrome trace export. Companion to test_obs.cpp
-// (tracer/metrics/log basics) — everything here is new surface.
+// flight recorder, the tamper-evident attestation audit chain, and the
+// process tracer under pool fan-out (spans only on the calling lane).
+// Companion to test_obs.cpp (tracer/metrics/log basics) — everything here
+// is new surface.
 
 #include <gtest/gtest.h>
 
@@ -184,30 +185,41 @@ TEST(FlightRecorder, RingWrapKeepsNewestAndCountsDrops) {
 }
 
 TEST(FlightRecorder, ThreadBindingMakesChargeSitesFree) {
-  // Unbound: flight_record is a no-op, not a crash.
-  ASSERT_EQ(obs::flight_recorder(), nullptr);
+  // Unbound: the charge sites are no-ops, not crashes.
+  ASSERT_EQ(obs::session_record(), nullptr);
   obs::flight_record(obs::FlightEventType::kRetry, 1, 100);
+  obs::note_wait_us(100);
 
+  SimClock world_clock;  // a stage's world clock, far from engine time
+  world_clock.advance_us(3'000'000);
   obs::FlightRecorder rec(8);
+  obs::SessionRecord record;
+  record.ring = &rec;
+  record.now_us = 4200;
   {
-    obs::ScopedFlightRecorder scope(rec);
-    EXPECT_EQ(obs::flight_recorder(), &rec);
+    obs::ScopedSessionRecord scope(&record);
+    EXPECT_EQ(obs::session_record(), &record);
     obs::flight_record(obs::FlightEventType::kCacheMiss, 1);
+    obs::note_wait_us(300);
     obs::flight_record(obs::FlightEventType::kCacheHit, 1);
   }
-  EXPECT_EQ(obs::flight_recorder(), nullptr);
+  EXPECT_EQ(obs::session_record(), nullptr);
   obs::flight_record(obs::FlightEventType::kVerdict, 1);  // after unbind
   EXPECT_EQ(rec.recorded(), 2u);
   EXPECT_EQ(static_cast<obs::FlightEventType>(rec.events()[0].type),
             obs::FlightEventType::kCacheMiss);
-}
+  // Deep events carry the dispatch instant, not the bound world clock.
+  for (const auto& e : rec.events()) EXPECT_EQ(e.t_us, 4200u);
+  EXPECT_EQ(record.waited_us, 300u);
 
-TEST(FlightRecorder, RecordStampsTheThreadClock) {
-  SimClock clock;
-  clock.advance_us(1234);
-  obs::FlightRecorder rec(2);
-  rec.record(obs::FlightEventType::kPark, 0, 7);
-  EXPECT_EQ(rec.events().front().t_us, 1234u);
+  // A ring-less record (recorder off) still collects waits.
+  obs::SessionRecord waits_only;
+  {
+    obs::ScopedSessionRecord scope(&waits_only);
+    obs::flight_record(obs::FlightEventType::kRetry, 1, 100);
+    obs::note_wait_us(50);
+  }
+  EXPECT_EQ(waits_only.waited_us, 50u);
 }
 
 // --------------------------------------------------- audit hash chain
@@ -416,9 +428,23 @@ TEST(AuditLog, SinkSeesEveryFrameAndFailuresAreCounted) {
   ASSERT_TRUE(obs::AuditLog::verify(log.serialize()).ok());
 }
 
-// ------------------------------------------------ pool-lane trace tags
+// ------------------------------------------- process tracer, pool fan-out
 
-TEST(Trace, PoolWorkSpansCarryLaneIdsIntoTheChromeExport) {
+/// Enables the process tracer for one test and restores it after.
+class ProcessTracerOn {
+ public:
+  ProcessTracerOn() {
+    obs::tracer().clear();
+    obs::tracer().set_enabled(true);
+  }
+  ~ProcessTracerOn() {
+    obs::tracer().set_enabled(false);
+    obs::tracer().clear();
+  }
+};
+
+TEST(Trace, PoolWorkerSpansStayOutOfTheProcessTracer) {
+  ProcessTracerOn on;
   common::ThreadPool pool(4);
   ASSERT_GE(pool.width(), 2u);
 
@@ -428,8 +454,8 @@ TEST(Trace, PoolWorkSpansCarryLaneIdsIntoTheChromeExport) {
   std::mutex mu;
   std::condition_variable cv;
   int arrived = 0;
-  std::vector<obs::Tracer> tracers(2);
   std::vector<unsigned> lanes(2, 0);
+  std::vector<std::uint64_t> ids(2, 0);
 
   pool.for_tasks(2, [&](std::size_t i) {
     {
@@ -438,30 +464,28 @@ TEST(Trace, PoolWorkSpansCarryLaneIdsIntoTheChromeExport) {
       cv.notify_all();
       cv.wait(lock, [&] { return arrived == 2; });
     }
-    tracers[i].set_enabled(true);
-    obs::ScopedThreadTracer bind(tracers[i]);
     lanes[i] = common::current_lane();
     obs::Span span("task");
-    span.end();
+    span.attr("task", static_cast<std::uint64_t>(i));
+    ids[i] = span.id();
   });
 
   EXPECT_TRUE(lanes[0] != 0 || lanes[1] != 0)
       << "two concurrent tasks cannot both be the caller lane";
+  std::size_t caller_tasks = 0;
   for (std::size_t i = 0; i < 2; ++i) {
-    ASSERT_EQ(tracers[i].finished_spans().size(), 1u);
-    EXPECT_EQ(tracers[i].finished_spans().front().lane, lanes[i]);
-    const std::string chrome = tracers[i].chrome_trace_json();
-    if (lanes[i] != 0) {
-      // Worker-lane spans get their own real-clock row, named after the
-      // lane, so staged batches render as parallel lanes in about:tracing.
-      EXPECT_NE(chrome.find("pool lane"), std::string::npos);
-      EXPECT_NE(chrome.find("\"tid\":" + std::to_string(100 + lanes[i])),
-                std::string::npos);
+    if (lanes[i] == 0) {
+      ++caller_tasks;
+      EXPECT_NE(ids[i], 0u) << "the caller lane traces";
+      ASSERT_FALSE(obs::tracer().finished_spans().empty());
+      EXPECT_EQ(obs::tracer().finished_spans().front().attr("task"),
+                std::to_string(i));
     } else {
-      // Caller-lane spans keep the documented tid 2 real row.
-      EXPECT_NE(chrome.find("\"tid\":2"), std::string::npos);
+      EXPECT_EQ(ids[i], 0u) << "a worker-lane span must be inactive";
     }
   }
+  EXPECT_EQ(obs::tracer().finished_spans().size(), caller_tasks);
+  EXPECT_EQ(obs::tracer().open_spans(), 0u);
 }
 
 // ------------------------------------------- engine integration (staged)
@@ -617,6 +641,26 @@ TEST(StagedEngine, RecorderOffCostsNothingAndStaysDeterministic) {
       });
   EXPECT_EQ(report2.transcript_digest, report.transcript_digest);
   EXPECT_GT(report2.recorder_bytes, 0u);
+}
+
+TEST(Trace, FourWorkerEngineRunLeavesTheProcessTracerConsistent) {
+  ProcessTracerOn on;
+  core::SessionEngineConfig config;
+  config.workers = 4;
+  core::SessionEngine engine(config);
+  std::atomic<std::size_t> opened{0};
+  const auto report = engine.run_staged(
+      64, [&](core::StagedContext& ctx) -> core::SessionState {
+        obs::Span span("gw.test.stage");
+        span.attr("index", static_cast<std::uint64_t>(ctx.index));
+        if (span.id() != 0) opened.fetch_add(1);
+        ctx.stage_virt_ms = 1.0;
+        return advance(ctx);
+      });
+  EXPECT_EQ(report.succeeded, 64u);
+  EXPECT_EQ(obs::tracer().open_spans(), 0u);
+  // Only calling-lane stages traced; each of them left one finished span.
+  EXPECT_EQ(obs::tracer().finished_spans().size(), opened.load());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Concurrent attestation gateway: session engine, shared LRU caches,
-// single-flight KDS fetch coalescing, and the per-session trace isolation
-// they rely on. Runs tier-1 and under the tsan preset — most of
+// single-flight KDS fetch coalescing, and spans traced only on the
+// calling lane. Runs tier-1 and under the tsan preset — most of
 // these tests exist precisely to put real threads on the shared state.
 //
 // The end-to-end tests drive several complete simulated worlds (the
@@ -18,11 +18,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/event_loop.hpp"
 #include "common/single_flight.hpp"
 #include "imagebuild/builder.hpp"
 #include "net/resilience.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "pki/ca.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/session_engine.hpp"
@@ -393,35 +394,44 @@ TEST(SessionEngine, AggregatesOneStageSessionsAndPercentiles) {
   EXPECT_GT(report.real_elapsed_ms, 0.0);
 }
 
-TEST(SessionEngine, StagesWriteTheProcessRegistryAndIsolateSpans) {
+TEST(SessionEngine, StagesWriteTheProcessRegistryAndTraceInline) {
   obs::MetricsRegistry* global = &obs::metrics();
   const std::uint64_t before = global->counter_value("gw.engine.test.count");
   const std::uint64_t observed_before =
       global->summary("gw.engine.test.ms").count();
-  SessionEngineConfig config;
-  config.workers = 4;
-  config.trace_sessions = true;
-  SessionEngine engine(config);
-  std::vector<std::size_t> span_counts(16, 0);
-  const auto report = engine.run_staged(16, [&](StagedContext& ctx) {
+  const auto stage = [&](StagedContext& ctx) {
     // Every lane reports into the one process registry.
     EXPECT_EQ(&obs::metrics(), global);
     obs::metrics().counter("gw.engine.test.count").inc();
     obs::metrics()
         .summary("gw.engine.test.ms")
         .observe(static_cast<double>(ctx.index));
-    {
-      obs::Span span("gw.test.session");
-      span.attr("index", static_cast<std::uint64_t>(ctx.index));
-    }
-    span_counts[ctx.index] = ctx.tracer->finished_spans().size();
+    obs::Span span("gw.test.session");
+    span.attr("index", static_cast<std::uint64_t>(ctx.index));
     return SessionState::kDone;
-  });
+  };
+  SessionEngineConfig config;
+  config.workers = 4;
+  const auto report = SessionEngine(config).run_staged(16, stage);
   EXPECT_EQ(report.succeeded, 16u);
   EXPECT_EQ(global->counter_value("gw.engine.test.count"), before + 16);
   EXPECT_EQ(global->summary("gw.engine.test.ms").count(),
             observed_before + 16);
-  // Each session saw exactly its own span in its own tracer.
+
+  // One worker runs every stage on the calling lane, so the process
+  // tracer holds exactly one span per session.
+  obs::tracer().clear();
+  obs::tracer().set_enabled(true);
+  config.workers = 1;
+  const auto inline_report = SessionEngine(config).run_staged(16, stage);
+  obs::tracer().set_enabled(false);
+  EXPECT_EQ(inline_report.succeeded, 16u);
+  std::vector<std::size_t> span_counts(16, 0);
+  for (const auto& span : obs::tracer().finished_spans()) {
+    ASSERT_EQ(span.name, "gw.test.session");
+    ++span_counts[std::stoul(span.attr("index"))];
+  }
+  obs::tracer().clear();
   for (const auto count : span_counts) EXPECT_EQ(count, 1u);
 }
 
@@ -790,7 +800,7 @@ TEST(StagedEngine, VirtualAccountingIsExactAtAnyClockOffset) {
         kSessions, [&](StagedContext& ctx) -> SessionState {
           const SimClock::Micros start_us = clock.now_us();
           clock.advance_us(5'200);
-          common::note_virtual_wait_us(5'200);
+          obs::note_wait_us(5'200);
           ctx.stage_virt_ms = static_cast<double>(clock.now_us()) / 1000.0 -
                               static_cast<double>(start_us) / 1000.0;
           return ctx.state == SessionState::kPageFetch
