@@ -89,32 +89,53 @@ void inv_mix_columns(std::uint8_t rk[16]) {
 }
 
 #if defined(__x86_64__)
-__attribute__((target("aes,sse4.1"))) void aesni_encrypt_block(
-    const std::uint8_t* rk, int rounds, const std::uint8_t in[16],
-    std::uint8_t out[16]) {
-  __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-  s = _mm_xor_si128(s, _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk)));
-  for (int r = 1; r < rounds; ++r) {
-    s = _mm_aesenc_si128(
-        s, _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * r)));
-  }
-  s = _mm_aesenclast_si128(
-      s, _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * rounds)));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
-}
+constexpr std::size_t kLanes = 8;
 
-__attribute__((target("aes,sse4.1"))) void aesni_decrypt_block(
-    const std::uint8_t* rk, int rounds, const std::uint8_t in[16],
-    std::uint8_t out[16]) {
-  __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-  s = _mm_xor_si128(s, _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk)));
-  for (int r = 1; r < rounds; ++r) {
-    s = _mm_aesdec_si128(
-        s, _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * r)));
+/// The AES-NI core for both directions: `rk` is the byte-serialized
+/// schedule of that direction (the decryption one already in
+/// equivalent-inverse-cipher form). Round keys are loaded once per call;
+/// blocks then go through the rounds 8 at a time, interleaved round by
+/// round, so eight independent AESENC/AESDEC chains share the AES unit
+/// instead of one block waiting out each round's latency. A tail of fewer
+/// than 8 blocks runs as one narrower group. Each group is loaded before
+/// it is stored, so `in == out` is fine.
+template <bool kEncrypt>
+__attribute__((target("aes,sse4.1"))) void aesni_blocks(
+    const std::uint8_t* rk, int rounds, const std::uint8_t* in,
+    std::uint8_t* out, std::size_t n) {
+  __m128i k[15];
+  for (int r = 0; r <= rounds; ++r) {
+    k[r] = _mm_load_si128(reinterpret_cast<const __m128i*>(rk + 16 * r));
   }
-  s = _mm_aesdeclast_si128(
-      s, _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * rounds)));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+  auto* src = reinterpret_cast<const __m128i*>(in);
+  auto* dst = reinterpret_cast<__m128i*>(out);
+  // Inlined at both calls: with the constant kLanes the eight states stay
+  // in registers; the tail call takes the run-time width.
+  auto group = [&](std::size_t w)
+      __attribute__((always_inline, target("aes,sse4.1"))) {
+    // Zeroed only so the tail's unrolled loops do not trip
+    // -Wmaybe-uninitialized; the full-width path overwrites every lane.
+    __m128i s[kLanes] = {};
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < w; ++i) {
+      s[i] = _mm_xor_si128(_mm_loadu_si128(src + i), k[0]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < w; ++i) {
+        s[i] = kEncrypt ? _mm_aesenc_si128(s[i], k[r])
+                        : _mm_aesdec_si128(s[i], k[r]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < w; ++i) {
+      s[i] = kEncrypt ? _mm_aesenclast_si128(s[i], k[rounds])
+                      : _mm_aesdeclast_si128(s[i], k[rounds]);
+      _mm_storeu_si128(dst + i, s[i]);
+    }
+  };
+  for (; n >= kLanes; n -= kLanes, src += kLanes, dst += kLanes) group(kLanes);
+  if (n > 0) group(n);
 }
 #endif  // __x86_64__
 
@@ -143,7 +164,7 @@ Aes::Aes(ByteView key) {
     round_keys_[i] = round_keys_[i - nk] ^ temp;
   }
   // Byte forms of both schedules, expanded once here so neither the AES-NI
-  // kernels nor the XTS sector loop redo any schedule work per block.
+  // kernel nor the XTS sector loop redo any schedule work per block.
   for (std::size_t i = 0; i < total_words; ++i) {
     const std::uint32_t w = round_keys_[i];
     enc_rk_bytes_[4 * i] = static_cast<std::uint8_t>(w >> 24);
@@ -159,18 +180,17 @@ Aes::Aes(ByteView key) {
   }
 }
 
-void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-#if defined(__x86_64__)
-  if (cpu_has_aes_ni()) {
-    aesni_encrypt_block(enc_rk_bytes_, rounds_, in, out);
-    return;
-  }
-#endif
+namespace {
+
+/// The table-free scalar core, one block at a time (`in == out` is fine:
+/// the state is copied in before anything is written).
+void scalar_encrypt_block(const std::uint32_t* rk, int rounds,
+                          const std::uint8_t* in, std::uint8_t* out) {
   std::uint8_t s[16];
   std::memcpy(s, in, 16);
   auto add_round_key = [&](int round) {
     for (int c = 0; c < 4; ++c) {
-      const std::uint32_t w = round_keys_[4 * round + c];
+      const std::uint32_t w = rk[4 * round + c];
       s[4 * c] ^= static_cast<std::uint8_t>(w >> 24);
       s[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
       s[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
@@ -178,7 +198,7 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
     }
   };
   add_round_key(0);
-  for (int round = 1; round <= rounds_; ++round) {
+  for (int round = 1; round <= rounds; ++round) {
     // SubBytes
     for (auto& b : s) b = kSbox[b];
     // ShiftRows (state is column-major: s[4c + r])
@@ -188,7 +208,7 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
     }
     std::memcpy(s, t, 16);
     // MixColumns (skipped in final round)
-    if (round != rounds_) {
+    if (round != rounds) {
       for (int c = 0; c < 4; ++c) {
         std::uint8_t* col = s + 4 * c;
         const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
@@ -203,27 +223,22 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
   std::memcpy(out, s, 16);
 }
 
-void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-#if defined(__x86_64__)
-  if (cpu_has_aes_ni()) {
-    aesni_decrypt_block(dec_rk_bytes_, rounds_, in, out);
-    return;
-  }
-#endif
+void scalar_decrypt_block(const std::uint32_t* rk, int rounds,
+                          const std::uint8_t* in, std::uint8_t* out) {
   const std::uint8_t* isbox = inv_sbox();
   std::uint8_t s[16];
   std::memcpy(s, in, 16);
   auto add_round_key = [&](int round) {
     for (int c = 0; c < 4; ++c) {
-      const std::uint32_t w = round_keys_[4 * round + c];
+      const std::uint32_t w = rk[4 * round + c];
       s[4 * c] ^= static_cast<std::uint8_t>(w >> 24);
       s[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
       s[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
       s[4 * c + 3] ^= static_cast<std::uint8_t>(w);
     }
   };
-  add_round_key(rounds_);
-  for (int round = rounds_ - 1; round >= 0; --round) {
+  add_round_key(rounds);
+  for (int round = rounds - 1; round >= 0; --round) {
     // InvShiftRows
     std::uint8_t t[16];
     for (int r = 0; r < 4; ++r) {
@@ -246,6 +261,34 @@ void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
     }
   }
   std::memcpy(out, s, 16);
+}
+
+}  // namespace
+
+void Aes::encrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
+                         std::size_t n) const {
+#if defined(__x86_64__)
+  if (cpu_has_aes_ni()) {
+    aesni_blocks<true>(enc_rk_bytes_, rounds_, in, out, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    scalar_encrypt_block(round_keys_, rounds_, in + 16 * i, out + 16 * i);
+  }
+}
+
+void Aes::decrypt_blocks(const std::uint8_t* in, std::uint8_t* out,
+                         std::size_t n) const {
+#if defined(__x86_64__)
+  if (cpu_has_aes_ni()) {
+    aesni_blocks<false>(dec_rk_bytes_, rounds_, in, out, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    scalar_decrypt_block(round_keys_, rounds_, in + 16 * i, out + 16 * i);
+  }
 }
 
 }  // namespace revelio::crypto

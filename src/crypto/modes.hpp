@@ -22,7 +22,8 @@ class AesXts {
   explicit AesXts(ByteView key);
 
   /// Encrypts one data unit in place. `data.size()` must be a non-zero
-  /// multiple of 16 (true for all sector sizes we use).
+  /// multiple of 16: a shorter tail would be left as it is, which is why
+  /// `CryptVolume` refuses any other block size.
   void encrypt_sector(std::uint64_t sector, std::span<std::uint8_t> data) const;
   void decrypt_sector(std::uint64_t sector, std::span<std::uint8_t> data) const;
 

@@ -13,6 +13,20 @@ constexpr std::uint32_t kMagic = 0x4c554b53;  // "LUKS" homage
 constexpr std::uint64_t kHeaderBlocks = 1;
 constexpr std::size_t kSaltSize = 32;
 constexpr std::size_t kXtsKeySize = 64;
+// magic(4) || iterations(4) || salt(32) || key-check digest(32)
+constexpr std::size_t kHeaderSize = 8 + kSaltSize + 32;
+
+/// One device block is one XTS data unit, so it must be whole AES blocks (a
+/// tail would be left as plaintext), and block 0 must hold the whole header.
+bool block_size_fits(std::size_t block_size) {
+  return block_size % crypto::Aes::kBlockSize == 0 &&
+         block_size >= kHeaderSize;
+}
+
+Error bad_block_size() {
+  return Error::make("crypt.bad_block_size",
+                     "block size must be a multiple of 16 and >= 72 bytes");
+}
 
 Bytes derive_xts_key(ByteView volume_key, ByteView salt,
                      std::uint32_t iterations) {
@@ -72,6 +86,7 @@ Status DmCryptDevice::write_block(std::uint64_t index, ByteView data) {
 Result<std::shared_ptr<DmCryptDevice>> CryptVolume::format(
     std::shared_ptr<BlockDevice> device, ByteView volume_key, ByteView salt,
     const CryptParams& params) {
+  if (!block_size_fits(device->block_size())) return bad_block_size();
   if (device->block_count() <= kHeaderBlocks) {
     return Error::make("crypt.device_too_small");
   }
@@ -104,11 +119,12 @@ Result<std::shared_ptr<DmCryptDevice>> CryptVolume::open(
         .inc();
     return error;
   };
+  if (!block_size_fits(device->block_size())) return fail(bad_block_size());
   Bytes header(device->block_size());
   if (auto st = device->read_block(0, header); !st.ok()) {
     return fail(st.error());
   }
-  if (header.size() < 8 + kSaltSize + 32 || read_u32be(header, 0) != kMagic) {
+  if (read_u32be(header, 0) != kMagic) {
     return fail(Error::make("crypt.bad_header", "missing crypt magic"));
   }
   const std::uint32_t iterations = read_u32be(header, 4);

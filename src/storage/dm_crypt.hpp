@@ -36,8 +36,10 @@ class DmCryptDevice final : public BlockDevice {
   std::uint64_t payload_first_block_;
   // Holding the AesXts by value caches both expanded AES key schedules
   // (data + tweak cipher) for the lifetime of the device: the per-sector
-  // read/write path never re-runs key expansion, only the block cipher and
-  // the word-wise tweak update.
+  // read/write path never re-runs key expansion. A 4 KiB sector is one
+  // tweak encryption, then 256 data blocks whitened with word-wise doubled
+  // tweaks and handed to the multi-block cipher (8 blocks in flight on
+  // AES-NI) in runs of 64.
   crypto::AesXts xts_;
 };
 
@@ -46,6 +48,8 @@ class CryptVolume {
   /// Formats `device`: writes the header and zero-encrypts nothing (lazy).
   /// `volume_key` is the high-entropy key (the sealing key); PBKDF2 stretches
   /// it with a fresh salt into the XTS key, exactly once at format time.
+  /// Fails with `crypt.bad_block_size` unless the block size is a nonzero
+  /// multiple of 16 and at least 72 bytes (the header); so does `open`.
   static Result<std::shared_ptr<DmCryptDevice>> format(
       std::shared_ptr<BlockDevice> device, ByteView volume_key,
       ByteView salt, const CryptParams& params = {});

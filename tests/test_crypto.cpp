@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/bigint.hpp"
@@ -324,6 +328,152 @@ TEST(AesCtr, KeystreamIsInvolution) {
   EXPECT_NE(data, original);
   aes_ctr_xor(cipher, iv, data);
   EXPECT_EQ(data, original);
+}
+
+// The multi-block calls against single-block calls, for every key size,
+// run lengths around the 8-block group width, out of place and in place.
+TEST(Aes, MultiBlockCallsMatchSingleBlocks) {
+  HmacDrbg drbg(to_bytes(std::string_view("aes-multi")));
+  for (const std::size_t key_size : {16u, 24u, 32u}) {
+    const Aes aes(drbg.generate(key_size));
+    for (std::size_t n = 1; n <= 17; ++n) {
+      const Bytes in = drbg.generate(16 * n);
+      Bytes enc_expect(in.size()), dec_expect(in.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        aes.encrypt_block(in.data() + 16 * i, enc_expect.data() + 16 * i);
+        aes.decrypt_block(in.data() + 16 * i, dec_expect.data() + 16 * i);
+      }
+      Bytes out(in.size());
+      aes.encrypt_blocks(in.data(), out.data(), n);
+      EXPECT_EQ(out, enc_expect) << key_size << " " << n;
+      aes.decrypt_blocks(in.data(), out.data(), n);
+      EXPECT_EQ(out, dec_expect) << key_size << " " << n;
+      Bytes inplace = in;
+      aes.encrypt_blocks(inplace.data(), inplace.data(), n);
+      EXPECT_EQ(inplace, enc_expect) << key_size << " " << n;
+      aes.decrypt_blocks(inplace.data(), inplace.data(), n);
+      EXPECT_EQ(inplace, in) << key_size << " " << n;
+    }
+  }
+}
+
+// Full 4 KiB sectors of XTS-AES-256 (key = bytes 0..63, data byte i =
+// (7i + 3) mod 256), pinned by the SHA-256 of the ciphertext. The digests
+// come from Python `cryptography`'s modes.XTS with the 16-byte
+// little-endian sector number as the tweak:
+//   Cipher(algorithms.AES(key), modes.XTS(s.to_bytes(16, "little")))
+TEST(AesXts, FullSectorKnownAnswers) {
+  Bytes key(64);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i);
+  }
+  Bytes plain(4096);
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    plain[i] = static_cast<std::uint8_t>((7 * i + 3) % 256);
+  }
+  const AesXts xts(key);
+  const std::pair<std::uint64_t, std::string_view> cases[] = {
+      {0, "96b1135aa7d85b8be88ae0c31c00230fd19de4b815f406a7e55a27a4582454f4"},
+      {5, "37e155ee6472024f13e6a98d5beb360b7874f2005512f42872c565e0ad4728c6"},
+      {0x3333333333ULL,
+       "dfe531d7dab55263cb710853580725bfae5185bd8b43597213ad96681d17c6aa"},
+  };
+  for (const auto& [sector, digest] : cases) {
+    Bytes data = plain;
+    xts.encrypt_sector(sector, data);
+    EXPECT_EQ(to_hex(sha256(data).view()), digest) << sector;
+    xts.decrypt_sector(sector, data);
+    EXPECT_EQ(data, plain) << sector;
+  }
+}
+
+/// XTS from first principles: single-block cipher calls and a byte-serial
+/// tweak doubling (shift left across the little-endian bytes, fold the
+/// carry out of bit 127 back in as 0x87).
+Bytes xts_reference(ByteView key, std::uint64_t sector, ByteView data,
+                    bool encrypt) {
+  const Aes data_cipher(key.subspan(0, key.size() / 2));
+  const Aes tweak_cipher(key.subspan(key.size() / 2));
+  std::uint8_t t[16] = {};
+  for (int i = 0; i < 8; ++i) t[i] = static_cast<std::uint8_t>(sector >> (8 * i));
+  tweak_cipher.encrypt_block(t, t);
+  Bytes out = to_bytes(data);
+  for (std::size_t off = 0; off < out.size(); off += 16) {
+    std::uint8_t b[16];
+    for (int i = 0; i < 16; ++i) b[i] = out[off + i] ^ t[i];
+    if (encrypt) {
+      data_cipher.encrypt_block(b, b);
+    } else {
+      data_cipher.decrypt_block(b, b);
+    }
+    for (int i = 0; i < 16; ++i) out[off + i] = b[i] ^ t[i];
+    std::uint8_t carry = 0;
+    for (int i = 0; i < 16; ++i) {
+      const std::uint8_t next = t[i] >> 7;
+      t[i] = static_cast<std::uint8_t>((t[i] << 1) | carry);
+      carry = next;
+    }
+    if (carry) t[0] ^= 0x87;
+  }
+  return out;
+}
+
+TEST(AesXts, MatchesSingleBlockReferenceAtEveryRunLength) {
+  HmacDrbg drbg(to_bytes(std::string_view("xts-differential")));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {255, 256, 257});
+  for (const std::size_t key_size : {32u, 64u}) {
+    const Bytes key = drbg.generate(key_size);
+    const AesXts xts(key);
+    for (const std::size_t n : lengths) {
+      const std::uint64_t sector = 0xfedcba9876543210ULL + n;
+      const Bytes data = drbg.generate(16 * n);
+      Bytes enc = data;
+      xts.encrypt_sector(sector, enc);
+      EXPECT_EQ(enc, xts_reference(key, sector, data, true))
+          << key_size << " " << n;
+      Bytes dec = data;
+      xts.decrypt_sector(sector, dec);
+      EXPECT_EQ(dec, xts_reference(key, sector, data, false))
+          << key_size << " " << n;
+    }
+  }
+}
+
+/// CTR from first principles: one single-block call per 16-byte counter,
+/// big-endian increment across all 16 bytes.
+Bytes ctr_reference(const Aes& cipher, ByteView iv, ByteView data) {
+  std::uint8_t counter[16];
+  std::memcpy(counter, iv.data(), 16);
+  Bytes out = to_bytes(data);
+  for (std::size_t off = 0; off < out.size(); off += 16) {
+    std::uint8_t ks[16];
+    cipher.encrypt_block(counter, ks);
+    for (std::size_t i = 0; i < 16 && off + i < out.size(); ++i) {
+      out[off + i] ^= ks[i];
+    }
+    for (int i = 15; i >= 0; --i) {
+      if (++counter[i] != 0) break;
+    }
+  }
+  return out;
+}
+
+TEST(AesCtr, MatchesSingleBlockReferenceIncludingFullCounterWrap) {
+  HmacDrbg drbg(to_bytes(std::string_view("ctr-differential")));
+  const Aes cipher(drbg.generate(32));
+  const Bytes ivs[] = {drbg.generate(16), Bytes(16, 0xff),
+                       H("00000000000000000000000000fffffe")};
+  for (const Bytes& iv : ivs) {
+    for (const std::size_t len : {0u, 1u, 15u, 16u, 17u, 129u, 4101u}) {
+      const Bytes data = drbg.generate(len);
+      Bytes got = data;
+      aes_ctr_xor(cipher, FixedBytes<16>::from(iv), got);
+      EXPECT_EQ(got, ctr_reference(cipher, iv, data))
+          << to_hex(iv) << " " << len;
+    }
+  }
 }
 
 TEST(AeadCtrHmac, SealOpenRoundTrip) {

@@ -231,6 +231,45 @@ TEST_F(DmCryptTest, RejectsBadSaltAndTinyDevice) {
   EXPECT_FALSE(CryptVolume::format(tiny, key_, salt_).ok());
 }
 
+// One block is one XTS data unit: a block that is not whole AES blocks
+// would leave its tail in plaintext (or overrun it), and one under 72 bytes
+// cannot hold the header. Both format and open fail closed on such devices.
+TEST_F(DmCryptTest, RejectsBlockSizesThatAreNotWholeAesBlocks) {
+  for (const std::size_t block_size : {40u, 4100u}) {
+    auto odd = std::make_shared<MemDisk>(block_size, 8);
+    auto formatted = CryptVolume::format(odd, key_, salt_);
+    ASSERT_FALSE(formatted.ok()) << block_size;
+    EXPECT_EQ(formatted.error().code, "crypt.bad_block_size");
+    EXPECT_FALSE(CryptVolume::is_formatted(*odd)) << "nothing written";
+  }
+  // A header that is valid byte for byte does not make open accept the
+  // 4100-byte device either.
+  ASSERT_TRUE(CryptVolume::format(disk_, key_, salt_).ok());
+  Bytes header = disk_->raw_dump(0, 4096);
+  header.resize(4100, 0);
+  auto odd = std::make_shared<MemDisk>(4100, 8);
+  ASSERT_TRUE(odd->write_block(0, header).ok());
+  auto opened = CryptVolume::open(odd, key_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.error().code, "crypt.bad_block_size");
+}
+
+TEST_F(DmCryptTest, SmallestWholeBlockSizeRoundTrips) {
+  // 80 bytes: the smallest multiple of 16 that holds the 72-byte header;
+  // five AES blocks, a run shorter than the kernel's 8-block group.
+  auto small = std::make_shared<MemDisk>(80, 4);
+  auto dev = CryptVolume::format(small, key_, salt_);
+  ASSERT_TRUE(dev.ok());
+  const Bytes data = pattern_bytes(80);
+  ASSERT_TRUE((*dev)->write_block(1, data).ok());
+  EXPECT_NE(small->raw_dump(2 * 80, 80), data);
+  auto reopened = CryptVolume::open(small, key_);
+  ASSERT_TRUE(reopened.ok());
+  Bytes back(80);
+  ASSERT_TRUE((*reopened)->read_block(1, back).ok());
+  EXPECT_EQ(back, data);
+}
+
 // -------------------------------------------------------------- DmVerity
 
 class DmVerityTest : public ::testing::Test {
