@@ -13,6 +13,8 @@
 //             boundaries) under a forged hash table
 //   scene 8 — 2.1.1: guest-channel protocol-state fuzzing (replay,
 //             reflection, truncation, bit-flips, type confusion)
+//   scene 9 — fleet lifecycle: a node on a revoked chip asks the SP node
+//             for a certificate and the leader for the fleet's TLS key
 //
 // Each scene also asserts on the *observability* signal the attack leaves
 // behind — the specific failed-verification counter or span attribute —
@@ -22,11 +24,13 @@
 //
 // Run: ./build/examples/attack_gallery
 #include <cstdio>
+#include <cstdlib>
 
 #include "imagebuild/builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "revelio/revelio_vm.hpp"
+#include "revelio/revocation.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/web_extension.hpp"
 
@@ -541,6 +545,85 @@ int main() {
                 counter_still_zero ? "untouched" : "MOVED (?)");
     verdict(rejected == 7 && counter_still_zero,
             "AEAD over (direction, seq) AAD + strict per-type validators");
+  }
+
+  // ------------------------------------------------------------- scene 9
+  scene(9, "fleet lifecycle — a revoked chip asks for a certificate, a key");
+  {
+    // The chip's endorsement key leaked: the fleet revoked it. The node on
+    // it still boots the genuine image and produces a valid report, so only
+    // the revocation gate stands between it and the fleet's TLS identity —
+    // at the SP node and at the leader alike.
+    RevocationSet revocations;
+    sevsnp::AmdSp good_platform(to_bytes(std::string_view("scene9-good")),
+                                sevsnp::TcbVersion{2, 0, 8, 115});
+    sevsnp::AmdSp leaked_platform(to_bytes(std::string_view("scene9-leaked")),
+                                  sevsnp::TcbVersion{2, 0, 8, 115});
+    kds.register_platform(good_platform);
+    kds.register_platform(leaked_platform);
+    (void)revocations.revoke_chip(leaked_platform.chip_id(), "key leaked");
+
+    const auto deploy = [&](sevsnp::AmdSp& platform, const char* host)
+        -> std::unique_ptr<core::RevelioVm> {
+      core::RevelioVmConfig config;
+      config.domain = "fleet.revelio.app";
+      config.host = host;
+      config.image = image;
+      config.kds_address = {"kds.amd.com", 443};
+      config.revocation_set = &revocations;
+      auto node = core::RevelioVm::deploy(platform, network, config,
+                                          net::HttpRouter{});
+      if (!node.ok()) {
+        std::printf("    deploy failed: %s\n",
+                    node.error().to_string().c_str());
+        std::exit(1);
+      }
+      return std::move(*node);
+    };
+    auto good = deploy(good_platform, "10.0.9.1");
+    auto leaked = deploy(leaked_platform, "10.0.9.2");
+    core::SpNodeConfig sp_config;
+    sp_config.domain = "fleet.revelio.app";
+    sp_config.kds_address = {"kds.amd.com", 443};
+    sp_config.expected_measurements = {expected};
+    sp_config.revocation_set = &revocations;
+    core::SpNode sp(network, acme, sp_config);
+    sp.approve_node(good->bootstrap_address(), good_platform.chip_id());
+    sp.approve_node(leaked->bootstrap_address(), leaked_platform.chip_id());
+
+    const auto revoked0 = counter("attest.revoked.count", {{"kind", "chip"}});
+    auto outcomes = sp.provision_fleet();
+    bool csr_refused = false;
+    if (outcomes.ok()) {
+      for (const auto& outcome : *outcomes) {
+        if (outcome.bootstrap_address != leaked->bootstrap_address()) continue;
+        csr_refused = !outcome.attested &&
+                      outcome.failure.find("attest.revocation") !=
+                          std::string::npos;
+        std::printf("    SP node, CSR of the revoked chip: %s\n",
+                    outcome.attested ? "SIGNED (?)" : outcome.failure.c_str());
+      }
+    }
+
+    // Refused a certificate, the node asks the leader for the key directly.
+    net::HttpRequest request;
+    request.method = "POST";
+    request.path = "/revelio/key-request";
+    request.host = "fleet.revelio.app";
+    request.body = leaked->identity_evidence().serialize();
+    auto raw = network.call({"10.0.9.2", 1}, good->bootstrap_address(),
+                            request.serialize());
+    auto response = net::HttpResponse::parse(raw.ok() ? *raw : Bytes{});
+    const std::string body = response.ok() ? to_string(response->body) : "";
+    const bool key_refused =
+        response.ok() && response->status == 403 &&
+        body.find("attest.revocation") != std::string::npos;
+    std::printf("    leader, key request from the revoked chip: %s\n",
+                key_refused ? body.c_str() : "KEY HANDED OVER (?)");
+    expect_delta("attest.revoked.count{kind=chip}", revoked0,
+                 counter("attest.revoked.count", {{"kind", "chip"}}), 2);
+    verdict(csr_refused && key_refused && good->serving_tls(),
+            "one relying-party verifier, revocation gate before any signature");
   }
 
   if (g_metric_failures > 0) {

@@ -254,11 +254,8 @@ net::HttpResponse RevelioVm::handle_certificate_install(
   return net::HttpResponse::ok(to_bytes(std::string_view("node-ready")));
 }
 
-Status RevelioVm::verify_peer_bundle(const EvidenceBundle& bundle) {
-  if (!bundle.binding_ok()) {
-    return Error::make("revelio.binding_mismatch",
-                       "REPORT_DATA does not cover the payload");
-  }
+Status RevelioVm::verify_peer_bundle(const EvidenceBundle& bundle,
+                                     std::optional<Bytes> expected_payload) {
   auto kds = net::with_retries(
       network_->clock(), retry_jitter_, config_.retry,
       net::Deadline::unlimited(), "vm.kds_fetch", [&] {
@@ -270,23 +267,14 @@ Status RevelioVm::verify_peer_bundle(const EvidenceBundle& bundle) {
             });
       });
   if (!kds.ok()) return kds.error();
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = network_->clock().now_us();
-  if (auto st = sevsnp::verify_report(bundle.report, kds->vcek, {kds->ask},
-                                      {kds->ark}, options);
-      !st.ok()) {
-    return st;
-  }
-  // Measurement must match a trusted peer image (usually our own).
-  bool trusted = bundle.report.measurement == guest_->measurement();
-  for (const auto& m : config_.trusted_peer_measurements) {
-    trusted = trusted || bundle.report.measurement == m;
-  }
-  if (!trusted) {
-    return Error::make("revelio.untrusted_measurement",
-                       "peer runs an unknown image");
-  }
-  return Status::success();
+  // The peer must run a trusted image (usually our own).
+  RelyingPartyPolicy policy;
+  static_cast<FleetState&>(policy) = config_;
+  policy.expected_measurements = config_.trusted_peer_measurements;
+  policy.expected_measurements.push_back(guest_->measurement());
+  policy.expected_payload = std::move(expected_payload);
+  return verify_evidence(bundle, *kds, network_->clock().now_us(),
+                         std::move(policy));
 }
 
 net::HttpResponse RevelioVm::handle_key_request(
@@ -341,14 +329,14 @@ Status RevelioVm::acquire_key_from_leader(const net::Address& leader) {
   const Bytes wrapped = r.bytes();
   if (r.failed) return Error::make("revelio.bad_key_response");
 
-  // Mutually attest: validate the leader's evidence before trusting the key.
+  // Mutually attest: validate the leader's evidence before trusting the
+  // key. The leader's attested key must be the one in the certificate.
   auto leader_bundle = EvidenceBundle::parse(leader_bundle_bytes);
   if (!leader_bundle.ok()) return leader_bundle.error();
-  if (auto st = verify_peer_bundle(*leader_bundle); !st.ok()) return st;
-  // The leader's attested key must be the one in the certificate.
-  if (!(leader_bundle->payload == tls_certificate_->public_key)) {
-    return Error::make("revelio.leader_key_mismatch",
-                       "certificate key is not the attested leader key");
+  if (auto st = verify_peer_bundle(*leader_bundle,
+                                   tls_certificate_->public_key);
+      !st.ok()) {
+    return st;
   }
 
   auto key_bytes = crypto::ecies_open(crypto::p256(), identity_.d, wrapped);

@@ -15,12 +15,14 @@
 #include "net/http.hpp"
 #include "net/resilience.hpp"
 #include "net/tls.hpp"
-#include "revelio/evidence.hpp"
+#include "revelio/relying_party.hpp"
 #include "vm/hypervisor.hpp"
 
 namespace revelio::core {
 
-struct RevelioVmConfig {
+/// FleetState: the revocation set, TCB horizons (the key exchange's only
+/// TCB floor) and audit log its key exchange consults.
+struct RevelioVmConfig : FleetState {
   std::string domain;      // the service's DNS name
   std::string host;        // network host this VM answers at
   std::uint16_t https_port = 443;
@@ -117,9 +119,11 @@ class RevelioVm {
   Status start_tls_server(net::Network& network);
   Status acquire_key_from_leader(const net::Address& leader);
 
-  /// Mutual-attestation helper: verifies a peer bundle against the KDS
-  /// chain and this node's trusted measurements.
-  Status verify_peer_bundle(const EvidenceBundle& bundle);
+  /// Mutual attestation: fetches the peer's VCEK chain and runs the
+  /// relying-party verifier against this node's trusted measurements and,
+  /// when given, the key the peer must have attested.
+  Status verify_peer_bundle(const EvidenceBundle& bundle,
+                            std::optional<Bytes> expected_payload = {});
 
   RevelioVmConfig config_;
   net::Network* network_ = nullptr;

@@ -62,6 +62,28 @@ Bytes seq_aad(std::uint64_t seq) {
   return aad;
 }
 
+/// A peer whose hello carried evidence the relying-party verifier trusts.
+struct AttestedPeer {
+  crypto::Curve::Point identity_key;
+  sevsnp::Measurement measurement;
+};
+
+Result<AttestedPeer> attest_peer(const ChannelHello& hello,
+                                 const KdsService::VcekResponse& kds,
+                                 const RelyingPartyPolicy& policy,
+                                 std::uint64_t now_us) {
+  auto bundle = EvidenceBundle::parse(hello.evidence);
+  if (!bundle.ok()) return bundle.error();
+  if (auto st = verify_evidence(*bundle, kds, now_us, policy); !st.ok()) {
+    return st.error();
+  }
+  auto key = crypto::p256().decode_point(bundle->payload);
+  if (!key.ok()) {
+    return Error::make("channel.bad_identity_key", key.error().to_string());
+  }
+  return AttestedPeer{*key, bundle->report.measurement};
+}
+
 }  // namespace
 
 Bytes ChannelHello::serialize() const {
@@ -95,28 +117,6 @@ Result<ChannelHello> ChannelHello::parse(ByteView data) {
   return hello;
 }
 
-Status verify_channel_peer(const EvidenceBundle& bundle,
-                           const KdsService::VcekResponse& kds,
-                           const PeerPolicy& policy, std::uint64_t now_us) {
-  if (!bundle.binding_ok()) {
-    return Error::make("channel.binding_mismatch",
-                       "REPORT_DATA does not cover the identity key");
-  }
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = now_us;
-  options.minimum_tcb = policy.minimum_tcb;
-  if (auto st = sevsnp::verify_report(bundle.report, kds.vcek, {kds.ask},
-                                      {kds.ark}, options);
-      !st.ok()) {
-    return st;
-  }
-  for (const auto& m : policy.trusted_measurements) {
-    if (bundle.report.measurement == m) return Status::success();
-  }
-  return Error::make("channel.untrusted_measurement",
-                     "peer image not in the trusted set");
-}
-
 SecureChannel::SecureChannel(Bytes send_key, Bytes recv_key,
                              sevsnp::Measurement peer_measurement)
     : send_aead_(send_key),
@@ -142,29 +142,20 @@ ChannelHello SecureChannel::initiate(const ChannelIdentity& self,
 }
 
 Result<std::pair<ChannelHello, SecureChannel>> SecureChannel::respond(
-    const ChannelIdentity& self, const PeerPolicy& policy,
+    const ChannelIdentity& self, const RelyingPartyPolicy& policy,
     const ChannelHello& initiator_hello,
     const KdsService::VcekResponse& initiator_kds, crypto::HmacDrbg& entropy,
     std::uint64_t now_us) {
   // 1. Verify the initiator's evidence and signature.
-  auto bundle = EvidenceBundle::parse(initiator_hello.evidence);
-  if (!bundle.ok()) return bundle.error();
-  if (auto st = verify_channel_peer(*bundle, initiator_kds, policy, now_us);
-      !st.ok()) {
-    return st.error();
-  }
-  const auto initiator_pub = crypto::p256().decode_point(bundle->payload);
-  if (!initiator_pub.ok()) {
-    return Error::make("channel.bad_identity_key",
-                       initiator_pub.error().to_string());
-  }
+  auto initiator = attest_peer(initiator_hello, initiator_kds, policy, now_us);
+  if (!initiator.ok()) return initiator.error();
   auto init_sig = crypto::EcdsaSignature::decode(crypto::p256(),
                                                  initiator_hello.signature);
   if (!init_sig.ok()) return init_sig.error();
   const auto partial = transcript(initiator_hello.evidence,
                                   initiator_hello.ephemeral_pub, {}, {});
-  if (!crypto::ecdsa_verify(crypto::p256(), *initiator_pub, partial.view(),
-                            *init_sig)) {
+  if (!crypto::ecdsa_verify(crypto::p256(), initiator->identity_key,
+                            partial.view(), *init_sig)) {
     return Error::make("channel.bad_initiator_signature",
                        "hello not signed by the attested identity key");
   }
@@ -194,13 +185,12 @@ Result<std::pair<ChannelHello, SecureChannel>> SecureChannel::respond(
 
   const SessionKeys keys = derive_session_keys(*shared, th);
   SecureChannel channel(keys.responder_to_initiator,
-                        keys.initiator_to_responder,
-                        bundle->report.measurement);
+                        keys.initiator_to_responder, initiator->measurement);
   return std::make_pair(std::move(hello), std::move(channel));
 }
 
 Result<SecureChannel> SecureChannel::complete(
-    const ChannelIdentity& self, const PeerPolicy& policy,
+    const ChannelIdentity& self, const RelyingPartyPolicy& policy,
     ByteView initiator_state, const ChannelHello& responder_hello,
     const KdsService::VcekResponse& responder_kds, std::uint64_t now_us) {
   // The state initiate() handed out is the 32-byte ephemeral scalar.
@@ -209,17 +199,8 @@ Result<SecureChannel> SecureChannel::complete(
                        "expected a 32-byte ephemeral scalar");
   }
   // 1. Verify the responder's evidence.
-  auto bundle = EvidenceBundle::parse(responder_hello.evidence);
-  if (!bundle.ok()) return bundle.error();
-  if (auto st = verify_channel_peer(*bundle, responder_kds, policy, now_us);
-      !st.ok()) {
-    return st.error();
-  }
-  const auto responder_pub = crypto::p256().decode_point(bundle->payload);
-  if (!responder_pub.ok()) {
-    return Error::make("channel.bad_identity_key",
-                       responder_pub.error().to_string());
-  }
+  auto responder = attest_peer(responder_hello, responder_kds, policy, now_us);
+  if (!responder.ok()) return responder.error();
 
   // 2. Recompute the full transcript and verify the responder's signature.
   const crypto::U384 eph_d = crypto::U384::from_bytes_be(initiator_state);
@@ -232,8 +213,8 @@ Result<SecureChannel> SecureChannel::complete(
   auto sig = crypto::EcdsaSignature::decode(crypto::p256(),
                                             responder_hello.signature);
   if (!sig.ok()) return sig.error();
-  if (!crypto::ecdsa_verify(crypto::p256(), *responder_pub, th.view(),
-                            *sig)) {
+  if (!crypto::ecdsa_verify(crypto::p256(), responder->identity_key,
+                            th.view(), *sig)) {
     return Error::make("channel.bad_responder_signature",
                        "transcript not signed by the attested identity key");
   }
@@ -250,8 +231,7 @@ Result<SecureChannel> SecureChannel::complete(
   if (!shared.ok()) return shared.error();
   const SessionKeys keys = derive_session_keys(*shared, th);
   return SecureChannel(keys.initiator_to_responder,
-                       keys.responder_to_initiator,
-                       bundle->report.measurement);
+                       keys.responder_to_initiator, responder->measurement);
 }
 
 Bytes SecureChannel::send(ByteView plaintext) {

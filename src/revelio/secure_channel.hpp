@@ -4,22 +4,17 @@
 // or it can be used for secure data exchange between VMs after a mutual
 // attestation has taken place". This implements that second use: both
 // sides exchange identity evidence bundles, verify each other's report
-// (chain, signature, REPORT_DATA binding, measurement), then run a
-// signed ECDH over the attested identity keys to derive AEAD session keys.
+// with the relying-party verifier (REPORT_DATA binding, revocation, TCB
+// horizon, chain, signature, measurement), then run a signed ECDH over the
+// attested identity keys to derive AEAD session keys.
 // The resulting channel carries arbitrary application payloads between
 // enclaves — replication traffic, state hand-off, etc.
 #pragma once
 
 #include "crypto/modes.hpp"
-#include "revelio/evidence.hpp"
+#include "revelio/relying_party.hpp"
 
 namespace revelio::core {
-
-/// The policy both endpoints enforce on each other.
-struct PeerPolicy {
-  std::vector<sevsnp::Measurement> trusted_measurements;
-  std::optional<sevsnp::TcbVersion> minimum_tcb;
-};
 
 /// One endpoint's long-lived channel identity: the VM identity key plus
 /// its evidence bundle (as produced by RevelioVm at first boot).
@@ -47,7 +42,7 @@ class SecureChannel {
 
   /// Responder side: verifies the initiator, answers, and establishes.
   static Result<std::pair<ChannelHello, SecureChannel>> respond(
-      const ChannelIdentity& self, const PeerPolicy& policy,
+      const ChannelIdentity& self, const RelyingPartyPolicy& policy,
       const ChannelHello& initiator_hello,
       const KdsService::VcekResponse& initiator_kds,
       crypto::HmacDrbg& entropy, std::uint64_t now_us);
@@ -56,7 +51,7 @@ class SecureChannel {
   /// `initiator_state` must be the 32 bytes initiate() wrote; any other
   /// length fails closed with channel.bad_initiator_state.
   static Result<SecureChannel> complete(
-      const ChannelIdentity& self, const PeerPolicy& policy,
+      const ChannelIdentity& self, const RelyingPartyPolicy& policy,
       ByteView initiator_state, const ChannelHello& responder_hello,
       const KdsService::VcekResponse& responder_kds, std::uint64_t now_us);
 
@@ -81,11 +76,5 @@ class SecureChannel {
   std::uint64_t recv_seq_ = 0;
   sevsnp::Measurement peer_measurement_;
 };
-
-/// Shared verification: evidence bundle + KDS chain + policy. Exposed for
-/// reuse and tests.
-Status verify_channel_peer(const EvidenceBundle& bundle,
-                           const KdsService::VcekResponse& kds,
-                           const PeerPolicy& policy, std::uint64_t now_us);
 
 }  // namespace revelio::core

@@ -48,43 +48,13 @@ Result<pki::CertificateSigningRequest> SpNode::attest_node(
   auto bundle = EvidenceBundle::parse(response->body);
   if (!bundle.ok()) return bundle.error();
 
-  // 2. CSR hash must be imprinted in REPORT_DATA (§5.2.2).
-  if (!bundle->binding_ok()) {
-    return Error::make("sp.binding_mismatch",
-                       "CSR hash not bound into the report");
-  }
-  // 3. Chip id must match the approved platform for this address.
+  // 2. Chip id must match the approved platform for this address. The SP
+  // node's own checks run first, so the verifier's verdict is the last.
   if (bundle->report.chip_id.bytes() != approved_it->second) {
     return Error::make("sp.chip_mismatch",
                        "report comes from an unapproved chip");
   }
-  // 4. Signature + endorsement chain via the KDS.
-  auto kds = net::with_retries(
-      network_->clock(), retry_jitter_, config_.retry,
-      net::Deadline::unlimited(), "sp.kds_fetch", [&] {
-        return KdsService::fetch(*network_, own_address_, config_.kds_address,
-                                 bundle->report.chip_id,
-                                 bundle->report.reported_tcb);
-      });
-  if (!kds.ok()) return kds.error();
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = network_->clock().now_us();
-  options.minimum_tcb = config_.minimum_tcb;
-  if (auto st = sevsnp::verify_report(bundle->report, kds->vcek, {kds->ask},
-                                      {kds->ark}, options);
-      !st.ok()) {
-    return Error::make("sp.report_invalid", st.error().to_string());
-  }
-  // 5. Measurement must be an expected (non-revoked) image.
-  bool acceptable = false;
-  for (const auto& m : config_.expected_measurements) {
-    acceptable = acceptable || bundle->report.measurement == m;
-  }
-  if (!acceptable) {
-    return Error::make("sp.measurement_mismatch",
-                       "node runs an unexpected image");
-  }
-  // 6. The CSR itself must verify and name our domain.
+  // 3. The CSR itself must verify and name our domain.
   auto csr = pki::CertificateSigningRequest::parse(bundle->payload);
   if (!csr.ok()) return csr.error();
   if (!csr->verify()) {
@@ -96,6 +66,26 @@ Result<pki::CertificateSigningRequest> SpNode::attest_node(
   }
   if (!names_domain) {
     return Error::make("sp.bad_csr", "CSR does not name the service domain");
+  }
+  // 4. The endorsement chain via the KDS.
+  auto kds = net::with_retries(
+      network_->clock(), retry_jitter_, config_.retry,
+      net::Deadline::unlimited(), "sp.kds_fetch", [&] {
+        return KdsService::fetch(*network_, own_address_, config_.kds_address,
+                                 bundle->report.chip_id,
+                                 bundle->report.reported_tcb);
+      });
+  if (!kds.ok()) return kds.error();
+  // 5. The relying-party gates: the CSR hash imprinted in REPORT_DATA
+  // (§5.2.2), revocation, TCB horizon, signature + chain, measurement.
+  RelyingPartyPolicy policy;
+  static_cast<FleetState&>(policy) = config_;
+  policy.expected_measurements = config_.expected_measurements;
+  policy.minimum_tcb = config_.minimum_tcb;
+  if (auto st = verify_evidence(*bundle, *kds, network_->clock().now_us(),
+                                std::move(policy));
+      !st.ok()) {
+    return st.error();
   }
   return csr;
 }

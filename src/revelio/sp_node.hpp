@@ -2,11 +2,12 @@
 //
 // Lives outside the public cloud, holds the DNS API credentials and the
 // ACME account, and drives certificate management: it attests every fleet
-// node (report signature + chain, measurement, CSR binding, chip-id and IP
-// allowlists), picks a leader, obtains one shared SSL certificate for the
-// leader's CSR (respecting CA rate limits, §3.4.6), and distributes it —
-// after which the nodes fetch the private key from the leader themselves
-// (Fig 4).
+// node (chip-id and IP allowlists and the CSR, then the relying-party
+// verifier's gates: CSR binding, revocation, TCB horizon, report signature
+// + chain, measurement), picks a leader, obtains one shared SSL
+// certificate for the leader's CSR (respecting CA rate limits, §3.4.6),
+// and distributes it — after which the nodes fetch the private key from
+// the leader themselves (Fig 4).
 #pragma once
 
 #include <set>
@@ -14,12 +15,12 @@
 #include "net/http.hpp"
 #include "net/resilience.hpp"
 #include "pki/acme.hpp"
-#include "revelio/evidence.hpp"
-#include "revelio/trusted_registry.hpp"
+#include "revelio/relying_party.hpp"
 
 namespace revelio::core {
 
-struct SpNodeConfig {
+/// FleetState: the revocation set, TCB horizons and audit log it consults.
+struct SpNodeConfig : FleetState {
   std::string domain;
   std::string acme_account = "revelio-sp";
   net::Address kds_address;

@@ -4,12 +4,9 @@
 
 #include "crypto/ecdsa.hpp"
 #include "crypto/sha2.hpp"
-#include "fleet/tcb_horizon.hpp"
-#include "obs/audit_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "revelio/revocation.hpp"
 
 namespace revelio::core {
 
@@ -104,26 +101,6 @@ std::vector<net::Address> kds_replicas(const WebExtensionConfig& config) {
   return replicas;
 }
 
-/// Maps a (split or whole) report-verify Status onto the checks struct:
-/// chain failures vs report_verify failures. True iff st is ok.
-bool apply_verify_status(const Status& st, AttestationChecks& checks) {
-  if (!st.ok()) {
-    // Distinguish chain failures from signature failures for the UI.
-    if (st.error().code == "snp.vcek_chain_invalid") {
-      checks.failure = st.error().to_string();
-      checks.failure_step = "chain";
-      return false;
-    }
-    checks.chain_ok = true;
-    checks.failure = st.error().to_string();
-    checks.failure_step = "report_verify";
-    return false;
-  }
-  checks.chain_ok = true;
-  checks.signature_ok = true;
-  return true;
-}
-
 }  // namespace
 
 WebExtension::WebExtension(Browser& browser, WebExtensionConfig config)
@@ -207,122 +184,15 @@ Result<KdsService::VcekResponse> WebExtension::fetch_vcek(
   return result;
 }
 
-void WebExtension::note_attest_result(const std::string& result) {
-  obs::metrics()
-      .counter("ext.attest.result.count", {{"result", result}})
-      .inc();
-}
-
-void WebExtension::note_verdict(const AttestationChecks& checks,
-                                const EvidenceBundle* bundle,
-                                const KdsService::VcekResponse* kds,
-                                bool accepted,
-                                const crypto::Digest32* evidence_digest,
-                                const crypto::Digest32* chain_digest) {
-  obs::flight_record(obs::FlightEventType::kVerdict, accepted ? 1 : 0);
-  if (config_.audit_log == nullptr) return;
-  obs::AuditRecord rec;
-  rec.session = config_.audit_session_id;
-  rec.virt_us = browser_->network().clock().now_us();
-  rec.accepted = accepted;
-  rec.failure_step = checks.failure_step;
-  if (checks.evidence_fetched) rec.checks |= obs::AuditRecord::kEvidenceFetched;
-  if (checks.binding_ok) rec.checks |= obs::AuditRecord::kBindingOk;
-  if (checks.chain_ok) rec.checks |= obs::AuditRecord::kChainOk;
-  if (checks.signature_ok) rec.checks |= obs::AuditRecord::kSignatureOk;
-  if (checks.measurement_ok) rec.checks |= obs::AuditRecord::kMeasurementOk;
-  if (checks.tls_binding_ok) rec.checks |= obs::AuditRecord::kTlsBindingOk;
-  if (bundle != nullptr) {
-    // What the verdict was based on: the exact evidence bytes and the
-    // claimed launch measurement / TCB inside them.
-    rec.measurement = bundle->report.measurement;
-    rec.tcb = bundle->report.reported_tcb.encode();
-    rec.evidence_digest = evidence_digest != nullptr
-                              ? *evidence_digest
-                              : crypto::sha256(bundle->serialize());
+RelyingPartyPolicy WebExtension::site_policy(const std::string& domain) const {
+  RelyingPartyPolicy policy;
+  if (const auto it = sites_.find(domain); it != sites_.end()) {
+    static_cast<SiteRegistration&>(policy) = it->second;
   }
-  if (kds != nullptr) {
-    // One digest binding all three certificates the chain walk consumed.
-    if (chain_digest != nullptr) {
-      rec.vcek_chain = *chain_digest;
-    } else {
-      Bytes chain_der;
-      append(chain_der, kds->vcek.serialize());
-      append(chain_der, kds->ask.serialize());
-      append(chain_der, kds->ark.serialize());
-      rec.vcek_chain = crypto::sha256(chain_der);
-    }
-  }
-  config_.audit_log->append(rec);
-}
-
-bool WebExtension::verify_policy(const std::string& domain,
-                                 const EvidenceBundle& bundle,
-                                 const Bytes& session_key,
-                                 AttestationChecks& checks) {
-  const SiteRegistration& site = sites_.at(domain);
-  // 4. Measurement: manual pin or delegated registry.
-  bool acceptable = false;
-  for (const auto& m : site.expected_measurements) {
-    acceptable = acceptable || bundle.report.measurement == m;
-  }
-  if (site.registry != nullptr) {
-    acceptable = acceptable ||
-                 site.registry->is_acceptable(site.registry_service,
-                                              bundle.report.measurement);
-  }
-  if (!acceptable) {
-    checks.failure = "measurement not in the accepted set";
-    checks.failure_step = "measurement";
-    return false;
-  }
-  checks.measurement_ok = true;
-
-  // 5. The TLS endpoint must terminate at the attested key (§3.4.5).
-  if (!(session_key == bundle.payload)) {
-    checks.failure = "TLS connection does not terminate at the attested key";
-    checks.failure_step = "tls_binding";
-    return false;
-  }
-  checks.tls_binding_ok = true;
-  return true;
-}
-
-bool WebExtension::check_revocation(const EvidenceBundle& bundle,
-                                    const KdsService::VcekResponse& kds,
-                                    AttestationChecks& checks) {
-  if (config_.revocation_set == nullptr) return true;
-  const RevocationSet& set = *config_.revocation_set;
-  std::string what;
-  if (set.is_measurement_revoked(bundle.report.measurement)) {
-    what = "measurement";
-  } else if (set.is_chip_revoked(bundle.report.chip_id)) {
-    what = "chip";
-  } else if (set.is_vcek_revoked(kds.vcek.fingerprint())) {
-    what = "VCEK certificate";
-  } else {
-    return true;
-  }
-  checks.failure = what + " is revoked";
-  checks.failure_step = "revocation";
-  obs::metrics()
-      .counter("ext.attest.revoked.count", {{"kind", what}})
-      .inc();
-  return false;
-}
-
-bool WebExtension::check_tcb_horizon(const EvidenceBundle& bundle,
-                                     AttestationChecks& checks) {
-  if (config_.tcb_horizon == nullptr) return true;
-  const std::uint64_t now_us = browser_->network().clock().now_us();
-  if (config_.tcb_horizon->acceptable(bundle.report.chip_id,
-                                      bundle.report.reported_tcb, now_us)) {
-    return true;
-  }
-  checks.failure = "report TCB is below the chip's update horizon";
-  checks.failure_step = "tcb_horizon";
-  obs::metrics().counter("ext.attest.tcb_horizon.count").inc();
-  return false;
+  static_cast<FleetState&>(policy) = config_;
+  policy.audit_session_id = config_.audit_session_id;
+  policy.chain_cache = chain_cache_;
+  return policy;
 }
 
 Result<WebExtension::Verified> WebExtension::fetch(
@@ -355,8 +225,12 @@ Result<WebExtension::Verified> WebExtension::fetch(
 
   if (need_full_attestation) {
     span.attr("mode", "attest");
-    StagedAttestation staged(*this, domain, port, result->tls_server_key,
-                             deadline);
+    // The page fetch already holds the session, so the pass starts at
+    // fetch_evidence with that key and deadline.
+    StagedAttestation staged(*this, domain, port);
+    staged.next_ = StagedAttestation::Stage::kEvidence;
+    staged.deadline_ = deadline;
+    staged.verifier_.policy().expected_payload = result->tls_server_key;
     Status st = Status::success();
     {
       obs::Span attest_span("ext.attest");
@@ -428,7 +302,7 @@ Status WebExtension::StagedAttestation::handshake() {
                   : net::Deadline::unlimited();
   auto key = ext_->browser_->connect(domain_, port_);
   if (!key.ok()) return key.error();
-  session_key_ = std::move(*key);
+  verifier_.policy().expected_payload = std::move(*key);
   next_ = Stage::kEvidence;
   return Status::success();
 }
@@ -449,120 +323,58 @@ Status WebExtension::StagedAttestation::fetch_evidence() {
   if (!fetched.ok() || fetched->response.status != 200) {
     span.attr("result", "fetch_failed");
     span.end();
-    return reject("evidence_fetch", "evidence fetch failed");
+    return conclude(
+        verifier_.reject("evidence_fetch", "evidence fetch failed"));
   }
   auto bundle = EvidenceBundle::parse(fetched->response.body);
   if (!bundle.ok()) {
     span.attr("result", "unparseable");
     span.end();
-    return reject("evidence_parse", "evidence unparseable");
+    return conclude(
+        verifier_.reject("evidence_parse", "evidence unparseable"));
   }
   span.attr("result", "ok");
   span.end();
-  checks_.evidence_fetched = true;
 
   // REPORT_DATA must cover the served payload (the VM's identity key).
-  if (!bundle->binding_ok()) {
-    return reject("binding", "REPORT_DATA does not cover the payload");
-  }
-  checks_.binding_ok = true;
-  bundle_ = std::move(*bundle);
+  if (!verifier_.check_binding(std::move(*bundle))) return conclude(false);
   next_ = Stage::kKds;
   return Status::success();
 }
 
 Status WebExtension::StagedAttestation::fetch_kds() {
   if (next_ != Stage::kKds) return wrong_stage("fetch_kds");
-  auto kds = ext_->fetch_vcek(bundle_->report.chip_id,
-                              bundle_->report.reported_tcb, deadline_);
+  auto kds = ext_->fetch_vcek(bundle().report.chip_id,
+                              bundle().report.reported_tcb, deadline_);
   if (!kds.ok()) {
-    return reject("kds_fetch", "VCEK fetch failed: " + kds.error().to_string());
+    return conclude(verifier_.reject(
+        "kds_fetch", "VCEK fetch failed: " + kds.error().to_string()));
   }
-  kds_ = std::move(*kds);
+  verifier_.set_chain(std::move(*kds));
   next_ = Stage::kVerify;
   return Status::success();
 }
 
-bool WebExtension::StagedAttestation::pass_gates() {
-  // Evidence from a revoked identity or below its chip's update horizon
-  // must not even reach the crypto.
-  return ext_->check_revocation(*bundle_, *kds_, checks_) &&
-         ext_->check_tcb_horizon(*bundle_, checks_);
-}
-
-sevsnp::ReportVerifyOptions WebExtension::StagedAttestation::verify_options()
-    const {
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = ext_->browser_->network().clock().now_us();
-  options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
-  options.chain_cache = ext_->chain_cache_;
-  return options;
-}
-
 Status WebExtension::StagedAttestation::verify() {
   if (next_ != Stage::kVerify) return wrong_stage("verify");
-  if (!pass_gates()) return conclude(false);
-  return finish_verify(sevsnp::verify_report(
-      bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, verify_options()));
-}
-
-Result<sevsnp::PreparedReportVerify>
-WebExtension::StagedAttestation::verify_prepare() {
-  if (next_ != Stage::kVerify || prepared_) {
-    return wrong_stage("verify").error();
-  }
-  // A gate rejection is terminal like any failed verify(), and the
-  // signature batch never sees this session.
-  if (!pass_gates()) return conclude(false).error();
-  auto prepared = sevsnp::prepare_report_verify(
-      bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, verify_options());
-  if (!prepared.ok()) {
-    sevsnp::record_report_verify_result(prepared.error());
-    return finish_verify(prepared.error()).error();
-  }
-  prepared_ = true;
-  return *prepared;
-}
-
-Status WebExtension::StagedAttestation::verify_finish(bool signature_ok) {
-  if (next_ != Stage::kVerify || !prepared_) return wrong_stage("verify");
-  prepared_ = false;
-  const Status st = sevsnp::finish_report_verify(bundle_->report,
-                                                 signature_ok,
-                                                 verify_options());
-  sevsnp::record_report_verify_result(st);
-  return finish_verify(st);
-}
-
-Status WebExtension::StagedAttestation::finish_verify(
-    const Status& report_status) {
-  return conclude(apply_verify_status(report_status, checks_) &&
-                  ext_->verify_policy(domain_, *bundle_, session_key_,
-                                      checks_));
-}
-
-Status WebExtension::StagedAttestation::reject(const char* step,
-                                               std::string failure) {
-  checks_.failure = std::move(failure);
-  checks_.failure_step = step;
-  return conclude(false);
+  return conclude(verifier_.verify(now_us()));
 }
 
 Status WebExtension::StagedAttestation::conclude(bool accepted) {
-  ext_->note_verdict(
-      checks_, bundle_ ? &*bundle_ : nullptr, kds_ ? &*kds_ : nullptr,
-      accepted, audit_evidence_digest_ ? &*audit_evidence_digest_ : nullptr,
-      audit_chain_digest_ ? &*audit_chain_digest_ : nullptr);
+  verifier_.record_verdict(accepted, now_us());
+  const AttestationChecks& checks = verifier_.checks();
   DomainState& state = ext_->state_[domain_];
   state.attested = accepted;
-  state.checks = checks_;
+  state.checks = checks;
+  obs::metrics()
+      .counter("ext.attest.result.count",
+               {{"result", accepted ? "ok" : checks.failure_step}})
+      .inc();
   if (!accepted) {
     // Fail closed: last_checks() shows why, and the page is never served.
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
+    return Error::make("extension.attestation_failed", checks.failure);
   }
-  state.attested_key = bundle_->payload;
-  ext_->note_attest_result("ok");
+  state.attested_key = bundle().payload;
   next_ = Stage::kPage;
   return Status::success();
 }
@@ -597,9 +409,13 @@ std::vector<Status> batch_verify_sessions(
     StagedAttestation* session = sessions[k];
     if (session == nullptr) continue;
     obs::ScopedSessionRecord bind(session->record_);
-    auto prep = session->verify_prepare();
-    if (!prep.ok()) {
-      out[k] = prep.error();
+    if (session->next_ != StagedAttestation::Stage::kVerify) {
+      out[k] = session->wrong_stage("verify");
+      continue;
+    }
+    auto prep = session->verifier_.prepare(session->now_us());
+    if (!prep) {
+      out[k] = session->conclude(false);
       continue;
     }
     crypto::EcdsaBatchItem item;
@@ -626,45 +442,39 @@ std::vector<Status> batch_verify_sessions(
 
   // Audit digests, eight sessions per multi-buffer SHA-256 pass. The lanes
   // advance in lockstep, so only aligned runs of equal-length encodings
-  // batch; every other slot keeps note_verdict's inline hashing, which
+  // batch; every other slot keeps record_verdict's inline hashing, which
   // produces the identical digest.
   std::vector<Bytes> evidence(slots.size());
   std::vector<Bytes> chains(slots.size());
   for (std::size_t j = 0; j < slots.size(); ++j) {
-    const StagedAttestation& session = *sessions[slots[j]];
-    evidence[j] = session.bundle_->serialize();
-    Bytes der;
-    append(der, session.kds_->vcek.serialize());
-    append(der, session.kds_->ask.serialize());
-    append(der, session.kds_->ark.serialize());
-    chains[j] = std::move(der);
+    const RelyingPartyVerifier& verifier = sessions[slots[j]]->verifier_;
+    evidence[j] = verifier.bundle()->serialize();
+    chains[j] = chain_encoding(*verifier.chain());
   }
-  const auto hash_runs =
-      [&](const std::vector<Bytes>& encodings,
-          std::optional<crypto::Digest32> StagedAttestation::*member) {
-        constexpr std::size_t kLanes = crypto::Sha256x8::kLanes;
-        std::size_t j = 0;
-        while (j + kLanes <= encodings.size()) {
-          bool uniform = true;
-          for (std::size_t l = 1; l < kLanes; ++l) {
-            uniform = uniform && encodings[j + l].size() == encodings[j].size();
-          }
-          if (!uniform) {
-            ++j;
-            continue;
-          }
-          ByteView views[kLanes];
-          crypto::Digest32 digests[kLanes];
-          for (std::size_t l = 0; l < kLanes; ++l) views[l] = encodings[j + l];
-          crypto::sha256_x8(views, digests);
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            sessions[slots[j + l]]->*member = digests[l];
-          }
-          j += kLanes;
-        }
-      };
-  hash_runs(evidence, &StagedAttestation::audit_evidence_digest_);
-  hash_runs(chains, &StagedAttestation::audit_chain_digest_);
+  const auto hash_runs = [](const std::vector<Bytes>& encodings) {
+    constexpr std::size_t kLanes = crypto::Sha256x8::kLanes;
+    std::vector<std::optional<crypto::Digest32>> out(encodings.size());
+    std::size_t j = 0;
+    while (j + kLanes <= encodings.size()) {
+      bool uniform = true;
+      for (std::size_t l = 1; l < kLanes; ++l) {
+        uniform = uniform && encodings[j + l].size() == encodings[j].size();
+      }
+      if (!uniform) {
+        ++j;
+        continue;
+      }
+      ByteView views[kLanes];
+      crypto::Digest32 digests[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) views[l] = encodings[j + l];
+      crypto::sha256_x8(views, digests);
+      for (std::size_t l = 0; l < kLanes; ++l) out[j + l] = digests[l];
+      j += kLanes;
+    }
+    return out;
+  };
+  const auto evidence_digests = hash_runs(evidence);
+  const auto chain_digests = hash_runs(chains);
 
   // ONE interleaved multi-scalar pass over every prepared signature; the
   // per-signature offender fallback lives inside ecdsa_verify_batch, so a
@@ -678,7 +488,9 @@ std::vector<Status> batch_verify_sessions(
     rejected += verdicts[j] ? 0 : 1;
     StagedAttestation& session = *sessions[slots[j]];
     obs::ScopedSessionRecord bind(session.record_);
-    out[slots[j]] = session.verify_finish(verdicts[j]);
+    session.verifier_.set_audit_digests(evidence_digests[j], chain_digests[j]);
+    out[slots[j]] = session.conclude(
+        session.verifier_.finish(verdicts[j], session.now_us()));
   }
   span.attr("rejected", static_cast<std::uint64_t>(rejected));
   return out;

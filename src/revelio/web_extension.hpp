@@ -19,21 +19,8 @@
 #include "net/resilience.hpp"
 #include "net/tls.hpp"
 #include "obs/flight_recorder.hpp"
-#include "revelio/evidence.hpp"
-#include "revelio/trusted_registry.hpp"
+#include "revelio/relying_party.hpp"
 #include "revelio/vcek_cache.hpp"
-
-namespace revelio::obs {
-class AuditLog;  // obs/audit_log.hpp
-}  // namespace revelio::obs
-
-namespace revelio {
-class RevocationSet;  // revelio/revocation.hpp
-}  // namespace revelio
-
-namespace revelio::fleet {
-class TcbHorizon;  // fleet/tcb_horizon.hpp
-}  // namespace revelio::fleet
 
 namespace revelio::core {
 
@@ -91,40 +78,12 @@ class Browser {
   std::uint16_t next_port_ = 40000;
 };
 
-/// How a registered site's measurement is judged.
-struct SiteRegistration {
-  /// Manual registration: the user supplies expected measurement(s)
-  /// computed from the reproducible build or received out of band.
-  std::vector<sevsnp::Measurement> expected_measurements;
-  /// Delegated: consult a third-party registry (auditor / DAO).
-  const TrustedRegistry* registry = nullptr;
-  std::string registry_service;
-  std::optional<sevsnp::TcbVersion> minimum_tcb;
-};
+/// How a registered site's measurement is judged: manual pins, a delegated
+/// TrustedRegistry, or both, plus an optional TCB floor.
+using SiteRegistration = MeasurementPolicy;
 
-/// Outcome of one attestation pass — what the extension's UI would render.
-struct AttestationChecks {
-  bool evidence_fetched = false;
-  bool binding_ok = false;       // REPORT_DATA covers the served key
-  bool chain_ok = false;         // VCEK chains to the AMD root
-  bool signature_ok = false;     // report signed by that VCEK
-  bool measurement_ok = false;   // measurement is a known-good image
-  bool tls_binding_ok = false;   // session terminates at the attested key
-  std::string failure;
-  /// Machine-readable step id of the first failed check ("" when all pass):
-  /// evidence_fetch | evidence_parse | binding | kds_fetch | revocation |
-  /// tcb_horizon | chain | report_verify | measurement | tls_binding.
-  /// Mirrors the `result` label
-  /// on the ext.attest.result.count metric and the ext.attest span.
-  std::string failure_step;
-
-  bool all_ok() const {
-    return evidence_fetched && binding_ok && chain_ok && signature_ok &&
-           measurement_ok && tls_binding_ok;
-  }
-};
-
-struct WebExtensionConfig {
+/// FleetState: the revocation set, TCB horizons and audit log it consults.
+struct WebExtensionConfig : FleetState {
   net::Address kds_address;
   /// Read-only KDS mirrors tried, in order, when kds_address (or an earlier
   /// mirror) is transiently unreachable or its breaker is open. The VCEK
@@ -150,25 +109,9 @@ struct WebExtensionConfig {
   /// coalescing, in place of the extension's private one.
   /// Must outlive the extension.
   VcekCache* shared_vcek_cache = nullptr;
-  /// When set, every attestation verdict — accept or reject — is appended
-  /// to this tamper-evident chain (measurement, VCEK chain digest, TCB,
-  /// checks bitmap, failure step, evidence digest). Must outlive the
-  /// extension; appends are thread-safe.
-  obs::AuditLog* audit_log = nullptr;
   /// Session id stamped on this extension's audit records (the gateway
   /// sets it to the session index; a lone extension can leave 0).
   std::uint64_t audit_session_id = 0;
-  /// When set, the verify stage consults this set *before* any signature
-  /// work and rejects fail-closed (failure_step "revocation") if the
-  /// report's measurement, chip, or the fetched VCEK certificate has been
-  /// revoked. Must outlive the extension; checks are thread-safe.
-  const RevocationSet* revocation_set = nullptr;
-  /// When set, the verify stage also consults the fleet's per-chip TCB
-  /// update horizons *before* any signature work and rejects fail-closed
-  /// (failure_step "tcb_horizon") any report whose TCB is below its
-  /// chip's announced minimum once the horizon instant has passed. Must
-  /// outlive the extension; checks are thread-safe.
-  const fleet::TcbHorizon* tcb_horizon = nullptr;
 };
 
 class WebExtension {
@@ -236,22 +179,12 @@ class WebExtension {
     Status fetch_kds();
     /// Pure compute: chain walk, report signature, measurement policy, TLS
     /// binding. Records the attested DomainState on success.
+    /// batch_verify_sessions is its batched alternative.
     Status verify();
-    /// Batched alternative to verify(), split at the signature check.
-    /// verify_prepare() runs the chain walk, key/signature decode and
-    /// signed-body digest for THIS session and returns the triple a batch
-    /// verifier needs; the caller checks the signature out of line —
-    /// typically one crypto::ecdsa_verify_batch pass across many sessions
-    /// — and hands the verdict to verify_finish(), which applies the same
-    /// policy checks, verdict bookkeeping and state updates as verify().
-    /// A failed verify_prepare() is terminal exactly like a failed
-    /// verify(); statuses and audit records are identical either way.
-    Result<sevsnp::PreparedReportVerify> verify_prepare();
-    Status verify_finish(bool signature_ok);
     /// Monitored page fetch over the now-attested session.
     Result<net::HttpResponse> fetch_page(const std::string& path);
 
-    const AttestationChecks& checks() const { return checks_; }
+    const AttestationChecks& checks() const { return verifier_.checks(); }
     const std::string& domain() const { return domain_; }
 
    private:
@@ -260,18 +193,10 @@ class WebExtension {
         const std::vector<StagedAttestation*>& sessions);
     StagedAttestation(WebExtension& ext, std::string domain,
                       std::uint16_t port)
-        : ext_(&ext), domain_(std::move(domain)), port_(port) {}
-    /// fetch()'s pass: its page fetch already holds the session, so the
-    /// pass starts at fetch_evidence with that key and deadline.
-    StagedAttestation(WebExtension& ext, std::string domain,
-                      std::uint16_t port, Bytes session_key,
-                      net::Deadline deadline)
         : ext_(&ext),
           domain_(std::move(domain)),
           port_(port),
-          next_(Stage::kEvidence),
-          deadline_(deadline),
-          session_key_(std::move(session_key)) {}
+          verifier_(ext.site_policy(domain_)) {}
 
     /// The bound session record if it carries a ring, else null: only
     /// the engine's per-session records outlive their dispatch.
@@ -289,36 +214,25 @@ class WebExtension {
       kDone,
     };
     Status wrong_stage(const char* want) const;
-    /// Fail-closed gates that run before any signature work: revocation,
-    /// then the fleet TCB horizon. False (checks_ set) when one rejects.
-    bool pass_gates();
-    sevsnp::ReportVerifyOptions verify_options() const;
-    /// Classifies the report-verify status, then applies the measurement
-    /// and TLS-binding policy, and concludes the session either way.
-    Status finish_verify(const Status& report_status);
-    /// Records `step` as the first failed check and concludes the session.
-    Status reject(const char* step, std::string failure);
-    /// The terminal verdict, accept or reject: flight event + audit record,
-    /// the DomainState last_checks() reads, the ext.attest.result.count
-    /// label, and the stage's status.
+    std::uint64_t now_us() const {
+      return ext_->browser_->network().clock().now_us();
+    }
+    /// The terminal verdict, accept or reject: the verifier's flight event
+    /// and audit record, the DomainState last_checks() reads, the
+    /// ext.attest.result.count label, and the stage's status.
     Status conclude(bool accepted);
+    const EvidenceBundle& bundle() const { return *verifier_.bundle(); }
 
     WebExtension* ext_;
     std::string domain_;
     std::uint16_t port_ = 0;
     obs::SessionRecord* record_ = held_record();
     Stage next_ = Stage::kHandshake;
-    bool prepared_ = false;  // verify_prepare succeeded, awaiting finish
     net::Deadline deadline_;
-    Bytes session_key_;
-    AttestationChecks checks_;
-    std::optional<EvidenceBundle> bundle_;
-    std::optional<KdsService::VcekResponse> kds_;
-    /// Audit digests precomputed by the batch verifier (8-way SHA-256 over
-    /// equal-size evidence/chain encodings); note_verdict falls back to
-    /// hashing inline when unset, so digests are identical either way.
-    std::optional<crypto::Digest32> audit_evidence_digest_;
-    std::optional<crypto::Digest32> audit_chain_digest_;
+    /// The site's policy, with the session's TLS key as the expected
+    /// payload once the handshake has it; holds the evidence and chain
+    /// the stages gather.
+    RelyingPartyVerifier verifier_;
   };
 
   /// Starts a staged attestation pass against a registered site. The
@@ -349,31 +263,9 @@ class WebExtension {
   Result<KdsService::VcekResponse> fetch_vcek(const sevsnp::ChipId& chip,
                                               sevsnp::TcbVersion tcb,
                                               const net::Deadline& deadline);
-  /// Fail-closed revocation gate (config_.revocation_set): true when no
-  /// identity in the evidence is revoked (or no set is configured).
-  bool check_revocation(const EvidenceBundle& bundle,
-                        const KdsService::VcekResponse& kds,
-                        AttestationChecks& checks);
-  /// Fail-closed fleet TCB-horizon gate (config_.tcb_horizon): true when
-  /// the report's TCB is acceptable for its chip at the current virtual
-  /// instant (or no horizon set is configured).
-  bool check_tcb_horizon(const EvidenceBundle& bundle,
-                         AttestationChecks& checks);
-  /// Post-signature policy: measurement pin/registry, then TLS binding.
-  bool verify_policy(const std::string& domain, const EvidenceBundle& bundle,
-                     const Bytes& session_key, AttestationChecks& checks);
-  static void note_attest_result(const std::string& result);
-  /// A kVerdict flight event, and — when config_.audit_log is set — an
-  /// AuditRecord built from whatever evidence the session got as far as
-  /// gathering (`bundle` and `kds` may be null when the corresponding
-  /// fetch never succeeded).
-  /// The digest pointers let the batch path hand in evidence/chain hashes
-  /// it computed 8 sessions at a time (Sha256x8); null = hash inline.
-  void note_verdict(const AttestationChecks& checks,
-                    const EvidenceBundle* bundle,
-                    const KdsService::VcekResponse* kds, bool accepted,
-                    const crypto::Digest32* evidence_digest = nullptr,
-                    const crypto::Digest32* chain_digest = nullptr);
+  /// The relying-party policy for `domain`: its registration plus this
+  /// extension's revocation set, TCB horizon, audit log and chain cache.
+  RelyingPartyPolicy site_policy(const std::string& domain) const;
 
   Browser* browser_;
   WebExtensionConfig config_;
@@ -397,11 +289,12 @@ class WebExtension {
 };
 
 /// Runs the verify stage for many staged sessions — typically the whole
-/// wavefront a SessionEngine batch dispatch hands over — in one pass:
-/// per-session verify_prepare, ONE crypto::ecdsa_verify_batch over every
-/// prepared signature (the per-signature offender fallback lives inside
-/// it), audit evidence/chain digests hashed eight sessions at a time, then
-/// per-session verify_finish. Each session's prepare and finish run with
+/// wavefront a SessionEngine batch dispatch hands over — in one pass: each
+/// session's verifier is split at the signature (RelyingPartyVerifier::
+/// prepare), ONE crypto::ecdsa_verify_batch checks every prepared
+/// signature (the per-signature offender fallback lives inside it), audit
+/// evidence/chain digests are hashed eight sessions at a time, then each
+/// verifier finishes. Each session's prepare and finish run with
 /// its own session record bound, so their flight events (chain-cache
 /// probe, verdict) land in that session's ring. The returned statuses are
 /// slot-parallel with `sessions` and identical to what each session's own

@@ -605,7 +605,7 @@ TEST(BatchedStagedGateway, BatchedVerifyLandsInTheSessionsFlightRing) {
   // The rejection the batch concluded is in the session's own ring...
   EXPECT_NE(dump.find("\"type\":\"verdict\",\"arg\":0"), std::string::npos)
       << dump;
-  // ...and so is the chain-cache probe (cache id 2) of its verify_prepare.
+  // ...and so is the chain-cache probe (cache id 2) of its verifier.prepare.
   const auto verify_enter = dump.find(
       "\"type\":\"stage_enter\",\"arg\":" +
       std::to_string(static_cast<int>(SessionState::kVerify)));

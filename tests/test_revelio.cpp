@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
+#include "revelio/secure_channel.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/web_extension.hpp"
@@ -19,6 +20,21 @@ namespace {
 using crypto::HmacDrbg;
 
 constexpr const char* kDomain = "svc.revelio.app";
+
+/// An audit log that keeps every verdict record appended to it.
+struct AuditCapture {
+  AuditCapture() {
+    log.set_sink([this](std::uint8_t, ByteView body) {
+      if (auto rec = obs::AuditRecord::parse(body); rec.ok()) {
+        records.push_back(*rec);
+      }
+      return Status::success();
+    });
+  }
+
+  obs::AuditLog log{/*checkpoint_interval=*/1024};
+  std::vector<obs::AuditRecord> records;
+};
 
 /// Full deployment fixture: 3 SEV-SNP platforms, KDS, ACME, SP node,
 /// 3 Revelio VMs behind one domain, a browser with the extension.
@@ -65,13 +81,14 @@ struct RevelioFixture : ::testing::Test {
     return routes;
   }
 
-  /// Deploys one node on a fresh platform.
+  /// Deploys one node on a fresh platform; `config` may carry the fleet
+  /// state its key exchange consults.
   std::unique_ptr<RevelioVm> deploy_node(const std::string& host,
-                                         const imagebuild::VmImage& img) {
+                                         const imagebuild::VmImage& img,
+                                         RevelioVmConfig config = {}) {
     auto sp = std::make_unique<sevsnp::AmdSp>(
         to_bytes("platform-" + host), sevsnp::TcbVersion{2, 0, 8, 115});
     kds.register_platform(*sp);
-    RevelioVmConfig config;
     config.domain = kDomain;
     config.host = host;
     config.image = img;
@@ -83,9 +100,9 @@ struct RevelioFixture : ::testing::Test {
   }
 
   /// Deploys the standard 3-node fleet and provisions certificates.
-  void provision_standard_fleet() {
+  void provision_standard_fleet(const RevelioVmConfig& node_config = {}) {
     for (const std::string host : {"10.0.0.1", "10.0.0.2", "10.0.0.3"}) {
-      nodes.push_back(deploy_node(host, image));
+      nodes.push_back(deploy_node(host, image, node_config));
     }
     SpNodeConfig sp_config;
     sp_config.domain = kDomain;
@@ -219,6 +236,8 @@ TEST_F(RevelioFixture, TamperedNodeFailsSpAttestationOthersProceed) {
   sp_config.domain = kDomain;
   sp_config.kds_address = {"kds.amd.com", 443};
   sp_config.expected_measurements = {expected_measurement};
+  AuditCapture audit;
+  sp_config.audit_log = &audit.log;
   sp = std::make_unique<SpNode>(network, acme, sp_config);
   sp->approve_node(nodes[0]->bootstrap_address(), platforms[0]->chip_id());
   sp->approve_node(nodes[1]->bootstrap_address(), platforms[1]->chip_id());
@@ -228,8 +247,11 @@ TEST_F(RevelioFixture, TamperedNodeFailsSpAttestationOthersProceed) {
   ASSERT_EQ(outcomes->size(), 2u);
   EXPECT_TRUE((*outcomes)[0].attested);
   EXPECT_FALSE((*outcomes)[1].attested);
-  EXPECT_NE((*outcomes)[1].failure.find("sp.measurement_mismatch"),
+  EXPECT_NE((*outcomes)[1].failure.find("attest.measurement"),
             std::string::npos);
+  ASSERT_EQ(audit.records.size(), 2u);
+  EXPECT_TRUE(audit.records[0].accepted);
+  EXPECT_EQ(audit.records[1].failure_step, "measurement");
   EXPECT_TRUE(nodes[0]->serving_tls());
   EXPECT_FALSE(nodes[1]->serving_tls());
 }
@@ -269,11 +291,15 @@ TEST_F(RevelioFixture, TcbFloorBlocksOldFirmware) {
   sp_config.kds_address = {"kds.amd.com", 443};
   sp_config.expected_measurements = {expected_measurement};
   sp_config.minimum_tcb = sevsnp::TcbVersion{3, 0, 9, 120};
+  AuditCapture audit;
+  sp_config.audit_log = &audit.log;
   sp = std::make_unique<SpNode>(network, acme, sp_config);
   sp->approve_node(nodes[0]->bootstrap_address(), platforms[0]->chip_id());
   auto csr = sp->attest_node(nodes[0]->bootstrap_address());
   ASSERT_FALSE(csr.ok());
-  EXPECT_EQ(csr.error().code, "sp.report_invalid");
+  EXPECT_EQ(csr.error().code, "attest.report_verify");
+  ASSERT_EQ(audit.records.size(), 1u);
+  EXPECT_EQ(audit.records[0].failure_step, "report_verify");
 }
 
 TEST_F(RevelioFixture, KeyRequestFromUntrustedImageRefused) {
@@ -345,6 +371,51 @@ TEST_F(RevelioFixture, WrappedKeyOfWrongLengthFailsClosed) {
         << bad.size() << ": " << to_string(response->body);
     EXPECT_FALSE(follower->serving_tls());
   }
+}
+
+TEST_F(RevelioFixture, ReplicaRefusesLeaderWhoseAttestedKeyIsNotTheCertKey) {
+  provision_standard_fleet();
+  // A rogue "leader" answers with the genuine evidence of a fleet node
+  // that is not the leader: trusted image, valid report, but its attested
+  // key is not the certificate's.
+  auto follower = deploy_node("10.0.0.4", image);
+  const net::Address rogue{"6.6.6.6", 9443};
+  HmacDrbg rogue_drbg(to_bytes(std::string_view("rogue-leader")));
+  auto field = [](Bytes& out, ByteView v) {
+    append_u32be(out, static_cast<std::uint32_t>(v.size()));
+    append(out, v);
+  };
+  network.listen(rogue, [&](ByteView raw, const net::Address&) {
+    auto request = net::HttpRequest::parse(raw);
+    auto bundle = EvidenceBundle::parse(request->body);
+    auto wrapped = crypto::ecies_seal(crypto::p256(), bundle->payload,
+                                      rogue_drbg.generate(32), rogue_drbg);
+    Bytes body;
+    field(body, nodes[1]->identity_evidence().serialize());
+    field(body, *wrapped);
+    return net::HttpResponse::ok(std::move(body)).serialize();
+  });
+  Bytes install;
+  field(install, sp->issued_certificate()->serialize());
+  append_u32be(install, 0);  // no chain
+  field(install, to_bytes(rogue.host));
+  append_u32be(install, rogue.port);
+  net::HttpRequest request;
+  request.method = "POST";
+  request.path = "/revelio/certificate";
+  request.host = kDomain;
+  request.body = install;
+
+  auto raw = network.call({"6.6.6.6", 1}, follower->bootstrap_address(),
+                          request.serialize());
+  ASSERT_TRUE(raw.ok());
+  auto response = net::HttpResponse::parse(*raw);
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 502);
+  EXPECT_NE(to_string(response->body).find("attest.tls_binding"),
+            std::string::npos)
+      << to_string(response->body);
+  EXPECT_FALSE(follower->serving_tls());
 }
 
 // --------------------------------------------------------------- end-user
@@ -964,6 +1035,214 @@ TEST(VerdictParity, BlockingStagedAndBatchPathsAgree) {
       EXPECT_EQ(rec.tcb, want.tcb);
       EXPECT_EQ(rec.evidence_digest, want.evidence_digest);
       EXPECT_EQ(rec.vcek_chain, want.vcek_chain);
+    }
+  }
+}
+
+// --------------------------------------------------- relying-party matrix
+
+/// Fleet-state faults every relying party must refuse, fail-closed.
+enum class Fault { kNone, kRevokedChip, kRevokedMeasurement, kTcbPastHorizon };
+
+/// The parties that trust an SNP report (§5.3, Fig 4), plus the channel.
+enum class Party { kExtension, kSpNode, kLeader, kReplica, kChannel };
+
+struct PartyOutcome {
+  std::string error;                      // "" when the party trusted it
+  std::vector<obs::AuditRecord> records;  // written by this attempt
+};
+
+/// Wires a revocation set, TCB horizons and an audit log into ONE party,
+/// applies `fault` to the report that party checks, then asks it to trust
+/// that report. The report comes from node 0 (the leader, and where the
+/// domain points), except on a key request, where it is the requester's.
+PartyOutcome run_party(Party party, Fault fault) {
+  ParityWorld world;
+  RevocationSet revocations;
+  fleet::TcbHorizon horizon;
+  AuditCapture audit;
+  RevelioVmConfig node_state;
+  node_state.revocation_set = &revocations;
+  node_state.tcb_horizon = &horizon;
+  node_state.audit_log = &audit.log;
+  world.provision_standard_fleet(party == Party::kLeader ? node_state
+                                                         : RevelioVmConfig{});
+  std::unique_ptr<RevelioVm> newcomer;
+  if (party == Party::kLeader || party == Party::kReplica) {
+    newcomer = world.deploy_node(
+        "10.0.0.4", world.image,
+        party == Party::kReplica ? node_state : RevelioVmConfig{});
+  }
+  const sevsnp::ChipId chip =
+      (party == Party::kLeader ? world.platforms.back() : world.platforms[0])
+          ->chip_id();
+  switch (fault) {
+    case Fault::kNone:
+      break;
+    case Fault::kRevokedChip:
+      EXPECT_TRUE(revocations.revoke_chip(chip, "key leaked").ok());
+      break;
+    case Fault::kRevokedMeasurement:
+      EXPECT_TRUE(revocations
+                      .revoke_measurement(world.expected_measurement,
+                                          "exploitable image")
+                      .ok());
+      break;
+    case Fault::kTcbPastHorizon:
+      EXPECT_TRUE(horizon
+                      .announce(chip, sevsnp::TcbVersion{3, 0, 8, 115},
+                                world.clock.now_us(), "staged update")
+                      .ok());
+      break;
+  }
+
+  const std::size_t before = audit.records.size();
+  PartyOutcome out;
+  switch (party) {
+    case Party::kExtension: {
+      WebExtensionConfig config;
+      config.kds_address = {"kds.amd.com", 443};
+      config.revocation_set = &revocations;
+      config.tcb_horizon = &horizon;
+      config.audit_log = &audit.log;
+      Browser browser = world.make_browser();
+      WebExtension extension(browser, config);
+      extension.register_site(kDomain, world.manual_registration());
+      if (auto page = extension.get(kDomain, 443, "/"); !page.ok()) {
+        out.error = page.error().to_string();
+      }
+      break;
+    }
+    case Party::kSpNode: {
+      SpNodeConfig config;
+      config.domain = kDomain;
+      config.kds_address = {"kds.amd.com", 443};
+      config.expected_measurements = {world.expected_measurement};
+      config.revocation_set = &revocations;
+      config.tcb_horizon = &horizon;
+      config.audit_log = &audit.log;
+      SpNode sp(world.network, world.acme, config);
+      sp.approve_node(world.nodes[0]->bootstrap_address(),
+                      world.platforms[0]->chip_id());
+      if (auto csr = sp.attest_node(world.nodes[0]->bootstrap_address());
+          !csr.ok()) {
+        out.error = csr.error().to_string();
+      }
+      break;
+    }
+    case Party::kLeader:
+    case Party::kReplica: {
+      net::HttpRequest request;
+      request.method = "POST";
+      request.host = kDomain;
+      net::Address to;
+      if (party == Party::kLeader) {
+        request.path = "/revelio/key-request";
+        request.body = newcomer->identity_evidence().serialize();
+        to = world.nodes[0]->bootstrap_address();
+      } else {
+        // The SP's certificate install, naming node 0 as the leader the
+        // newcomer fetches the key from.
+        const net::Address leader = world.nodes[0]->bootstrap_address();
+        const Bytes cert = world.sp->issued_certificate()->serialize();
+        append_u32be(request.body, static_cast<std::uint32_t>(cert.size()));
+        append(request.body, cert);
+        append_u32be(request.body, 0);  // no chain
+        append_u32be(request.body,
+                     static_cast<std::uint32_t>(leader.host.size()));
+        append(request.body, to_bytes(leader.host));
+        append_u32be(request.body, leader.port);
+        request.path = "/revelio/certificate";
+        to = newcomer->bootstrap_address();
+      }
+      auto raw = world.network.call({"10.9.9.9", 1}, to, request.serialize());
+      auto response = net::HttpResponse::parse(raw.ok() ? *raw : Bytes{});
+      if (!response.ok() || response->status != 200) {
+        out.error = response.ok() ? to_string(response->body)
+                                  : response.error().to_string();
+      }
+      break;
+    }
+    case Party::kChannel: {
+      // The initiator's identity evidence comes from node 0's chip.
+      HmacDrbg drbg(to_bytes(std::string_view("matrix-channel")));
+      ChannelIdentity initiator;
+      initiator.key = crypto::ec_generate(crypto::p256(), drbg);
+      const Bytes pub = initiator.key.public_encoded(crypto::p256());
+      auto report = world.platforms[0]->get_report(EvidenceBundle::bind(pub));
+      EXPECT_TRUE(report.ok());
+      initiator.evidence = EvidenceBundle{*report, pub};
+      auto vcek = world.kds.fetch_vcek(chip, report->reported_tcb);
+      EXPECT_TRUE(vcek.ok());
+      RelyingPartyPolicy policy;
+      policy.expected_measurements = {world.expected_measurement};
+      policy.revocation_set = &revocations;
+      policy.tcb_horizon = &horizon;
+      policy.audit_log = &audit.log;
+      Bytes state;
+      const ChannelHello hello =
+          SecureChannel::initiate(initiator, drbg, state);
+      auto responded = SecureChannel::respond(
+          initiator, policy, hello,
+          {*vcek, world.kds.ask_certificate(), world.kds.ark_certificate()},
+          drbg, world.clock.now_us());
+      if (!responded.ok()) out.error = responded.error().to_string();
+      break;
+    }
+  }
+  out.records.assign(audit.records.begin() + before, audit.records.end());
+  return out;
+}
+
+// A revoked chip, a revoked measurement and a TCB past its chip's horizon
+// are refused by every party that trusts a report, at the same step, with
+// one audit record per verification. Without a fault each party trusts the
+// same report, so the refusals come from the fault alone.
+TEST(RelyingPartyMatrix, EveryPartyRefusesAtTheSameStep) {
+  const std::vector<std::pair<Party, const char*>> parties = {
+      {Party::kExtension, "extension"},
+      {Party::kSpNode, "sp_node"},
+      {Party::kLeader, "leader"},
+      {Party::kReplica, "replica"},
+      {Party::kChannel, "channel"},
+  };
+  struct Row {
+    Fault fault;
+    const char* name;
+    const char* step;
+    const char* counter;
+    obs::Labels labels;
+  };
+  const std::vector<Row> rows = {
+      {Fault::kRevokedChip, "revoked chip", "revocation",
+       "attest.revoked.count", {{"kind", "chip"}}},
+      {Fault::kRevokedMeasurement, "revoked measurement", "revocation",
+       "attest.revoked.count", {{"kind", "measurement"}}},
+      {Fault::kTcbPastHorizon, "TCB past horizon", "tcb_horizon",
+       "attest.tcb_horizon.count", {}},
+  };
+  for (const auto& [party, party_name] : parties) {
+    SCOPED_TRACE(party_name);
+    const PartyOutcome trusted = run_party(party, Fault::kNone);
+    EXPECT_EQ(trusted.error, "");
+    ASSERT_EQ(trusted.records.size(), 1u);
+    EXPECT_TRUE(trusted.records[0].accepted);
+
+    for (const Row& row : rows) {
+      SCOPED_TRACE(row.name);
+      const std::uint64_t count0 =
+          obs::metrics().counter_value(row.counter, row.labels);
+      const PartyOutcome refused = run_party(party, row.fault);
+      const std::string code = party == Party::kExtension
+                                   ? "extension.attestation_failed"
+                                   : std::string("attest.") + row.step;
+      EXPECT_NE(refused.error.find(code), std::string::npos)
+          << "error: '" << refused.error << "'";
+      ASSERT_EQ(refused.records.size(), 1u);
+      EXPECT_FALSE(refused.records[0].accepted);
+      EXPECT_EQ(refused.records[0].failure_step, row.step);
+      EXPECT_EQ(obs::metrics().counter_value(row.counter, row.labels),
+                count0 + 1);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "imagebuild/builder.hpp"
+#include "obs/audit_log.hpp"
 #include "revelio/auditor.hpp"
 #include "vm/hypervisor.hpp"
 #include "revelio/secure_channel.hpp"
@@ -50,16 +51,16 @@ struct ChannelFixture : ::testing::Test {
     return {*vcek, kds.ask_certificate(), kds.ark_certificate()};
   }
 
-  PeerPolicy policy_trusting_all() {
-    PeerPolicy policy;
-    policy.trusted_measurements = measurements;
+  RelyingPartyPolicy policy_trusting_all() {
+    RelyingPartyPolicy policy;
+    policy.expected_measurements = measurements;
     return policy;
   }
 
   /// Full handshake helper; returns (initiator channel, responder channel).
   std::pair<SecureChannel, SecureChannel> establish(
       const ChannelIdentity& alice, const ChannelIdentity& bob) {
-    const PeerPolicy policy = policy_trusting_all();
+    const RelyingPartyPolicy policy = policy_trusting_all();
     Bytes alice_state;
     const ChannelHello hello1 =
         SecureChannel::initiate(alice, drbg, alice_state);
@@ -126,15 +127,27 @@ TEST_F(ChannelFixture, TamperedPayloadRejected) {
 TEST_F(ChannelFixture, UntrustedMeasurementRefused) {
   const auto alice = make_identity("platform-a", "image-good");
   const auto mallory = make_identity("platform-m", "image-backdoored");
-  PeerPolicy policy;
-  policy.trusted_measurements = {alice.evidence.report.measurement};
+  RelyingPartyPolicy policy;
+  policy.expected_measurements = {alice.evidence.report.measurement};
+  std::vector<obs::AuditRecord> records;
+  obs::AuditLog audit;
+  audit.set_sink([&](std::uint8_t, ByteView body) {
+    if (auto rec = obs::AuditRecord::parse(body); rec.ok()) {
+      records.push_back(*rec);
+    }
+    return Status::success();
+  });
+  policy.audit_log = &audit;
 
   Bytes state;
   const ChannelHello hello = SecureChannel::initiate(mallory, drbg, state);
   const auto r = SecureChannel::respond(alice, policy, hello,
                                         kds_for(mallory), drbg, 0);
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, "channel.untrusted_measurement");
+  EXPECT_EQ(r.error().code, "attest.measurement");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_FALSE(records[0].accepted);
+  EXPECT_EQ(records[0].failure_step, "measurement");
 }
 
 TEST_F(ChannelFixture, StolenEvidenceWithoutKeyRefused) {
@@ -165,7 +178,7 @@ TEST_F(ChannelFixture, InitiatorStateOfWrongLengthFailsClosed) {
   // reach the 48-byte decoder, and a padded one must not alias the key.
   const auto alice = make_identity("platform-a", "image-v1");
   const auto bob = make_identity("platform-b", "image-v1");
-  const PeerPolicy policy = policy_trusting_all();
+  const RelyingPartyPolicy policy = policy_trusting_all();
   Bytes state;
   const ChannelHello hello = SecureChannel::initiate(alice, drbg, state);
   auto responded =
@@ -204,7 +217,7 @@ TEST_F(ChannelFixture, HelloSerializationRoundTrip) {
 TEST_F(ChannelFixture, TcbFloorEnforcedOnPeers) {
   const auto alice = make_identity("platform-a", "image-v1");
   const auto bob = make_identity("platform-b", "image-v1");
-  PeerPolicy policy = policy_trusting_all();
+  RelyingPartyPolicy policy = policy_trusting_all();
   policy.minimum_tcb = sevsnp::TcbVersion{9, 9, 9, 200};
   Bytes state;
   const ChannelHello hello = SecureChannel::initiate(alice, drbg, state);

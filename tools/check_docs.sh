@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation checker (ctest label `docs`).
 #
-# Three guarantees:
+# Four guarantees:
 #   1. Every intra-repo markdown link in the maintained docs (README.md,
 #      DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md, docs/**) points
 #      at a file that exists. External links (http/https/mailto) and pure
@@ -12,9 +12,14 @@
 #      adding a module without documenting it fails the build.
 #   3. ctest labels stay in sync both ways: every label referenced from
 #      README.md / DESIGN.md (`-L <label>` invocations and the README
-#      label table) is declared in tests/CMakeLists.txt, and every
-#      declared label has a row in the README label table — adding a
-#      suite label without documenting how to run it fails the build.
+#      label table) is declared in tests/CMakeLists.txt or
+#      examples/CMakeLists.txt, and every declared label has a row in the
+#      README label table — adding a suite label without documenting how
+#      to run it fails the build.
+#   4. docs/THREAT_MODEL.md's "Gate call sites" table stays honest: the
+#      function each row names (the first backticked name in its second
+#      column) is defined in the file that row names, so the table cannot
+#      point at a deleted or moved gate.
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's repo)
 set -euo pipefail
@@ -81,13 +86,17 @@ else:
                 f"docs/ARCHITECTURE.md does not mention src/{d}")
     print(f"architecture doc covers {len(subsystems)} src/ subsystems")
 
-# --- 3. ctest labels: docs <-> tests/CMakeLists.txt -------------------------
+# --- 3. ctest labels: docs <-> tests/ and examples/ CMakeLists.txt ----------
 cmake_path = os.path.join(root, "tests", "CMakeLists.txt")
 if not os.path.exists(cmake_path):
     failures.append("tests/CMakeLists.txt is missing")
 else:
-    with open(cmake_path) as f:
-        cmake = f.read()
+    cmake = ""
+    for rel in ("tests/CMakeLists.txt", "examples/CMakeLists.txt"):
+        path = os.path.join(root, rel)
+        if os.path.exists(path):
+            with open(path) as f:
+                cmake += f.read()
     declared = set()
     # Matches both `LABELS tsan` and `LABELS "fleet;chaos;tsan"`.
     for group in re.findall(r'LABELS\s+"?([A-Za-z0-9;_-]+)"?', cmake):
@@ -111,14 +120,56 @@ else:
 
     for label in sorted(referenced - declared):
         failures.append(
-            f"docs reference ctest label '{label}' but tests/CMakeLists.txt "
-            "never declares it")
+            f"docs reference ctest label '{label}' but no CMakeLists.txt "
+            "declares it")
     for label in sorted(declared - table_labels):
         failures.append(
-            f"tests/CMakeLists.txt declares ctest label '{label}' but the "
-            "README label table has no row for it")
+            f"tests/ or examples/CMakeLists.txt declares ctest label "
+            f"'{label}' but the README label table has no row for it")
     print(f"ctest labels in sync: {len(declared)} declared, "
           f"{len(referenced)} referenced")
+
+# --- 4. the gate table names functions where they are defined ------------
+threat_path = os.path.join(root, "docs", "THREAT_MODEL.md")
+if os.path.exists(threat_path):
+    with open(threat_path) as f:
+        threat = f.read()
+    section = threat.split("## Gate call sites", 1)
+    if len(section) < 2:
+        failures.append("docs/THREAT_MODEL.md has no 'Gate call sites' "
+                        "section")
+        section = ["", ""]
+    section = section[1].split("\n## ", 1)[0]
+    rows = 0
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 4 or not cells[0].startswith("`"):
+            continue  # header, separator or prose
+        rows += 1
+        name = re.search(r"`([A-Za-z_][\w:]*)`", cells[1])
+        path = re.search(r"`([^`]+)`", cells[-1])
+        if not name or not path:
+            failures.append(f"gate table row {cells[0]} names no function "
+                            "or no file")
+            continue
+        source_path = os.path.join(root, path.group(1))
+        if not os.path.exists(source_path):
+            failures.append(f"gate table row {cells[0]}: no file "
+                            f"{path.group(1)}")
+            continue
+        with open(source_path) as f:
+            source = f.read()
+        # A definition starts in column 0 (return type, then the qualified
+        # name); calls are indented.
+        definition = re.compile(r"^\S[^\n;]*\b" + re.escape(name.group(1)) +
+                                r"\(", re.MULTILINE)
+        if not definition.search(source):
+            failures.append(f"gate table row {cells[0]}: "
+                            f"{name.group(1)} is not defined in "
+                            f"{path.group(1)}")
+    if rows == 0:
+        failures.append("docs/THREAT_MODEL.md's gate table has no rows")
+    print(f"gate table: {rows} rows name functions defined where they say")
 
 if failures:
     print("documentation check failure(s):", file=sys.stderr)
