@@ -226,6 +226,24 @@ Status VerityDevice::read_block(std::uint64_t index,
   return st;
 }
 
+Result<std::span<const crypto::Digest32>> VerityDevice::leaf_digests(
+    std::uint64_t first, std::uint64_t count) const {
+  const std::uint64_t n = block_count();
+  if (first > n || count > n - first) {
+    return Error::make("verity.out_of_range",
+                       "leaves past the device end");
+  }
+  if (count == 0) return std::span<const crypto::Digest32>{};
+  const auto begin = verified_[0].begin() + static_cast<std::ptrdiff_t>(first);
+  const auto end = begin + static_cast<std::ptrdiff_t>(count);
+  if (std::find(begin, end, false) != end) {
+    return Error::make("verity.unverified_leaf",
+                       "leaf range not yet authenticated against the root");
+  }
+  return std::span<const crypto::Digest32>(tree_.level(0))
+      .subspan(static_cast<std::size_t>(first), static_cast<std::size_t>(count));
+}
+
 Status VerityDevice::write_block(std::uint64_t, ByteView) {
   return Error::make("verity.read_only",
                      "dm-verity devices reject all writes");

@@ -82,6 +82,14 @@ class VerityDevice final : public BlockDevice {
 
   const crypto::Digest32& root_hash() const { return tree_.root(); }
 
+  /// The tree's leaf digests of blocks [first, first + count), without
+  /// reading a data block. Fails closed: verity.out_of_range past the
+  /// device end, verity.unverified_leaf unless every leaf in the range has
+  /// been authenticated against the root (by verify_all or a read). The
+  /// span lives as long as the device.
+  Result<std::span<const crypto::Digest32>> leaf_digests(
+      std::uint64_t first, std::uint64_t count) const;
+
  private:
   /// Checks `data` (already read from the backing device) against the tree:
   /// leaf recompute + climb to the first verified ancestor, marking newly

@@ -694,7 +694,9 @@ TEST(PinnedTables, FullRegistryRefusesWithoutBuildingTables) {
   EXPECT_EQ(registry.stats().pinned, PinnedTableRegistry::kCapacity);
   // Re-pinning a present key is a no-op, also without a build, and the
   // presence probes count as neither hits nor misses.
-  if (!filler.empty()) EXPECT_TRUE(registry.pin(filler, build));
+  if (!filler.empty()) {
+    EXPECT_TRUE(registry.pin(filler, build));
+  }
   EXPECT_EQ(builds, fill_builds);
   EXPECT_EQ(registry.stats().hits, probes.hits);
   EXPECT_EQ(registry.stats().misses, probes.misses);

@@ -4,6 +4,7 @@
 #include "imagebuild/builder.hpp"
 #include "storage/partition.hpp"
 #include "imagebuild/registry.hpp"
+#include "obs/metrics.hpp"
 #include "vm/hypervisor.hpp"
 
 namespace revelio::vm {
@@ -489,13 +490,140 @@ TEST_F(LaunchFixture, BootMeasuresServicesIntoEventLog) {
   EXPECT_EQ(log[0].description, "service:app");
   EXPECT_EQ(log[0].rtmr_index, 0u);
 
-  // The verifier story: replay the published log and compare with the
-  // RTMR in a fresh signed report.
+  // A verifier recomputes the event from the image alone: the verity tree
+  // from the hash partition, the file's extent from the rootfs directory.
+  auto disk = image.instantiate_disk();
+  auto rootfs_part = storage::PartitionTable::open(disk, "rootfs");
+  auto hash_part = storage::PartitionTable::open(disk, "verity");
+  ASSERT_TRUE(rootfs_part.ok() && hash_part.ok());
+  auto header = (*hash_part)->read(0, 8);
+  ASSERT_TRUE(header.ok());
+  auto serialized = (*hash_part)->read(
+      4096, static_cast<std::size_t>(read_u64be(*header, 0)));
+  ASSERT_TRUE(serialized.ok());
+  auto tree = crypto::MerkleTree::deserialize(*serialized);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->root(), image.verity_root);
+  auto raw_fs = storage::MountedFs::mount(*rootfs_part);
+  ASSERT_TRUE(raw_fs.ok());
+  auto extent = raw_fs->extent("/opt/service/app");
+  ASSERT_TRUE(extent.ok());
+  ASSERT_EQ(extent->block_count, 1u);
+  const std::span<const crypto::Digest32> leaves(
+      tree->level(0).data() + extent->first_block, extent->block_count);
+  // The leaf is the hash of the block the binary fills.
+  auto block = (*rootfs_part)->read(extent->first_block * 4096, 4096);
+  ASSERT_TRUE(block.ok());
+  EXPECT_EQ(leaves[0], crypto::MerkleTree::hash_leaf(*block));
+  EXPECT_EQ(log[0].digest,
+            service_verity_event("app", "/opt/service/app", extent->size,
+                                 leaves));
+
+  // Then replays the published log and compares with the RTMR in a fresh
+  // signed report.
   std::vector<sevsnp::Measurement> digests;
   for (const auto& event : log) digests.push_back(event.digest);
   auto report = sp.get_report({});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->rtmrs[0], sevsnp::replay_rtmr(digests));
+}
+
+TEST_F(LaunchFixture, TwoBootsOfOneImageGiveIdenticalRtmr0) {
+  const VmImage image = build_image(default_inputs());
+  const auto rtmr0_of_boot = [&](std::shared_ptr<storage::MemDisk> disk) {
+    sp.launch_reset();
+    LaunchConfig config = config_for(image);
+    config.disk = std::move(disk);
+    auto guest = hypervisor.launch(config);
+    EXPECT_TRUE(guest.ok());
+    EXPECT_TRUE(guest.ok() && (*guest)->boot().ok());
+    auto report = sp.get_report({});
+    EXPECT_TRUE(report.ok());
+    return report.ok() ? report->rtmrs[0] : sevsnp::Measurement{};
+  };
+  auto disk = image.instantiate_disk();
+  const auto first = rtmr0_of_boot(disk);
+  EXPECT_FALSE(first == sevsnp::Measurement{});
+  EXPECT_EQ(rtmr0_of_boot(disk), first) << "reboot of the same disk";
+  EXPECT_EQ(rtmr0_of_boot(image.instantiate_disk()), first)
+      << "first boot of a fresh copy";
+}
+
+TEST_F(LaunchFixture, RawMountKeepsContentEvent) {
+  BuildInputs inputs = default_inputs();
+  inputs.initrd.setup_verity = false;
+  const VmImage image = build_image(inputs);
+  auto guest = hypervisor.launch(config_for(image));
+  ASSERT_TRUE(guest.ok());
+  ASSERT_TRUE((*guest)->boot().ok());
+  const auto& log = (*guest)->event_log();
+  ASSERT_EQ(log.size(), 1u);
+  // SHA-384("app" ‖ "app-binary-v1"): the digest every earlier build
+  // extended for this service, on either mount.
+  EXPECT_EQ(to_hex(log[0].digest.view()),
+            "8f3a2634391f63178a337b581d14623d6258046fc8c13b3013d1e4fc57eca1e7"
+            "bbd919d9d8208d8e868e7964509ac7f4");
+  EXPECT_EQ(log[0].digest,
+            service_content_event("app",
+                                  to_bytes(std::string_view("app-binary-v1"))));
+
+  // The same binary measured through verity is a different event: the
+  // domain tag keeps the two forms apart.
+  sp.launch_reset();
+  const VmImage verity_image = build_image(default_inputs());
+  auto verity_guest = hypervisor.launch(config_for(verity_image));
+  ASSERT_TRUE(verity_guest.ok());
+  ASSERT_TRUE((*verity_guest)->boot().ok());
+  ASSERT_EQ((*verity_guest)->event_log().size(), 1u);
+  EXPECT_FALSE((*verity_guest)->event_log()[0].digest == log[0].digest);
+}
+
+TEST_F(LaunchFixture, BoundaryNodeBootReadsNoServiceBlock) {
+  // The Boundary Node's service list (bench_boot_latency's shape): six
+  // services start one large binary, four start nginx.
+  BuildInputs inputs = default_inputs();
+  Bytes payload(2 << 20);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
+  }
+  inputs.service_files = {{"/srv/app/service", std::move(payload)}};
+  inputs.initrd.services = {{"systemd-networkd", "/usr/sbin/nginx", 18.0},
+                            {"chrony", "/usr/sbin/nginx", 9.0},
+                            {"ic-registry-replicator", "/srv/app/service", 22.0},
+                            {"ic-boundary", "/srv/app/service", 25.0},
+                            {"icx-proxy", "/srv/app/service", 15.0},
+                            {"nginx", "/usr/sbin/nginx", 12.0},
+                            {"unbound", "/usr/sbin/nginx", 8.0},
+                            {"prometheus-node-exporter", "/srv/app/service", 7.0},
+                            {"filebeat", "/srv/app/service", 9.0},
+                            {"danted", "/srv/app/service", 8.0}};
+  const VmImage image = build_image(inputs);
+  const auto reads = [] {
+    return obs::metrics().counter_value("storage.verity_read.block.count");
+  };
+
+  // What mounting the rootfs reads, measured on a separate verity view.
+  auto disk = image.instantiate_disk();
+  auto rootfs_part = storage::PartitionTable::open(disk, "rootfs");
+  auto hash_part = storage::PartitionTable::open(disk, "verity");
+  ASSERT_TRUE(rootfs_part.ok() && hash_part.ok());
+  const std::uint64_t sweep_blocks = (*rootfs_part)->block_count();
+  auto view = storage::Verity::open(*rootfs_part, *hash_part, image.verity_root);
+  ASSERT_TRUE(view.ok());
+  const auto mount0 = reads();
+  ASSERT_TRUE(storage::MountedFs::mount(*view).ok());
+  const std::uint64_t mount_reads = reads() - mount0;
+  EXPECT_GT(mount_reads, 0u);
+
+  auto guest = hypervisor.launch(config_for(image));
+  ASSERT_TRUE(guest.ok());
+  const auto boot0 = reads();
+  ASSERT_TRUE((*guest)->boot().ok());
+  ASSERT_EQ((*guest)->event_log().size(), 10u);
+  // Exact, zero tolerance: the verify_all sweep plus the directory reads.
+  // Measuring a service reads none of its binary's blocks (reading them
+  // would add 512 per large-binary service here).
+  EXPECT_EQ(reads() - boot0, sweep_blocks + mount_reads);
 }
 
 TEST_F(LaunchFixture, ApplicationEventsExtendRuntimeMeasurement) {
@@ -505,7 +633,8 @@ TEST_F(LaunchFixture, ApplicationEventsExtendRuntimeMeasurement) {
   ASSERT_TRUE((*guest)->boot().ok());
   ASSERT_TRUE((*guest)
                   ->extend_runtime_measurement(
-                      1, "config:reload", to_bytes(std::string_view("v2")))
+                      1, "config:reload",
+                      crypto::sha384(to_bytes(std::string_view("v2"))))
                   .ok());
   auto report = sp.get_report({});
   ASSERT_TRUE(report.ok());
