@@ -41,27 +41,6 @@ void BM_Sha384(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha384)->Arg(4096)->Arg(1 << 20);
 
-void BM_Sha256x8(benchmark::State& state) {
-  // Eight equal-length messages per call — the multi-buffer shape Merkle
-  // builds and the batched verifier feed. Items = lane-messages hashed.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Bytes data[Sha256x8::kLanes];
-  ByteView views[Sha256x8::kLanes];
-  for (std::size_t l = 0; l < Sha256x8::kLanes; ++l) {
-    data[l] = make_data(n + l);
-    data[l].resize(n);
-    views[l] = data[l];
-  }
-  Digest32 out[Sha256x8::kLanes];
-  for (auto _ : state) {
-    sha256_x8(views, out);
-    benchmark::DoNotOptimize(&out[0]);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0) *
-                          Sha256x8::kLanes);
-}
-BENCHMARK(BM_Sha256x8)->Arg(64)->Arg(4096)->Arg(1 << 20);
-
 void BM_HmacSha256(benchmark::State& state) {
   const Bytes key = make_data(32);
   const Bytes data = make_data(4096);
@@ -239,6 +218,21 @@ void BM_MerkleBuild(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MerkleBuild)->Arg(1 << 20)->Arg(16 << 20);
+
+// Verity open's inner-node recompute: the hash device of a tree over
+// range(0) bytes of 4 KiB blocks, parsed and checked level by level.
+void BM_MerkleDeserialize(benchmark::State& state) {
+  const Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
+  const Bytes serialized = MerkleTree::from_blocks(data, 4096).serialize();
+  for (auto _ : state) {
+    auto tree = MerkleTree::deserialize(serialized);
+    if (!tree.ok()) state.SkipWithError("deserialize failed");
+    benchmark::DoNotOptimize(tree);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(serialized.size()));
+}
+BENCHMARK(BM_MerkleDeserialize)->Arg(1 << 20)->Arg(16 << 20);
 
 }  // namespace
 

@@ -457,12 +457,11 @@ Level run_staged_full(std::vector<GatewayWorld*>& worlds, unsigned workers,
   level.workers = workers;
 
   // Batched verify: the engine hands over whole verify wavefronts; one
-  // multi-scalar ECDSA pass + one multi-buffer hash walk covers all of
-  // them. Every track (== world) in the batch is exclusively owned by
-  // this one pool task — the engine only subsumes a track group when ALL
-  // its ready sessions sit at the verify stage — so taking every involved
-  // world lock up front cannot contend with concurrently dispatched
-  // groups.
+  // multi-scalar ECDSA pass covers all of them. Every track (== world) in
+  // the batch is exclusively owned by this one pool task — the engine only
+  // subsumes a track group when ALL its ready sessions sit at the verify
+  // stage — so taking every involved world lock up front cannot contend
+  // with concurrently dispatched groups.
   core::BatchStageConfig batching;
   if (batch_verify) {
     batching.stage = core::SessionState::kVerify;
@@ -721,9 +720,9 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   }
 
   // The same staged levels with batched verify dispatch: wavefronts of
-  // sessions parked at verify go through ONE ecdsa_verify_batch +
-  // multi-buffer audit hashing. Gated against "staged": bit-identical
-  // transcript digest, zero unverified accepts, and less real verify time.
+  // sessions parked at verify go through ONE ecdsa_verify_batch. Gated
+  // against "staged": bit-identical transcript digest, zero unverified
+  // accepts, and less real verify time.
   {
     std::vector<std::unique_ptr<GatewayWorld>> batch_store;
     std::vector<GatewayWorld*> batch_worlds = build_world_set(batch_store);

@@ -33,13 +33,4 @@ bool cpu_has_aes_ni() {
 #endif
 }
 
-bool cpu_has_avx2() {
-#if defined(__x86_64__) && defined(__GNUC__)
-  static const bool has = __builtin_cpu_supports("avx2") && !isa_disabled();
-  return has;
-#else
-  return false;
-#endif
-}
-
 }  // namespace revelio::crypto

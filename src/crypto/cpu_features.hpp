@@ -17,8 +17,4 @@ bool cpu_has_sha_ni();
 /// True when the CPU offers AES-NI. Honours REVELIO_NO_ISA=1.
 bool cpu_has_aes_ni();
 
-/// True when the CPU offers AVX2 (the 8-way multi-buffer SHA-256 core).
-/// Honours REVELIO_NO_ISA=1.
-bool cpu_has_avx2();
-
 }  // namespace revelio::crypto

@@ -1,5 +1,6 @@
 #include "crypto/merkle.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -16,24 +17,12 @@ constexpr std::uint8_t kInnerPrefix = 0x01;
 constexpr std::size_t kLeafGrain = 64;    // 64 x 4 KiB SHA-256 ≈ 1 ms scalar
 constexpr std::size_t kInnerGrain = 512;  // inner hashes are 65-byte inputs
 
-// Computes parent nodes [i, i+8) of the level above `below` in one 8-way
-// multi-buffer pass. Inner inputs are a uniform 65 bytes (prefix + two
-// digests), exactly the lockstep shape Sha256x8 wants.
-void hash_inner_x8(const std::vector<Digest32>& below, std::size_t i,
-                   Digest32 out[Sha256x8::kLanes]) {
-  std::uint8_t bufs[Sha256x8::kLanes][65];
-  ByteView views[Sha256x8::kLanes];
-  for (std::size_t l = 0; l < Sha256x8::kLanes; ++l) {
-    const std::size_t j = i + l;
-    const Digest32& left = below[2 * j];
-    const Digest32& right =
-        (2 * j + 1 < below.size()) ? below[2 * j + 1] : below[2 * j];
-    bufs[l][0] = kInnerPrefix;
-    std::memcpy(bufs[l] + 1, left.view().data(), 32);
-    std::memcpy(bufs[l] + 33, right.view().data(), 32);
-    views[l] = ByteView(bufs[l], 65);
-  }
-  sha256_x8(views, out);
+// Node i of the level above `below`. An odd last node is paired with
+// itself, which keeps the tree total and the path logic uniform.
+Digest32 parent_of(const std::vector<Digest32>& below, std::size_t i) {
+  const Digest32& left = below[2 * i];
+  const Digest32& right = (2 * i + 1 < below.size()) ? below[2 * i + 1] : left;
+  return MerkleTree::hash_inner(left, right);
 }
 }  // namespace
 
@@ -45,11 +34,32 @@ Digest32 MerkleTree::hash_leaf(ByteView block) {
 }
 
 Digest32 MerkleTree::hash_inner(const Digest32& left, const Digest32& right) {
-  Sha256 h;
-  h.update(ByteView(&kInnerPrefix, 1));
-  h.update(left.view());
-  h.update(right.view());
-  return h.finish();
+  std::uint8_t buf[65];
+  buf[0] = kInnerPrefix;
+  std::memcpy(buf + 1, left.view().data(), 32);
+  std::memcpy(buf + 33, right.view().data(), 32);
+  return sha256(ByteView(buf, sizeof(buf)));
+}
+
+void MerkleTree::hash_leaves(ByteView data, std::size_t block_size,
+                             std::span<Digest32> out) {
+  common::parallel_for(
+      out.size(),
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t off = i * block_size;
+          const std::size_t len = std::min(block_size, data.size() - off);
+          if (len == block_size) {
+            out[i] = hash_leaf(data.subspan(off, len));
+          } else {
+            Bytes padded(block_size, 0);
+            std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), len,
+                        padded.begin());
+            out[i] = hash_leaf(padded);
+          }
+        }
+      },
+      kLeafGrain);
 }
 
 MerkleTree MerkleTree::from_leaves(std::vector<Digest32> leaves) {
@@ -67,17 +77,8 @@ MerkleTree MerkleTree::from_leaves(std::vector<Digest32> leaves) {
     common::parallel_for(
         level.size(),
         [&](std::size_t begin, std::size_t end) {
-          std::size_t i = begin;
-          for (; i + Sha256x8::kLanes <= end; i += Sha256x8::kLanes) {
-            hash_inner_x8(below, i, &level[i]);
-          }
-          for (; i < end; ++i) {
-            // Odd node promoted by pairing with itself — keeps the tree
-            // total and the path logic uniform.
-            const Digest32& left = below[2 * i];
-            const Digest32& right =
-                (2 * i + 1 < below.size()) ? below[2 * i + 1] : below[2 * i];
-            level[i] = hash_inner(left, right);
+          for (std::size_t i = begin; i < end; ++i) {
+            level[i] = parent_of(below, i);
           }
         },
         kInnerGrain);
@@ -88,47 +89,8 @@ MerkleTree MerkleTree::from_leaves(std::vector<Digest32> leaves) {
 }
 
 MerkleTree MerkleTree::from_blocks(ByteView data, std::size_t block_size) {
-  const std::size_t count = (data.size() + block_size - 1) / block_size;
-  std::vector<Digest32> leaves(count);
-  common::parallel_for(
-      count,
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t i = begin;
-        // 8-way fast path over runs of full blocks: the prefix byte and the
-        // block bodies are the same length in every lane, so eight leaves
-        // ride one multi-buffer schedule. Only the final (possibly short)
-        // block ever drops to the scalar tail below.
-        for (; i + Sha256x8::kLanes <= end &&
-               (i + Sha256x8::kLanes) * block_size <= data.size();
-             i += Sha256x8::kLanes) {
-          ByteView prefixes[Sha256x8::kLanes];
-          ByteView blocks[Sha256x8::kLanes];
-          for (std::size_t l = 0; l < Sha256x8::kLanes; ++l) {
-            prefixes[l] = ByteView(&kLeafPrefix, 1);
-            blocks[l] = data.subspan((i + l) * block_size, block_size);
-          }
-          Sha256x8 h;
-          h.update(prefixes);
-          h.update(blocks);
-          h.finish(&leaves[i]);
-        }
-        for (; i < end; ++i) {
-          const std::size_t off = i * block_size;
-          const std::size_t len = std::min(block_size, data.size() - off);
-          // Short tail blocks are zero-padded to the full block size,
-          // matching the storage layer where devices are whole numbers of
-          // blocks.
-          if (len == block_size) {
-            leaves[i] = hash_leaf(data.subspan(off, len));
-          } else {
-            Bytes padded(block_size, 0);
-            std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), len,
-                        padded.begin());
-            leaves[i] = hash_leaf(padded);
-          }
-        }
-      },
-      kLeafGrain);
+  std::vector<Digest32> leaves((data.size() + block_size - 1) / block_size);
+  hash_leaves(data, block_size, leaves);
   return from_leaves(std::move(leaves));
 }
 
@@ -195,6 +157,11 @@ Result<MerkleTree> MerkleTree::deserialize(ByteView data) {
   if (tree.levels_.empty() || tree.levels_.back().size() != 1) {
     return Error::make("merkle.malformed", "missing root level");
   }
+  // The readers index leaves by the header's count; a header that claims
+  // more leaves than level 0 holds would send them past its end.
+  if (tree.levels_[0].size() != tree.leaf_count_) {
+    return Error::make("merkle.malformed", "leaf count differs from level 0");
+  }
   // Recompute upward to reject tampered serializations. Each level is
   // checked with a parallel sweep; a mismatch anywhere flips one shared
   // flag (the only cross-chunk state, write-only, so the outcome does not
@@ -209,23 +176,9 @@ Result<MerkleTree> MerkleTree::deserialize(ByteView data) {
     common::parallel_for(
         above.size(),
         [&](std::size_t begin, std::size_t end) {
-          std::size_t i = begin;
-          for (; i + Sha256x8::kLanes <= end; i += Sha256x8::kLanes) {
+          for (std::size_t i = begin; i < end; ++i) {
             if (mismatch.load(std::memory_order_relaxed)) return;
-            Digest32 expect[Sha256x8::kLanes];
-            hash_inner_x8(below, i, expect);
-            for (std::size_t l = 0; l < Sha256x8::kLanes; ++l) {
-              if (!(expect[l] == above[i + l])) {
-                mismatch.store(true, std::memory_order_relaxed);
-              }
-            }
-          }
-          for (; i < end; ++i) {
-            if (mismatch.load(std::memory_order_relaxed)) return;
-            const Digest32& left = below[2 * i];
-            const Digest32& right =
-                (2 * i + 1 < below.size()) ? below[2 * i + 1] : below[2 * i];
-            if (!(hash_inner(left, right) == above[i])) {
+            if (!(parent_of(below, i) == above[i])) {
               mismatch.store(true, std::memory_order_relaxed);
             }
           }

@@ -13,6 +13,7 @@
 // test_merkle_parallel asserts this across shapes).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -28,6 +29,13 @@ class MerkleTree {
 
   /// Convenience: hash each block with the leaf prefix, then build.
   static MerkleTree from_blocks(ByteView data, std::size_t block_size);
+
+  /// The leaf sweep behind from_blocks and dm-verity's device hashing:
+  /// out[i] = hash_leaf(block i of `data`), hashed over the pool, for
+  /// out.size() == ceil(data.size() / block_size). A short last block is
+  /// zero-padded to `block_size`, as on a block device.
+  static void hash_leaves(ByteView data, std::size_t block_size,
+                          std::span<Digest32> out);
 
   const Digest32& root() const { return root_; }
   std::size_t leaf_count() const { return leaf_count_; }

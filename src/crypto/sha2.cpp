@@ -1,7 +1,6 @@
 #include "crypto/sha2.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "crypto/cpu_features.hpp"
@@ -211,120 +210,6 @@ void compress256(std::uint32_t* state, const std::uint8_t* p,
   fn(state, p, blocks);
 }
 
-// --- 8-way multi-buffer SHA-256 ------------------------------------------
-//
-// Eight independent streams, one 32-bit lane per stream. The AVX2 core runs
-// the full round function on __m256i vectors — eight compressions for the
-// price of one schedule walk. The fallback feeds each lane through the
-// single-stream dispatch above (SHA-NI per lane, or scalar under
-// REVELIO_NO_ISA=1), so all paths produce identical digests.
-
-#if defined(__x86_64__)
-#define REV8_ROR(x, n)                                                        \
-  _mm256_or_si256(_mm256_srli_epi32((x), (n)),                                \
-                  _mm256_slli_epi32((x), 32 - (n)))
-#define REV8_ADD3(a, b, c) _mm256_add_epi32(_mm256_add_epi32((a), (b)), (c))
-#define REV8_XOR3(a, b, c) _mm256_xor_si256(_mm256_xor_si256((a), (b)), (c))
-
-__attribute__((target("avx2"))) void compress256_x8_avx2(
-    std::uint32_t states[8][8], const std::uint8_t* const blocks[8],
-    std::size_t nblocks) {
-  // Transpose the eight states into vector-per-word form: s[j] holds word j
-  // of every lane (lane l in 32-bit element l).
-  __m256i s[8];
-  for (int j = 0; j < 8; ++j) {
-    s[j] = _mm256_set_epi32(
-        static_cast<int>(states[7][j]), static_cast<int>(states[6][j]),
-        static_cast<int>(states[5][j]), static_cast<int>(states[4][j]),
-        static_cast<int>(states[3][j]), static_cast<int>(states[2][j]),
-        static_cast<int>(states[1][j]), static_cast<int>(states[0][j]));
-  }
-  const std::uint8_t* p[8];
-  for (int l = 0; l < 8; ++l) p[l] = blocks[l];
-
-  while (nblocks-- > 0) {
-    __m256i w[16];
-    for (int i = 0; i < 16; ++i) {
-      w[i] = _mm256_set_epi32(static_cast<int>(load_be32(p[7] + 4 * i)),
-                              static_cast<int>(load_be32(p[6] + 4 * i)),
-                              static_cast<int>(load_be32(p[5] + 4 * i)),
-                              static_cast<int>(load_be32(p[4] + 4 * i)),
-                              static_cast<int>(load_be32(p[3] + 4 * i)),
-                              static_cast<int>(load_be32(p[2] + 4 * i)),
-                              static_cast<int>(load_be32(p[1] + 4 * i)),
-                              static_cast<int>(load_be32(p[0] + 4 * i)));
-    }
-    __m256i a = s[0], b = s[1], c = s[2], d = s[3];
-    __m256i e = s[4], f = s[5], g = s[6], h = s[7];
-    for (int i = 0; i < 64; ++i) {
-      if (i >= 16) {
-        const __m256i w15 = w[(i - 15) & 15];
-        const __m256i w2 = w[(i - 2) & 15];
-        const __m256i sig0 = REV8_XOR3(REV8_ROR(w15, 7), REV8_ROR(w15, 18),
-                                       _mm256_srli_epi32(w15, 3));
-        const __m256i sig1 = REV8_XOR3(REV8_ROR(w2, 17), REV8_ROR(w2, 19),
-                                       _mm256_srli_epi32(w2, 10));
-        w[i & 15] = REV8_ADD3(_mm256_add_epi32(w[i & 15], w[(i - 7) & 15]),
-                              sig0, sig1);
-      }
-      const __m256i s1 = REV8_XOR3(REV8_ROR(e, 6), REV8_ROR(e, 11),
-                                   REV8_ROR(e, 25));
-      const __m256i ch = _mm256_xor_si256(_mm256_and_si256(e, f),
-                                          _mm256_andnot_si256(e, g));
-      const __m256i t1 = REV8_ADD3(
-          REV8_ADD3(h, s1, ch),
-          _mm256_set1_epi32(static_cast<int>(kK256[i])), w[i & 15]);
-      const __m256i s0 = REV8_XOR3(REV8_ROR(a, 2), REV8_ROR(a, 13),
-                                   REV8_ROR(a, 22));
-      const __m256i maj = REV8_XOR3(_mm256_and_si256(a, b),
-                                    _mm256_and_si256(a, c),
-                                    _mm256_and_si256(b, c));
-      const __m256i t2 = _mm256_add_epi32(s0, maj);
-      h = g; g = f; f = e; e = _mm256_add_epi32(d, t1);
-      d = c; c = b; b = a; a = _mm256_add_epi32(t1, t2);
-    }
-    s[0] = _mm256_add_epi32(s[0], a); s[1] = _mm256_add_epi32(s[1], b);
-    s[2] = _mm256_add_epi32(s[2], c); s[3] = _mm256_add_epi32(s[3], d);
-    s[4] = _mm256_add_epi32(s[4], e); s[5] = _mm256_add_epi32(s[5], f);
-    s[6] = _mm256_add_epi32(s[6], g); s[7] = _mm256_add_epi32(s[7], h);
-    for (int l = 0; l < 8; ++l) p[l] += 64;
-  }
-
-  for (int j = 0; j < 8; ++j) {
-    alignas(32) std::uint32_t tmp[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), s[j]);
-    for (int l = 0; l < 8; ++l) states[l][j] = tmp[l];
-  }
-}
-
-#undef REV8_XOR3
-#undef REV8_ADD3
-#undef REV8_ROR
-#endif  // __x86_64__
-
-void compress256_x8_lanes(std::uint32_t states[8][8],
-                          const std::uint8_t* const blocks[8],
-                          std::size_t nblocks) {
-  for (int l = 0; l < 8; ++l) compress256(states[l], blocks[l], nblocks);
-}
-
-using Compress256x8Fn = void (*)(std::uint32_t[8][8],
-                                 const std::uint8_t* const[8], std::size_t);
-
-Compress256x8Fn resolve_compress256_x8() {
-#if defined(__x86_64__)
-  if (cpu_has_avx2()) return compress256_x8_avx2;
-#endif
-  return compress256_x8_lanes;
-}
-
-void compress256_x8(std::uint32_t states[8][8],
-                    const std::uint8_t* const blocks[8],
-                    std::size_t nblocks) {
-  static const Compress256x8Fn fn = resolve_compress256_x8();
-  fn(states, blocks, nblocks);
-}
-
 }  // namespace
 
 Sha256::Sha256() {
@@ -366,18 +251,21 @@ void Sha256::update(ByteView data) {
 }
 
 Digest32 Sha256::finish() {
+  // One tail: 0x80, zeros up to the length field, then the bit length big
+  // endian. When the 0x80 leaves no room for the length, the zeros fill
+  // this block and the length goes in one more.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(ByteView(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(ByteView(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    compress(buf_);
+    buf_len_ = 0;
   }
-  // The final update pushes the buffer to exactly one block; total_len_ is
-  // already captured so the extra accounting is harmless.
-  update(ByteView(len_be, 8));
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buf_);
   Digest32 out;
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
@@ -386,95 +274,6 @@ Digest32 Sha256::finish() {
     out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
   }
   return out;
-}
-
-Sha256x8::Sha256x8() {
-  static constexpr std::uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                           0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                           0x1f83d9ab, 0x5be0cd19};
-  for (auto& h : h_) std::memcpy(h, kIv, sizeof(kIv));
-}
-
-void Sha256x8::compress(const std::uint8_t* const blocks[kLanes],
-                        std::size_t n) {
-  compress256_x8(h_, blocks, n);
-}
-
-void Sha256x8::update(const ByteView views[kLanes]) {
-  const std::size_t len = views[0].size();
-  for (std::size_t l = 1; l < kLanes; ++l) {
-    assert(views[l].size() == len && "lanes must advance in lockstep");
-  }
-  if (len == 0) return;
-  total_len_ += len;
-  std::size_t off = 0;
-  if (buf_len_ > 0) {
-    const std::size_t take = std::min(len, std::size_t{64} - buf_len_);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      std::memcpy(buf_[l] + buf_len_, views[l].data(), take);
-    }
-    buf_len_ += take;
-    off = take;
-    if (buf_len_ == 64) {
-      const std::uint8_t* blocks[kLanes];
-      for (std::size_t l = 0; l < kLanes; ++l) blocks[l] = buf_[l];
-      compress(blocks, 1);
-      buf_len_ = 0;
-    }
-  }
-  const std::size_t whole = (len - off) / 64;
-  if (whole > 0) {
-    const std::uint8_t* blocks[kLanes];
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      blocks[l] = views[l].data() + off;
-    }
-    compress(blocks, whole);
-    off += whole * 64;
-  }
-  if (off < len) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      std::memcpy(buf_[l], views[l].data() + off, len - off);
-    }
-    buf_len_ = len - off;
-  }
-}
-
-void Sha256x8::finish(Digest32 out[kLanes]) {
-  // Every lane has seen total_len_ bytes, so one padding computation serves
-  // all eight.
-  const std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t tail[kLanes][72];
-  std::size_t tail_len = 0;
-  tail_len = (buf_len_ < 56) ? (56 - buf_len_) : (120 - buf_len_);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    std::memset(tail[l], 0, tail_len);
-    tail[l][0] = 0x80;
-    for (int i = 0; i < 8; ++i) {
-      tail[l][tail_len + i] =
-          static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    }
-  }
-  ByteView tails[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    tails[l] = ByteView(tail[l], tail_len + 8);
-  }
-  update(tails);
-  assert(buf_len_ == 0);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    for (int i = 0; i < 8; ++i) {
-      out[l][4 * i] = static_cast<std::uint8_t>(h_[l][i] >> 24);
-      out[l][4 * i + 1] = static_cast<std::uint8_t>(h_[l][i] >> 16);
-      out[l][4 * i + 2] = static_cast<std::uint8_t>(h_[l][i] >> 8);
-      out[l][4 * i + 3] = static_cast<std::uint8_t>(h_[l][i]);
-    }
-  }
-}
-
-void sha256_x8(const ByteView views[Sha256x8::kLanes],
-               Digest32 out[Sha256x8::kLanes]) {
-  Sha256x8 h;
-  h.update(views);
-  h.finish(out);
 }
 
 Sha512Core::Sha512Core(bool is384) {
@@ -544,16 +343,19 @@ void Sha512Core::update(ByteView data) {
 }
 
 Digest64 Sha512Core::finish_raw() {
-  const std::uint64_t bit_len = total_len_ * 8;  // 128-bit length: high part 0
-  const std::uint8_t pad = 0x80;
-  update(ByteView(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 112) update(ByteView(&zero, 1));
-  std::uint8_t len_be[16] = {};
-  for (int i = 0; i < 8; ++i) {
-    len_be[8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  // As Sha256::finish, with a 128-bit length field whose high half is 0.
+  const std::uint64_t bit_len = total_len_ * 8;
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 112) {
+    std::memset(buf_ + buf_len_, 0, 128 - buf_len_);
+    compress(buf_);
+    buf_len_ = 0;
   }
-  update(ByteView(len_be, 16));
+  std::memset(buf_ + buf_len_, 0, 120 - buf_len_);
+  for (int i = 0; i < 8; ++i) {
+    buf_[120 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(buf_);
   Digest64 out;
   for (int i = 0; i < 8; ++i) {
     for (int b = 0; b < 8; ++b) {

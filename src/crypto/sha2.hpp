@@ -35,42 +35,6 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
 };
 
-/// 8-way multi-buffer SHA-256: eight INDEPENDENT messages hashed in
-/// lockstep, one 32-bit lane per message. On AVX2 hosts all eight
-/// compressions run in one vectorized pass (~4-6x scalar throughput); the
-/// fallback runs the dispatched single-stream core per lane, so digests are
-/// identical everywhere, including under REVELIO_NO_ISA=1.
-///
-/// Lockstep streaming: every update() advances all eight lanes by the SAME
-/// length (per-lane data, shared schedule). That is exactly the shape of
-/// the bulk batch workloads — Merkle leaf/inner hashing (equal-size
-/// prefixed blocks) and per-session transcript digests — and what lets one
-/// message-schedule walk serve eight digests. For fewer than eight real
-/// messages, repeat a view; surplus digests are free to ignore.
-class Sha256x8 {
- public:
-  static constexpr std::size_t kLanes = 8;
-
-  Sha256x8();
-  /// Appends views[l] to lane l. All eight views must be the same length.
-  void update(const ByteView views[kLanes]);
-  /// Pads (identically, since lanes saw equal lengths) and writes all
-  /// eight digests.
-  void finish(Digest32 out[kLanes]);
-
- private:
-  void compress(const std::uint8_t* const blocks[kLanes], std::size_t n);
-
-  std::uint32_t h_[kLanes][8];
-  std::uint8_t buf_[kLanes][64];
-  std::size_t buf_len_ = 0;       // shared: lanes advance in lockstep
-  std::uint64_t total_len_ = 0;   // shared
-};
-
-/// One-shot 8-way SHA-256 over eight equal-length messages.
-void sha256_x8(const ByteView views[Sha256x8::kLanes],
-               Digest32 out[Sha256x8::kLanes]);
-
 /// Streaming SHA-512 core shared by SHA-512 and SHA-384.
 class Sha512Core {
  public:

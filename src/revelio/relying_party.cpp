@@ -9,6 +9,19 @@
 
 namespace revelio::core {
 
+namespace {
+
+/// What an audit record's VCEK chain digest covers: vcek || ask || ark DER.
+Bytes chain_encoding(const KdsService::VcekResponse& kds) {
+  Bytes der;
+  append(der, kds.vcek.serialize());
+  append(der, kds.ask.serialize());
+  append(der, kds.ark.serialize());
+  return der;
+}
+
+}  // namespace
+
 bool RelyingPartyVerifier::check_binding(EvidenceBundle bundle) {
   checks_.evidence_fetched = true;
   if (!bundle.binding_ok()) {
@@ -117,14 +130,6 @@ bool RelyingPartyVerifier::judge(const Status& report_status) {
   return true;
 }
 
-Bytes chain_encoding(const KdsService::VcekResponse& kds) {
-  Bytes der;
-  append(der, kds.vcek.serialize());
-  append(der, kds.ask.serialize());
-  append(der, kds.ark.serialize());
-  return der;
-}
-
 void RelyingPartyVerifier::record_verdict(bool accepted,
                                           std::uint64_t now_us) {
   obs::flight_record(obs::FlightEventType::kVerdict, accepted ? 1 : 0);
@@ -145,14 +150,11 @@ void RelyingPartyVerifier::record_verdict(bool accepted,
     // claimed launch measurement / TCB inside them.
     rec.measurement = bundle_->report.measurement;
     rec.tcb = bundle_->report.reported_tcb.encode();
-    rec.evidence_digest = evidence_digest_
-                              ? *evidence_digest_
-                              : crypto::sha256(bundle_->serialize());
+    rec.evidence_digest = crypto::sha256(bundle_->serialize());
   }
   if (kds_) {
     // One digest binding all three certificates the chain walk consumed.
-    rec.vcek_chain =
-        chain_digest_ ? *chain_digest_ : crypto::sha256(chain_encoding(*kds_));
+    rec.vcek_chain = crypto::sha256(chain_encoding(*kds_));
   }
   policy_.audit_log->append(rec);
 }

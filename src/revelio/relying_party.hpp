@@ -95,12 +95,9 @@ class RelyingPartyVerifier {
 
   RelyingPartyPolicy& policy() { return policy_; }
   const AttestationChecks& checks() const { return checks_; }
-  /// The evidence once it is bound, and its VCEK chain once handed in.
+  /// The evidence once it is bound.
   const EvidenceBundle* bundle() const {
     return bundle_ ? &*bundle_ : nullptr;
-  }
-  const KdsService::VcekResponse* chain() const {
-    return kds_ ? &*kds_ : nullptr;
   }
 
   /// Step 1, which needs no VCEK chain: REPORT_DATA must cover the payload.
@@ -124,13 +121,6 @@ class RelyingPartyVerifier {
     return false;
   }
 
-  /// Evidence and chain digests a batch verifier hashed eight at a time;
-  /// record_verdict hashes the ones left unset inline, to the same value.
-  void set_audit_digests(std::optional<crypto::Digest32> evidence,
-                         std::optional<crypto::Digest32> chain) {
-    evidence_digest_ = evidence;
-    chain_digest_ = chain;
-  }
   /// The terminal verdict: a kVerdict flight event and, when the policy
   /// has an audit log, one AuditRecord of whatever evidence the pass got
   /// as far as gathering.
@@ -148,12 +138,7 @@ class RelyingPartyVerifier {
   AttestationChecks checks_;
   std::optional<EvidenceBundle> bundle_;
   std::optional<KdsService::VcekResponse> kds_;
-  std::optional<crypto::Digest32> evidence_digest_;
-  std::optional<crypto::Digest32> chain_digest_;
 };
-
-/// What an audit record's VCEK chain digest covers: vcek || ask || ark DER.
-Bytes chain_encoding(const KdsService::VcekResponse& kds);
 
 /// Steps 1-5 for a party that already holds the bundle and its VCEK chain,
 /// and the one verdict record. A rejection returns "attest.<failure_step>"

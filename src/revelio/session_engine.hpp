@@ -164,8 +164,8 @@ using StagedBatchFn = std::function<void(std::vector<StagedBatchItem>&)>;
 /// session of a track group is parked at `stage`, the engine coalesces
 /// those groups — across tracks — into a single pool task and hands them
 /// to `fn` together instead of dispatching one stage per session. That is
-/// what lets the verify stage amortize one multi-scalar ECDSA pass and one
-/// multi-buffer hash walk over the whole wavefront. Track groups with any
+/// what lets the verify stage amortize one multi-scalar ECDSA pass over
+/// the whole wavefront. Track groups with any
 /// session at a different stage keep per-session dispatch, so sessions
 /// sharing a world replica still never run concurrently. Per-session
 /// verdicts, audit records, and the transcript digest are bit-identical to

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "crypto/ecdsa.hpp"
-#include "crypto/sha2.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -440,42 +439,6 @@ std::vector<Status> batch_verify_sessions(
     pinned.push_back(&item.pub);
   }
 
-  // Audit digests, eight sessions per multi-buffer SHA-256 pass. The lanes
-  // advance in lockstep, so only aligned runs of equal-length encodings
-  // batch; every other slot keeps record_verdict's inline hashing, which
-  // produces the identical digest.
-  std::vector<Bytes> evidence(slots.size());
-  std::vector<Bytes> chains(slots.size());
-  for (std::size_t j = 0; j < slots.size(); ++j) {
-    const RelyingPartyVerifier& verifier = sessions[slots[j]]->verifier_;
-    evidence[j] = verifier.bundle()->serialize();
-    chains[j] = chain_encoding(*verifier.chain());
-  }
-  const auto hash_runs = [](const std::vector<Bytes>& encodings) {
-    constexpr std::size_t kLanes = crypto::Sha256x8::kLanes;
-    std::vector<std::optional<crypto::Digest32>> out(encodings.size());
-    std::size_t j = 0;
-    while (j + kLanes <= encodings.size()) {
-      bool uniform = true;
-      for (std::size_t l = 1; l < kLanes; ++l) {
-        uniform = uniform && encodings[j + l].size() == encodings[j].size();
-      }
-      if (!uniform) {
-        ++j;
-        continue;
-      }
-      ByteView views[kLanes];
-      crypto::Digest32 digests[kLanes];
-      for (std::size_t l = 0; l < kLanes; ++l) views[l] = encodings[j + l];
-      crypto::sha256_x8(views, digests);
-      for (std::size_t l = 0; l < kLanes; ++l) out[j + l] = digests[l];
-      j += kLanes;
-    }
-    return out;
-  };
-  const auto evidence_digests = hash_runs(evidence);
-  const auto chain_digests = hash_runs(chains);
-
   // ONE interleaved multi-scalar pass over every prepared signature; the
   // per-signature offender fallback lives inside ecdsa_verify_batch, so a
   // forged signature fails exactly its own session.
@@ -488,7 +451,6 @@ std::vector<Status> batch_verify_sessions(
     rejected += verdicts[j] ? 0 : 1;
     StagedAttestation& session = *sessions[slots[j]];
     obs::ScopedSessionRecord bind(session.record_);
-    session.verifier_.set_audit_digests(evidence_digests[j], chain_digests[j]);
     out[slots[j]] = session.conclude(
         session.verifier_.finish(verdicts[j], session.now_us()));
   }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <string>
 
-#include "common/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -14,9 +13,8 @@ namespace {
 
 // Per-sweep staging size for bulk leaf hashing: device reads stay on the
 // calling thread (BlockDevice implementations mutate their I/O stats), the
-// hashing fans out over the pool in 64-leaf grains.
+// hashing fans out over the pool through MerkleTree::hash_leaves.
 constexpr std::uint64_t kSweepBlocks = 256;  // 1 MiB at 4 KiB blocks
-constexpr std::size_t kLeafGrain = 64;
 
 /// Reads every block of `dev` and returns the leaf digests, hashing each
 /// staged sweep in parallel. Shared by Verity::format and
@@ -36,15 +34,10 @@ Result<std::vector<crypto::Digest32>> hash_device_leaves(BlockDevice& dev) {
         return st.error();
       }
     }
-    common::parallel_for(
-        m,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            leaves[start + i] =
-                crypto::MerkleTree::hash_leaf(ByteView(buf.data() + i * bs, bs));
-          }
-        },
-        kLeafGrain);
+    crypto::MerkleTree::hash_leaves(
+        ByteView(buf.data(), m * bs), bs,
+        std::span<crypto::Digest32>(leaves).subspan(
+            static_cast<std::size_t>(start), m));
   }
   return leaves;
 }

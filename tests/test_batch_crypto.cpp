@@ -1,11 +1,11 @@
 // Batch crypto layer: ecdsa_verify_batch vs N single verifies (bit for
-// bit, including the fail-closed offender fallback), the 8-way
-// multi-buffer SHA-256 vs the scalar core, the pinned verify-table
-// registry under threads, and the batched verify stage end to end — a
-// staged gateway wavefront through ONE batch dispatch must reproduce the
-// unbatched transcript digest exactly, and a bad session inside a batched
-// wavefront must land as a rejection in the tamper-evident audit chain
-// and as a verdict in its own flight ring, on the engine's time base.
+// bit, including the fail-closed offender fallback), the pinned
+// verify-table registry under threads, and the batched verify stage end
+// to end — a staged gateway wavefront through ONE batch dispatch must
+// reproduce the unbatched transcript digest exactly, and a bad session
+// inside a batched wavefront must land as a rejection in the
+// tamper-evident audit chain and as a verdict in its own flight ring, on
+// the engine's time base.
 // Labelled `batchcrypto`; runs tier-1 and under the asan/tsan presets.
 #include <gtest/gtest.h>
 
@@ -134,56 +134,6 @@ TEST_P(BatchEcdsa, HighSTwinFallsBackToSinglesAndStillVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(Curves, BatchEcdsa,
                          ::testing::Values(&crypto::p256(), &crypto::p384()));
-
-// ---------------------------------------------------------------------------
-// 8-way multi-buffer SHA-256 vs the scalar core
-
-TEST(Sha256x8, MatchesScalarAcrossLengths) {
-  // Block-boundary lengths: empty, short, the 55/56 padding split, one
-  // block, one block + 1, and a bulk size.
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{55},
-                              std::size_t{56}, std::size_t{63}, std::size_t{64},
-                              std::size_t{65}, std::size_t{4096}}) {
-    HmacDrbg drbg(to_bytes("sha-x8-" + std::to_string(n)));
-    Bytes lanes[crypto::Sha256x8::kLanes];
-    ByteView views[crypto::Sha256x8::kLanes];
-    for (std::size_t l = 0; l < crypto::Sha256x8::kLanes; ++l) {
-      lanes[l] = drbg.generate(n);
-      views[l] = lanes[l];
-    }
-    crypto::Digest32 out[crypto::Sha256x8::kLanes];
-    crypto::sha256_x8(views, out);
-    for (std::size_t l = 0; l < crypto::Sha256x8::kLanes; ++l) {
-      EXPECT_EQ(out[l], crypto::sha256(lanes[l]))
-          << "lane " << l << " length " << n;
-    }
-  }
-}
-
-TEST(Sha256x8, StreamingSplitsMatchOneShot) {
-  HmacDrbg drbg(to_bytes(std::string_view("sha-x8-stream")));
-  Bytes lanes[crypto::Sha256x8::kLanes];
-  for (auto& lane : lanes) lane = drbg.generate(4096);
-  // Lockstep updates with an uneven split straddling a block boundary.
-  for (const std::size_t split : {std::size_t{1}, std::size_t{63},
-                                  std::size_t{64}, std::size_t{1000}}) {
-    crypto::Sha256x8 hasher;
-    ByteView head[crypto::Sha256x8::kLanes];
-    ByteView tail[crypto::Sha256x8::kLanes];
-    for (std::size_t l = 0; l < crypto::Sha256x8::kLanes; ++l) {
-      head[l] = ByteView(lanes[l].data(), split);
-      tail[l] = ByteView(lanes[l].data() + split, lanes[l].size() - split);
-    }
-    hasher.update(head);
-    hasher.update(tail);
-    crypto::Digest32 out[crypto::Sha256x8::kLanes];
-    hasher.finish(out);
-    for (std::size_t l = 0; l < crypto::Sha256x8::kLanes; ++l) {
-      EXPECT_EQ(out[l], crypto::sha256(lanes[l]))
-          << "split " << split << " lane " << l;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Pinned verify-table registry under threads

@@ -87,6 +87,87 @@ TEST(Sha512, EmptyString) {
             "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e");
 }
 
+// Messages of 'a' * n around the padding boundaries: the last message byte
+// lands just before, on and just after the length field and the block end.
+// Digests from Python's hashlib.
+struct PaddingKat {
+  std::size_t n;
+  const char* hex;
+};
+
+TEST(Sha256, PaddingBoundaryKnownAnswers) {
+  const PaddingKat kats[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& kat : kats) {
+    EXPECT_EQ(to_hex(sha256(Bytes(kat.n, 'a')).view()), kat.hex) << kat.n;
+  }
+}
+
+TEST(Sha384, PaddingBoundaryKnownAnswers) {
+  const PaddingKat kats[] = {
+      {111,
+       "3c37955051cb5c3026f94d551d5b5e2ac38d572ae4e07172085fed81f8466b8f"
+       "90dc23a8ffcdea0b8d8e58e8fdacc80a"},
+      {112,
+       "187d4e07cb306103c69967bf544d0dfbe9042577599c73c330abc0cb64c61236"
+       "d5ed565ee19119d8c31779a38f791fcd"},
+      {127,
+       "9bd06b1763c2cf7aef40e795dc65bc96d59c41b537f3ad72ebdefd485476b571"
+       "7c1aeb37c327fe9c1831b12b9efd08ae"},
+      {128,
+       "edb12730a366098b3b2beac75a3bef1b0969b15c48e2163c23d96994f8d1bef7"
+       "60c7e27f3c464d3829f56c0d53808b0b"},
+      {129,
+       "39b6f5a7b0e781dbc419f72e49b30eaac10f2c98c4403bc610da31067fd1b48f"
+       "324138c8615d2b496d08d73d5e865326"},
+      {239,
+       "e247c35f4bc1aa38026f8880c8c97305545d00d3f859e00c57d1c1f0a176b3c6"
+       "b749c4eb081f08bd0fba500969cd056a"},
+      {240,
+       "4d86957beab348a29180f02d02564ac1d32f5b4c217ece2b038f7c184f0cafc8"
+       "c8e438eb82aa03796170e0a7ce8c0675"},
+  };
+  for (const auto& kat : kats) {
+    EXPECT_EQ(to_hex(sha384(Bytes(kat.n, 'a')).view()), kat.hex) << kat.n;
+  }
+}
+
+TEST(Sha512, PaddingBoundaryKnownAnswers) {
+  const PaddingKat kats[] = {
+      {111,
+       "fa9121c7b32b9e01733d034cfc78cbf67f926c7ed83e82200ef8681819692176"
+       "0b4beff48404df811b953828274461673c68d04e297b0eb7b2b4d60fc6b566a2"},
+      {112,
+       "c01d080efd492776a1c43bd23dd99d0a2e626d481e16782e75d54c2503b5dc32"
+       "bd05f0f1ba33e568b88fd2d970929b719ecbb152f58f130a407c8830604b70ca"},
+      {127,
+       "828613968b501dc00a97e08c73b118aa8876c26b8aac93df128502ab360f91ba"
+       "b50a51e088769a5c1eff4782ace147dce3642554199876374291f5d921629502"},
+      {128,
+       "b73d1929aa615934e61a871596b3f3b33359f42b8175602e89f7e06e5f658a24"
+       "3667807ed300314b95cacdd579f3e33abdfbe351909519a846d465c59582f321"},
+      {129,
+       "4f681e0bd53cda4b5a2041cc8a06f2eabde44fb16c951fbd5b87702f07aeab61"
+       "1565b19c47fde30587177ebb852e3971bbd8d3fd30da18d71037dfbd98420429"},
+      {239,
+       "52c853cb8d907f3d4d6b889beb027985d7c273486d75f8baf26f80d24e90c74c"
+       "6c3de3e22131582380a7d14d43f2941a31385439cd6ddc469f628015e50bf286"},
+      {240,
+       "4c296d90c61052a62ffb1dd196f1b7b09373b1f93e71836baebf89690546b759"
+       "5684dbe9467a8e484fa0d1094272b4344a7c24f5fee8daedeb0bf549c985ab5f"},
+  };
+  for (const auto& kat : kats) {
+    EXPECT_EQ(to_hex(sha512(Bytes(kat.n, 'a')).view()), kat.hex) << kat.n;
+  }
+}
+
 // ---------------------------------------------------------------- HMAC
 
 TEST(Hmac, Rfc4231Case1) {
@@ -1449,6 +1530,68 @@ TEST(Merkle, OddLeafCountsBuildConsistently) {
                                           tree.root()));
     }
   }
+}
+
+// Roots pinned as hex (they agree with a Python hashlib model of the same
+// tree). The leaf counts straddle runs of eight nodes and odd-node
+// promotion, and the block sweep ends in a short, zero-padded block, so a
+// change to how leaves or inner nodes are hashed shows here.
+std::vector<Digest32> fixed_leaves(std::size_t n) {
+  std::vector<Digest32> leaves;
+  for (std::size_t i = 0; i < n; ++i) {
+    Bytes seed;
+    append_u64be(seed, i);
+    leaves.push_back(sha256(seed));
+  }
+  return leaves;
+}
+
+TEST(Merkle, PinnedRootsFromLeaves) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
+      {2, "444b899027db090f36dae1800aa3dda7da9705621a01e46a0efb73d8a02f5f2d"},
+      {3, "ef1d12e821efc794ccddeb9d6ed1594fb28ab324090dbebcb2028608d7e0ede2"},
+      {7, "9a3f40310843a0ac32183839a31fb333c976538ff289cfb074f6571e2437727b"},
+      {8, "931131ee0202be2ef44df17c0d41b33df3aace299d58264270d82e820c352984"},
+      {9, "4caab168e0683930be1476e8b009014493ec67070937ca3aca14b21e9ad96627"},
+      {16, "c04778e27821450fe6056cbde8ebbca5d275fa290e7804fb7cde6df2038626e3"},
+      {17, "f70a647b69de11ac2a422ec7a6ae79a518fe39e60e543a52c573cc9a76f76b3c"},
+      {1000, "01bd2d3acbd273d9d1f2e00d1ed43e48fc5a389696d996093276020b758b82b4"},
+  };
+  for (const auto& [n, hex] : cases) {
+    const auto tree = MerkleTree::from_leaves(fixed_leaves(n));
+    EXPECT_EQ(to_hex(tree.root().view()), hex) << n;
+    const auto back = MerkleTree::deserialize(tree.serialize());
+    ASSERT_TRUE(back.ok()) << n;
+    EXPECT_EQ(back->root(), tree.root()) << n;
+  }
+}
+
+TEST(Merkle, PinnedRootFromBlocksWithShortLastBlock) {
+  Bytes data(4096 * 19 + 1000);  // 20 blocks, the last 1000 bytes long
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const auto tree = MerkleTree::from_blocks(data, 4096);
+  EXPECT_EQ(tree.leaf_count(), 20u);
+  EXPECT_EQ(to_hex(tree.root().view()),
+            "e080b6065de8f7ce2482b9cbdd35805e4a650413a7187bb52e093fb6b3eadd6c");
+}
+
+TEST(Merkle, DeserializeRejectsLeafCountAboveLevelZero) {
+  // A hash device whose header claims 16 leaves but whose levels start at
+  // the real tree's level 1 (8 nodes): every inner node still recomputes
+  // and the root is the real one, so only the leaf count gives it away.
+  const auto tree = MerkleTree::from_leaves(fixed_leaves(16));
+  const Bytes real = tree.serialize();
+  Bytes forged;
+  append_u64be(forged, 16);
+  append_u64be(forged, tree.level_count() - 1);
+  const std::size_t level0 = 8 + 16 * 32;
+  forged.insert(forged.end(), real.begin() + 16 + level0, real.end());
+  const auto result = MerkleTree::deserialize(forged);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, "merkle.malformed");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "crypto/drbg.hpp"
 #include "obs/metrics.hpp"
 #include "storage/block_device.hpp"
@@ -440,6 +441,49 @@ TEST_F(DmVerityTest, LeafDigestsFailClosedUntilVerified) {
     ASSERT_FALSE(past.ok()) << first << "+" << count;
     EXPECT_EQ(past.error().code, "verity.out_of_range");
   }
+}
+
+TEST_F(DmVerityTest, HashDeviceClaimingMoreLeavesThanLevelZeroFailsOpen) {
+  // Rewrite the hash device so its header still claims the 16 data blocks
+  // but its levels start at the real tree's level 1 (8 nodes). The inner
+  // nodes recompute and the root matches the cmdline root, so only the
+  // leaf-count check in deserialize keeps this device from opening.
+  Bytes header(4096);
+  ASSERT_TRUE(hash_dev_->read_block(0, header).ok());
+  auto real =
+      hash_dev_->read(4096, static_cast<std::size_t>(read_u64be(header, 0)));
+  ASSERT_TRUE(real.ok());
+  const std::size_t level0 = 8 + 16 * 32;
+  Bytes forged;
+  append_u64be(forged, 16);
+  append_u64be(forged, read_u64be(*real, 8) - 1);
+  forged.insert(forged.end(), real->begin() + 16 + level0, real->end());
+  Bytes forged_header;
+  append_u64be(forged_header, forged.size());
+  forged_header.resize(4096, 0);
+  ASSERT_TRUE(hash_dev_->write_block(0, forged_header).ok());
+  ASSERT_TRUE(hash_dev_->write(4096, forged).ok());
+
+  const auto r = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "verity.corrupt_hash_device");
+}
+
+TEST(DmVerity, FormatRootIsPinned) {
+  // 300 blocks: one full 256-block sweep plus a 44-block tail, and an odd
+  // node on the way up. The root is pinned as hex so a change to leaf or
+  // inner hashing shows here.
+  MemDisk data(4096, 300);
+  MemDisk hash(4096, 16);
+  for (std::uint64_t i = 0; i < data.block_count(); ++i) {
+    ASSERT_TRUE(
+        data.write_block(i, pattern_bytes(4096, static_cast<std::uint8_t>(i)))
+            .ok());
+  }
+  auto meta = Verity::format(data, hash);
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(to_hex(meta->root_hash.view()),
+            "22deab7ebccbe9d17c8e6908dce15071542c9cd4d82db5049371b4efd36be50a");
 }
 
 TEST_F(DmVerityTest, FormatRejectsTooSmallHashDevice) {
