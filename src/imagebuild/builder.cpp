@@ -36,13 +36,13 @@ crypto::Digest32 VmImage::digest() const {
   return h.finish();
 }
 
-std::shared_ptr<storage::MemDisk> VmImage::instantiate_disk() const {
-  auto disk = std::make_shared<storage::MemDisk>(kBlockSize, disk_blocks);
-  // disk_bytes covers the whole device by construction.
-  auto st = disk->write(0, disk_bytes);
-  (void)st;  // cannot fail: sized to match
-  disk->reset_stats();
-  return disk;
+// disk_bytes covers the whole device (disk_blocks blocks) by construction.
+std::shared_ptr<storage::MemDisk> VmImage::instantiate_disk() const& {
+  return std::make_shared<storage::MemDisk>(kBlockSize, Bytes(disk_bytes));
+}
+
+std::shared_ptr<storage::MemDisk> VmImage::instantiate_disk() && {
+  return std::make_shared<storage::MemDisk>(kBlockSize, std::move(disk_bytes));
 }
 
 Result<VmImage> ImageBuilder::build(const BuildInputs& inputs,

@@ -59,8 +59,11 @@ struct VmImage {
   /// Digest over all shipped artefacts — what a rebuild must reproduce.
   crypto::Digest32 digest() const;
 
-  /// Materializes the disk as a fresh device (one per VM instance).
-  std::shared_ptr<storage::MemDisk> instantiate_disk() const;
+  /// Materializes the disk as a fresh device (one per VM instance) with one
+  /// copy of disk_bytes; the rvalue form moves disk_bytes in instead and
+  /// leaves the rest of the image as it was.
+  std::shared_ptr<storage::MemDisk> instantiate_disk() const&;
+  std::shared_ptr<storage::MemDisk> instantiate_disk() &&;
 };
 
 class ImageBuilder {

@@ -81,7 +81,7 @@ Result<std::unique_ptr<RevelioVm>> RevelioVm::deploy(
   launch.cmdline = node->config_.image.cmdline;
   node->disk_ = node->config_.existing_disk
                     ? node->config_.existing_disk
-                    : node->config_.image.instantiate_disk();
+                    : std::move(node->config_.image).instantiate_disk();
   launch.disk = node->disk_;
   auto guest = hypervisor.launch(launch);
   if (!guest.ok()) return guest.error();

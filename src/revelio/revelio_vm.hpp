@@ -27,6 +27,8 @@ struct RevelioVmConfig : FleetState {
   std::string host;        // network host this VM answers at
   std::uint16_t https_port = 443;
   std::uint16_t bootstrap_port = 8443;  // SP-side provisioning endpoints
+  /// The image to boot. On a first boot `deploy` moves its disk_bytes into
+  /// the VM's disk instead of copying them; the blobs, cmdline and root stay.
   imagebuild::VmImage image;
 
   /// Reboot path: reuse an existing disk (with its sealed data volume)

@@ -29,23 +29,22 @@ Status BlockDevice::write(std::uint64_t offset, ByteView data) {
   if (offset + data.size() > size_bytes()) {
     return Error::make("blockdev.out_of_range", "write past device end");
   }
-  Bytes block(block_size());
-  std::uint64_t index = offset / block_size();
-  std::size_t within = offset % block_size();
-  std::size_t consumed = 0;
-  while (consumed < data.size()) {
-    const std::size_t take =
-        std::min(block_size() - within, data.size() - consumed);
-    if (take != block_size()) {
-      // Partial block: read-modify-write.
+  const std::size_t bs = block_size();
+  Bytes block;  // staging for a partial head or tail block only
+  for (std::size_t consumed = 0; consumed < data.size();) {
+    const std::uint64_t index = (offset + consumed) / bs;
+    const std::size_t within = (offset + consumed) % bs;
+    const std::size_t take = std::min(bs - within, data.size() - consumed);
+    ByteView chunk = data.subspan(consumed, take);
+    if (take != bs) {  // partial block: read-modify-write
+      block.resize(bs);
       if (auto st = read_block(index, block); !st.ok()) return st;
-    }
-    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(consumed), take,
+      std::copy(chunk.begin(), chunk.end(),
                 block.begin() + static_cast<std::ptrdiff_t>(within));
-    if (auto st = write_block(index, block); !st.ok()) return st;
+      chunk = block;
+    }
+    if (auto st = write_block(index, chunk); !st.ok()) return st;
     consumed += take;
-    within = 0;
-    ++index;
   }
   return Status::success();
 }

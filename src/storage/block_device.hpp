@@ -35,7 +35,8 @@ class BlockDevice {
   /// Byte-granular read spanning blocks (read-modify on top of blocks).
   Result<Bytes> read(std::uint64_t offset, std::size_t length);
 
-  /// Byte-granular write spanning blocks (read-modify-write).
+  /// Byte-granular write spanning blocks. Whole blocks go straight to
+  /// write_block; only a partial head or tail block is read-modify-written.
   Status write(std::uint64_t offset, ByteView data);
 };
 

@@ -79,7 +79,7 @@ Result<VerityMetadata> Verity::format(BlockDevice& data_dev,
 namespace {
 
 Result<std::shared_ptr<VerityDevice>> open_impl(
-    std::shared_ptr<BlockDevice> data_dev,
+    VerityDevice::OpenKey key, std::shared_ptr<BlockDevice> data_dev,
     std::shared_ptr<BlockDevice> hash_dev,
     const crypto::Digest32& expected_root) {
   Bytes header(hash_dev->block_size());
@@ -104,7 +104,7 @@ Result<std::shared_ptr<VerityDevice>> open_impl(
   if (tree->leaf_count() != data_dev->block_count()) {
     return Error::make("verity.leaf_count_mismatch");
   }
-  return std::make_shared<VerityDevice>(std::move(data_dev),
+  return std::make_shared<VerityDevice>(key, std::move(data_dev),
                                         std::move(*tree));
 }
 
@@ -116,8 +116,8 @@ Result<std::shared_ptr<VerityDevice>> Verity::open(
     const crypto::Digest32& expected_root) {
   obs::Span span("storage.verity.open");
   span.attr("data_blocks", data_dev->block_count());
-  auto device =
-      open_impl(std::move(data_dev), std::move(hash_dev), expected_root);
+  auto device = open_impl(VerityDevice::OpenKey{}, std::move(data_dev),
+                          std::move(hash_dev), expected_root);
   if (!device.ok()) {
     span.attr("result", device.error().code);
     obs::metrics()
@@ -130,7 +130,7 @@ Result<std::shared_ptr<VerityDevice>> Verity::open(
   return device;
 }
 
-VerityDevice::VerityDevice(std::shared_ptr<BlockDevice> data_dev,
+VerityDevice::VerityDevice(OpenKey, std::shared_ptr<BlockDevice> data_dev,
                            crypto::MerkleTree tree)
     : data_dev_(std::move(data_dev)), tree_(std::move(tree)) {
   verified_.resize(tree_.level_count());
@@ -257,26 +257,15 @@ Status VerityDevice::verify_all() {
   };
 
   // O(n) leaf hashes: one bulk sweep over the device instead of per-read
-  // path verification (which costs O(n log n) inner hashes in total).
+  // path verification (which costs O(n log n) inner hashes in total),
+  // against level 0, which `open` recomputed up to the cmdline root.
   auto leaves = hash_device_leaves(*data_dev_);
   if (!leaves.ok()) return fail(leaves.error());
-
-  if (n > 0) {
-    const auto& expect = tree_.level(0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (!((*leaves)[i] == expect[i])) {
-        return fail(Error::make("verity.block_mismatch",
-                                "block " + std::to_string(i) +
-                                    " failed integrity verification"));
-      }
-    }
-    // O(n) inner hashes: re-derive the root from the freshly hashed leaves
-    // and compare to the trusted root, instead of trusting the stored
-    // middle levels of the tree.
-    const auto rebuilt = crypto::MerkleTree::from_leaves(std::move(*leaves));
-    if (!(rebuilt.root() == tree_.root())) {
-      return fail(Error::make("verity.tree_mismatch",
-                              "hash tree inconsistent with device contents"));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (!((*leaves)[i] == tree_.level(0)[i])) {
+      return fail(Error::make("verity.block_mismatch",
+                              "block " + std::to_string(i) +
+                                  " failed integrity verification"));
     }
   }
 

@@ -14,8 +14,9 @@
 // tampered data is rejected even with a fully warm cache — but the upward
 // climb stops at the first verified ancestor, so a read after warm-up
 // costs one leaf hash and zero inner hashes instead of O(log n) hashes
-// per read. `verify_all` is O(n) leaf hashes plus O(n) inner hashes total
-// (sequential device reads, parallel hashing) rather than O(n log n).
+// per read. `verify_all` is O(n) leaf hashes (sequential device reads,
+// parallel hashing) compared against the leaf level `open` authenticated,
+// with no inner hashes, rather than O(n log n).
 #pragma once
 
 #include <memory>
@@ -55,10 +56,18 @@ class Verity {
       const crypto::Digest32& expected_root);
 };
 
-/// Read-only, per-read-verified view of the data device.
+/// Read-only, per-read-verified view of the data device. Only
+/// `Verity::open` makes one (it alone can mint the OpenKey passkey), so
+/// every device's tree was recomputed and its root matched the cmdline's.
 class VerityDevice final : public BlockDevice {
  public:
-  VerityDevice(std::shared_ptr<BlockDevice> data_dev, crypto::MerkleTree tree);
+  class OpenKey {
+    friend class Verity;
+    OpenKey() = default;
+  };
+
+  VerityDevice(OpenKey, std::shared_ptr<BlockDevice> data_dev,
+               crypto::MerkleTree tree);
 
   std::size_t block_size() const override { return data_dev_->block_size(); }
   std::uint64_t block_count() const override {
@@ -76,8 +85,9 @@ class VerityDevice final : public BlockDevice {
   Status write_block(std::uint64_t index, ByteView data) override;
 
   /// Verifies every block — the boot-time "dm-verity verify" service whose
-  /// latency dominates Table 1. O(n) leaf + O(n) inner hashes, hashed in
-  /// parallel; on success the whole ancestor bitmap is marked verified.
+  /// latency dominates Table 1. O(n) leaf hashes, hashed in parallel and
+  /// compared against the leaf level `open` authenticated (no inner
+  /// rebuild); on success the whole ancestor bitmap is marked verified.
   Status verify_all();
 
   const crypto::Digest32& root_hash() const { return tree_.root(); }

@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace revelio::storage {
 
 MemDisk::MemDisk(std::size_t block_size, std::uint64_t block_count)
+    : MemDisk(block_size, Bytes(block_size * block_count, 0)) {}
+
+MemDisk::MemDisk(std::size_t block_size, Bytes contents)
     : block_size_(block_size),
-      block_count_(block_count),
-      data_(block_size * block_count, 0) {
-  assert(block_size > 0);
+      block_count_(contents.size() / block_size),
+      data_(std::move(contents)) {
+  assert(block_size > 0 && data_.size() % block_size == 0);
 }
 
 Status MemDisk::read_block(std::uint64_t index, std::span<std::uint8_t> out) {

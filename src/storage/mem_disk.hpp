@@ -20,7 +20,11 @@ struct IoStats {
 
 class MemDisk final : public BlockDevice {
  public:
+  /// A zero-filled disk of `block_count` blocks.
   MemDisk(std::size_t block_size, std::uint64_t block_count);
+  /// A disk whose bytes are `contents` (a whole number of blocks), taken
+  /// over without a copy.
+  MemDisk(std::size_t block_size, Bytes contents);
 
   std::size_t block_size() const override { return block_size_; }
   std::uint64_t block_count() const override { return block_count_; }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "crypto/ecies.hpp"
@@ -13,6 +14,7 @@
 #include "revelio/sp_node.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/web_extension.hpp"
+#include "storage/partition.hpp"
 
 namespace revelio::core {
 namespace {
@@ -757,6 +759,41 @@ TEST_F(RevelioFixture, RebootResumesServiceWithoutReprovisioning) {
   auto verified = extension.get(kDomain, 443, "/");
   ASSERT_TRUE(verified.ok()) << verified.error().to_string();
   EXPECT_TRUE(verified->checks.all_ok());
+}
+
+TEST_F(RevelioFixture, DeployFromCopiedConfigLeavesCallersImageIntact) {
+  const imagebuild::VmImage before = image;
+  RevelioVmConfig config;
+  config.domain = kDomain;
+  config.host = "10.0.0.1";
+  config.image = image;
+  config.kds_address = {"kds.amd.com", 443};
+  auto sp_chip = std::make_unique<sevsnp::AmdSp>(
+      to_bytes(std::string_view("platform-copy")),
+      sevsnp::TcbVersion{2, 0, 8, 115});
+  kds.register_platform(*sp_chip);
+  auto node = RevelioVm::deploy(*sp_chip, network, config, app_routes());
+  ASSERT_TRUE(node.ok()) << node.error().to_string();
+  EXPECT_EQ(config.image.disk_bytes, before.disk_bytes)
+      << "deploy moves the disk bytes of its own copy only";
+  EXPECT_EQ(image.disk_bytes, before.disk_bytes);
+  EXPECT_EQ(image.digest(), before.digest());
+
+  // The VM's disk holds the image's bytes up to its data volume, which
+  // the first boot formats.
+  auto disk = (*node)->disk();
+  ASSERT_EQ(disk->block_count(), image.disk_blocks);
+  auto table = storage::PartitionTable::read_from(*disk);
+  ASSERT_TRUE(table.ok());
+  const auto data = std::find_if(
+      table->entries().begin(), table->entries().end(),
+      [](const auto& e) { return e.label == "data"; });
+  ASSERT_NE(data, table->entries().end());
+  const std::size_t shipped = static_cast<std::size_t>(data->first_block) * 4096;
+  EXPECT_EQ(disk->raw_dump(0, shipped),
+            Bytes(image.disk_bytes.begin(),
+                  image.disk_bytes.begin() + static_cast<std::ptrdiff_t>(shipped)));
+  platforms.push_back(std::move(sp_chip));
 }
 
 TEST_F(RevelioFixture, RebootWithDifferentImageCannotUnseal) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/hex.hpp"
 #include "crypto/drbg.hpp"
 #include "obs/metrics.hpp"
@@ -74,6 +76,22 @@ TEST(MemDisk, RawDumpSeesCiphertextLayout) {
   EXPECT_TRUE(disk.raw_dump(2000, 10).empty());
 }
 
+TEST(MemDisk, TakesOverGivenContents) {
+  const Bytes contents = pattern_bytes(512 * 6, 7);
+  MemDisk disk(512, Bytes(contents));
+  EXPECT_EQ(disk.block_count(), contents.size() / 512);
+  EXPECT_EQ(disk.block_size(), 512u);
+  Bytes block(512);
+  for (std::uint64_t i = 0; i < disk.block_count(); ++i) {
+    ASSERT_TRUE(disk.read_block(i, block).ok());
+    EXPECT_TRUE(std::equal(block.begin(), block.end(),
+                           contents.begin() + static_cast<std::ptrdiff_t>(i * 512)))
+        << "block " << i;
+  }
+  EXPECT_FALSE(disk.read_block(6, block).ok());
+  EXPECT_EQ(disk.raw_dump(0, contents.size()), contents);
+}
+
 // ---------------------------------------------------------- byte helpers
 
 TEST(BlockDevice, ByteReadWriteSpansBlocks) {
@@ -83,6 +101,32 @@ TEST(BlockDevice, ByteReadWriteSpansBlocks) {
   auto back = disk.read(30, 200);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, data);
+}
+
+TEST(BlockDevice, WritesMatchByteReference) {
+  // One write at an unaligned offset: a partial head block, three whole
+  // middle blocks and a partial tail block. Only the partial ones may be
+  // read (read-modify-write); whole blocks go straight to the device.
+  const Bytes original = pattern_bytes(64 * 8, 3);
+  MemDisk disk(64, Bytes(original));
+  const Bytes data = pattern_bytes(40 + 3 * 64 + 25, 99);
+  const std::uint64_t offset = 64 + 24;
+  Bytes reference = original;
+  std::copy(data.begin(), data.end(),
+            reference.begin() + static_cast<std::ptrdiff_t>(offset));
+  ASSERT_TRUE(disk.write(offset, data).ok());
+  EXPECT_EQ(disk.raw_dump(0, reference.size()), reference);
+  EXPECT_EQ(disk.stats().blocks_read, 2u) << "head and tail only";
+  EXPECT_EQ(disk.stats().blocks_written, 5u);
+
+  // A single whole block at offset 0: no read at all.
+  disk.reset_stats();
+  const Bytes first = pattern_bytes(64, 42);
+  std::copy(first.begin(), first.end(), reference.begin());
+  ASSERT_TRUE(disk.write(0, first).ok());
+  EXPECT_EQ(disk.raw_dump(0, reference.size()), reference);
+  EXPECT_EQ(disk.stats().blocks_read, 0u);
+  EXPECT_EQ(disk.stats().blocks_written, 1u);
 }
 
 TEST(BlockDevice, ByteAccessRejectsOutOfRange) {
@@ -442,6 +486,33 @@ TEST_F(DmVerityTest, LeafDigestsFailClosedUntilVerified) {
     EXPECT_EQ(past.error().code, "verity.out_of_range");
   }
 }
+
+TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
+  for (const std::uint64_t block : {0u, 8u, 15u}) {
+    const std::uint64_t byte = block * 4096 + 777;
+    data_dev_->raw_tamper(byte, 0x10);
+    auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
+    ASSERT_TRUE(dev.ok()) << "data tamper is invisible to open";
+    const auto st = (*dev)->verify_all();
+    ASSERT_FALSE(st.ok()) << "block " << block;
+    EXPECT_EQ(st.error().code, "verity.block_mismatch");
+    EXPECT_NE(st.error().to_string().find("block " + std::to_string(block) +
+                                          " failed"),
+              std::string::npos)
+        << st.error().to_string();
+    auto leaves = (*dev)->leaf_digests(0, 16);
+    ASSERT_FALSE(leaves.ok());
+    EXPECT_EQ(leaves.error().code, "verity.unverified_leaf");
+    EXPECT_FALSE((*dev)->leaf_digests(block, 1).ok());
+    data_dev_->raw_tamper(byte, 0x10);  // restore for the next block
+  }
+}
+
+// Only Verity::open makes a VerityDevice, so every device's tree was
+// recomputed from its leaves and its root matched the expected root.
+static_assert(!std::is_constructible_v<VerityDevice, std::shared_ptr<BlockDevice>,
+                                       crypto::MerkleTree>);
+static_assert(!std::is_default_constructible_v<VerityDevice::OpenKey>);
 
 TEST_F(DmVerityTest, HashDeviceClaimingMoreLeavesThanLevelZeroFailsOpen) {
   // Rewrite the hash device so its header still claims the 16 data blocks

@@ -230,6 +230,33 @@ TEST_F(BuildFixture, FirewallPostureLandsInRootfs) {
   EXPECT_NE(text.find("allow=443"), std::string::npos);
 }
 
+TEST_F(BuildFixture, InstantiatedDisksAreIndependentCopies) {
+  ImageBuilder builder(registry);
+  auto image = builder.build(default_inputs());
+  ASSERT_TRUE(image.ok());
+  const Bytes shipped = image->disk_bytes;
+  auto a = image->instantiate_disk();
+  auto b = image->instantiate_disk();
+  ASSERT_EQ(a->block_count(), image->disk_blocks);
+  EXPECT_EQ(a->raw_dump(0, shipped.size()), shipped);
+  EXPECT_EQ(a->stats().blocks_written, 0u);
+
+  a->raw_tamper(4096 + 5, 0xff);
+  ASSERT_TRUE(a->write_block(2, Bytes(4096, 0xab)).ok());
+  EXPECT_EQ(b->raw_dump(0, shipped.size()), shipped);
+  EXPECT_EQ(image->disk_bytes, shipped);
+
+  // The rvalue form moves the bytes in: same device, and the image keeps
+  // everything but its disk_bytes.
+  VmImage owned = *image;
+  auto moved = std::move(owned).instantiate_disk();
+  EXPECT_EQ(moved->raw_dump(0, shipped.size()), shipped);
+  EXPECT_EQ(moved->block_count(), image->disk_blocks);
+  EXPECT_TRUE(owned.disk_bytes.empty());
+  EXPECT_EQ(owned.cmdline, image->cmdline);
+  EXPECT_EQ(owned.kernel_blob, image->kernel_blob);
+}
+
 // ------------------------------------------------------- launch + boot
 
 struct LaunchFixture : BuildFixture {
