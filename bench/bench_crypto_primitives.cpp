@@ -141,6 +141,31 @@ void BM_FieldSqr(benchmark::State& state, const Curve& curve) {
   }
 }
 
+void BM_FieldAdd(benchmark::State& state, const Curve& curve) {
+  // One modular addition (a Jacobian doubling runs twelve additions or
+  // subtractions), chained like BM_FieldMul.
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-add")));
+  U384 acc = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  const U384 b = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) {
+    acc = fp.add(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+
+void BM_FieldSub(benchmark::State& state, const Curve& curve) {
+  // One modular subtraction, chained like BM_FieldMul.
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-sub")));
+  U384 acc = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  const U384 b = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) {
+    acc = fp.sub(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+
 void BM_FieldInv(benchmark::State& state, const Curve& curve) {
   // One safegcd inversion (the cost inside every to_affine), chained.
   const MontCtx& fp = curve.field();
@@ -264,6 +289,10 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(("BM_FieldMul/" + name).c_str(), BM_FieldMul,
                                  std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_FieldSqr/" + name).c_str(), BM_FieldSqr,
+                                 std::cref(*curve));
+    benchmark::RegisterBenchmark(("BM_FieldAdd/" + name).c_str(), BM_FieldAdd,
+                                 std::cref(*curve));
+    benchmark::RegisterBenchmark(("BM_FieldSub/" + name).c_str(), BM_FieldSub,
                                  std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_FieldInv/" + name).c_str(), BM_FieldInv,
                                  std::cref(*curve));

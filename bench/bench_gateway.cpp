@@ -65,6 +65,9 @@
 //   bench_gateway [--out BENCH_gateway.json]
 //                 [--audit-out AUDIT_gateway.bin]
 //                 [--store-dir DIR] [--quick]
+//
+// --help prints that usage and exits 0; an unknown argument, or an option
+// missing its value, prints it and exits 2 without running anything.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -1052,6 +1055,11 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_gateway [--out BENCH_gateway.json]\n"
+    "                     [--audit-out AUDIT_gateway.bin]\n"
+    "                     [--store-dir DIR] [--quick]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1060,14 +1068,23 @@ int main(int argc, char** argv) {
   const char* store_dir = nullptr;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--audit-out") == 0 && i + 1 < argc) {
-      audit_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--store-dir") == 0 && i + 1 < argc) {
-      store_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    const char* arg = argv[i];
+    const char** value = std::strcmp(arg, "--out") == 0         ? &out_path
+                         : std::strcmp(arg, "--audit-out") == 0 ? &audit_path
+                         : std::strcmp(arg, "--store-dir") == 0 ? &store_dir
+                                                                : nullptr;
+    if (value != nullptr && i + 1 < argc) {
+      *value = argv[++i];
+    } else if (std::strcmp(arg, "--quick") == 0) {
       quick = true;
+    } else if (std::strcmp(arg, "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else {
+      std::fprintf(stderr, value != nullptr ? "%s needs a value\n%s"
+                                            : "unknown argument %s\n%s",
+                   arg, kUsage);
+      return 2;
     }
   }
   return run_gateway_bench(out_path, audit_path, store_dir, quick);

@@ -7,6 +7,10 @@
 
 #include "common/hex.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace revelio::crypto {
 
 using uint128 = unsigned __int128;
@@ -65,25 +69,54 @@ namespace {
 // modular ones are forced inline so MontCtx's per-width dispatch costs a
 // branch, not a second call.
 
+/// One limb of a carry chain: returns a + b + carry and leaves the carry
+/// out (0 or 1) in carry. On x86-64 the intrinsic makes a K-limb chain one
+/// add and K - 1 adcs with the carry kept in the flags; GCC 12 turns
+/// neither the __int128 spelling nor __builtin_add_overflow into that.
+[[gnu::always_inline]] inline std::uint64_t addc(std::uint64_t a,
+                                                 std::uint64_t b,
+                                                 unsigned char& carry) {
+#if defined(__x86_64__)
+  unsigned long long sum;
+  carry = _addcarry_u64(carry, a, b, &sum);
+  return sum;
+#else
+  const uint128 sum = static_cast<uint128>(a) + b + carry;
+  carry = static_cast<unsigned char>(sum >> 64);
+  return static_cast<std::uint64_t>(sum);
+#endif
+}
+
+/// One limb of a borrow chain: returns a - b - borrow and leaves the
+/// borrow out (0 or 1) in borrow; one sbb on x86-64.
+[[gnu::always_inline]] inline std::uint64_t subb(std::uint64_t a,
+                                                 std::uint64_t b,
+                                                 unsigned char& borrow) {
+#if defined(__x86_64__)
+  unsigned long long diff;
+  borrow = _subborrow_u64(borrow, a, b, &diff);
+  return diff;
+#else
+  const uint128 diff = static_cast<uint128>(a) - b - borrow;
+  borrow = static_cast<unsigned char>((diff >> 64) & 1);
+  return static_cast<std::uint64_t>(diff);
+#endif
+}
+
 template <std::size_t K>
-std::uint64_t add_k(U384& r, const U384& a, const U384& b) {
-  std::uint64_t carry = 0;
+unsigned char add_k(U384& r, const U384& a, const U384& b) {
+  unsigned char carry = 0;
   for (std::size_t i = 0; i < K; ++i) {
-    const uint128 sum = static_cast<uint128>(a.limbs[i]) + b.limbs[i] + carry;
-    r.limbs[i] = static_cast<std::uint64_t>(sum);
-    carry = static_cast<std::uint64_t>(sum >> 64);
+    r.limbs[i] = addc(a.limbs[i], b.limbs[i], carry);
   }
   return carry;
 }
 
 template <std::size_t K>
-std::uint64_t sub_k(U384& r, const U384& a, const U384& b) {
-  std::uint64_t borrow = 0;
+unsigned char sub_k(U384& r, const U384& a, const U384& b) {
+  unsigned char borrow = 0;
   for (std::size_t i = 0; i < K; ++i) {
-    const uint128 diff = static_cast<uint128>(a.limbs[i]) -
-                         static_cast<uint128>(b.limbs[i]) - borrow;
-    r.limbs[i] = static_cast<std::uint64_t>(diff);
-    borrow = static_cast<std::uint64_t>((diff >> 64) & 1);
+    r.limbs[i] = subb(a.limbs[i], b.limbs[i], borrow);
   }
   return borrow;
 }
@@ -115,7 +148,7 @@ template <std::size_t K>
 }
 
 // Montgomery multiplication is one product step and one reduction step:
-// mul_wide or sqr_wide writes the 2K-limb t = a*b, then redc (or
+// mul_wide writes the 2K-limb t = a*b, then redc (or
 // p256_redc) returns t * 2^(-64K) mod m. The product and the generic
 // reduction scan column by column into a three-word accumulator, which
 // keeps the carry chains short; every loop is fully unrolled (K <= 6), so
@@ -151,28 +184,6 @@ template <std::size_t K>
 #pragma GCC unroll 6
     for (std::size_t i = k < K ? 0 : k - K + 1; i <= k && i < K; ++i) {
       col.add(static_cast<uint128>(a.limbs[i]) * b.limbs[k - i]);
-    }
-    t[k] = col.shift();
-  }
-  t[2 * K - 1] = col.shift();
-}
-
-/// t = a^2, column by column: each cross product a[i]*a[j] (i < j) once,
-/// added twice, plus the diagonal a[i]^2. K(K-1)/2 + K word products.
-template <std::size_t K>
-[[gnu::always_inline]] inline void sqr_wide(std::uint64_t (&t)[2 * K],
-                                            const U384& a) {
-  Column col;
-#pragma GCC unroll 12
-  for (std::size_t k = 0; k + 1 < 2 * K; ++k) {
-#pragma GCC unroll 6
-    for (std::size_t i = k < K ? 0 : k - K + 1; i < k - i; ++i) {
-      const uint128 cross = static_cast<uint128>(a.limbs[i]) * a.limbs[k - i];
-      col.add(cross);
-      col.add(cross);
-    }
-    if (k % 2 == 0) {
-      col.add(static_cast<uint128>(a.limbs[k / 2]) * a.limbs[k / 2]);
     }
     t[k] = col.shift();
   }
@@ -238,17 +249,15 @@ constexpr std::array<std::uint64_t, U384::kLimbs> kP256Prime = {
   for (std::size_t i = 0; i < 4; ++i) {
     const std::uint64_t mu = t[i];
     const uint128 hi = static_cast<uint128>(mu) * kTopLimb;
-    uint128 cur = static_cast<uint128>(t[i + 1]) + (mu << 32);
-    t[i + 1] = static_cast<std::uint64_t>(cur);
-    cur = static_cast<uint128>(t[i + 2]) + (mu >> 32) + (cur >> 64);
-    t[i + 2] = static_cast<std::uint64_t>(cur);
-    cur = static_cast<uint128>(t[i + 3]) + static_cast<std::uint64_t>(hi) +
-          (cur >> 64);
-    t[i + 3] = static_cast<std::uint64_t>(cur);
-    cur = static_cast<uint128>(t[i + 4]) +
-          static_cast<std::uint64_t>(hi >> 64) + (cur >> 64) + top;
-    t[i + 4] = static_cast<std::uint64_t>(cur);
-    top = static_cast<std::uint64_t>(cur >> 64);
+    unsigned char carry = 0;
+    t[i + 1] = addc(t[i + 1], mu << 32, carry);
+    t[i + 2] = addc(t[i + 2], mu >> 32, carry);
+    t[i + 3] = addc(t[i + 3], static_cast<std::uint64_t>(hi), carry);
+    // The high word of mu * kTopLimb is at most 2^64 - 2^32, so adding the
+    // previous step's carry to it cannot wrap.
+    t[i + 4] = addc(t[i + 4], static_cast<std::uint64_t>(hi >> 64) + top,
+                    carry);
+    top = carry;
   }
   return final_sub<4>(t, top, m);
 }
@@ -516,20 +525,6 @@ U384 MontCtx::mul(const U384& a, const U384& b) const {
   }
   return k_ == 4 ? generic_mul<4>(a, b, m_, n0_)
                  : generic_mul<6>(a, b, m_, n0_);
-}
-
-U384 MontCtx::sqr(const U384& a) const {
-  if (p256_) {
-    std::uint64_t t[8] = {};
-    sqr_wide<4>(t, a);
-    return p256_redc(t, m_);
-  }
-  // On a generic 4-limb modulus the reduction dominates, and a dedicated
-  // squaring measured no faster.
-  if (k_ == 4) return generic_mul<4>(a, a, m_, n0_);
-  std::uint64_t t[12] = {};
-  sqr_wide<6>(t, a);
-  return redc<6>(t, m_, n0_);
 }
 
 U384 MontCtx::add(const U384& a, const U384& b) const {

@@ -2,9 +2,9 @@
 //
 // U384 is sized for NIST P-384 (the curve AMD uses for VCEK signatures);
 // MontCtx runs on only the limbs its modulus needs. A Montgomery
-// multiplication is one product step (a full 2K-limb product, or a
-// dedicated squaring) followed by one reduction step (word-by-word, or
-// P-256's special-form reduction); inversion is Bernstein–Yang safegcd.
+// multiplication is one product step (a full 2K-limb product) followed by
+// one reduction step (word-by-word, or P-256's special-form reduction);
+// inversion is Bernstein–Yang safegcd.
 #pragma once
 
 #include <array>
@@ -92,9 +92,9 @@ class MontCtx {
 
   /// Montgomery multiplication: a*b*R^-1 mod m.
   U384 mul(const U384& a, const U384& b) const;
-  /// Montgomery squaring: equal to mul(a, a), with each cross product
-  /// computed once where that pays (P-256's p and 6-limb moduli).
-  U384 sqr(const U384& a) const;
+  /// Montgomery squaring: mul(a, a). A dedicated squaring product
+  /// measured no faster on either width.
+  U384 sqr(const U384& a) const { return mul(a, a); }
 
   /// Modular addition (either domain, operands < m).
   U384 add(const U384& a, const U384& b) const;

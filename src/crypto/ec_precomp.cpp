@@ -11,28 +11,22 @@ Jac jac_double(const MontCtx& fp, const Jac& p) {
 
   const U384 delta = fp.sqr(p.z);
   const U384 gamma = fp.sqr(p.y);
-  const U384 beta = fp.mul(p.x, gamma);
   // alpha = 3 (x - delta)(x + delta)
-  const U384 diff = fp.sub(p.x, delta);
-  const U384 sum = fp.add(p.x, delta);
-  U384 alpha = fp.mul(diff, sum);
+  U384 alpha = fp.mul(fp.sub(p.x, delta), fp.add(p.x, delta));
   alpha = fp.add(fp.add(alpha, alpha), alpha);
 
   Jac r;
-  // X3 = alpha^2 - 8 beta
-  const U384 beta2 = fp.add(beta, beta);
-  const U384 beta4 = fp.add(beta2, beta2);
-  const U384 beta8 = fp.add(beta4, beta4);
-  r.x = fp.sub(fp.sqr(alpha), beta8);
-  // Z3 = (y + z)^2 - gamma - delta
-  const U384 yz = fp.add(p.y, p.z);
-  r.z = fp.sub(fp.sub(fp.sqr(yz), gamma), delta);
-  // Y3 = alpha (4 beta - X3) - 8 gamma^2
-  const U384 gamma2 = fp.sqr(gamma);
-  const U384 g2 = fp.add(gamma2, gamma2);
-  const U384 g4 = fp.add(g2, g2);
-  const U384 g8 = fp.add(g4, g4);
-  r.y = fp.sub(fp.mul(alpha, fp.sub(beta4, r.x)), g8);
+  // Z3 = 2 y z
+  const U384 yz = fp.mul(p.y, p.z);
+  r.z = fp.add(yz, yz);
+  // X3 = alpha^2 - 8 beta, with 4 beta = x (4 gamma)
+  const U384 gamma2 = fp.add(gamma, gamma);
+  const U384 beta4 = fp.mul(p.x, fp.add(gamma2, gamma2));
+  r.x = fp.sub(fp.sqr(alpha), fp.add(beta4, beta4));
+  // Y3 = alpha (4 beta - X3) - 8 gamma^2, with 8 gamma^2 = 2 (2 gamma)^2
+  const U384 gamma2_sq = fp.sqr(gamma2);
+  r.y = fp.sub(fp.mul(alpha, fp.sub(beta4, r.x)),
+               fp.add(gamma2_sq, gamma2_sq));
   return r;
 }
 

@@ -51,7 +51,9 @@ struct Aff {
   bool inf = true;
 };
 
-/// Doubling with a = -3 (dbl-2001-b).
+/// Doubling with a = -3: dbl-2001-b's sums, with Z3 = 2YZ, 4 beta = X (4
+/// gamma) and 8 gamma^2 = 2 (2 gamma)^2, so 4M + 4S and 12 modular
+/// additions or subtractions.
 Jac jac_double(const MontCtx& fp, const Jac& p);
 
 /// General Jacobian addition (add-2007-bl without Z caching).

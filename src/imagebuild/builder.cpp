@@ -138,7 +138,7 @@ Result<VmImage> ImageBuilder::build(const BuildInputs& inputs,
   image.cmdline = cmdline.to_string();
   image.verity_root = meta->root_hash;
   image.disk_blocks = total_blocks;
-  image.disk_bytes = disk->raw_dump(0, total_blocks * kBlockSize);
+  image.disk_bytes = std::move(*disk).take_contents();
   return image;
 }
 

@@ -54,4 +54,9 @@ Bytes MemDisk::raw_dump(std::uint64_t byte_offset, std::size_t length) const {
                data_.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
+Bytes MemDisk::take_contents() && {
+  block_count_ = 0;
+  return std::exchange(data_, {});
+}
+
 }  // namespace revelio::storage

@@ -41,6 +41,10 @@ class MemDisk final : public BlockDevice {
   /// Host-side raw inspection (offline attack on data at rest).
   Bytes raw_dump(std::uint64_t byte_offset, std::size_t length) const;
 
+  /// Hands the disk's bytes over without a copy; the disk is left with no
+  /// blocks.
+  Bytes take_contents() &&;
+
  private:
   std::size_t block_size_;
   std::uint64_t block_count_;

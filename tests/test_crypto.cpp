@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "crypto/bigint.hpp"
 #include "crypto/drbg.hpp"
 #include "crypto/ec.hpp"
+#include "crypto/ec_precomp.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/kdf.hpp"
@@ -915,6 +918,153 @@ TEST(MontWidth, SquaresThatSetTheTopCarryReduceCorrectly) {
   }
 }
 
+// Test-local schoolbook references over K limbs with plain __int128
+// carries: they share no code with the kernels' carry helpers (nor with
+// add_with_carry, which runs on those helpers).
+using uint128 = unsigned __int128;
+using WideLimbs = std::array<std::uint64_t, 2 * U384::kLimbs + 1>;
+
+WideLimbs wide_of(const U384& v) {
+  WideLimbs w{};
+  std::copy(v.limbs.begin(), v.limbs.end(), w.begin());
+  return w;
+}
+
+U384 narrow(const WideLimbs& w, std::size_t k) {
+  U384 v;
+  std::copy_n(w.begin(), k, v.limbs.begin());
+  return v;
+}
+
+/// r = a + b over the low n limbs; returns the carry out.
+std::uint64_t school_add(WideLimbs& r, const WideLimbs& a, const WideLimbs& b,
+                         std::size_t n) {
+  uint128 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    carry += static_cast<uint128>(a[i]) + b[i];
+    r[i] = static_cast<std::uint64_t>(carry);
+    carry >>= 64;
+  }
+  return static_cast<std::uint64_t>(carry);
+}
+
+/// r = a - b over the low n limbs; returns the borrow out.
+std::uint64_t school_sub(WideLimbs& r, const WideLimbs& a, const WideLimbs& b,
+                         std::size_t n) {
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint128 diff = static_cast<uint128>(a[i]) - b[i] - borrow;
+    r[i] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 127);
+  }
+  return borrow;
+}
+
+/// (a + b) mod m for a, b < m: the K + 1-limb sum, less m unless that
+/// borrows.
+U384 school_add_mod(const U384& a, const U384& b, const U384& m,
+                    std::size_t k) {
+  WideLimbs sum{}, reduced{};
+  sum[k] = school_add(sum, wide_of(a), wide_of(b), k);
+  if (school_sub(reduced, sum, wide_of(m), k + 1) == 0) sum = reduced;
+  return narrow(sum, k);
+}
+
+/// (a - b) mod m for a, b < m.
+U384 school_sub_mod(const U384& a, const U384& b, const U384& m,
+                    std::size_t k) {
+  WideLimbs diff{};
+  if (school_sub(diff, wide_of(a), wide_of(b), k) != 0) {
+    school_add(diff, diff, wide_of(m), k);
+  }
+  return narrow(diff, k);
+}
+
+/// a * b * 2^(-64K) mod m for a, b < m: the 2K-limb schoolbook product,
+/// then 64K halvings, each adding m first when the value is odd.
+U384 school_mont_mul(const U384& a, const U384& b, const U384& m,
+                     std::size_t k) {
+  WideLimbs t{};
+  for (std::size_t i = 0; i < k; ++i) {
+    uint128 carry = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      carry += static_cast<uint128>(a.limbs[i]) * b.limbs[j] + t[i + j];
+      t[i + j] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    t[i + k] = static_cast<std::uint64_t>(carry);
+  }
+  const WideLimbs wm = wide_of(m);
+  for (std::size_t bit = 0; bit < 64 * k; ++bit) {
+    if (t[0] & 1) school_add(t, t, wm, 2 * k + 1);
+    for (std::size_t i = 0; i < 2 * k; ++i) {
+      t[i] = (t[i] >> 1) | (t[i + 1] << 63);
+    }
+    t[2 * k] >>= 1;
+  }
+  // t < 2m now, in K + 1 limbs.
+  WideLimbs reduced{};
+  if (school_sub(reduced, t, wm, k + 1) == 0) t = reduced;
+  return narrow(t, k);
+}
+
+TEST(MontWidth, CarryEdgesMatchSchoolbookReference) {
+  HmacDrbg drbg(to_bytes(std::string_view("mont-carry-edges")));
+  for (const auto& c : width_cases()) {
+    const U384& m = c.ctx.modulus();
+    // x - y for x >= y, on K + 1 limbs.
+    const auto minus = [&](const WideLimbs& x, const U384& y) {
+      WideLimbs d{};
+      school_sub(d, x, wide_of(y), c.limbs + 1);
+      return narrow(d, c.limbs);
+    };
+    const U384 m_minus_1 = minus(wide_of(m), U384::from_u64(1));
+    const U384 m_minus_2 = minus(wide_of(m), U384::from_u64(2));
+    const U384 r = random_below(drbg, m);
+    const U384 m_minus_r = minus(wide_of(m), r);
+    // (m - 1) + carry_mate = 2^(64K): the sum's low K limbs are all zero.
+    WideLimbs two_to_64k{};
+    two_to_64k[c.limbs] = 1;
+    const U384 carry_mate = minus(two_to_64k, m_minus_1);
+    const std::vector<U384> operands = {
+        U384::zero(), U384::from_u64(1), U384::from_u64(2), m_minus_1,
+        m_minus_2,    r,                 m_minus_r,         carry_mate,
+        random_below(drbg, m)};
+
+    int sums_equal_to_m = 0, sums_carrying_out = 0, subs_borrowing = 0;
+    for (const U384& a : operands) {
+      EXPECT_TRUE(a < m) << c.name;
+      const U384 sq = c.ctx.sqr(a);
+      EXPECT_EQ(sq, school_mont_mul(a, a, m, c.limbs)) << c.name;
+      EXPECT_EQ(sq, mont_mul_generic(c.ctx, a, a)) << c.name;
+      for (const U384& b : operands) {
+        WideLimbs sum{};
+        const std::uint64_t carry =
+            school_add(sum, wide_of(a), wide_of(b), c.limbs);
+        sums_equal_to_m += carry == 0 && narrow(sum, c.limbs) == m;
+        sums_carrying_out += carry != 0;
+        subs_borrowing += a < b;
+
+        const U384 add = c.ctx.add(a, b);
+        const U384 sub = c.ctx.sub(a, b);
+        const U384 mul = c.ctx.mul(a, b);
+        EXPECT_EQ(add, school_add_mod(a, b, m, c.limbs)) << c.name;
+        EXPECT_EQ(sub, school_sub_mod(a, b, m, c.limbs)) << c.name;
+        EXPECT_EQ(mul, school_mont_mul(a, b, m, c.limbs)) << c.name;
+        // On P-256's p, mul runs the special-form reduction.
+        EXPECT_EQ(mul, mont_mul_generic(c.ctx, a, b)) << c.name;
+        expect_width(c, add);
+        expect_width(c, sub);
+        expect_width(c, mul);
+      }
+    }
+    // The operand set reaches every carry edge.
+    EXPECT_GT(sums_equal_to_m, 0) << c.name;
+    EXPECT_GT(sums_carrying_out, 0) << c.name;
+    EXPECT_GT(subs_borrowing, 0) << c.name;
+  }
+}
+
 TEST(MontWidth, SafegcdInverseMatchesFermat) {
   for (const auto& c : width_cases()) {
     const U384& m = c.ctx.modulus();
@@ -1001,6 +1151,41 @@ TEST(EcP256, KnownDoubleOfGenerator) {
             "7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978");
   EXPECT_EQ(to_hex(two_g.y.to_bytes_be(32)),
             "07775510db8ed040293d9ac69f7430dbba7dade63ce982299e04b79d227873d1");
+}
+
+TEST(JacDouble, MatchesAffineTangentFormula) {
+  // jac_double on (l^2 x, l^3 y, l) for random l, so Z != 1, normalized and
+  // held to the affine tangent: s = (3x^2 - 3) / (2y), x3 = s^2 - 2x,
+  // y3 = s (x - x3) - y.
+  HmacDrbg drbg(to_bytes(std::string_view("jac-double")));
+  for (const Curve* curve : {&p256(), &p384()}) {
+    const MontCtx& fp = curve->field();
+    const U384 three = fp.to_mont(U384::from_u64(3));
+    for (int i = 0; i < 4; ++i) {
+      const auto pt =
+          curve->scalar_mult_base(random_below(drbg, curve->params().n));
+      const U384 x = fp.to_mont(pt.x);
+      const U384 y = fp.to_mont(pt.y);
+      const U384 l = fp.to_mont(random_below(drbg, curve->params().p));
+      const U384 l2 = fp.sqr(l);
+      const ecp::Jac twice = ecp::jac_double(
+          fp, ecp::Jac{fp.mul(x, l2), fp.mul(y, fp.mul(l2, l)), l});
+
+      const U384 zinv = fp.inv(twice.z);
+      const U384 zinv2 = fp.sqr(zinv);
+      const Curve::Point got{fp.from_mont(fp.mul(twice.x, zinv2)),
+                             fp.from_mont(fp.mul(twice.y, fp.mul(zinv2, zinv))),
+                             false};
+
+      const U384 slope = fp.mul(fp.sub(fp.mul(three, fp.sqr(x)), three),
+                                fp.inv(fp.add(y, y)));
+      const U384 x3 = fp.sub(fp.sqr(slope), fp.add(x, x));
+      const U384 y3 = fp.sub(fp.mul(slope, fp.sub(x, x3)), y);
+      EXPECT_EQ(got.x, fp.from_mont(x3)) << curve->params().name;
+      EXPECT_EQ(got.y, fp.from_mont(y3)) << curve->params().name;
+      EXPECT_TRUE(curve->on_curve(got)) << curve->params().name;
+    }
+  }
 }
 
 TEST(EcP256, AddMatchesDouble) {

@@ -92,6 +92,19 @@ TEST(MemDisk, TakesOverGivenContents) {
   EXPECT_EQ(disk.raw_dump(0, contents.size()), contents);
 }
 
+TEST(MemDisk, TakeContentsHandsOverWrittenBytes) {
+  MemDisk disk(512, 4);
+  const Bytes data = pattern_bytes(512 * 2, 3);
+  ASSERT_TRUE(disk.write(512, data).ok());
+  Bytes want(512 * 4, 0);
+  std::copy(data.begin(), data.end(), want.begin() + 512);
+  EXPECT_EQ(std::move(disk).take_contents(), want);
+  // The emptied disk has no blocks left to read.
+  EXPECT_EQ(disk.block_count(), 0u);
+  Bytes block(512);
+  EXPECT_FALSE(disk.read_block(0, block).ok());
+}
+
 // ---------------------------------------------------------- byte helpers
 
 TEST(BlockDevice, ByteReadWriteSpansBlocks) {
