@@ -5,7 +5,9 @@
 // one (SHA-NI / AES-NI on x86-64). Both cores produce identical bytes — the
 // KAT suites run against whichever core the host selects, and the scalar
 // core is always compiled so non-x86 hosts and `REVELIO_NO_ISA=1` runs stay
-// covered.
+// covered. cpu_has_sha_ni() alone picks both SHA-256 entry points: the
+// one-stream core and the two-stream core behind Sha256::finish_2x (on the
+// scalar side, the one-stream core run once per stream).
 #pragma once
 
 namespace revelio::crypto {

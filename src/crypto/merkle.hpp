@@ -33,7 +33,9 @@ class MerkleTree {
   /// The leaf sweep behind from_blocks and dm-verity's device hashing:
   /// out[i] = hash_leaf(block i of `data`), hashed over the pool, for
   /// out.size() == ceil(data.size() / block_size). A short last block is
-  /// zero-padded to `block_size`, as on a block device.
+  /// zero-padded to `block_size`, as on a block device. Full-size blocks
+  /// are hashed in pairs through Sha256::finish_2x, bit-identical to
+  /// hash_leaf; `data` is only read, so it may be a device's own bytes.
   static void hash_leaves(ByteView data, std::size_t block_size,
                           std::span<Digest32> out);
 

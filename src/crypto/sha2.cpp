@@ -1,6 +1,7 @@
 #include "crypto/sha2.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "crypto/cpu_features.hpp"
@@ -71,6 +72,8 @@ inline std::uint64_t rotr64(std::uint64_t x, int n) {
 // that have it. Both produce identical digests; the FIPS 180-4 KATs in
 // tests/test_crypto.cpp run against whichever core the host dispatches to,
 // and REVELIO_NO_ISA=1 forces the scalar core for differential testing.
+// Sha256::finish_2x feeds two streams' blocks to a paired core chosen by
+// the same check.
 
 inline std::uint32_t load_be32(const std::uint8_t* p) {
   return (static_cast<std::uint32_t>(p[0]) << 24) |
@@ -139,32 +142,50 @@ void compress256_scalar(std::uint32_t* state, const std::uint8_t* p,
 #undef REV_SIG0
 
 #if defined(__x86_64__)
-// SHA-NI core: four 16-byte schedule vectors kept in a ring; the two-round
-// SHA256RNDS2 instruction consumes packed K+W pairs. Layout transforms at
-// entry/exit follow the canonical Intel sequence (ABEF/CDGH register pair).
-__attribute__((target("sha,sse4.1"))) void compress256_shani(
-    std::uint32_t* state, const std::uint8_t* p, std::size_t blocks) {
+// SHA-NI cores. SHA256RNDS2 runs two rounds on the state held as an
+// ABEF/CDGH register pair and consumes packed K+W words; the layout
+// transforms at entry/exit follow the canonical Intel sequence. A message
+// schedule is four 16-byte vectors, each quad round replacing the oldest.
+
+#define REV_SHANI __attribute__((target("sha,sse4.1")))
+
+REV_SHANI inline void shani_load(const std::uint32_t* state, __m128i& abef,
+                                 __m128i& cdgh) {
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  abef = _mm_alignr_epi8(cdab, efgh, 8);
+  cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+}
+
+REV_SHANI inline void shani_store(std::uint32_t* state, __m128i abef,
+                                  __m128i cdgh) {
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+REV_SHANI inline __m128i shani_msg(const std::uint8_t* p, int j) {
   const __m128i kShuffle =
       _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * j)), kShuffle);
+}
 
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i state1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);        // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);  // EFGH
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);     // ABEF
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);          // CDGH
-
+REV_SHANI void compress256_shani(std::uint32_t* state, const std::uint8_t* p,
+                                 std::size_t blocks) {
+  __m128i state0, state1;
+  shani_load(state, state0, state1);
   while (blocks-- > 0) {
     const __m128i abef_save = state0;
     const __m128i cdgh_save = state1;
 
     __m128i msgs[4];
-    for (int j = 0; j < 4; ++j) {
-      msgs[j] = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * j)),
-          kShuffle);
-    }
+    for (int j = 0; j < 4; ++j) msgs[j] = shani_msg(p, j);
     for (int j = 0; j < 16; ++j) {
       if (j >= 4) {
         // W[j] = msg2(msg1(W[j-4], W[j-3]) + alignr(W[j-1], W[j-2]), W[j-1])
@@ -184,18 +205,87 @@ __attribute__((target("sha,sse4.1"))) void compress256_shani(
     state1 = _mm_add_epi32(state1, cdgh_save);
     p += 64;
   }
-
-  tmp = _mm_shuffle_epi32(state0, 0x1B);       // FEBA
-  state1 = _mm_shuffle_epi32(state1, 0xB1);    // DCHG
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0); // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);    // HGFE
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+  shani_store(state, state0, state1);
 }
+
+// Two independent streams, one block of each per pass, so one stream's
+// SHA256RNDS2 latency chain hides the other's. Each stream's schedule
+// lives in four named vectors (an indexed ring array is spilled to the
+// stack), rotated through the macro arguments over 16 unrolled quad
+// rounds: lane A in a0..a3, lane B in b0..b3.
+#define REV_QROUND2(j, a0, a1, a2, a3, b0, b1, b2, b3)                        \
+  do {                                                                        \
+    if ((j) >= 4) {                                                           \
+      a0 = _mm_sha256msg2_epu32(                                              \
+          _mm_add_epi32(_mm_sha256msg1_epu32(a0, a1),                         \
+                        _mm_alignr_epi8(a3, a2, 4)),                          \
+          a3);                                                                \
+      b0 = _mm_sha256msg2_epu32(                                              \
+          _mm_add_epi32(_mm_sha256msg1_epu32(b0, b1),                         \
+                        _mm_alignr_epi8(b3, b2, 4)),                          \
+          b3);                                                                \
+    }                                                                         \
+    const __m128i k = _mm_loadu_si128(                                        \
+        reinterpret_cast<const __m128i*>(&kK256[4 * (j)]));                   \
+    __m128i kwa = _mm_add_epi32(a0, k);                                       \
+    __m128i kwb = _mm_add_epi32(b0, k);                                       \
+    cdgh_a = _mm_sha256rnds2_epu32(cdgh_a, abef_a, kwa);                      \
+    cdgh_b = _mm_sha256rnds2_epu32(cdgh_b, abef_b, kwb);                      \
+    kwa = _mm_shuffle_epi32(kwa, 0x0E);                                       \
+    kwb = _mm_shuffle_epi32(kwb, 0x0E);                                       \
+    abef_a = _mm_sha256rnds2_epu32(abef_a, cdgh_a, kwa);                      \
+    abef_b = _mm_sha256rnds2_epu32(abef_b, cdgh_b, kwb);                      \
+  } while (0)
+// Four quad rounds: the named vectors come back to a0/b0 holding the
+// oldest schedule words.
+#define REV_QROUND2X4(j)                                 \
+  do {                                                   \
+    REV_QROUND2((j), a0, a1, a2, a3, b0, b1, b2, b3);    \
+    REV_QROUND2((j) + 1, a1, a2, a3, a0, b1, b2, b3, b0); \
+    REV_QROUND2((j) + 2, a2, a3, a0, a1, b2, b3, b0, b1); \
+    REV_QROUND2((j) + 3, a3, a0, a1, a2, b3, b0, b1, b2); \
+  } while (0)
+
+REV_SHANI void compress256_shani_2x(std::uint32_t* state_a,
+                                    std::uint32_t* state_b,
+                                    const std::uint8_t* pa,
+                                    const std::uint8_t* pb,
+                                    std::size_t blocks) {
+  __m128i abef_a, cdgh_a, abef_b, cdgh_b;
+  shani_load(state_a, abef_a, cdgh_a);
+  shani_load(state_b, abef_b, cdgh_b);
+  while (blocks-- > 0) {
+    const __m128i abef_a_save = abef_a, cdgh_a_save = cdgh_a;
+    const __m128i abef_b_save = abef_b, cdgh_b_save = cdgh_b;
+    __m128i a0 = shani_msg(pa, 0), a1 = shani_msg(pa, 1);
+    __m128i a2 = shani_msg(pa, 2), a3 = shani_msg(pa, 3);
+    __m128i b0 = shani_msg(pb, 0), b1 = shani_msg(pb, 1);
+    __m128i b2 = shani_msg(pb, 2), b3 = shani_msg(pb, 3);
+    REV_QROUND2X4(0);
+    REV_QROUND2X4(4);
+    REV_QROUND2X4(8);
+    REV_QROUND2X4(12);
+    abef_a = _mm_add_epi32(abef_a, abef_a_save);
+    cdgh_a = _mm_add_epi32(cdgh_a, cdgh_a_save);
+    abef_b = _mm_add_epi32(abef_b, abef_b_save);
+    cdgh_b = _mm_add_epi32(cdgh_b, cdgh_b_save);
+    pa += 64;
+    pb += 64;
+  }
+  shani_store(state_a, abef_a, cdgh_a);
+  shani_store(state_b, abef_b, cdgh_b);
+}
+
+#undef REV_QROUND2X4
+#undef REV_QROUND2
+#undef REV_SHANI
 #endif  // __x86_64__
 
 using Compress256Fn = void (*)(std::uint32_t*, const std::uint8_t*,
                                std::size_t);
+using Compress256x2Fn = void (*)(std::uint32_t*, std::uint32_t*,
+                                 const std::uint8_t*, const std::uint8_t*,
+                                 std::size_t);
 
 Compress256Fn resolve_compress256() {
 #if defined(__x86_64__)
@@ -204,10 +294,34 @@ Compress256Fn resolve_compress256() {
   return compress256_scalar;
 }
 
+// Without SHA-NI the scalar core takes one stream, then the other: its
+// working variables and schedule ring already fill the general registers,
+// so a second interleaved stream would spill.
+void compress256_scalar_2x(std::uint32_t* state_a, std::uint32_t* state_b,
+                           const std::uint8_t* pa, const std::uint8_t* pb,
+                           std::size_t blocks) {
+  compress256_scalar(state_a, pa, blocks);
+  compress256_scalar(state_b, pb, blocks);
+}
+
+Compress256x2Fn resolve_compress256_2x() {
+#if defined(__x86_64__)
+  if (cpu_has_sha_ni()) return compress256_shani_2x;
+#endif
+  return compress256_scalar_2x;
+}
+
 void compress256(std::uint32_t* state, const std::uint8_t* p,
                  std::size_t blocks) {
   static const Compress256Fn fn = resolve_compress256();
   fn(state, p, blocks);
+}
+
+void compress256_2x(std::uint32_t* state_a, std::uint32_t* state_b,
+                    const std::uint8_t* pa, const std::uint8_t* pb,
+                    std::size_t blocks) {
+  static const Compress256x2Fn fn = resolve_compress256_2x();
+  fn(state_a, state_b, pa, pb, blocks);
 }
 
 }  // namespace
@@ -248,6 +362,28 @@ void Sha256::update(ByteView data) {
     std::memcpy(buf_, data.data() + off, data.size() - off);
     buf_len_ = data.size() - off;
   }
+}
+
+void Sha256::finish_2x(const Sha256& ctx, ByteView a, ByteView b,
+                       Digest32& out_a, Digest32& out_b) {
+  assert(a.size() == b.size());
+  Sha256 x = ctx;
+  Sha256 y = ctx;
+  // Both streams sit at the same offset throughout: each completes the
+  // context's partial block on its own, pairs every whole block, then
+  // buffers and pads its own tail.
+  const std::size_t head =
+      ctx.buf_len_ == 0 ? 0 : std::min(a.size(), 64 - ctx.buf_len_);
+  x.update(a.first(head));
+  y.update(b.first(head));
+  const std::size_t whole = (a.size() - head) / 64;
+  compress256_2x(x.h_, y.h_, a.data() + head, b.data() + head, whole);
+  x.total_len_ += whole * 64;
+  y.total_len_ += whole * 64;
+  x.update(a.subspan(head + whole * 64));
+  y.update(b.subspan(head + whole * 64));
+  out_a = x.finish();
+  out_b = y.finish();
 }
 
 Digest32 Sha256::finish() {

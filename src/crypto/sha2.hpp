@@ -26,6 +26,15 @@ class Sha256 {
   void update(ByteView data);
   Digest32 finish();
 
+  /// Two messages at once: out_a = the digest `ctx` would finish with after
+  /// update(a), out_b likewise for `b`. `a` and `b` have equal length, and
+  /// their whole 64-byte blocks go through the compression core two
+  /// streams per pass (interleaved on SHA-NI, one after the other on the
+  /// scalar core). This is the shape of Linux's `sha256_finup_2x` for
+  /// dm-verity: `ctx` holds a common prefix, here the Merkle leaf prefix.
+  static void finish_2x(const Sha256& ctx, ByteView a, ByteView b,
+                        Digest32& out_a, Digest32& out_b);
+
  private:
   void compress(const std::uint8_t* block);
 

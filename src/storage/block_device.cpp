@@ -25,6 +25,11 @@ Result<Bytes> BlockDevice::read(std::uint64_t offset, std::size_t length) {
   return out;
 }
 
+Result<ByteView> BlockDevice::map_blocks(std::uint64_t, std::uint64_t) {
+  return Error::make("blockdev.not_mappable",
+                     "device contents are not its stored bytes");
+}
+
 Status BlockDevice::write(std::uint64_t offset, ByteView data) {
   if (offset + data.size() > size_bytes()) {
     return Error::make("blockdev.out_of_range", "write past device end");
@@ -68,6 +73,14 @@ Status SliceDevice::write_block(std::uint64_t index, ByteView data) {
     return Error::make("blockdev.out_of_range", "slice write past end");
   }
   return parent_->write_block(first_block_ + index, data);
+}
+
+Result<ByteView> SliceDevice::map_blocks(std::uint64_t first,
+                                         std::uint64_t count) {
+  if (first > block_count_ || count > block_count_ - first) {
+    return Error::make("blockdev.out_of_range", "slice map past end");
+  }
+  return parent_->map_blocks(first_block_ + first, count);
 }
 
 }  // namespace revelio::storage

@@ -4,6 +4,14 @@
 // the raw memory disk the (untrusted) hypervisor provides, partition
 // slices of it, and the dm-crypt / dm-verity targets stacked on top —
 // mirroring the Linux device-mapper architecture the paper builds on.
+//
+// Reads copy: `read_block` hands the caller its own copy of a block, which
+// is what every verified read checks. Bulk hashing (dm-verity's format and
+// boot sweep, the hash-device load at open) instead takes one read-only
+// `map_blocks` view of a range and hashes the bytes where they lie. Only
+// devices whose stored bytes are their contents can give one: a memory
+// disk and slices of it. Targets that transform or verify on the way out
+// (dm-crypt, dm-verity) refuse with `blockdev.not_mappable`.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +36,14 @@ class BlockDevice {
   /// Writes one whole block.
   virtual Status write_block(std::uint64_t index, ByteView data) = 0;
 
+  /// A read-only view of blocks [first, first + count) in the device's own
+  /// memory, without a copy; it counts as reading those blocks. Valid until
+  /// the next write to the device. Fails with `blockdev.out_of_range` for a
+  /// range past the device end, and with `blockdev.not_mappable` (the
+  /// default) on devices whose contents are not their stored bytes.
+  virtual Result<ByteView> map_blocks(std::uint64_t first,
+                                      std::uint64_t count);
+
   std::uint64_t size_bytes() const {
     return static_cast<std::uint64_t>(block_size()) * block_count();
   }
@@ -51,6 +67,8 @@ class SliceDevice final : public BlockDevice {
   std::uint64_t block_count() const override { return block_count_; }
   Status read_block(std::uint64_t index, std::span<std::uint8_t> out) override;
   Status write_block(std::uint64_t index, ByteView data) override;
+  Result<ByteView> map_blocks(std::uint64_t first,
+                              std::uint64_t count) override;
 
  private:
   std::shared_ptr<BlockDevice> parent_;

@@ -11,34 +11,16 @@ namespace revelio::storage {
 
 namespace {
 
-// Per-sweep staging size for bulk leaf hashing: device reads stay on the
-// calling thread (BlockDevice implementations mutate their I/O stats), the
-// hashing fans out over the pool through MerkleTree::hash_leaves.
-constexpr std::uint64_t kSweepBlocks = 256;  // 1 MiB at 4 KiB blocks
-
-/// Reads every block of `dev` and returns the leaf digests, hashing each
-/// staged sweep in parallel. Shared by Verity::format and
+/// The leaf digests of every block of `dev`, hashed in place from one
+/// read-only view of the whole device (taken here, on the calling thread;
+/// the hashing fans out over the pool). Shared by Verity::format and
 /// VerityDevice::verify_all.
 Result<std::vector<crypto::Digest32>> hash_device_leaves(BlockDevice& dev) {
-  const std::size_t bs = dev.block_size();
-  const std::uint64_t n = dev.block_count();
-  std::vector<crypto::Digest32> leaves(n);
-  Bytes buf(bs * static_cast<std::size_t>(std::min<std::uint64_t>(
-                     std::max<std::uint64_t>(n, 1), kSweepBlocks)));
-  for (std::uint64_t start = 0; start < n; start += kSweepBlocks) {
-    const std::size_t m =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kSweepBlocks, n - start));
-    for (std::size_t j = 0; j < m; ++j) {
-      std::span<std::uint8_t> slot(buf.data() + j * bs, bs);
-      if (auto st = dev.read_block(start + j, slot); !st.ok()) {
-        return st.error();
-      }
-    }
-    crypto::MerkleTree::hash_leaves(
-        ByteView(buf.data(), m * bs), bs,
-        std::span<crypto::Digest32>(leaves).subspan(
-            static_cast<std::size_t>(start), m));
-  }
+  auto bytes = dev.map_blocks(0, dev.block_count());
+  if (!bytes.ok()) return bytes.error();
+  std::vector<crypto::Digest32> leaves(
+      static_cast<std::size_t>(dev.block_count()));
+  crypto::MerkleTree::hash_leaves(*bytes, dev.block_size(), leaves);
   return leaves;
 }
 
@@ -82,17 +64,19 @@ Result<std::shared_ptr<VerityDevice>> open_impl(
     VerityDevice::OpenKey key, std::shared_ptr<BlockDevice> data_dev,
     std::shared_ptr<BlockDevice> hash_dev,
     const crypto::Digest32& expected_root) {
-  Bytes header(hash_dev->block_size());
-  if (auto st = hash_dev->read_block(0, header); !st.ok()) return st.error();
-  const std::uint64_t length = read_u64be(header, 0);
-  if (length == 0 ||
-      length > (hash_dev->block_count() - 1) * hash_dev->block_size()) {
+  // The tree is parsed from a view of the hash device: block 0 holds the
+  // serialized length, blocks 1.. the serialized tree.
+  const std::size_t bs = hash_dev->block_size();
+  auto header = hash_dev->map_blocks(0, 1);
+  if (!header.ok()) return header.error();
+  const std::uint64_t length = read_u64be(*header, 0);
+  if (length == 0 || length > (hash_dev->block_count() - 1) * bs) {
     return Error::make("verity.bad_hash_header");
   }
-  auto serialized = hash_dev->read(hash_dev->block_size(),
-                                   static_cast<std::size_t>(length));
+  auto serialized = hash_dev->map_blocks(1, (length + bs - 1) / bs);
   if (!serialized.ok()) return serialized.error();
-  auto tree = crypto::MerkleTree::deserialize(*serialized);
+  auto tree = crypto::MerkleTree::deserialize(
+      serialized->first(static_cast<std::size_t>(length)));
   if (!tree.ok()) {
     return Error::make("verity.corrupt_hash_device",
                        tree.error().to_string());

@@ -14,9 +14,14 @@
 // tampered data is rejected even with a fully warm cache — but the upward
 // climb stops at the first verified ancestor, so a read after warm-up
 // costs one leaf hash and zero inner hashes instead of O(log n) hashes
-// per read. `verify_all` is O(n) leaf hashes (sequential device reads,
-// parallel hashing) compared against the leaf level `open` authenticated,
-// with no inner hashes, rather than O(n log n).
+// per read. `verify_all` is O(n) leaf hashes compared against the leaf
+// level `open` authenticated, with no inner hashes, rather than
+// O(n log n). It hashes the data device in place: one read-only
+// `map_blocks` view, taken on the calling thread, split over the pool,
+// with full-size leaves hashed two at a time (Sha256::finish_2x). `format`
+// sweeps the same way and `open` parses the tree from a view of the hash
+// device, so both devices must be mappable (a MemDisk or a slice of one);
+// anything else fails with blockdev.not_mappable.
 #pragma once
 
 #include <memory>
@@ -85,9 +90,11 @@ class VerityDevice final : public BlockDevice {
   Status write_block(std::uint64_t index, ByteView data) override;
 
   /// Verifies every block — the boot-time "dm-verity verify" service whose
-  /// latency dominates Table 1. O(n) leaf hashes, hashed in parallel and
-  /// compared against the leaf level `open` authenticated (no inner
-  /// rebuild); on success the whole ancestor bitmap is marked verified.
+  /// latency dominates Table 1. O(n) leaf hashes of the data device's
+  /// bytes in place, hashed in parallel and compared against the leaf
+  /// level `open` authenticated (no inner rebuild); fails with
+  /// verity.block_mismatch naming the lowest mismatching block. On success
+  /// the whole ancestor bitmap is marked verified.
   Status verify_all();
 
   const crypto::Digest32& root_hash() const { return tree_.root(); }

@@ -29,6 +29,16 @@ Status MemDisk::read_block(std::uint64_t index, std::span<std::uint8_t> out) {
   return Status::success();
 }
 
+Result<ByteView> MemDisk::map_blocks(std::uint64_t first,
+                                     std::uint64_t count) {
+  if (first > block_count_ || count > block_count_ - first) {
+    return Error::make("blockdev.out_of_range", "map past disk end");
+  }
+  stats_.blocks_read += count;
+  return ByteView(data_).subspan(static_cast<std::size_t>(first * block_size_),
+                                 static_cast<std::size_t>(count * block_size_));
+}
+
 Status MemDisk::write_block(std::uint64_t index, ByteView data) {
   if (index >= block_count_) {
     return Error::make("blockdev.out_of_range", "write past disk end");

@@ -30,6 +30,9 @@ class MemDisk final : public BlockDevice {
   std::uint64_t block_count() const override { return block_count_; }
   Status read_block(std::uint64_t index, std::span<std::uint8_t> out) override;
   Status write_block(std::uint64_t index, ByteView data) override;
+  /// The disk's own bytes; counts `count` blocks in `IoStats::blocks_read`.
+  Result<ByteView> map_blocks(std::uint64_t first,
+                              std::uint64_t count) override;
 
   const IoStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }

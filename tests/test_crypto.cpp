@@ -72,6 +72,28 @@ TEST(Sha256, MillionA) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Sha256::finish_2x against two streaming hashes, on whichever core the
+// host dispatches to: context prefixes that leave the buffer empty, one
+// byte short of a block, or partly filled, and message lengths on every
+// padding boundary up to a 4 KiB verity block.
+TEST(Sha256, PairMatchesTwoSingleStreams) {
+  HmacDrbg drbg(to_bytes(std::string_view("sha256-pair")));
+  for (const std::size_t prefix_len : {0u, 1u, 63u, 64u, 65u}) {
+    const Bytes prefix = drbg.generate(prefix_len);
+    Sha256 ctx;
+    ctx.update(prefix);
+    for (const std::size_t len :
+         {0u, 1u, 55u, 56u, 63u, 64u, 65u, 127u, 128u, 4096u}) {
+      const Bytes a = drbg.generate(len);
+      const Bytes b = drbg.generate(len);
+      Digest32 da, db;
+      Sha256::finish_2x(ctx, a, b, da, db);
+      EXPECT_EQ(da, sha256(concat(prefix, a))) << prefix_len << "+" << len;
+      EXPECT_EQ(db, sha256(concat(prefix, b))) << prefix_len << "+" << len;
+    }
+  }
+}
+
 TEST(Sha384, Fips180Abc) {
   EXPECT_EQ(to_hex(sha384(to_bytes(std::string_view("abc"))).view()),
             "cb00753f45a35e8bb5a03d699ac65007272c32ab0eded1631a8b605a43ff5bed"
@@ -1713,6 +1735,30 @@ TEST(Merkle, OddLeafCountsBuildConsistently) {
           MerkleTree::hash_leaf(ByteView(data).subspan(i * 64, 64));
       EXPECT_TRUE(MerkleTree::verify_path(leaf, i, tree.path(i), blocks,
                                           tree.root()));
+    }
+  }
+}
+
+// hash_leaves pairs full-size leaves through Sha256::finish_2x and hashes
+// an odd last leaf and a short tail alone; every digest must equal the
+// per-leaf hash_leaf of the same (zero-padded) block.
+TEST(Merkle, HashLeavesMatchesPerLeafHash) {
+  HmacDrbg drbg(to_bytes(std::string_view("merkle-hash-leaves")));
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 0},  {1, 0},  {2, 0},   {3, 0}, {64, 0}, {65, 0}, {257, 0},
+      {1, 100}, {2, 4095}, {64, 1}};  // {full blocks, tail bytes}
+  for (const auto& [full, tail] : shapes) {
+    const Bytes data = drbg.generate(4096 * full + tail);
+    std::vector<Digest32> out(full + (tail > 0 ? 1 : 0));
+    MerkleTree::hash_leaves(data, 4096, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      Bytes block(4096, 0);
+      const std::size_t len =
+          std::min<std::size_t>(4096, data.size() - 4096 * i);
+      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(4096 * i), len,
+                  block.begin());
+      EXPECT_EQ(out[i], MerkleTree::hash_leaf(block))
+          << full << "+" << tail << " leaf " << i;
     }
   }
 }

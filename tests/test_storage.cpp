@@ -160,6 +160,57 @@ TEST(SliceDevice, WindowsParentRange) {
   EXPECT_FALSE(slice.read_block(3, back).ok());
 }
 
+TEST(BlockDevice, MapBlocksViewsStoredBytesAndCountsLikeReads) {
+  auto disk = std::make_shared<MemDisk>(64, 10);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(
+        disk->write_block(i, pattern_bytes(64, static_cast<std::uint8_t>(i)))
+            .ok());
+  }
+  SliceDevice slice(disk, 4, 3);
+  disk->reset_stats();
+  Bytes expect;
+  Bytes block(64);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(slice.read_block(i, block).ok());
+    expect.insert(expect.end(), block.begin(), block.end());
+  }
+  const IoStats per_block = disk->stats();
+  disk->reset_stats();
+  auto view = slice.map_blocks(0, 3);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(Bytes(view->begin(), view->end()), expect);
+  EXPECT_EQ(disk->stats().blocks_read, per_block.blocks_read);
+  // The slice forwards with its offset to the disk's own bytes: no copy.
+  auto direct = disk->map_blocks(4, 3);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(view->data(), direct->data());
+  EXPECT_TRUE(disk->map_blocks(10, 0).ok()) << "empty range at the end";
+}
+
+TEST(BlockDevice, MapBlocksFailsClosedPastTheEnd) {
+  auto disk = std::make_shared<MemDisk>(64, 10);
+  SliceDevice slice(disk, 4, 3);
+  disk->reset_stats();
+  const std::uint64_t huge = ~std::uint64_t{0};
+  for (const auto& [first, count] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {9, 2}, {11, 0}, {0, 11}, {1, huge}}) {
+    auto r = disk->map_blocks(first, count);
+    ASSERT_FALSE(r.ok()) << first << "+" << count;
+    EXPECT_EQ(r.error().code, "blockdev.out_of_range");
+  }
+  // Across the slice's end, though the parent has those blocks.
+  for (const auto& [first, count] :
+       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {2, 2}, {3, 1}, {4, 0}, {0, 4}, {1, huge}}) {
+    auto r = slice.map_blocks(first, count);
+    ASSERT_FALSE(r.ok()) << first << "+" << count;
+    EXPECT_EQ(r.error().code, "blockdev.out_of_range");
+  }
+  EXPECT_EQ(disk->stats().blocks_read, 0u) << "a refused map reads nothing";
+}
+
 // ------------------------------------------------------------- Partition
 
 TEST(PartitionTable, RoundTripThroughDevice) {
@@ -328,6 +379,18 @@ TEST_F(DmCryptTest, SmallestWholeBlockSizeRoundTrips) {
   EXPECT_EQ(back, data);
 }
 
+TEST_F(DmCryptTest, RefusesToMapAndVerityCannotFormatOverIt) {
+  auto dev = CryptVolume::format(disk_, key_, salt_);
+  ASSERT_TRUE(dev.ok());
+  auto view = (*dev)->map_blocks(0, 1);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.error().code, "blockdev.not_mappable");
+  MemDisk hash(4096, 8);
+  auto meta = Verity::format(**dev, hash);
+  ASSERT_FALSE(meta.ok());
+  EXPECT_EQ(meta.error().code, "blockdev.not_mappable");
+}
+
 // -------------------------------------------------------------- DmVerity
 
 class DmVerityTest : public ::testing::Test {
@@ -379,6 +442,15 @@ TEST_F(DmVerityTest, WritesAlwaysRejected) {
   const auto st = (*dev)->write_block(0, pattern_bytes(4096));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, "verity.read_only");
+}
+
+TEST_F(DmVerityTest, RefusesToMap) {
+  auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
+  ASSERT_TRUE(dev.ok());
+  ASSERT_TRUE((*dev)->verify_all().ok());
+  auto view = (*dev)->map_blocks(0, 1);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.error().code, "blockdev.not_mappable");
 }
 
 TEST_F(DmVerityTest, WrongRootHashFailsOpen) {
@@ -501,10 +573,42 @@ TEST_F(DmVerityTest, LeafDigestsFailClosedUntilVerified) {
 }
 
 TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
-  for (const std::uint64_t block : {0u, 8u, 15u}) {
-    const std::uint64_t byte = block * 4096 + 777;
-    data_dev_->raw_tamper(byte, 0x10);
-    auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
+  // The sweep hashes leaves in pairs, so flips land on a pair's first leaf
+  // (0, 8), its second (5, 15), the odd last leaf of a 17-block device
+  // (16), and two leaves at once, where the lowest block is named.
+  auto odd_data = std::make_shared<MemDisk>(4096, 17);
+  auto odd_hash = std::make_shared<MemDisk>(4096, 16);
+  for (std::uint64_t i = 0; i < odd_data->block_count(); ++i) {
+    ASSERT_TRUE(odd_data
+                    ->write_block(i, pattern_bytes(4096,
+                                                   static_cast<std::uint8_t>(i)))
+                    .ok());
+  }
+  auto odd_meta = Verity::format(*odd_data, *odd_hash);
+  ASSERT_TRUE(odd_meta.ok());
+  struct Case {
+    std::shared_ptr<MemDisk> data;
+    std::shared_ptr<MemDisk> hash;
+    crypto::Digest32 root;
+    std::vector<std::uint64_t> flipped;  // lowest first
+  };
+  const Case cases[] = {
+      {data_dev_, hash_dev_, meta_.root_hash, {0}},
+      {data_dev_, hash_dev_, meta_.root_hash, {5}},
+      {data_dev_, hash_dev_, meta_.root_hash, {8}},
+      {data_dev_, hash_dev_, meta_.root_hash, {15}},
+      {data_dev_, hash_dev_, meta_.root_hash, {5, 12}},
+      {odd_data, odd_hash, odd_meta->root_hash, {16}},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t block = c.flipped.front();
+    const auto flip = [&c] {
+      for (const std::uint64_t b : c.flipped) {
+        c.data->raw_tamper(b * 4096 + 777, 0x10);
+      }
+    };
+    flip();
+    auto dev = Verity::open(c.data, c.hash, c.root);
     ASSERT_TRUE(dev.ok()) << "data tamper is invisible to open";
     const auto st = (*dev)->verify_all();
     ASSERT_FALSE(st.ok()) << "block " << block;
@@ -513,11 +617,11 @@ TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
                                           " failed"),
               std::string::npos)
         << st.error().to_string();
-    auto leaves = (*dev)->leaf_digests(0, 16);
+    auto leaves = (*dev)->leaf_digests(0, (*dev)->block_count());
     ASSERT_FALSE(leaves.ok());
     EXPECT_EQ(leaves.error().code, "verity.unverified_leaf");
     EXPECT_FALSE((*dev)->leaf_digests(block, 1).ok());
-    data_dev_->raw_tamper(byte, 0x10);  // restore for the next block
+    flip();  // restore for the next case
   }
 }
 
