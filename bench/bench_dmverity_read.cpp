@@ -7,7 +7,7 @@
 // read) plus the per-block hashing and hash-device accesses.
 //
 // Part 1: honest microbenchmarks of our real verity read path (per-block
-// SHA-256 leaf hash + Merkle path verification).
+// SHA-256 leaf hash compared with the leaf level Verity::open proved).
 // Part 2: the Fig-6 series with a calibrated device model (streaming reads
 // with readahead vs synchronous verified reads); constants documented in
 // EXPERIMENTS.md. Shape to reproduce: slowdown roughly an order of
@@ -100,7 +100,8 @@ BENCHMARK(BM_VerityFullVerify);
 // data-block size. Smaller blocks mean finer-grained detection but more
 // leaves and deeper trees; larger blocks amortise hashing but every read
 // must verify a bigger unit. The tree build stands in for format cost;
-// the per-block verify shows the read-path unit cost.
+// the per-block check (one leaf hash and one compare against level 0, the
+// read path's whole check) shows the read-path unit cost.
 void BM_VerityBlockSizeSweepBuild(benchmark::State& state) {
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
   Bytes data(4 << 20);
@@ -130,8 +131,7 @@ void BM_VerityBlockSizeSweepProve(benchmark::State& state) {
     const std::size_t i = index++ % tree.leaf_count();
     const auto leaf = crypto::MerkleTree::hash_leaf(
         ByteView(data).subspan(i * block_size, block_size));
-    benchmark::DoNotOptimize(crypto::MerkleTree::verify_path(
-        leaf, i, tree.path(i), tree.leaf_count(), tree.root()));
+    benchmark::DoNotOptimize(leaf == tree.level(0)[i]);
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * block_size));
@@ -139,7 +139,7 @@ void BM_VerityBlockSizeSweepProve(benchmark::State& state) {
 BENCHMARK(BM_VerityBlockSizeSweepProve)
     ->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
 
-/// Measures our verity verification cost per 4 KiB block (hashing + path).
+/// Measures our verity verification cost per 4 KiB block (read + leaf hash).
 double measure_verify_us_per_block() {
   Bytes buffer(kBlockSize);
   constexpr int kBlocks = 2048;

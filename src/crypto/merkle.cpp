@@ -18,7 +18,7 @@ constexpr std::size_t kLeafGrain = 64;    // 64 x 4 KiB SHA-256 ≈ 1 ms scalar
 constexpr std::size_t kInnerGrain = 512;  // inner hashes are 65-byte inputs
 
 // Node i of the level above `below`. An odd last node is paired with
-// itself, which keeps the tree total and the path logic uniform.
+// itself, which keeps the tree total.
 Digest32 parent_of(const std::vector<Digest32>& below, std::size_t i) {
   const Digest32& left = below[2 * i];
   const Digest32& right = (2 * i + 1 < below.size()) ? below[2 * i + 1] : left;
@@ -104,32 +104,6 @@ MerkleTree MerkleTree::from_blocks(ByteView data, std::size_t block_size) {
   std::vector<Digest32> leaves((data.size() + block_size - 1) / block_size);
   hash_leaves(data, block_size, leaves);
   return from_leaves(std::move(leaves));
-}
-
-std::vector<Digest32> MerkleTree::path(std::size_t index) const {
-  std::vector<Digest32> out;
-  if (levels_.empty()) return out;
-  std::size_t i = index;
-  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const auto& nodes = levels_[level];
-    const std::size_t sibling = (i % 2 == 0) ? i + 1 : i - 1;
-    out.push_back(sibling < nodes.size() ? nodes[sibling] : nodes[i]);
-    i /= 2;
-  }
-  return out;
-}
-
-bool MerkleTree::verify_path(const Digest32& leaf, std::size_t index,
-                             const std::vector<Digest32>& path,
-                             std::size_t leaf_count, const Digest32& root) {
-  if (index >= leaf_count) return false;
-  Digest32 acc = leaf;
-  std::size_t i = index;
-  for (const Digest32& sibling : path) {
-    acc = (i % 2 == 0) ? hash_inner(acc, sibling) : hash_inner(sibling, acc);
-    i /= 2;
-  }
-  return acc == root;
 }
 
 Bytes MerkleTree::serialize() const {

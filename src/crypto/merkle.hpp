@@ -2,7 +2,9 @@
 //
 // This is the hash structure behind the dm-verity target: the builder hashes
 // every 4 KiB block, then hashes hash-blocks upward until a single root
-// remains. Verification recomputes one leaf and its path. Leaves and inner
+// remains. `deserialize` recomputes every level from the leaves up, so a
+// tree it returns is consistent with its root; a block is then verified by
+// recomputing its one leaf and comparing it with level 0. Leaves and inner
 // nodes use distinct domain-separation prefixes so a leaf can never be
 // replayed as an inner node.
 //
@@ -45,17 +47,9 @@ class MerkleTree {
   /// Number of levels (0 for the empty tree); level 0 holds the leaves and
   /// the last level the single root node.
   std::size_t level_count() const { return levels_.size(); }
-  /// Nodes of one level. The dm-verity read path walks these in place
-  /// instead of materialising a sibling-path vector per read.
+  /// Nodes of one level. dm-verity compares each read's leaf hash against
+  /// level 0 in place.
   const std::vector<Digest32>& level(std::size_t i) const { return levels_[i]; }
-
-  /// Authentication path for leaf `index` (sibling hashes, bottom-up).
-  std::vector<Digest32> path(std::size_t index) const;
-
-  /// Verifies that `leaf` is leaf number `index` of a tree with `root`.
-  static bool verify_path(const Digest32& leaf, std::size_t index,
-                          const std::vector<Digest32>& path,
-                          std::size_t leaf_count, const Digest32& root);
 
   /// Domain-separated hashes.
   static Digest32 hash_leaf(ByteView block);

@@ -1,6 +1,7 @@
 #include "storage/dm_verity.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <string>
 
@@ -11,17 +12,14 @@ namespace revelio::storage {
 
 namespace {
 
-/// The leaf digests of every block of `dev`, hashed in place from one
-/// read-only view of the whole device (taken here, on the calling thread;
-/// the hashing fans out over the pool). Shared by Verity::format and
-/// VerityDevice::verify_all.
-Result<std::vector<crypto::Digest32>> hash_device_leaves(BlockDevice& dev) {
-  auto bytes = dev.map_blocks(0, dev.block_count());
-  if (!bytes.ok()) return bytes.error();
-  std::vector<crypto::Digest32> leaves(
-      static_cast<std::size_t>(dev.block_count()));
-  crypto::MerkleTree::hash_leaves(*bytes, dev.block_size(), leaves);
-  return leaves;
+// verify_all's digest chunk: 512 x 32 B = 16 KiB on the stack, and 2 MiB
+// of 4 KiB blocks per pool fan-out.
+constexpr std::size_t kVerifyChunkLeaves = 512;
+
+Error block_mismatch(std::uint64_t index) {
+  return Error::make("verity.block_mismatch",
+                     "block " + std::to_string(index) +
+                         " failed integrity verification");
 }
 
 }  // namespace
@@ -33,9 +31,13 @@ Result<VerityMetadata> Verity::format(BlockDevice& data_dev,
     return Error::make("verity.block_size_mismatch",
                        "data device block size differs from verity config");
   }
-  auto leaves = hash_device_leaves(data_dev);
-  if (!leaves.ok()) return leaves.error();
-  auto tree = crypto::MerkleTree::from_leaves(std::move(*leaves));
+  // The leaves are hashed in place from one read-only view of the whole
+  // device (taken here, on the calling thread; the hashing fans out over
+  // the pool).
+  auto bytes = data_dev.map_blocks(0, data_dev.block_count());
+  if (!bytes.ok()) return bytes.error();
+  const auto tree =
+      crypto::MerkleTree::from_blocks(*bytes, data_dev.block_size());
 
   const Bytes serialized = tree.serialize();
   const std::uint64_t needed =
@@ -116,79 +118,21 @@ Result<std::shared_ptr<VerityDevice>> Verity::open(
 
 VerityDevice::VerityDevice(OpenKey, std::shared_ptr<BlockDevice> data_dev,
                            crypto::MerkleTree tree)
-    : data_dev_(std::move(data_dev)), tree_(std::move(tree)) {
-  verified_.resize(tree_.level_count());
-  for (std::size_t l = 0; l < tree_.level_count(); ++l) {
-    verified_[l].assign(tree_.level(l).size(), false);
-  }
-  // The root was matched against the expected (cmdline) hash before this
-  // device was handed out, so the top level starts trusted.
-  if (!verified_.empty()) verified_.back()[0] = true;
-}
-
-Status VerityDevice::verify_block(std::uint64_t idx, ByteView data) {
-  const auto index = static_cast<std::size_t>(idx);
-  const auto mismatch = [idx] {
-    return Error::make("verity.block_mismatch",
-                       "block " + std::to_string(idx) +
-                           " failed integrity verification");
-  };
-  if (tree_.level_count() == 0 || index >= tree_.level(0).size()) {
-    return mismatch();
-  }
-  // The leaf hash is recomputed unconditionally: the bitmap caches trust in
-  // *tree nodes*, never in data-block contents, so post-verification
-  // tampering of the backing device is still caught on the next read.
-  const crypto::Digest32 leaf = crypto::MerkleTree::hash_leaf(data);
-  if (!(leaf == tree_.level(0)[index])) return mismatch();
-
-  // Climb until the first ancestor already authenticated against the root.
-  // Each step hashes a stored sibling pair and compares it to the stored
-  // parent; reaching a verified node transitively authenticates the chain.
-  std::size_t level = 0;
-  std::size_t pos = index;
-  while (!verified_[level][pos]) {
-    const auto& nodes = tree_.level(level);
-    const std::size_t left = pos & ~std::size_t{1};
-    const std::size_t right = (left + 1 < nodes.size()) ? left + 1 : left;
-    const crypto::Digest32 parent =
-        crypto::MerkleTree::hash_inner(nodes[left], nodes[right]);
-    if (!(parent == tree_.level(level + 1)[pos / 2])) return mismatch();
-    ++level;
-    pos /= 2;
-  }
-  const std::size_t walked = level;  // inner hashes computed this read
-
-  // Both halves of each checked pair hashed into an authenticated parent,
-  // so mark sibling pairs — not just the direct ancestors — as verified.
-  pos = index;
-  for (std::size_t l = 0; l < walked; ++l) {
-    const std::size_t left = pos & ~std::size_t{1};
-    verified_[l][left] = true;
-    if (left + 1 < verified_[l].size()) verified_[l][left + 1] = true;
-    pos /= 2;
-  }
-
-  if (walked + 1 == tree_.level_count()) {
-    obs::metrics()
-        .counter("storage.verity_read.ancestor_cache.full_walk.count")
-        .inc();
-  } else {
-    obs::metrics()
-        .counter("storage.verity_read.ancestor_cache.hit.count")
-        .inc();
-  }
-  return Status::success();
-}
+    : data_dev_(std::move(data_dev)), tree_(std::move(tree)) {}
 
 Status VerityDevice::read_block(std::uint64_t index,
                                 std::span<std::uint8_t> out) {
-  // Counters + a latency summary, not a span: this runs once per block
-  // and a span per read would flood the tracer during verify_all.
+  // Counters + a latency summary, not a span: this runs once per block.
   const auto t0 = std::chrono::steady_clock::now();
   obs::metrics().counter("storage.verity_read.block.count").inc();
+  // Open proved every stored node against the cmdline root, so the leaf
+  // compare alone decides the read. The data device range-checks `index`,
+  // and open matched its block count to level 0's size.
   Status st = data_dev_->read_block(index, out);
-  if (st.ok()) st = verify_block(index, out);
+  if (st.ok() && !(crypto::MerkleTree::hash_leaf(out) ==
+                   tree_.level(0)[static_cast<std::size_t>(index)])) {
+    st = block_mismatch(index);
+  }
   if (!st.ok()) {
     obs::metrics()
         .counter("storage.verity_read.fail.count",
@@ -211,11 +155,9 @@ Result<std::span<const crypto::Digest32>> VerityDevice::leaf_digests(
                        "leaves past the device end");
   }
   if (count == 0) return std::span<const crypto::Digest32>{};
-  const auto begin = verified_[0].begin() + static_cast<std::ptrdiff_t>(first);
-  const auto end = begin + static_cast<std::ptrdiff_t>(count);
-  if (std::find(begin, end, false) != end) {
+  if (!leaves_checked_) {
     return Error::make("verity.unverified_leaf",
-                       "leaf range not yet authenticated against the root");
+                       "no verify_all has checked the data yet");
   }
   return std::span<const crypto::Digest32>(tree_.level(0))
       .subspan(static_cast<std::size_t>(first), static_cast<std::size_t>(count));
@@ -240,23 +182,29 @@ Status VerityDevice::verify_all() {
     return err;
   };
 
-  // O(n) leaf hashes: one bulk sweep over the device instead of per-read
-  // path verification (which costs O(n log n) inner hashes in total),
-  // against level 0, which `open` recomputed up to the cmdline root.
-  auto leaves = hash_device_leaves(*data_dev_);
-  if (!leaves.ok()) return fail(leaves.error());
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!((*leaves)[i] == tree_.level(0)[i])) {
-      return fail(Error::make("verity.block_mismatch",
-                              "block " + std::to_string(i) +
-                                  " failed integrity verification"));
+  // O(n) leaf hashes over one view of the device, a chunk at a time into
+  // a stack buffer, each chunk compared against level 0 (which `open`
+  // recomputed up to the cmdline root) before the next is hashed.
+  auto bytes = data_dev_->map_blocks(0, n);
+  if (!bytes.ok()) return fail(bytes.error());
+  const std::size_t bs = block_size();
+  const auto& level0 = tree_.level(0);
+  std::array<crypto::Digest32, kVerifyChunkLeaves> chunk;
+  for (std::size_t first = 0; first < level0.size();
+       first += kVerifyChunkLeaves) {
+    const std::size_t count =
+        std::min(kVerifyChunkLeaves, level0.size() - first);
+    const std::span<crypto::Digest32> digests(chunk.data(), count);
+    crypto::MerkleTree::hash_leaves(bytes->subspan(first * bs, count * bs),
+                                    bs, digests);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!(digests[i] == level0[first + i])) {
+        return fail(block_mismatch(first + i));
+      }
     }
   }
 
-  // Everything below the root has now been authenticated end-to-end.
-  for (auto& level : verified_) {
-    std::fill(level.begin(), level.end(), true);
-  }
+  leaves_checked_ = true;
   span.attr("result", "ok");
   return Status::success();
 }

@@ -8,15 +8,15 @@
 // flipped anywhere on the data device turns reads of that block into
 // errors, and a tampered hash device fails to open at all (§6.1.2/§6.1.3).
 //
-// Read-path cost model (mirrors the Linux dm-verity target): the device
-// keeps a per-level bitmap of inner nodes already authenticated against
-// the trusted root. A read always recomputes the data block's leaf hash —
-// tampered data is rejected even with a fully warm cache — but the upward
-// climb stops at the first verified ancestor, so a read after warm-up
-// costs one leaf hash and zero inner hashes instead of O(log n) hashes
-// per read. `verify_all` is O(n) leaf hashes compared against the leaf
-// level `open` authenticated, with no inner hashes, rather than
-// O(n log n). It hashes the data device in place: one read-only
+// Read-path cost model: one leaf hash and one compare per read. `open`
+// recomputes every stored level from the leaves up and matches the root
+// against the cmdline's, so every node of the tree it hands over is
+// already authenticated, and a read only has to check that its block
+// hashes to its stored leaf. (Linux dm-verity keeps a bitmap of verified
+// hash blocks and climbs toward the root on a cold read, because it reads
+// hash blocks lazily; this device holds the whole proven tree from open
+// on.) `verify_all` is O(n) leaf hashes compared against that leaf level
+// chunk by chunk. It hashes the data device in place: one read-only
 // `map_blocks` view, taken on the calling thread, split over the pool,
 // with full-size leaves hashed two at a time (Sha256::finish_2x). `format`
 // sweeps the same way and `open` parses the tree from a view of the hash
@@ -25,7 +25,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "crypto/merkle.hpp"
 #include "storage/block_device.hpp"
@@ -79,11 +78,10 @@ class VerityDevice final : public BlockDevice {
     return data_dev_->block_count();
   }
 
-  /// Reads and verifies one block; fails with verity.block_mismatch if the
-  /// backing block does not hash to the recorded leaf. The leaf hash is
-  /// recomputed on every call; the inner-node climb short-circuits at the
-  /// first ancestor already authenticated against the root
-  /// (`storage.verity_read.ancestor_cache.{hit,full_walk}.count`).
+  /// Reads and verifies one block: one leaf hash of the bytes read,
+  /// compared with the leaf `open` authenticated. Fails with
+  /// verity.block_mismatch if they differ, on every read, so tampering
+  /// after any number of clean reads is still caught.
   Status read_block(std::uint64_t index, std::span<std::uint8_t> out) override;
 
   /// Always fails: the rootfs is immutable during runtime (requirement F4).
@@ -91,34 +89,28 @@ class VerityDevice final : public BlockDevice {
 
   /// Verifies every block — the boot-time "dm-verity verify" service whose
   /// latency dominates Table 1. O(n) leaf hashes of the data device's
-  /// bytes in place, hashed in parallel and compared against the leaf
-  /// level `open` authenticated (no inner rebuild); fails with
-  /// verity.block_mismatch naming the lowest mismatching block. On success
-  /// the whole ancestor bitmap is marked verified.
+  /// bytes in place, hashed in parallel a fixed-size chunk at a time and
+  /// compared against the leaf level `open` authenticated; fails with
+  /// verity.block_mismatch naming the lowest mismatching block. Success
+  /// opens `leaf_digests`.
   Status verify_all();
 
   const crypto::Digest32& root_hash() const { return tree_.root(); }
 
   /// The tree's leaf digests of blocks [first, first + count), without
   /// reading a data block. Fails closed: verity.out_of_range past the
-  /// device end, verity.unverified_leaf unless every leaf in the range has
-  /// been authenticated against the root (by verify_all or a read). The
+  /// device end, verity.unverified_leaf until a verify_all has succeeded
+  /// (a service is measured only from leaves whose data was checked). The
   /// span lives as long as the device.
   Result<std::span<const crypto::Digest32>> leaf_digests(
       std::uint64_t first, std::uint64_t count) const;
 
  private:
-  /// Checks `data` (already read from the backing device) against the tree:
-  /// leaf recompute + climb to the first verified ancestor, marking newly
-  /// authenticated nodes on the way. Single-threaded, like all device I/O.
-  Status verify_block(std::uint64_t index, ByteView data);
-
   std::shared_ptr<BlockDevice> data_dev_;
   crypto::MerkleTree tree_;
-  // verified_[level][i] — tree node (level, i) has been authenticated
-  // against the trusted root. The top (root) level starts verified: the
-  // root was checked against the kernel-cmdline hash at open time.
-  std::vector<std::vector<bool>> verified_;
+  // Set only by a successful verify_all: every block's data matched its
+  // leaf. Single-threaded, like all device I/O.
+  bool leaves_checked_ = false;
 };
 
 }  // namespace revelio::storage

@@ -1626,48 +1626,6 @@ TEST(Merkle, SingleLeaf) {
   EXPECT_EQ(tree.root(), MerkleTree::hash_leaf(block));
 }
 
-TEST(Merkle, PathVerifiesForEveryLeaf) {
-  Bytes data(4096 * 5 + 100, 0);  // 6 blocks, last partial
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 31);
-  }
-  const auto tree = MerkleTree::from_blocks(data, 4096);
-  ASSERT_EQ(tree.leaf_count(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    const std::size_t off = i * 4096;
-    Bytes block(4096, 0);
-    const std::size_t len = std::min<std::size_t>(4096, data.size() - off);
-    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), len,
-                block.begin());
-    const auto leaf = MerkleTree::hash_leaf(block);
-    EXPECT_TRUE(MerkleTree::verify_path(leaf, i, tree.path(i),
-                                        tree.leaf_count(), tree.root()));
-  }
-}
-
-TEST(Merkle, WrongLeafFailsPath) {
-  Bytes data(4096 * 4, 0x11);
-  const auto tree = MerkleTree::from_blocks(data, 4096);
-  Bytes tampered(4096, 0x11);
-  tampered[0] ^= 0x01;
-  const auto leaf = MerkleTree::hash_leaf(tampered);
-  EXPECT_FALSE(MerkleTree::verify_path(leaf, 0, tree.path(0),
-                                       tree.leaf_count(), tree.root()));
-}
-
-TEST(Merkle, WrongIndexFailsPath) {
-  Bytes data(4096 * 4, 0x22);
-  data[0] = 1;  // make leaf 0 distinct
-  const auto tree = MerkleTree::from_blocks(data, 4096);
-  Bytes block0(4096, 0x22);
-  block0[0] = 1;
-  const auto leaf = MerkleTree::hash_leaf(block0);
-  EXPECT_TRUE(MerkleTree::verify_path(leaf, 0, tree.path(0),
-                                      tree.leaf_count(), tree.root()));
-  EXPECT_FALSE(MerkleTree::verify_path(leaf, 1, tree.path(0),
-                                       tree.leaf_count(), tree.root()));
-}
-
 TEST(Merkle, DomainSeparationLeafVsInner) {
   // A 64-byte "block" equal to two concatenated digests must not hash to the
   // same value as the inner node over those digests.
@@ -1719,23 +1677,6 @@ TEST(Merkle, RootChangesWithAnyBlock) {
     mutated[block * 4096 + 17] ^= 0x80;
     const auto tree = MerkleTree::from_blocks(mutated, 4096);
     EXPECT_FALSE(tree.root() == base.root());
-  }
-}
-
-TEST(Merkle, OddLeafCountsBuildConsistently) {
-  for (std::size_t blocks : {1u, 2u, 3u, 5u, 9u, 17u}) {
-    Bytes data(64 * blocks);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<std::uint8_t>(i ^ blocks);
-    }
-    const auto tree = MerkleTree::from_blocks(data, 64);
-    EXPECT_EQ(tree.leaf_count(), blocks);
-    for (std::size_t i = 0; i < blocks; ++i) {
-      const auto leaf =
-          MerkleTree::hash_leaf(ByteView(data).subspan(i * 64, 64));
-      EXPECT_TRUE(MerkleTree::verify_path(leaf, i, tree.path(i), blocks,
-                                          tree.root()));
-    }
   }
 }
 

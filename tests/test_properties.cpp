@@ -245,33 +245,6 @@ TEST_P(EciesPayloads, SealOpenRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Payloads, EciesPayloads,
                          ::testing::Values(0, 32, 100, 1000));
 
-// --- Merkle trees across leaf counts. ------------------------------------
-
-class MerkleLeafCounts : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(MerkleLeafCounts, EveryLeafProvesAndNoCrossProofs) {
-  const std::size_t leaves = GetParam();
-  Rng rng(leaves);
-  Bytes data = rng.next_bytes(leaves * 64);
-  const auto tree = crypto::MerkleTree::from_blocks(data, 64);
-  ASSERT_EQ(tree.leaf_count(), leaves);
-  for (std::size_t i = 0; i < leaves; ++i) {
-    const auto leaf =
-        crypto::MerkleTree::hash_leaf(ByteView(data).subspan(i * 64, 64));
-    EXPECT_TRUE(crypto::MerkleTree::verify_path(leaf, i, tree.path(i), leaves,
-                                                tree.root()));
-    // The proof for leaf i must not validate any other index.
-    const std::size_t other = (i + 1) % leaves;
-    if (other != i) {
-      EXPECT_FALSE(crypto::MerkleTree::verify_path(
-          leaf, other, tree.path(i), leaves, tree.root()));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(LeafCounts, MerkleLeafCounts,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33));
-
 // --- U384 ring laws with random values. -----------------------------------
 
 TEST(U384Properties, AddSubRoundTripRandom) {

@@ -411,6 +411,28 @@ class DmVerityTest : public ::testing::Test {
   std::shared_ptr<MemDisk> data_dev_;
   std::shared_ptr<MemDisk> hash_dev_;
   VerityMetadata meta_;
+
+  // A second formatted device, `blocks` long, block i patterned from seed
+  // i like the fixture's.
+  struct Formatted {
+    std::shared_ptr<MemDisk> data;
+    std::shared_ptr<MemDisk> hash;
+    crypto::Digest32 root;
+  };
+  static Formatted format_patterned(std::uint64_t blocks,
+                                    std::uint64_t hash_blocks) {
+    Formatted f{std::make_shared<MemDisk>(4096, blocks),
+                std::make_shared<MemDisk>(4096, hash_blocks), {}};
+    for (std::uint64_t i = 0; i < blocks; ++i) {
+      EXPECT_TRUE(
+          f.data->write_block(i, pattern_bytes(4096, static_cast<std::uint8_t>(i)))
+              .ok());
+    }
+    auto meta = Verity::format(*f.data, *f.hash);
+    EXPECT_TRUE(meta.ok());
+    if (meta.ok()) f.root = meta->root_hash;
+    return f;
+  }
 };
 
 TEST_F(DmVerityTest, OpenAndReadAllBlocks) {
@@ -468,6 +490,38 @@ TEST_F(DmVerityTest, TamperedHashDeviceFailsOpen) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST_F(DmVerityTest, EveryInnerNodeIsCheckedAtOpen) {
+  // A read compares only its leaf, so open has to have proved every node
+  // above level 0: flip each one in turn (the root included) and the
+  // device must not open. Serialized layout after the length header
+  // block: u64 leaf_count, u64 level_count, then per level a u64
+  // node_count followed by the nodes.
+  for (const Formatted& f : {Formatted{data_dev_, hash_dev_, meta_.root_hash},
+                             format_patterned(17, 16)}) {
+    const std::uint64_t leaves = f.data->block_count();
+    std::uint64_t offset = 4096 + 16;  // level 0's node_count
+    std::size_t flipped = 0;
+    for (std::uint64_t level = 0, nodes = leaves;; ++level) {
+      for (std::uint64_t i = 0; level >= 1 && i < nodes; ++i) {
+        const std::uint64_t node = offset + 8 + i * 32;
+        f.hash->raw_tamper(node + 9, 0x04);
+        const auto r = Verity::open(f.data, f.hash, f.root);
+        ASSERT_FALSE(r.ok()) << leaves << " leaves, level " << level
+                             << " node " << i;
+        EXPECT_EQ(r.error().code, "verity.corrupt_hash_device");
+        f.hash->raw_tamper(node + 9, 0x04);  // restore
+        ++flipped;
+      }
+      offset += 8 + nodes * 32;
+      if (nodes == 1) break;
+      nodes = (nodes + 1) / 2;
+    }
+    // 16 leaves: 8 + 4 + 2 + 1; 17 leaves: 9 + 5 + 3 + 2 + 1.
+    EXPECT_EQ(flipped, leaves == 16 ? 15u : 20u);
+    EXPECT_TRUE(Verity::open(f.data, f.hash, f.root).ok()) << "restored";
+  }
+}
+
 TEST_F(DmVerityTest, ConsistentTamperOfDataAndLeafStillFailsViaRoot) {
   // Attacker rewrites a data block AND recomputes its leaf in the hash
   // device; inner nodes no longer match, so deserialize or open fails.
@@ -487,56 +541,16 @@ TEST_F(DmVerityTest, TamperRejectedAfterAncestorsCached) {
   auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
   ASSERT_TRUE(dev.ok());
   Bytes buf(4096);
-  // Warm the ancestor cache: a clean read of block 5 authenticates (and
-  // marks) every node on its path, so a follow-up read short-circuits.
+  // Clean reads of block 5 and its sibling first. Trust is held in tree
+  // nodes, never in block contents: the per-read leaf recompute must
+  // still catch tampering of the backing store afterwards.
   ASSERT_TRUE((*dev)->read_block(5, buf).ok());
   ASSERT_TRUE((*dev)->read_block(4, buf).ok());
-  // Tamper the backing store afterwards. The cache holds trust in tree
-  // nodes, not block contents: the per-read leaf recompute must still
-  // catch this even with every ancestor of block 5 marked verified.
   data_dev_->raw_tamper(5 * 4096 + 1000, 0x01);
   const auto st = (*dev)->read_block(5, buf);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error().code, "verity.block_mismatch");
   EXPECT_FALSE((*dev)->read_block(5, buf).ok()) << "must stay rejected";
-}
-
-TEST_F(DmVerityTest, AncestorCacheShortCircuitsRepeatReads) {
-  auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
-  ASSERT_TRUE(dev.ok());
-  auto& reg = obs::metrics();
-  const auto full0 = reg.counter_value(
-      "storage.verity_read.ancestor_cache.full_walk.count");
-  const auto hit0 =
-      reg.counter_value("storage.verity_read.ancestor_cache.hit.count");
-  Bytes buf(4096);
-  ASSERT_TRUE((*dev)->read_block(7, buf).ok());  // cold: climbs to the root
-  ASSERT_TRUE((*dev)->read_block(7, buf).ok());  // warm: leaf hash only
-  ASSERT_TRUE((*dev)->read_block(6, buf).ok());  // sibling: warm too
-  EXPECT_EQ(reg.counter_value(
-                "storage.verity_read.ancestor_cache.full_walk.count") -
-                full0,
-            1u);
-  EXPECT_EQ(
-      reg.counter_value("storage.verity_read.ancestor_cache.hit.count") - hit0,
-      2u);
-}
-
-TEST_F(DmVerityTest, VerifyAllWarmsWholeAncestorCache) {
-  auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
-  ASSERT_TRUE(dev.ok());
-  ASSERT_TRUE((*dev)->verify_all().ok());
-  auto& reg = obs::metrics();
-  const auto full0 = reg.counter_value(
-      "storage.verity_read.ancestor_cache.full_walk.count");
-  Bytes buf(4096);
-  for (std::uint64_t i = 0; i < (*dev)->block_count(); ++i) {
-    ASSERT_TRUE((*dev)->read_block(i, buf).ok());
-  }
-  EXPECT_EQ(reg.counter_value(
-                "storage.verity_read.ancestor_cache.full_walk.count"),
-            full0)
-      << "every post-verify_all read should stop at a verified ancestor";
 }
 
 TEST_F(DmVerityTest, LeafDigestsFailClosedUntilVerified) {
@@ -546,13 +560,15 @@ TEST_F(DmVerityTest, LeafDigestsFailClosedUntilVerified) {
   ASSERT_FALSE(early.ok());
   EXPECT_EQ(early.error().code, "verity.unverified_leaf");
 
-  // A read authenticates its leaf pair, and only that pair.
+  // A read checks its own block's data but opens no leaf: only a
+  // successful verify_all does.
   Bytes block(4096);
   ASSERT_TRUE((*dev)->read_block(4, block).ok());
-  EXPECT_TRUE((*dev)->leaf_digests(4, 2).ok());
-  auto wider = (*dev)->leaf_digests(4, 3);
-  ASSERT_FALSE(wider.ok());
-  EXPECT_EQ(wider.error().code, "verity.unverified_leaf");
+  for (const std::uint64_t count : {1u, 2u}) {
+    auto after_read = (*dev)->leaf_digests(4, count);
+    ASSERT_FALSE(after_read.ok()) << count;
+    EXPECT_EQ(after_read.error().code, "verity.unverified_leaf");
+  }
 
   ASSERT_TRUE((*dev)->verify_all().ok());
   auto all = (*dev)->leaf_digests(0, 16);
@@ -575,17 +591,12 @@ TEST_F(DmVerityTest, LeafDigestsFailClosedUntilVerified) {
 TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
   // The sweep hashes leaves in pairs, so flips land on a pair's first leaf
   // (0, 8), its second (5, 15), the odd last leaf of a 17-block device
-  // (16), and two leaves at once, where the lowest block is named.
-  auto odd_data = std::make_shared<MemDisk>(4096, 17);
-  auto odd_hash = std::make_shared<MemDisk>(4096, 16);
-  for (std::uint64_t i = 0; i < odd_data->block_count(); ++i) {
-    ASSERT_TRUE(odd_data
-                    ->write_block(i, pattern_bytes(4096,
-                                                   static_cast<std::uint8_t>(i)))
-                    .ok());
-  }
-  auto odd_meta = Verity::format(*odd_data, *odd_hash);
-  ASSERT_TRUE(odd_meta.ok());
+  // (16), and two leaves at once, where the lowest block is named. It
+  // compares 512 leaves at a time, so on an 1100-block device flips land
+  // on both sides of a chunk edge (511, 512, 513), in the short last
+  // chunk (1024, 1099) and in two chunks at once (600 and 1099).
+  const Formatted odd = format_patterned(17, 16);
+  const Formatted wide = format_patterned(1100, 32);
   struct Case {
     std::shared_ptr<MemDisk> data;
     std::shared_ptr<MemDisk> hash;
@@ -598,7 +609,13 @@ TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
       {data_dev_, hash_dev_, meta_.root_hash, {8}},
       {data_dev_, hash_dev_, meta_.root_hash, {15}},
       {data_dev_, hash_dev_, meta_.root_hash, {5, 12}},
-      {odd_data, odd_hash, odd_meta->root_hash, {16}},
+      {odd.data, odd.hash, odd.root, {16}},
+      {wide.data, wide.hash, wide.root, {511}},
+      {wide.data, wide.hash, wide.root, {512}},
+      {wide.data, wide.hash, wide.root, {513}},
+      {wide.data, wide.hash, wide.root, {1024}},
+      {wide.data, wide.hash, wide.root, {1099}},
+      {wide.data, wide.hash, wide.root, {600, 1099}},
   };
   for (const Case& c : cases) {
     const std::uint64_t block = c.flipped.front();

@@ -20,6 +20,12 @@
 #      function each row names (the first backticked name in its second
 #      column) is defined in the file that row names, so the table cannot
 #      point at a deleted or moved gate.
+#   5. Every metric name README.md, DESIGN.md or docs/** cites in
+#      backticks and that ends in `.count`, `.real_us`, `.cpu_ms` or `.ms`
+#      appears as a string literal somewhere under src/, so the docs
+#      cannot keep citing a deleted counter. A trailing label selector
+#      (`a.count{result=ok}`) is stripped first; names with a brace list
+#      (`a.{b,c}.count`) are skipped.
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's repo)
 set -euo pipefail
@@ -170,6 +176,35 @@ if os.path.exists(threat_path):
     if rows == 0:
         failures.append("docs/THREAT_MODEL.md's gate table has no rows")
     print(f"gate table: {rows} rows name functions defined where they say")
+
+# --- 5. cited metric names exist in src/ -----------------------------------
+metric_docs = [os.path.join(root, n) for n in ("README.md", "DESIGN.md")
+               if os.path.exists(os.path.join(root, n))]
+metric_docs += [p for p in doc_files
+                if os.path.relpath(p, root).startswith("docs" + os.sep)]
+metric_re = re.compile(r"^([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*"
+                       r"\.(?:count|real_us|cpu_ms|ms))(?:\{[^{}]*\})?$")
+cited = {}
+citations = 0
+for path in metric_docs:
+    with open(path) as f:
+        for span in re.findall(r"`([^`\n]+)`", f.read()):
+            m = metric_re.match(span)
+            if m:
+                citations += 1
+                cited.setdefault(m.group(1), os.path.relpath(path, root))
+literals = set()
+for dirpath, _, names in os.walk(os.path.join(root, "src")):
+    for n in names:
+        if n.endswith((".cpp", ".hpp", ".h", ".cc")):
+            with open(os.path.join(dirpath, n)) as f:
+                literals.update(re.findall(r'"([^"\n]*)"', f.read()))
+for name, rel in sorted(cited.items()):
+    if name not in literals:
+        failures.append(f"{rel}: metric `{name}` is not a string literal "
+                        "in src/")
+print(f"metric names: {citations} citations of {len(cited)} names checked "
+      "against src/ string literals")
 
 if failures:
     print("documentation check failure(s):", file=sys.stderr)
