@@ -29,11 +29,6 @@ void FaultPlan::set_default_profile(const LinkFaultProfile& profile) {
   default_profile_ = profile;
 }
 
-void FaultPlan::set_link_profile(const std::string& a, const std::string& b,
-                                 const LinkFaultProfile& profile) {
-  link_profiles_[key(a, b)] = profile;
-}
-
 void FaultPlan::partition(const std::string& a, const std::string& b) {
   partitions_.insert(key(a, b));
 }
@@ -55,7 +50,6 @@ void FaultPlan::flap(const std::string& host, SimClock::Micros period_us,
 
 void FaultPlan::clear_faults() {
   default_profile_ = LinkFaultProfile{};
-  link_profiles_.clear();
   partitions_.clear();
   blackholes_.clear();
   flaps_.clear();
@@ -64,12 +58,6 @@ void FaultPlan::clear_faults() {
 FaultPlan::HostPair FaultPlan::key(const std::string& a,
                                    const std::string& b) {
   return {std::min(a, b), std::max(a, b)};
-}
-
-const LinkFaultProfile& FaultPlan::profile_for(const std::string& a,
-                                               const std::string& b) const {
-  const auto it = link_profiles_.find(key(a, b));
-  return it == link_profiles_.end() ? default_profile_ : it->second;
 }
 
 bool FaultPlan::endpoint_down(const std::string& host,
@@ -126,7 +114,7 @@ FaultPlan::Decision FaultPlan::decide(const std::string& from,
     return d;
   }
 
-  const LinkFaultProfile& p = profile_for(from, to);
+  const LinkFaultProfile& p = default_profile_;
   if (p.drop_prob > 0.0 && uniform() < p.drop_prob) {
     d.verdict = Decision::Verdict::kDrop;
     d.kind = "drop";

@@ -50,7 +50,7 @@ struct MitmAction {
   }
 };
 
-/// Per-link fault probabilities. Probabilities are evaluated per message
+/// Link fault probabilities, applied to every link and evaluated per message
 /// against the plan's DRBG, so a given seed yields one fixed schedule.
 struct LinkFaultProfile {
   double drop_prob = 0.0;       // message lost; caller pays the call timeout
@@ -71,11 +71,8 @@ class FaultPlan {
  public:
   explicit FaultPlan(ByteView seed);
 
-  /// Profile applied to links without an explicit override.
+  /// Profile applied to every link.
   void set_default_profile(const LinkFaultProfile& profile);
-  /// Symmetric per-link override keyed on the unordered host pair.
-  void set_link_profile(const std::string& a, const std::string& b,
-                        const LinkFaultProfile& profile);
 
   /// Symmetric host partition: every message between a and b is unreachable
   /// until heal()ed. Partition checks precede probabilistic faults.
@@ -110,8 +107,6 @@ class FaultPlan {
  private:
   using HostPair = std::pair<std::string, std::string>;
   static HostPair key(const std::string& a, const std::string& b);
-  const LinkFaultProfile& profile_for(const std::string& a,
-                                      const std::string& b) const;
   bool endpoint_down(const std::string& host, SimClock::Micros now_us,
                      const char** kind) const;
   /// One DRBG draw mapped to [0, 1).
@@ -119,7 +114,6 @@ class FaultPlan {
 
   crypto::HmacDrbg drbg_;
   LinkFaultProfile default_profile_;
-  std::map<HostPair, LinkFaultProfile> link_profiles_;
   std::set<HostPair> partitions_;
   struct Window {
     SimClock::Micros start_us = 0;

@@ -108,12 +108,6 @@ void TlsServer::install(Network& network, const Address& addr) {
   });
 }
 
-void TlsServer::set_identity(TlsServerIdentity identity) {
-  identity_ = std::move(identity);
-  // A new certificate implies fresh connections only.
-  reset_sessions();
-}
-
 void TlsServer::reset_sessions() { sessions_.clear(); }
 
 Bytes TlsServer::handle_frame(ByteView frame, const Address& from) {
@@ -381,7 +375,12 @@ Result<TlsSession> TlsSession::connect_impl(Network& network,
 }
 
 Result<Bytes> TlsSession::request(ByteView plaintext) {
-  const std::uint64_t seq = send_seq_;
+  // The sequence number is taken when the record is sealed, whatever
+  // becomes of the call: a dropped or refused record must never leave its
+  // nonce for the next plaintext. The server then expects the lost number,
+  // so the session fails closed on its next record and the caller
+  // handshakes again, as after a lost TLS record.
+  const std::uint64_t seq = send_seq_++;
   Bytes frame;
   append_u8(frame, kFrameData);
   append_u64be(frame, session_id_);
@@ -400,7 +399,6 @@ Result<Bytes> TlsSession::request(ByteView plaintext) {
       read_u64be(rframe, 1) != session_id_) {
     return Error::make("tls.bad_record");
   }
-  ++send_seq_;
   auto plain = s2c_.open(record_aad(kDirS2c, session_id_, recv_seq_),
                          rframe.subspan(9));
   if (!plain.ok()) {

@@ -40,10 +40,6 @@ class TlsServer {
   /// Registers this server at `addr` on the network.
   void install(Network& network, const Address& addr);
 
-  /// Replaces the identity (certificate rotation — used by the paper's
-  /// redirect attack: the provider swaps in a new, CA-valid certificate).
-  void set_identity(TlsServerIdentity identity);
-
   const pki::Certificate& certificate() const {
     return identity_.certificate;
   }

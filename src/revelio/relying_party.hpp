@@ -1,9 +1,9 @@
-// The one relying-party verifier: what the browser extension, the SP node,
-// the key-sharing leader and replicas, and the SecureChannel check before
-// they trust an SNP report (§5.3). Gates, in order: binding, revocation,
-// tcb_horizon, chain, report_verify, measurement, tls_binding; a rejection
-// names the same failure_step whichever party asked (docs/THREAT_MODEL.md,
-// "Gate call sites").
+// The one relying-party verifier: what the browser extension, the SP node
+// and the key-sharing leader and replicas check before they trust an SNP
+// report (§5.3). Gates, in order: binding, revocation, tcb_horizon, chain,
+// report_verify, measurement, tls_binding; a rejection names the same
+// failure_step whichever party asked (docs/THREAT_MODEL.md, "Gate call
+// sites").
 #pragma once
 
 #include <optional>

@@ -60,8 +60,8 @@ struct ReportVerifyOptions {
   std::uint64_t now_us = 0;
   std::optional<TcbVersion> minimum_tcb;
   /// Optional memoization of the VCEK chain walk: verifiers that see the
-  /// same ARK/ASK/VCEK every session (the web extension, secure-channel
-  /// peers) skip the two chain signature checks on a hit.
+  /// same ARK/ASK/VCEK every session (the web extension) skip the two
+  /// chain signature checks on a hit.
   pki::ChainVerificationCache* chain_cache = nullptr;
 };
 

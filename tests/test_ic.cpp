@@ -5,14 +5,12 @@
 #include "ic/boundary_node.hpp"
 #include "ic/service_worker.hpp"
 #include "ic/canister.hpp"
-#include "ic/shamir.hpp"
 #include "ic/subnet.hpp"
 
 namespace revelio::ic {
 namespace {
 
 using crypto::HmacDrbg;
-using crypto::U384;
 
 Bytes kv_arg(std::string_view key, std::string_view value = {}) {
   Bytes arg = to_bytes(key);
@@ -21,68 +19,6 @@ Bytes kv_arg(std::string_view key, std::string_view value = {}) {
     append(arg, value);
   }
   return arg;
-}
-
-// ---------------------------------------------------------------- Shamir
-
-TEST(Shamir, SplitRecoverRoundTrip) {
-  HmacDrbg drbg(to_bytes(std::string_view("shamir")));
-  const U384 secret = U384::from_u64(0xdeadbeefcafeULL);
-  auto shares = shamir_split(secret, 3, 5, drbg);
-  ASSERT_TRUE(shares.ok());
-  ASSERT_EQ(shares->size(), 5u);
-
-  // Any 3 shares recover.
-  const std::vector<SecretShare> subset{(*shares)[0], (*shares)[2],
-                                        (*shares)[4]};
-  auto recovered = shamir_recover(subset);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(*recovered, secret);
-}
-
-TEST(Shamir, DifferentSubsetsAgree) {
-  // Every 4-subset of the 7 shares, in two orders: each subset and order
-  // gives different Lagrange denominators (x_j - x_i mod n, many of them
-  // "negative"), all inverted mod n.
-  HmacDrbg drbg(to_bytes(std::string_view("shamir-2")));
-  const U384 secret = U384::from_bytes_be(drbg.generate(31));
-  auto shares = shamir_split(secret, 4, 7, drbg);
-  ASSERT_TRUE(shares.ok());
-  const auto& s = *shares;
-  for (std::size_t i = 0; i < 7; ++i) {
-    for (std::size_t j = i + 1; j < 7; ++j) {
-      for (std::size_t k = j + 1; k < 7; ++k) {
-        for (std::size_t l = k + 1; l < 7; ++l) {
-          EXPECT_EQ(*shamir_recover({s[i], s[j], s[k], s[l]}), secret);
-          EXPECT_EQ(*shamir_recover({s[l], s[i], s[k], s[j]}), secret);
-        }
-      }
-    }
-  }
-}
-
-TEST(Shamir, TooFewSharesYieldWrongSecret) {
-  HmacDrbg drbg(to_bytes(std::string_view("shamir-3")));
-  const U384 secret = U384::from_u64(42);
-  auto shares = shamir_split(secret, 3, 5, drbg);
-  ASSERT_TRUE(shares.ok());
-  const std::vector<SecretShare> two{(*shares)[0], (*shares)[1]};
-  auto wrong = shamir_recover(two);
-  ASSERT_TRUE(wrong.ok());
-  EXPECT_FALSE(*wrong == secret)
-      << "below-threshold interpolation must not recover the secret";
-}
-
-TEST(Shamir, RejectsBadParameters) {
-  HmacDrbg drbg(to_bytes(std::string_view("shamir-4")));
-  EXPECT_FALSE(shamir_split(U384::from_u64(1), 0, 5, drbg).ok());
-  EXPECT_FALSE(shamir_split(U384::from_u64(1), 6, 5, drbg).ok());
-  EXPECT_FALSE(shamir_split(crypto::p256().params().n, 2, 3, drbg).ok());
-  EXPECT_FALSE(shamir_recover({}).ok());
-  auto shares = shamir_split(U384::from_u64(7), 2, 3, drbg);
-  ASSERT_TRUE(shares.ok());
-  EXPECT_FALSE(
-      shamir_recover({(*shares)[0], (*shares)[0]}).ok());
 }
 
 // -------------------------------------------------------------- Canisters

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/http.hpp"
 #include "net/network.hpp"
 #include "net/resilience.hpp"
@@ -661,7 +663,8 @@ struct TlsFixture : ::testing::Test {
                                          const Address& addr) {
     auto server = std::make_unique<TlsServer>(
         make_identity(dns_name),
-        [](ByteView plaintext, const Address&) {
+        [this](ByteView plaintext, const Address&) {
+          handled.push_back(to_string(plaintext));
           return concat(to_bytes(std::string_view("srv:")), plaintext);
         },
         HmacDrbg(to_bytes(std::string_view("server-entropy")),
@@ -678,11 +681,22 @@ struct TlsFixture : ::testing::Test {
     return trust;
   }
 
+  /// Number of records the handler of a make_server() server ran for.
+  std::size_t handled_count(std::string_view plaintext) const {
+    return static_cast<std::size_t>(
+        std::count(handled.begin(), handled.end(), plaintext));
+  }
+
   SimClock clock;
   Network network{clock};
   HmacDrbg drbg;
   pki::CertificateAuthority root;
+  std::vector<std::string> handled;  // every plaintext the handler saw
 };
+
+/// A client data frame: type(1) | session_id(8) | nonce(16) | ct | tag.
+constexpr std::uint8_t kDataFrame = 0x03;
+Bytes record_nonce_of(ByteView frame) { return to_bytes(frame.subspan(9, 16)); }
 
 TEST_F(TlsFixture, HandshakeAndEcho) {
   auto server = make_server("svc.example.com", {"10.0.0.1", 443});
@@ -764,6 +778,97 @@ TEST_F(TlsFixture, TamperedRecordRejectedByServer) {
   auto r = session->request(to_bytes(std::string_view("payload")));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, "tls.alert");
+}
+
+TEST_F(TlsFixture, ReplayedRecordRejected) {
+  // The sequence number is bound into every record's AAD, so a record is
+  // accepted only at its own position in the stream. Input 1 replays a
+  // past record (0) in place of record 1. Input 2 holds record 0 back, so
+  // the server first sees record 1, from its future.
+  auto server = make_server("svc.example.com", {"10.0.0.1", 443});
+  struct Input {
+    const char* name;
+    bool replay_past;
+  };
+  for (const Input input : {Input{"past", true}, Input{"future", false}}) {
+    SCOPED_TRACE(input.name);
+    handled.clear();
+    auto session = TlsSession::connect(network, {"laptop", 1},
+                                       {"10.0.0.1", 443},
+                                       trust_for("svc.example.com"), drbg);
+    ASSERT_TRUE(session.ok());
+    int data_frames = 0;
+    Bytes first_frame;
+    network.set_interceptor([&](const Address&, const Address&,
+                                ByteView request) {
+      if (request.empty() || request[0] != kDataFrame) {
+        return MitmAction::forward();
+      }
+      if (++data_frames == 1) {
+        first_frame = to_bytes(request);
+        return input.replay_past ? MitmAction::forward() : MitmAction::drop();
+      }
+      if (data_frames == 2 && input.replay_past) {
+        return MitmAction::tamper(first_frame);
+      }
+      return MitmAction::forward();
+    });
+    EXPECT_EQ(session->request(to_bytes(std::string_view("first"))).ok(),
+              input.replay_past);
+    auto r = session->request(to_bytes(std::string_view("second")));
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, "tls.alert");
+    EXPECT_EQ(handled_count("first"), input.replay_past ? 1u : 0u);
+    EXPECT_EQ(handled_count("second"), 0u);
+    network.clear_interceptor();
+  }
+}
+
+TEST_F(TlsFixture, DroppedRecordNeverReusesItsNonce) {
+  // A record's nonce is taken when it is sealed, not when its response
+  // arrives: after a lost record the next plaintext must not be sealed
+  // under the same AES-CTR key and nonce, or an on-path observer learns
+  // the XOR of the two plaintexts. The server still expects the lost
+  // sequence number, so the session fails closed and the caller
+  // handshakes again.
+  auto server = make_server("svc.example.com", {"10.0.0.1", 443});
+  auto session = TlsSession::connect(network, {"laptop", 1}, {"10.0.0.1", 443},
+                                     trust_for("svc.example.com"), drbg);
+  ASSERT_TRUE(session.ok());
+  std::vector<Bytes> nonces;
+  network.set_interceptor(
+      [&](const Address&, const Address&, ByteView request) {
+        if (request.empty() || request[0] != kDataFrame) {
+          return MitmAction::forward();
+        }
+        nonces.push_back(record_nonce_of(request));
+        return nonces.size() == 1 ? MitmAction::drop() : MitmAction::forward();
+      });
+  auto lost = session->request(to_bytes(std::string_view("GET /secret-a")));
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.error().code, "net.timeout");
+
+  auto next = session->request(to_bytes(std::string_view("GET /secret-b")));
+  ASSERT_EQ(nonces.size(), 2u);
+  EXPECT_NE(nonces[0], nonces[1]);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.error().code, "tls.alert");
+  EXPECT_TRUE(handled.empty());
+
+  // A refused record spends its nonce too.
+  auto refused = session->request(to_bytes(std::string_view("GET /secret-c")));
+  ASSERT_FALSE(refused.ok());
+  ASSERT_EQ(nonces.size(), 3u);
+  EXPECT_NE(nonces[2], nonces[1]);
+  EXPECT_NE(nonces[2], nonces[0]);
+
+  // A fresh handshake recovers.
+  auto fresh = TlsSession::connect(network, {"laptop", 1}, {"10.0.0.1", 443},
+                                   trust_for("svc.example.com"), drbg);
+  ASSERT_TRUE(fresh.ok());
+  auto r = fresh->request(to_bytes(std::string_view("GET /secret-d")));
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  EXPECT_EQ(to_string(*r), "srv:GET /secret-d");
 }
 
 TEST_F(TlsFixture, SessionResetDetected) {

@@ -12,7 +12,6 @@
 #include "crypto/kdf.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/modes.hpp"
-#include "ic/shamir.hpp"
 #include "ic/subnet.hpp"
 #include "net/http.hpp"
 #include "storage/dm_crypt.hpp"
@@ -403,39 +402,6 @@ TEST_P(HttpRandom, RequestResponseRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HttpRandom, ::testing::Range<std::uint64_t>(0, 8));
-
-// --- Shamir: threshold boundary across (t, n) pairs. ------------------------
-
-struct ShamirParams {
-  std::uint32_t threshold;
-  std::uint32_t shares;
-};
-
-class ShamirSweep : public ::testing::TestWithParam<ShamirParams> {};
-
-TEST_P(ShamirSweep, ExactlyThresholdSharesRecover) {
-  const auto [t, n] = GetParam();
-  HmacDrbg drbg(to_bytes(std::string_view("shamir-sweep")));
-  const crypto::U384 secret = crypto::p256().scalar_field().reduce(
-      crypto::U384::from_bytes_be(drbg.generate(48)));
-  auto shares = ic::shamir_split(secret, t, n, drbg);
-  ASSERT_TRUE(shares.ok());
-
-  // t shares recover.
-  std::vector<ic::SecretShare> subset(shares->begin(), shares->begin() + t);
-  EXPECT_EQ(*ic::shamir_recover(subset), secret);
-  // t-1 shares do not (overwhelmingly).
-  if (t > 1) {
-    subset.pop_back();
-    EXPECT_FALSE(*ic::shamir_recover(subset) == secret);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Thresholds, ShamirSweep,
-    ::testing::Values(ShamirParams{1, 1}, ShamirParams{2, 3},
-                      ShamirParams{3, 5}, ShamirParams{5, 7},
-                      ShamirParams{7, 10}));
 
 // --- Subnet fault tolerance across f. ---------------------------------------
 

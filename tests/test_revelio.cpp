@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
-#include "revelio/secure_channel.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/web_extension.hpp"
@@ -1081,8 +1080,8 @@ TEST(VerdictParity, BlockingStagedAndBatchPathsAgree) {
 /// Fleet-state faults every relying party must refuse, fail-closed.
 enum class Fault { kNone, kRevokedChip, kRevokedMeasurement, kTcbPastHorizon };
 
-/// The parties that trust an SNP report (§5.3, Fig 4), plus the channel.
-enum class Party { kExtension, kSpNode, kLeader, kReplica, kChannel };
+/// The parties that trust an SNP report (§5.3, Fig 4).
+enum class Party { kExtension, kSpNode, kLeader, kReplica };
 
 struct PartyOutcome {
   std::string error;                      // "" when the party trusted it
@@ -1200,32 +1199,6 @@ PartyOutcome run_party(Party party, Fault fault) {
       }
       break;
     }
-    case Party::kChannel: {
-      // The initiator's identity evidence comes from node 0's chip.
-      HmacDrbg drbg(to_bytes(std::string_view("matrix-channel")));
-      ChannelIdentity initiator;
-      initiator.key = crypto::ec_generate(crypto::p256(), drbg);
-      const Bytes pub = initiator.key.public_encoded(crypto::p256());
-      auto report = world.platforms[0]->get_report(EvidenceBundle::bind(pub));
-      EXPECT_TRUE(report.ok());
-      initiator.evidence = EvidenceBundle{*report, pub};
-      auto vcek = world.kds.fetch_vcek(chip, report->reported_tcb);
-      EXPECT_TRUE(vcek.ok());
-      RelyingPartyPolicy policy;
-      policy.expected_measurements = {world.expected_measurement};
-      policy.revocation_set = &revocations;
-      policy.tcb_horizon = &horizon;
-      policy.audit_log = &audit.log;
-      Bytes state;
-      const ChannelHello hello =
-          SecureChannel::initiate(initiator, drbg, state);
-      auto responded = SecureChannel::respond(
-          initiator, policy, hello,
-          {*vcek, world.kds.ask_certificate(), world.kds.ark_certificate()},
-          drbg, world.clock.now_us());
-      if (!responded.ok()) out.error = responded.error().to_string();
-      break;
-    }
   }
   out.records.assign(audit.records.begin() + before, audit.records.end());
   return out;
@@ -1241,7 +1214,6 @@ TEST(RelyingPartyMatrix, EveryPartyRefusesAtTheSameStep) {
       {Party::kSpNode, "sp_node"},
       {Party::kLeader, "leader"},
       {Party::kReplica, "replica"},
-      {Party::kChannel, "channel"},
   };
   struct Row {
     Fault fault;

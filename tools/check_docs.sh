@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation checker (ctest label `docs`).
 #
-# Four guarantees:
+# Six guarantees:
 #   1. Every intra-repo markdown link in the maintained docs (README.md,
 #      DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md, docs/**) points
 #      at a file that exists. External links (http/https/mailto) and pure
@@ -26,6 +26,13 @@
 #      cannot keep citing a deleted counter. A trailing label selector
 #      (`a.count{result=ok}`) is stripped first; names with a brace list
 #      (`a.{b,c}.count`) are skipped.
+#   6. Every repo path README.md, DESIGN.md or docs/** cites in backticks
+#      (a span starting with src/, tests/, bench/, tools/ or examples/)
+#      exists, so the docs cannot keep citing a deleted file. Only the
+#      span's first word counts (`tools/audit_verify --store` is a
+#      command); a `:line` suffix is stripped; `{a,b}` lists expand to
+#      one path each; `*` and a `<placeholder>` are globs that must match
+#      something; and a bare binary name passes when `<name>.cpp` exists.
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's repo)
 set -euo pipefail
@@ -33,6 +40,7 @@ set -euo pipefail
 repo_root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 
 python3 - "$repo_root" <<'PY'
+import glob
 import os
 import re
 import sys
@@ -205,6 +213,36 @@ for name, rel in sorted(cited.items()):
                         "in src/")
 print(f"metric names: {citations} citations of {len(cited)} names checked "
       "against src/ string literals")
+
+# --- 6. cited repo paths exist ----------------------------------------------
+def expand_braces(path):
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    return [e for alt in m.group(1).split(",")
+            for e in expand_braces(path[:m.start()] + alt + path[m.end():])]
+
+def path_exists(path):
+    pattern = re.sub(r"<[^<>]*>", "*", path)
+    if glob.glob(os.path.join(root, pattern)):
+        return True
+    return os.path.exists(os.path.join(root, pattern + ".cpp"))
+
+path_citations = 0
+for path in metric_docs:
+    rel = os.path.relpath(path, root)
+    with open(path) as f:
+        for span in re.findall(r"`([^`\n]+)`", f.read()):
+            if not span.startswith(("src/", "tests/", "bench/", "tools/",
+                                    "examples/")):
+                continue
+            path_citations += 1
+            cited_path = re.sub(r":[0-9][0-9,-]*$", "", span.split()[0])
+            for candidate in expand_braces(cited_path):
+                if not path_exists(candidate):
+                    failures.append(f"{rel}: cited path `{candidate}` "
+                                    "does not exist")
+print(f"repo paths: {path_citations} citations checked")
 
 if failures:
     print("documentation check failure(s):", file=sys.stderr)
