@@ -974,12 +974,11 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   const double verify_real_batch = verify_real_total("staged_batch");
   const double batch_verify_speedup =
       verify_real_batch > 0.0 ? verify_real_staged / verify_real_batch : 0.0;
-  // The bit-identical claim is gated on the single-worker pair: at one
-  // worker the staged schedule is fully deterministic, so any digest delta
-  // is the batch path's fault. At >1 workers WHICH session pays the
-  // single-flight KDS fetch wait is decided by real thread arrival order
-  // (pre-existing: plain staged 4w digests already vary run to run), so
-  // those pairs usually match but cannot be promised.
+  // The bit-identical claim is gated on the single-worker pair, so any
+  // digest delta there is the batch path's fault. run_benches.sh also
+  // holds every 4-worker staged digest to the 1-worker one: the engine
+  // runs all kds_fetch sessions on one lane in ready order, so the same
+  // session pays the KDS fetch at any worker count.
   bool batch_digest_match = true;
   std::uint64_t batch_calls = 0;
   for (const auto& level : levels) {

@@ -30,7 +30,7 @@
 # bench computes itself; 1k/10k/100k synthetic sessions; a 1000-session
 # chaos soak; warm-restart levels. Gated: >= 3x staged-vs-blocking
 # virtual throughput at one worker, exactly one KDS fetch per cold
-# full-crypto level (single-flight), zero unverified-trust acceptances
+# full-crypto level (shared VCEK cache), zero unverified-trust acceptances
 # everywhere (chaos soak included), >= 1000 parked sessions per worker at
 # the 100k-session level, bytes/parked-session flat (100k within 15% of
 # 1k), bit-identical transcript digests on the replayed synthetic levels,
@@ -53,10 +53,11 @@
 # >= 3x less per signature than a single verify at N=64
 # (BM_EcdsaVerify/P384 vs BM_EcdsaVerifyBatch/P384/64). On the gateway
 # side, the "staged_batch" levels must pass the same succeed-all and
-# single-flight gates as "staged", cut real verify-stage time by >= 1.5x
+# one-fetch gates as "staged", cut real verify-stage time by >= 1.5x
 # (batch_verify_speedup), actually coalesce work (batch_calls > 0), and
 # reproduce the unbatched transcript digest bit for bit at one worker
-# (batch_digest_match).
+# (batch_digest_match). The 4-worker staged and staged_batch digests must
+# equal the 1-worker staged digest as well.
 #
 # PR 9 gates (durable state tier): bench_gateway runs with --store-dir so
 # the restart levels persist through real files. The warm-restart section
@@ -390,7 +391,7 @@ for level in current.get("levels", []):
 for level in blocking + staged + staged_batch + chaos:
     if level["vcek"]["fetches"] != 1:
         failures.append(f"{key(level)}: {level['vcek']['fetches']} KDS "
-                        f"fetches on a cold cache (single-flight broken)")
+                        f"fetches on a cold cache (VCEK dedup broken)")
     if level["kds_fetch_count_delta"] != 1:
         failures.append(f"{key(level)}: kds.fetch.count rose by "
                         f"{level['kds_fetch_count_delta']}, expected 1")
@@ -460,10 +461,7 @@ if speedup < MIN_STAGED_SPEEDUP:
 # verify-ready sessions to the batch crypto layer in one pool task. The
 # batching must actually engage, must cut real verify-stage time, and must
 # leave the observable outcome untouched — the one-worker staged_batch
-# level reproduces the one-worker staged transcript digest bit for bit
-# (the 4-worker pair is excluded: which session wins the single-flight
-# KDS fetch is a real-time race there, so equal digests can't be
-# promised even between two unbatched runs).
+# level reproduces the one-worker staged transcript digest bit for bit.
 MIN_BATCH_VERIFY_SPEEDUP = 1.5
 if not staged_batch:
     failures.append("no staged_batch levels in bench output")
@@ -477,6 +475,19 @@ if batch_speedup < MIN_BATCH_VERIFY_SPEEDUP:
 if not current.get("batch_digest_match", False):
     failures.append("staged_batch transcript digest diverged from the "
                     "unbatched staged run (1-worker pair)")
+# Worker count must not move the transcript: the engine runs every
+# kds_fetch session on one lane in ready order, so the 4-worker staged and
+# staged_batch digests equal the 1-worker staged digest.
+one_worker = [l["transcript_digest"] for l in staged if l["workers"] == 1]
+four_worker = [l for l in staged + staged_batch if l["workers"] == 4]
+if not one_worker or len(four_worker) != 2:
+    failures.append("staged/staged_batch levels at 1 and 4 workers missing "
+                    "from bench output")
+for level in four_worker:
+    if one_worker and level["transcript_digest"] != one_worker[0]:
+        failures.append(f"{key(level)}: transcript digest "
+                        f"{level['transcript_digest'][:8]} differs from the "
+                        f"1-worker staged digest {one_worker[0][:8]}")
 print(f"  batch_verify_speedup = {batch_speedup:.2f}x "
       f"({batch_calls} batch calls, digest_match="
       f"{current.get('batch_digest_match', False)})", file=sys.stderr)

@@ -69,8 +69,9 @@ class ThreadPool {
   /// all tasks finished. Use for independent, potentially long and uneven
   /// tasks — e.g. one full client session per index. Tasks must not throw
   /// and must only write to per-index state; they may block (condition
-  /// variables, single-flight waits) as long as the wait is resolved by
-  /// another *running* task, never by a task that has not been claimed yet.
+  /// variables, a shared cache's miss mutex) as long as the wait is
+  /// resolved by another *running* task, never by a task that has not been
+  /// claimed yet.
   ///
   /// Thread-safety: same policy as parallel_for — concurrent or nested
   /// callers degrade to an inline loop.

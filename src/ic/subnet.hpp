@@ -60,7 +60,6 @@ class Replica {
     return key_.public_encoded(crypto::p256());
   }
   void set_byzantine(ByzantineMode mode) { mode_ = mode; }
-  ByzantineMode byzantine_mode() const { return mode_; }
 
   void install_canister(const CanisterId& id,
                         std::unique_ptr<Canister> canister);
@@ -107,8 +106,6 @@ class Subnet {
 
   /// The "subnet registry": replica public keys a verifier pins.
   std::map<ReplicaId, Bytes> public_keys() const;
-
-  std::uint64_t current_round() const { return round_; }
 
  private:
   Result<CertifiedResponse> certify(const CanisterId& id,

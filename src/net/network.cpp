@@ -221,7 +221,6 @@ Result<Bytes> Network::call(const Address& from, const Address& to,
   }
   // One round trip.
   charge_wait(*clock_, 2 * latency_between(from.host, target.host));
-  ++messages_delivered_;
   Bytes response = it->second(payload, from);
   if (duplicate) {
     // The copy trails the original; the caller already has its response, so
@@ -231,10 +230,7 @@ Result<Bytes> Network::call(const Address& from, const Address& to,
         .counter("net.fault.injected", {{"kind", "duplicate"}})
         .inc();
     const auto again = handlers_.find(target);
-    if (again != handlers_.end()) {
-      ++messages_delivered_;
-      (void)again->second(payload, from);
-    }
+    if (again != handlers_.end()) (void)again->second(payload, from);
   }
   return response;
 }

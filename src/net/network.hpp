@@ -165,10 +165,9 @@ class Network {
   }
   void clear_interceptor() { interceptor_ = nullptr; }
 
-  /// Installs/clears the chaos fault plan. Faults apply after the attacker
+  /// Installs the chaos fault plan. Faults apply after the attacker
   /// interceptor has chosen the (possibly redirected) target.
   void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
-  void clear_fault_plan() { fault_plan_.reset(); }
   FaultPlan* fault_plan() {
     return fault_plan_ ? &*fault_plan_ : nullptr;
   }
@@ -178,8 +177,6 @@ class Network {
   void set_call_timeout_ms(double ms) {
     call_timeout_us_ = SimClock::from_ms(ms);
   }
-
-  std::uint64_t messages_delivered() const { return messages_delivered_; }
 
   // --- DNS (service-provider controlled) --------------------------------
 
@@ -206,7 +203,6 @@ class Network {
   std::optional<FaultPlan> fault_plan_;
   std::map<std::string, std::string> dns_a_;
   std::map<std::string, std::vector<std::string>> dns_txt_;
-  std::uint64_t messages_delivered_ = 0;
 };
 
 }  // namespace revelio::net

@@ -91,8 +91,6 @@ class TlsSession {
   /// Sends one encrypted request, returns the decrypted response.
   Result<Bytes> request(ByteView plaintext);
 
-  const pki::Certificate& server_certificate() const { return server_cert_; }
-
   /// SEC1-encoded public key of the server's leaf certificate — compared by
   /// the web extension against the key hash in REPORT_DATA.
   const Bytes& server_public_key() const {

@@ -65,7 +65,6 @@ class AcmeIssuer {
   /// the SP node's issuance retry/backoff path; challenges stay
   /// outstanding so a retry after the window succeeds.
   void set_outage_window(std::uint64_t start_us, std::uint64_t end_us);
-  void clear_outage() { set_outage_window(0, 0); }
 
  private:
   std::string registered_domain(const std::string& fqdn) const;

@@ -89,7 +89,6 @@ class RevelioVm {
   bool rollback_detected() const { return rollback_detected_; }
   /// Stamp-vs-counter detail for the detection above (empty when none).
   const std::string& rollback_detail() const { return rollback_detail_; }
-  const net::Address& https_address() const { return https_address_; }
   const net::Address& bootstrap_address() const { return bootstrap_address_; }
 
   /// The disk backing this VM (hand to `existing_disk` to reboot it).

@@ -209,6 +209,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   std::vector<StageResult> results;      // slot-parallel with `ready`
   std::vector<std::vector<std::size_t>> groups;  // ready slots, by track
   std::vector<std::size_t> batch_slots;  // ready slots routed to the hook
+  std::vector<std::size_t> kds_slots;    // ready slots on the KDS lane
   // Virtual completion time of the latest-finishing session, including its
   // final stage (which needs no wake and so never reaches the loop clock).
   Micros makespan_us = 0;
@@ -348,41 +349,59 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         groups[it->second].push_back(slot);
       }
     }
-    // Batch-hook coalescing: a track group whose EVERY ready member is
-    // parked at the batch stage is subsumed whole into one cross-track
-    // batch task (its members run sequentially inside that task, so track
-    // isolation holds). Mixed groups keep per-session dispatch.
+    // Group subsumption: when the groups `takes` selects hold at least
+    // `min_slots` sessions, lift them whole, in first-appearance order,
+    // into `out` — one pool task runs them sequentially, so track
+    // isolation holds. Otherwise groups stay untouched.
+    const auto subsume = [&](const auto& takes, std::size_t min_slots,
+                             std::vector<std::size_t>& out) {
+      std::size_t taken = 0;
+      for (const auto& g : groups) {
+        if (takes(g)) taken += g.size();
+      }
+      if (taken < min_slots) return;
+      std::vector<std::vector<std::size_t>> kept;
+      for (auto& g : groups) {
+        if (takes(g)) {
+          out.insert(out.end(), g.begin(), g.end());
+        } else {
+          kept.push_back(std::move(g));
+        }
+      }
+      groups = std::move(kept);
+    };
+    // Batch hook: a track group whose EVERY ready member is parked at the
+    // batch stage joins one cross-track batch task, when there is
+    // something to amortize. Mixed groups keep per-session dispatch.
     batch_slots.clear();
     if (batching.fn) {
-      std::vector<std::size_t> subsumed;  // group indices fully at the stage
-      std::size_t coalesced = 0;
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const bool all_at_stage = std::all_of(
-            groups[gi].begin(), groups[gi].end(), [&](std::size_t slot) {
+      subsume(
+          [&](const std::vector<std::size_t>& g) {
+            return std::all_of(g.begin(), g.end(), [&](std::size_t slot) {
               return cells[ready[slot]].next == batching.stage;
             });
-        if (all_at_stage) {
-          subsumed.push_back(gi);
-          coalesced += groups[gi].size();
-        }
-      }
-      // Commit only when there is something to amortize; otherwise groups
-      // stay untouched and everything dispatches per-session.
-      if (coalesced >= kMinBatch) {
-        std::vector<std::vector<std::size_t>> kept;
-        kept.reserve(groups.size() - subsumed.size());
-        std::size_t s = 0;
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-          if (s < subsumed.size() && subsumed[s] == gi) {
-            ++s;
-            batch_slots.insert(batch_slots.end(), groups[gi].begin(),
-                               groups[gi].end());
-          } else {
-            kept.push_back(std::move(groups[gi]));
-          }
-        }
-        groups = std::move(kept);
-      }
+          },
+          kMinBatch, batch_slots);
+    }
+    // KDS lane: only the kds stage fills a shared cache with virtual cost,
+    // so every group holding a kds session runs in one task, in the order
+    // one lane runs them — the same session pays the fetch at any width.
+    // A batch hook at the kds stage runs the lane inside its own task.
+    kds_slots.clear();
+    if (pool.width() > 1) {
+      subsume(
+          [&](const std::vector<std::size_t>& g) {
+            return std::any_of(g.begin(), g.end(), [&](std::size_t slot) {
+              return cells[ready[slot]].next == SessionState::kKdsFetch;
+            });
+          },
+          1, kds_slots);
+    }
+    const bool lane_in_batch =
+        batching.stage == SessionState::kKdsFetch && !batch_slots.empty();
+    if (!lane_in_batch && !kds_slots.empty()) {
+      groups.push_back(std::move(kds_slots));
+      kds_slots.clear();
     }
     const auto run_batch = [&]() {
       const auto real_t0 = std::chrono::steady_clock::now();
@@ -422,6 +441,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
                static_cast<std::uint32_t>(r.stage_us), now_us + r.stage_us);
         results[slot] = std::move(r);
       }
+      for (const std::size_t slot : kds_slots) run_stage(slot);
     };
     const std::size_t task_count =
         groups.size() + (batch_slots.empty() ? 0 : 1);

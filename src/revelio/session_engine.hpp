@@ -10,9 +10,10 @@
 //
 //  - a ChainVerificationCache (pki/chain_cache.hpp): certificate-chain
 //    verdicts;
-//  - a VcekCache (revelio/vcek_cache.hpp): VCEK chains from the KDS, with
-//    single-flight so a cold cache costs ONE fetch no matter how many
-//    sessions stampede it.
+//  - a VcekCache (revelio/vcek_cache.hpp): VCEK chains from the KDS; a
+//    cold cache costs ONE fetch no matter how many sessions stampede it.
+//    Sessions at the kds stage run on one lane in ready order, so the
+//    session that pays that fetch is the same at every worker count.
 //
 // Everything else is per-session. The simulation's core objects (Network,
 // SimClock, TLS sessions) are single-threaded by design, so each session
@@ -294,7 +295,10 @@ class SessionEngine {
   /// ready stages are dispatched over the pool in deterministic batches
   /// (grouped by track — see TrackFn) and parked between stages on the
   /// event loop. Deterministic for fixed (sessions, fn behavior, admission,
-  /// track, workers) — the transcript digest is the proof. Not
+  /// track, workers) — the transcript digest is the proof. Every track
+  /// group holding a kds_fetch session runs in one task, in the order one
+  /// worker runs them, so a session machine that touches the VCEK cache
+  /// only at kds_fetch gives the one-worker digest at any worker count. Not
   /// re-entrant: one run at a time per engine (the shared caches persist
   /// across runs; construct a fresh engine for cold-cache measurements).
   StagedReport run_staged(std::size_t sessions, const StagedSessionFn& fn,

@@ -75,9 +75,13 @@ std::optional<KdsService::VcekResponse> parse_response(
 
 VcekCache::VcekCache(std::size_t capacity) : entries_(capacity) {}
 
-std::optional<KdsService::VcekResponse> VcekCache::lookup(const Key& key) {
+std::optional<KdsService::VcekResponse> VcekCache::lookup(const Key& key,
+                                                          bool waited) {
   auto cached = entries_.get(key);
-  if (cached) {
+  if (cached && waited) {
+    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    obs::metrics().counter("kds.fetch.coalesced.count").inc();
+  } else if (cached) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     obs::metrics().counter("kds.fetch.hit.count").inc();
   }
@@ -91,59 +95,50 @@ void VcekCache::attach_store(store::KvStore* kv) {
 Result<KdsService::VcekResponse> VcekCache::get_or_fetch(
     const sevsnp::ChipId& chip, sevsnp::TcbVersion tcb, const FetchFn& fetch) {
   const Key key = std::make_pair(chip.bytes(), tcb.encode());
-  if (auto cached = lookup(key)) return std::move(*cached);
+  if (auto cached = lookup(key, /*waited=*/false)) return std::move(*cached);
 
-  bool coalesced = false;
-  auto result = flights_.run(key, &coalesced, [&] {
-    // Leader. Re-check the LRU first: a previous flight may have filled
-    // the entry between our miss and the flight starting.
-    if (auto refilled = lookup(key)) {
-      return Result<KdsService::VcekResponse>(std::move(*refilled));
-    }
+  // The miss path. A caller that finds the mutex taken waits for the miss
+  // ahead of it; if that miss filled our key, the wait was the fetch.
+  std::unique_lock<std::mutex> lock(miss_mu_, std::try_to_lock);
+  const bool waited = !lock.owns_lock();
+  if (waited) lock.lock();
+  if (auto refilled = lookup(key, waited)) return std::move(*refilled);
 
-    // Durable tier before the network: a chain persisted by a previous
-    // run serves this miss with zero KDS traffic. Coalesced followers
-    // inherit it through the flight, like a real fetch. Anything that
-    // fails to parse is a plain miss — the KDS round trip repairs it.
-    store::KvStore* kv = store_.load(std::memory_order_acquire);
-    if (kv != nullptr) {
-      if (const auto stored = kv->get(vcek_store_key(key))) {
-        if (auto parsed = parse_response(key, *stored)) {
-          store_hits_.fetch_add(1, std::memory_order_relaxed);
-          obs::metrics().counter("kds.fetch.store_hit.count").inc();
-          entries_.put(key, *parsed);
-          return Result<KdsService::VcekResponse>(std::move(*parsed));
-        }
+  // Durable tier before the network: a chain persisted by a previous
+  // run serves this miss with zero KDS traffic. Anything that fails to
+  // parse is a plain miss — the KDS round trip repairs it.
+  store::KvStore* kv = store_.load(std::memory_order_acquire);
+  if (kv != nullptr) {
+    if (const auto stored = kv->get(vcek_store_key(key))) {
+      if (auto parsed = parse_response(key, *stored)) {
+        store_hits_.fetch_add(1, std::memory_order_relaxed);
+        obs::metrics().counter("kds.fetch.store_hit.count").inc();
+        entries_.put(key, *parsed);
+        return std::move(*parsed);
       }
     }
-
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("kds.fetch.count").inc();
-    Result<KdsService::VcekResponse> fetched = fetch();
-    if (!fetched.ok()) return fetched;  // failures are never cached
-
-    // Insert BEFORE the flight publishes: once any waiter observes the
-    // result, the entry is already servable — no window where a fresh
-    // caller misses a chain that a finished flight just fetched.
-    entries_.put(key, *fetched);
-    if (kv != nullptr) {
-      // Best effort: a failed write-through costs a re-fetch after the
-      // next restart, nothing else.
-      if (!kv->put(vcek_store_key(key),
-                   serialize_response(key, *fetched)).ok()) {
-        store_write_failures_.fetch_add(1, std::memory_order_relaxed);
-        obs::metrics().counter("kds.fetch.store_write_failure.count").inc();
-      }
-    }
-    return fetched;
-  });
-
-  if (coalesced) {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("kds.fetch.coalesced.count").inc();
   }
-  if (!result.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
-  return result;
+
+  fetches_.fetch_add(1, std::memory_order_relaxed);
+  obs::metrics().counter("kds.fetch.count").inc();
+  Result<KdsService::VcekResponse> fetched = fetch();
+  if (!fetched.ok()) {  // failures are never cached
+    failures_.fetch_add(1, std::memory_order_relaxed);
+    return fetched;
+  }
+  // Insert before releasing the mutex: a caller waiting on it finds the
+  // entry.
+  entries_.put(key, *fetched);
+  if (kv != nullptr) {
+    // Best effort: a failed write-through costs a re-fetch after the
+    // next restart, nothing else.
+    if (!kv->put(vcek_store_key(key), serialize_response(key, *fetched))
+             .ok()) {
+      store_write_failures_.fetch_add(1, std::memory_order_relaxed);
+      obs::metrics().counter("kds.fetch.store_write_failure.count").inc();
+    }
+  }
+  return fetched;
 }
 
 VcekCache::Stats VcekCache::stats() const {

@@ -1,4 +1,4 @@
-// Shared VCEK-chain cache with single-flight KDS fetch coalescing.
+// Shared VCEK-chain cache: one KDS fetch per (chip id, TCB).
 //
 // Every attesting client needs the VCEK certificate chain for the
 // (chip id, TCB) its server's report names, and the chain only changes on
@@ -8,27 +8,32 @@
 // rate-limit). This cache gives the gateway one shared store:
 //
 //  - A bounded LRU (common/lru_cache.hpp) keyed by (chip id, TCB).
-//  - Single-flight misses: concurrent misses on the SAME key coalesce
-//    into one KDS fetch (common/single_flight.hpp); the leader inserts
-//    the response into the LRU before publishing, so followers and all
-//    later callers hit. Fetch failures are never cached and are delivered
-//    to every coalesced waiter; retries belong inside the fetch function.
+//  - One miss at a time: a miss takes the cache's miss mutex and holds it
+//    across re-check, durable tier, fetch and insert, so concurrent misses
+//    on the same key cost one KDS fetch and the callers that waited find
+//    the entry. Fetch failures are never cached: a caller behind a failed
+//    fetch runs its own. Retries belong inside the fetch function.
+//
+// Which session pays the fetch is not decided here. The session engine
+// runs every session at its kds stage on one lane, in ready order (see
+// SessionEngine::run_staged), so the same session fetches at any worker
+// count.
 //
 // Metrics (process-wide via obs::metrics()): kds.fetch.count — real
 // fetches executed (the acceptance signal for dedup: N concurrent cold
 // sessions must leave this at 1); kds.fetch.hit.count — cache hits;
-// kds.fetch.coalesced.count — callers that waited on another caller's
-// fetch instead of issuing their own.
+// kds.fetch.coalesced.count — callers that waited for another caller's
+// miss and then found the entry instead of issuing their own fetch.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <utility>
 
 #include "common/lru_cache.hpp"
-#include "common/single_flight.hpp"
 #include "revelio/evidence.hpp"
 #include "store/kv_store.hpp"
 
@@ -42,16 +47,18 @@ class VcekCache {
   /// Cache key: (raw chip id bytes, encoded TCB version).
   using Key = std::pair<Bytes, std::uint64_t>;
   /// The actual KDS round trip, supplied by the caller so the cache stays
-  /// ignorant of transport, retries and failover. Runs outside all cache
-  /// locks; at most one instance per key runs at a time.
+  /// ignorant of transport, retries and failover. Runs under the miss
+  /// mutex, so at most one runs at a time; it must not call back into
+  /// get_or_fetch.
   using FetchFn = std::function<Result<KdsService::VcekResponse>()>;
 
   explicit VcekCache(std::size_t capacity = 64);
 
-  /// Returns the cached chain for (chip, tcb), or executes `fetch` —
-  /// coalescing with any concurrent fetch of the same key — and caches the
-  /// response on success. Thread-safe; the dominant concurrent pattern
-  /// (every session asking for the same chip) costs one fetch total.
+  /// Returns the cached chain for (chip, tcb), or executes `fetch` under the
+  /// miss mutex and caches the response on success. Thread-safe; the
+  /// dominant concurrent pattern (every session asking for the same chip)
+  /// costs one fetch total. A throwing `fetch` releases the mutex, caches
+  /// nothing and propagates; the next call fetches again.
   Result<KdsService::VcekResponse> get_or_fetch(const sevsnp::ChipId& chip,
                                                 sevsnp::TcbVersion tcb,
                                                 const FetchFn& fetch);
@@ -72,9 +79,9 @@ class VcekCache {
   void attach_store(store::KvStore* kv);
 
   struct Stats {
-    std::uint64_t hits = 0;       // served from the LRU without fetching
-    std::uint64_t fetches = 0;    // FetchFn actually executed (leaders)
-    std::uint64_t coalesced = 0;  // waited on another caller's fetch
+    std::uint64_t hits = 0;       // served from the LRU without waiting
+    std::uint64_t fetches = 0;    // FetchFn actually executed
+    std::uint64_t coalesced = 0;  // waited for another miss, then hit
     std::uint64_t failures = 0;   // get_or_fetch calls that returned error
     std::uint64_t store_hits = 0;  // served from the durable tier, no fetch
     std::uint64_t store_write_failures = 0;  // write-throughs that failed
@@ -87,11 +94,13 @@ class VcekCache {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  /// Returns the cached chain for `key`, counting a hit.
-  std::optional<KdsService::VcekResponse> lookup(const Key& key);
+  /// Returns the cached chain for `key`, counting a hit or, when the
+  /// caller waited for the miss mutex, a coalesced wait.
+  std::optional<KdsService::VcekResponse> lookup(const Key& key,
+                                                 bool waited);
 
   common::LruCache<Key, KdsService::VcekResponse> entries_;
-  common::SingleFlight<Key, KdsService::VcekResponse> flights_;
+  std::mutex miss_mu_;  // held across a miss: re-check, store, fetch, put
   std::atomic<store::KvStore*> store_{nullptr};
 
   std::atomic<std::uint64_t> hits_{0};

@@ -147,10 +147,10 @@ Result<KdsService::VcekResponse> WebExtension::fetch_vcek(
     const sevsnp::ChipId& chip, sevsnp::TcbVersion tcb,
     const net::Deadline& deadline) {
   // On a miss, this extension's own resilience stack (retry x failover,
-  // breakers) becomes the single-flight leader's fetch — with a shared
-  // cache, concurrent sessions missing on the same (chip, tcb) wait for it
-  // instead of stampeding the KDS.
-  bool fetched = false;  // did THIS call run the leader fetch?
+  // breakers) is the cache's fetch — with a shared cache, concurrent
+  // sessions missing on the same (chip, tcb) wait for it instead of
+  // stampeding the KDS.
+  bool fetched = false;  // did THIS call run the fetch?
   auto result = vcek_cache_->get_or_fetch(chip, tcb, [&] {
     fetched = true;
     obs::Span span("ext.kds_fetch");
@@ -171,8 +171,8 @@ Result<KdsService::VcekResponse> WebExtension::fetch_vcek(
     span.attr("result", response.ok() ? "ok" : response.error().code);
     return response;
   });
-  // Single-flight followers land on the hit side: they paid a wait, not a
-  // fetch — the flight timeline should say so.
+  // Callers that waited for another session's fetch land on the hit side:
+  // they paid a wait, not a fetch — the flight timeline should say so.
   if (!fetched) {
     ++vcek_cache_hits_;
     obs::metrics().counter("ext.vcek_cache.hit.count").inc();

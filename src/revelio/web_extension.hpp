@@ -105,9 +105,8 @@ struct WebExtensionConfig : FleetState {
   /// engine's) used for report-chain verification in place of the
   /// extension's private one. Must outlive the extension.
   pki::ChainVerificationCache* shared_chain_cache = nullptr;
-  /// Gateway mode: a shared VCEK cache with single-flight fetch
-  /// coalescing, in place of the extension's private one.
-  /// Must outlive the extension.
+  /// Gateway mode: a shared VCEK cache (one KDS fetch per chip and TCB),
+  /// in place of the extension's private one. Must outlive the extension.
   VcekCache* shared_vcek_cache = nullptr;
   /// Session id stamped on this extension's audit records (the gateway
   /// sets it to the session index; a lone extension can leave 0).

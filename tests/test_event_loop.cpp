@@ -1,26 +1,17 @@
-// Deterministic virtual-time event loop (common/event_loop.hpp), the
+// Deterministic virtual-time event loop (common/event_loop.hpp) and the
 // virtual-wait accounting stages report into the session record
-// (obs/flight_recorder.hpp), and the single-flight failure-propagation
-// contract the staged engine relies on.
+// (obs/flight_recorder.hpp): the substrate of the staged engine.
 //
-// Runs tier-1 and under `ctest -L eventloop` / `-L tsan`: the EventLoop
-// itself is single-threaded by contract, but the SingleFlight suites here
-// drive real thread herds at a failing leader, which is exactly the
-// interleaving the race sanitizer needs to see.
+// Runs tier-1 and under `ctest -L eventloop` / `-L tsan`. The EventLoop
+// is single-threaded by contract; the threaded engine above it is
+// exercised in test_session_engine.
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/event_loop.hpp"
-#include "common/result.hpp"
-#include "common/single_flight.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace revelio {
@@ -156,93 +147,6 @@ TEST(VirtualWait, NestedScopesInnermostWins) {
   obs::note_wait_us(7);
   EXPECT_EQ(outer.waited_us, 7u)
       << "inner waits are charged to the inner record only";
-}
-
-// ---------------------------------------------------------------------------
-// SingleFlight failure propagation under real thread herds (the staged
-// engine's wake-on-single-flight-completion path depends on a failing
-// leader releasing every waiter exactly once).
-
-TEST(SingleFlightConcurrent, LeaderErrorReachesEveryCoalescedWaiter) {
-  common::SingleFlight<int, int> flights;
-  constexpr int kThreads = 8;
-  std::atomic<int> calls{0};
-  std::atomic<int> entered{0};
-  std::vector<std::string> codes(kThreads);
-  std::vector<char> coalesced(kThreads, 0);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      entered.fetch_add(1);
-      bool waited = false;
-      auto result = flights.run(1, &waited, [&]() -> Result<int> {
-        calls.fetch_add(1);
-        while (entered.load() < kThreads) std::this_thread::yield();
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return Error::make("net.timeout", "kds saturated");
-      });
-      codes[t] = result.ok() ? "" : result.error().code;
-      coalesced[t] = waited ? 1 : 0;
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(calls.load(), 1) << "one leader, no retry amplification";
-  int waited_count = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(codes[t], "net.timeout") << "waiter " << t;
-    waited_count += coalesced[t];
-  }
-  EXPECT_EQ(waited_count, kThreads - 1);
-
-  // The failure is not sticky: the next caller becomes a fresh leader.
-  auto retried = flights.run(1, nullptr, []() -> Result<int> { return 9; });
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(*retried, 9);
-  EXPECT_EQ(flights.inflight(), 0u);
-}
-
-TEST(SingleFlightConcurrent, ThrowingLeaderWakesWaitersAndRethrows) {
-  common::SingleFlight<int, int> flights;
-  constexpr int kThreads = 8;
-  std::atomic<int> entered{0};
-  std::atomic<int> threw{0};
-  std::vector<std::string> codes(kThreads);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      entered.fetch_add(1);
-      try {
-        auto result = flights.run(1, nullptr, [&]() -> Result<int> {
-          while (entered.load() < kThreads) std::this_thread::yield();
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          throw std::runtime_error("leader exploded");
-        });
-        codes[t] = result.ok() ? "" : result.error().code;
-      } catch (const std::runtime_error&) {
-        threw.fetch_add(1);  // only the leader's caller sees the exception
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(threw.load(), 1) << "the exception stays with the leader";
-  int errored = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    if (codes[t] == "singleflight.leader_failed") ++errored;
-  }
-  EXPECT_EQ(errored, kThreads - 1)
-      << "every waiter is woken with the leader-failed error, none strand";
-
-  // Nothing left in flight; a later caller leads a fresh, working flight.
-  EXPECT_EQ(flights.inflight(), 0u);
-  auto retried = flights.run(1, nullptr, []() -> Result<int> { return 3; });
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(*retried, 3);
 }
 
 }  // namespace

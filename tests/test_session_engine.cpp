@@ -1,6 +1,6 @@
 // Concurrent attestation gateway: session engine, shared LRU caches,
-// single-flight KDS fetch coalescing, and spans traced only on the
-// calling lane. Runs tier-1 and under the tsan preset — most of
+// one KDS fetch per VCEK key at any worker count, and spans traced only
+// on the calling lane. Runs tier-1 and under the tsan preset — most of
 // these tests exist precisely to put real threads on the shared state.
 //
 // The end-to-end tests drive several complete simulated worlds (the
@@ -10,15 +10,16 @@
 // shares only the engine's thread-safe caches with other sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/single_flight.hpp"
 #include "imagebuild/builder.hpp"
 #include "net/resilience.hpp"
 #include "obs/flight_recorder.hpp"
@@ -55,81 +56,6 @@ TEST(Metrics, SummarySnapshotIsConsistentUnderConcurrentObserve) {
   }
   writer.join();
   EXPECT_EQ(summary.count(), static_cast<std::uint64_t>(kObservations));
-}
-
-// ---------------------------------------------------------------------------
-// SingleFlight
-
-TEST(SingleFlight, CoalescesConcurrentSameKeyCallers) {
-  common::SingleFlight<int, int> flights;
-  constexpr int kThreads = 8;
-  std::atomic<int> calls{0};
-  std::atomic<int> entered{0};
-  std::vector<int> values(kThreads, 0);
-  std::vector<char> coalesced(kThreads, 0);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      entered.fetch_add(1);
-      bool waited = false;
-      auto result = flights.run(7, &waited, [&]() -> Result<int> {
-        calls.fetch_add(1);
-        // Leader: hold the flight open until every thread has at least
-        // reached run(), then a grace period for them to hit the wait.
-        while (entered.load() < kThreads) {
-          std::this_thread::yield();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        return 42;
-      });
-      ASSERT_TRUE(result.ok());
-      values[t] = *result;
-      coalesced[t] = waited ? 1 : 0;
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(calls.load(), 1) << "exactly one leader executes the function";
-  int waited_count = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(values[t], 42);
-    waited_count += coalesced[t];
-  }
-  EXPECT_EQ(waited_count, kThreads - 1);
-  EXPECT_EQ(flights.inflight(), 0u);
-}
-
-TEST(SingleFlight, DistinctKeysRunIndependently) {
-  common::SingleFlight<int, int> flights;
-  std::atomic<int> calls{0};
-  std::vector<std::thread> threads;
-  for (int k = 0; k < 4; ++k) {
-    threads.emplace_back([&flights, &calls, k] {
-      auto result = flights.run(k, nullptr, [&calls, k]() -> Result<int> {
-        calls.fetch_add(1);
-        return k * 10;
-      });
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(*result, k * 10);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(calls.load(), 4);
-}
-
-TEST(SingleFlight, LeaderErrorReachesWaitersAndIsNotSticky) {
-  common::SingleFlight<int, int> flights;
-  auto failed = flights.run(1, nullptr, []() -> Result<int> {
-    return Error::make("net.timeout");
-  });
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.error().code, "net.timeout");
-  // A failed flight leaves nothing behind; the next caller runs fresh.
-  auto retried = flights.run(1, nullptr, []() -> Result<int> { return 5; });
-  ASSERT_TRUE(retried.ok());
-  EXPECT_EQ(*retried, 5);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,6 +252,32 @@ TEST(VcekCache, FailuresAreDeliveredButNeverCached) {
       chip, tcb,
       []() -> Result<KdsService::VcekResponse> { return fake_vcek("ok"); });
   ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(cache.stats().fetches, 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(VcekCache, ThrowingFetchReleasesTheLockAndCachesNothing) {
+  VcekCache cache(4);
+  sevsnp::ChipId chip;
+  chip[0] = 0x09;
+  const sevsnp::TcbVersion tcb{2, 0, 8, 115};
+  EXPECT_THROW(cache.get_or_fetch(chip, tcb,
+                                  []() -> Result<KdsService::VcekResponse> {
+                                    throw std::runtime_error("kds exploded");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // The miss mutex was released on unwind: another thread's call gets it,
+  // misses, and fetches again.
+  std::thread next([&] {
+    auto result = cache.get_or_fetch(
+        chip, tcb,
+        []() -> Result<KdsService::VcekResponse> { return fake_vcek("ok"); });
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->vcek.subject.common_name, "vcek-ok");
+  });
+  next.join();
   EXPECT_EQ(cache.stats().fetches, 2u);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -646,9 +598,9 @@ TEST(GatewayEndToEnd, ConcurrentSessionsShareCachesAndFetchKdsOnce) {
   EXPECT_EQ(run.unverified_accepts, 0);
   EXPECT_EQ(run.wrong_bodies, 0);
 
-  // Single-flight + same-seed worlds: every session needs the same VCEK
-  // chain, and exactly one KDS round trip happens — the rest coalesce into
-  // it or hit the cache it filled.
+  // Same-seed worlds: every session needs the same VCEK chain, and exactly
+  // one KDS round trip happens — the rest wait for it or hit the cache it
+  // filled.
   const auto vcek = run.report.vcek_stats;
   EXPECT_EQ(vcek.fetches, 1u);
   EXPECT_EQ(vcek.hits + vcek.coalesced, 15u);
@@ -997,6 +949,98 @@ TEST(StagedEngine, SameSeedRerunsAreBitIdentical) {
       << "the digest actually depends on the schedule";
 }
 
+/// A kds stage over the engine's shared VCEK cache: the stage whose fetch
+/// function runs pays a 5.2 ms round trip, a hit pays nothing.
+SessionState kds_stage(StagedContext& ctx) {
+  sevsnp::ChipId chip;
+  chip[0] = 0x5a;
+  bool fetched = false;
+  auto chain = ctx.vcek_cache->get_or_fetch(
+      chip, sevsnp::TcbVersion{2, 0, 8, 115},
+      [&]() -> Result<KdsService::VcekResponse> {
+        fetched = true;
+        return fake_vcek("witness");
+      });
+  ctx.stage_virt_ms = fetched ? 5.2 : 0.0;
+  return chain.ok() ? SessionState::kDone : SessionState::kFailed;
+}
+
+TEST(StagedEngine, KdsFetchLandsOnTheOneWorkerSessionAtAnyWidth) {
+  // Eight sessions on eight tracks reach the kds stage in one batch. The
+  // stage whose fetch function runs pays a 5.2 ms round trip; the others
+  // hit. One worker runs session 0 first, so session 0 pays. With four
+  // workers, session `sleeper` stalls 20 ms of real time before its cache
+  // call. If lanes raced for the cache, a stalled session 0 would lose the
+  // fetch to another session and the digest would move.
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kNoSleeper = kSessions;
+  const auto run = [](unsigned workers, std::size_t sleeper) {
+    SessionEngineConfig config;
+    config.workers = workers;
+    SessionEngine engine(config);
+    return engine.run_staged(
+        kSessions, [&](StagedContext& ctx) -> SessionState {
+          if (ctx.state == SessionState::kHandshake) {
+            ctx.stage_virt_ms = 1.0;
+            return SessionState::kKdsFetch;
+          }
+          if (ctx.index == sleeper) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          return kds_stage(ctx);
+        });
+  };
+
+  const auto one = run(1, kNoSleeper);
+  ASSERT_EQ(one.succeeded, kSessions);
+  EXPECT_EQ(one.vcek_stats.fetches, 1u);
+  EXPECT_EQ(one.session_virt_ms[0], 6.2) << "session 0 pays the fetch";
+  for (std::size_t i = 1; i < kSessions; ++i) {
+    EXPECT_EQ(one.session_virt_ms[i], 1.0) << "session " << i;
+  }
+  for (std::size_t sleeper = 0; sleeper < 4; ++sleeper) {
+    const auto four = run(4, sleeper);
+    EXPECT_EQ(four.vcek_stats.fetches, 1u) << "sleeper " << sleeper;
+    EXPECT_EQ(four.transcript_digest, one.transcript_digest)
+        << "sleeper " << sleeper;
+  }
+}
+
+TEST(StagedEngine, KdsBatchHookRunsTheKdsLaneInItsOwnTask) {
+  // Sessions 0 and 1 share track 0 and reach the second batch at kds_fetch
+  // and evidence_fetch: a mixed group, so session 0 goes to the KDS lane.
+  // Sessions 2 and 3 (tracks 1, 2) sit at kds_fetch alone and go to the
+  // batch hook, which one worker runs first. The hook stalls 20 ms before
+  // its cache calls; if the lane ran beside it, session 0 would fetch.
+  BatchStageConfig batching;
+  batching.stage = SessionState::kKdsFetch;
+  batching.fn = [](std::vector<StagedBatchItem>& items) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    for (auto& item : items) item.next = kds_stage(item.ctx);
+  };
+  for (const unsigned workers : {1u, 4u}) {
+    SessionEngineConfig config;
+    config.workers = workers;
+    const auto report = SessionEngine(config).run_staged(
+        4,
+        [](StagedContext& ctx) -> SessionState {
+          switch (ctx.state) {
+            case SessionState::kHandshake:
+              return ctx.index == 1 ? SessionState::kEvidenceFetch
+                                    : SessionState::kKdsFetch;
+            case SessionState::kKdsFetch: return kds_stage(ctx);
+            default: return SessionState::kDone;
+          }
+        },
+        {}, [](std::size_t i) { return i == 0 ? 0 : i - 1; }, batching);
+    ASSERT_EQ(report.succeeded, 4u) << "workers " << workers;
+    EXPECT_EQ(report.vcek_stats.fetches, 1u);
+    EXPECT_EQ(report.session_virt_ms[2], 5.2)
+        << "the hook's first session pays the fetch, workers " << workers;
+    EXPECT_EQ(report.session_virt_ms[0], 0.0) << "workers " << workers;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Staged engine end-to-end: real worlds, staged WebExtension sessions
 
@@ -1014,7 +1058,7 @@ struct StagedGatewayRun {
 StagedGatewayRun run_gateway_staged(
     SessionEngine& engine, std::vector<std::unique_ptr<GatewayWorld>>& worlds,
     std::size_t sessions, int retry_attempts,
-    const AdmissionConfig& admission = {}) {
+    const AdmissionConfig& admission = {}, bool batch_verify = false) {
   struct Slot {
     std::unique_ptr<WebExtension> ext;
     std::unique_ptr<WebExtension::StagedAttestation> staged;
@@ -1022,6 +1066,30 @@ StagedGatewayRun run_gateway_staged(
   std::vector<Slot> slots(sessions);
   std::atomic<int> unverified{0};
   std::atomic<int> wrong_body{0};
+
+  // Batched verify: the engine subsumes only track groups whose every
+  // ready session is at verify, so no other lane holds these worlds.
+  BatchStageConfig batching;
+  if (batch_verify) {
+    batching.fn = [&](std::vector<StagedBatchItem>& items) {
+      std::vector<GatewayWorld*> held;
+      std::vector<WebExtension::StagedAttestation*> staged;
+      for (const auto& item : items) {
+        held.push_back(worlds[item.ctx.index % worlds.size()].get());
+        staged.push_back(slots[item.ctx.index].staged.get());
+      }
+      std::sort(held.begin(), held.end());
+      held.erase(std::unique(held.begin(), held.end()), held.end());
+      std::vector<std::unique_lock<std::mutex>> locks;
+      for (GatewayWorld* world : held) locks.emplace_back(world->mu);
+      const std::vector<Status> statuses = batch_verify_sessions(staged);
+      for (std::size_t k = 0; k < items.size(); ++k) {
+        items[k].next = statuses[k].ok() ? SessionState::kPageFetch
+                                         : SessionState::kFailed;
+        items[k].ctx.failure = statuses[k];
+      }
+    };
+  }
 
   StagedGatewayRun out;
   out.report = engine.run_staged(
@@ -1093,10 +1161,39 @@ StagedGatewayRun run_gateway_staged(
             return fail(Error::make("test.unexpected_state"));
         }
       },
-      admission, [&](std::size_t i) { return i % worlds.size(); });
+      admission, [&](std::size_t i) { return i % worlds.size(); }, batching);
   out.unverified_accepts = unverified.load();
   out.wrong_bodies = wrong_body.load();
   return out;
+}
+
+TEST(StagedGatewayEndToEnd, EveryWidthGivesTheOneWorkerTranscript) {
+  // Full crypto over eight same-seed worlds: whichever lane count drives
+  // them, with or without the verify batch hook, the one KDS fetch lands
+  // on the same session and every rerun hashes to one digest.
+  auto worlds = build_worlds(8, "gw-staged-width-1");
+  std::string digest;
+  for (const bool batch_verify : {false, true}) {
+    for (const unsigned workers : {1u, 2u, 4u, 16u}) {
+      for (int rerun = 0; rerun < 3; ++rerun) {
+        SessionEngineConfig config;
+        config.workers = workers;
+        SessionEngine engine(config);
+        for (auto& world : worlds) {
+          world->browser.set_chain_cache(&engine.chain_cache());
+        }
+        const StagedGatewayRun run =
+            run_gateway_staged(engine, worlds, 16, 1, {}, batch_verify);
+        const std::string where = "batch " + std::to_string(batch_verify) +
+                                  " workers " + std::to_string(workers) +
+                                  " rerun " + std::to_string(rerun);
+        EXPECT_EQ(run.report.succeeded, 16u) << where;
+        EXPECT_EQ(run.report.vcek_stats.fetches, 1u) << where;
+        if (digest.empty()) digest = run.report.transcript_digest;
+        EXPECT_EQ(run.report.transcript_digest, digest) << where;
+      }
+    }
+  }
 }
 
 TEST(StagedGatewayEndToEnd, StagedSessionsShareCachesAndFetchKdsOnce) {
