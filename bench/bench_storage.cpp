@@ -2,8 +2,9 @@
 //
 // Measures the storage-layer paths the fast-path PR optimised:
 //
-//  - Verity::format          — build-time Merkle construction (parallel
-//                              leaf hashing + SHA-NI multi-block cores)
+//  - Verity::format          — build-time Merkle construction (leaf
+//                              hashing on the calling thread, two leaves
+//                              per SHA-NI pass)
 //  - VerityDevice::verify_all — boot-time bulk verify, O(n) leaf hashes
 //                              against the leaf level open proved
 //  - VerityDevice::read_block — one leaf hash + one compare per read, on

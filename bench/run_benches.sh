@@ -9,10 +9,10 @@
 # per benchmark, suitable for jq / CI regression tracking.
 #
 # Also writes BENCH_storage.json: the storage fast-path numbers from
-# bench_storage (parallel Merkle format/verify_all, verity reads of one
-# leaf compare each, AES-XTS dm-crypt I/O), diffed against the committed
-# baseline bench/BENCH_storage.baseline.json — any op whose ns_per_op
-# regresses by more than 2x fails the run (wall-clock micro-op noise on
+# bench_storage (Merkle format/verify_all on the calling thread, verity
+# reads of one leaf compare each, AES-XTS dm-crypt I/O), diffed against
+# the committed baseline bench/BENCH_storage.baseline.json — any op whose
+# ns_per_op regresses by more than 2x fails the run (wall-clock micro-op noise on
 # shared CI hosts swings 25-50% run to run; only wholesale regressions
 # are detectable per op).
 #

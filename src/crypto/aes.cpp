@@ -38,8 +38,8 @@ constexpr std::uint8_t kSbox[256] = {
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
     0xb0, 0x54, 0xbb, 0x16};
 
-// Compile-time inverse S-box: the previous lazily-built table raced under
-// the bulk-path thread pool (unsynchronized first-use init).
+// Compile-time inverse S-box: the previous lazily-built table raced when
+// two threads first used it at once (unsynchronized first-use init).
 constexpr std::array<std::uint8_t, 256> build_inv_sbox() {
   std::array<std::uint8_t, 256> t{};
   for (int i = 0; i < 256; ++i) t[kSbox[i]] = static_cast<std::uint8_t>(i);

@@ -1,21 +1,13 @@
 #include "crypto/merkle.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-
-#include "common/parallel.hpp"
 
 namespace revelio::crypto {
 
 namespace {
 constexpr std::uint8_t kLeafPrefix = 0x00;
 constexpr std::uint8_t kInnerPrefix = 0x01;
-
-// Smallest per-chunk node count worth shipping to a pool worker: below this
-// the hash work is cheaper than the wake-up.
-constexpr std::size_t kLeafGrain = 64;    // 64 x 4 KiB SHA-256 ≈ 1 ms scalar
-constexpr std::size_t kInnerGrain = 512;  // inner hashes are 65-byte inputs
 
 // Node i of the level above `below`. An odd last node is paired with
 // itself, which keeps the tree total.
@@ -45,33 +37,27 @@ void MerkleTree::hash_leaves(ByteView data, std::size_t block_size,
                              std::span<Digest32> out) {
   Sha256 prefixed;
   prefixed.update(ByteView(&kLeafPrefix, 1));
-  const std::size_t full = data.size() / block_size;
-  common::parallel_for(
-      out.size(),
-      [&](std::size_t begin, std::size_t end) {
-        // Full-size leaves two at a time; one left over at the end of the
-        // chunk and a short zero-padded tail go one at a time.
-        const std::size_t pairs_end = std::min(end, full);
-        std::size_t i = begin;
-        for (; i + 1 < pairs_end; i += 2) {
-          Sha256::finish_2x(prefixed, data.subspan(i * block_size, block_size),
-                            data.subspan((i + 1) * block_size, block_size),
-                            out[i], out[i + 1]);
-        }
-        for (; i < end; ++i) {
-          const std::size_t off = i * block_size;
-          const std::size_t len = std::min(block_size, data.size() - off);
-          if (len == block_size) {
-            out[i] = hash_leaf(data.subspan(off, len));
-          } else {
-            Bytes padded(block_size, 0);
-            std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), len,
-                        padded.begin());
-            out[i] = hash_leaf(padded);
-          }
-        }
-      },
-      kLeafGrain);
+  // Full-size leaves two at a time; an odd last one and a short
+  // zero-padded tail go one at a time.
+  const std::size_t pairs_end = std::min(out.size(), data.size() / block_size);
+  std::size_t i = 0;
+  for (; i + 1 < pairs_end; i += 2) {
+    Sha256::finish_2x(prefixed, data.subspan(i * block_size, block_size),
+                      data.subspan((i + 1) * block_size, block_size), out[i],
+                      out[i + 1]);
+  }
+  for (; i < out.size(); ++i) {
+    const std::size_t off = i * block_size;
+    const std::size_t len = std::min(block_size, data.size() - off);
+    if (len == block_size) {
+      out[i] = hash_leaf(data.subspan(off, len));
+    } else {
+      Bytes padded(block_size, 0);
+      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off), len,
+                  padded.begin());
+      out[i] = hash_leaf(padded);
+    }
+  }
 }
 
 MerkleTree MerkleTree::from_leaves(std::vector<Digest32> leaves) {
@@ -86,14 +72,9 @@ MerkleTree MerkleTree::from_leaves(std::vector<Digest32> leaves) {
   while (tree.levels_.back().size() > 1) {
     const auto& below = tree.levels_.back();
     std::vector<Digest32> level((below.size() + 1) / 2);
-    common::parallel_for(
-        level.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            level[i] = parent_of(below, i);
-          }
-        },
-        kInnerGrain);
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      level[i] = parent_of(below, i);
+    }
     tree.levels_.push_back(std::move(level));
   }
   tree.root_ = tree.levels_.back()[0];
@@ -148,30 +129,18 @@ Result<MerkleTree> MerkleTree::deserialize(ByteView data) {
   if (tree.levels_[0].size() != tree.leaf_count_) {
     return Error::make("merkle.malformed", "leaf count differs from level 0");
   }
-  // Recompute upward to reject tampered serializations. Each level is
-  // checked with a parallel sweep; a mismatch anywhere flips one shared
-  // flag (the only cross-chunk state, write-only, so the outcome does not
-  // depend on chunk order).
+  // Recompute upward to reject tampered serializations; the first node
+  // that differs from its children's hash fails the whole tree.
   for (std::size_t level = 0; level + 1 < tree.levels_.size(); ++level) {
     const auto& below = tree.levels_[level];
     const auto& above = tree.levels_[level + 1];
     if (above.size() != (below.size() + 1) / 2) {
       return Error::make("merkle.malformed", "bad level size");
     }
-    std::atomic<bool> mismatch{false};
-    common::parallel_for(
-        above.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            if (mismatch.load(std::memory_order_relaxed)) return;
-            if (!(parent_of(below, i) == above[i])) {
-              mismatch.store(true, std::memory_order_relaxed);
-            }
-          }
-        },
-        kInnerGrain);
-    if (mismatch.load()) {
-      return Error::make("merkle.inconsistent", "inner node mismatch");
+    for (std::size_t i = 0; i < above.size(); ++i) {
+      if (!(parent_of(below, i) == above[i])) {
+        return Error::make("merkle.inconsistent", "inner node mismatch");
+      }
     }
   }
   tree.root_ = tree.levels_.back()[0];

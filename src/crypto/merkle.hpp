@@ -9,10 +9,7 @@
 // replayed as an inner node.
 //
 // Construction (leaf hashing, level reduction) and the deserialize
-// recompute check run through common::parallel_for: every node of a level
-// depends only on its two children, so a static chunking over the output
-// level is bit-identical to the sequential build (tier-2 suite
-// test_merkle_parallel asserts this across shapes).
+// recompute check are plain loops on the calling thread.
 #pragma once
 
 #include <span>
@@ -33,11 +30,11 @@ class MerkleTree {
   static MerkleTree from_blocks(ByteView data, std::size_t block_size);
 
   /// The leaf sweep behind from_blocks and dm-verity's device hashing:
-  /// out[i] = hash_leaf(block i of `data`), hashed over the pool, for
-  /// out.size() == ceil(data.size() / block_size). A short last block is
-  /// zero-padded to `block_size`, as on a block device. Full-size blocks
-  /// are hashed in pairs through Sha256::finish_2x, bit-identical to
-  /// hash_leaf; `data` is only read, so it may be a device's own bytes.
+  /// out[i] = hash_leaf(block i of `data`) for out.size() ==
+  /// ceil(data.size() / block_size), on the calling thread. A short last
+  /// block is zero-padded to `block_size`, as on a block device. Full-size
+  /// blocks are hashed in pairs through Sha256::finish_2x, bit-identical
+  /// to hash_leaf; `data` is only read, so it may be a device's own bytes.
   static void hash_leaves(ByteView data, std::size_t block_size,
                           std::span<Digest32> out);
 

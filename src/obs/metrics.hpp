@@ -8,12 +8,12 @@
 // for every hot path in the simulation.
 //
 // Thread-safety: there is one registry per process, and every thread —
-// the thread pool's workers and the session engine's lanes included —
-// writes straight into it. Map structure is guarded by a registry mutex;
-// returned Counter/Gauge/Summary references stay valid forever (std::map
-// nodes are stable). Counter and gauge updates are lock-free atomics;
-// Summary::observe takes a per-summary mutex, and Summary::snapshot() reads
-// count, sum and quantiles under the same mutex. Whole-map views
+// the session engine's lanes included — writes straight into it. Map
+// structure is guarded by a registry mutex; returned Counter/Gauge/Summary
+// references stay valid forever (std::map nodes are stable). Counter and
+// gauge updates are lock-free atomics; Summary::observe takes a
+// per-summary mutex, and Summary::snapshot() reads count, sum and
+// quantiles under the same mutex. Whole-map views
 // (counters() etc.) are meant for quiescent, test/exporter-time reads.
 //
 // Exporters serialize a point-in-time snapshot with to_json(); benchmarks

@@ -7,13 +7,13 @@
 // active-span stack — re-entrant but deliberately single-threaded, so it
 // belongs to the threads that are not thread-pool workers. A Span begun on
 // a pool-worker lane (common::current_lane() != 0, see
-// common/parallel.hpp) is inactive: bulk code and the session engine's
-// fanned-out stages open spans only on the calling lane and report
-// per-chunk work through the thread-safe metrics registry (metrics.hpp)
-// instead. A 1-worker session engine runs every stage on the calling
-// lane, so its sessions trace whole. Per-session timelines at gateway
-// scale come from the flight recorder (flight_recorder.hpp). The Tracer
-// also keeps a bounded ring of finished spans.
+// common/parallel.hpp) is inactive: the session engine's fanned-out
+// stages open spans only on the calling lane and report their work
+// through the thread-safe metrics registry (metrics.hpp) instead. A
+// 1-worker session engine runs every stage on the calling lane, so its
+// sessions trace whole. Per-session timelines at gateway scale come from
+// the flight recorder (flight_recorder.hpp). The Tracer also keeps a
+// bounded ring of finished spans.
 //
 // Exports: finished_spans_json() (a plain span list with both durations
 // and the parent links) and chrome_trace_json() (Chrome trace_event

@@ -66,8 +66,7 @@ SessionEngine::SessionEngine(SessionEngineConfig config)
       vcek_cache_(kCacheCapacity) {}
 
 unsigned SessionEngine::workers() const {
-  return config_.workers == 0 ? common::ThreadPool::default_thread_count()
-                              : config_.workers;
+  return std::max(config_.workers, 1u);
 }
 
 namespace {
@@ -443,22 +442,15 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       }
       for (const std::size_t slot : kds_slots) run_stage(slot);
     };
-    const std::size_t task_count =
-        groups.size() + (batch_slots.empty() ? 0 : 1);
-    if (pool.width() <= 1 || task_count <= 1) {
-      if (!batch_slots.empty()) run_batch();
-      for (const auto& g : groups) {
-        for (const std::size_t slot : g) run_stage(slot);
+    // The batch, when there is one, is task 0: one lane runs it first.
+    const std::size_t batch_tasks = batch_slots.empty() ? 0 : 1;
+    pool.for_tasks(batch_tasks + groups.size(), [&](std::size_t t) {
+      if (t < batch_tasks) {
+        run_batch();
+      } else {
+        for (const std::size_t slot : groups[t - batch_tasks]) run_stage(slot);
       }
-    } else {
-      pool.for_tasks(task_count, [&](std::size_t gi) {
-        if (gi < groups.size()) {
-          for (const std::size_t slot : groups[gi]) run_stage(slot);
-        } else {
-          run_batch();
-        }
-      });
-    }
+    });
     if (!batch_slots.empty()) {
       ++report.batch_calls;
       report.max_stage_batch =

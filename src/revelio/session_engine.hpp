@@ -89,8 +89,8 @@ const char* to_string(SessionState state);
 using revelio::to_string;
 
 struct SessionEngineConfig {
-  /// Worker lanes (0 = ThreadPool::default_thread_count()).
-  unsigned workers = 0;
+  /// Worker lanes, the calling thread included (0 runs as 1).
+  unsigned workers = 1;
   /// Per-session flight recorder (obs/flight_recorder.hpp). Every session
   /// continuously records its last 32 engine events in a fixed ring; only
   /// anomalous sessions (failed, shed, or in the p99 virtual-latency tail)

@@ -13,7 +13,7 @@ namespace revelio::storage {
 namespace {
 
 // verify_all's digest chunk: 512 x 32 B = 16 KiB on the stack, and 2 MiB
-// of 4 KiB blocks per pool fan-out.
+// of 4 KiB blocks per compare pass.
 constexpr std::size_t kVerifyChunkLeaves = 512;
 
 Error block_mismatch(std::uint64_t index) {
@@ -32,8 +32,7 @@ Result<VerityMetadata> Verity::format(BlockDevice& data_dev,
                        "data device block size differs from verity config");
   }
   // The leaves are hashed in place from one read-only view of the whole
-  // device (taken here, on the calling thread; the hashing fans out over
-  // the pool).
+  // device, on the calling thread.
   auto bytes = data_dev.map_blocks(0, data_dev.block_count());
   if (!bytes.ok()) return bytes.error();
   const auto tree =

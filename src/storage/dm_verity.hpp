@@ -17,8 +17,8 @@
 // hash blocks lazily; this device holds the whole proven tree from open
 // on.) `verify_all` is O(n) leaf hashes compared against that leaf level
 // chunk by chunk. It hashes the data device in place: one read-only
-// `map_blocks` view, taken on the calling thread, split over the pool,
-// with full-size leaves hashed two at a time (Sha256::finish_2x). `format`
+// `map_blocks` view, hashed on the calling thread with full-size leaves
+// two at a time (Sha256::finish_2x). `format`
 // sweeps the same way and `open` parses the tree from a view of the hash
 // device, so both devices must be mappable (a MemDisk or a slice of one);
 // anything else fails with blockdev.not_mappable.
@@ -89,7 +89,7 @@ class VerityDevice final : public BlockDevice {
 
   /// Verifies every block — the boot-time "dm-verity verify" service whose
   /// latency dominates Table 1. O(n) leaf hashes of the data device's
-  /// bytes in place, hashed in parallel a fixed-size chunk at a time and
+  /// bytes in place, hashed a fixed-size chunk at a time and
   /// compared against the leaf level `open` authenticated; fails with
   /// verity.block_mismatch naming the lowest mismatching block. Success
   /// opens `leaf_digests`.

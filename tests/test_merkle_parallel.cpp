@@ -1,19 +1,21 @@
-// Tier-2 equivalence suite: the pool-parallel Merkle build must be
-// bit-identical to a sequential build for every tree shape. The reference
-// implementation below is deliberately independent of common/parallel.hpp.
-// Run with REVELIO_THREADS > 1 (ctest sets 4) so the parallel path is
-// actually exercised even on single-core machines.
+// Merkle equivalence suite: MerkleTree must match a plain reference build,
+// level by level, for every tree shape, and deserialize must recompute and
+// reject a tree whose stored inner nodes do not match their children. The
+// reference below is written without MerkleTree's own level loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/sha2.hpp"
 
 namespace revelio::crypto {
 namespace {
 
-/// Plain sequential build: one level at a time, one node at a time.
+/// Plain reference build: one level at a time, one node at a time.
 std::vector<std::vector<Digest32>> reference_levels(
     std::vector<Digest32> leaves) {
   std::vector<std::vector<Digest32>> levels;
@@ -36,18 +38,31 @@ std::vector<Digest32> make_leaves(std::size_t n) {
   std::vector<Digest32> leaves;
   leaves.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Bytes seed(8);
-    for (int b = 0; b < 8; ++b) {
-      seed[b] = static_cast<std::uint8_t>(i >> (8 * b));
-    }
+    Bytes seed;
+    append_u64be(seed, i);
     leaves.push_back(sha256(seed));
   }
   return leaves;
 }
 
-TEST(MerkleParallel, MatchesSequentialReferenceAcrossShapes) {
-  // Empty, single leaf, powers of two, odd counts, and counts straddling
-  // the parallel grain sizes (64 leaves / 512 inner nodes per chunk).
+void expect_levels(const MerkleTree& tree,
+                   const std::vector<std::vector<Digest32>>& ref,
+                   std::size_t n) {
+  ASSERT_EQ(tree.level_count(), ref.size()) << "n=" << n;
+  for (std::size_t l = 0; l < ref.size(); ++l) {
+    ASSERT_EQ(tree.level(l).size(), ref[l].size()) << "n=" << n;
+    for (std::size_t i = 0; i < ref[l].size(); ++i) {
+      ASSERT_EQ(tree.level(l)[i], ref[l][i])
+          << "n=" << n << " level=" << l << " node=" << i;
+    }
+  }
+  ASSERT_EQ(tree.root(), ref.back()[0]) << "n=" << n;
+}
+
+TEST(Merkle, MatchesSequentialReferenceAcrossShapes) {
+  // Empty, single leaf, powers of two, odd counts and their neighbours;
+  // every level of the built tree, and of its serialize/deserialize round
+  // trip, must equal the reference's.
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
         std::size_t{5}, std::size_t{8}, std::size_t{9}, std::size_t{63},
@@ -56,26 +71,21 @@ TEST(MerkleParallel, MatchesSequentialReferenceAcrossShapes) {
         std::size_t{1500}}) {
     const auto leaves = make_leaves(n);
     const auto tree = MerkleTree::from_leaves(leaves);
-    const auto ref = reference_levels(leaves);
     ASSERT_EQ(tree.leaf_count(), n);
     if (n == 0) {
       EXPECT_EQ(tree.level_count(), 0u);
-      EXPECT_TRUE(tree.root() == MerkleTree::hash_leaf({}));
+      EXPECT_EQ(tree.root(), MerkleTree::hash_leaf({}));
       continue;
     }
-    ASSERT_EQ(tree.level_count(), ref.size()) << "n=" << n;
-    for (std::size_t l = 0; l < ref.size(); ++l) {
-      ASSERT_EQ(tree.level(l).size(), ref[l].size()) << "n=" << n;
-      for (std::size_t i = 0; i < ref[l].size(); ++i) {
-        ASSERT_TRUE(tree.level(l)[i] == ref[l][i])
-            << "n=" << n << " level=" << l << " node=" << i;
-      }
-    }
-    ASSERT_TRUE(tree.root() == ref.back()[0]) << "n=" << n;
+    const auto ref = reference_levels(leaves);
+    expect_levels(tree, ref, n);
+    const auto back = MerkleTree::deserialize(tree.serialize());
+    ASSERT_TRUE(back.ok()) << "n=" << n;
+    expect_levels(*back, ref, n);
   }
 }
 
-TEST(MerkleParallel, FromBlocksMatchesManualLeafHashing) {
+TEST(Merkle, FromBlocksMatchesManualLeafHashing) {
   // 37 blocks of 256 bytes plus a short 100-byte tail (zero-padded).
   Bytes data(37 * 256 + 100);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -91,23 +101,18 @@ TEST(MerkleParallel, FromBlocksMatchesManualLeafHashing) {
                 block.begin());
     leaves.push_back(MerkleTree::hash_leaf(block));
   }
-  const auto expect = MerkleTree::from_leaves(std::move(leaves));
-  EXPECT_TRUE(tree.root() == expect.root());
+  EXPECT_EQ(tree.root(), MerkleTree::from_leaves(leaves).root());
   EXPECT_EQ(tree.leaf_count(), 38u);
 }
 
-TEST(MerkleParallel, DeserializeRecomputeAcceptsAndRejectsUnderParallelism) {
-  // Big enough that the parallel recompute sweep actually chunks.
+TEST(Merkle, DeserializeRejectsFlippedInnerNode) {
   const auto tree = MerkleTree::from_leaves(make_leaves(1500));
   Bytes blob = tree.serialize();
-  const auto ok = MerkleTree::deserialize(blob);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(ok->root() == tree.root());
-
-  // Flip one byte of one inner node: whichever chunk inspects it must
-  // propagate the mismatch through the shared flag.
+  ASSERT_TRUE(MerkleTree::deserialize(blob).ok());
   blob[16 + 8 + 1500 * 32 + 8 + 5 * 32 + 3] ^= 0x20;  // level 1, node 5
-  EXPECT_FALSE(MerkleTree::deserialize(blob).ok());
+  const auto result = MerkleTree::deserialize(blob);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, "merkle.inconsistent");
 }
 
 }  // namespace

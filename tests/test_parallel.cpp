@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -13,91 +13,21 @@
 namespace revelio::common {
 namespace {
 
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000},
-                              std::size_t{4097}}) {
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(
-        n,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-          }
-        },
-        1);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " index " << i;
+TEST(ThreadPool, RunsEveryIndexExactlyOnceAtAnyWidth) {
+  for (const unsigned lanes : {1u, 2u, 4u, 9u}) {
+    ThreadPool pool(lanes);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{64}, std::size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.for_tasks(n, [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "lanes=" << lanes << " n=" << n << " index " << i;
+      }
     }
   }
-}
-
-TEST(ThreadPool, ResultsIdenticalAcrossWidths) {
-  const std::size_t n = 10000;
-  const auto fill = [n](ThreadPool& pool) {
-    std::vector<std::uint64_t> out(n);
-    pool.parallel_for(
-        n,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            // Cheap per-slot mixing; any pure function of i works.
-            std::uint64_t v = (i + 1) * 0x9e3779b97f4a7c15ULL;
-            v ^= v >> 29;
-            out[i] = v;
-          }
-        },
-        64);
-    return out;
-  };
-  ThreadPool one(1);
-  ThreadPool four(4);
-  ThreadPool nine(9);
-  const auto reference = fill(one);
-  EXPECT_EQ(fill(four), reference);
-  EXPECT_EQ(fill(nine), reference);
-}
-
-TEST(ThreadPool, ChunkLayoutIsStaticAcrossRuns) {
-  ThreadPool pool(5);
-  const auto layout = [&pool] {
-    std::mutex mu;
-    std::vector<std::pair<std::size_t, std::size_t>> chunks;
-    pool.parallel_for(
-        997,
-        [&](std::size_t begin, std::size_t end) {
-          std::lock_guard<std::mutex> lock(mu);
-          chunks.emplace_back(begin, end);
-        },
-        10);
-    std::sort(chunks.begin(), chunks.end());
-    return chunks;
-  };
-  const auto first = layout();
-  // The partition must be a function of (n, grain, width) only — identical
-  // on every run regardless of which lane claims which chunk.
-  EXPECT_EQ(layout(), first);
-  EXPECT_EQ(layout(), first);
-  // And it must tile [0, n) without gaps or overlap.
-  std::size_t expect_begin = 0;
-  for (const auto& [begin, end] : first) {
-    EXPECT_EQ(begin, expect_begin);
-    EXPECT_LT(begin, end);
-    expect_begin = end;
-  }
-  EXPECT_EQ(expect_begin, 997u);
-}
-
-TEST(ThreadPool, SmallLoopsRunInlineOnCaller) {
-  ThreadPool pool(4);
-  const auto self = std::this_thread::get_id();
-  // n < 2 * min_grain must not be shipped to workers at all.
-  pool.parallel_for(
-      3,
-      [&](std::size_t, std::size_t) {
-        EXPECT_EQ(std::this_thread::get_id(), self);
-      },
-      2);
 }
 
 TEST(ThreadPool, WidthCountsCallerAsALane) {
@@ -107,31 +37,79 @@ TEST(ThreadPool, WidthCountsCallerAsALane) {
   EXPECT_EQ(three.width(), 3u);
 }
 
-TEST(ThreadPool, ReusableAcrossManyJobs) {
-  // Regression guard for generation handling: back-to-back jobs on one pool
-  // must not leak chunks between jobs or deadlock the join.
+TEST(ThreadPool, ReusableAcrossManyRuns) {
+  // Regression guard for generation handling: back-to-back runs on one
+  // pool must not leak indices between runs or deadlock the join.
   ThreadPool pool(3);
   std::atomic<std::uint64_t> total{0};
   for (int round = 0; round < 200; ++round) {
-    pool.parallel_for(
-        100,
-        [&](std::size_t begin, std::size_t end) {
-          total.fetch_add(end - begin, std::memory_order_relaxed);
-        },
-        4);
+    pool.for_tasks(100, [&](std::size_t i) {
+      total.fetch_add(i + 1, std::memory_order_relaxed);
+    });
   }
-  EXPECT_EQ(total.load(), 200u * 100u);
+  EXPECT_EQ(total.load(), 200u * (100u * 101u / 2));
 }
 
-TEST(ThreadPool, GlobalPoolWorks) {
-  std::vector<std::uint64_t> out(512);
-  parallel_for(
-      out.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) out[i] = i;
-      },
-      16);
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i);
+TEST(ThreadPool, TaskMayBlockOnAMutexHeldByAnotherRunningTask) {
+  // Two lanes, two tasks: each lane holds one task at a time, so both are
+  // running at once. Task 0 takes the mutex and keeps it until task 1 is
+  // about to lock it; task 1 then blocks until task 0 lets go.
+  ThreadPool pool(2);
+  std::mutex held;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool taken = false;
+  bool waiting = false;
+  bool timed_out = false;
+  std::vector<int> order;
+  pool.for_tasks(2, [&](std::size_t i) {
+    if (i == 0) {
+      std::lock_guard<std::mutex> hold(held);
+      std::unique_lock<std::mutex> lock(mu);
+      taken = true;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return waiting; })) {
+        timed_out = true;
+      }
+      order.push_back(0);
+    } else {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!cv.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return taken; })) {
+          timed_out = true;
+        }
+        waiting = true;
+        cv.notify_all();
+      }
+      std::lock_guard<std::mutex> hold(held);
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(1);
+    }
+  });
+  EXPECT_FALSE(timed_out) << "the two tasks never ran at the same time";
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(ThreadPool, NestedCallRunsInlineInIndexOrder) {
+  ThreadPool pool(4);
+  std::vector<std::vector<std::size_t>> inner_order(4);
+  // Not vector<bool>: its packed bits would make per-index writes race.
+  std::vector<char> same_thread(4, 1);
+  pool.for_tasks(4, [&](std::size_t outer) {
+    const auto self = std::this_thread::get_id();
+    pool.for_tasks(16, [&](std::size_t inner) {
+      if (std::this_thread::get_id() != self) same_thread[outer] = 0;
+      inner_order[outer].push_back(inner);
+    });
+  });
+  std::vector<std::size_t> expect(16);
+  for (std::size_t i = 0; i < expect.size(); ++i) expect[i] = i;
+  for (std::size_t outer = 0; outer < 4; ++outer) {
+    EXPECT_TRUE(same_thread[outer]) << "outer task " << outer;
+    EXPECT_EQ(inner_order[outer], expect) << "outer task " << outer;
+  }
 }
 
 }  // namespace

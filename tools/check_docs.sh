@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation checker (ctest label `docs`).
 #
-# Six guarantees:
+# Seven guarantees:
 #   1. Every intra-repo markdown link in the maintained docs (README.md,
 #      DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md, docs/**) points
 #      at a file that exists. External links (http/https/mailto) and pure
@@ -33,6 +33,9 @@
 #      command); a `:line` suffix is stripped; `{a,b}` lists expand to
 #      one path each; `*` and a `<placeholder>` are globs that must match
 #      something; and a bare binary name passes when `<name>.cpp` exists.
+#   7. Every REVELIO_* environment variable README.md, DESIGN.md or
+#      docs/** names is read by a `getenv("REVELIO_...")` under src/, so
+#      the docs cannot keep citing a deleted knob.
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's repo)
 set -euo pipefail
@@ -243,6 +246,27 @@ for path in metric_docs:
                     failures.append(f"{rel}: cited path `{candidate}` "
                                     "does not exist")
 print(f"repo paths: {path_citations} citations checked")
+
+# --- 7. cited environment variables are read in src/ ------------------------
+read_vars = set()
+for dirpath, _, names in os.walk(os.path.join(root, "src")):
+    for n in names:
+        if n.endswith((".cpp", ".hpp", ".h", ".cc")):
+            with open(os.path.join(dirpath, n)) as f:
+                read_vars.update(re.findall(
+                    r'getenv\(\s*"(REVELIO_[A-Z0-9_]+)"', f.read()))
+cited_vars = set()
+for path in metric_docs:
+    rel = os.path.relpath(path, root)
+    with open(path) as f:
+        for var in sorted(set(re.findall(r"\bREVELIO_[A-Z0-9_]+",
+                                         f.read()))):
+            cited_vars.add(var)
+            if var not in read_vars:
+                failures.append(f"{rel}: environment variable {var} is not "
+                                "read by a getenv under src/")
+print(f"environment variables: {len(cited_vars)} cited, "
+      f"{len(read_vars)} read in src/")
 
 if failures:
     print("documentation check failure(s):", file=sys.stderr)
