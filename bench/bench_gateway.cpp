@@ -35,9 +35,8 @@
 //    batch_verify_speedup.
 //
 // Virtual-clock numbers are deterministic and gated by run_benches.sh
-// against bench/BENCH_gateway.baseline.json (chaos levels excepted: the
-// fault plan keys on absolute virtual time, which inherits real boot
-// timing). Real elapsed time is reported but never gated.
+// against bench/BENCH_gateway.baseline.json. Real elapsed time is
+// reported but never gated.
 //
 // PR 7 additions: a "recorder" level re-runs the largest quick-safe
 // synthetic level with every session carrying a flight-recorder ring

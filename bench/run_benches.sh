@@ -35,14 +35,13 @@
 # the 100k-session level, bytes/parked-session flat (100k within 15% of
 # 1k), bit-identical transcript digests on the replayed synthetic levels,
 # and virtual makespan/latency percentiles within 25% of
-# bench/BENCH_gateway.baseline.json (chaos levels excepted: their fault
-# draws key on absolute virtual time, which inherits real boot timing).
+# bench/BENCH_gateway.baseline.json, the chaos level included.
 # A missing or malformed gateway baseline fails the run with a clear
 # message — regenerate it by copying a trusted BENCH_gateway.json over
 # bench/BENCH_gateway.baseline.json.
 #
 # PR 7 gates on top of the gateway bench: per-stage wait/service p99s are
-# diffed against the baseline (25%, non-chaos levels), the flight-recorder
+# diffed against the baseline (25%, every level), the flight-recorder
 # level's virtual-time overhead must stay <= 1.05x its recorder-off twin,
 # and the chaos level's audit chain (AUDIT_gateway.bin) must verify with
 # tools/audit_verify — and *stop* verifying after a single flipped byte.
@@ -73,6 +72,10 @@
 #
 # Each binary is run with --benchmark_out so the JSON stays clean even for
 # benches that print their own human-readable tables to stdout.
+#
+# The crypto, storage, attestation and gateway sections run one after
+# another even when an earlier one fails; the exit status is non-zero if
+# any section failed, and the last lines name each failed section.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -87,6 +90,25 @@ out_json="$repo_root/BENCH_crypto.json"
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
 
+# Each section runs in its own errexit subshell, so a failing bench or
+# gate fails that section and the next one still runs. The script exits
+# non-zero at the end, naming every failed section.
+failed_sections=()
+run_section() {
+  local name="$1"
+  shift
+  set +e
+  (set -e; "$@")
+  local rc=$?
+  set -e
+  if [ "$rc" -ne 0 ]; then
+    echo "section $name failed (exit $rc); continuing" >&2
+    failed_sections+=("$name")
+  fi
+}
+
+# --- crypto primitives + batch ratio gate ---------------------------------
+crypto_section() {
 for bench in "${benches[@]}"; do
   bin="$build_dir/bench/$bench"
   if [ ! -x "$bin" ]; then
@@ -184,8 +206,10 @@ if failures:
     sys.exit(1)
 print("crypto batch gates green", file=sys.stderr)
 PY
+}
 
 # --- storage fast path + regression gate ----------------------------------
+storage_section() {
 storage_bin="$build_dir/bench/bench_storage"
 storage_json="$repo_root/BENCH_storage.json"
 storage_baseline="$repo_root/bench/BENCH_storage.baseline.json"
@@ -260,8 +284,10 @@ PY
 else
   echo "note: $storage_bin not built; skipping storage fast-path benches" >&2
 fi
+}
 
 # --- per-stage attestation breakdown + regression gate --------------------
+attestation_section() {
 stages_bin="$build_dir/bench/bench_client_attestation"
 stages_json="$repo_root/BENCH_attestation.json"
 baseline_json="$repo_root/bench/BENCH_attestation.baseline.json"
@@ -335,8 +361,10 @@ PY
 else
   echo "note: $stages_bin not built; skipping attestation stage breakdown" >&2
 fi
+}
 
 # --- gateway load scaling + regression gate -------------------------------
+gateway_section() {
 gateway_bin="$build_dir/bench/bench_gateway"
 gateway_json="$repo_root/BENCH_gateway.json"
 gateway_baseline="$repo_root/bench/BENCH_gateway.baseline.json"
@@ -570,8 +598,6 @@ except json.JSONDecodeError as e:
 
 base_levels = {key(l): l for l in baseline.get("levels", [])}
 for level in current.get("levels", []):
-    if level["mode"] == "chaos":
-        continue  # absolute-time-keyed fault draws; not reproducible
     base = base_levels.get(key(level))
     if base is None:
         print(f"  {key(level):26s} (no baseline entry)", file=sys.stderr)
@@ -663,3 +689,15 @@ PY
 else
   echo "note: $gateway_bin not built; skipping gateway load bench" >&2
 fi
+}
+
+run_section crypto crypto_section
+run_section storage storage_section
+run_section attestation attestation_section
+run_section gateway gateway_section
+
+if [ "${#failed_sections[@]}" -gt 0 ]; then
+  echo "run_benches: failed section(s): ${failed_sections[*]}" >&2
+  exit 1
+fi
+echo "run_benches: every section passed" >&2

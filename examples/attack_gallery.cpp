@@ -15,8 +15,8 @@
 //             reflection, truncation, bit-flips, type confusion)
 //   scene 9 — fleet lifecycle: a node on a revoked chip asks the SP node
 //             for a certificate and the leader for the fleet's TLS key
-//   scene 10 — 6.1.2: the host swaps a service binary, under both RTMR0
-//              event forms (verity leaf digests, raw content hash)
+//   scene 10 — 6.1.2: the host swaps a service binary on a verity rootfs;
+//              a raw rootfs gets no published measurement to match
 //
 // Each scene also asserts on the *observability* signal the attack leaves
 // behind — the specific failed-verification counter or span attribute —
@@ -31,6 +31,7 @@
 #include "imagebuild/builder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "revelio/auditor.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
 #include "revelio/sp_node.hpp"
@@ -632,38 +633,32 @@ int main() {
   scene(10, "6.1.2 — swap a service binary (verity and raw mounts)");
   {
     // The host boots the genuine kernel, initrd and cmdline from a disk
-    // whose service binary it replaced. On a verity rootfs, RTMR0 records
-    // the binary's verity leaves, not its bytes; the leaves are only
-    // trusted because the tree must match the cmdline root, so the swap
-    // has to fail there. On a raw rootfs, RTMR0 hashes the content, so
-    // the swap shows as a replay mismatch.
-    const Bytes evil_binary = to_bytes(std::string_view("service-evil"));
+    // whose service binary it replaced. On a verity rootfs every byte is
+    // pinned by the tree root in the measured cmdline, so the boot fails
+    // at open. A raw rootfs pins nothing after launch (the paper has no
+    // runtime monitoring, §3.4.2), so the Auditor refuses to publish a
+    // measurement for it: no relying party accepts that image, swapped
+    // or not.
+    imagebuild::BuildInputs swapped_inputs = inputs;
+    swapped_inputs.service_files["/opt/service/app"] =
+        to_bytes(std::string_view("service-evil"));
+    const auto swapped = *builder.build(swapped_inputs);
     sevsnp::AmdSp sp(to_bytes(std::string_view("scene10")),
                      sevsnp::TcbVersion{2, 0, 8, 115});
     vm::Hypervisor hypervisor(sp, clock);
-    using Rtmr0 = Result<sevsnp::Measurement>;
-    const auto boot_with = [&](const imagebuild::VmImage& genuine,
-                               const imagebuild::VmImage& disk_from) -> Rtmr0 {
-      sp.launch_reset();
-      vm::LaunchConfig config;
-      config.kernel_blob = genuine.kernel_blob;
-      config.initrd_blob = genuine.initrd_blob;
-      config.cmdline = genuine.cmdline;
-      config.disk = disk_from.instantiate_disk();
+    vm::LaunchConfig config;
+    config.kernel_blob = image.kernel_blob;
+    config.initrd_blob = image.initrd_blob;
+    config.cmdline = image.cmdline;
+    config.disk = swapped.instantiate_disk();
+    const auto root0 = counter("storage.verity_open.fail.count",
+                               {{"reason", "verity.root_mismatch"}});
+    const Status verity_boot = [&]() -> Status {
       auto guest = hypervisor.launch(config);
       if (!guest.ok()) return guest.error();
       if (auto booted = (*guest)->boot(); !booted.ok()) return booted.error();
-      auto report = sp.get_report({});
-      if (!report.ok()) return report.error();
-      return report->rtmrs[0];
-    };
-
-    imagebuild::BuildInputs swapped_inputs = inputs;
-    swapped_inputs.service_files["/opt/service/app"] = evil_binary;
-    const auto swapped = *builder.build(swapped_inputs);
-    const auto root0 = counter("storage.verity_open.fail.count",
-                               {{"reason", "verity.root_mismatch"}});
-    const auto verity_boot = boot_with(image, swapped);
+      return Status::success();
+    }();
     std::printf("    verity mount, swapped disk: %s\n",
                 verity_boot.ok() ? "booted (?)"
                                  : verity_boot.error().to_string().c_str());
@@ -674,24 +669,29 @@ int main() {
 
     imagebuild::BuildInputs raw_inputs = inputs;
     raw_inputs.initrd.setup_verity = false;
+    core::Auditor auditor(registry);
+    core::TrustedRegistry trusted;
+    const auto published = auditor.audit_and_publish(raw_inputs, "svc", trusted);
+    const bool refused = !published.ok() &&
+                         published.error().code == "auditor.rejected" &&
+                         published.error().detail.find("dm-verity") !=
+                             std::string::npos;
+    std::printf("    auditor, raw-rootfs inputs: %s\n",
+                published.ok() ? "PUBLISHED (?)"
+                               : published.error().to_string().c_str());
+    // Nothing was published, so a verifier meets the raw image's launch
+    // measurement as unknown.
     const auto raw = *builder.build(raw_inputs);
-    raw_inputs.service_files["/opt/service/app"] = evil_binary;
-    const auto raw_swapped = *builder.build(raw_inputs);
-    // The verifier's golden RTMR0: the image's one service, replayed.
-    const auto golden = sevsnp::replay_rtmr(std::vector<sevsnp::Measurement>{
-        vm::service_content_event("app",
-                                  inputs.service_files.at("/opt/service/app"))});
-    const auto honest_rtmr0 = boot_with(raw, raw);
-    const auto swapped_rtmr0 = boot_with(raw, raw_swapped);
-    const bool honest_matches = honest_rtmr0.ok() && *honest_rtmr0 == golden;
-    const bool swap_detected = swapped_rtmr0.ok() && !(*swapped_rtmr0 == golden);
-    std::printf("    raw mount, genuine disk: RTMR0 %s the golden replay\n",
-                honest_matches ? "equals" : "DIFFERS FROM (?)");
-    std::printf("    raw mount, swapped disk: RTMR0 %s the golden replay\n",
-                swap_detected ? "differs from" : "EQUALS (?)");
-    if (!honest_matches || !swap_detected) ++g_metric_failures;
-    verdict(!verity_boot.ok() && swap_detected,
-            "verity root on the measured cmdline; content hash in RTMR0");
+    const auto unknown0 =
+        counter("registry.lookup.count", {{"result", "unknown"}});
+    const bool raw_ok = trusted.is_acceptable(
+        "svc", vm::Hypervisor::expected_measurement(
+                   raw.kernel_blob, raw.initrd_blob, raw.cmdline));
+    expect_delta("registry.lookup.count{result=unknown}", unknown0,
+                 counter("registry.lookup.count", {{"result", "unknown"}}),
+                 1);
+    verdict(!verity_boot.ok() && refused && !raw_ok,
+            "verity root on the measured cmdline; Auditor's dm-verity lint");
   }
 
   if (g_metric_failures > 0) {

@@ -73,7 +73,6 @@ class LogBuffer {
     return {lines_.begin(), lines_.end()};
   }
   bool contains(std::string_view needle) const;
-  void clear_lines() { lines_.clear(); }
 
  private:
   std::size_t capacity_;

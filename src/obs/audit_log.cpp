@@ -217,10 +217,7 @@ AuditLog::AuditLog(std::size_t checkpoint_interval)
 
 void AuditLog::emit_locked(std::uint8_t frame_type, ByteView body) {
   if (!sink_) return;
-  if (auto st = sink_(frame_type, body); !st.ok()) {
-    ++sink_failures_;
-    last_sink_error_ = st.error().to_string();
-  }
+  if (auto st = sink_(frame_type, body); !st.ok()) ++sink_failures_;
 }
 
 void AuditLog::append(const AuditRecord& record) {
@@ -259,11 +256,6 @@ void AuditLog::set_sink(FrameSink sink) {
 std::uint64_t AuditLog::sink_failures() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sink_failures_;
-}
-
-std::string AuditLog::last_sink_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_sink_error_;
 }
 
 std::uint64_t AuditLog::records() const {

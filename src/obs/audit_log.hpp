@@ -114,7 +114,6 @@ class AuditLog {
   using FrameSink = std::function<Status(std::uint8_t frame_type, ByteView body)>;
   void set_sink(FrameSink sink);
   std::uint64_t sink_failures() const;
-  std::string last_sink_error() const;
 
   struct VerifySummary {
     std::uint64_t records = 0;
@@ -186,7 +185,6 @@ class AuditLog {
   std::uint64_t accepted_ = 0;
   FrameSink sink_;
   std::uint64_t sink_failures_ = 0;
-  std::string last_sink_error_;
 };
 
 }  // namespace revelio::obs

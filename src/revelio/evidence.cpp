@@ -42,7 +42,8 @@ Result<EvidenceBundle> EvidenceBundle::parse(ByteView data) {
   off += report_len;
   const std::uint32_t payload_len = read_u32be(data, off);
   off += 4;
-  if (off + payload_len > data.size()) {
+  // Exact end: a bundle has one encoding, so trailing bytes are refused.
+  if (off + payload_len != data.size()) {
     return Error::make("revelio.bad_evidence_bundle");
   }
   bundle.payload = to_bytes(data.subspan(off, payload_len));

@@ -118,9 +118,6 @@ class WebExtension {
   WebExtension(Browser& browser, WebExtensionConfig config);
 
   void register_site(const std::string& domain, SiteRegistration site);
-  bool is_registered(const std::string& domain) const {
-    return sites_.count(domain) > 0;
-  }
 
   /// Opportunistic discovery (§5.3.2): probes the well-known URL; returns
   /// true if the site serves Revelio evidence (user would be prompted to

@@ -73,32 +73,6 @@ void AmdSp::launch_reset() {
   state_ = State::kIdle;
   guest_policy_ = 0;
   measurement_ = Measurement{};
-  rtmrs_.fill(Measurement{});
-}
-
-Status AmdSp::rtmr_extend(std::size_t index, const Measurement& event_digest) {
-  if (state_ != State::kRunning) {
-    return Error::make("snp.no_guest", "no measured guest is running");
-  }
-  if (index >= kRtmrCount) {
-    return Error::make("snp.bad_rtmr_index", std::to_string(index));
-  }
-  crypto::Sha384 h;
-  h.update(rtmrs_[index].view());
-  h.update(event_digest.view());
-  rtmrs_[index] = h.finish();
-  return Status::success();
-}
-
-Measurement replay_rtmr(std::span<const Measurement> event_digests) {
-  Measurement rtmr{};
-  for (const auto& digest : event_digests) {
-    crypto::Sha384 h;
-    h.update(rtmr.view());
-    h.update(digest.view());
-    rtmr = h.finish();
-  }
-  return rtmr;
 }
 
 Result<AttestationReport> AmdSp::get_report(
@@ -116,7 +90,6 @@ Result<AttestationReport> AmdSp::get_report(
   report.chip_id = chip_id_;
   report.reported_tcb = tcb_;
   report.vmpl = 0;
-  report.rtmrs = rtmrs_;
 
   const crypto::EcKeyPair vcek = vcek_for(tcb_);
   const auto hash = crypto::sha384(report.signed_body());

@@ -63,7 +63,6 @@ class AmdSp {
   /// Tears down the guest context (VM destroyed).
   void launch_reset();
 
-  bool guest_running() const { return state_ == State::kRunning; }
   std::optional<Measurement> measurement() const {
     if (state_ != State::kRunning) return std::nullopt;
     return measurement_;
@@ -80,13 +79,6 @@ class AmdSp {
   /// this platform can re-derive it.
   Result<Bytes> derive_key(const KeyDerivationPolicy& policy,
                            std::size_t length = 32) const;
-
-  /// Extends runtime measurement register `index` with an event digest:
-  /// rtmr' = SHA-384(rtmr || digest). The e-vTPM-style runtime-monitoring
-  /// extension (see kRtmrCount); subsequent reports carry the new values.
-  Status rtmr_extend(std::size_t index, const Measurement& event_digest);
-
-  const std::array<Measurement, kRtmrCount>& rtmrs() const { return rtmrs_; }
 
   // --- Monotonic counters (rollback defence) ---------------------------
   // Chip-resident NVRAM-style counter slots, bound to the running guest's
@@ -118,16 +110,10 @@ class AmdSp {
   std::uint64_t guest_policy_ = 0;
   crypto::Sha384 launch_digest_;
   Measurement measurement_;
-  std::array<Measurement, kRtmrCount> rtmrs_{};
   /// (measurement bytes, slot) -> value. Keyed by measurement so distinct
   /// images on one chip cannot read or bump each other's counters; kept
   /// across launch_reset — that persistence IS the rollback defence.
   std::map<std::pair<Bytes, std::size_t>, std::uint64_t> counters_;
 };
-
-/// Replays an ordered sequence of event digests into the RTMR value a
-/// correct AMD-SP would hold — what a verifier computes from a published
-/// event log before comparing against the report.
-Measurement replay_rtmr(std::span<const Measurement> event_digests);
 
 }  // namespace revelio::sevsnp

@@ -16,7 +16,6 @@ Bytes AttestationReport::signed_body() const {
   append(out, chip_id.view());
   append_u64be(out, reported_tcb.encode());
   append_u32be(out, vmpl);
-  for (const auto& rtmr : rtmrs) append(out, rtmr.view());
   return out;
 }
 
@@ -28,8 +27,7 @@ Bytes AttestationReport::serialize() const {
 }
 
 Result<AttestationReport> AttestationReport::parse(ByteView data) {
-  const std::size_t body_len =
-      kTag.size() + 4 + 8 + 48 + 64 + 64 + 8 + 4 + kRtmrCount * 48;
+  const std::size_t body_len = kTag.size() + 4 + 8 + 48 + 64 + 64 + 8 + 4;
   if (data.size() < body_len + 4) {
     return Error::make("snp.report_truncated");
   }
@@ -52,14 +50,14 @@ Result<AttestationReport> AttestationReport::parse(ByteView data) {
   off += 8;
   report.vmpl = read_u32be(data, off);
   off += 4;
-  for (auto& rtmr : report.rtmrs) {
-    rtmr = Measurement::from(data.subspan(off, 48));
-    off += 48;
-  }
   const std::uint32_t sig_len = read_u32be(data, off);
   off += 4;
   if (off + sig_len > data.size()) {
     return Error::make("snp.report_truncated", "signature");
+  }
+  if (off + sig_len < data.size()) {
+    // One report has one encoding: trailing bytes are refused, not ignored.
+    return Error::make("snp.report_trailing_bytes");
   }
   report.signature = to_bytes(data.subspan(off, sig_len));
   return report;

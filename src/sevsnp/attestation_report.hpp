@@ -46,12 +46,6 @@ using ChipId = FixedBytes<64>;
 using ReportData = FixedBytes<64>;
 using Measurement = crypto::Digest48;  // SHA-384 launch digest
 
-/// Number of runtime measurement registers. SEV-SNP itself has no RTMRs
-/// (TDX does); this models the e-vTPM extension the paper's related work
-/// points to (Narayanan et al.) for runtime monitoring: registers the
-/// guest extends after launch, reflected in every subsequent report.
-constexpr std::size_t kRtmrCount = 4;
-
 struct AttestationReport {
   std::uint32_t version = 2;
   std::uint64_t guest_policy = 0;
@@ -60,7 +54,6 @@ struct AttestationReport {
   ChipId chip_id;
   TcbVersion reported_tcb;
   std::uint32_t vmpl = 0;
-  std::array<Measurement, kRtmrCount> rtmrs;  // runtime measurements
   Bytes signature;  // ECDSA P-384 (r||s) by the VCEK
 
   /// Canonical serialization of the signed portion.

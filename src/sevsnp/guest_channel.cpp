@@ -8,7 +8,6 @@ namespace {
 
 constexpr std::uint8_t kMsgReportReq = 1;
 constexpr std::uint8_t kMsgKeyReq = 2;
-constexpr std::uint8_t kMsgRtmrExtend = 3;
 constexpr std::uint8_t kMsgCounterReq = 4;
 
 // Directions keep request and response nonce spaces disjoint.
@@ -102,17 +101,6 @@ Result<Bytes> GuestChannel::handle_request(ByteView plaintext) const {
       }
       return sp_->derive_key(policy, key_len);
     }
-    case kMsgRtmrExtend: {
-      if (body.size() != 1 + Measurement::size()) {
-        return Error::make("snp.bad_rtmr_request");
-      }
-      const std::size_t index = body[0];
-      const Measurement digest = Measurement::from(body.subspan(1));
-      if (auto st = sp_->rtmr_extend(index, digest); !st.ok()) {
-        return st.error();
-      }
-      return to_bytes(std::string_view("ok"));
-    }
     case kMsgCounterReq: {
       // Body: u8 slot index, u8 op (0 = read, 1 = increment). Anything
       // else — wrong size, unknown op — is rejected before touching the
@@ -166,17 +154,6 @@ Result<AttestationReport> GuestChannel::request_report(
   auto response = transact(request);
   if (!response.ok()) return response.error();
   return AttestationReport::parse(*response);
-}
-
-Status GuestChannel::extend_rtmr(std::size_t index,
-                                 const Measurement& event_digest) {
-  Bytes request;
-  append_u8(request, kMsgRtmrExtend);
-  append_u8(request, static_cast<std::uint8_t>(index));
-  append(request, event_digest.view());
-  auto response = transact(request);
-  if (!response.ok()) return response.error();
-  return Status::success();
 }
 
 Result<std::uint64_t> GuestChannel::request_counter(std::size_t index,

@@ -37,9 +37,6 @@ class GuestChannel {
   Result<Bytes> request_key(const KeyDerivationPolicy& policy,
                             std::size_t length = 32);
 
-  /// MSG_RTMR_EXTEND: extends a runtime measurement register.
-  Status extend_rtmr(std::size_t index, const Measurement& event_digest);
-
   /// MSG_COUNTER_REQ: reads (increment=false) or advances-and-returns
   /// (increment=true) one of the AMD-SP's measurement-bound monotonic
   /// counter slots — the guest's rollback-defence primitive.
@@ -52,8 +49,6 @@ class GuestChannel {
   /// Guest-side sealing of a plaintext request at the *current* sequence
   /// number, without advancing it — lets tests construct replays.
   Bytes seal_request(ByteView plaintext) const;
-
-  std::uint64_t guest_sequence() const { return guest_seq_; }
 
   /// Replaces the hypervisor shuttle (pass nullptr to restore the direct
   /// path). The shuttle is untrusted: it may drop or corrupt ciphertexts,

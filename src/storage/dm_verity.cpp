@@ -146,22 +146,6 @@ Status VerityDevice::read_block(std::uint64_t index,
   return st;
 }
 
-Result<std::span<const crypto::Digest32>> VerityDevice::leaf_digests(
-    std::uint64_t first, std::uint64_t count) const {
-  const std::uint64_t n = block_count();
-  if (first > n || count > n - first) {
-    return Error::make("verity.out_of_range",
-                       "leaves past the device end");
-  }
-  if (count == 0) return std::span<const crypto::Digest32>{};
-  if (!leaves_checked_) {
-    return Error::make("verity.unverified_leaf",
-                       "no verify_all has checked the data yet");
-  }
-  return std::span<const crypto::Digest32>(tree_.level(0))
-      .subspan(static_cast<std::size_t>(first), static_cast<std::size_t>(count));
-}
-
 Status VerityDevice::write_block(std::uint64_t, ByteView) {
   return Error::make("verity.read_only",
                      "dm-verity devices reject all writes");
@@ -203,7 +187,6 @@ Status VerityDevice::verify_all() {
     }
   }
 
-  leaves_checked_ = true;
   span.attr("result", "ok");
   return Status::success();
 }

@@ -91,26 +91,14 @@ class VerityDevice final : public BlockDevice {
   /// latency dominates Table 1. O(n) leaf hashes of the data device's
   /// bytes in place, hashed a fixed-size chunk at a time and
   /// compared against the leaf level `open` authenticated; fails with
-  /// verity.block_mismatch naming the lowest mismatching block. Success
-  /// opens `leaf_digests`.
+  /// verity.block_mismatch naming the lowest mismatching block.
   Status verify_all();
 
   const crypto::Digest32& root_hash() const { return tree_.root(); }
 
-  /// The tree's leaf digests of blocks [first, first + count), without
-  /// reading a data block. Fails closed: verity.out_of_range past the
-  /// device end, verity.unverified_leaf until a verify_all has succeeded
-  /// (a service is measured only from leaves whose data was checked). The
-  /// span lives as long as the device.
-  Result<std::span<const crypto::Digest32>> leaf_digests(
-      std::uint64_t first, std::uint64_t count) const;
-
  private:
   std::shared_ptr<BlockDevice> data_dev_;
   crypto::MerkleTree tree_;
-  // Set only by a successful verify_all: every block's data matched its
-  // leaf. Single-threaded, like all device I/O.
-  bool leaves_checked_ = false;
 };
 
 }  // namespace revelio::storage

@@ -139,17 +139,6 @@ Result<Bytes> MountedFs::read_file(const std::string& path) const {
                        static_cast<std::size_t>(it->second.size));
 }
 
-Result<MountedFs::Extent> MountedFs::extent(const std::string& path) const {
-  const auto it = dir_.find(path);
-  if (it == dir_.end()) return Error::make("imagefs.not_found", path);
-  const std::uint64_t bs = device_->block_size();
-  if (it->second.offset % bs != 0) {
-    return Error::make("imagefs.bad_extent", path);
-  }
-  return Extent{it->second.offset / bs, align_up(it->second.size, bs) / bs,
-                it->second.size};
-}
-
 bool MountedFs::exists(const std::string& path) const {
   return dir_.count(path) > 0;
 }

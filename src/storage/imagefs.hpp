@@ -70,16 +70,6 @@ class MountedFs {
 
   const std::map<std::string, DirEntry>& directory() const { return dir_; }
 
-  /// The device blocks that hold a file. File data starts block-aligned,
-  /// so a file fills `ceil(size / block_size)` blocks from
-  /// `offset / block_size`.
-  struct Extent {
-    std::uint64_t first_block = 0;
-    std::uint64_t block_count = 0;
-    std::uint64_t size = 0;  // bytes
-  };
-  Result<Extent> extent(const std::string& path) const;
-
  private:
   std::shared_ptr<BlockDevice> device_;
   std::map<std::string, DirEntry> dir_;

@@ -157,51 +157,6 @@ Status GuestVm::setup_crypt(BootReport& report) {
   return Status::success();
 }
 
-sevsnp::Measurement service_verity_event(
-    std::string_view name, std::string_view path, std::uint64_t size,
-    std::span<const crypto::Digest32> leaves) {
-  constexpr std::string_view kTag = "revelio.svc.verity.v1";
-  Bytes head;
-  for (const std::string_view field : {kTag, name, path}) {
-    append_u32be(head, static_cast<std::uint32_t>(field.size()));
-    append(head, field);
-  }
-  append_u64be(head, size);
-  crypto::Sha384 h;
-  h.update(head);
-  for (const auto& leaf : leaves) h.update(leaf.view());
-  return h.finish();
-}
-
-sevsnp::Measurement service_content_event(std::string_view name,
-                                          ByteView content) {
-  return crypto::sha384(concat(name, content));
-}
-
-namespace {
-
-/// The RTMR0 event of a started service, in the form its rootfs mount picks.
-/// On verity, verify_all has already proved every block against the cmdline
-/// root: the event takes the file's authenticated leaves and reads no data
-/// block. On a raw mount, the binary is read and hashed.
-Result<sevsnp::Measurement> service_event(const ServiceSpec& service,
-                                          const storage::MountedFs& rootfs,
-                                          const storage::VerityDevice* verity) {
-  if (verity == nullptr) {
-    auto binary = rootfs.read_file(service.binary_path);
-    if (!binary.ok()) return binary.error();
-    return service_content_event(service.name, *binary);
-  }
-  auto extent = rootfs.extent(service.binary_path);
-  if (!extent.ok()) return extent.error();
-  auto leaves = verity->leaf_digests(extent->first_block, extent->block_count);
-  if (!leaves.ok()) return leaves.error();
-  return service_verity_event(service.name, service.binary_path, extent->size,
-                              *leaves);
-}
-
-}  // namespace
-
 Status GuestVm::start_services(BootReport& report) {
   for (const auto& service : initrd_.services) {
     PhaseTimer timer(report, *clock_, "service:" + service.name);
@@ -209,33 +164,8 @@ Status GuestVm::start_services(BootReport& report) {
       return Error::make("vm.boot_failed",
                          "service binary missing: " + service.binary_path);
     }
-    // Runtime monitoring: measure each started service into RTMR0 so the
-    // report reflects what actually launched.
-    if (kernel_.sev_snp_enabled && !service.binary_path.empty()) {
-      auto digest = service_event(service, *rootfs_, verity_dev_.get());
-      if (!digest.ok()) return digest.error();
-      if (auto st = extend_runtime_measurement(0, "service:" + service.name,
-                                               *digest);
-          !st.ok()) {
-        return st;
-      }
-    }
     timer.charge_sim_ms(service.startup_ms);
   }
-  return Status::success();
-}
-
-Status GuestVm::extend_runtime_measurement(
-    std::size_t rtmr_index, const std::string& description,
-    const sevsnp::Measurement& event_digest) {
-  if (!channel_) {
-    return Error::make("vm.no_channel",
-                       "runtime measurement requires the SNP channel");
-  }
-  if (auto st = channel_->extend_rtmr(rtmr_index, event_digest); !st.ok()) {
-    return st;
-  }
-  event_log_.push_back(MeasurementEvent{rtmr_index, description, event_digest});
   return Status::success();
 }
 

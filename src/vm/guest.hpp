@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "common/sim_clock.hpp"
 #include "sevsnp/guest_channel.hpp"
@@ -29,35 +28,6 @@ struct BootPhase {
   double real_ms = 0.0;  // measured wall time of actual work done here
   double sim_ms = 0.0;   // charged to the simulated clock
 };
-
-/// One runtime-measurement event: what was extended into which RTMR. The
-/// guest publishes its event log; verifiers replay it (sevsnp::replay_rtmr)
-/// and compare against the RTMR values in the signed report.
-struct MeasurementEvent {
-  std::size_t rtmr_index = 0;
-  std::string description;       // e.g. "service:nginx"
-  sevsnp::Measurement digest;    // the event digest extended into the RTMR;
-                                 // a started service's is one of the two
-                                 // service_*_event forms below
-};
-
-/// RTMR0 event of a service whose binary lies on a dm-verity rootfs:
-/// SHA-384(tag ‖ name ‖ path ‖ u64be size ‖ leaf digests), the tag being
-/// "revelio.svc.verity.v1" and each string u32be-length-prefixed. The
-/// leaves are the file's blocks' entries in the verity tree, which boot
-/// authenticated against the root pinned in the measured cmdline, so they
-/// bind the content without re-reading it (the idea of Linux IMA's
-/// `digest_type=verity`). The guest and any verifier that recomputes the
-/// event from an image call this one function.
-sevsnp::Measurement service_verity_event(
-    std::string_view name, std::string_view path, std::uint64_t size,
-    std::span<const crypto::Digest32> leaves);
-
-/// RTMR0 event of a service on a raw (non-verity) rootfs:
-/// SHA-384(name ‖ content). There the content hash is the only evidence of
-/// what ran.
-sevsnp::Measurement service_content_event(std::string_view name,
-                                          ByteView content);
 
 struct BootReport {
   std::vector<BootPhase> phases;
@@ -104,20 +74,6 @@ class GuestVm {
   /// Firewall check applied to inbound connections (§5.1.3).
   bool inbound_allowed(std::uint16_t port) const;
 
-  /// Runtime-measurement event log (vTPM-style extension): every service
-  /// started after boot is measured into RTMR0 (service_verity_event on a
-  /// verity rootfs, service_content_event on a raw one); applications may
-  /// extend further events via extend_runtime_measurement.
-  const std::vector<MeasurementEvent>& event_log() const {
-    return event_log_;
-  }
-
-  /// Extends an event digest into an RTMR and records it in the log. The
-  /// only code that extends an RTMR.
-  Status extend_runtime_measurement(std::size_t rtmr_index,
-                                    const std::string& description,
-                                    const sevsnp::Measurement& event_digest);
-
  private:
   Status setup_verity(BootReport& report);
   Status setup_crypt(BootReport& report);
@@ -136,7 +92,6 @@ class GuestVm {
   std::shared_ptr<storage::VerityDevice> verity_dev_;
   std::optional<storage::MountedFs> rootfs_;
   std::shared_ptr<storage::BlockDevice> data_volume_;
-  std::vector<MeasurementEvent> event_log_;
 };
 
 }  // namespace revelio::vm

@@ -848,6 +848,30 @@ TEST(EvidenceBundle, BindAndRoundTrip) {
   EXPECT_FALSE(EvidenceBundle::parse(to_bytes(std::string_view("x"))).ok());
 }
 
+TEST(EvidenceBundle, ParseRequiresExactEnd) {
+  EvidenceBundle bundle;
+  bundle.payload = to_bytes(std::string_view("some public key"));
+  bundle.report.report_data = EvidenceBundle::bind(bundle.payload);
+  const Bytes wire = bundle.serialize();
+  ASSERT_TRUE(EvidenceBundle::parse(wire).ok());
+
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_FALSE(EvidenceBundle::parse(trailing).ok()) << "one trailing byte";
+
+  // The report slice padded to the length it had with four 48-byte
+  // runtime registers; its length prefix says so, so only the report
+  // parser can refuse it.
+  const Bytes report = bundle.report.serialize();
+  Bytes padded = to_bytes(std::string_view("REVB1"));
+  append_u32be(padded, static_cast<std::uint32_t>(report.size() + 4 * 48));
+  append(padded, report);
+  padded.resize(padded.size() + 4 * 48, 0);
+  append_u32be(padded, static_cast<std::uint32_t>(bundle.payload.size()));
+  append(padded, bundle.payload);
+  EXPECT_FALSE(EvidenceBundle::parse(padded).ok()) << "padded report";
+}
+
 // ------------------------------------------------------- verdict parity
 
 /// A fresh, identically seeded deployment: the standard fleet, plus an

@@ -1288,16 +1288,6 @@ TEST(StagedGatewayEndToEnd, SameSeedWorldsGiveBitIdenticalTranscripts) {
     net::FaultPlan plan(to_bytes(std::string_view("gw-staged-det-plan")));
     plan.set_default_profile(lossy);
     worlds[0]->network.set_fault_plan(std::move(plan));
-    // Pin the session-start instant. Boot charges measured wall time to
-    // the virtual clock (vm::PhaseTimer), and the fault plan keys its
-    // draws on absolute virtual time, so two runs replay identically only
-    // if their sessions begin at the same t0. Deploy finishes well inside
-    // one virtual minute; snapping up to the next minute boundary lands
-    // every run on exactly the same instant without rewinding past the
-    // certificates issued during provisioning.
-    constexpr SimClock::Micros kMinute = 60'000'000;
-    auto& clock = worlds[0]->clock;
-    clock.advance_us(kMinute - clock.now_us() % kMinute);
     return run_gateway_staged(engine, worlds, 6, 3).report;
   };
 

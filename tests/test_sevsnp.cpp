@@ -110,11 +110,40 @@ TEST_F(SnpFixture, ReportSerializationRoundTrip) {
   ASSERT_TRUE(report.ok());
   auto parsed = AttestationReport::parse(report->serialize());
   ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->version, report->version);
+  EXPECT_EQ(parsed->guest_policy, report->guest_policy);
   EXPECT_EQ(parsed->measurement, report->measurement);
   EXPECT_EQ(parsed->report_data, rd);
   EXPECT_EQ(parsed->chip_id, sp.chip_id());
   EXPECT_EQ(parsed->reported_tcb, sp.tcb());
+  EXPECT_EQ(parsed->vmpl, report->vmpl);
   EXPECT_EQ(parsed->signature, report->signature);
+  EXPECT_EQ(parsed->serialize(), report->serialize());
+}
+
+TEST_F(SnpFixture, ReportParseRequiresExactEnd) {
+  launch_guest();
+  auto report = sp.get_report({});
+  ASSERT_TRUE(report.ok());
+  const Bytes wire = report->serialize();
+  ASSERT_TRUE(AttestationReport::parse(wire).ok());
+
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  auto parsed = AttestationReport::parse(trailing);
+  ASSERT_FALSE(parsed.ok()) << "one trailing byte";
+  EXPECT_EQ(parsed.error().code, "snp.report_trailing_bytes");
+
+  // The length a report had while it carried four 48-byte runtime
+  // registers: zero padding after the signature...
+  Bytes padded = wire;
+  padded.resize(wire.size() + 4 * 48, 0);
+  EXPECT_FALSE(AttestationReport::parse(padded).ok()) << "padded after";
+  // ...or the registers where they sat, between VMPL and the signature.
+  Bytes old_layout = report->signed_body();
+  old_layout.resize(old_layout.size() + 4 * 48, 0);
+  append(old_layout, ByteView(wire).subspan(report->signed_body().size()));
+  EXPECT_FALSE(AttestationReport::parse(old_layout).ok()) << "old layout";
 }
 
 TEST(AttestationReport, ParseRejectsGarbage) {
@@ -145,21 +174,25 @@ TEST_F(SnpFixture, TamperedReportFieldsFailVerification) {
   auto vcek = kds.fetch_vcek(report->chip_id, report->reported_tcb);
   ASSERT_TRUE(vcek.ok());
 
-  AttestationReport tampered = *report;
-  tampered.measurement[0] ^= 1;
-  EXPECT_FALSE(verify_report(tampered, *vcek, kds.intermediates(),
-                             kds.trusted_roots(), {})
-                   .ok());
-  tampered = *report;
-  tampered.report_data[0] ^= 1;
-  EXPECT_FALSE(verify_report(tampered, *vcek, kds.intermediates(),
-                             kds.trusted_roots(), {})
-                   .ok());
-  tampered = *report;
-  tampered.guest_policy ^= 1;
-  EXPECT_FALSE(verify_report(tampered, *vcek, kds.intermediates(),
-                             kds.trusted_roots(), {})
-                   .ok());
+  // One flip in each signed field.
+  using Tamper = void (*)(AttestationReport&);
+  const Tamper tampers[] = {
+      [](AttestationReport& r) { r.version ^= 1; },
+      [](AttestationReport& r) { r.guest_policy ^= 1; },
+      [](AttestationReport& r) { r.measurement[0] ^= 1; },
+      [](AttestationReport& r) { r.report_data[0] ^= 1; },
+      [](AttestationReport& r) { r.chip_id[0] ^= 1; },
+      [](AttestationReport& r) { r.reported_tcb.microcode ^= 1; },
+      [](AttestationReport& r) { r.vmpl ^= 1; },
+  };
+  for (std::size_t i = 0; i < std::size(tampers); ++i) {
+    AttestationReport tampered = *report;
+    tampers[i](tampered);
+    EXPECT_FALSE(verify_report(tampered, *vcek, kds.intermediates(),
+                               kds.trusted_roots(), {})
+                     .ok())
+        << "field " << i;
+  }
 }
 
 TEST_F(SnpFixture, ReportSignedByOtherChipFails) {
@@ -286,79 +319,6 @@ TEST_F(SnpFixture, UnmeasuredPolicyIgnoresMeasurement) {
   launch_guest("image-b");
   auto k2 = sp.derive_key(policy);
   EXPECT_EQ(*k1, *k2);
-}
-
-// ----------------------------------------------------- Runtime RTMRs
-
-TEST_F(SnpFixture, RtmrExtendReflectsInReports) {
-  launch_guest();
-  auto before = sp.get_report({});
-  ASSERT_TRUE(before.ok());
-  const Measurement event = crypto::sha384(to_bytes(std::string_view("ev1")));
-  ASSERT_TRUE(sp.rtmr_extend(0, event).ok());
-  auto after = sp.get_report({});
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(before->measurement, after->measurement)
-      << "the launch measurement never changes";
-  EXPECT_FALSE(before->rtmrs[0] == after->rtmrs[0]);
-  EXPECT_EQ(before->rtmrs[1], after->rtmrs[1]) << "other RTMRs untouched";
-}
-
-TEST_F(SnpFixture, RtmrReplayMatchesHardwareValue) {
-  launch_guest();
-  std::vector<Measurement> events;
-  for (const char* name : {"service:a", "service:b", "config:v2"}) {
-    events.push_back(crypto::sha384(to_bytes(std::string_view(name))));
-    ASSERT_TRUE(sp.rtmr_extend(2, events.back()).ok());
-  }
-  auto report = sp.get_report({});
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->rtmrs[2], replay_rtmr(events));
-  // Replay is order-sensitive.
-  std::swap(events[0], events[1]);
-  EXPECT_FALSE(report->rtmrs[2] == replay_rtmr(events));
-}
-
-TEST_F(SnpFixture, RtmrGuardsIndexAndState) {
-  EXPECT_FALSE(sp.rtmr_extend(0, {}).ok()) << "no guest running";
-  launch_guest();
-  EXPECT_FALSE(sp.rtmr_extend(kRtmrCount, {}).ok()) << "index out of range";
-  sp.launch_reset();
-  launch_guest();
-  auto report = sp.get_report({});
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->rtmrs[0], Measurement{})
-      << "RTMRs reset with the guest context";
-}
-
-TEST_F(SnpFixture, RtmrsAreSigned) {
-  launch_guest();
-  ASSERT_TRUE(
-      sp.rtmr_extend(0, crypto::sha384(to_bytes(std::string_view("e")))).ok());
-  auto report = sp.get_report({});
-  ASSERT_TRUE(report.ok());
-  auto vcek = kds.fetch_vcek(report->chip_id, report->reported_tcb);
-  ASSERT_TRUE(vcek.ok());
-  ASSERT_TRUE(verify_report(*report, *vcek, kds.intermediates(),
-                            kds.trusted_roots(), {})
-                  .ok());
-  // Tampering an RTMR invalidates the signature.
-  AttestationReport tampered = *report;
-  tampered.rtmrs[0][0] ^= 1;
-  EXPECT_FALSE(verify_report(tampered, *vcek, kds.intermediates(),
-                             kds.trusted_roots(), {})
-                   .ok());
-}
-
-TEST_F(SnpFixture, ChannelRtmrExtendWorks) {
-  launch_guest();
-  auto channel = GuestChannel::open(sp);
-  ASSERT_TRUE(channel.ok());
-  const Measurement event =
-      crypto::sha384(to_bytes(std::string_view("channel-event")));
-  ASSERT_TRUE(channel->extend_rtmr(1, event).ok());
-  EXPECT_EQ(sp.rtmrs()[1], replay_rtmr(std::vector<Measurement>{event}));
-  EXPECT_FALSE(channel->extend_rtmr(99, event).ok());
 }
 
 // ------------------------------------------------------------- Channel

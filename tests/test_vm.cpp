@@ -507,104 +507,6 @@ TEST_F(LaunchFixture, BootChargesServiceStartupToSimClock) {
   EXPECT_GE(report->total_sim_ms(), 750.0);
 }
 
-TEST_F(LaunchFixture, BootMeasuresServicesIntoEventLog) {
-  const VmImage image = build_image(default_inputs());
-  auto guest = hypervisor.launch(config_for(image));
-  ASSERT_TRUE(guest.ok());
-  ASSERT_TRUE((*guest)->boot().ok());
-  const auto& log = (*guest)->event_log();
-  ASSERT_EQ(log.size(), 1u);  // one service in default_inputs
-  EXPECT_EQ(log[0].description, "service:app");
-  EXPECT_EQ(log[0].rtmr_index, 0u);
-
-  // A verifier recomputes the event from the image alone: the verity tree
-  // from the hash partition, the file's extent from the rootfs directory.
-  auto disk = image.instantiate_disk();
-  auto rootfs_part = storage::PartitionTable::open(disk, "rootfs");
-  auto hash_part = storage::PartitionTable::open(disk, "verity");
-  ASSERT_TRUE(rootfs_part.ok() && hash_part.ok());
-  auto header = (*hash_part)->read(0, 8);
-  ASSERT_TRUE(header.ok());
-  auto serialized = (*hash_part)->read(
-      4096, static_cast<std::size_t>(read_u64be(*header, 0)));
-  ASSERT_TRUE(serialized.ok());
-  auto tree = crypto::MerkleTree::deserialize(*serialized);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_EQ(tree->root(), image.verity_root);
-  auto raw_fs = storage::MountedFs::mount(*rootfs_part);
-  ASSERT_TRUE(raw_fs.ok());
-  auto extent = raw_fs->extent("/opt/service/app");
-  ASSERT_TRUE(extent.ok());
-  ASSERT_EQ(extent->block_count, 1u);
-  const std::span<const crypto::Digest32> leaves(
-      tree->level(0).data() + extent->first_block, extent->block_count);
-  // The leaf is the hash of the block the binary fills.
-  auto block = (*rootfs_part)->read(extent->first_block * 4096, 4096);
-  ASSERT_TRUE(block.ok());
-  EXPECT_EQ(leaves[0], crypto::MerkleTree::hash_leaf(*block));
-  EXPECT_EQ(log[0].digest,
-            service_verity_event("app", "/opt/service/app", extent->size,
-                                 leaves));
-
-  // Then replays the published log and compares with the RTMR in a fresh
-  // signed report.
-  std::vector<sevsnp::Measurement> digests;
-  for (const auto& event : log) digests.push_back(event.digest);
-  auto report = sp.get_report({});
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->rtmrs[0], sevsnp::replay_rtmr(digests));
-}
-
-TEST_F(LaunchFixture, TwoBootsOfOneImageGiveIdenticalRtmr0) {
-  const VmImage image = build_image(default_inputs());
-  const auto rtmr0_of_boot = [&](std::shared_ptr<storage::MemDisk> disk) {
-    sp.launch_reset();
-    LaunchConfig config = config_for(image);
-    config.disk = std::move(disk);
-    auto guest = hypervisor.launch(config);
-    EXPECT_TRUE(guest.ok());
-    EXPECT_TRUE(guest.ok() && (*guest)->boot().ok());
-    auto report = sp.get_report({});
-    EXPECT_TRUE(report.ok());
-    return report.ok() ? report->rtmrs[0] : sevsnp::Measurement{};
-  };
-  auto disk = image.instantiate_disk();
-  const auto first = rtmr0_of_boot(disk);
-  EXPECT_FALSE(first == sevsnp::Measurement{});
-  EXPECT_EQ(rtmr0_of_boot(disk), first) << "reboot of the same disk";
-  EXPECT_EQ(rtmr0_of_boot(image.instantiate_disk()), first)
-      << "first boot of a fresh copy";
-}
-
-TEST_F(LaunchFixture, RawMountKeepsContentEvent) {
-  BuildInputs inputs = default_inputs();
-  inputs.initrd.setup_verity = false;
-  const VmImage image = build_image(inputs);
-  auto guest = hypervisor.launch(config_for(image));
-  ASSERT_TRUE(guest.ok());
-  ASSERT_TRUE((*guest)->boot().ok());
-  const auto& log = (*guest)->event_log();
-  ASSERT_EQ(log.size(), 1u);
-  // SHA-384("app" ‖ "app-binary-v1"): the digest every earlier build
-  // extended for this service, on either mount.
-  EXPECT_EQ(to_hex(log[0].digest.view()),
-            "8f3a2634391f63178a337b581d14623d6258046fc8c13b3013d1e4fc57eca1e7"
-            "bbd919d9d8208d8e868e7964509ac7f4");
-  EXPECT_EQ(log[0].digest,
-            service_content_event("app",
-                                  to_bytes(std::string_view("app-binary-v1"))));
-
-  // The same binary measured through verity is a different event: the
-  // domain tag keeps the two forms apart.
-  sp.launch_reset();
-  const VmImage verity_image = build_image(default_inputs());
-  auto verity_guest = hypervisor.launch(config_for(verity_image));
-  ASSERT_TRUE(verity_guest.ok());
-  ASSERT_TRUE((*verity_guest)->boot().ok());
-  ASSERT_EQ((*verity_guest)->event_log().size(), 1u);
-  EXPECT_FALSE((*verity_guest)->event_log()[0].digest == log[0].digest);
-}
-
 TEST_F(LaunchFixture, BoundaryNodeBootReadsNoServiceBlock) {
   // The Boundary Node's service list (bench_boot_latency's shape): six
   // services start one large binary, four start nginx.
@@ -646,28 +548,10 @@ TEST_F(LaunchFixture, BoundaryNodeBootReadsNoServiceBlock) {
   ASSERT_TRUE(guest.ok());
   const auto boot0 = reads();
   ASSERT_TRUE((*guest)->boot().ok());
-  ASSERT_EQ((*guest)->event_log().size(), 10u);
   // Exact, zero tolerance: the verify_all sweep plus the directory reads.
-  // Measuring a service reads none of its binary's blocks (reading them
+  // Starting a service reads none of its binary's blocks (reading them
   // would add 512 per large-binary service here).
   EXPECT_EQ(reads() - boot0, sweep_blocks + mount_reads);
-}
-
-TEST_F(LaunchFixture, ApplicationEventsExtendRuntimeMeasurement) {
-  const VmImage image = build_image(default_inputs());
-  auto guest = hypervisor.launch(config_for(image));
-  ASSERT_TRUE(guest.ok());
-  ASSERT_TRUE((*guest)->boot().ok());
-  ASSERT_TRUE((*guest)
-                  ->extend_runtime_measurement(
-                      1, "config:reload",
-                      crypto::sha384(to_bytes(std::string_view("v2"))))
-                  .ok());
-  auto report = sp.get_report({});
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->rtmrs[1] == sevsnp::Measurement{});
-  // A VM that loaded different config shows a different RTMR1 — runtime
-  // divergence is now attestable.
 }
 
 TEST_F(LaunchFixture, DoubleBootRejected) {
