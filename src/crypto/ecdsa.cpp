@@ -1,7 +1,6 @@
 #include "crypto/ecdsa.hpp"
 
 #include <cassert>
-#include <chrono>
 #include <map>
 
 #include "crypto/sha2.hpp"
@@ -27,30 +26,6 @@ Result<EcdsaSignature> EcdsaSignature::decode(const Curve& curve,
 }
 
 namespace {
-
-/// Counts the call and feeds its real (steady-clock) duration into a
-/// latency summary when the enclosing scope exits. Sign/verify are the
-/// CPU-dominant primitives of the attestation path, so they get summaries
-/// rather than spans: they are called far too often to trace individually.
-class OpTimer {
- public:
-  explicit OpTimer(const char* op) : op_(op) {
-    obs::metrics().counter(std::string("crypto.") + op_ + ".count").inc();
-  }
-  ~OpTimer() {
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-    obs::metrics()
-        .summary(std::string("crypto.") + op_ + ".real_us")
-        .observe(us);
-  }
-
- private:
-  const char* op_;
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-};
 
 /// Draws a uniform scalar in [1, n-1] by rejection sampling.
 U384 sample_scalar(const Curve& curve, HmacDrbg& drbg) {
@@ -85,7 +60,9 @@ U384 hash_to_scalar(const Curve& curve, ByteView msg_hash) {
 
 EcdsaSignature ecdsa_sign(const Curve& curve, const U384& priv,
                           ByteView msg_hash) {
-  OpTimer timer("ecdsa_sign");
+  static obs::Counter& signs =
+      obs::metrics().counter("crypto.ecdsa_sign.count");
+  signs.inc();
   const MontCtx& fn = curve.scalar_field();
   const U384 z = hash_to_scalar(curve, msg_hash);
 
@@ -126,7 +103,9 @@ EcdsaSignature ecdsa_sign(const Curve& curve, const U384& priv,
 
 bool ecdsa_verify(const Curve& curve, const Curve::Point& pub,
                   ByteView msg_hash, const EcdsaSignature& sig) {
-  OpTimer timer("ecdsa_verify");
+  static obs::Counter& verifies =
+      obs::metrics().counter("crypto.ecdsa_verify.count");
+  verifies.inc();
   if (pub.infinity || !curve.on_curve(pub)) return false;
   const U384& n = curve.params().n;
   if (sig.r.is_zero() || sig.r.cmp(n) >= 0) return false;
@@ -199,10 +178,12 @@ std::vector<bool> ecdsa_verify_batch(const Curve& curve,
     return verdicts;
   }
 
-  OpTimer timer("ecdsa_verify_batch");
-  obs::metrics()
-      .counter("crypto.ecdsa_verify_batch.sigs")
-      .inc(items.size());
+  static obs::Counter& batches =
+      obs::metrics().counter("crypto.ecdsa_verify_batch.count");
+  static obs::Counter& batch_sigs =
+      obs::metrics().counter("crypto.ecdsa_verify_batch.sigs");
+  batches.inc();
+  batch_sigs.inc(items.size());
   const MontCtx& fn = curve.scalar_field();
   const U384& n = curve.params().n;
   const U384& p = curve.params().p;
@@ -282,7 +263,9 @@ std::vector<bool> ecdsa_verify_batch(const Curve& curve,
       // Fail closed: something in the batch is wrong (or merely
       // non-normalized). Re-verify each batched item individually to hand
       // back exact per-signature verdicts.
-      obs::metrics().counter("crypto.ecdsa_verify_batch.fallback.count").inc();
+      static obs::Counter& fallbacks =
+          obs::metrics().counter("crypto.ecdsa_verify_batch.fallback.count");
+      fallbacks.inc();
       singles.insert(singles.end(), batched.begin(), batched.end());
     }
   }

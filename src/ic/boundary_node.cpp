@@ -1,7 +1,5 @@
 #include "ic/boundary_node.hpp"
 
-#include <chrono>
-
 #include "common/hex.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,20 +66,14 @@ net::HttpResponse BoundaryNode::handle(const net::HttpRequest& request) {
   obs::Span span("bn.request");
   span.attr("method", request.method);
   span.attr("path", request.path);
-  const auto t0 = std::chrono::steady_clock::now();
   std::string route = "other";
   net::HttpResponse response = handle_routed(request, route);
   span.attr("route", route);
   span.attr("status", static_cast<std::uint64_t>(response.status));
-  const double real_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
   obs::metrics()
       .counter("bn.request.count",
                {{"status", std::to_string(response.status)}})
       .inc();
-  obs::metrics().summary("bn.request.real_us").observe(real_us);
   return response;
 }
 

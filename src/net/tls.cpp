@@ -223,7 +223,9 @@ Result<TlsSession> TlsSession::connect(Network& network, const Address& from,
   span.attr("server",
             trust.server_name.empty() ? to.to_string() : trust.server_name);
   auto session = connect_impl(network, from, to, trust, entropy);
-  obs::metrics().counter("tls.handshake.count").inc();
+  static obs::Counter& handshakes =
+      obs::metrics().counter("tls.handshake.count");
+  handshakes.inc();
   if (!session.ok()) {
     obs::metrics()
         .counter("tls.handshake.fail.count",

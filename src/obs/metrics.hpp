@@ -3,18 +3,21 @@
 // Counters, gauges and log-bucketed quantile summaries, named by the
 // `subsystem.verb.unit` convention (see DESIGN.md "Observability"), with an
 // optional label set rendered into the metric key Prometheus-style:
-// `pki.chain_verify.result.count{result=ok}`. The registry is always on —
-// incrementing a counter is one map lookup plus an atomic add, cheap enough
-// for every hot path in the simulation.
+// `pki.chain_verify.result.count{result=ok}`. The registry is always on.
+// A lookup by name builds the key string, takes the registry mutex and
+// walks a map; a per-block, per-signature or per-handshake path must not
+// pay that on every call, so it binds its fixed-name counter once, as a
+// function-local `static obs::Counter&`, and then pays one atomic add.
+// Such paths count; they do not read a clock or feed a summary.
 //
 // Thread-safety: there is one registry per process, and every thread —
 // the session engine's lanes included — writes straight into it. Map
 // structure is guarded by a registry mutex; returned Counter/Gauge/Summary
-// references stay valid forever (std::map nodes are stable). Counter and
-// gauge updates are lock-free atomics; Summary::observe takes a
-// per-summary mutex, and Summary::snapshot() reads count, sum and
-// quantiles under the same mutex. Whole-map views
-// (counters() etc.) are meant for quiescent, test/exporter-time reads.
+// references stay valid forever (std::map nodes are stable, and no entry
+// is ever removed). Counter and gauge updates are lock-free atomics;
+// Summary::observe takes a per-summary mutex, and Summary::snapshot()
+// reads count, sum and quantiles under the same mutex. The whole-map view
+// counters() is meant for quiescent, test/exporter-time reads.
 //
 // Exporters serialize a point-in-time snapshot with to_json(); benchmarks
 // and the attack gallery read individual counters back with
@@ -60,12 +63,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -75,7 +72,7 @@ class Gauge {
 /// Log-bucketed quantile summary: observations land in log-linear buckets
 /// (kSubBuckets per power of two), so any quantile can be estimated with a
 /// bounded *relative* error and no hand-picked bounds. This is the one
-/// distribution type: latencies (p99/p999) and per-op timings alike. The
+/// distribution type, used for the session engine's latency tails. The
 /// bucketing scheme is fixed by the class, so two summaries always merge
 /// exactly (bucket-wise), and merging N per-thread summaries is
 /// bit-identical to observing the union.
@@ -155,14 +152,10 @@ class MetricsRegistry {
   /// Canonical key: `name` or `name{k1=v1,k2=v2}` (labels in given order).
   static std::string render_key(const std::string& name, const Labels& labels);
 
-  /// Whole-map views for tests and exporters. Iterating these races with
-  /// concurrent metric *creation* — call them only when no pool work is in
+  /// Whole-map view for tests and exporters. Iterating it races with
+  /// concurrent metric *creation* — call it only when no pool work is in
   /// flight (updates to already-created metrics are fine to miss).
   const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Summary>& summaries() const {
-    return summaries_;
-  }
 
  private:
   mutable std::mutex mu_;  // guards map structure, not metric values

@@ -75,7 +75,9 @@ Status ChainVerificationCache::verify(
     if (options.now_us >= window->valid_from_us &&
         options.now_us < window->valid_until_us) {
       hits_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter("pki.chain_cache.hit.count").inc();
+      static obs::Counter& hit_count =
+          obs::metrics().counter("pki.chain_cache.hit.count");
+      hit_count.inc();
       obs::flight_record(obs::FlightEventType::kCacheHit, kFlightCacheId);
       span.attr("cache", "hit");
       span.attr("result", "ok");

@@ -575,7 +575,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     metrics.summary("gw.stage.wait.ms", labels).merge_from(stage_wait[s]);
     metrics.summary("gw.stage.service.ms", labels)
         .merge_from(stage_service[s]);
-    metrics.summary("gw.stage.real.ms", labels).merge_from(stage_real[s]);
   }
 
   // Dump-on-anomaly: failed/shed sessions first (their timelines answer

@@ -79,11 +79,15 @@ std::optional<KdsService::VcekResponse> VcekCache::lookup(const Key& key,
                                                           bool waited) {
   auto cached = entries_.get(key);
   if (cached && waited) {
+    static obs::Counter& coalesced_count =
+        obs::metrics().counter("kds.fetch.coalesced.count");
     coalesced_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("kds.fetch.coalesced.count").inc();
+    coalesced_count.inc();
   } else if (cached) {
+    static obs::Counter& hit_count =
+        obs::metrics().counter("kds.fetch.hit.count");
     hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("kds.fetch.hit.count").inc();
+    hit_count.inc();
   }
   return cached;
 }

@@ -175,7 +175,9 @@ Result<KdsService::VcekResponse> WebExtension::fetch_vcek(
   // they paid a wait, not a fetch — the flight timeline should say so.
   if (!fetched) {
     ++vcek_cache_hits_;
-    obs::metrics().counter("ext.vcek_cache.hit.count").inc();
+    static obs::Counter& hit_count =
+        obs::metrics().counter("ext.vcek_cache.hit.count");
+    hit_count.inc();
   }
   obs::flight_record(fetched ? obs::FlightEventType::kCacheMiss
                              : obs::FlightEventType::kCacheHit,

@@ -60,7 +60,9 @@ Status DmCryptDevice::read_block(std::uint64_t index,
   if (index >= block_count()) {
     return Error::make("blockdev.out_of_range", "crypt read past end");
   }
-  obs::metrics().counter("storage.crypt_read.block.count").inc();
+  static obs::Counter& blocks =
+      obs::metrics().counter("storage.crypt_read.block.count");
+  blocks.inc();
   if (auto st = backing_->read_block(payload_first_block_ + index, out);
       !st.ok()) {
     return st;
@@ -77,7 +79,9 @@ Status DmCryptDevice::write_block(std::uint64_t index, ByteView data) {
   if (data.size() != block_size()) {
     return Error::make("blockdev.bad_buffer", "block buffer size mismatch");
   }
-  obs::metrics().counter("storage.crypt_write.block.count").inc();
+  static obs::Counter& blocks =
+      obs::metrics().counter("storage.crypt_write.block.count");
+  blocks.inc();
   Bytes ct = to_bytes(data);
   xts_.encrypt_sector(index, ct);
   return backing_->write_block(payload_first_block_ + index, ct);

@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/hex.hpp"
+#include "crypto/sha2.hpp"
 #include "fleet/lifecycle.hpp"
 #include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
@@ -1020,14 +1022,19 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
   const auto audit_summary = obs::AuditLog::verify(audit.serialize());
   out.audit_ok = audit_summary.ok();
   out.audit_records = audit.records();
+  // The transcript's SHA-256 makes this line a witness across builds: a
+  // change that keeps the soak bit-identical prints the same digest.
+  const std::string transcript_sha256 =
+      to_hex(crypto::sha256(to_bytes(out.transcript)).view());
   std::printf(
       "[fleet-soak] seed=%s sessions=%zu ok=%zu horizon_rej=%llu "
-      "revoked=%llu ops=%llu audit_records=%llu\n",
+      "revoked=%llu ops=%llu audit_records=%llu transcript_sha256=%s\n",
       seed.c_str(), out.sessions, out.succeeded,
       static_cast<unsigned long long>(out.horizon_rejections),
       static_cast<unsigned long long>(out.revocation_hits),
       static_cast<unsigned long long>(out.lifecycle.applied),
-      static_cast<unsigned long long>(out.audit_records));
+      static_cast<unsigned long long>(out.audit_records),
+      transcript_sha256.c_str());
   return out;
 }
 

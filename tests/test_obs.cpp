@@ -2,6 +2,7 @@
 
 #include "common/log.hpp"
 #include "common/sim_clock.hpp"
+#include "crypto/ecdsa.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -11,6 +12,9 @@
 #include "revelio/revelio_vm.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/web_extension.hpp"
+#include "storage/dm_crypt.hpp"
+#include "storage/dm_verity.hpp"
+#include "storage/mem_disk.hpp"
 
 namespace revelio {
 namespace {
@@ -327,6 +331,81 @@ TEST(Metrics, ChainCacheReportsToRegistry) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.window_rejects, 1u);
+}
+
+TEST(Metrics, HotPathsCountExactlyAndReadNoClock) {
+  // The per-block and per-signature paths bump counters bound once; each
+  // must rise by exactly the number of calls, and none of them may leave a
+  // wall-clock summary behind.
+  constexpr std::uint64_t kBlocks = 24;
+  constexpr std::size_t kSigs = 5;
+  auto& m = obs::metrics();
+  const auto count = [&m](const char* name) { return m.counter_value(name); };
+  const auto verity0 = count("storage.verity_read.block.count");
+  const auto crypt_read0 = count("storage.crypt_read.block.count");
+  const auto crypt_write0 = count("storage.crypt_write.block.count");
+  const auto sign0 = count("crypto.ecdsa_sign.count");
+  const auto verify0 = count("crypto.ecdsa_verify.count");
+  const auto batch0 = count("crypto.ecdsa_verify_batch.count");
+  const auto batch_sigs0 = count("crypto.ecdsa_verify_batch.sigs");
+  const auto fallback0 = count("crypto.ecdsa_verify_batch.fallback.count");
+
+  auto data = std::make_shared<storage::MemDisk>(4096, kBlocks);
+  auto hash = std::make_shared<storage::MemDisk>(4096, kBlocks);
+  Bytes block(4096);
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    block.assign(4096, static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(data->write_block(i, block).ok());
+  }
+  auto meta = storage::Verity::format(*data, *hash);
+  ASSERT_TRUE(meta.ok());
+  auto verity = storage::Verity::open(data, hash, meta->root_hash);
+  ASSERT_TRUE(verity.ok());
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE((*verity)->read_block(i, block).ok());
+  }
+  EXPECT_EQ(count("storage.verity_read.block.count"), verity0 + kBlocks);
+  ASSERT_TRUE((*verity)->verify_all().ok());
+  EXPECT_EQ(count("storage.verity_read.block.count"), verity0 + 2 * kBlocks);
+
+  crypto::HmacDrbg drbg(to_bytes(std::string_view("obs-hot-paths")));
+  auto crypt = storage::CryptVolume::format(
+      std::make_shared<storage::MemDisk>(4096, kBlocks + 1), drbg.generate(32),
+      drbg.generate(32));
+  ASSERT_TRUE(crypt.ok());
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    block.assign(4096, static_cast<std::uint8_t>(i ^ 0x5a));
+    ASSERT_TRUE((*crypt)->write_block(i, block).ok());
+  }
+  for (std::uint64_t i = 0; i < kBlocks; ++i) {
+    ASSERT_TRUE((*crypt)->read_block(i, block).ok());
+    EXPECT_EQ(block[0], static_cast<std::uint8_t>(i ^ 0x5a));
+  }
+  EXPECT_EQ(count("storage.crypt_write.block.count"), crypt_write0 + kBlocks);
+  EXPECT_EQ(count("storage.crypt_read.block.count"), crypt_read0 + kBlocks);
+
+  const crypto::Curve& curve = crypto::p256();
+  std::vector<crypto::EcdsaBatchItem> items(kSigs);
+  for (std::size_t i = 0; i < kSigs; ++i) {
+    const auto kp = crypto::ec_generate(curve, drbg);
+    items[i].pub = kp.q;
+    items[i].msg_hash = drbg.generate(32);
+    items[i].sig = crypto::ecdsa_sign(curve, kp.d, items[i].msg_hash);
+  }
+  for (const auto& item : items) {
+    EXPECT_TRUE(crypto::ecdsa_verify(curve, item.pub, item.msg_hash, item.sig));
+  }
+  EXPECT_EQ(crypto::ecdsa_verify_batch(curve, items),
+            std::vector<bool>(kSigs, true));
+  EXPECT_EQ(count("crypto.ecdsa_sign.count"), sign0 + kSigs);
+  EXPECT_EQ(count("crypto.ecdsa_verify.count"), verify0 + kSigs);
+  EXPECT_EQ(count("crypto.ecdsa_verify_batch.count"), batch0 + 1);
+  EXPECT_EQ(count("crypto.ecdsa_verify_batch.sigs"), batch_sigs0 + kSigs);
+  EXPECT_EQ(count("crypto.ecdsa_verify_batch.fallback.count"), fallback0);
+
+  const std::string json = m.to_json();
+  EXPECT_EQ(json.find(".real_us\""), std::string::npos) << json;
+  EXPECT_EQ(json.find(".real_us{"), std::string::npos) << json;
 }
 
 // -------------------------------------- end-to-end: attested GET span tree

@@ -1167,30 +1167,72 @@ StagedGatewayRun run_gateway_staged(
   return out;
 }
 
+/// The chaos soak's links: every world drops, delays and duplicates
+/// packets, drawn from one seeded plan per world.
+void make_lossy(std::vector<std::unique_ptr<GatewayWorld>>& worlds,
+                std::string_view plan_seed) {
+  for (auto& world : worlds) {
+    net::LinkFaultProfile lossy;
+    lossy.drop_prob = 0.12;
+    lossy.delay_prob = 0.2;
+    lossy.delay_min_ms = 1.0;
+    lossy.delay_max_ms = 8.0;
+    lossy.duplicate_prob = 0.05;
+    net::FaultPlan plan(to_bytes(plan_seed));
+    plan.set_default_profile(lossy);
+    world->network.set_fault_plan(std::move(plan));
+  }
+}
+
 TEST(StagedGatewayEndToEnd, EveryWidthGivesTheOneWorkerTranscript) {
   // Full crypto over eight same-seed worlds: whichever lane count drives
   // them, with or without the verify batch hook, the one KDS fetch lands
   // on the same session and every rerun hashes to one digest.
+  //
+  // Then the same widths over chaos: fresh same-seed lossy worlds per run
+  // and a KDS admission cap, so drops, retries, parks and failures must
+  // all replay too, and no run may accept unverified trust.
   auto worlds = build_worlds(8, "gw-staged-width-1");
   std::string digest;
+  std::string chaos_digest;
+  AdmissionConfig chaos_admission;
+  chaos_admission.max_inflight_kds = 8;
   for (const bool batch_verify : {false, true}) {
     for (const unsigned workers : {1u, 2u, 4u, 16u}) {
       for (int rerun = 0; rerun < 3; ++rerun) {
-        SessionEngineConfig config;
-        config.workers = workers;
-        SessionEngine engine(config);
-        for (auto& world : worlds) {
-          world->browser.set_chain_cache(&engine.chain_cache());
-        }
-        const StagedGatewayRun run =
-            run_gateway_staged(engine, worlds, 16, 1, {}, batch_verify);
         const std::string where = "batch " + std::to_string(batch_verify) +
                                   " workers " + std::to_string(workers) +
                                   " rerun " + std::to_string(rerun);
-        EXPECT_EQ(run.report.succeeded, 16u) << where;
-        EXPECT_EQ(run.report.vcek_stats.fetches, 1u) << where;
-        if (digest.empty()) digest = run.report.transcript_digest;
-        EXPECT_EQ(run.report.transcript_digest, digest) << where;
+        SessionEngineConfig config;
+        config.workers = workers;
+        {
+          SessionEngine engine(config);
+          for (auto& world : worlds) {
+            world->browser.set_chain_cache(&engine.chain_cache());
+          }
+          const StagedGatewayRun run =
+              run_gateway_staged(engine, worlds, 16, 1, {}, batch_verify);
+          EXPECT_EQ(run.report.succeeded, 16u) << where;
+          EXPECT_EQ(run.report.vcek_stats.fetches, 1u) << where;
+          if (digest.empty()) digest = run.report.transcript_digest;
+          EXPECT_EQ(run.report.transcript_digest, digest) << where;
+        }
+
+        SessionEngine engine(config);
+        auto chaos = build_worlds(4, "gw-staged-width-chaos-1");
+        make_lossy(chaos, "gw-staged-width-chaos-plan");
+        for (auto& world : chaos) {
+          world->browser.set_chain_cache(&engine.chain_cache());
+        }
+        const StagedGatewayRun run = run_gateway_staged(
+            engine, chaos, 24, 5, chaos_admission, batch_verify);
+        EXPECT_EQ(run.unverified_accepts, 0) << where;
+        EXPECT_EQ(run.wrong_bodies, 0) << where;
+        EXPECT_EQ(run.report.succeeded + run.report.failed, 24u) << where;
+        EXPECT_GT(run.report.succeeded, 0u) << where;
+        EXPECT_GT(run.report.failed, 0u) << where << ": the plan must bite";
+        if (chaos_digest.empty()) chaos_digest = run.report.transcript_digest;
+        EXPECT_EQ(run.report.transcript_digest, chaos_digest) << where;
       }
     }
   }
@@ -1236,17 +1278,9 @@ TEST(StagedGatewayEndToEnd, ChaosSoakNeverAcceptsUnverifiedTrustWhileParked) {
   config.workers = 4;
   SessionEngine engine(config);
   auto worlds = build_worlds(4, "gw-staged-chaos-1");
+  make_lossy(worlds, "gw-staged-chaos-plan");
   for (auto& world : worlds) {
     world->browser.set_chain_cache(&engine.chain_cache());
-    net::LinkFaultProfile lossy;
-    lossy.drop_prob = 0.12;
-    lossy.delay_prob = 0.2;
-    lossy.delay_min_ms = 1.0;
-    lossy.delay_max_ms = 8.0;
-    lossy.duplicate_prob = 0.05;
-    net::FaultPlan plan(to_bytes(std::string_view("gw-staged-chaos-plan")));
-    plan.set_default_profile(lossy);
-    world->network.set_fault_plan(std::move(plan));
   }
   AdmissionConfig admission;
   admission.max_inflight_kds = 8;
