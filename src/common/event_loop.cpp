@@ -41,20 +41,4 @@ void EventLoop::next_batch(std::vector<Event>& out) {
   stats_.end_us = due;
 }
 
-std::vector<EventLoop::Event> EventLoop::next_batch() {
-  std::vector<Event> out;
-  next_batch(out);
-  return out;
-}
-
-void EventLoop::run_serial(
-    const std::function<void(const Event&, Micros)>& fn) {
-  std::vector<Event> batch;
-  for (;;) {
-    next_batch(batch);
-    if (batch.empty()) return;
-    for (const Event& e : batch) fn(e, now_us_);
-  }
-}
-
 }  // namespace revelio::common

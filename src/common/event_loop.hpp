@@ -20,8 +20,7 @@
 //    are independent by contract), then schedules follow-up events from
 //    ONE thread before popping the next batch. Scheduling from a single
 //    thread is what keeps seq assignment — and therefore the order of
-//    same-instant events — reproducible; run_serial() packages that
-//    discipline for single-threaded callers.
+//    same-instant events — reproducible.
 //  - No wall clock, no randomness: virtual time only advances to event
 //    due times, so the same schedule replays bit-for-bit.
 //
@@ -33,7 +32,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace revelio::common {
@@ -65,18 +63,11 @@ class EventLoop {
   std::size_t pending() const { return heap_.size(); }
   bool empty() const { return heap_.empty(); }
 
-  /// Pops every event due at the earliest pending instant, in (track, seq)
-  /// order, advancing now_us() to that instant. Returns an empty vector
-  /// when nothing is pending. `out` is reused storage for allocation-free
-  /// steady state.
+  /// Replaces `out` with every event due at the earliest pending instant,
+  /// in (track, seq) order, advancing now_us() to that instant; leaves it
+  /// empty when nothing is pending. `out` is reused storage for
+  /// allocation-free steady state.
   void next_batch(std::vector<Event>& out);
-  std::vector<Event> next_batch();
-
-  /// Single-threaded convenience: drains the loop, calling
-  /// `fn(event, now_us)` for each event in deterministic order. Handlers
-  /// may schedule further events. The session engine uses next_batch()
-  /// directly instead, to fan batches out over its thread pool.
-  void run_serial(const std::function<void(const Event&, Micros)>& fn);
 
   struct Stats {
     std::uint64_t scheduled = 0;   // schedule_* calls accepted

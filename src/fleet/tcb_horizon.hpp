@@ -52,9 +52,9 @@ class TcbHorizon {
   /// below `minimum` are rejected. Returns whether the announcement was
   /// applied: ok(true) when it set or raised the floor (or re-announced
   /// an equal minimum with a new horizon), ok(false) when it was IGNORED
-  /// because `minimum` is below the chip's current floor — callers
-  /// auditing the operation (LifecycleEngine ops, operator tooling) must
-  /// surface the drop distinctly, not record it as an applied update.
+  /// because `minimum` is below the chip's current floor — a caller
+  /// auditing the operation must surface the drop distinctly, not record
+  /// it as an applied update.
   /// Returns an error when the durable write fails — but the horizon is
   /// ALWAYS active in memory from this call on.
   Result<bool> announce(const sevsnp::ChipId& chip, sevsnp::TcbVersion minimum,

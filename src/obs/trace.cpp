@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/sim_clock.hpp"
 #include "obs/json.hpp"
@@ -15,17 +14,6 @@ namespace {
 std::uint64_t virt_now_us() {
   const SimClock* clock = SimClock::current();
   return clock == nullptr ? 0 : clock->now_us();
-}
-
-std::string attrs_json(const SpanRecord& span) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < span.attrs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + json_escape(span.attrs[i].first) + "\":\"" +
-           json_escape(span.attrs[i].second) + "\"";
-  }
-  out += "}";
-  return out;
 }
 
 }  // namespace
@@ -45,14 +33,6 @@ std::uint64_t Tracer::real_now_ns() const {
           .count());
 }
 
-void Tracer::set_max_finished(std::size_t cap) {
-  max_finished_ = cap;
-  while (finished_.size() > max_finished_) {
-    finished_.pop_front();
-    ++dropped_;
-  }
-}
-
 void Tracer::set_real_clock(std::function<std::uint64_t()> now_ns) {
   real_clock_ = std::move(now_ns);
 }
@@ -70,13 +50,6 @@ std::uint64_t Tracer::begin_span(std::string name) {
   record.name = std::move(name);
   record.virt_start_us = virt_now_us();
   record.real_start_ns = real_now_ns();
-  if (log_spans_) {
-    log_debug("obs", "span#" + std::to_string(record.id) + " begin " +
-                         record.name +
-                         (record.parent_id != 0
-                              ? " parent=#" + std::to_string(record.parent_id)
-                              : ""));
-  }
   open_.push_back(std::move(record));
   return open_.back().id;
 }
@@ -99,37 +72,13 @@ void Tracer::end_span(std::uint64_t id) {
     open_.erase(std::next(it).base());
     record.virt_end_us = virt_now_us();
     record.real_end_ns = real_now_ns();
-    if (log_spans_) {
-      log_debug("obs",
-                "span#" + std::to_string(record.id) + " end " + record.name +
-                    " virt_us=" + std::to_string(record.virt_us()) +
-                    " real_us=" + json_number(record.real_us()));
-    }
     finished_.push_back(std::move(record));
-    if (finished_.size() > max_finished_) {
+    if (finished_.size() > kMaxFinishedSpans) {
       finished_.pop_front();
       ++dropped_;
     }
     return;
   }
-}
-
-std::string Tracer::finished_spans_json() const {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& span : finished_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"id\":" + std::to_string(span.id) +
-           ",\"parent_id\":" + std::to_string(span.parent_id) + ",\"name\":\"" +
-           json_escape(span.name) + "\"" +
-           ",\"virt_start_us\":" + std::to_string(span.virt_start_us) +
-           ",\"virt_us\":" + std::to_string(span.virt_us()) +
-           ",\"real_us\":" + json_number(span.real_us()) +
-           ",\"attrs\":" + attrs_json(span) + "}";
-  }
-  out += "]";
-  return out;
 }
 
 std::string Tracer::chrome_trace_json() const {
@@ -146,7 +95,7 @@ std::string Tracer::chrome_trace_json() const {
       "\"args\":{\"name\":\"virtual clock (sim)\"}},";
   out +=
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
-      "\"args\":{\"name\":\"real clock (cpu)\"}}";
+      "\"args\":{\"name\":\"real clock (wall)\"}}";
   for (const auto& span : finished_) {
     std::string args = "{\"span_id\":" + std::to_string(span.id) +
                        ",\"parent_id\":" + std::to_string(span.parent_id);

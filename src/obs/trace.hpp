@@ -2,23 +2,22 @@
 //
 // A Span is an RAII timed region charged against *two* clocks at once: the
 // simulation's virtual clock (SimClock::current() — network latency and
-// calibrated device models) and the real monotonic clock (actual CPU work:
-// hashing, AES, ECDSA). The one process-wide Tracer (tracer()) keeps the
-// active-span stack — re-entrant but deliberately single-threaded, so it
-// belongs to the threads that are not thread-pool workers. A Span begun on
-// a pool-worker lane (common::current_lane() != 0, see
-// common/parallel.hpp) is inactive: the session engine's fanned-out
+// calibrated device models) and the real monotonic clock (wall time of
+// the actual work: hashing, AES, ECDSA). The one process-wide Tracer
+// (tracer()) keeps the active-span stack — re-entrant but deliberately
+// single-threaded, so it belongs to the threads that are not thread-pool
+// workers. A Span begun on a pool-worker lane (common::current_lane() !=
+// 0, see common/parallel.hpp) is inactive: the session engine's fanned-out
 // stages open spans only on the calling lane and report their work
 // through the thread-safe metrics registry (metrics.hpp) instead. A
 // 1-worker session engine runs every stage on the calling lane, so its
 // sessions trace whole. Per-session timelines at gateway scale come from
 // the flight recorder (flight_recorder.hpp). The Tracer also keeps a
-// bounded ring of finished spans.
+// bounded ring of finished spans (kMaxFinishedSpans).
 //
-// Exports: finished_spans_json() (a plain span list with both durations
-// and the parent links) and chrome_trace_json() (Chrome trace_event
-// format — open the file in chrome://tracing or ui.perfetto.dev; the two
-// clocks appear as two timeline rows of the same process).
+// Export: chrome_trace_json() (Chrome trace_event format — open the file
+// in chrome://tracing or ui.perfetto.dev; the two clocks appear as two
+// timeline rows of the same process).
 //
 // Tracing is OFF by default: a Span constructed while the tracer is
 // disabled does nothing and costs two branches. Metrics (metrics.hpp)
@@ -56,17 +55,12 @@ class Span;
 
 class Tracer {
  public:
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  /// Correlates spans with the log stream: when on, span begin/end emit
-  /// kDebug lines on component "obs" carrying the span id, so a captured
-  /// log interleaves with a dumped trace via "span#<id>".
-  void set_log_spans(bool on) { log_spans_ = on; }
-
   /// Bounded history: beyond this many finished spans the oldest are
   /// dropped (counted in dropped_spans()).
-  void set_max_finished(std::size_t cap);
+  static constexpr std::size_t kMaxFinishedSpans = 100000;
+
+  void set_enabled(bool on) { enabled_ = on; }
+  bool enabled() const { return enabled_; }
 
   /// Test hook: replaces the real monotonic clock so exports are
   /// deterministic. Pass nullptr to restore std::chrono::steady_clock.
@@ -80,14 +74,10 @@ class Tracer {
   std::uint64_t dropped_spans() const { return dropped_; }
   std::size_t open_spans() const { return open_.size(); }
 
-  /// JSON array of finished spans in completion order (children precede
-  /// their parent): id, parent_id, name, virtual/real start + duration,
-  /// attrs.
-  std::string finished_spans_json() const;
-
   /// Chrome trace_event dump: one complete ("ph":"X") event per span per
-  /// clock, tid 1 = virtual clock, tid 2 = real clock. Real timestamps are
-  /// rebased to the earliest span so the trace starts near t=0.
+  /// clock, tid 1 = virtual clock, tid 2 = real (wall) clock. Real
+  /// timestamps are rebased to the earliest span so the trace starts near
+  /// t=0.
   std::string chrome_trace_json() const;
 
  private:
@@ -99,8 +89,6 @@ class Tracer {
   std::uint64_t real_now_ns() const;
 
   bool enabled_ = false;
-  bool log_spans_ = false;
-  std::size_t max_finished_ = 100000;
   std::uint64_t next_id_ = 1;
   std::uint64_t dropped_ = 0;
   std::function<std::uint64_t()> real_clock_;  // empty = steady_clock

@@ -219,9 +219,6 @@ SessionEngine::StagedReport SessionEngine::run_staged(
                                // FIFO implies a capacity holder, and every
                                // holder has a wake pending in the loop
     const Micros now_us = loop.now_us();
-    // Lifecycle hook: fleet operations fire here, on the driver thread,
-    // with no stages in flight — deterministic in virtual time.
-    if (config_.on_virtual_time) config_.on_virtual_time(now_us);
     ready.clear();
 
     // 1. Waking sessions release the gate capacity their park was holding

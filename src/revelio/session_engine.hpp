@@ -26,6 +26,10 @@
 //    (obs/flight_recorder.hpp) around each dispatch: its flight ring, the
 //    dispatch instant, and the virtual wait lower layers report.
 //
+// The engine calls nothing of the caller's between batches: work due at a
+// virtual instant (the fleet soak's scheduled operations) runs inside a
+// stage function, keyed off the dispatch instant its record carries.
+//
 // Metrics are not per-session: every stage writes straight into the one
 // process registry (obs/metrics.hpp), whose counters, gauges and summaries
 // are safe to update from any lane. Spans go to the process tracer from
@@ -105,15 +109,6 @@ struct SessionEngineConfig {
   /// their own verdicts (see WebExtensionConfig::audit_log). Must outlive
   /// the run; appends are thread-safe.
   obs::AuditLog* audit_log = nullptr;
-  /// Called on the driver thread at the top of every run_staged batch with
-  /// the loop's current virtual time (µs). This is the deterministic
-  /// injection point for fleet lifecycle operations — TCB updates,
-  /// revocation pushes, certificate rotations — mid-soak: the hook runs
-  /// before the batch's stages are dispatched, so every session dispatched
-  /// at or after a lifecycle op's instant observes its effects
-  /// (fleet::LifecycleEngine::hook() adapts to this signature). No stages
-  /// are in flight while it runs.
-  std::function<void(std::uint64_t now_us)> on_virtual_time;
 };
 
 /// What one *stage* of a staged session sees. The cache pointers are the

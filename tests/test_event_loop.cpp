@@ -29,29 +29,32 @@ TEST(EventLoop, DispatchesInDueThenTrackThenSeqOrder) {
   loop.schedule_at(100, 2, 30);
   loop.schedule_at(100, 2, 40);  // same (due, track): seq breaks the tie
 
-  auto batch = loop.next_batch();
+  std::vector<EventLoop::Event> batch;
+  loop.next_batch(batch);
   ASSERT_EQ(batch.size(), 3u) << "everything due at t=100, nothing later";
   EXPECT_EQ(loop.now_us(), 100u);
   EXPECT_EQ(batch[0].payload, 30u);  // track 2 before track 5
   EXPECT_EQ(batch[1].payload, 40u);  // same track: scheduling order
   EXPECT_EQ(batch[2].payload, 20u);
 
-  batch = loop.next_batch();
+  loop.next_batch(batch);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].payload, 10u);
   EXPECT_EQ(loop.now_us(), 200u);
   EXPECT_TRUE(loop.empty());
-  EXPECT_TRUE(loop.next_batch().empty());
+  loop.next_batch(batch);
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(EventLoop, SchedulingInThePastClampsToNow) {
   EventLoop loop;
+  std::vector<EventLoop::Event> batch;
   loop.schedule_at(500, 0, 1);
-  (void)loop.next_batch();
+  loop.next_batch(batch);
   ASSERT_EQ(loop.now_us(), 500u);
 
   loop.schedule_at(100, 0, 2);  // the past is not addressable
-  auto batch = loop.next_batch();
+  loop.next_batch(batch);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].due_us, 500u);
   EXPECT_EQ(loop.now_us(), 500u) << "clock never moves backwards";
@@ -59,19 +62,30 @@ TEST(EventLoop, SchedulingInThePastClampsToNow) {
 
 TEST(EventLoop, ScheduleAfterIsRelativeToTheCurrentBatchInstant) {
   EventLoop loop;
+  std::vector<EventLoop::Event> batch;
   loop.schedule_at(250, 0, 1);
-  (void)loop.next_batch();
+  loop.next_batch(batch);
   loop.schedule_after(50, 0, 2);
-  auto batch = loop.next_batch();
+  loop.next_batch(batch);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(loop.now_us(), 300u);
 }
 
-TEST(EventLoop, RunSerialDrainsHandlersThatReschedule) {
+/// Drains `loop` one batch at a time, calling `fn(event, now_us)` for each
+/// event in order; handlers may schedule further events.
+template <typename Fn>
+void drain(EventLoop& loop, Fn&& fn) {
+  std::vector<EventLoop::Event> batch;
+  for (loop.next_batch(batch); !batch.empty(); loop.next_batch(batch)) {
+    for (const EventLoop::Event& e : batch) fn(e, loop.now_us());
+  }
+}
+
+TEST(EventLoop, DrainingHandlersThatRescheduleRunsTheChain) {
   EventLoop loop;
   loop.schedule_at(10, 0, 0);
   std::vector<std::uint64_t> instants;
-  loop.run_serial([&](const EventLoop::Event& e, EventLoop::Micros now) {
+  drain(loop, [&](const EventLoop::Event& e, EventLoop::Micros now) {
     instants.push_back(now);
     if (e.payload < 4) {
       loop.schedule_after(10, 0, e.payload + 1);  // a 5-link wake chain
@@ -91,7 +105,7 @@ TEST(EventLoop, StatsTrackPeaksAndHeapBytes) {
   EXPECT_EQ(loop.peak_heap_bytes(), 100 * sizeof(EventLoop::Event));
 
   std::size_t dispatched = 0;
-  loop.run_serial([&](const EventLoop::Event&, EventLoop::Micros) {
+  drain(loop, [&](const EventLoop::Event&, EventLoop::Micros) {
     ++dispatched;
   });
   EXPECT_EQ(dispatched, 100u);
@@ -110,7 +124,7 @@ TEST(EventLoop, IdenticalSchedulesProduceIdenticalTranscripts) {
       loop.schedule_at((i * 37) % 11, i % 4, i);
     }
     std::vector<std::uint64_t> out;
-    loop.run_serial([&](const EventLoop::Event& e, EventLoop::Micros now) {
+    drain(loop, [&](const EventLoop::Event& e, EventLoop::Micros now) {
       out.push_back(now);
       out.push_back(e.payload);
       if (e.payload % 3 == 0) loop.schedule_after(5, e.track, 1000 + e.payload);

@@ -1,12 +1,13 @@
-// Fleet lifecycle engine (src/fleet) — TCB update horizons, certificate
-// rotation, revocation push, rollback defence — soaked as chaos-layer
-// scenarios on the virtual-time session engine.
+// Fleet lifecycle (src/fleet, src/revelio) — TCB update horizons,
+// certificate rotation, revocation push, rollback defence — soaked as
+// chaos-layer scenarios on the virtual-time session engine.
 //
 // The headline test is the lifecycle chaos soak: 320 staged gateway
 // sessions over a seeded lossy fabric, with a certificate rotation, a
 // staged TCB update (fail-closed horizon, then evidence refresh), a
 // sealed-volume rollback attempt and a revocation push all firing
-// *mid-soak* through SessionEngineConfig::on_virtual_time. Gates:
+// *mid-soak*: the soak's op list (FleetOps) applies each op in the first
+// stage dispatched at or after its virtual instant. Gates:
 //   - zero unverified-trust acceptances across every scenario;
 //   - the same seed reproduces a bit-identical transcript;
 //   - the audit chain (session verdicts interleaved with lifecycle
@@ -14,7 +15,9 @@
 // The suite runs tier-1 and under the tsan preset (`fleet` label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -24,10 +27,10 @@
 
 #include "common/hex.hpp"
 #include "crypto/sha2.hpp"
-#include "fleet/lifecycle.hpp"
 #include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/audit_log.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
@@ -249,89 +252,6 @@ TEST(TcbHorizon, DurableHorizonsSurviveReopenAndFailClosedOnCorruption) {
     ASSERT_FALSE(corrupt.ok());
     EXPECT_EQ(corrupt.error().code, "fleet.tcb_corrupt");
   }
-}
-
-// ------------------------------------------------------- LifecycleEngine
-
-TEST(LifecycleEngine, AppliesDueOpsOnceInOrderAndAuditsThem) {
-  obs::AuditLog audit(4);
-  fleet::LifecycleEngine engine(&audit);
-  std::vector<std::string> ran;
-  const auto op = [&](const char* name, std::uint64_t at,
-                      Status result = Status::success()) {
-    engine.schedule({at, name, [&ran, name, result](std::uint64_t) {
-                       ran.push_back(name);
-                       return result;
-                     }});
-  };
-  op("late", 100);
-  op("early", 50);
-  op("late_too", 100, Error::make("fleet.test_failure"));
-
-  EXPECT_EQ(engine.apply_due(10), 0u);
-  EXPECT_EQ(engine.stats().pending, 3u);
-
-  // Due ops run in (instant, insertion) order, exactly once.
-  EXPECT_EQ(engine.apply_due(100), 3u);
-  EXPECT_EQ(ran, (std::vector<std::string>{"early", "late", "late_too"}));
-  EXPECT_EQ(engine.apply_due(100), 0u);
-  EXPECT_EQ(engine.apply_due(1000), 0u);
-
-  auto stats = engine.stats();
-  EXPECT_EQ(stats.applied, 3u);
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.pending, 0u);
-
-  // The hook() adapter drives the same apply path.
-  op("hooked", 200);
-  engine.hook()(250);
-  EXPECT_EQ(ran.back(), "hooked");
-  EXPECT_EQ(engine.stats().applied, 4u);
-
-  // Every application landed in the tamper-evident chain and the chain
-  // still verifies.
-  EXPECT_EQ(audit.records(), 4u);
-  auto summary = obs::AuditLog::verify(audit.serialize());
-  ASSERT_TRUE(summary.ok()) << summary.error().to_string();
-  EXPECT_EQ(summary->records, 4u);
-}
-
-// Regression: apply_due used to collect raw Scheduled* into ops_ and run
-// them after dropping the lock; an op scheduling follow-ups (the retry
-// pattern the header documents) could push_back-reallocate ops_ mid-batch
-// and dangle every remaining pointer. Due ops are moved out by value now —
-// a follow-up storm must leave the rest of the batch intact (ASAN pins
-// the use-after-free on the old code).
-TEST(LifecycleEngine, OpsMaySafelyScheduleFollowUpsMidBatch) {
-  fleet::LifecycleEngine engine;
-  std::vector<std::string> ran;
-  // Two due ops; the first schedules enough follow-ups to force ops_ to
-  // reallocate before the second op (and its own audit/metric tail) runs.
-  engine.schedule({10, "storm", [&](std::uint64_t now_us) {
-                     ran.push_back("storm");
-                     for (int i = 0; i < 256; ++i) {
-                       engine.schedule({now_us, "follow_up",
-                                        [&ran](std::uint64_t) {
-                                          ran.push_back("follow_up");
-                                          return Status::success();
-                                        }});
-                     }
-                     return Status::success();
-                   }});
-  engine.schedule({20, "tail", [&](std::uint64_t) {
-                     ran.push_back("tail");
-                     return Status::success();
-                   }});
-
-  // The storm's follow-ups are already due but belong to the NEXT batch —
-  // the in-flight batch was snapshotted before any op ran.
-  EXPECT_EQ(engine.apply_due(100), 2u);
-  EXPECT_EQ(ran, (std::vector<std::string>{"storm", "tail"}));
-  EXPECT_EQ(engine.stats().pending, 256u);
-  EXPECT_EQ(engine.apply_due(100), 256u);
-  auto stats = engine.stats();
-  EXPECT_EQ(stats.applied, 258u);
-  EXPECT_EQ(stats.pending, 0u);
 }
 
 // --------------------------------------------- VcekCache durable binding
@@ -712,6 +632,66 @@ TEST(ExpiryEdges, DistinctFailureStepsForChainHorizonAndRevocation) {
 
 // --------------------------------------------- lifecycle chaos soak
 
+/// The soak's scheduled fleet operations. Each op runs once, in (at_us,
+/// seq) order, the first time apply_due() reaches its instant, and leaves
+/// one record in the audit chain next to the session verdicts.
+struct FleetOps {
+  struct Op {
+    std::uint64_t at_us = 0;
+    std::uint64_t seq = 0;  // scheduling order: the tiebreak at one instant
+    /// Audited; <= 15 chars survive the audit wire format
+    /// (AuditRecord::kFailureStepSize).
+    std::string name;
+    std::function<Status()> apply;
+    bool applied = false;
+  };
+
+  /// Session-id namespace for op records: keeps fleet operations distinct
+  /// from session verdicts (dense small integers) in an offline replay.
+  static constexpr std::uint64_t kSessionBase = 0xf1ee7000'00000000ULL;
+
+  explicit FleetOps(obs::AuditLog& log) : audit(log) {}
+
+  obs::AuditLog& audit;
+  std::vector<Op> ops;
+  std::size_t applied = 0;
+  std::size_t failed = 0;
+
+  void schedule(std::uint64_t at_us, std::string name,
+                std::function<Status()> apply) {
+    ops.push_back({at_us, ops.size(), std::move(name), std::move(apply)});
+  }
+
+  void apply_due(std::uint64_t now_us) {
+    std::vector<Op*> due;  // in seq order, so a stable sort keeps ties
+    for (Op& op : ops) {
+      if (!op.applied && op.at_us <= now_us) due.push_back(&op);
+    }
+    std::stable_sort(due.begin(), due.end(), [](const Op* a, const Op* b) {
+      return a->at_us < b->at_us;
+    });
+    for (Op* op : due) {
+      op->applied = true;
+      const Status st = op->apply();
+      ++applied;
+      if (!st.ok()) ++failed;
+      // The op name rides the failure_step slot, its instant and outcome
+      // the evidence digest, and `accepted` records whether it succeeded.
+      obs::AuditRecord record;
+      record.session = kSessionBase | op->seq;
+      record.virt_us = now_us;
+      record.accepted = st.ok();
+      record.failure_step = op->name;
+      Bytes body;
+      append_u64be(body, op->at_us);
+      append(body, op->name);
+      if (!st.ok()) append(body, st.error().to_string());
+      record.evidence_digest = crypto::sha256(body);
+      audit.append(record);
+    }
+  }
+};
+
 struct WaveResult {
   SessionEngine::StagedReport report;
   std::vector<std::string> failure_steps;  // per session, "" on success
@@ -725,17 +705,20 @@ struct SoakResult {
   std::size_t succeeded = 0;
   std::uint64_t horizon_rejections = 0;
   std::uint64_t revocation_hits = 0;
-  fleet::LifecycleEngine::Stats lifecycle;
+  std::size_t ops_applied = 0;
+  std::size_t ops_failed = 0;
+  std::size_t ops_pending = 0;
   bool audit_ok = false;
   std::uint64_t audit_records = 0;
 };
 
 /// One wave of staged sessions against `world` through `engine`. All
-/// sessions share track 0 (one single-threaded world) — stages still
-/// interleave across sessions on the event loop, and the lifecycle hook
-/// fires between batches.
+/// sessions share track 0 (one single-threaded world), so a batch runs as
+/// one task in ready order: its first stage applies the ops due at the
+/// batch's instant before any session of the batch touches the world.
 WaveResult run_wave(SessionEngine& engine, FleetWorld& world,
-                    obs::AuditLog& audit, const RevocationSet* revocation,
+                    obs::AuditLog& audit, FleetOps& ops,
+                    const RevocationSet* revocation,
                     const fleet::TcbHorizon* horizon, std::size_t sessions) {
   struct Slot {
     std::unique_ptr<WebExtension> ext;
@@ -750,6 +733,14 @@ WaveResult run_wave(SessionEngine& engine, FleetWorld& world,
   out.report = engine.run_staged(
       sessions,
       [&](StagedContext& ctx) -> SessionState {
+        {
+          // Before the world lock: the ops take it themselves. Unbound
+          // from this session's record, so an op's network waits are not
+          // charged to the stage.
+          const std::uint64_t now_us = obs::session_record()->now_us;
+          obs::ScopedSessionRecord unbound(nullptr);
+          ops.apply_due(now_us);
+        }
         std::lock_guard<std::mutex> world_lock(world.mu);
         ScopedClockCurrent clock_scope(world.clock);
         const SimClock::Micros virt_start = world.clock.now_us();
@@ -827,9 +818,9 @@ WaveResult run_wave(SessionEngine& engine, FleetWorld& world,
 }
 
 /// The full lifecycle soak for one seed. Four waves, 320 sessions total,
-/// over a seeded lossy fabric; lifecycle ops fire mid-wave through the
-/// engine's on_virtual_time hook (instants are loop-virtual-time, paced
-/// off the deterministic wave-A makespan):
+/// over a seeded lossy fabric; lifecycle ops fire mid-wave at the dispatch
+/// instant (instants are loop-virtual-time, paced off the deterministic
+/// wave-A makespan):
 ///   wave A (60):  baseline under chaos — paces the op schedule;
 ///   wave B (80):  cert_rotate mid-wave (ACME re-issue + redistribute);
 ///   wave C (100): tcb_update (horizon rejects stale evidence), then
@@ -851,12 +842,11 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
   EXPECT_TRUE(horizon.ok());
 
   obs::AuditLog audit(16);
-  fleet::LifecycleEngine lifecycle(&audit);
+  FleetOps ops(audit);
 
   SessionEngineConfig engine_config;
   engine_config.workers = 4;
   engine_config.audit_log = &audit;
-  engine_config.on_virtual_time = lifecycle.hook();
   SessionEngine engine(engine_config);
   engine.vcek_cache().attach_store(kv->get());
   world.browser.set_chain_cache(&engine.chain_cache());
@@ -882,7 +872,7 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
   SoakResult out;
   std::vector<std::pair<const char*, WaveResult>> waves;
   const auto soak_wave = [&](const char* name, std::size_t sessions) {
-    WaveResult wave = run_wave(engine, world, audit, revocation->get(),
+    WaveResult wave = run_wave(engine, world, audit, ops, revocation->get(),
                                horizon->get(), sessions);
     out.sessions += wave.report.sessions;
     out.succeeded += wave.report.succeeded;
@@ -904,7 +894,7 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
     // early (skipping the page fetch) accumulate virtual time slower than
     // the baseline pace, so a late-scheduled op can miss its own wave —
     // the boundary reconcile keeps the op sequence deterministic anyway.
-    lifecycle.apply_due(std::numeric_limits<std::uint64_t>::max());
+    ops.apply_due(std::numeric_limits<std::uint64_t>::max());
   };
   const auto with_world = [&](const std::function<Status()>& fn) {
     std::lock_guard<std::mutex> world_lock(world.mu);
@@ -921,82 +911,77 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
   // Wave B: certificate rotation mid-wave. In-flight sessions keep
   // verifying — the node identity (and the attested key) is unchanged;
   // later handshakes land on the rotated certificate.
-  lifecycle.schedule(
-      {30 * pace_us, "cert_rotate", [&](std::uint64_t) -> Status {
-         return with_world([&]() -> Status {
-           EXPECT_TRUE(world.sp->renewal_due(
-               world.clock.now_us(),
-               world.acme.trusted_roots()[0].not_after_us))
-               << "forced-early rotation: any overlap covering now is due";
-           auto outcome = world.sp->provision_fleet();
-           if (!outcome.ok()) return outcome.error();
-           return Status::success();
-         });
-       }});
+  ops.schedule(30 * pace_us, "cert_rotate", [&]() -> Status {
+    return with_world([&]() -> Status {
+      EXPECT_TRUE(world.sp->renewal_due(
+          world.clock.now_us(),
+          world.acme.trusted_roots()[0].not_after_us))
+          << "forced-early rotation: any overlap covering now is due";
+      auto outcome = world.sp->provision_fleet();
+      if (!outcome.ok()) return outcome.error();
+      return Status::success();
+    });
+  });
   soak_wave("cert_rotate", 80);
 
   // Wave C: staged TCB update on the serving chip. Sessions verifying
   // inside the (update, refresh) window see the old evidence rejected
   // fail-closed at "tcb_horizon"; after vm_refresh they recover.
-  lifecycle.schedule(
-      {20 * pace_us, "tcb_update", [&](std::uint64_t) -> Status {
-         return with_world([&]() -> Status {
-           world.platforms[0]->update_firmware(new_tcb());
-           auto applied = horizon.value()->announce(
-               world.platforms[0]->chip_id(), new_tcb(),
-               world.clock.now_us(), "fleet-wide TCB update");
-           if (!applied.ok()) return applied.error();
-           // An ignored (below-floor) announcement must not audit as an
-           // applied tcb_update — surface it as a distinct failed op.
-           return *applied ? Status::success()
-                           : Error::make("fleet.tcb_ignored",
-                                         "minimum below the announced floor");
-         });
-       }});
-  lifecycle.schedule(
-      {40 * pace_us, "vm_refresh", [&](std::uint64_t) -> Status {
-         return with_world([&]() { return world.nodes[0]->refresh_evidence(); });
-       }});
+  ops.schedule(20 * pace_us, "tcb_update", [&]() -> Status {
+    return with_world([&]() -> Status {
+      world.platforms[0]->update_firmware(new_tcb());
+      auto applied = horizon.value()->announce(
+          world.platforms[0]->chip_id(), new_tcb(),
+          world.clock.now_us(), "fleet-wide TCB update");
+      if (!applied.ok()) return applied.error();
+      // An ignored (below-floor) announcement must not audit as an
+      // applied tcb_update — surface it as a distinct failed op.
+      return *applied ? Status::success()
+                      : Error::make("fleet.tcb_ignored",
+                                    "minimum below the announced floor");
+    });
+  });
+  ops.schedule(40 * pace_us, "vm_refresh", [&]() -> Status {
+    return with_world([&]() { return world.nodes[0]->refresh_evidence(); });
+  });
   soak_wave("tcb_update", 100);
 
   // Wave D: a rollback probe against node 2 (its restored snapshot must
   // be refused at reboot — the op fails if the attack *succeeds*), then a
   // revocation push that kills the serving chip for good.
-  lifecycle.schedule(
-      {10 * pace_us, "rollback_probe", [&](std::uint64_t) -> Status {
-         return with_world([&]() -> Status {
-           const Bytes current = probe_disk->raw_dump(0, probe_bytes);
-           for (std::size_t i = 0; i < probe_bytes; ++i) {
-             if (current[i] != probe_snapshot[i]) {
-               probe_disk->raw_tamper(i, current[i] ^ probe_snapshot[i]);
-             }
-           }
-           world.platforms[1]->launch_reset();
-           world.nodes[1].reset();
-           RevelioVmConfig config = world.vm_config("10.0.0.2");
-           config.existing_disk = probe_disk;
-           auto rebooted = RevelioVm::deploy(*world.platforms[1],
-                                             world.network, config,
-                                             world.routes);
-           if (!rebooted.ok()) return rebooted.error();
-           // Fail closed on trust, not availability: the node must boot
-           // (unprovisioned) but never serve the rolled-back identity.
-           if ((*rebooted)->serving_tls() ||
-               !(*rebooted)->rollback_detected()) {
-             return Error::make("fleet.rollback_not_detected",
-                                "stale sealed volume booted into service");
-           }
-           world.nodes[1] = std::move(*rebooted);
-           return Status::success();
-         });
-       }});
-  lifecycle.schedule(
-      {25 * pace_us, "revoke_push", [&](std::uint64_t) -> Status {
-         return with_world([&]() {
-           return revocation.value()->revoke_chip(
-               world.platforms[0]->chip_id(), "endorsement key leaked");
-         });
-       }});
+  ops.schedule(10 * pace_us, "rollback_probe", [&]() -> Status {
+    return with_world([&]() -> Status {
+      const Bytes current = probe_disk->raw_dump(0, probe_bytes);
+      for (std::size_t i = 0; i < probe_bytes; ++i) {
+        if (current[i] != probe_snapshot[i]) {
+          probe_disk->raw_tamper(i, current[i] ^ probe_snapshot[i]);
+        }
+      }
+      world.platforms[1]->launch_reset();
+      world.nodes[1].reset();
+      RevelioVmConfig config = world.vm_config("10.0.0.2");
+      config.existing_disk = probe_disk;
+      auto rebooted = RevelioVm::deploy(*world.platforms[1],
+                                        world.network, config,
+                                        world.routes);
+      if (!rebooted.ok()) return rebooted.error();
+      // Fail closed on trust, not availability: the node must boot
+      // (unprovisioned) but never serve the rolled-back identity.
+      if ((*rebooted)->serving_tls() ||
+          !(*rebooted)->rollback_detected()) {
+        return Error::make("fleet.rollback_not_detected",
+                           "stale sealed volume booted into service");
+      }
+      world.nodes[1] = std::move(*rebooted);
+      return Status::success();
+    });
+  });
+  ops.schedule(25 * pace_us, "revoke_push", [&]() -> Status {
+    return with_world([&]() {
+      return revocation.value()->revoke_chip(
+          world.platforms[0]->chip_id(), "endorsement key leaked");
+    });
+  });
   soak_wave("revoke_push", 80);
 
   // Scenario-specific outcomes.
@@ -1018,7 +1003,9 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
 
   out.horizon_rejections = horizon.value()->stats().rejections;
   out.revocation_hits = revocation.value()->stats().hits;
-  out.lifecycle = lifecycle.stats();
+  out.ops_applied = ops.applied;
+  out.ops_failed = ops.failed;
+  out.ops_pending = ops.ops.size() - ops.applied;
   const auto audit_summary = obs::AuditLog::verify(audit.serialize());
   out.audit_ok = audit_summary.ok();
   out.audit_records = audit.records();
@@ -1028,11 +1015,10 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
       to_hex(crypto::sha256(to_bytes(out.transcript)).view());
   std::printf(
       "[fleet-soak] seed=%s sessions=%zu ok=%zu horizon_rej=%llu "
-      "revoked=%llu ops=%llu audit_records=%llu transcript_sha256=%s\n",
+      "revoked=%llu ops=%zu audit_records=%llu transcript_sha256=%s\n",
       seed.c_str(), out.sessions, out.succeeded,
       static_cast<unsigned long long>(out.horizon_rejections),
-      static_cast<unsigned long long>(out.revocation_hits),
-      static_cast<unsigned long long>(out.lifecycle.applied),
+      static_cast<unsigned long long>(out.revocation_hits), out.ops_applied,
       static_cast<unsigned long long>(out.audit_records),
       transcript_sha256.c_str());
   return out;
@@ -1045,9 +1031,9 @@ TEST(FleetLifecycleSoak, LifecycleOpsUnderChaosStayFailClosed) {
       << "most sessions ride over the mild fault schedule";
   // Every lifecycle op fired exactly once and succeeded — including the
   // rollback probe, which *succeeds* iff the attack was refused.
-  EXPECT_EQ(soak.lifecycle.applied, 5u);
-  EXPECT_EQ(soak.lifecycle.failed, 0u);
-  EXPECT_EQ(soak.lifecycle.pending, 0u);
+  EXPECT_EQ(soak.ops_applied, 5u);
+  EXPECT_EQ(soak.ops_failed, 0u);
+  EXPECT_EQ(soak.ops_pending, 0u);
   EXPECT_GT(soak.horizon_rejections, 0u);
   EXPECT_GT(soak.revocation_hits, 0u);
   // Session verdicts + lifecycle records share one verifiable chain.
@@ -1055,7 +1041,7 @@ TEST(FleetLifecycleSoak, LifecycleOpsUnderChaosStayFailClosed) {
   // Every *reached* verdict and every lifecycle op is on the chain
   // (transport-level failures never get as far as a verdict).
   EXPECT_GE(soak.audit_records,
-            soak.succeeded + soak.lifecycle.applied);
+            soak.succeeded + soak.ops_applied);
 }
 
 TEST(FleetLifecycleSoak, SameSeedReproducesBitIdenticalTranscript) {

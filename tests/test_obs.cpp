@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/log.hpp"
 #include "common/sim_clock.hpp"
 #include "crypto/ecdsa.hpp"
 #include "imagebuild/builder.hpp"
@@ -28,9 +27,7 @@ struct TracerGuard {
   }
   ~TracerGuard() {
     obs::tracer().set_enabled(false);
-    obs::tracer().set_log_spans(false);
     obs::tracer().set_real_clock(nullptr);
-    obs::tracer().set_max_finished(100000);
     obs::tracer().clear();
   }
 };
@@ -127,7 +124,7 @@ TEST(Trace, VirtualAndRealDurations) {
   EXPECT_DOUBLE_EQ(root_rec->real_us(), 1.5);
 }
 
-TEST(Trace, FinishedSpansJsonGolden) {
+TEST(Trace, FinishedSpanRecordsGolden) {
   TracerGuard guard;
   SimClock clock;
   std::uint64_t fake_ns = 0;
@@ -141,14 +138,26 @@ TEST(Trace, FinishedSpansJsonGolden) {
   child.end();
   root.end();
 
-  EXPECT_EQ(
-      obs::tracer().finished_spans_json(),
-      "[{\"id\":2,\"parent_id\":1,\"name\":\"child\","
-      "\"virt_start_us\":10,\"virt_us\":5,\"real_us\":0.5,"
-      "\"attrs\":{\"k\":\"v\"}},"
-      "{\"id\":1,\"parent_id\":0,\"name\":\"root\","
-      "\"virt_start_us\":0,\"virt_us\":15,\"real_us\":1.5,"
-      "\"attrs\":{}}]");
+  // Completion order, every field a trace consumer reads.
+  const auto& spans = obs::tracer().finished_spans();
+  ASSERT_EQ(spans.size(), 2u);
+  const obs::SpanRecord& c = spans[0];
+  EXPECT_EQ(c.id, 2u);
+  EXPECT_EQ(c.parent_id, 1u);
+  EXPECT_EQ(c.name, "child");
+  EXPECT_EQ(c.virt_start_us, 10u);
+  EXPECT_EQ(c.virt_us(), 5u);
+  EXPECT_DOUBLE_EQ(c.real_us(), 0.5);
+  EXPECT_EQ(c.attrs, (std::vector<std::pair<std::string, std::string>>{
+                         {"k", "v"}}));
+  const obs::SpanRecord& r = spans[1];
+  EXPECT_EQ(r.id, 1u);
+  EXPECT_EQ(r.parent_id, 0u);
+  EXPECT_EQ(r.name, "root");
+  EXPECT_EQ(r.virt_start_us, 0u);
+  EXPECT_EQ(r.virt_us(), 15u);
+  EXPECT_DOUBLE_EQ(r.real_us(), 1.5);
+  EXPECT_TRUE(r.attrs.empty());
 }
 
 TEST(Trace, ChromeTraceFormat) {
@@ -164,7 +173,7 @@ TEST(Trace, ChromeTraceFormat) {
   // Two thread_name metadata events + one complete event per clock.
   EXPECT_NE(trace.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(trace.find("\"virtual clock (sim)\""), std::string::npos);
-  EXPECT_NE(trace.find("\"real clock (cpu)\""), std::string::npos);
+  EXPECT_NE(trace.find("\"real clock (wall)\""), std::string::npos);
   // Virtual row: tid 1, µs straight off the sim clock.
   EXPECT_NE(trace.find("\"name\":\"work\",\"cat\":\"virt\",\"ph\":\"X\","
                        "\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":3"),
@@ -177,58 +186,13 @@ TEST(Trace, ChromeTraceFormat) {
 
 TEST(Trace, BoundedHistoryDropsOldest) {
   TracerGuard guard;
-  obs::tracer().set_max_finished(2);
-  for (int i = 0; i < 3; ++i) {
+  for (std::size_t i = 0; i <= obs::Tracer::kMaxFinishedSpans; ++i) {
     obs::Span span("span-" + std::to_string(i));
   }
-  EXPECT_EQ(obs::tracer().finished_spans().size(), 2u);
+  EXPECT_EQ(obs::tracer().finished_spans().size(),
+            obs::Tracer::kMaxFinishedSpans);
   EXPECT_EQ(obs::tracer().dropped_spans(), 1u);
   EXPECT_EQ(obs::tracer().finished_spans().front().name, "span-1");
-}
-
-// ------------------------------------------------------- log correlation
-
-TEST(Trace, SpanLogCorrelation) {
-  TracerGuard guard;
-  const LogLevel saved_level = log_level();
-  set_log_level(LogLevel::kDebug);
-  obs::tracer().set_log_spans(true);
-
-  LogBuffer capture;
-  capture.install();
-  {
-    obs::Span outer("outer");
-    obs::Span inner("inner");
-    log_debug("app", "work inside the inner span");
-  }
-  capture.uninstall();
-  set_log_level(saved_level);
-
-  EXPECT_TRUE(capture.contains("span#1 begin outer"));
-  EXPECT_TRUE(capture.contains("span#2 begin inner parent=#1"));
-  EXPECT_TRUE(capture.contains("work inside the inner span"));
-  EXPECT_TRUE(capture.contains("span#2 end inner"));
-  EXPECT_TRUE(capture.contains("span#1 end outer"));
-  // Ordering: begin lines precede the app log line, which precedes the ends.
-  const auto lines = capture.lines();
-  ASSERT_EQ(lines.size(), 5u);
-  EXPECT_NE(lines[2].find("work inside"), std::string::npos);
-}
-
-TEST(Log, BufferCapturesAndRestoresStderrSink) {
-  LogBuffer capture(2);  // tiny ring: keeps only the 2 newest lines
-  capture.install();
-  log_warn("a", "first");
-  log_warn("b", "second");
-  log_warn("c", "third");
-  capture.uninstall();
-  log_warn("d", "after uninstall");  // must not reach the buffer
-
-  const auto lines = capture.lines();
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[WARN ] b second");
-  EXPECT_EQ(lines[1], "[WARN ] c third");
-  EXPECT_FALSE(capture.contains("after uninstall"));
 }
 
 // ----------------------------------------------------------------- metrics

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation checker (ctest label `docs`).
 #
-# Seven guarantees:
+# Eight guarantees:
 #   1. Every intra-repo markdown link in the maintained docs (README.md,
 #      DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md, docs/**) points
 #      at a file that exists. External links (http/https/mailto) and pure
@@ -36,6 +36,11 @@
 #   7. Every REVELIO_* environment variable README.md, DESIGN.md or
 #      docs/** names is read by a `getenv("REVELIO_...")` under src/, so
 #      the docs cannot keep citing a deleted knob.
+#   8. Under each "### `src/<dir>`" heading of docs/ARCHITECTURE.md, every
+#      backticked file name in the list that opens a bullet
+#      (`rng.{hpp,cpp}`, `bytes.hpp`, ...; brace lists expand) exists in
+#      src/<dir>, so the walkthrough cannot keep describing a deleted
+#      file under its bare name, which guarantee 6 does not see.
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's repo)
 set -euo pipefail
@@ -267,6 +272,35 @@ for path in metric_docs:
                                 "read by a getenv under src/")
 print(f"environment variables: {len(cited_vars)} cited, "
       f"{len(read_vars)} read in src/")
+
+# --- 8. ARCHITECTURE.md's per-directory bullets name files that exist ------
+if os.path.exists(arch_path):
+    section_dir = None
+    bullet_files = 0
+    lead_re = re.compile(r"^- ((?:`[^`]+`(?:,\s*|\s+and\s+)?)+)")
+    file_re = re.compile(r"^[\w.-]+\.(?:\{[\w,]+\}|\w+)$")
+    for line in arch.splitlines():
+        heading = re.match(r"^### `src/([\w-]+)`", line)
+        if heading:
+            section_dir = heading.group(1)
+            continue
+        if line.startswith(("## ", "### ")):
+            section_dir = None
+            continue
+        lead = lead_re.match(line) if section_dir else None
+        if not lead:
+            continue
+        for span in re.findall(r"`([^`]+)`", lead.group(1)):
+            if not file_re.match(span):
+                continue
+            for name in expand_braces(span):
+                bullet_files += 1
+                if not os.path.exists(
+                        os.path.join(root, "src", section_dir, name)):
+                    failures.append(
+                        f"docs/ARCHITECTURE.md: `src/{section_dir}` bullet "
+                        f"names `{name}`, which does not exist there")
+    print(f"architecture bullets: {bullet_files} file names checked")
 
 if failures:
     print("documentation check failure(s):", file=sys.stderr)
