@@ -36,7 +36,8 @@
 //
 // Virtual-clock numbers are deterministic and gated by run_benches.sh
 // against bench/BENCH_gateway.baseline.json. Real elapsed time is
-// reported but never gated.
+// reported and not gated, with one exception: batch_verify_speedup, a
+// ratio of real verify-stage times, must reach 1.5x.
 //
 // PR 7 additions: a "recorder" level re-runs the largest quick-safe
 // synthetic level with every session carrying a flight-recorder ring
@@ -61,6 +62,9 @@
 // tools/audit_verify --store; without it the deterministic in-memory
 // backend is used.
 //
+// Every level drives the shared gateway harness (bench/gateway_world.hpp),
+// the same worlds and stage driver the gateway tests run.
+//
 //   bench_gateway [--out BENCH_gateway.json]
 //                 [--audit-out AUDIT_gateway.bin]
 //                 [--store-dir DIR] [--quick]
@@ -68,129 +72,39 @@
 // --help prints that usage and exits 0; an unknown argument, or an option
 // missing its value, prints it and exits 2 without running anything.
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "imagebuild/builder.hpp"
+#include "gateway_world.hpp"
 #include "obs/audit_log.hpp"
 #include "obs/audit_store.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
 #include "revelio/session_engine.hpp"
-#include "revelio/sp_node.hpp"
-#include "revelio/web_extension.hpp"
 #include "store/kv_store.hpp"
 #include "store/storage_env.hpp"
-#include "vm/hypervisor.hpp"
 
 namespace {
 
 using namespace revelio;
 
-constexpr const char* kDomain = "svc.revelio.app";
-constexpr const char* kKdsHost = "kds.amd.com";
-constexpr const char* kBody = "<html>gateway</html>";
+using gateway::GatewayWorld;
+using Sessions = gateway::GatewaySessions<GatewayWorld>;
+using Worlds = std::span<const std::unique_ptr<GatewayWorld>>;
+
 constexpr std::size_t kWorlds = 64;
 constexpr std::size_t kFullSessions = 64;
 constexpr std::size_t kChaosWorlds = 32;
 constexpr std::size_t kChaosSessions = 1000;
 constexpr unsigned kScaleWorkers = 8;
 constexpr std::size_t kRestartWorlds = 16;
-
-/// One complete single-threaded deployment, driven by whichever engine
-/// lane holds its mutex. Identical seeds make the AMD chip/VCEK/root
-/// certificates byte-identical across replicas (the platform registers
-/// with the KDS at t=0), which is what lets all 64 worlds share the
-/// engine's VCEK and chain caches.
-struct GatewayWorld {
-  explicit GatewayWorld(const std::string& seed)
-      : network(clock),
-        world_drbg(to_bytes("gateway-bench-" + seed)),
-        kds(world_drbg),
-        kds_service(kds, network, {kKdsHost, 443}),
-        acme(clock, world_drbg),
-        browser(network, "laptop", acme.trusted_roots(),
-                crypto::HmacDrbg(to_bytes("browser-" + seed))) {
-    imagebuild::BaseImage base;
-    base.name = "ubuntu";
-    base.tag = "20.04";
-    base.packages = {{"nginx", "1.18",
-                      {{"/usr/sbin/nginx",
-                        to_bytes(std::string_view("nginx-binary"))}}}};
-    const crypto::Digest32 base_digest = registry.publish(base);
-
-    imagebuild::BuildInputs inputs;
-    inputs.base_image_digest = base_digest;
-    inputs.service_files["/opt/service/app"] =
-        to_bytes(std::string_view("service-binary-v1"));
-    inputs.initrd.services = {{"app", "/opt/service/app", 300.0}};
-    inputs.initrd.allowed_inbound_ports = {"443", "8443"};
-    imagebuild::ImageBuilder builder(registry);
-    auto built = builder.build(inputs);
-    if (!built.ok()) std::abort();
-    image = *built;
-    expected_measurement = vm::Hypervisor::expected_measurement(
-        image.kernel_blob, image.initrd_blob, image.cmdline);
-
-    net::HttpRouter routes;
-    routes.route("GET", "/", [](const net::HttpRequest&) {
-      return net::HttpResponse::ok(to_bytes(std::string_view(kBody)),
-                                   "text/html");
-    });
-    platform = std::make_unique<sevsnp::AmdSp>(
-        to_bytes("platform-10.0.0.1-" + seed),
-        sevsnp::TcbVersion{2, 0, 8, 115});
-    kds.register_platform(*platform);
-    core::RevelioVmConfig config;
-    config.domain = kDomain;
-    config.host = "10.0.0.1";
-    config.image = image;
-    config.kds_address = {kKdsHost, 443};
-    auto deployed =
-        core::RevelioVm::deploy(*platform, network, config, routes);
-    if (!deployed.ok()) std::abort();
-    node = std::move(*deployed);
-
-    core::SpNodeConfig sp_config;
-    sp_config.domain = kDomain;
-    sp_config.kds_address = {kKdsHost, 443};
-    sp_config.expected_measurements = {expected_measurement};
-    sp = std::make_unique<core::SpNode>(network, acme, sp_config);
-    sp->approve_node(node->bootstrap_address(), platform->chip_id());
-    if (!sp->provision_fleet().ok()) std::abort();
-    network.dns_set_a(kDomain, "10.0.0.1");
-  }
-
-  core::SiteRegistration registration() {
-    core::SiteRegistration site;
-    site.expected_measurements = {expected_measurement};
-    return site;
-  }
-
-  SimClock clock;
-  net::Network network;
-  crypto::HmacDrbg world_drbg;
-  sevsnp::KeyDistributionServer kds;
-  core::KdsService kds_service;
-  pki::AcmeIssuer acme;
-  core::Browser browser;
-  imagebuild::PackageRegistry registry;
-  imagebuild::VmImage image;
-  sevsnp::Measurement expected_measurement;
-  std::unique_ptr<sevsnp::AmdSp> platform;
-  std::unique_ptr<core::RevelioVm> node;
-  std::unique_ptr<core::SpNode> sp;
-  std::mutex mu;  // one lane drives the world at a time
-};
 
 // ---------------------------------------------------------------------------
 // Level result + JSON
@@ -355,47 +269,20 @@ void print_level(const Level& level) {
 // ---------------------------------------------------------------------------
 // Blocking levels (the thread-per-session lane model)
 
-Level run_blocking(std::vector<GatewayWorld*>& worlds, unsigned workers) {
+Level run_blocking(Worlds worlds, unsigned workers) {
   core::SessionEngineConfig config;
   config.workers = workers;
   core::SessionEngine engine(config);
-  std::atomic<int> unverified{0};
   const std::uint64_t kds_before =
       obs::metrics().counter_value("kds.fetch.count");
 
   Level level;
   level.mode = "blocking";
   level.workers = workers;
-  const auto report = engine.run_staged(
-      kFullSessions, [&](core::StagedContext& ctx) {
-        GatewayWorld& world = *worlds[ctx.index % worlds.size()];
-        std::lock_guard<std::mutex> world_lock(world.mu);
-        ScopedClockCurrent clock_scope(world.clock);
-        const SimClock::Micros virt_start = world.clock.now_us();
-        const auto fail = [&](Error error) {
-          ctx.failure = std::move(error);
-          return core::SessionState::kFailed;
-        };
-
-        world.browser.set_chain_cache(ctx.chain_cache);
-        world.browser.drop_session(kDomain);
-        core::WebExtensionConfig ext_config;
-        ext_config.kds_address = {kKdsHost, 443};
-        ext_config.shared_chain_cache = ctx.chain_cache;
-        ext_config.shared_vcek_cache = ctx.vcek_cache;
-        core::WebExtension extension(world.browser, ext_config);
-        extension.register_site(kDomain, world.registration());
-
-        auto verified = extension.get(kDomain, 443, "/");
-        ctx.stage_virt_ms =
-            static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
-        if (!verified.ok()) return fail(verified.error());
-        if (!verified->checks.all_ok()) {
-          unverified.fetch_add(1);
-          return fail(Error::make("bench.unverified_trust_accepted"));
-        }
-        return core::SessionState::kDone;
-      });
+  core::WebExtensionConfig ext_config;
+  ext_config.kds_address = {gateway::kKdsPrimary, 443};
+  Sessions sessions(worlds, kFullSessions, ext_config);
+  const auto report = sessions.run_blocking(engine);
   level.sessions = report.sessions;
   level.succeeded = report.succeeded;
   level.failed = report.failed;
@@ -419,7 +306,7 @@ Level run_blocking(std::vector<GatewayWorld*>& worlds, unsigned workers) {
     level.sessions_per_virtual_sec = static_cast<double>(kFullSessions) /
                                      (level.virt_makespan_ms / 1000.0);
   }
-  level.unverified_accepts = unverified.load();
+  level.unverified_accepts = sessions.unverified_accepts();
   level.kds_fetch_count_delta =
       obs::metrics().counter_value("kds.fetch.count") - kds_before;
   return level;
@@ -428,7 +315,7 @@ Level run_blocking(std::vector<GatewayWorld*>& worlds, unsigned workers) {
 // ---------------------------------------------------------------------------
 // Staged full-crypto levels (the event-driven state-machine path)
 
-Level run_staged_full(std::vector<GatewayWorld*>& worlds, unsigned workers,
+Level run_staged_full(Worlds worlds, unsigned workers,
                       std::size_t sessions, int retry_attempts,
                       const core::AdmissionConfig& admission,
                       const char* mode, obs::AuditLog* audit = nullptr,
@@ -445,131 +332,19 @@ Level run_staged_full(std::vector<GatewayWorld*>& worlds, unsigned workers,
     engine.chain_cache().attach_store(durable);
     engine.vcek_cache().attach_store(durable);
   }
-  struct Slot {
-    std::unique_ptr<core::WebExtension> ext;
-    std::unique_ptr<core::WebExtension::StagedAttestation> staged;
-  };
-  std::vector<Slot> slots(sessions);
-  std::atomic<int> unverified{0};
   const std::uint64_t kds_before =
       obs::metrics().counter_value("kds.fetch.count");
 
   Level level;
   level.mode = mode;
   level.workers = workers;
-
-  // Batched verify: the engine hands over whole verify wavefronts; one
-  // multi-scalar ECDSA pass covers all of them. Every track (== world) in
-  // the batch is exclusively owned by this one pool task — the engine only
-  // subsumes a track group when ALL its ready sessions sit at the verify
-  // stage — so taking every involved world lock up front cannot contend
-  // with concurrently dispatched groups.
-  core::BatchStageConfig batching;
-  if (batch_verify) {
-    batching.stage = core::SessionState::kVerify;
-    batching.fn = [&](std::vector<core::StagedBatchItem>& items) {
-      std::vector<GatewayWorld*> held;
-      held.reserve(items.size());
-      for (const auto& item : items) {
-        held.push_back(worlds[item.ctx.index % worlds.size()]);
-      }
-      std::sort(held.begin(), held.end());
-      held.erase(std::unique(held.begin(), held.end()), held.end());
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(held.size());
-      for (GatewayWorld* world : held) locks.emplace_back(world->mu);
-
-      std::vector<core::WebExtension::StagedAttestation*> staged;
-      staged.reserve(items.size());
-      for (const auto& item : items) {
-        staged.push_back(slots[item.ctx.index].staged.get());
-      }
-      const auto statuses = core::batch_verify_sessions(staged);
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        // Verify is pure compute: no world clock advances, so
-        // stage_virt_ms stays 0 exactly like the per-session path.
-        if (statuses[k].ok()) {
-          items[k].next = core::SessionState::kPageFetch;
-        } else {
-          items[k].ctx.failure = statuses[k];
-          items[k].next = core::SessionState::kFailed;
-        }
-      }
-    };
-  }
-
-  const auto report = engine.run_staged(
-      sessions,
-      [&](core::StagedContext& ctx) -> core::SessionState {
-        GatewayWorld& world = *worlds[ctx.index % worlds.size()];
-        std::lock_guard<std::mutex> world_lock(world.mu);
-        ScopedClockCurrent clock_scope(world.clock);
-        const SimClock::Micros virt_start = world.clock.now_us();
-        Slot& slot = slots[ctx.index];
-        const auto finish = [&](core::SessionState next) {
-          ctx.stage_virt_ms =
-              static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
-          return next;
-        };
-        const auto fail = [&](Error error) {
-          ctx.failure = std::move(error);
-          return finish(core::SessionState::kFailed);
-        };
-
-        switch (ctx.state) {
-          case core::SessionState::kHandshake: {
-            world.browser.set_chain_cache(ctx.chain_cache);
-            world.browser.drop_session(kDomain);
-            core::WebExtensionConfig ext_config;
-            ext_config.kds_address = {kKdsHost, 443};
-            ext_config.retry.max_attempts = retry_attempts;
-            ext_config.shared_chain_cache = ctx.chain_cache;
-            ext_config.shared_vcek_cache = ctx.vcek_cache;
-            ext_config.audit_log = audit;
-            ext_config.audit_session_id = ctx.index;
-            ext_config.revocation_set = revocations;
-            slot.ext =
-                std::make_unique<core::WebExtension>(world.browser, ext_config);
-            slot.ext->register_site(kDomain, world.registration());
-            slot.staged =
-                std::make_unique<core::WebExtension::StagedAttestation>(
-                    slot.ext->begin_session(kDomain, 443));
-            auto st = slot.staged->handshake();
-            if (!st.ok()) return fail(st.error());
-            return finish(core::SessionState::kEvidenceFetch);
-          }
-          case core::SessionState::kEvidenceFetch: {
-            auto st = slot.staged->fetch_evidence();
-            if (!st.ok()) return fail(st.error());
-            return finish(core::SessionState::kKdsFetch);
-          }
-          case core::SessionState::kKdsFetch: {
-            auto st = slot.staged->fetch_kds();
-            if (!st.ok()) return fail(st.error());
-            return finish(core::SessionState::kVerify);
-          }
-          case core::SessionState::kVerify: {
-            auto st = slot.staged->verify();
-            if (!st.ok()) return fail(st.error());
-            return finish(core::SessionState::kPageFetch);
-          }
-          case core::SessionState::kPageFetch: {
-            auto page = slot.staged->fetch_page("/");
-            if (!page.ok()) return fail(page.error());
-            if (!slot.staged->checks().all_ok()) {
-              unverified.fetch_add(1);
-              return fail(Error::make("bench.unverified_trust_accepted"));
-            }
-            if (to_string(page->body) != kBody) {
-              return fail(Error::make("bench.body_mismatch"));
-            }
-            return finish(core::SessionState::kDone);
-          }
-          default:
-            return fail(Error::make("bench.unexpected_state"));
-        }
-      },
-      admission, [&](std::size_t i) { return i % worlds.size(); }, batching);
+  core::WebExtensionConfig ext_config;
+  ext_config.kds_address = {gateway::kKdsPrimary, 443};
+  ext_config.retry.max_attempts = retry_attempts;
+  ext_config.audit_log = audit;
+  ext_config.revocation_set = revocations;
+  Sessions staged(worlds, sessions, ext_config);
+  const auto report = staged.run(engine, admission, batch_verify);
   fill_from(level, report);
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
     if (!report.outcomes[i].ok()) {  // surface the first failure per level
@@ -578,7 +353,7 @@ Level run_staged_full(std::vector<GatewayWorld*>& worlds, unsigned workers,
       break;
     }
   }
-  level.unverified_accepts = unverified.load();
+  level.unverified_accepts = staged.unverified_accepts();
   level.kds_fetch_count_delta =
       obs::metrics().counter_value("kds.fetch.count") - kds_before;
   return level;
@@ -682,19 +457,7 @@ struct RestartInfo {
 int run_gateway_bench(const char* out_path, const char* audit_path,
                       const char* store_dir, bool quick) {
   std::fprintf(stderr, "building %zu world replicas...\n", kWorlds);
-  const auto build_world_set = [](std::vector<std::unique_ptr<GatewayWorld>>&
-                                      store) {
-    store.clear();
-    store.reserve(kWorlds);
-    std::vector<GatewayWorld*> ptrs;
-    for (std::size_t i = 0; i < kWorlds; ++i) {
-      store.push_back(std::make_unique<GatewayWorld>("gw-bench-1"));
-      ptrs.push_back(store.back().get());
-    }
-    return ptrs;
-  };
-  std::vector<std::unique_ptr<GatewayWorld>> world_store;
-  std::vector<GatewayWorld*> worlds = build_world_set(world_store);
+  const auto worlds = gateway::build_worlds(kWorlds, "gw-bench-1");
 
   std::vector<Level> levels;
   std::printf("%-9s %4s %7s  %12s %12s %12s %9s %10s\n", "mode", "wrk",
@@ -712,8 +475,7 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   // state. Within a set the 1w level's mutations carry into the 4w level
   // the same way for both modes.
   {
-    std::vector<std::unique_ptr<GatewayWorld>> staged_store;
-    std::vector<GatewayWorld*> staged_worlds = build_world_set(staged_store);
+    const auto staged_worlds = gateway::build_worlds(kWorlds, "gw-bench-1");
     for (const unsigned workers : {1u, 4u}) {
       levels.push_back(run_staged_full(staged_worlds, workers, kFullSessions,
                                        /*retry_attempts=*/1, {}, "staged"));
@@ -726,8 +488,7 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   // against "staged": bit-identical transcript digest, zero unverified
   // accepts, and less real verify time.
   {
-    std::vector<std::unique_ptr<GatewayWorld>> batch_store;
-    std::vector<GatewayWorld*> batch_worlds = build_world_set(batch_store);
+    const auto batch_worlds = gateway::build_worlds(kWorlds, "gw-bench-1");
     for (const unsigned workers : {1u, 4u}) {
       levels.push_back(run_staged_full(batch_worlds, workers, kFullSessions,
                                        /*retry_attempts=*/1, {},
@@ -796,33 +557,28 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
       tier.revocations = std::move(*revocations);
       return true;
     };
-    const auto build_restart_worlds =
-        [](std::vector<std::unique_ptr<GatewayWorld>>& store) {
-          store.clear();
-          store.reserve(kRestartWorlds);
-          std::vector<GatewayWorld*> ptrs;
-          for (std::size_t i = 0; i < kRestartWorlds; ++i) {
-            store.push_back(std::make_unique<GatewayWorld>(
-                "gw-restart-" + std::to_string(i)));
-            // AMD's KDS is a throttled WAN service, not a LAN neighbour:
-            // charge its link a realistic 25 ms one-way latency (set after
-            // construction so fleet provisioning is unaffected). The cold
-            // phase pays this round trip once per world; the warm phase
-            // reads the persisted chains and never touches the KDS.
-            store.back()->network.set_link_latency_ms("laptop", kKdsHost,
-                                                      25.0);
-            ptrs.push_back(store.back().get());
-          }
-          return ptrs;
-        };
+    const auto build_restart_worlds = [] {
+      std::vector<std::unique_ptr<GatewayWorld>> store;
+      for (std::size_t i = 0; i < kRestartWorlds; ++i) {
+        store.push_back(std::make_unique<GatewayWorld>(
+            "gw-restart-" + std::to_string(i)));
+        // AMD's KDS is a throttled WAN service, not a LAN neighbour:
+        // charge its link a realistic 25 ms one-way latency (set after
+        // construction so fleet provisioning is unaffected). The cold
+        // phase pays this round trip once per world; the warm phase
+        // reads the persisted chains and never touches the KDS.
+        store.back()->network.set_link_latency_ms(
+            "laptop", gateway::kKdsPrimary, 25.0);
+      }
+      return store;
+    };
 
     std::fprintf(stderr, "building %zu per-seed restart worlds...\n",
                  kRestartWorlds);
     {  // Cold phase: empty store, every world pays its own KDS fetch.
       DurableTier tier;
       if (!open_tier(tier)) return 1;
-      std::vector<std::unique_ptr<GatewayWorld>> restart_store;
-      auto restart_worlds = build_restart_worlds(restart_store);
+      const auto restart_worlds = build_restart_worlds();
       levels.push_back(run_staged_full(
           restart_worlds, /*workers=*/1, kRestartWorlds, /*retry_attempts=*/1,
           {}, "restart_cold", tier.audit->log.get(), /*batch_verify=*/false,
@@ -841,8 +597,7 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
       restart.recovery_generation = tier.kv->recovery().generation;
       restart.recovery_wal_frames = tier.kv->recovery().wal_frames_replayed;
       restart.recovery_truncated_tail = tier.kv->recovery().truncated_tail;
-      std::vector<std::unique_ptr<GatewayWorld>> restart_store;
-      auto restart_worlds = build_restart_worlds(restart_store);
+      const auto restart_worlds = build_restart_worlds();
       levels.push_back(run_staged_full(
           restart_worlds, /*workers=*/1, kRestartWorlds, /*retry_attempts=*/1,
           {}, "restart_warm", tier.audit->log.get(), /*batch_verify=*/false,
@@ -914,11 +669,10 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
       plan.set_default_profile(lossy);
       worlds[i]->network.set_fault_plan(std::move(plan));
     }
-    std::vector<GatewayWorld*> chaos_worlds(worlds.begin(),
-                                            worlds.begin() + kChaosWorlds);
     core::AdmissionConfig admission;
     admission.max_inflight_kds = 8;
-    levels.push_back(run_staged_full(chaos_worlds, kScaleWorkers,
+    levels.push_back(run_staged_full(Worlds(worlds).first(kChaosWorlds),
+                                     kScaleWorkers,
                                      kChaosSessions, /*retry_attempts=*/5,
                                      admission, "chaos", &audit));
     print_level(levels.back());
@@ -954,9 +708,9 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   std::printf("staged vs blocking at 1 worker: %.1fx virtual throughput\n",
               staged_speedup_1w);
 
-  // Batched-verify gates: real CPU time spent in the verify stage (summed
-  // over both worker counts to damp scheduling noise), plus transcript
-  // parity — batching must not move a single virtual-time bit.
+  // Batched-verify gates: real (steady-clock) time spent in the verify
+  // stage (summed over both worker counts to damp scheduling noise), plus
+  // transcript parity — batching must not move a single virtual-time bit.
   auto verify_real_total = [&](const char* mode) {
     double total = 0.0;
     for (const auto& level : levels) {

@@ -229,7 +229,7 @@ Result<WebExtension::Verified> WebExtension::fetch(
     // The page fetch already holds the session, so the pass starts at
     // fetch_evidence with that key and deadline.
     StagedAttestation staged(*this, domain, port);
-    staged.next_ = StagedAttestation::Stage::kEvidence;
+    staged.state_ = SessionState::kEvidenceFetch;
     staged.deadline_ = deadline;
     staged.verifier_.policy().expected_payload = result->tls_server_key;
     Status st = Status::success();
@@ -292,9 +292,9 @@ Status WebExtension::StagedAttestation::wrong_stage(const char* want) const {
 }
 
 Status WebExtension::StagedAttestation::handshake() {
-  if (next_ != Stage::kHandshake) return wrong_stage("handshake");
+  if (state_ != SessionState::kHandshake) return wrong_stage("handshake");
   if (ext_->sites_.count(domain_) == 0) {
-    return Error::make("extension.site_not_registered", domain_);
+    return failed(Error::make("extension.site_not_registered", domain_));
   }
   SimClock& clock = ext_->browser_->network().clock();
   deadline_ = ext_->config_.attest_deadline_ms > 0.0
@@ -302,14 +302,16 @@ Status WebExtension::StagedAttestation::handshake() {
                                             ext_->config_.attest_deadline_ms)
                   : net::Deadline::unlimited();
   auto key = ext_->browser_->connect(domain_, port_);
-  if (!key.ok()) return key.error();
+  if (!key.ok()) return failed(key.error());
   verifier_.policy().expected_payload = std::move(*key);
-  next_ = Stage::kEvidence;
+  state_ = SessionState::kEvidenceFetch;
   return Status::success();
 }
 
 Status WebExtension::StagedAttestation::fetch_evidence() {
-  if (next_ != Stage::kEvidence) return wrong_stage("fetch_evidence");
+  if (state_ != SessionState::kEvidenceFetch) {
+    return wrong_stage("fetch_evidence");
+  }
   ++ext_->attestations_;
 
   // Fetch the evidence from the well-known URL over the same session.
@@ -339,12 +341,12 @@ Status WebExtension::StagedAttestation::fetch_evidence() {
 
   // REPORT_DATA must cover the served payload (the VM's identity key).
   if (!verifier_.check_binding(std::move(*bundle))) return conclude(false);
-  next_ = Stage::kKds;
+  state_ = SessionState::kKdsFetch;
   return Status::success();
 }
 
 Status WebExtension::StagedAttestation::fetch_kds() {
-  if (next_ != Stage::kKds) return wrong_stage("fetch_kds");
+  if (state_ != SessionState::kKdsFetch) return wrong_stage("fetch_kds");
   auto kds = ext_->fetch_vcek(bundle().report.chip_id,
                               bundle().report.reported_tcb, deadline_);
   if (!kds.ok()) {
@@ -352,12 +354,12 @@ Status WebExtension::StagedAttestation::fetch_kds() {
         "kds_fetch", "VCEK fetch failed: " + kds.error().to_string()));
   }
   verifier_.set_chain(std::move(*kds));
-  next_ = Stage::kVerify;
+  state_ = SessionState::kVerify;
   return Status::success();
 }
 
 Status WebExtension::StagedAttestation::verify() {
-  if (next_ != Stage::kVerify) return wrong_stage("verify");
+  if (state_ != SessionState::kVerify) return wrong_stage("verify");
   return conclude(verifier_.verify(now_us()));
 }
 
@@ -373,25 +375,53 @@ Status WebExtension::StagedAttestation::conclude(bool accepted) {
       .inc();
   if (!accepted) {
     // Fail closed: last_checks() shows why, and the page is never served.
-    return Error::make("extension.attestation_failed", checks.failure);
+    return failed(Error::make("extension.attestation_failed", checks.failure));
   }
   state.attested_key = bundle().payload;
-  next_ = Stage::kPage;
+  state_ = SessionState::kPageFetch;
   return Status::success();
 }
 
 Result<net::HttpResponse> WebExtension::StagedAttestation::fetch_page(
     const std::string& path) {
-  if (next_ != Stage::kPage) {
-    auto err = wrong_stage("fetch_page");
-    return err.error();
+  if (state_ != SessionState::kPageFetch) {
+    return wrong_stage("fetch_page").error();
+  }
+  if (!checks().all_ok()) {  // fail closed: never serve partial trust
+    return failed(Error::make("extension.unverified_trust")).error();
   }
   // The session is attested now, so this takes fetch()'s monitoring path
   // (connection-context re-check included).
   auto verified = ext_->get(domain_, port_, path);
-  if (!verified.ok()) return verified.error();
-  next_ = Stage::kDone;
+  if (!verified.ok()) return failed(verified.error()).error();
+  state_ = SessionState::kDone;
   return std::move(verified->response);
+}
+
+SessionState WebExtension::StagedAttestation::step(const std::string& path,
+                                                   Status& failure) {
+  Status st = Status::success();
+  switch (state_) {
+    case SessionState::kHandshake: st = handshake(); break;
+    case SessionState::kEvidenceFetch: st = fetch_evidence(); break;
+    case SessionState::kKdsFetch: st = fetch_kds(); break;
+    case SessionState::kVerify: st = verify(); break;
+    case SessionState::kPageFetch: {
+      auto page = fetch_page(path);
+      if (page.ok()) {
+        page_ = std::move(*page);
+      } else {
+        st = page.error();
+      }
+      break;
+    }
+    default:
+      st = Error::make("extension.stage_order", "the pass is finished");
+      break;
+  }
+  if (st.ok()) return state_;
+  failure = std::move(st);
+  return SessionState::kFailed;
 }
 
 std::vector<Status> batch_verify_sessions(
@@ -408,9 +438,12 @@ std::vector<Status> batch_verify_sessions(
   slots.reserve(sessions.size());
   for (std::size_t k = 0; k < sessions.size(); ++k) {
     StagedAttestation* session = sessions[k];
-    if (session == nullptr) continue;
+    if (session == nullptr) {
+      out[k] = Error::make("extension.no_session", "null pass in the batch");
+      continue;
+    }
     obs::ScopedSessionRecord bind(session->record_);
-    if (session->next_ != StagedAttestation::Stage::kVerify) {
+    if (session->state_ != SessionState::kVerify) {
       out[k] = session->wrong_stage("verify");
       continue;
     }

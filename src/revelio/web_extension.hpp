@@ -20,6 +20,7 @@
 #include "net/tls.hpp"
 #include "obs/flight_recorder.hpp"
 #include "revelio/relying_party.hpp"
+#include "revelio/session_engine.hpp"
 #include "revelio/vcek_cache.hpp"
 
 namespace revelio::core {
@@ -140,8 +141,8 @@ class WebExtension {
 
   /// The attestation pipeline, cut at its I/O boundaries so an
   /// event-driven engine can run one stage per wake and park the session
-  /// between them. fetch() runs the same stages back to back. Stage order
-  /// is fixed:
+  /// between them. fetch() runs the same stages back to back. The pass
+  /// tracks its position as a SessionState; the order is fixed:
   ///
   ///   handshake() -> fetch_evidence() -> fetch_kds() -> verify()
   ///     -> fetch_page(path)
@@ -149,10 +150,11 @@ class WebExtension {
   /// Each stage returns Status: transport errors propagate with their
   /// original code; failed *checks* return "extension.attestation_failed"
   /// (fail closed, same as fetch()), with the step recorded in
-  /// checks().failure_step and last_checks(). Calling a stage out of
-  /// order is a programming error and returns "extension.stage_order".
-  /// Unlike fetch(), the page fetch happens *after* verification, so it
-  /// takes the monitoring path and pays connection_check_overhead_ms.
+  /// checks().failure_step and last_checks(). A failed stage leaves the
+  /// pass at kFailed; a stage called out of order returns
+  /// "extension.stage_order" and changes nothing. Unlike fetch(), the page
+  /// fetch happens *after* verification, so it takes the monitoring path
+  /// and pays connection_check_overhead_ms, and only with all checks green.
   ///
   /// Thread safety: none — one StagedAttestation belongs to one session,
   /// and the parent extension/browser must be externally serialized per
@@ -180,6 +182,12 @@ class WebExtension {
     /// Monitored page fetch over the now-attested session.
     Result<net::HttpResponse> fetch_page(const std::string& path);
 
+    /// Runs the stage the pass is at; returns the next state, or kFailed
+    /// with the stage's Status in `failure` ("extension.stage_order" once
+    /// the pass is finished). The page stage keeps its page in page().
+    SessionState step(const std::string& path, Status& failure);
+    SessionState state() const { return state_; }
+    const net::HttpResponse& page() const { return page_; }
     const AttestationChecks& checks() const { return verifier_.checks(); }
     const std::string& domain() const { return domain_; }
 
@@ -201,15 +209,8 @@ class WebExtension {
       return r != nullptr && r->ring != nullptr ? r : nullptr;
     }
 
-    enum class Stage : std::uint8_t {
-      kHandshake,
-      kEvidence,
-      kKds,
-      kVerify,
-      kPage,
-      kDone,
-    };
     Status wrong_stage(const char* want) const;
+    Status failed(Status st) { state_ = SessionState::kFailed; return st; }
     std::uint64_t now_us() const {
       return ext_->browser_->network().clock().now_us();
     }
@@ -223,12 +224,13 @@ class WebExtension {
     std::string domain_;
     std::uint16_t port_ = 0;
     obs::SessionRecord* record_ = held_record();
-    Stage next_ = Stage::kHandshake;
+    SessionState state_ = SessionState::kHandshake;
     net::Deadline deadline_;
     /// The site's policy, with the session's TLS key as the expected
     /// payload once the handshake has it; holds the evidence and chain
     /// the stages gather.
     RelyingPartyVerifier verifier_;
+    net::HttpResponse page_;
   };
 
   /// Starts a staged attestation pass against a registered site. The
@@ -294,8 +296,8 @@ class WebExtension {
 /// its own session record bound, so their flight events (chain-cache
 /// probe, verdict) land in that session's ring. The returned statuses are
 /// slot-parallel with `sessions` and identical to what each session's own
-/// verify() would have produced; null entries are skipped and left as
-/// success.
+/// verify() would have produced. A null entry fails closed with
+/// "extension.no_session": it was never verified.
 std::vector<Status> batch_verify_sessions(
     const std::vector<WebExtension::StagedAttestation*>& sessions);
 

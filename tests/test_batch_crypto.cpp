@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <regex>
 #include <string>
 #include <thread>
@@ -25,15 +24,13 @@
 #include "crypto/ec_precomp.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/sha2.hpp"
-#include "imagebuild/builder.hpp"
+#include "gateway_world.hpp"
 #include "obs/audit_log.hpp"
-#include "revelio/revelio_vm.hpp"
+#include "obs/metrics.hpp"
 #include "revelio/session_engine.hpp"
-#include "revelio/sp_node.hpp"
 #include "revelio/web_extension.hpp"
 #include "sevsnp/amd_sp.hpp"
 #include "sevsnp/kds.hpp"
-#include "vm/hypervisor.hpp"
 
 namespace revelio::core {
 namespace {
@@ -227,228 +224,85 @@ TEST(SevsnpBatchVerify, ForgedReportAmongSixtyFourIsTheOnlyRejection) {
 // ---------------------------------------------------------------------------
 // Staged gateway end to end: batched wavefront vs per-session dispatch
 
-constexpr const char* kDomain = "svc.revelio.app";
-constexpr const char* kKdsPrimary = "kds.amd.com";
-constexpr const char* kBody = "<html>app</html>";
+using gateway::build_worlds;
 
-/// Trimmed copy of the session-engine test fixture: one complete simulated
-/// deployment per world, single-threaded by design (a session locks the
-/// world and binds its clock for the duration of a stage).
-struct GatewayWorld {
-  explicit GatewayWorld(const std::string& seed)
-      : network(clock),
-        world_drbg(to_bytes("batch-gateway-" + seed)),
-        kds(world_drbg),
-        kds_service(kds, network, {kKdsPrimary, 443}),
-        acme(clock, world_drbg),
-        browser(network, "laptop", acme.trusted_roots(),
-                HmacDrbg(to_bytes("browser-" + seed))) {
-    imagebuild::BaseImage base;
-    base.name = "ubuntu";
-    base.tag = "20.04";
-    base.packages = {
-        {"nginx", "1.18", {{"/usr/sbin/nginx",
-                            to_bytes(std::string_view("nginx-binary"))}}}};
-    const crypto::Digest32 base_digest = registry.publish(base);
-
-    imagebuild::BuildInputs inputs;
-    inputs.base_image_digest = base_digest;
-    inputs.service_files["/opt/service/app"] =
-        to_bytes(std::string_view("service-binary-v1"));
-    inputs.initrd.services = {{"app", "/opt/service/app", 300.0}};
-    inputs.initrd.allowed_inbound_ports = {"443", "8443"};
-    imagebuild::ImageBuilder builder(registry);
-    auto built = builder.build(inputs);
-    EXPECT_TRUE(built.ok());
-    image = *built;
-    expected_measurement = vm::Hypervisor::expected_measurement(
-        image.kernel_blob, image.initrd_blob, image.cmdline);
-
-    net::HttpRouter routes;
-    routes.route("GET", "/", [](const net::HttpRequest&) {
-      return net::HttpResponse::ok(to_bytes(std::string_view(kBody)),
-                                   "text/html");
-    });
-    platform = std::make_unique<sevsnp::AmdSp>(
-        to_bytes("platform-10.0.0.1-" + seed),
-        sevsnp::TcbVersion{2, 0, 8, 115});
-    kds.register_platform(*platform);
-    RevelioVmConfig config;
-    config.domain = kDomain;
-    config.host = "10.0.0.1";
-    config.image = image;
-    config.kds_address = {kKdsPrimary, 443};
-    auto deployed = RevelioVm::deploy(*platform, network, config, routes);
-    EXPECT_TRUE(deployed.ok());
-    node = std::move(*deployed);
-
-    SpNodeConfig sp_config;
-    sp_config.domain = kDomain;
-    sp_config.kds_address = {kKdsPrimary, 443};
-    sp_config.expected_measurements = {expected_measurement};
-    sp = std::make_unique<SpNode>(network, acme, sp_config);
-    sp->approve_node(node->bootstrap_address(), platform->chip_id());
-    EXPECT_TRUE(sp->provision_fleet().ok());
-    network.dns_set_a(kDomain, "10.0.0.1");
-  }
-
-  SiteRegistration registration() {
-    SiteRegistration site;
-    site.expected_measurements = {expected_measurement};
-    return site;
-  }
-
-  SimClock clock;
-  net::Network network;
-  HmacDrbg world_drbg;
-  sevsnp::KeyDistributionServer kds;
-  KdsService kds_service;
-  pki::AcmeIssuer acme;
-  Browser browser;
-  imagebuild::PackageRegistry registry;
-  imagebuild::VmImage image;
-  sevsnp::Measurement expected_measurement;
-  std::unique_ptr<sevsnp::AmdSp> platform;
-  std::unique_ptr<RevelioVm> node;
-  std::unique_ptr<SpNode> sp;
-  std::mutex mu;  // one lane drives the world at a time
-};
-
-std::vector<std::unique_ptr<GatewayWorld>> build_worlds(std::size_t count,
-                                                        const char* seed) {
-  std::vector<std::unique_ptr<GatewayWorld>> worlds;
-  worlds.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    worlds.push_back(std::make_unique<GatewayWorld>(seed));
-  }
-  return worlds;
+/// The bench's staged and staged_batch levels in miniature: `sessions`
+/// staged sessions over `worlds`, with or without the batched verify
+/// hook, every verdict appended to `audit`. `bad`, when set, registers
+/// that one session against a corrupted expected-measurement set so its
+/// verdict fails policy INSIDE a batched wavefront.
+SessionEngine::StagedReport run_staged(
+    SessionEngine& engine,
+    const std::vector<std::unique_ptr<gateway::GatewayWorld>>& worlds,
+    std::size_t sessions, bool batch_verify, obs::AuditLog* audit = nullptr,
+    std::size_t bad = SIZE_MAX) {
+  WebExtensionConfig config;
+  config.kds_address = {gateway::kKdsPrimary, 443};
+  config.audit_log = audit;
+  gateway::GatewaySessions<gateway::GatewayWorld> staged(worlds, sessions,
+                                                          config);
+  staged.bad_measurement_session = bad;
+  const auto report = staged.run(engine, {}, batch_verify);
+  EXPECT_EQ(staged.unverified_accepts(), 0);
+  EXPECT_EQ(staged.wrong_bodies(), 0);
+  return report;
 }
 
-struct StagedBatchRun {
-  SessionEngine::StagedReport report;
-  int unverified_accepts = 0;
-};
-
-/// Staged driver with optional batched verify dispatch — the bench's
-/// staged_batch level in miniature. `bad_measurement_session`, when set,
-/// registers that one session against a corrupted expected-measurement set
-/// so its verdict fails policy INSIDE a batched wavefront.
-StagedBatchRun run_staged(SessionEngine& engine,
-                          std::vector<std::unique_ptr<GatewayWorld>>& worlds,
-                          std::size_t sessions, bool batch_verify,
-                          obs::AuditLog* audit = nullptr,
-                          std::size_t bad_measurement_session = SIZE_MAX) {
-  struct Slot {
-    std::unique_ptr<WebExtension> ext;
-    std::unique_ptr<WebExtension::StagedAttestation> staged;
+TEST(StagedAttestation, OutOfOrderCallsAreRefusedAndChangeNothing) {
+  // Each refused call returns extension.stage_order, leaves the pass
+  // where it was, serves no page and appends no audit record.
+  gateway::GatewayWorld world("stage-order");
+  ScopedClockCurrent clock_scope(world.clock);
+  obs::AuditLog audit(/*checkpoint_interval=*/4);
+  WebExtensionConfig config;
+  config.kds_address = {gateway::kKdsPrimary, 443};
+  config.audit_log = &audit;
+  WebExtension extension(world.browser, config);
+  extension.register_site(gateway::kDomain, world.registration());
+  const auto served = [] {
+    return obs::metrics().counter_value("http.request.count",
+                                        {{"status", "200"}});
   };
-  std::vector<Slot> slots(sessions);
-  std::atomic<int> unverified{0};
+  const auto code = [](const Status& st) {
+    return st.ok() ? std::string("ok") : st.error().code;
+  };
+  const std::string kOrder = "extension.stage_order";
 
-  BatchStageConfig batching;
-  if (batch_verify) {
-    batching.stage = SessionState::kVerify;
-    batching.fn = [&](std::vector<StagedBatchItem>& items) {
-      // The engine hands over track groups it fully subsumed, so these
-      // worlds have no other lane touching them; lock them all for the
-      // duration of the one-pass verify.
-      std::vector<GatewayWorld*> held;
-      for (const auto& item : items) {
-        held.push_back(worlds[item.ctx.index % worlds.size()].get());
-      }
-      std::sort(held.begin(), held.end());
-      held.erase(std::unique(held.begin(), held.end()), held.end());
-      std::vector<std::unique_lock<std::mutex>> locks;
-      for (GatewayWorld* world : held) locks.emplace_back(world->mu);
+  auto pass = extension.begin_session(gateway::kDomain, 443);
+  ASSERT_TRUE(pass.handshake().ok());
+  const std::uint64_t pages = served();
+  EXPECT_EQ(code(pass.handshake()), kOrder) << "a second handshake";
+  auto early = pass.fetch_page("/");
+  ASSERT_FALSE(early.ok()) << "the page before verify";
+  EXPECT_EQ(early.error().code, kOrder);
+  EXPECT_EQ(pass.state(), SessionState::kEvidenceFetch);
+  EXPECT_EQ(served(), pages);
+  ASSERT_TRUE(pass.fetch_evidence().ok());
+  ASSERT_TRUE(pass.fetch_kds().ok());
+  EXPECT_EQ(audit.records(), 0u);
 
-      std::vector<WebExtension::StagedAttestation*> staged;
-      staged.reserve(items.size());
-      for (const auto& item : items) {
-        staged.push_back(slots[item.ctx.index].staged.get());
-      }
-      const std::vector<Status> statuses = batch_verify_sessions(staged);
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        if (statuses[k].ok()) {
-          items[k].next = SessionState::kPageFetch;
-        } else {
-          items[k].ctx.failure = statuses[k];
-          items[k].next = SessionState::kFailed;
-        }
-      }
-    };
-  }
+  // One batch: the pass at verify is verified; a fresh pass (at
+  // handshake) is refused; a null entry fails closed, never verified.
+  auto fresh = extension.begin_session(gateway::kDomain, 443);
+  const std::vector<Status> statuses =
+      batch_verify_sessions({&pass, &fresh, nullptr});
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_EQ(code(statuses[0]), "ok");
+  EXPECT_EQ(code(statuses[1]), kOrder);
+  EXPECT_EQ(code(statuses[2]), "extension.no_session");
+  EXPECT_EQ(fresh.state(), SessionState::kHandshake);
+  EXPECT_EQ(audit.records(), 1u) << "only the verified pass is audited";
 
-  StagedBatchRun out;
-  out.report = engine.run_staged(
-      sessions,
-      [&](StagedContext& ctx) -> SessionState {
-        GatewayWorld& world = *worlds[ctx.index % worlds.size()];
-        std::lock_guard<std::mutex> world_lock(world.mu);
-        ScopedClockCurrent clock_scope(world.clock);
-        const SimClock::Micros virt_start = world.clock.now_us();
-        Slot& slot = slots[ctx.index];
-        const auto finish = [&](SessionState next) {
-          ctx.stage_virt_ms =
-              static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
-          return next;
-        };
-        const auto fail = [&](Error error) {
-          ctx.failure = std::move(error);
-          return finish(SessionState::kFailed);
-        };
-
-        switch (ctx.state) {
-          case SessionState::kHandshake: {
-            world.browser.drop_session(kDomain);
-            WebExtensionConfig config;
-            config.kds_address = {kKdsPrimary, 443};
-            config.shared_chain_cache = ctx.chain_cache;
-            config.shared_vcek_cache = ctx.vcek_cache;
-            config.audit_log = audit;
-            config.audit_session_id = ctx.index;
-            slot.ext = std::make_unique<WebExtension>(world.browser, config);
-            SiteRegistration site = world.registration();
-            if (ctx.index == bad_measurement_session) {
-              site.expected_measurements[0].data[0] ^= 0xff;
-            }
-            slot.ext->register_site(kDomain, site);
-            slot.staged = std::make_unique<WebExtension::StagedAttestation>(
-                slot.ext->begin_session(kDomain, 443));
-            auto st = slot.staged->handshake();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kEvidenceFetch);
-          }
-          case SessionState::kEvidenceFetch: {
-            auto st = slot.staged->fetch_evidence();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kKdsFetch);
-          }
-          case SessionState::kKdsFetch: {
-            auto st = slot.staged->fetch_kds();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kVerify);
-          }
-          case SessionState::kVerify: {
-            auto st = slot.staged->verify();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kPageFetch);
-          }
-          case SessionState::kPageFetch: {
-            auto page = slot.staged->fetch_page("/");
-            if (!page.ok()) return fail(page.error());
-            if (!slot.staged->checks().all_ok()) {
-              unverified.fetch_add(1);
-              return fail(Error::make("test.unverified_trust_accepted"));
-            }
-            return finish(SessionState::kDone);
-          }
-          default:
-            return fail(Error::make("test.unexpected_state"));
-        }
-      },
-      {}, [&](std::size_t i) { return i % worlds.size(); }, batching);
-  out.unverified_accepts = unverified.load();
-  return out;
+  Status failure = Status::success();
+  ASSERT_EQ(pass.step("/", failure), SessionState::kDone);
+  EXPECT_EQ(to_string(pass.page().body), gateway::kBody);
+  const std::uint64_t after_page = served();
+  EXPECT_EQ(pass.step("/", failure), SessionState::kFailed)
+      << "a finished pass";
+  EXPECT_EQ(code(failure), kOrder);
+  EXPECT_EQ(pass.state(), SessionState::kDone);
+  EXPECT_EQ(served(), after_page);
+  EXPECT_EQ(audit.records(), 1u);
 }
 
 TEST(BatchedStagedGateway, TranscriptMatchesUnbatchedBitForBit) {
@@ -458,21 +312,19 @@ TEST(BatchedStagedGateway, TranscriptMatchesUnbatchedBitForBit) {
 
   SessionEngine plain_engine(config);
   auto plain_worlds = build_worlds(kSessions, "digest-parity");
-  const StagedBatchRun plain =
+  const auto plain =
       run_staged(plain_engine, plain_worlds, kSessions, /*batch_verify=*/false);
 
   SessionEngine batch_engine(config);
   auto batch_worlds = build_worlds(kSessions, "digest-parity");
-  const StagedBatchRun batched =
+  const auto batched =
       run_staged(batch_engine, batch_worlds, kSessions, /*batch_verify=*/true);
 
-  EXPECT_EQ(plain.report.succeeded, kSessions);
-  EXPECT_EQ(batched.report.succeeded, kSessions);
-  EXPECT_EQ(plain.unverified_accepts, 0);
-  EXPECT_EQ(batched.unverified_accepts, 0);
-  EXPECT_GE(batched.report.batch_calls, 1u);
-  EXPECT_EQ(plain.report.batch_calls, 0u);
-  EXPECT_EQ(batched.report.transcript_digest, plain.report.transcript_digest);
+  EXPECT_EQ(plain.succeeded, kSessions);
+  EXPECT_EQ(batched.succeeded, kSessions);
+  EXPECT_GE(batched.batch_calls, 1u);
+  EXPECT_EQ(plain.batch_calls, 0u);
+  EXPECT_EQ(batched.transcript_digest, plain.transcript_digest);
 }
 
 TEST(BatchedStagedGateway, RejectionInsideBatchedWavefrontLandsInAuditChain) {
@@ -484,20 +336,19 @@ TEST(BatchedStagedGateway, RejectionInsideBatchedWavefrontLandsInAuditChain) {
   auto worlds = build_worlds(4, "batch-audit");
   obs::AuditLog audit(/*checkpoint_interval=*/4);
 
-  const StagedBatchRun run = run_staged(engine, worlds, kSessions,
-                                        /*batch_verify=*/true, &audit, kBad);
+  const auto report = run_staged(engine, worlds, kSessions,
+                                 /*batch_verify=*/true, &audit, kBad);
 
-  EXPECT_GE(run.report.batch_calls, 1u);
-  EXPECT_EQ(run.report.succeeded, kSessions - 1);
-  EXPECT_EQ(run.report.failed, 1u);
-  EXPECT_EQ(run.unverified_accepts, 0);
+  EXPECT_GE(report.batch_calls, 1u);
+  EXPECT_EQ(report.succeeded, kSessions - 1);
+  EXPECT_EQ(report.failed, 1u);
   for (std::size_t i = 0; i < kSessions; ++i) {
     if (i == kBad) {
-      ASSERT_FALSE(run.report.outcomes[i].ok());
-      EXPECT_EQ(run.report.outcomes[i].error().code,
+      ASSERT_FALSE(report.outcomes[i].ok());
+      EXPECT_EQ(report.outcomes[i].error().code,
                 "extension.attestation_failed");
     } else {
-      EXPECT_TRUE(run.report.outcomes[i].ok()) << "session " << i;
+      EXPECT_TRUE(report.outcomes[i].ok()) << "session " << i;
     }
   }
 
@@ -545,12 +396,12 @@ TEST(BatchedStagedGateway, BatchedVerifyLandsInTheSessionsFlightRing) {
   SessionEngine engine(config);
   auto worlds = build_worlds(4, "batch-ring");
 
-  const StagedBatchRun run = run_staged(engine, worlds, kSessions,
-                                        /*batch_verify=*/true, nullptr, kBad);
+  const auto report = run_staged(engine, worlds, kSessions,
+                                 /*batch_verify=*/true, nullptr, kBad);
 
-  ASSERT_GE(run.report.batch_calls, 1u);
-  ASSERT_FALSE(run.report.outcomes[kBad].ok());
-  const std::string dump = dump_of(run.report, kBad);
+  ASSERT_GE(report.batch_calls, 1u);
+  ASSERT_FALSE(report.outcomes[kBad].ok());
+  const std::string dump = dump_of(report, kBad);
   ASSERT_NE(dump.find("\"reason\":\"failed\""), std::string::npos) << dump;
   // The rejection the batch concluded is in the session's own ring...
   EXPECT_NE(dump.find("\"type\":\"verdict\",\"arg\":0"), std::string::npos)
@@ -580,12 +431,12 @@ TEST(BatchedStagedGateway, FlightRingsKeepTheEnginesTimeBase) {
     config.flight_recorder = true;
     SessionEngine engine(config);
     auto worlds = build_worlds(4, "ring-clock");
-    const StagedBatchRun run =
+    const auto report =
         run_staged(engine, worlds, 8, batch_verify, nullptr, /*bad=*/5);
-    ASSERT_FALSE(run.report.anomaly_dumps.empty());
+    ASSERT_FALSE(report.anomaly_dumps.empty());
     const auto makespan_us = static_cast<std::uint64_t>(
-        std::llround(run.report.virt_makespan_ms * 1000.0));
-    for (const auto& dump : run.report.anomaly_dumps) {
+        std::llround(report.virt_makespan_ms * 1000.0));
+    for (const auto& dump : report.anomaly_dumps) {
       // Eight-session rings hold about 19 of their 32 events: nothing
       // wrapped, so every deep event follows its stage's enter.
       ASSERT_NE(dump.find("\"dropped\":0"), std::string::npos) << dump;

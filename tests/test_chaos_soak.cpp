@@ -25,139 +25,21 @@
 #include <string>
 #include <vector>
 
-#include "imagebuild/builder.hpp"
+#include "gateway_world.hpp"
 #include "obs/metrics.hpp"
-#include "revelio/revelio_vm.hpp"
-#include "revelio/sp_node.hpp"
 #include "revelio/web_extension.hpp"
-#include "vm/hypervisor.hpp"
 
 namespace revelio::core {
 namespace {
 
-using crypto::HmacDrbg;
+using gateway::GatewayWorld;
+using gateway::kDomain;
+using gateway::kKdsPrimary;
 
-constexpr const char* kDomain = "svc.revelio.app";
-constexpr const char* kKdsPrimary = "kds.amd.com";
-constexpr const char* kKdsMirror = "kds-mirror.amd.com";
-constexpr const char* kBody = "<html>app</html>";
-
-/// A complete deployment, provisioned fault-free: 3 attested VMs behind
-/// one domain, a KDS with one mirror, and a browser. Chaos is armed
+/// A soak world has three attested VMs behind one domain (plus the KDS,
+/// its mirror and a browser), provisioned fault-free. Chaos is armed
 /// afterwards via arm(), anchored at the post-provision epoch t0().
-struct ChaosWorld {
-  explicit ChaosWorld(const std::string& seed)
-      : network(clock),
-        world_drbg(to_bytes("chaos-world-" + seed)),
-        kds(world_drbg),
-        kds_service(kds, network, {kKdsPrimary, 443}),
-        kds_mirror_service(kds, network, {kKdsMirror, 443}),
-        acme(clock, world_drbg),
-        browser(network, "laptop", acme.trusted_roots(),
-                HmacDrbg(to_bytes("browser-" + seed))) {
-    imagebuild::BaseImage base;
-    base.name = "ubuntu";
-    base.tag = "20.04";
-    base.packages = {
-        {"nginx", "1.18", {{"/usr/sbin/nginx",
-                            to_bytes(std::string_view("nginx-binary"))}}}};
-    const crypto::Digest32 base_digest = registry.publish(base);
-
-    imagebuild::BuildInputs inputs;
-    inputs.base_image_digest = base_digest;
-    inputs.service_files["/opt/service/app"] =
-        to_bytes(std::string_view("service-binary-v1"));
-    inputs.initrd.services = {{"nginx", "/usr/sbin/nginx", 120.0},
-                              {"app", "/opt/service/app", 300.0}};
-    inputs.initrd.allowed_inbound_ports = {"443", "8443"};
-    imagebuild::ImageBuilder builder(registry);
-    auto built = builder.build(inputs);
-    EXPECT_TRUE(built.ok());
-    image = *built;
-    expected_measurement = vm::Hypervisor::expected_measurement(
-        image.kernel_blob, image.initrd_blob, image.cmdline);
-
-    net::HttpRouter routes;
-    routes.route("GET", "/", [](const net::HttpRequest&) {
-      return net::HttpResponse::ok(to_bytes(std::string_view(kBody)),
-                                   "text/html");
-    });
-    for (const std::string host : {"10.0.0.1", "10.0.0.2", "10.0.0.3"}) {
-      auto sp_chip = std::make_unique<sevsnp::AmdSp>(
-          to_bytes("platform-" + host + "-" + seed),
-          sevsnp::TcbVersion{2, 0, 8, 115});
-      kds.register_platform(*sp_chip);
-      RevelioVmConfig config;
-      config.domain = kDomain;
-      config.host = host;
-      config.image = image;
-      config.kds_address = {kKdsPrimary, 443};
-      config.kds_mirrors = {{kKdsMirror, 443}};
-      auto node = RevelioVm::deploy(*sp_chip, network, config, routes);
-      EXPECT_TRUE(node.ok()) << (node.ok() ? "" : node.error().to_string());
-      platforms.push_back(std::move(sp_chip));
-      nodes.push_back(std::move(*node));
-    }
-
-    SpNodeConfig sp_config;
-    sp_config.domain = kDomain;
-    sp_config.kds_address = {kKdsPrimary, 443};
-    sp_config.expected_measurements = {expected_measurement};
-    sp = std::make_unique<SpNode>(network, acme, sp_config);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      sp->approve_node(nodes[i]->bootstrap_address(),
-                       platforms[i]->chip_id());
-    }
-    auto outcomes = sp->provision_fleet();
-    EXPECT_TRUE(outcomes.ok())
-        << (outcomes.ok() ? "" : outcomes.error().to_string());
-    if (outcomes.ok()) {
-      for (const auto& outcome : *outcomes) {
-        EXPECT_TRUE(outcome.attested) << outcome.failure;
-      }
-    }
-    network.dns_set_a(kDomain, "10.0.0.1");
-    t0_ = clock.now_us();
-  }
-
-  SimClock::Micros t0() const { return t0_; }
-  SimClock::Micros delta_us() const { return clock.now_us() - t0_; }
-
-  /// Arms a fault plan; windows inside `plan` must already be t0-relative.
-  void arm(net::FaultPlan plan) { network.set_fault_plan(std::move(plan)); }
-
-  WebExtension make_extension() {
-    WebExtensionConfig config;
-    config.kds_address = {kKdsPrimary, 443};
-    config.kds_mirrors = {{kKdsMirror, 443}};
-    config.retry.max_attempts = 5;
-    return WebExtension(browser, config);
-  }
-
-  SiteRegistration registration() {
-    SiteRegistration site;
-    site.expected_measurements = {expected_measurement};
-    return site;
-  }
-
-  SimClock clock;
-  net::Network network;
-  HmacDrbg world_drbg;
-  sevsnp::KeyDistributionServer kds;
-  KdsService kds_service;
-  KdsService kds_mirror_service;
-  pki::AcmeIssuer acme;
-  Browser browser;
-  imagebuild::PackageRegistry registry;
-  imagebuild::VmImage image;
-  sevsnp::Measurement expected_measurement;
-  std::vector<std::unique_ptr<sevsnp::AmdSp>> platforms;
-  std::vector<std::unique_ptr<RevelioVm>> nodes;
-  std::unique_ptr<SpNode> sp;
-
- private:
-  SimClock::Micros t0_ = 0;
-};
+constexpr std::size_t kVms = 3;
 
 struct SoakStats {
   int sessions = 0;
@@ -189,12 +71,16 @@ std::uint64_t total_faults_injected() {
 /// fail-closed property is asserted on every outcome: success means every
 /// check is green and the body is untampered; failure must be a transport
 /// verdict, never a verification code that slipped through as transient.
-SoakStats run_sessions(ChaosWorld& world, int count,
+SoakStats run_sessions(GatewayWorld& world, int count,
                        std::string* transcript = nullptr) {
   SoakStats stats;
   for (int i = 0; i < count; ++i) {
     world.browser.drop_session(kDomain);
-    WebExtension extension = world.make_extension();
+    WebExtensionConfig config;
+    config.kds_address = {kKdsPrimary, 443};
+    config.kds_mirrors = {{gateway::kKdsMirror, 443}};
+    config.retry.max_attempts = 5;
+    WebExtension extension(world.browser, config);
     extension.register_site(kDomain, world.registration());
     auto verified = extension.get(kDomain, 443, "/");
     ++stats.sessions;
@@ -203,7 +89,7 @@ SoakStats run_sessions(ChaosWorld& world, int count,
       // (a) No unverified trust: an accepted session is fully verified.
       EXPECT_TRUE(verified->checks.all_ok())
           << "session " << i << " accepted with a non-green check list";
-      EXPECT_EQ(to_string(verified->response.body), kBody);
+      EXPECT_EQ(to_string(verified->response.body), gateway::kBody);
     } else {
       ++stats.failed;
       EXPECT_NE(verified.error().code, "extension.site_not_registered");
@@ -211,7 +97,7 @@ SoakStats run_sessions(ChaosWorld& world, int count,
     if (transcript != nullptr) {
       *transcript += "s" + std::to_string(i) + ":" +
                      (verified.ok() ? "ok" : verified.error().code) + ":" +
-                     std::to_string(world.delta_us()) + "\n";
+                     std::to_string(world.clock.now_us() - world.t0()) + "\n";
     }
   }
   return stats;
@@ -219,7 +105,7 @@ SoakStats run_sessions(ChaosWorld& world, int count,
 
 /// (b) Recovery: clears all faults, lets breaker cooldowns elapse, and
 /// requires clean sessions to succeed again.
-void expect_recovery(ChaosWorld& world) {
+void expect_recovery(GatewayWorld& world) {
   world.network.fault_plan()->clear_faults();
   world.clock.advance_us(6'000'000);  // past the default 5 s breaker cooldown
   const SoakStats after = run_sessions(world, 3);
@@ -231,7 +117,7 @@ void expect_recovery(ChaosWorld& world) {
 // and duplicates 5%. Sessions retry through it; whatever the outcome, no
 // partial trust is ever accepted.
 std::string run_lossy_schedule(const std::string& seed, SoakStats* out) {
-  ChaosWorld world(seed);
+  GatewayWorld world(seed, kVms);
   net::LinkFaultProfile lossy;
   lossy.drop_prob = 0.15;
   lossy.delay_prob = 0.25;
@@ -282,7 +168,7 @@ TEST(ChaosSoak, SameSeedReproducesBitIdenticalTranscript) {
 // KDS failover must ride over to the mirror; attestation never accepts a
 // chain it could not verify.
 TEST(ChaosSoak, KdsFlapFailsOverToMirror) {
-  ChaosWorld world("seed-2");
+  GatewayWorld world("seed-2", kVms);
   net::LinkFaultProfile mild;
   mild.drop_prob = 0.05;
   net::FaultPlan plan(to_bytes(std::string_view("kds-flap")));
@@ -314,7 +200,7 @@ TEST(ChaosSoak, KdsFlapFailsOverToMirror) {
 // sessions inside the window MUST fail, and fail closed with a transport
 // verdict, never a half-verified acceptance.
 TEST(ChaosSoak, PartitionAndDuplicatesStayFailClosed) {
-  ChaosWorld world("seed-3");
+  GatewayWorld world("seed-3", kVms);
   net::LinkFaultProfile dup_heavy;
   dup_heavy.duplicate_prob = 0.3;
   dup_heavy.drop_prob = 0.05;
@@ -338,7 +224,7 @@ TEST(ChaosSoak, PartitionAndDuplicatesStayFailClosed) {
 // The chaos layer's own observability: after soaking, the metrics export
 // carries the fault, retry and breaker series the runbook points at.
 TEST(ChaosSoak, MetricsExportCarriesChaosSeries) {
-  ChaosWorld world("seed-metrics");
+  GatewayWorld world("seed-metrics", kVms);
   net::LinkFaultProfile lossy;
   lossy.drop_prob = 0.3;
   net::FaultPlan plan(to_bytes(std::string_view("metrics")));

@@ -28,6 +28,7 @@
 #include "common/hex.hpp"
 #include "crypto/sha2.hpp"
 #include "fleet/tcb_horizon.hpp"
+#include "gateway_world.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/audit_log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -46,10 +47,10 @@ namespace {
 
 using crypto::HmacDrbg;
 
-constexpr const char* kDomain = "svc.revelio.app";
-constexpr const char* kKdsPrimary = "kds.amd.com";
-constexpr const char* kKdsMirror = "kds-mirror.amd.com";
-constexpr const char* kBody = "<html>app</html>";
+using gateway::kBody;
+using gateway::kDomain;
+using gateway::kKdsMirror;
+using gateway::kKdsPrimary;
 
 sevsnp::TcbVersion old_tcb() { return sevsnp::TcbVersion{2, 0, 8, 115}; }
 sevsnp::TcbVersion new_tcb() { return sevsnp::TcbVersion{3, 0, 9, 120}; }
@@ -62,10 +63,11 @@ struct FleetWorldOptions {
   pki::AcmeConfig acme;
 };
 
-/// ChaosWorld's fleet-lifecycle sibling: N attested VMs behind one domain,
-/// KDS + mirror, an SP node kept around for rotation rounds, and the app
-/// routes kept as a member so lifecycle ops can redeploy a node (reboot,
-/// rollback probe) mid-test.
+/// GatewayWorld's fleet-lifecycle sibling (bench/gateway_world.hpp),
+/// driven by the same GatewaySessions stages: N attested VMs behind one
+/// domain, KDS + mirror, an SP node kept around for rotation rounds, and
+/// the app routes kept as a member so lifecycle ops can redeploy a node
+/// (reboot, rollback probe) mid-test.
 struct FleetWorld {
   explicit FleetWorld(const std::string& seed, FleetWorldOptions options = {})
       : network(clock),
@@ -720,19 +722,19 @@ WaveResult run_wave(SessionEngine& engine, FleetWorld& world,
                     obs::AuditLog& audit, FleetOps& ops,
                     const RevocationSet* revocation,
                     const fleet::TcbHorizon* horizon, std::size_t sessions) {
-  struct Slot {
-    std::unique_ptr<WebExtension> ext;
-    std::unique_ptr<WebExtension::StagedAttestation> staged;
-  };
-  std::vector<Slot> slots(sessions);
+  WebExtensionConfig config;
+  config.kds_address = {kKdsPrimary, 443};
+  config.kds_mirrors = {{kKdsMirror, 443}};
+  config.retry.max_attempts = 4;
+  config.audit_log = &audit;
+  config.revocation_set = revocation;
+  config.tcb_horizon = horizon;
+  gateway::GatewaySessions<FleetWorld> wave(std::vector<FleetWorld*>{&world},
+                                            sessions, config);
   WaveResult out;
-  out.failure_steps.assign(sessions, "");
-  std::atomic<int> unverified{0};
-  std::atomic<int> wrong_body{0};
-
   out.report = engine.run_staged(
       sessions,
-      [&](StagedContext& ctx) -> SessionState {
+      [&](StagedContext& ctx) {
         {
           // Before the world lock: the ops take it themselves. Unbound
           // from this session's record, so an op's network waits are not
@@ -741,79 +743,14 @@ WaveResult run_wave(SessionEngine& engine, FleetWorld& world,
           obs::ScopedSessionRecord unbound(nullptr);
           ops.apply_due(now_us);
         }
-        std::lock_guard<std::mutex> world_lock(world.mu);
-        ScopedClockCurrent clock_scope(world.clock);
-        const SimClock::Micros virt_start = world.clock.now_us();
-        Slot& slot = slots[ctx.index];
-        const auto finish = [&](SessionState next) {
-          ctx.stage_virt_ms =
-              static_cast<double>(world.clock.now_us() - virt_start) / 1000.0;
-          return next;
-        };
-        const auto fail = [&](Error error) {
-          if (slot.staged != nullptr) {
-            out.failure_steps[ctx.index] = slot.staged->checks().failure_step;
-          }
-          ctx.failure = std::move(error);
-          return finish(SessionState::kFailed);
-        };
-
-        switch (ctx.state) {
-          case SessionState::kHandshake: {
-            world.browser.drop_session(kDomain);
-            WebExtensionConfig config;
-            config.kds_address = {kKdsPrimary, 443};
-            config.kds_mirrors = {{kKdsMirror, 443}};
-            config.retry.max_attempts = 4;
-            config.shared_chain_cache = ctx.chain_cache;
-            config.shared_vcek_cache = ctx.vcek_cache;
-            config.audit_log = &audit;
-            config.audit_session_id = ctx.index;
-            config.revocation_set = revocation;
-            config.tcb_horizon = horizon;
-            slot.ext = std::make_unique<WebExtension>(world.browser, config);
-            slot.ext->register_site(kDomain, world.registration());
-            slot.staged = std::make_unique<WebExtension::StagedAttestation>(
-                slot.ext->begin_session(kDomain, 443));
-            auto st = slot.staged->handshake();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kEvidenceFetch);
-          }
-          case SessionState::kEvidenceFetch: {
-            auto st = slot.staged->fetch_evidence();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kKdsFetch);
-          }
-          case SessionState::kKdsFetch: {
-            auto st = slot.staged->fetch_kds();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kVerify);
-          }
-          case SessionState::kVerify: {
-            auto st = slot.staged->verify();
-            if (!st.ok()) return fail(st.error());
-            return finish(SessionState::kPageFetch);
-          }
-          case SessionState::kPageFetch: {
-            auto page = slot.staged->fetch_page("/");
-            if (!page.ok()) return fail(page.error());
-            if (!slot.staged->checks().all_ok()) {
-              unverified.fetch_add(1);
-              return fail(Error::make("test.unverified_trust_accepted"));
-            }
-            if (to_string(page->body) != kBody) {
-              wrong_body.fetch_add(1);
-              return fail(Error::make("test.body_mismatch"));
-            }
-            return finish(SessionState::kDone);
-          }
-          default:
-            return fail(Error::make("test.unexpected_state"));
-        }
+        return wave.stage(ctx);
       },
-      {}, [](std::size_t) { return std::size_t{0}; });
-  out.unverified_accepts = unverified.load();
-  out.wrong_bodies = wrong_body.load();
+      {}, wave.tracks());
+  for (std::size_t i = 0; i < sessions; ++i) {
+    out.failure_steps.push_back(wave.failure_step(i));
+  }
+  out.unverified_accepts = wave.unverified_accepts();
+  out.wrong_bodies = wave.wrong_bodies();
   return out;
 }
 
@@ -849,7 +786,6 @@ SoakResult run_lifecycle_soak(const std::string& seed) {
   engine_config.audit_log = &audit;
   SessionEngine engine(engine_config);
   engine.vcek_cache().attach_store(kv->get());
-  world.browser.set_chain_cache(&engine.chain_cache());
 
   // Seeded fault schedule: a mildly lossy fabric for the whole soak.
   net::LinkFaultProfile lossy;
