@@ -23,54 +23,16 @@
 #include <chrono>
 #include <cstdio>
 
-#include "imagebuild/builder.hpp"
+#include "boot_workloads.hpp"
 #include "revelio/revelio_vm.hpp"
 
 namespace {
 
 using namespace revelio;
-
-struct Workload {
-  const char* name;
-  std::size_t rootfs_payload_bytes;
-  std::uint64_t data_partition_blocks;
-  std::vector<vm::ServiceSpec> services;
-};
-
-// Scaled service budgets: paper totals minus Revelio phases, divided by 128.
-// BN: (22725 - 5633) / 128 ~ 133 ms across many services.
-// CP: (10211 - 4147) / 128 ~ 47 ms across few services.
-Workload boundary_node_workload() {
-  return Workload{
-      "BN",
-      24 << 20,  // 24 MiB service payload (4 GB class / 128, minus base)
-      192,       // ~0.75 MiB crypt volume
-      {
-          {"systemd-networkd", "/usr/sbin/nginx", 18.0},
-          {"chrony", "/usr/sbin/nginx", 9.0},
-          {"ic-registry-replicator", "/opt/bn/app", 22.0},
-          {"ic-boundary", "/opt/bn/app", 25.0},
-          {"icx-proxy", "/opt/bn/app", 15.0},
-          {"nginx", "/usr/sbin/nginx", 12.0},
-          {"unbound", "/usr/sbin/nginx", 8.0},
-          {"prometheus-node-exporter", "/opt/bn/app", 7.0},
-          {"filebeat", "/opt/bn/app", 9.0},
-          {"danted", "/opt/bn/app", 8.0},
-      }};
-}
-
-Workload cryptpad_workload() {
-  // The CP rootfs is smaller than the BN's but of the same order (the
-  // paper's verify times, 4680 vs 3340 ms, imply a ~1.4x rootfs ratio).
-  return Workload{"CP",
-                  16 << 20,
-                  192,
-                  {
-                      {"nodejs-cryptpad", "/opt/bn/app", 30.0},
-                      {"nginx", "/usr/sbin/nginx", 12.0},
-                      {"systemd-networkd", "/usr/sbin/nginx", 5.0},
-                  }};
-}
+using bench::boundary_node_workload;
+using bench::cryptpad_workload;
+using bench::Workload;
+using bench::WorkloadBuild;
 
 struct BootOutcome {
   vm::BootReport report;
@@ -87,32 +49,8 @@ struct BootOutcome {
   double total_ms() const { return report.total_sim_ms() + outside_phases_ms(); }
 };
 
-imagebuild::VmImage build_workload_image(const Workload& workload) {
-  imagebuild::PackageRegistry registry;
-  imagebuild::BaseImage base;
-  base.name = "ubuntu";
-  base.tag = "20.04";
-  base.packages = {{"nginx", "1.18",
-                    {{"/usr/sbin/nginx",
-                      to_bytes(std::string_view("nginx-binary"))}}}};
-  const auto digest = registry.publish(base);
-
-  imagebuild::BuildInputs inputs;
-  inputs.base_image_digest = digest;
-  Bytes payload(workload.rootfs_payload_bytes);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i * 2654435761u >> 11);
-  }
-  inputs.service_files["/opt/bn/app"] = std::move(payload);
-  inputs.initrd.services = workload.services;
-  inputs.initrd.allowed_inbound_ports = {"443", "8443"};
-  inputs.data_partition_blocks = workload.data_partition_blocks;
-  imagebuild::ImageBuilder builder(registry);
-  return *builder.build(inputs);
-}
-
-BootOutcome boot_workload(const Workload& workload) {
-  const auto image = build_workload_image(workload);
+BootOutcome boot_image(const Workload& workload,
+                       const imagebuild::VmImage& image) {
   SimClock clock;
   net::Network network(clock);
   sevsnp::AmdSp sp(to_bytes(std::string("platform-") + workload.name),
@@ -140,10 +78,25 @@ BootOutcome boot_workload(const Workload& workload) {
   return BootOutcome{(*node)->boot_report(), deploy_ms};
 }
 
+BootOutcome boot_workload(const Workload& workload) {
+  return boot_image(workload, WorkloadBuild(workload).build());
+}
+
+// The image is built once, outside the timed loop: BM_ImageBuild times
+// the build.
 void BM_FirstBoot(benchmark::State& state, const Workload& workload) {
+  const auto image = WorkloadBuild(workload).build();
   for (auto _ : state) {
-    auto outcome = boot_workload(workload);
+    auto outcome = boot_image(workload, image);
     benchmark::DoNotOptimize(outcome);
+  }
+}
+
+void BM_ImageBuild(benchmark::State& state, const Workload& workload) {
+  const WorkloadBuild build(workload);
+  for (auto _ : state) {
+    auto image = build.build();
+    benchmark::DoNotOptimize(image);
   }
 }
 
@@ -206,6 +159,10 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("BM_FirstBoot/BN", BM_FirstBoot,
                                boundary_node_workload());
   benchmark::RegisterBenchmark("BM_FirstBoot/CP", BM_FirstBoot,
+                               cryptpad_workload());
+  benchmark::RegisterBenchmark("BM_ImageBuild/BN", BM_ImageBuild,
+                               boundary_node_workload());
+  benchmark::RegisterBenchmark("BM_ImageBuild/CP", BM_ImageBuild,
                                cryptpad_workload());
   benchmark::RunSpecifiedBenchmarks();
   print_table1();

@@ -116,41 +116,39 @@ std::vector<Aff> batch_normalize(const MontCtx& fp,
 
 std::vector<std::int8_t> wnaf_recode(const U384& k, unsigned width) {
   assert(width >= 2 && width <= 7);
-  std::vector<std::int8_t> digits;
-  digits.reserve(385);
-
-  U384 d = k;
-  const std::uint64_t mask = (std::uint64_t{1} << (width + 1)) - 1;
-  const std::int64_t half = std::int64_t{1} << width;
-
-  auto shr1 = [](U384& v) {
-    for (std::size_t i = 0; i + 1 < U384::kLimbs; ++i) {
-      v.limbs[i] = (v.limbs[i] >> 1) | (v.limbs[i + 1] << 63);
+  // Word-window recoding (libsecp256k1's ecmult_wnaf shape): scan k's bits
+  // with a carry instead of subtracting each digit from a 384-bit copy.
+  // A digit consumes width + 1 bits, and bits above k's top read as zero.
+  constexpr unsigned kBits = U384::kLimbs * 64;
+  const unsigned window = width + 1;
+  auto bits = [&k](unsigned pos, unsigned count) -> std::uint32_t {
+    const unsigned limb = pos / 64;
+    const unsigned shift = pos % 64;
+    if (limb >= U384::kLimbs) return 0;
+    std::uint64_t v = k.limbs[limb] >> shift;
+    if (shift + count > 64 && limb + 1 < U384::kLimbs) {
+      v |= k.limbs[limb + 1] << (64 - shift);
     }
-    v.limbs[U384::kLimbs - 1] >>= 1;
+    return static_cast<std::uint32_t>(v & ((std::uint64_t{1} << count) - 1));
   };
 
-  while (!d.is_zero()) {
-    if (d.limbs[0] & 1) {
-      std::int64_t digit = static_cast<std::int64_t>(d.limbs[0] & mask);
-      if (digit >= half) digit -= half << 1;
-      digits.push_back(static_cast<std::int8_t>(digit));
-      // d -= digit. Negative digits add; k < 2^384 - 2^width keeps this from
-      // overflowing (curve orders leave far more headroom than that).
-      const U384 small = U384::from_u64(
-          static_cast<std::uint64_t>(digit < 0 ? -digit : digit));
-      U384 next;
-      if (digit > 0) {
-        sub_with_borrow(next, d, small);
-      } else {
-        add_with_carry(next, d, small);
-      }
-      d = next;
-    } else {
-      digits.push_back(0);
+  // The digit a final carry leaves lies at most `window` bits past the top.
+  std::vector<std::int8_t> digits(kBits + window + 1, 0);
+  std::size_t length = 0;  // one past the last nonzero digit
+  std::uint32_t carry = 0;
+  for (unsigned bit = 0; bit < kBits || carry != 0;) {
+    if (bits(bit, 1) == carry) {
+      ++bit;
+      continue;
     }
-    shr1(d);
+    std::int32_t word = static_cast<std::int32_t>(bits(bit, window) + carry);
+    carry = static_cast<std::uint32_t>(word >> width) & 1;
+    word -= static_cast<std::int32_t>(carry << window);
+    digits[bit] = static_cast<std::int8_t>(word);
+    length = bit + 1;
+    bit += window;
   }
+  digits.resize(length);
   return digits;
 }
 

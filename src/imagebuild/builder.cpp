@@ -10,11 +10,14 @@ namespace {
 
 constexpr std::size_t kBlockSize = 4096;
 
-FixedBytes<16> uuid_from_content(ByteView content, std::string_view label) {
+// Fixed partition UUIDs (§5.1.1), bound to the rootfs content through the
+// verity root, which already hashes every rootfs block.
+FixedBytes<16> partition_uuid(std::string_view label,
+                              const crypto::Digest32& verity_root) {
   crypto::Sha256 h;
   h.update(to_bytes(std::string_view("partition-uuid")));
   h.update(to_bytes(label));
-  h.update(content);
+  h.update(verity_root.view());
   return FixedBytes<16>::from(h.finish().view().subspan(0, 16));
 }
 
@@ -91,8 +94,8 @@ Result<VmImage> ImageBuilder::build(const BuildInputs& inputs,
     rootfs.add_file("/var/lib/dbus/machine-id", machine_id);
   }
 
-  const Bytes rootfs_bytes = rootfs.serialize(kBlockSize);
-  const std::uint64_t rootfs_blocks = rootfs_bytes.size() / kBlockSize;
+  const std::uint64_t rootfs_size = rootfs.serialized_size(kBlockSize);
+  const std::uint64_t rootfs_blocks = rootfs_size / kBlockSize;
 
   // Size the hash device: tree is < 2x leaf digests plus headers.
   std::uint64_t verity_blocks = inputs.verity_partition_blocks;
@@ -101,30 +104,39 @@ Result<VmImage> ImageBuilder::build(const BuildInputs& inputs,
     verity_blocks = tree_bytes / kBlockSize + 2;
   }
 
-  // ---- Partitioned disk layout.
+  // ---- Partitioned disk layout. The UUIDs follow from the verity root, so
+  // the table is written to block 0 once dm-verity has run.
   storage::PartitionTable table;
-  table.add("rootfs", uuid_from_content(rootfs_bytes, "rootfs"),
-            rootfs_blocks);
-  table.add("verity", uuid_from_content(rootfs_bytes, "verity"),
-            verity_blocks);
-  table.add("data", uuid_from_content(rootfs_bytes, "data"),
-            inputs.data_partition_blocks);
+  const std::size_t rootfs_index = table.add("rootfs", {}, rootfs_blocks);
+  table.add("verity", {}, verity_blocks);
+  table.add("data", {}, inputs.data_partition_blocks);
 
+  // One disk buffer: the rootfs is serialized straight into its partition.
   const std::uint64_t total_blocks = table.blocks_used();
-  auto disk = std::make_shared<storage::MemDisk>(kBlockSize, total_blocks);
-  if (auto st = table.write_to(*disk); !st.ok()) return st.error();
-
-  auto rootfs_part = storage::PartitionTable::open(disk, "rootfs");
-  if (!rootfs_part.ok()) return rootfs_part.error();
-  if (auto st = (*rootfs_part)->write(0, rootfs_bytes); !st.ok()) {
+  Bytes disk_bytes(static_cast<std::size_t>(total_blocks * kBlockSize), 0);
+  const auto rootfs_range = std::span(disk_bytes).subspan(
+      static_cast<std::size_t>(table.entries()[rootfs_index].first_block *
+                               kBlockSize),
+      static_cast<std::size_t>(rootfs_size));
+  if (auto st = rootfs.serialize_into(rootfs_range, kBlockSize); !st.ok()) {
     return st.error();
   }
+  auto disk = std::make_shared<storage::MemDisk>(kBlockSize,
+                                                 std::move(disk_bytes));
 
   // ---- dm-verity metadata over the finished rootfs (§5.1.2).
-  auto verity_part = storage::PartitionTable::open(disk, "verity");
+  auto rootfs_part = table.slice(disk, "rootfs");
+  if (!rootfs_part.ok()) return rootfs_part.error();
+  auto verity_part = table.slice(disk, "verity");
   if (!verity_part.ok()) return verity_part.error();
   auto meta = storage::Verity::format(**rootfs_part, **verity_part);
   if (!meta.ok()) return meta.error();
+
+  for (std::size_t i = 0; i < table.entries().size(); ++i) {
+    table.set_uuid(i, partition_uuid(table.entries()[i].label,
+                                     meta->root_hash));
+  }
+  if (auto st = table.write_to(*disk); !st.ok()) return st.error();
 
   // ---- Assemble the shippable image.
   VmImage image;

@@ -3,11 +3,11 @@
 // Two-stage build in the spirit of the paper's docker pipeline: a builder
 // stage pulls the pinned base image (dependencies), a final stage assembles
 // only the runtime files. In hermetic mode every non-determinism source is
-// scrubbed — timestamps squashed, partition UUIDs derived from content,
-// volatile files cleared — so one set of inputs yields one bit-exact image
-// and therefore one launch measurement (F5). Non-hermetic mode deliberately
-// injects the classic noise (wall clock, build path, machine-id) so tests
-// and benches can demonstrate why hermeticity matters.
+// scrubbed — timestamps squashed, partition UUIDs derived from the rootfs's
+// dm-verity root, volatile files cleared — so one set of inputs yields one
+// bit-exact image and therefore one launch measurement (F5). Non-hermetic
+// mode deliberately injects the classic noise (wall clock, build path,
+// machine-id) so tests and benches can demonstrate why hermeticity matters.
 #pragma once
 
 #include <memory>

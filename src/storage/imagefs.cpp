@@ -1,5 +1,7 @@
 #include "storage/imagefs.hpp"
 
+#include <algorithm>
+
 namespace revelio::storage {
 
 namespace {
@@ -31,20 +33,43 @@ std::vector<std::string> ImageFs::list() const {
   return out;
 }
 
-Bytes ImageFs::serialize(std::size_t block_size) const {
-  // Pass 1: directory size.
+namespace {
+
+// File data starts at the first block boundary after the header and the
+// directory.
+std::uint64_t data_start(const std::map<std::string, ImageFs::FileInfo>& files,
+                         std::size_t block_size) {
+  std::uint64_t dir_size = 4 + 8 + 4;
+  for (const auto& [path, info] : files) {
+    dir_size += 4 + path.size() + 4 + 8 + 8;
+  }
+  return align_up(dir_size, block_size);
+}
+
+}  // namespace
+
+std::uint64_t ImageFs::serialized_size(std::size_t block_size) const {
+  std::uint64_t end = data_start(files_, block_size);
+  for (const auto& [path, info] : files_) {
+    end = align_up(end + info.content.size(), block_size);
+  }
+  return end;
+}
+
+Status ImageFs::serialize_into(std::span<std::uint8_t> out,
+                               std::size_t block_size) const {
+  if (out.size() != serialized_size(block_size)) {
+    return Error::make("imagefs.bad_buffer", "buffer size differs from image");
+  }
+  // Directory with final offsets, then block-aligned file data; every gap
+  // is zeroed.
+  const std::uint64_t start = data_start(files_, block_size);
   Bytes dir;
+  dir.reserve(static_cast<std::size_t>(start));
   append_u32be(dir, kMagic);
   append_u64be(dir, kBuildEpoch);
   append_u32be(dir, static_cast<std::uint32_t>(files_.size()));
-  std::size_t dir_size = dir.size();
-  for (const auto& [path, info] : files_) {
-    dir_size += 4 + path.size() + 4 + 8 + 8;
-  }
-  std::uint64_t data_start = align_up(dir_size, block_size);
-
-  // Pass 2: emit directory with final offsets.
-  std::uint64_t offset = data_start;
+  std::uint64_t offset = start;
   for (const auto& [path, info] : files_) {
     append_u32be(dir, static_cast<std::uint32_t>(path.size()));
     append(dir, path);
@@ -53,15 +78,26 @@ Bytes ImageFs::serialize(std::size_t block_size) const {
     append_u64be(dir, info.content.size());
     offset = align_up(offset + info.content.size(), block_size);
   }
-  dir.resize(data_start, 0);
+  auto at = [&out](std::uint64_t off) {
+    return out.begin() + static_cast<std::ptrdiff_t>(off);
+  };
+  std::copy(dir.begin(), dir.end(), out.begin());
+  std::fill(at(dir.size()), at(start), 0);
 
-  // Pass 3: file data, block-aligned.
-  Bytes image = std::move(dir);
+  offset = start;
   for (const auto& [path, info] : files_) {
-    append(image, info.content);
-    image.resize(align_up(image.size(), block_size), 0);
+    const std::uint64_t end = offset + info.content.size();
+    const std::uint64_t next = align_up(end, block_size);
+    std::copy(info.content.begin(), info.content.end(), at(offset));
+    std::fill(at(end), at(next), 0);
+    offset = next;
   }
-  if (image.empty()) image.resize(block_size, 0);
+  return Status::success();
+}
+
+Bytes ImageFs::serialize(std::size_t block_size) const {
+  Bytes image(static_cast<std::size_t>(serialized_size(block_size)));
+  serialize_into(image, block_size);  // sized above, so it cannot fail
   return image;
 }
 

@@ -45,6 +45,15 @@ class ImageFs {
   /// blocks; file data starts block-aligned.
   Bytes serialize(std::size_t block_size = 4096) const;
 
+  /// Size in bytes of the serialization: a whole number of blocks.
+  std::uint64_t serialized_size(std::size_t block_size = 4096) const;
+
+  /// Writes the serialization into `out`, every byte of it (padding is
+  /// zeroed), so an image can be built in place inside a larger buffer.
+  /// Fails with imagefs.bad_buffer unless out.size() == serialized_size().
+  Status serialize_into(std::span<std::uint8_t> out,
+                        std::size_t block_size = 4096) const;
+
   static Result<ImageFs> parse(ByteView image);
 
  private:

@@ -1,5 +1,7 @@
 #include "storage/partition.hpp"
 
+#include <cassert>
+
 namespace revelio::storage {
 
 namespace {
@@ -17,6 +19,11 @@ std::size_t PartitionTable::add(const std::string& label,
   next_block_ += block_count;
   entries_.push_back(entry);
   return entries_.size() - 1;
+}
+
+void PartitionTable::set_uuid(std::size_t index, const FixedBytes<16>& uuid) {
+  assert(index < entries_.size());
+  entries_[index].uuid = uuid;
 }
 
 Result<PartitionEntry> PartitionTable::find(const std::string& label) const {
@@ -77,17 +84,26 @@ Result<PartitionTable> PartitionTable::read_from(BlockDevice& device) {
   return table;
 }
 
-Result<std::shared_ptr<BlockDevice>> PartitionTable::open(
-    std::shared_ptr<BlockDevice> device, const std::string& label) {
-  auto table = read_from(*device);
-  if (!table.ok()) return table.error();
-  auto entry = table->find(label);
+Result<std::shared_ptr<BlockDevice>> PartitionTable::slice(
+    std::shared_ptr<BlockDevice> device, const std::string& label) const {
+  auto entry = find(label);
   if (!entry.ok()) return entry.error();
-  if (entry->first_block + entry->block_count > device->block_count()) {
+  // The entry may come from a host-written table: first_block +
+  // block_count must not be allowed to wrap.
+  const std::uint64_t blocks = device->block_count();
+  if (entry->first_block > blocks ||
+      entry->block_count > blocks - entry->first_block) {
     return Error::make("partition.out_of_range", label);
   }
   return std::shared_ptr<BlockDevice>(std::make_shared<SliceDevice>(
       std::move(device), entry->first_block, entry->block_count));
+}
+
+Result<std::shared_ptr<BlockDevice>> PartitionTable::open(
+    std::shared_ptr<BlockDevice> device, const std::string& label) {
+  auto table = read_from(*device);
+  if (!table.ok()) return table.error();
+  return table->slice(std::move(device), label);
 }
 
 }  // namespace revelio::storage

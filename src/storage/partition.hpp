@@ -30,8 +30,16 @@ class PartitionTable {
 
   const std::vector<PartitionEntry>& entries() const { return entries_; }
 
+  /// Replaces the UUID of partition `index` (as returned by `add`).
+  void set_uuid(std::size_t index, const FixedBytes<16>& uuid);
+
   /// Finds a partition by label.
   Result<PartitionEntry> find(const std::string& label) const;
+
+  /// The partition `label` of `device` as a block device slice. Fails with
+  /// partition.out_of_range if the entry reaches past the device end.
+  Result<std::shared_ptr<BlockDevice>> slice(
+      std::shared_ptr<BlockDevice> device, const std::string& label) const;
 
   /// Serializes into block 0 of `device`.
   Status write_to(BlockDevice& device) const;
@@ -39,7 +47,7 @@ class PartitionTable {
   /// Parses the table from block 0 of `device`.
   static Result<PartitionTable> read_from(BlockDevice& device);
 
-  /// Opens a partition as a block device slice.
+  /// Opens a partition as a block device slice: `read_from`, then `slice`.
   static Result<std::shared_ptr<BlockDevice>> open(
       std::shared_ptr<BlockDevice> device, const std::string& label);
 

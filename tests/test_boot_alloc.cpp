@@ -1,4 +1,5 @@
-// Large allocations on a first boot's dm-verity path, counted exactly.
+// Large allocations on a first boot's dm-verity path and in one image
+// build, counted exactly.
 //
 // This binary replaces the global operator new with one that counts every
 // allocation of 128 KiB or more while a window is open. That size is
@@ -14,6 +15,7 @@
 #include <memory>
 #include <new>
 
+#include "boot_workloads.hpp"
 #include "storage/dm_verity.hpp"
 #include "storage/mem_disk.hpp"
 
@@ -25,7 +27,7 @@ std::atomic<std::size_t> large_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (size >= kLarge && counting.load(std::memory_order_relaxed)) {
     large_allocations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -33,9 +35,10 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-// The array forms of new and delete forward to these. Not inlined: GCC
-// would otherwise see free() on a pointer from a new-expression in this
-// file and warn about a mismatch that the replacement makes intended.
+// The array forms of new and delete forward to these. None is inlined:
+// GCC would otherwise see free() on a pointer from a new-expression, or
+// delete on a pointer from malloc(), in this file and warn about a
+// mismatch that the replacement makes intended.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -72,6 +75,24 @@ TEST(BootAllocations, VerityOpenAndVerifyAllOfACryptPadRootfs) {
   // either device through a buffer (the tree is about 260 KiB) or
   // collecting every leaf digest at once adds one here.
   EXPECT_EQ(large_allocations.load(), 1u);
+}
+
+TEST(BuildAllocations, OneCryptPadImageBuild) {
+  const bench::WorkloadBuild cp(bench::cryptpad_workload());
+  imagebuild::ImageBuilder builder(cp.registry);
+
+  large_allocations = 0;
+  counting = true;
+  auto image = builder.build(cp.inputs);
+  counting = false;
+  ASSERT_TRUE(image.ok());
+  // Exact: the rootfs's copy of the 16 MiB payload, the one disk buffer
+  // the rootfs is serialized into, and dm-verity format's tree: its leaf
+  // level (4099 x 32 bytes) and MerkleTree::serialize's output, which
+  // grows through three capacities (128, 256 and 512 KiB) on its way to
+  // about 260 KiB. A separate rootfs buffer, and the copies it makes while
+  // it grows, would add two here.
+  EXPECT_EQ(large_allocations.load(), 6u);
 }
 
 }  // namespace

@@ -1157,6 +1157,87 @@ TEST(FixedBase, WindowEdgeScalarsMatchNaiveLadder) {
   }
 }
 
+// ---------------------------------------------------------------- wNAF
+
+// Bit-serial width-w NAF: subtract each odd digit from k and shift one bit
+// at a time, the textbook recoding ecp::wnaf_recode's word scan must equal
+// digit for digit. Requires k < 2^384 - 2^w.
+std::vector<std::int8_t> reference_wnaf(U384 d, unsigned width) {
+  std::vector<std::int8_t> digits;
+  const std::uint64_t mask = (std::uint64_t{1} << (width + 1)) - 1;
+  const std::int64_t half = std::int64_t{1} << width;
+  while (!d.is_zero()) {
+    std::int64_t digit = 0;
+    if (d.limbs[0] & 1) {
+      digit = static_cast<std::int64_t>(d.limbs[0] & mask);
+      if (digit >= half) digit -= half << 1;
+      const U384 small = U384::from_u64(
+          static_cast<std::uint64_t>(digit < 0 ? -digit : digit));
+      U384 next;
+      if (digit > 0) {
+        sub_with_borrow(next, d, small);
+      } else {
+        add_with_carry(next, d, small);
+      }
+      d = next;
+    }
+    digits.push_back(static_cast<std::int8_t>(digit));
+    for (std::size_t i = 0; i + 1 < U384::kLimbs; ++i) {
+      d.limbs[i] = (d.limbs[i] >> 1) | (d.limbs[i + 1] << 63);
+    }
+    d.limbs[U384::kLimbs - 1] >>= 1;
+  }
+  return digits;
+}
+
+TEST(Wnaf, WordScanMatchesBitSerialRecoding) {
+  std::vector<U384> scalars;
+  for (std::uint64_t v = 0; v < 300; ++v) scalars.push_back(U384::from_u64(v));
+  // 2^i - 1, 2^i and 2^i + 1 at every bit, so carries run across limbs.
+  for (std::size_t i = 1; i < 384; ++i) {
+    U384 p;
+    p.limbs[i / 64] = std::uint64_t{1} << (i % 64);
+    U384 below, above;
+    sub_with_borrow(below, p, U384::from_u64(1));
+    add_with_carry(above, p, U384::from_u64(1));
+    scalars.insert(scalars.end(), {below, p, above});
+  }
+  U384 alternating_a, alternating_5, top;
+  for (auto& l : alternating_a.limbs) l = 0xaaaaaaaaaaaaaaaaULL;
+  for (auto& l : alternating_5.limbs) l = 0x5555555555555555ULL;
+  for (auto& l : top.limbs) l = ~std::uint64_t{0};
+  top.limbs[0] -= 1u << 7;  // 2^384 - 2^7 - 1, the largest k for any width
+  scalars.insert(scalars.end(), {alternating_a, alternating_5, top});
+  for (const Curve* curve : {&p256(), &p384()}) {
+    const U384& n = curve->params().n;
+    U384 n_minus_1;
+    sub_with_borrow(n_minus_1, n, U384::from_u64(1));
+    scalars.insert(scalars.end(), {n, n_minus_1});
+    // Less 2^384 - 1, which the fixed-base path reduces mod n first.
+    for (const U384& k : window_edge_scalars(*curve)) {
+      if (!(top < k)) scalars.push_back(k);
+    }
+  }
+  HmacDrbg drbg(to_bytes(std::string_view("wnaf-word-scan")));
+  for (int i = 0; i < 10000; ++i) {
+    scalars.push_back(U384::from_bytes_be(drbg.generate(32)));
+    scalars.push_back(U384::from_bytes_be(drbg.generate(48)));
+  }
+
+  for (const unsigned width : {4u, 5u}) {
+    std::size_t mismatches = 0;
+    for (const U384& k : scalars) {
+      if (ecp::wnaf_recode(k, width) != reference_wnaf(k, width) &&
+          ++mismatches <= 3) {
+        ADD_FAILURE() << "width " << width
+                      << " k=" << to_hex(k.to_bytes_be());
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "width " << width << " over "
+                              << scalars.size() << " scalars";
+  }
+}
+
 // ---------------------------------------------------------------- EC
 
 TEST(EcP256, GeneratorOnCurve) {

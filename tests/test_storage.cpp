@@ -260,6 +260,49 @@ TEST(PartitionTable, MissingLabelAndBadMagic) {
             "partition.bad_magic");
 }
 
+TEST(PartitionTable, SliceComesFromTheInMemoryTable) {
+  // No table on the device: the slice's bounds come from the caller's table.
+  auto disk = std::make_shared<MemDisk>(4096, 16);
+  PartitionTable table;
+  table.add("a", {}, 3);
+  table.add("b", {}, 4);
+  auto part = table.slice(disk, "b");
+  ASSERT_TRUE(part.ok());
+  EXPECT_EQ((*part)->block_count(), 4u);
+  const Bytes data = pattern_bytes(4096, 9);
+  ASSERT_TRUE((*part)->write_block(0, data).ok());
+  Bytes back(4096);
+  ASSERT_TRUE(disk->read_block(4, back).ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(table.slice(disk, "nope").error().code, "partition.not_found");
+
+  PartitionTable too_big;
+  too_big.add("a", {}, 16);  // blocks 1..16 of a 16-block disk
+  EXPECT_EQ(too_big.slice(disk, "a").error().code, "partition.out_of_range");
+}
+
+TEST(PartitionTable, WrappingEntryFromTheHostIsOutOfRange) {
+  // A host-written table whose first_block + block_count wraps past 2^64:
+  // first block 2^64 - 4, 5 blocks. If accepted, the slice's block 4 would
+  // be the disk's block 0, the table itself.
+  auto disk = std::make_shared<MemDisk>(4096, 8);
+  Bytes block;
+  append_u32be(block, 0x52505431);  // "RPT1"
+  append_u32be(block, 1);
+  append_u64be(block, 8);
+  append_u32be(block, 6);
+  append(block, std::string_view("rootfs"));
+  append(block, pattern_bytes(16, 4));
+  append_u64be(block, ~std::uint64_t{0} - 3);
+  append_u64be(block, 5);
+  block.resize(4096, 0);
+  ASSERT_TRUE(disk->write_block(0, block).ok());
+
+  auto part = PartitionTable::open(disk, "rootfs");
+  ASSERT_FALSE(part.ok()) << "the wrapped slice would alias block 0";
+  EXPECT_EQ(part.error().code, "partition.out_of_range");
+}
+
 // -------------------------------------------------------------- DmCrypt
 
 class DmCryptTest : public ::testing::Test {
@@ -704,6 +747,25 @@ TEST(ImageFs, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->file_count(), 3u);
   EXPECT_EQ(*parsed->read_file("/bin/app"), *fs.read_file("/bin/app"));
   EXPECT_EQ(parsed->read_file("/empty")->size(), 0u);
+}
+
+TEST(ImageFs, SerializeIntoWritesEveryByteOfTheImage) {
+  ImageFs fs;
+  fs.add_file("/bin/app", pattern_bytes(10000), 0755);
+  fs.add_file("/empty", {});
+  fs.add_file("/etc/conf", to_bytes(std::string_view("key=value")));
+  const Bytes image = fs.serialize();
+  ASSERT_EQ(fs.serialized_size(), image.size());
+  // The directory, 3 blocks of /bin/app, none for /empty, 1 of /etc/conf.
+  EXPECT_EQ(image.size(), 5u * 4096);
+  // A dirty buffer: padding and gaps must come out zero, not left as is.
+  Bytes out(image.size(), 0xa5);
+  ASSERT_TRUE(fs.serialize_into(out).ok());
+  EXPECT_EQ(out, image);
+
+  Bytes short_buf(image.size() - 4096);
+  EXPECT_EQ(fs.serialize_into(short_buf).error().code, "imagefs.bad_buffer");
+  EXPECT_EQ(ImageFs().serialized_size(), 4096u) << "an empty fs is one block";
 }
 
 TEST(ImageFs, ParseRejectsGarbage) {

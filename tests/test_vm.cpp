@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "boot_workloads.hpp"
 #include "common/hex.hpp"
+#include "crypto/sha2.hpp"
 #include "imagebuild/builder.hpp"
 #include "storage/partition.hpp"
 #include "imagebuild/registry.hpp"
@@ -255,6 +257,78 @@ TEST_F(BuildFixture, InstantiatedDisksAreIndependentCopies) {
   EXPECT_TRUE(owned.disk_bytes.empty());
   EXPECT_EQ(owned.cmdline, image->cmdline);
   EXPECT_EQ(owned.kernel_blob, image->kernel_blob);
+}
+
+std::vector<storage::PartitionEntry> partitions_of(const VmImage& image) {
+  auto disk = image.instantiate_disk();
+  auto table = storage::PartitionTable::read_from(*disk);
+  EXPECT_TRUE(table.ok());
+  return table.ok() ? table->entries() : std::vector<storage::PartitionEntry>{};
+}
+
+// SHA-256("partition-uuid" || label || verity root), first 16 bytes.
+FixedBytes<16> expected_uuid(std::string_view label,
+                             const crypto::Digest32& verity_root) {
+  crypto::Sha256 h;
+  h.update(to_bytes(std::string_view("partition-uuid")));
+  h.update(to_bytes(label));
+  h.update(verity_root.view());
+  return FixedBytes<16>::from(h.finish().view().subspan(0, 16));
+}
+
+TEST_F(BuildFixture, PartitionUuidsComeFromTheVerityRoot) {
+  ImageBuilder builder(registry);
+  auto a = builder.build(default_inputs());
+  auto again = builder.build(default_inputs());
+  BuildInputs changed = default_inputs();
+  changed.service_files["/opt/service/app"] =
+      to_bytes(std::string_view("app-binary-v2"));  // one byte differs
+  auto b = builder.build(changed);
+  ASSERT_TRUE(a.ok() && again.ok() && b.ok());
+
+  const auto parts_a = partitions_of(*a);
+  const auto parts_again = partitions_of(*again);
+  const auto parts_b = partitions_of(*b);
+  ASSERT_EQ(parts_a.size(), 3u);
+  ASSERT_EQ(parts_again.size(), 3u);
+  ASSERT_EQ(parts_b.size(), 3u);
+  const char* labels[] = {"rootfs", "verity", "data"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(labels[i]);
+    EXPECT_EQ(parts_a[i].label, labels[i]);
+    EXPECT_EQ(parts_a[i].uuid, expected_uuid(labels[i], a->verity_root));
+    EXPECT_EQ(parts_b[i].uuid, expected_uuid(labels[i], b->verity_root));
+    EXPECT_EQ(parts_a[i].uuid, parts_again[i].uuid)
+        << "same inputs, same UUIDs";
+    EXPECT_NE(parts_a[i].uuid, parts_b[i].uuid)
+        << "a changed rootfs byte changes every UUID";
+  }
+  EXPECT_NE(parts_a[0].uuid, parts_a[1].uuid);
+  EXPECT_NE(parts_a[1].uuid, parts_a[2].uuid);
+}
+
+// The CryptPad image's verity root, launch measurement and the SHA-256 of
+// its disk past block 0 (the rootfs, verity and data partitions), pinned:
+// a change to how the builder lays out or writes the image must leave
+// every rootfs byte, the root and the measurement as they are. Only block
+// 0, the partition table with its UUIDs, is left out of the pin.
+TEST(CryptPadImage, RootfsVerityRootAndMeasurementArePinned) {
+  const bench::WorkloadBuild cp(bench::cryptpad_workload());
+  auto image = ImageBuilder(cp.registry).build(cp.inputs);
+  ASSERT_TRUE(image.ok()) << image.error().to_string();
+  EXPECT_EQ(image->disk_blocks, 4359u);
+  EXPECT_EQ(to_hex(image->verity_root.view()),
+            "232c28662c245ec39970e47a4d9ee8d7"
+            "65afc5bc7f6c5d2f8bd484900f84f8d8");
+  const auto measurement = Hypervisor::expected_measurement(
+      image->kernel_blob, image->initrd_blob, image->cmdline);
+  EXPECT_EQ(to_hex(measurement.view()),
+            "91a20538a733f05151251f2e9c1a7d1d06d67bf4dbb214e3"
+            "1d6083d4e68ac1999297bfe068fba130488cb915d5ce7f71");
+  const ByteView past_table = ByteView(image->disk_bytes).subspan(4096);
+  EXPECT_EQ(to_hex(crypto::sha256(past_table).view()),
+            "4388dbd3ba443c5bc04d525bac3ffe82"
+            "24892b533d3403e341e8a6c9d7a8462e");
 }
 
 // ------------------------------------------------------- launch + boot
