@@ -10,7 +10,6 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/kdf.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/modes.hpp"
 #include "crypto/sha2.hpp"
 
@@ -234,30 +233,6 @@ void BM_Pbkdf2_1000(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Pbkdf2_1000)->Unit(benchmark::kMillisecond);
-
-void BM_MerkleBuild(benchmark::State& state) {
-  const Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MerkleTree::from_blocks(data, 4096));
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MerkleBuild)->Arg(1 << 20)->Arg(16 << 20);
-
-// Verity open's inner-node recompute: the hash device of a tree over
-// range(0) bytes of 4 KiB blocks, parsed and checked level by level.
-void BM_MerkleDeserialize(benchmark::State& state) {
-  const Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
-  const Bytes serialized = MerkleTree::from_blocks(data, 4096).serialize();
-  for (auto _ : state) {
-    auto tree = MerkleTree::deserialize(serialized);
-    if (!tree.ok()) state.SkipWithError("deserialize failed");
-    benchmark::DoNotOptimize(tree);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(serialized.size()));
-}
-BENCHMARK(BM_MerkleDeserialize)->Arg(1 << 20)->Arg(16 << 20);
 
 }  // namespace
 

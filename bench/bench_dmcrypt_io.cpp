@@ -52,7 +52,7 @@ CryptVolumeFixture& fixture() {
   return f;
 }
 
-void BM_CryptReadBlock(benchmark::State& state) {
+void BM_DmCryptReadBlock(benchmark::State& state) {
   Bytes buffer(kBlockSize);
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -64,7 +64,7 @@ void BM_CryptReadBlock(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kBlockSize));
 }
 
-void BM_CryptWriteBlock(benchmark::State& state) {
+void BM_DmCryptWriteBlock(benchmark::State& state) {
   Bytes buffer(kBlockSize, 0x55);
   std::uint64_t i = 0;
   for (auto _ : state) {
@@ -85,8 +85,8 @@ void BM_Pbkdf2KeySlot(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_CryptReadBlock);
-BENCHMARK(BM_CryptWriteBlock);
+BENCHMARK(BM_DmCryptReadBlock);
+BENCHMARK(BM_DmCryptWriteBlock);
 BENCHMARK(BM_Pbkdf2KeySlot);
 
 /// Measures our dm-crypt read cost per 4 KiB block (XTS decrypt path).

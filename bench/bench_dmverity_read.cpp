@@ -6,8 +6,12 @@
 // verity defeating readahead (every block becomes a synchronous, verified
 // read) plus the per-block hashing and hash-device accesses.
 //
-// Part 1: honest microbenchmarks of our real verity read path (per-block
-// SHA-256 leaf hash compared with the leaf level Verity::open proved).
+// Part 1: honest microbenchmarks of our real verity path: file reads
+// through the mounted rootfs (one SHA-256 per block, compared with the
+// digest Verity::open proved), and on a 16 MiB device the build-time
+// format, the boot-time open and verify_all, and block reads on a freshly
+// opened device and on a long-lived one. run_benches.sh gates the device
+// rows against bench/BENCH_storage.baseline.json.
 // Part 2: the Fig-6 series with a calibrated device model (streaming reads
 // with readahead vs synchronous verified reads); constants documented in
 // EXPERIMENTS.md. Shape to reproduce: slowdown roughly an order of
@@ -45,7 +49,8 @@ struct VerityFixture {
                                                   image.size() / kBlockSize);
     (void)data_dev->write(0, image);
     hash_dev = std::make_shared<storage::MemDisk>(
-        kBlockSize, image.size() / kBlockSize + 64);
+        kBlockSize,
+        storage::Verity::hash_block_count(image.size() / kBlockSize));
     auto meta = storage::Verity::format(*data_dev, *hash_dev);
     auto opened = storage::Verity::open(data_dev, hash_dev, meta->root_hash);
     verity_dev = *opened;
@@ -83,55 +88,169 @@ void BM_PlainReadFile(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * state.range(0)));
 }
 
-void BM_VerityFullVerify(benchmark::State& state) {
-  // The boot-time verify_all pass (Table 1's dominant first-boot service).
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fixture().verity_dev->verify_all());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(
-      state.iterations() * fixture().data_dev->size_bytes()));
-}
-
 BENCHMARK(BM_PlainReadFile)->RangeMultiplier(4)->Range(64 << 10, 16 << 20);
 BENCHMARK(BM_VerityReadFile)->RangeMultiplier(4)->Range(64 << 10, 16 << 20);
-BENCHMARK(BM_VerityFullVerify);
 
-// Ablation (DESIGN.md): sensitivity of the verity hash structure to the
-// data-block size. Smaller blocks mean finer-grained detection but more
-// leaves and deeper trees; larger blocks amortise hashing but every read
-// must verify a bigger unit. The tree build stands in for format cost;
-// the per-block check (one leaf hash and one compare against level 0, the
-// read path's whole check) shows the read-path unit cost.
+// A 16 MiB data device (4096 blocks, each patterned from its index) and
+// its exactly sized hash device: 33 hash blocks, 32 at level 0.
+constexpr std::uint64_t kDeviceBlocks = 4096;
+
+Bytes patterned_block(std::uint64_t index) {
+  Bytes block(kBlockSize);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] =
+        static_cast<std::uint8_t>((i * 2654435761u + index * 40503u) >> 7);
+  }
+  return block;
+}
+
+struct DeviceFixture {
+  DeviceFixture() {
+    data_dev = std::make_shared<storage::MemDisk>(kBlockSize, kDeviceBlocks);
+    for (std::uint64_t i = 0; i < kDeviceBlocks; ++i) {
+      (void)data_dev->write_block(i, patterned_block(i));
+    }
+    hash_dev = std::make_shared<storage::MemDisk>(
+        kBlockSize, storage::Verity::hash_block_count(kDeviceBlocks));
+    root = storage::Verity::format(*data_dev, *hash_dev)->root_hash;
+    device = reopen();
+  }
+
+  std::shared_ptr<storage::VerityDevice> reopen() const {
+    return *storage::Verity::open(data_dev, hash_dev, root);
+  }
+
+  std::shared_ptr<storage::MemDisk> data_dev;
+  std::shared_ptr<storage::MemDisk> hash_dev;
+  std::shared_ptr<storage::VerityDevice> device;
+  crypto::Digest32 root;
+};
+
+DeviceFixture& device_fixture() {
+  static DeviceFixture f;
+  return f;
+}
+
+void BM_VerityFormat(benchmark::State& state) {
+  // Build time: every data block hashed, the hash blocks written.
+  auto& f = device_fixture();
+  for (auto _ : state) {
+    auto hash_dev = std::make_shared<storage::MemDisk>(
+        kBlockSize, storage::Verity::hash_block_count(kDeviceBlocks));
+    auto meta = storage::Verity::format(*f.data_dev, *hash_dev);
+    benchmark::DoNotOptimize(meta->root_hash);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kDeviceBlocks * kBlockSize);
+}
+BENCHMARK(BM_VerityFormat)->Unit(benchmark::kMillisecond);
+
+void BM_VerityOpen(benchmark::State& state) {
+  // Boot's "dm-verity setup": every hash block hashed once, bottom-up,
+  // the top matched against the root, level 0's digests copied out.
+  auto& f = device_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.reopen());
+  }
+}
+BENCHMARK(BM_VerityOpen)->Unit(benchmark::kMicrosecond);
+
+void BM_VerityVerifyAll(benchmark::State& state) {
+  // The boot-time verify_all pass (Table 1's dominant first-boot service).
+  auto& f = device_fixture();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.device->verify_all().ok());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kDeviceBlocks * kBlockSize);
+}
+BENCHMARK(BM_VerityVerifyAll)->Unit(benchmark::kMillisecond);
+
+void BM_VerityReadCold(benchmark::State& state) {
+  // Fresh device per pass, every block read once. Open proved every
+  // digest, so a read on a new device costs what it costs on an old one
+  // (BM_VerityReadWarm): one SHA-256 and one compare.
+  auto& f = device_fixture();
+  Bytes buf(kBlockSize);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto device = f.reopen();
+    state.ResumeTiming();
+    for (std::uint64_t i = 0; i < kDeviceBlocks; ++i) {
+      (void)device->read_block(i, buf);
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kDeviceBlocks * kBlockSize);
+}
+BENCHMARK(BM_VerityReadCold)->Unit(benchmark::kMillisecond);
+
+void BM_VerityReadWarm(benchmark::State& state) {
+  // Shared long-lived device, one block per iteration.
+  auto& f = device_fixture();
+  Bytes buf(kBlockSize);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    (void)f.device->read_block(i, buf);
+    i = (i + 1) % kDeviceBlocks;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kBlockSize);
+}
+BENCHMARK(BM_VerityReadWarm);
+
+// Ablation (DESIGN.md): sensitivity of dm-verity to the block size, data
+// and hash blocks alike, over 4 MiB. Smaller blocks mean finer-grained
+// detection but more digests and more levels (a hash block holds
+// block_size / 32 of them); larger blocks amortise hashing but every read
+// must verify a bigger unit. Build times Verity::format; Prove times one
+// verified read on a device Verity::open proved, the read path's whole
+// check.
+struct SweptDevice {
+  explicit SweptDevice(std::size_t block_size, std::uint8_t seed) {
+    const std::size_t blocks = (4 << 20) / block_size;
+    Bytes data(4 << 20);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>(i * seed);
+    }
+    data_dev = std::make_shared<storage::MemDisk>(block_size, std::move(data));
+    hash_dev = std::make_shared<storage::MemDisk>(
+        block_size, storage::Verity::hash_block_count(blocks, block_size));
+  }
+  std::shared_ptr<storage::MemDisk> data_dev;
+  std::shared_ptr<storage::MemDisk> hash_dev;
+};
+
 void BM_VerityBlockSizeSweepBuild(benchmark::State& state) {
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
-  Bytes data(4 << 20);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 31);
-  }
+  SweptDevice swept(block_size, 31);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::MerkleTree::from_blocks(data, block_size));
+    auto meta = storage::Verity::format(*swept.data_dev, *swept.hash_dev,
+                                        storage::VerityParams{block_size});
+    benchmark::DoNotOptimize(meta->root_hash);
   }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * data.size()));
-  state.counters["leaves"] =
-      static_cast<double>(data.size() / block_size);
+  state.SetBytesProcessed(static_cast<std::int64_t>(
+      state.iterations() * swept.data_dev->size_bytes()));
+  state.counters["data_blocks"] =
+      static_cast<double>(swept.data_dev->block_count());
+  state.counters["hash_blocks"] =
+      static_cast<double>(swept.hash_dev->block_count());
 }
 BENCHMARK(BM_VerityBlockSizeSweepBuild)
     ->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
 
 void BM_VerityBlockSizeSweepProve(benchmark::State& state) {
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
-  Bytes data(4 << 20);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 37);
-  }
-  const auto tree = crypto::MerkleTree::from_blocks(data, block_size);
-  std::size_t index = 0;
+  SweptDevice swept(block_size, 37);
+  const auto meta = storage::Verity::format(
+      *swept.data_dev, *swept.hash_dev, storage::VerityParams{block_size});
+  const auto device =
+      *storage::Verity::open(swept.data_dev, swept.hash_dev, meta->root_hash);
+  Bytes buf(block_size);
+  std::uint64_t index = 0;
   for (auto _ : state) {
-    const std::size_t i = index++ % tree.leaf_count();
-    const auto leaf = crypto::MerkleTree::hash_leaf(
-        ByteView(data).subspan(i * block_size, block_size));
-    benchmark::DoNotOptimize(leaf == tree.level(0)[i]);
+    benchmark::DoNotOptimize(
+        device->read_block(index++ % device->block_count(), buf).ok());
   }
   state.SetBytesProcessed(
       static_cast<std::int64_t>(state.iterations() * block_size));
@@ -139,7 +258,7 @@ void BM_VerityBlockSizeSweepProve(benchmark::State& state) {
 BENCHMARK(BM_VerityBlockSizeSweepProve)
     ->Arg(1024)->Arg(4096)->Arg(16384)->Arg(65536);
 
-/// Measures our verity verification cost per 4 KiB block (read + leaf hash).
+/// Measures our verity verification cost per 4 KiB block (read + SHA-256).
 double measure_verify_us_per_block() {
   Bytes buffer(kBlockSize);
   constexpr int kBlocks = 2048;

@@ -13,7 +13,6 @@ endfunction()
 revelio_bench(bench_crypto_primitives revelio_crypto)
 revelio_bench(bench_dmcrypt_io revelio_storage)
 revelio_bench(bench_dmverity_read revelio_storage)
-revelio_bench(bench_storage revelio_storage)
 revelio_bench(bench_boot_latency revelio_core)
 revelio_bench(bench_ssl_cert_ops revelio_core)
 revelio_bench(bench_client_attestation revelio_core)

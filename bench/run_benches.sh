@@ -8,13 +8,15 @@
 # {"bench": ..., "op": ..., "ns_per_op": ..., "iterations": ...}, one entry
 # per benchmark, suitable for jq / CI regression tracking.
 #
-# Also writes BENCH_storage.json: the storage fast-path numbers from
-# bench_storage (Merkle format/verify_all on the calling thread, verity
-# reads of one leaf compare each, AES-XTS dm-crypt I/O), diffed against
-# the committed baseline bench/BENCH_storage.baseline.json — any op whose
+# Also writes BENCH_storage.json: the storage rows of the Figure 6 and 5
+# binaries (bench_dmverity_read: dm-verity format, open, verify_all and
+# block reads of one SHA-256 and compare each on a 16 MiB device;
+# bench_dmcrypt_io: AES-XTS dm-crypt block I/O), diffed against the
+# committed baseline bench/BENCH_storage.baseline.json — any op whose
 # ns_per_op regresses by more than 2x fails the run (wall-clock micro-op noise on
 # shared CI hosts swings 25-50% run to run; only wholesale regressions
-# are detectable per op).
+# are detectable per op), and so does a missing binary or a baseline op
+# that no binary reported.
 #
 # Also writes BENCH_attestation.json: per-stage virtual/real time breakdown
 # of one attested GET (cold and VCEK-cached), from the tracing spans inside
@@ -210,33 +212,48 @@ PY
 
 # --- storage fast path + regression gate ----------------------------------
 storage_section() {
-storage_bin="$build_dir/bench/bench_storage"
 storage_json="$repo_root/BENCH_storage.json"
 storage_baseline="$repo_root/bench/BENCH_storage.baseline.json"
-if [ -x "$storage_bin" ]; then
-  echo "== bench_storage" >&2
-  "$storage_bin" --benchmark_out="$tmp_dir/bench_storage.json" \
-                 --benchmark_out_format=json >&2
-  python3 - "$storage_json" "$storage_baseline" \
-    "$tmp_dir/bench_storage.json" <<'PY'
+# Each figure binary runs only its gated device rows (and BM_VerityOpen,
+# which has no baseline yet).
+storage_benches=(
+  "bench_dmverity_read:^BM_Verity(Format|Open|VerifyAll|ReadCold|ReadWarm)$"
+  "bench_dmcrypt_io:^BM_DmCrypt(Read|Write)Block$"
+)
+mkdir -p "$tmp_dir/storage"
+for entry in "${storage_benches[@]}"; do
+  bench="${entry%%:*}"
+  bin="$build_dir/bench/$bench"
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not built (run: cmake --build $build_dir -j)" >&2
+    exit 1
+  fi
+  echo "== $bench (storage rows)" >&2
+  "$bin" --benchmark_filter="${entry#*:}" \
+         --benchmark_out="$tmp_dir/storage/$bench.json" \
+         --benchmark_out_format=json >&2
+done
+python3 - "$storage_json" "$storage_baseline" "$tmp_dir"/storage/*.json <<'PY'
 import json
+import os
 import sys
 
-out_path, baseline_path, report_path = sys.argv[1], sys.argv[2], sys.argv[3]
+out_path, baseline_path = sys.argv[1], sys.argv[2]
 scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-with open(report_path) as f:
-    report = json.load(f)
 rows = []
-for b in report.get("benchmarks", []):
-    if b.get("run_type") == "aggregate":
-        continue
-    unit = scale.get(b.get("time_unit", "ns"), 1.0)
-    rows.append({
-        "bench": "bench_storage",
-        "op": b["name"],
-        "ns_per_op": round(b["real_time"] * unit, 1),
-        "iterations": b["iterations"],
-    })
+for report_path in sys.argv[3:]:
+    with open(report_path) as f:
+        report = json.load(f)
+    for b in report.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            continue
+        unit = scale.get(b.get("time_unit", "ns"), 1.0)
+        rows.append({
+            "bench": os.path.splitext(os.path.basename(report_path))[0],
+            "op": b["name"],
+            "ns_per_op": round(b["real_time"] * unit, 1),
+            "iterations": b["iterations"],
+        })
 with open(out_path, "w") as f:
     json.dump(rows, f, indent=2)
     f.write("\n")
@@ -259,6 +276,9 @@ except json.JSONDecodeError as e:
 # fast path reads 2-4x) is detectable here.
 THRESHOLD = 1.0
 failures = []
+reported = {row["op"] for row in rows}
+for op in sorted(set(baseline) - reported):
+    failures.append(f"{op}: in the baseline but reported by no binary")
 for row in rows:
     base = baseline.get(row["op"])
     if base is None or base <= 0:
@@ -275,15 +295,12 @@ for row in rows:
           f" (baseline {base:14.1f} ns, {delta*100:+5.1f}%){flag}",
           file=sys.stderr)
 if failures:
-    print("storage benchmark regression(s) beyond 2x:", file=sys.stderr)
+    print("storage benchmark failure(s):", file=sys.stderr)
     for f_ in failures:
         print(f"  {f_}", file=sys.stderr)
     sys.exit(1)
 print("storage benchmarks within 2x of baseline", file=sys.stderr)
 PY
-else
-  echo "note: $storage_bin not built; skipping storage fast-path benches" >&2
-fi
 }
 
 # --- per-stage attestation breakdown + regression gate --------------------

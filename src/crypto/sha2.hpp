@@ -31,7 +31,7 @@ class Sha256 {
   /// their whole 64-byte blocks go through the compression core two
   /// streams per pass (interleaved on SHA-NI, one after the other on the
   /// scalar core). This is the shape of Linux's `sha256_finup_2x` for
-  /// dm-verity: `ctx` holds a common prefix, here the Merkle leaf prefix.
+  /// dm-verity: `ctx` holds a common prefix, there the salt.
   static void finish_2x(const Sha256& ctx, ByteView a, ByteView b,
                         Digest32& out_a, Digest32& out_b);
 

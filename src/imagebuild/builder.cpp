@@ -97,18 +97,11 @@ Result<VmImage> ImageBuilder::build(const BuildInputs& inputs,
   const std::uint64_t rootfs_size = rootfs.serialized_size(kBlockSize);
   const std::uint64_t rootfs_blocks = rootfs_size / kBlockSize;
 
-  // Size the hash device: tree is < 2x leaf digests plus headers.
-  std::uint64_t verity_blocks = inputs.verity_partition_blocks;
-  if (verity_blocks == 0) {
-    const std::uint64_t tree_bytes = rootfs_blocks * 32 * 2 + 4096;
-    verity_blocks = tree_bytes / kBlockSize + 2;
-  }
-
   // ---- Partitioned disk layout. The UUIDs follow from the verity root, so
   // the table is written to block 0 once dm-verity has run.
   storage::PartitionTable table;
   const std::size_t rootfs_index = table.add("rootfs", {}, rootfs_blocks);
-  table.add("verity", {}, verity_blocks);
+  table.add("verity", {}, storage::Verity::hash_block_count(rootfs_blocks));
   table.add("data", {}, inputs.data_partition_blocks);
 
   // One disk buffer: the rootfs is serialized straight into its partition.
@@ -146,6 +139,7 @@ Result<VmImage> ImageBuilder::build(const BuildInputs& inputs,
   vm::KernelCmdline cmdline;
   if (inputs.initrd.setup_verity) {
     cmdline.verity_root_hash_hex = to_hex(meta->root_hash.view());
+    cmdline.verity_data_blocks = meta->data_block_count;
   }
   image.cmdline = cmdline.to_string();
   image.verity_root = meta->root_hash;

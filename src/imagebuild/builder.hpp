@@ -33,11 +33,9 @@ struct BuildInputs {
   vm::KernelSpec kernel;
   vm::InitrdSpec initrd;
 
-  // Sizing of the encrypted data partition (4 KiB blocks).
+  // Sizing of the encrypted data partition (4 KiB blocks). The verity hash
+  // partition is sized exactly from the rootfs.
   std::uint64_t data_partition_blocks = 32;
-  // Headroom for the verity hash device (4 KiB blocks); sized automatically
-  // if 0.
-  std::uint64_t verity_partition_blocks = 0;
 };
 
 struct BuildOptions {

@@ -1,5 +1,6 @@
 #include "vm/blobs.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/sim_clock.hpp"
@@ -132,7 +133,8 @@ std::string KernelCmdline::to_string() const {
   out << "root=PART=" << root_partition;
   if (!verity_root_hash_hex.empty()) {
     out << " verity.hashdev=PART=" << verity_hash_partition
-        << " verity.roothash=" << verity_root_hash_hex;
+        << " verity.roothash=" << verity_root_hash_hex
+        << " verity.data_blocks=" << verity_data_blocks;
   }
   out << " data=PART=" << data_partition;
   for (const auto& [k, v] : extra) out << " " << k << "=" << v;
@@ -162,6 +164,13 @@ Result<KernelCmdline> KernelCmdline::parse(std::string_view text) {
       cmdline.verity_hash_partition = strip_part(value);
     } else if (key == "verity.roothash") {
       cmdline.verity_root_hash_hex = value;
+    } else if (key == "verity.data_blocks") {
+      const auto [end, ec] =
+          std::from_chars(value.data(), value.data() + value.size(),
+                          cmdline.verity_data_blocks);
+      if (ec != std::errc{} || end != value.data() + value.size()) {
+        return Error::make("vm.bad_cmdline", token);
+      }
     } else if (key == "data") {
       cmdline.data_partition = strip_part(value);
     } else {

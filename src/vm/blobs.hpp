@@ -53,11 +53,13 @@ struct InitrdSpec {
   friend bool operator==(const InitrdSpec&, const InitrdSpec&) = default;
 };
 
-/// Kernel command line; carries the verity root hash (§5.1.2).
+/// Kernel command line; carries the verity root hash (§5.1.2) and the
+/// rootfs's block count, which fixes the verity tree's shape.
 struct KernelCmdline {
   std::string root_partition = "rootfs";
   std::string verity_hash_partition = "verity";
   std::string verity_root_hash_hex;  // empty => verity disabled
+  std::uint64_t verity_data_blocks = 0;  // written with the root hash
   std::string data_partition = "data";
   std::map<std::string, std::string> extra;
 

@@ -74,12 +74,24 @@ Status GuestVm::setup_verity(BootReport& report) {
     return Error::make("vm.boot_failed", "malformed verity root hash");
   }
   const auto expected_root = crypto::Digest32::from(*root_bytes);
+  // dm-verity hashes data and hash blocks alike, so the root fixes the
+  // tree's content but not its shape: the measured block count does. A
+  // host that points the rootfs entry at another range (say, the hash
+  // blocks of level 0) is refused here, before open.
+  if (cmdline_.verity_data_blocks != (*rootfs_part)->block_count()) {
+    return Error::make(
+        "vm.boot_failed",
+        "verity.data_blocks: the cmdline binds " +
+            std::to_string(cmdline_.verity_data_blocks) +
+            " rootfs blocks, the rootfs partition holds " +
+            std::to_string((*rootfs_part)->block_count()));
+  }
 
   auto hash_part =
       storage::PartitionTable::open(disk_, cmdline_.verity_hash_partition);
   if (!hash_part.ok()) return hash_part.error();
 
-  // veritysetup open: load + validate the tree against the cmdline root.
+  // veritysetup open: prove every hash block against the cmdline root.
   {
     PhaseTimer timer(report, *clock_, "dm-verity setup");
     auto dev = storage::Verity::open(*rootfs_part, *hash_part, expected_root);

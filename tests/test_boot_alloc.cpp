@@ -48,10 +48,10 @@ namespace revelio::storage {
 namespace {
 
 // The CryptPad image's rootfs: a 16 MiB service payload plus the base
-// files, 4099 blocks, whose serialized tree (about 260 KiB) fits a
-// 67-block hash partition, as the image builder lays them out.
+// files, 4099 blocks, whose dm-verity tree takes 34 hash blocks (33 at
+// level 0, one above), as the image builder lays them out.
 constexpr std::uint64_t kRootfsBlocks = 4099;
-constexpr std::uint64_t kHashBlocks = 67;
+constexpr std::uint64_t kHashBlocks = 34;
 
 TEST(BootAllocations, VerityOpenAndVerifyAllOfACryptPadRootfs) {
   Bytes contents(kRootfsBlocks * 4096);
@@ -69,11 +69,11 @@ TEST(BootAllocations, VerityOpenAndVerifyAllOfACryptPadRootfs) {
   const bool verified = device.ok() && (*device)->verify_all().ok();
   counting = false;
   ASSERT_TRUE(verified);
-  // Exact: MerkleTree::deserialize's leaf level (4099 x 32 bytes). Open
-  // parses the tree from a view of the hash device, and verify_all hashes
-  // the rootfs in place into a 16 KiB stack chunk of digests; staging
-  // either device through a buffer (the tree is about 260 KiB) or
-  // collecting every leaf digest at once adds one here.
+  // Exact: the device's copy of level 0's digests (4099 x 32 bytes).
+  // Open hashes the hash blocks from a view of the hash device, and
+  // verify_all hashes the rootfs in place into a 16 KiB stack chunk of
+  // digests; staging either device through a buffer or collecting every
+  // block digest at once adds one here.
   EXPECT_EQ(large_allocations.load(), 1u);
 }
 
@@ -86,13 +86,12 @@ TEST(BuildAllocations, OneCryptPadImageBuild) {
   auto image = builder.build(cp.inputs);
   counting = false;
   ASSERT_TRUE(image.ok());
-  // Exact: the rootfs's copy of the 16 MiB payload, the one disk buffer
-  // the rootfs is serialized into, and dm-verity format's tree: its leaf
-  // level (4099 x 32 bytes) and MerkleTree::serialize's output, which
-  // grows through three capacities (128, 256 and 512 KiB) on its way to
-  // about 260 KiB. A separate rootfs buffer, and the copies it makes while
-  // it grows, would add two here.
-  EXPECT_EQ(large_allocations.load(), 6u);
+  // Exact: the rootfs's copy of the 16 MiB payload and the one disk buffer
+  // the rootfs is serialized into. dm-verity format writes each hash block
+  // from a 4 KiB digest buffer straight into the hash partition. A
+  // separate rootfs buffer, and the copies it makes while it grows, would
+  // add two here; so would a tree built in memory before it is written.
+  EXPECT_EQ(large_allocations.load(), 2u);
 }
 
 }  // namespace

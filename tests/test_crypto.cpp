@@ -1700,11 +1700,11 @@ TEST(Ecdsa, VerifyRejectsInfinityAndOffCurveKeys) {
 
 // ---------------------------------------------------------------- Merkle
 
-TEST(Merkle, SingleLeaf) {
-  const Bytes block(16, 0xaa);
-  const auto tree = MerkleTree::from_blocks(block, 16);
+TEST(Merkle, SingleLeafIsTheRoot) {
+  const Digest32 leaf = MerkleTree::hash_leaf(Bytes(16, 0xaa));
+  const auto tree = MerkleTree::from_leaves({leaf});
   EXPECT_EQ(tree.leaf_count(), 1u);
-  EXPECT_EQ(tree.root(), MerkleTree::hash_leaf(block));
+  EXPECT_EQ(tree.root(), leaf);
 }
 
 TEST(Merkle, DomainSeparationLeafVsInner) {
@@ -1717,78 +1717,7 @@ TEST(Merkle, DomainSeparationLeafVsInner) {
                MerkleTree::hash_inner(a, b));
 }
 
-TEST(Merkle, SerializeDeserializeRoundTrip) {
-  Bytes data(4096 * 7, 0);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
-  }
-  const auto tree = MerkleTree::from_blocks(data, 4096);
-  const Bytes serialized = tree.serialize();
-  const auto back = MerkleTree::deserialize(serialized);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->root(), tree.root());
-  EXPECT_EQ(back->leaf_count(), tree.leaf_count());
-}
-
-TEST(Merkle, DeserializeRejectsTamperedNodes) {
-  Bytes data(4096 * 4, 0x33);
-  const auto tree = MerkleTree::from_blocks(data, 4096);
-  Bytes serialized = tree.serialize();
-  serialized[serialized.size() - 1] ^= 0x01;  // corrupt the root level
-  EXPECT_FALSE(MerkleTree::deserialize(serialized).ok());
-}
-
-TEST(Merkle, DeserializeRejectsOverflowingNodeCount) {
-  Bytes blob;
-  append_u64be(blob, 1);  // leaf_count
-  append_u64be(blob, 1);  // level_count
-  // node_count * 32 wraps to 0 mod 2^64: the old multiply-based bounds
-  // check accepted this header and then indexed far past the buffer.
-  append_u64be(blob, 0x0800000000000000ULL);
-  const auto result = MerkleTree::deserialize(blob);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, "merkle.truncated_nodes");
-}
-
-TEST(Merkle, RootChangesWithAnyBlock) {
-  Bytes data(4096 * 3, 0x44);
-  const auto base = MerkleTree::from_blocks(data, 4096);
-  for (std::size_t block = 0; block < 3; ++block) {
-    Bytes mutated = data;
-    mutated[block * 4096 + 17] ^= 0x80;
-    const auto tree = MerkleTree::from_blocks(mutated, 4096);
-    EXPECT_FALSE(tree.root() == base.root());
-  }
-}
-
-// hash_leaves pairs full-size leaves through Sha256::finish_2x and hashes
-// an odd last leaf and a short tail alone; every digest must equal the
-// per-leaf hash_leaf of the same (zero-padded) block.
-TEST(Merkle, HashLeavesMatchesPerLeafHash) {
-  HmacDrbg drbg(to_bytes(std::string_view("merkle-hash-leaves")));
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {0, 0},  {1, 0},  {2, 0},   {3, 0}, {64, 0}, {65, 0}, {257, 0},
-      {1, 100}, {2, 4095}, {64, 1}};  // {full blocks, tail bytes}
-  for (const auto& [full, tail] : shapes) {
-    const Bytes data = drbg.generate(4096 * full + tail);
-    std::vector<Digest32> out(full + (tail > 0 ? 1 : 0));
-    MerkleTree::hash_leaves(data, 4096, out);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      Bytes block(4096, 0);
-      const std::size_t len =
-          std::min<std::size_t>(4096, data.size() - 4096 * i);
-      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(4096 * i), len,
-                  block.begin());
-      EXPECT_EQ(out[i], MerkleTree::hash_leaf(block))
-          << full << "+" << tail << " leaf " << i;
-    }
-  }
-}
-
-// Roots pinned as hex (they agree with a Python hashlib model of the same
-// tree). The leaf counts straddle runs of eight nodes and odd-node
-// promotion, and the block sweep ends in a short, zero-padded block, so a
-// change to how leaves or inner nodes are hashed shows here.
+// Leaf i is SHA-256 of i as a big-endian u64.
 std::vector<Digest32> fixed_leaves(std::size_t n) {
   std::vector<Digest32> leaves;
   for (std::size_t i = 0; i < n; ++i) {
@@ -1799,6 +1728,20 @@ std::vector<Digest32> fixed_leaves(std::size_t n) {
   return leaves;
 }
 
+TEST(Merkle, RootChangesWithAnyLeaf) {
+  const auto leaves = fixed_leaves(3);
+  const auto base = MerkleTree::from_leaves(leaves);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    auto mutated = leaves;
+    mutated[i][17] ^= 0x80;
+    EXPECT_FALSE(MerkleTree::from_leaves(mutated).root() == base.root()) << i;
+  }
+}
+
+// Roots pinned as hex (they agree with a Python hashlib model of the same
+// tree). The leaf counts straddle runs of eight nodes and odd-node
+// promotion, so a change to how leaves or inner nodes are hashed shows
+// here.
 TEST(Merkle, PinnedRootsFromLeaves) {
   const std::pair<std::size_t, const char*> cases[] = {
       {1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"},
@@ -1814,37 +1757,7 @@ TEST(Merkle, PinnedRootsFromLeaves) {
   for (const auto& [n, hex] : cases) {
     const auto tree = MerkleTree::from_leaves(fixed_leaves(n));
     EXPECT_EQ(to_hex(tree.root().view()), hex) << n;
-    const auto back = MerkleTree::deserialize(tree.serialize());
-    ASSERT_TRUE(back.ok()) << n;
-    EXPECT_EQ(back->root(), tree.root()) << n;
   }
-}
-
-TEST(Merkle, PinnedRootFromBlocksWithShortLastBlock) {
-  Bytes data(4096 * 19 + 1000);  // 20 blocks, the last 1000 bytes long
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
-  }
-  const auto tree = MerkleTree::from_blocks(data, 4096);
-  EXPECT_EQ(tree.leaf_count(), 20u);
-  EXPECT_EQ(to_hex(tree.root().view()),
-            "e080b6065de8f7ce2482b9cbdd35805e4a650413a7187bb52e093fb6b3eadd6c");
-}
-
-TEST(Merkle, DeserializeRejectsLeafCountAboveLevelZero) {
-  // A hash device whose header claims 16 leaves but whose levels start at
-  // the real tree's level 1 (8 nodes): every inner node still recomputes
-  // and the root is the real one, so only the leaf count gives it away.
-  const auto tree = MerkleTree::from_leaves(fixed_leaves(16));
-  const Bytes real = tree.serialize();
-  Bytes forged;
-  append_u64be(forged, 16);
-  append_u64be(forged, tree.level_count() - 1);
-  const std::size_t level0 = 8 + 16 * 32;
-  forged.insert(forged.end(), real.begin() + 16 + level0, real.end());
-  const auto result = MerkleTree::deserialize(forged);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, "merkle.malformed");
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/ecies.hpp"
 #include "crypto/kdf.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/modes.hpp"
 #include "ic/subnet.hpp"
 #include "net/http.hpp"

@@ -463,9 +463,10 @@ class DmVerityTest : public ::testing::Test {
     crypto::Digest32 root;
   };
   static Formatted format_patterned(std::uint64_t blocks,
-                                    std::uint64_t hash_blocks) {
+                                    std::uint64_t hash_blocks,
+                                    std::size_t hash_block_size = 4096) {
     Formatted f{std::make_shared<MemDisk>(4096, blocks),
-                std::make_shared<MemDisk>(4096, hash_blocks), {}};
+                std::make_shared<MemDisk>(hash_block_size, hash_blocks), {}};
     for (std::uint64_t i = 0; i < blocks; ++i) {
       EXPECT_TRUE(
           f.data->write_block(i, pattern_bytes(4096, static_cast<std::uint8_t>(i)))
@@ -527,66 +528,112 @@ TEST_F(DmVerityTest, WrongRootHashFailsOpen) {
 }
 
 TEST_F(DmVerityTest, TamperedHashDeviceFailsOpen) {
-  // Corrupt a serialized tree node (skip the length header block).
-  hash_dev_->raw_tamper(4096 + 64, 0x01);
+  // 16 data blocks take one hash block, the top: flip data block 2's
+  // digest in it.
+  hash_dev_->raw_tamper(2 * 32 + 5, 0x01);
   const auto r = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
-  EXPECT_FALSE(r.ok());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "verity.root_mismatch");
 }
 
-TEST_F(DmVerityTest, EveryInnerNodeIsCheckedAtOpen) {
-  // A read compares only its leaf, so open has to have proved every node
-  // above level 0: flip each one in turn (the root included) and the
-  // device must not open. Serialized layout after the length header
-  // block: u64 leaf_count, u64 level_count, then per level a u64
-  // node_count followed by the nodes.
-  for (const Formatted& f : {Formatted{data_dev_, hash_dev_, meta_.root_hash},
-                             format_patterned(17, 16)}) {
-    const std::uint64_t leaves = f.data->block_count();
-    std::uint64_t offset = 4096 + 16;  // level 0's node_count
+TEST(DmVerity, HashBlockCountFollowsTheKernelShape) {
+  // Level i holds ceil(n / 128^(i+1)) 4 KiB hash blocks, up to a level of
+  // one block; one data block has none.
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {1, 0},    {2, 1},      {128, 1},    {129, 3},
+      {4099, 34}, {16384, 129}, {16385, 132}};
+  for (const auto& [data_blocks, hash_blocks] : cases) {
+    EXPECT_EQ(Verity::hash_block_count(data_blocks), hash_blocks)
+        << data_blocks;
+  }
+  // 512-byte hash blocks hold 16 digests: 257 blocks take 17 + 2 + 1.
+  EXPECT_EQ(Verity::hash_block_count(257, 512), 20u);
+}
+
+TEST(DmVerity, OneDataBlockHasNoHashBlocksAndItsDigestIsTheRoot) {
+  auto data = std::make_shared<MemDisk>(4096, 1);
+  ASSERT_TRUE(data->write_block(0, pattern_bytes(4096, 9)).ok());
+  auto hash = std::make_shared<MemDisk>(4096, 0);
+  auto meta = Verity::format(*data, *hash);
+  ASSERT_TRUE(meta.ok()) << meta.error().to_string();
+  EXPECT_EQ(meta->root_hash, crypto::sha256(pattern_bytes(4096, 9)));
+
+  auto dev = Verity::open(data, hash, meta->root_hash);
+  ASSERT_TRUE(dev.ok());
+  Bytes buf(4096);
+  EXPECT_TRUE((*dev)->read_block(0, buf).ok());
+  data->raw_tamper(77, 0x02);
+  EXPECT_FALSE((*dev)->read_block(0, buf).ok());
+  EXPECT_FALSE((*dev)->verify_all().ok());
+}
+
+TEST_F(DmVerityTest, EveryHashBlockIsCheckedAtOpen) {
+  // A read compares only its block's digest, so open has to have proved
+  // every hash block: flip each one in turn, at byte 9 and at its last
+  // byte (a digest entry, or the zero tail of a partly filled block), and
+  // the device must not open. Open checks bottom-up, so a flipped entry
+  // fails against the block it covers one level down, and a flipped tail
+  // fails its own block: against its entry above, or at the root for the
+  // top block. Shapes: one level (16 blocks), two (129 blocks: 2 + 1)
+  // and three (257 blocks over 512-byte hash blocks of 16 digests:
+  // 17 + 2 + 1).
+  struct Shape {
+    std::uint64_t data_blocks;
+    std::size_t hash_block_size;
+    std::uint64_t hash_blocks;
+  };
+  for (const Shape& shape : {Shape{16, 4096, 1}, Shape{129, 4096, 3},
+                             Shape{257, 512, 20}}) {
+    const Formatted f =
+        format_patterned(shape.data_blocks, shape.hash_blocks,
+                         shape.hash_block_size);
+    ASSERT_TRUE(Verity::open(f.data, f.hash, f.root).ok());
+    const std::size_t bs = shape.hash_block_size;
     std::size_t flipped = 0;
-    for (std::uint64_t level = 0, nodes = leaves;; ++level) {
-      for (std::uint64_t i = 0; level >= 1 && i < nodes; ++i) {
-        const std::uint64_t node = offset + 8 + i * 32;
-        f.hash->raw_tamper(node + 9, 0x04);
+    for (std::uint64_t block = 0; block < shape.hash_blocks; ++block) {
+      for (const std::size_t at : {std::size_t{9}, bs - 1}) {
+        f.hash->raw_tamper(block * bs + at, 0x04);
         const auto r = Verity::open(f.data, f.hash, f.root);
-        ASSERT_FALSE(r.ok()) << leaves << " leaves, level " << level
-                             << " node " << i;
-        EXPECT_EQ(r.error().code, "verity.corrupt_hash_device");
-        f.hash->raw_tamper(node + 9, 0x04);  // restore
-        ++flipped;
+        ASSERT_FALSE(r.ok()) << shape.data_blocks << " blocks, hash block "
+                             << block << " byte " << at;
+        EXPECT_TRUE(r.error().code == "verity.corrupt_hash_device" ||
+                    r.error().code == "verity.root_mismatch")
+            << r.error().to_string();
+        f.hash->raw_tamper(block * bs + at, 0x04);  // restore
       }
-      offset += 8 + nodes * 32;
-      if (nodes == 1) break;
-      nodes = (nodes + 1) / 2;
+      ++flipped;
     }
-    // 16 leaves: 8 + 4 + 2 + 1; 17 leaves: 9 + 5 + 3 + 2 + 1.
-    EXPECT_EQ(flipped, leaves == 16 ? 15u : 20u);
+    EXPECT_EQ(flipped, Verity::hash_block_count(shape.data_blocks, bs));
     EXPECT_TRUE(Verity::open(f.data, f.hash, f.root).ok()) << "restored";
   }
 }
 
 TEST_F(DmVerityTest, ConsistentTamperOfDataAndLeafStillFailsViaRoot) {
-  // Attacker rewrites a data block AND recomputes its leaf in the hash
-  // device; inner nodes no longer match, so deserialize or open fails.
+  // The attacker rewrites a data block, its digest in level 0 and that
+  // hash block's digest in level 1, the top: every entry matches what it
+  // covers, so only the cmdline root is left to catch it. 129 blocks lay
+  // out as the top block (block 0) and level 0 (blocks 1 and 2).
+  const Formatted f = format_patterned(129, 3);
   Bytes new_block = pattern_bytes(4096, 0xEE);
-  ASSERT_TRUE(data_dev_->write_block(5, new_block).ok());
-  const auto leaf = crypto::MerkleTree::hash_leaf(new_block);
-  // Serialized layout: u64 leaf_count, u64 level_count, then level 0:
-  // u64 node_count followed by the leaves.
-  const std::uint64_t leaf_offset = 4096 /*len header block*/ + 8 + 8 + 8 +
-                                    5 * 32;
-  Bytes leaf_bytes = leaf.bytes();
-  ASSERT_TRUE(hash_dev_->write(leaf_offset, leaf_bytes).ok());
-  EXPECT_FALSE(Verity::open(data_dev_, hash_dev_, meta_.root_hash).ok());
+  ASSERT_TRUE(f.data->write_block(5, new_block).ok());
+  ASSERT_TRUE(
+      f.hash->write(4096 + 5 * 32, crypto::sha256(new_block).bytes()).ok());
+  EXPECT_EQ(Verity::open(f.data, f.hash, f.root).error().code,
+            "verity.corrupt_hash_device");
+  Bytes level0_block(4096);
+  ASSERT_TRUE(f.hash->read_block(1, level0_block).ok());
+  ASSERT_TRUE(f.hash->write(0, crypto::sha256(level0_block).bytes()).ok());
+  EXPECT_EQ(Verity::open(f.data, f.hash, f.root).error().code,
+            "verity.root_mismatch");
 }
 
 TEST_F(DmVerityTest, TamperRejectedAfterAncestorsCached) {
   auto dev = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
   ASSERT_TRUE(dev.ok());
   Bytes buf(4096);
-  // Clean reads of block 5 and its sibling first. Trust is held in tree
-  // nodes, never in block contents: the per-read leaf recompute must
-  // still catch tampering of the backing store afterwards.
+  // Clean reads of block 5 and its neighbour first. Trust is held in
+  // digests, never in block contents: the per-read hash must still catch
+  // tampering of the backing store afterwards.
   ASSERT_TRUE((*dev)->read_block(5, buf).ok());
   ASSERT_TRUE((*dev)->read_block(4, buf).ok());
   data_dev_->raw_tamper(5 * 4096 + 1000, 0x01);
@@ -597,10 +644,10 @@ TEST_F(DmVerityTest, TamperRejectedAfterAncestorsCached) {
 }
 
 TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
-  // The sweep hashes leaves in pairs, so flips land on a pair's first leaf
-  // (0, 8), its second (5, 15), the odd last leaf of a 17-block device
-  // (16), and two leaves at once, where the lowest block is named. It
-  // compares 512 leaves at a time, so on an 1100-block device flips land
+  // The sweep hashes blocks in pairs, so flips land on a pair's first block
+  // (0, 8), its second (5, 15), the odd last block of a 17-block device
+  // (16), and two blocks at once, where the lowest block is named. It
+  // compares 512 blocks at a time, so on an 1100-block device flips land
   // on both sides of a chunk edge (511, 512, 513), in the short last
   // chunk (1024, 1099) and in two chunks at once (600 and 1099).
   const Formatted odd = format_patterned(17, 16);
@@ -647,42 +694,29 @@ TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
   }
 }
 
-// Only Verity::open makes a VerityDevice, so every device's tree was
-// recomputed from its leaves and its root matched the expected root.
+// Only Verity::open makes a VerityDevice, so every device's digests were
+// proved against the expected root.
 static_assert(!std::is_constructible_v<VerityDevice, std::shared_ptr<BlockDevice>,
-                                       crypto::MerkleTree>);
+                                       std::vector<crypto::Digest32>>);
 static_assert(!std::is_default_constructible_v<VerityDevice::OpenKey>);
 
-TEST_F(DmVerityTest, HashDeviceClaimingMoreLeavesThanLevelZeroFailsOpen) {
-  // Rewrite the hash device so its header still claims the 16 data blocks
-  // but its levels start at the real tree's level 1 (8 nodes). The inner
-  // nodes recompute and the root matches the cmdline root, so only the
-  // leaf-count check in deserialize keeps this device from opening.
-  Bytes header(4096);
-  ASSERT_TRUE(hash_dev_->read_block(0, header).ok());
-  auto real =
-      hash_dev_->read(4096, static_cast<std::size_t>(read_u64be(header, 0)));
-  ASSERT_TRUE(real.ok());
-  const std::size_t level0 = 8 + 16 * 32;
-  Bytes forged;
-  append_u64be(forged, 16);
-  append_u64be(forged, read_u64be(*real, 8) - 1);
-  forged.insert(forged.end(), real->begin() + 16 + level0, real->end());
-  Bytes forged_header;
-  append_u64be(forged_header, forged.size());
-  forged_header.resize(4096, 0);
-  ASSERT_TRUE(hash_dev_->write_block(0, forged_header).ok());
-  ASSERT_TRUE(hash_dev_->write(4096, forged).ok());
-
-  const auto r = Verity::open(data_dev_, hash_dev_, meta_.root_hash);
+TEST_F(DmVerityTest, HashDeviceTooShortForTheShapeFailsOpen) {
+  // The shape comes from the data device: 129 blocks take three hash
+  // blocks, so the first two of a real hash device are refused before any
+  // hashing, whatever they hold.
+  const Formatted f = format_patterned(129, 3);
+  auto short_hash = std::make_shared<SliceDevice>(f.hash, 0, 2);
+  const auto r = Verity::open(f.data, short_hash, f.root);
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error().code, "verity.corrupt_hash_device");
+  EXPECT_EQ(r.error().code, "verity.hash_device_too_small");
+  EXPECT_TRUE(Verity::open(f.data, f.hash, f.root).ok());
 }
 
 TEST(DmVerity, FormatRootIsPinned) {
-  // 300 blocks: one full 256-block sweep plus a 44-block tail, and an odd
-  // node on the way up. The root is pinned as hex so a change to leaf or
-  // inner hashing shows here.
+  // 300 blocks: level 0 is two full hash blocks and one of 44 digests, and
+  // an odd block count at each level's sweep. The root is pinned as hex
+  // (tools/verity_ref.py gives the same) so a change to block hashing or
+  // the layout shows here.
   MemDisk data(4096, 300);
   MemDisk hash(4096, 16);
   for (std::uint64_t i = 0; i < data.block_count(); ++i) {
@@ -693,12 +727,19 @@ TEST(DmVerity, FormatRootIsPinned) {
   auto meta = Verity::format(data, hash);
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(to_hex(meta->root_hash.view()),
-            "22deab7ebccbe9d17c8e6908dce15071542c9cd4d82db5049371b4efd36be50a");
+            "720dad3f30ea683f98a7a5d92b8a48e5b240185e044fc1580ec8b28d162158c3");
 }
 
 TEST_F(DmVerityTest, FormatRejectsTooSmallHashDevice) {
-  auto tiny_hash = std::make_shared<MemDisk>(4096, 1);
-  EXPECT_FALSE(Verity::format(*data_dev_, *tiny_hash).ok());
+  MemDisk data(4096, 129);
+  MemDisk two_blocks(4096, 2);
+  EXPECT_EQ(Verity::format(data, two_blocks).error().code,
+            "verity.hash_device_too_small");
+  MemDisk exact(4096, Verity::hash_block_count(129));
+  EXPECT_TRUE(Verity::format(data, exact).ok());
+  MemDisk odd_blocks(1000, 4);
+  EXPECT_EQ(Verity::format(data, odd_blocks).error().code,
+            "verity.bad_hash_block_size");
 }
 
 TEST_F(DmVerityTest, BlockSizeMismatchRejected) {

@@ -4,6 +4,7 @@
 #include "common/hex.hpp"
 #include "crypto/sha2.hpp"
 #include "imagebuild/builder.hpp"
+#include "storage/dm_verity.hpp"
 #include "storage/partition.hpp"
 #include "imagebuild/registry.hpp"
 #include "obs/metrics.hpp"
@@ -54,11 +55,13 @@ TEST(InitrdSpec, BehaviourChangesChangeBytes) {
 TEST(KernelCmdline, RoundTripWithVerity) {
   KernelCmdline cmdline;
   cmdline.verity_root_hash_hex = std::string(64, 'a');
+  cmdline.verity_data_blocks = 4099;
   cmdline.extra["console"] = "ttyS0";
   auto parsed = KernelCmdline::parse(cmdline.to_string());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->root_partition, "rootfs");
   EXPECT_EQ(parsed->verity_root_hash_hex, cmdline.verity_root_hash_hex);
+  EXPECT_EQ(parsed->verity_data_blocks, 4099u);
   EXPECT_EQ(parsed->extra.at("console"), "ttyS0");
 }
 
@@ -66,6 +69,13 @@ TEST(KernelCmdline, ParseRejectsMalformed) {
   EXPECT_FALSE(KernelCmdline::parse("no-equals-token").ok());
   EXPECT_FALSE(KernelCmdline::parse("data=PART=data").ok())
       << "missing root= must be rejected";
+  for (const char* count : {"", "-1", "12x", "0x10", "99999999999999999999"}) {
+    EXPECT_FALSE(KernelCmdline::parse(std::string("root=PART=rootfs "
+                                                  "verity.data_blocks=") +
+                                      count)
+                     .ok())
+        << "verity.data_blocks=" << count;
+  }
 }
 
 // --------------------------------------------------------------- firmware
@@ -311,24 +321,26 @@ TEST_F(BuildFixture, PartitionUuidsComeFromTheVerityRoot) {
 // its disk past block 0 (the rootfs, verity and data partitions), pinned:
 // a change to how the builder lays out or writes the image must leave
 // every rootfs byte, the root and the measurement as they are. Only block
-// 0, the partition table with its UUIDs, is left out of the pin.
+// 0, the partition table with its UUIDs, is left out of the pin. The root
+// and the verity partition's bytes agree with tools/verity_ref.py over the
+// rootfs partition's bytes.
 TEST(CryptPadImage, RootfsVerityRootAndMeasurementArePinned) {
   const bench::WorkloadBuild cp(bench::cryptpad_workload());
   auto image = ImageBuilder(cp.registry).build(cp.inputs);
   ASSERT_TRUE(image.ok()) << image.error().to_string();
-  EXPECT_EQ(image->disk_blocks, 4359u);
+  EXPECT_EQ(image->disk_blocks, 4326u);
   EXPECT_EQ(to_hex(image->verity_root.view()),
-            "232c28662c245ec39970e47a4d9ee8d7"
-            "65afc5bc7f6c5d2f8bd484900f84f8d8");
+            "3c18f232c5520ba8eccc6a5ce4b639c8"
+            "bc540491ae749ec7e9d2c93d9beb6347");
   const auto measurement = Hypervisor::expected_measurement(
       image->kernel_blob, image->initrd_blob, image->cmdline);
   EXPECT_EQ(to_hex(measurement.view()),
-            "91a20538a733f05151251f2e9c1a7d1d06d67bf4dbb214e3"
-            "1d6083d4e68ac1999297bfe068fba130488cb915d5ce7f71");
+            "d9ad916881e4ec2f3fb492b9f9d82861b8e8e4f9eea47acb"
+            "10a76308f0d228848defa424d09d05b6db8d88c36ed4ebb1");
   const ByteView past_table = ByteView(image->disk_bytes).subspan(4096);
   EXPECT_EQ(to_hex(crypto::sha256(past_table).view()),
-            "4388dbd3ba443c5bc04d525bac3ffe82"
-            "24892b533d3403e341e8a6c9d7a8462e");
+            "09037aa5fd74323d434ae13db670f797"
+            "8ad587de6c9a2c309e02cfa2fce203a8");
 }
 
 // ------------------------------------------------------- launch + boot
@@ -451,6 +463,48 @@ TEST_F(LaunchFixture, Attack612TamperedRootfsFailsBoot) {
   auto report = (*guest)->boot();
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.error().code, "vm.boot_failed");
+}
+
+TEST_F(LaunchFixture, LevelConfusionFailsClosedOnTheMeasuredBlockCount) {
+  // dm-verity hashes data and hash blocks alike, so the cmdline root binds
+  // the tree's content but not its shape. The CryptPad image's hash
+  // partition is its top block followed by level 0's 33 blocks. The host
+  // rewrites the unmeasured partition table: the rootfs entry now covers
+  // level 0, and the verity entry the top block alone, which is a
+  // one-level hash device over those 33 blocks with the cmdline's root.
+  const bench::WorkloadBuild cp(bench::cryptpad_workload());
+  auto image = ImageBuilder(cp.registry).build(cp.inputs);
+  ASSERT_TRUE(image.ok()) << image.error().to_string();
+  LaunchConfig config = config_for(*image);
+  auto table = storage::PartitionTable::read_from(*config.disk);
+  ASSERT_TRUE(table.ok());
+  const auto verity = table->find("verity");
+  const auto data = table->find("data");
+  ASSERT_TRUE(verity.ok() && data.ok());
+  ASSERT_EQ(verity->block_count, 34u);
+  storage::PartitionTable forged;
+  forged.add("unused", {}, verity->first_block - 1);
+  forged.add("verity", {}, 1);
+  forged.add("rootfs", {}, 33);
+  forged.add("data", {}, data->block_count);
+  ASSERT_EQ(forged.find("data")->first_block, data->first_block);
+  ASSERT_TRUE(forged.write_to(*config.disk).ok());
+
+  // Verity::open goes by the data device's size alone, and this one opens.
+  auto rootfs_part = storage::PartitionTable::open(config.disk, "rootfs");
+  auto hash_part = storage::PartitionTable::open(config.disk, "verity");
+  ASSERT_TRUE(rootfs_part.ok() && hash_part.ok());
+  ASSERT_TRUE(
+      storage::Verity::open(*rootfs_part, *hash_part, image->verity_root).ok());
+
+  auto guest = hypervisor.launch(config);
+  ASSERT_TRUE(guest.ok())
+      << "the measurement covers the cmdline, not the table";
+  auto report = (*guest)->boot();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.error().code, "vm.boot_failed");
+  EXPECT_NE(report.error().detail.find("verity.data_blocks"), std::string::npos)
+      << report.error().to_string();
 }
 
 TEST_F(LaunchFixture, Attack613RuntimeTamperBreaksReads) {
