@@ -14,7 +14,8 @@
 #include <cstdio>
 
 #include "imagebuild/builder.hpp"
-#include "revelio/trusted_registry.hpp"
+#include "revelio/relying_party.hpp"
+#include "revelio/revocation.hpp"
 #include "vm/hypervisor.hpp"
 
 namespace {
@@ -134,19 +135,42 @@ AttackOutcome attack_runtime_tamper(bool verity_defence) {
   return {true, ""};
 }
 
-/// 6.1.4 — provider boots an obsolete (vulnerable) image.
+/// 6.1.4 — provider boots an obsolete (vulnerable) image. The old image is
+/// perfectly valid and its registry still publishes it; only the relying
+/// party's revocation gate catches it.
 AttackOutcome attack_rollback(bool revocation_defence) {
-  // The old image is perfectly valid; only revocation catches it.
+  SimClock clock;
+  sevsnp::AmdSp sp(to_bytes(std::string_view("attack-platform-4")),
+                   sevsnp::TcbVersion{2, 0, 8, 115});
+  vm::Hypervisor hypervisor(sp, clock);
+  auto guest = hypervisor.launch(rig().config_for(rig().image));
+  if (!guest.ok()) return {false, "launch"};
+  core::EvidenceBundle evidence;
+  evidence.payload = to_bytes(std::string_view("node identity key"));
+  auto report = sp.get_report(core::EvidenceBundle::bind(evidence.payload));
+  if (!report.ok()) return {false, "report"};
+  evidence.report = std::move(*report);
+  crypto::HmacDrbg drbg(to_bytes(std::string_view("attack-kds")));
+  sevsnp::KeyDistributionServer kds(drbg);
+  kds.register_platform(sp);
+  auto vcek = kds.fetch_vcek(sp.chip_id(), sp.tcb());
+  if (!vcek.ok()) return {false, "kds"};
+
   core::TrustedRegistry registry;
-  const sevsnp::Measurement old_measurement = rig().expected;
-  registry.publish("svc", old_measurement);
-  if (revocation_defence) {
-    registry.revoke("svc", old_measurement);  // new release rolled out
+  registry.publish("svc", rig().expected);
+  RevocationSet revocations;
+  if (revocation_defence) {  // new release rolled out
+    (void)revocations.revoke_measurement(rig().expected, "superseded");
   }
-  if (registry.is_acceptable("svc", old_measurement)) {
-    return {true, ""};
-  }
-  return {false, "trusted-registry revocation"};
+  core::RelyingPartyPolicy policy;
+  policy.registry = &registry;
+  policy.registry_service = "svc";
+  policy.revocation_set = &revocations;
+  const Status st = core::verify_evidence(
+      evidence, {*vcek, kds.ask_certificate(), kds.ark_certificate()},
+      clock.now_us(), std::move(policy));
+  if (st.ok()) return {true, ""};
+  return {false, "verifier: " + st.error().code};
 }
 
 void print_matrix() {

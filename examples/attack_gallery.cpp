@@ -258,18 +258,52 @@ int main() {
     const auto v1_measurement = vm::Hypervisor::expected_measurement(
         v1.kernel_blob, v1.initrd_blob, v1.cmdline);
 
+    // The auditor published both releases; the v2 rollout revokes v1 in
+    // the fleet's RevocationSet. The registry keeps publishing v1: it
+    // answers only "published", the revocation overrides it.
     core::TrustedRegistry trusted;
     trusted.publish("svc", v1_measurement);
-    trusted.publish("svc", expected);      // v2 rollout...
-    trusted.revoke("svc", v1_measurement);  // ...revokes v1
+    trusted.publish("svc", expected);
+    RevocationSet revocations;
+    (void)revocations.revoke_measurement(v1_measurement, "superseded by v2");
+
+    sevsnp::AmdSp platform(to_bytes(std::string_view("scene5")),
+                           sevsnp::TcbVersion{2, 0, 8, 115});
+    kds.register_platform(platform);
+    core::RevelioVmConfig config;
+    config.domain = "svc.revelio.app";
+    config.host = "10.0.5.1";
+    config.image = v1;
+    config.kds_address = {"kds.amd.com", 443};
+    auto node = core::RevelioVm::deploy(platform, network, config,
+                                        net::HttpRouter{});
+    if (!node.ok()) {
+      std::printf("    deploy failed: %s\n", node.error().to_string().c_str());
+      std::exit(1);
+    }
+    const core::EvidenceBundle evidence = (*node)->identity_evidence();
+    auto chain = core::KdsService::fetch(
+        network, {"verifier", 1}, {"kds.amd.com", 443},
+        evidence.report.chip_id, evidence.report.reported_tcb);
+    core::RelyingPartyPolicy policy;
+    policy.registry = &trusted;
+    policy.registry_service = "svc";
+    policy.revocation_set = &revocations;
     const auto revoked0 =
-        counter("registry.lookup.count", {{"result", "revoked"}});
-    const bool v1_ok = trusted.is_acceptable("svc", v1_measurement);
-    std::printf("    v1 acceptable after revocation: %s\n",
-                v1_ok ? "yes (?)" : "no");
-    expect_delta("registry.lookup.count{result=revoked}", revoked0,
-                 counter("registry.lookup.count", {{"result", "revoked"}}), 1);
-    verdict(!v1_ok, "trusted-registry revocation of obsolete hashes");
+        counter("attest.revoked.count", {{"kind", "measurement"}});
+    const Status st =
+        chain.ok() ? core::verify_evidence(evidence, *chain, clock.now_us(),
+                                           std::move(policy))
+                   : Status(chain.error());
+    std::printf("    registry still publishes v1: %s\n",
+                trusted.is_acceptable("svc", v1_measurement) ? "yes" : "no");
+    std::printf("    verifier, the deployed v1 node's evidence: %s\n",
+                st.ok() ? "ACCEPTED (?)" : st.error().to_string().c_str());
+    expect_delta("attest.revoked.count{kind=measurement}", revoked0,
+                 counter("attest.revoked.count", {{"kind", "measurement"}}),
+                 1);
+    verdict(!st.ok() && st.error().code == "attest.revocation",
+            "RevocationSet entry, refused before any signature work");
   }
 
   // ------------------------------------------------------------- scene 6

@@ -52,18 +52,26 @@ bool RelyingPartyVerifier::check_revocation() {
 }
 
 bool RelyingPartyVerifier::check_tcb_horizon(std::uint64_t now_us) {
-  if (policy_.tcb_horizon == nullptr ||
-      policy_.tcb_horizon->acceptable(bundle_->report.chip_id,
-                                      bundle_->report.reported_tcb, now_us)) {
+  // The policy's static floor and the chip's announced horizon are one
+  // gate: a report below either never reaches the signature check.
+  const sevsnp::TcbVersion& tcb = bundle_->report.reported_tcb;
+  const bool above_floor =
+      !policy_.minimum_tcb || tcb.at_least(*policy_.minimum_tcb);
+  if (above_floor &&
+      (policy_.tcb_horizon == nullptr ||
+       policy_.tcb_horizon->acceptable(bundle_->report.chip_id, tcb,
+                                       now_us))) {
     return true;
   }
   obs::metrics().counter("attest.tcb_horizon.count").inc();
-  return reject("tcb_horizon", "report TCB is below the chip's update horizon");
+  return reject("tcb_horizon",
+                above_floor ? "report TCB is below the chip's update horizon"
+                            : "report TCB is below the policy's minimum");
 }
 
 sevsnp::ReportVerifyOptions RelyingPartyVerifier::report_options(
     std::uint64_t now_us) const {
-  return {now_us, policy_.minimum_tcb, policy_.chain_cache};
+  return {now_us, policy_.chain_cache};
 }
 
 bool RelyingPartyVerifier::verify(std::uint64_t now_us) {
@@ -86,9 +94,11 @@ std::optional<sevsnp::PreparedReportVerify> RelyingPartyVerifier::prepare(
   return *prepared;
 }
 
-bool RelyingPartyVerifier::finish(bool signature_ok, std::uint64_t now_us) {
-  const Status st = sevsnp::finish_report_verify(
-      bundle_->report, signature_ok, report_options(now_us));
+bool RelyingPartyVerifier::finish(bool signature_ok) {
+  const Status st =
+      signature_ok ? Status::success()
+                   : Error::make("snp.signature_invalid",
+                                 "report not signed by presented VCEK");
   sevsnp::record_report_verify_result(st);
   return judge(st);
 }
@@ -105,7 +115,8 @@ bool RelyingPartyVerifier::judge(const Status& report_status) {
   checks_.chain_ok = true;
   checks_.signature_ok = true;
 
-  // 4. Measurement: manual pin or delegated registry.
+  // 4. Measurement: manual pin or delegated registry. A revoked release
+  // never gets here (check_revocation), whichever way it was accepted.
   const sevsnp::Measurement& measurement = bundle_->report.measurement;
   bool acceptable = false;
   for (const auto& m : policy_.expected_measurements) {

@@ -54,9 +54,12 @@ struct MeasurementPolicy {
   /// Manual registration: the expected measurement(s), computed from the
   /// reproducible build or received out of band.
   std::vector<sevsnp::Measurement> expected_measurements;
-  /// Delegated: consult a third-party registry (auditor / DAO).
+  /// Delegated: consult a third-party registry (auditor / DAO). A revoked
+  /// release is a FleetState::revocation_set entry, which overrides both.
   const TrustedRegistry* registry = nullptr;
   std::string registry_service;
+  /// Static TCB floor, checked with the fleet's TCB horizons before any
+  /// signature work (failure_step "tcb_horizon").
   std::optional<sevsnp::TcbVersion> minimum_tcb;
 };
 
@@ -65,7 +68,8 @@ struct MeasurementPolicy {
 /// optional, must outlive its user, and is thread-safe.
 struct FleetState {
   /// Revoked measurements, chips and VCEKs: checked before any signature
-  /// work (failure_step "revocation").
+  /// work (failure_step "revocation"). A revoked measurement is refused
+  /// even when a policy pins it or its registry publishes it.
   const RevocationSet* revocation_set = nullptr;
   /// Per-chip TCB update horizons, also before any signature work
   /// (failure_step "tcb_horizon").
@@ -111,7 +115,7 @@ class RelyingPartyVerifier {
   /// inputs of the signature check (nullopt when a step rejected) ...
   std::optional<sevsnp::PreparedReportVerify> prepare(std::uint64_t now_us);
   /// ... then, given the out-of-line signature verdict, steps 3-5.
-  bool finish(bool signature_ok, std::uint64_t now_us);
+  bool finish(bool signature_ok);
 
   /// Records a caller's own failed step (evidence_fetch, kds_fetch, ...)
   /// as the first failed check. Returns false.
@@ -127,7 +131,8 @@ class RelyingPartyVerifier {
   void record_verdict(bool accepted, std::uint64_t now_us);
 
  private:
-  /// Step 2, before any signature work.
+  /// Step 2, before any signature work: revocations, then the TCB floor
+  /// and horizon.
   bool check_revocation();
   bool check_tcb_horizon(std::uint64_t now_us);
   sevsnp::ReportVerifyOptions report_options(std::uint64_t now_us) const;

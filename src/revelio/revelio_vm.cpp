@@ -267,11 +267,10 @@ Status RevelioVm::verify_peer_bundle(const EvidenceBundle& bundle,
             });
       });
   if (!kds.ok()) return kds.error();
-  // The peer must run a trusted image (usually our own).
+  // The peer must run our own image.
   RelyingPartyPolicy policy;
   static_cast<FleetState&>(policy) = config_;
-  policy.expected_measurements = config_.trusted_peer_measurements;
-  policy.expected_measurements.push_back(guest_->measurement());
+  policy.expected_measurements = {guest_->measurement()};
   policy.expected_payload = std::move(expected_payload);
   return verify_evidence(bundle, *kds, network_->clock().now_us(),
                          std::move(policy));

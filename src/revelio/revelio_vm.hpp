@@ -20,8 +20,9 @@
 
 namespace revelio::core {
 
-/// FleetState: the revocation set, TCB horizons (the key exchange's only
-/// TCB floor) and audit log its key exchange consults.
+/// FleetState: the revocation set, TCB horizons and audit log its key
+/// exchange consults. The exchange pins only the VM's own measurement and
+/// sets no static TCB floor, so the horizons are its floor.
 struct RevelioVmConfig : FleetState {
   std::string domain;      // the service's DNS name
   std::string host;        // network host this VM answers at
@@ -37,10 +38,6 @@ struct RevelioVmConfig : FleetState {
   /// provisioning round (F6).
   std::shared_ptr<storage::MemDisk> existing_disk;
 
-  /// Expected measurements of fleet peers (baked into the image at build
-  /// time in the paper; here passed alongside it). Used during mutual
-  /// attestation of key exchange.
-  std::vector<sevsnp::Measurement> trusted_peer_measurements;
   /// KDS address for VCEK fetches during mutual attestation.
   net::Address kds_address;
   /// Ordered KDS mirrors tried when the primary is transiently down; the

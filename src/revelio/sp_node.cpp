@@ -79,9 +79,8 @@ Result<pki::CertificateSigningRequest> SpNode::attest_node(
   // 5. The relying-party gates: the CSR hash imprinted in REPORT_DATA
   // (§5.2.2), revocation, TCB horizon, signature + chain, measurement.
   RelyingPartyPolicy policy;
+  static_cast<MeasurementPolicy&>(policy) = config_;
   static_cast<FleetState&>(policy) = config_;
-  policy.expected_measurements = config_.expected_measurements;
-  policy.minimum_tcb = config_.minimum_tcb;
   if (auto st = verify_evidence(*bundle, *kds, network_->clock().now_us(),
                                 std::move(policy));
       !st.ok()) {
@@ -91,8 +90,7 @@ Result<pki::CertificateSigningRequest> SpNode::attest_node(
 }
 
 Result<pki::Certificate> SpNode::obtain_certificate(
-    const pki::CertificateSigningRequest& leader_csr,
-    const net::Deadline& deadline) {
+    const pki::CertificateSigningRequest& leader_csr) {
   // DNS-01: the SP node controls the domain's DNS (the credentials never
   // leave its premises).
   const std::string token =
@@ -101,8 +99,8 @@ Result<pki::Certificate> SpNode::obtain_certificate(
   // An `acme.unavailable` outage is transient and retried on backoff; an
   // issuance *refusal* (bad CSR, failed challenge, rate limit) is final.
   auto cert = net::with_retries(
-      network_->clock(), retry_jitter_, config_.retry, deadline,
-      "sp.acme_finalize", [&] {
+      network_->clock(), retry_jitter_, config_.retry,
+      net::Deadline::unlimited(), "sp.acme_finalize", [&] {
         return acme_->finalize(config_.acme_account, leader_csr,
                                [this](const std::string& name) {
                                  return network_->dns_txt(name);
@@ -113,8 +111,7 @@ Result<pki::Certificate> SpNode::obtain_certificate(
 }
 
 Status SpNode::distribute_certificate(const net::Address& node,
-                                      const net::Address& leader,
-                                      const net::Deadline& deadline) {
+                                      const net::Address& leader) {
   Bytes body;
   append_field(body, certificate_->serialize());
   append_u32be(body, static_cast<std::uint32_t>(chain_.size()));
@@ -130,8 +127,8 @@ Status SpNode::distribute_certificate(const net::Address& node,
   // Certificate installation is idempotent on the node, so re-sending
   // after a transport loss is safe.
   auto raw = net::with_retries(
-      network_->clock(), retry_jitter_, config_.retry, deadline,
-      "sp.distribute",
+      network_->clock(), retry_jitter_, config_.retry,
+      net::Deadline::unlimited(), "sp.distribute",
       [&] { return network_->call(own_address_, node, request.serialize()); });
   if (!raw.ok()) return raw.error();
   auto response = net::HttpResponse::parse(*raw);
@@ -149,13 +146,6 @@ Result<std::vector<NodeAttestation>> SpNode::provision_fleet() {
   std::vector<NodeAttestation> outcomes;
   std::optional<net::Address> leader;
   std::optional<pki::CertificateSigningRequest> leader_csr;
-  // The whole round shares one virtual-time budget, threaded through the
-  // issuance and distribution sub-calls.
-  const net::Deadline deadline =
-      config_.provision_deadline_ms > 0.0
-          ? net::Deadline::after_ms(network_->clock(),
-                                    config_.provision_deadline_ms)
-          : net::Deadline::unlimited();
 
   // Round 1: attest everyone; first healthy node becomes the leader.
   for (const auto& [address, chip] : approved_) {
@@ -180,7 +170,7 @@ Result<std::vector<NodeAttestation>> SpNode::provision_fleet() {
   }
 
   // Round 2: one shared certificate for the leader's key (§3.4.6).
-  auto cert = obtain_certificate(*leader_csr, deadline);
+  auto cert = obtain_certificate(*leader_csr);
   if (!cert.ok()) return cert.error();
   certificate_ = std::move(*cert);
   chain_ = acme_->intermediates();
@@ -188,13 +178,12 @@ Result<std::vector<NodeAttestation>> SpNode::provision_fleet() {
   // Round 3: distribute; the leader installs directly, the others fetch the
   // wrapped key from the leader during the same exchange (Fig 4).
   // The leader must be first so it is ready to serve key requests.
-  if (auto st = distribute_certificate(*leader, *leader, deadline); !st.ok()) {
+  if (auto st = distribute_certificate(*leader, *leader); !st.ok()) {
     return st.error();
   }
   for (auto& outcome : outcomes) {
     if (!outcome.attested || outcome.bootstrap_address == *leader) continue;
-    if (auto st = distribute_certificate(outcome.bootstrap_address, *leader,
-                                         deadline);
+    if (auto st = distribute_certificate(outcome.bootstrap_address, *leader);
         !st.ok()) {
       outcome.attested = false;
       outcome.failure = st.error().to_string();

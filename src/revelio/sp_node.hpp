@@ -19,21 +19,18 @@
 
 namespace revelio::core {
 
-/// FleetState: the revocation set, TCB horizons and audit log it consults.
-struct SpNodeConfig : FleetState {
+/// MeasurementPolicy: which launch images fleet nodes may run (pinned from
+/// the reproducible build, or delegated to a trusted registry), the same
+/// type the extension registers per site. FleetState: the revocation set,
+/// TCB horizons and audit log it consults.
+struct SpNodeConfig : MeasurementPolicy, FleetState {
   std::string domain;
   std::string acme_account = "revelio-sp";
   net::Address kds_address;
-  /// Acceptable launch measurements for fleet nodes (from the reproducible
-  /// build, or the trusted registry).
-  std::vector<sevsnp::Measurement> expected_measurements;
-  std::optional<sevsnp::TcbVersion> minimum_tcb;
   /// Transient-transport retry policy for node fetches, certificate
   /// distribution and ACME issuance (an `acme.unavailable` outage is
   /// transient; every attestation failure is permanent and never retried).
   net::RetryPolicy retry{.max_attempts = 1};
-  /// Virtual-time budget for one provision_fleet() round (0 = unlimited).
-  double provision_deadline_ms = 0.0;
 };
 
 /// Per-node provisioning outcome (observability + Table 2 accounting).
@@ -87,11 +84,9 @@ class SpNode {
 
  private:
   Result<pki::Certificate> obtain_certificate(
-      const pki::CertificateSigningRequest& leader_csr,
-      const net::Deadline& deadline);
+      const pki::CertificateSigningRequest& leader_csr);
   Status distribute_certificate(const net::Address& node,
-                                const net::Address& leader,
-                                const net::Deadline& deadline);
+                                const net::Address& leader);
 
   net::Network* network_;
   pki::AcmeIssuer* acme_;

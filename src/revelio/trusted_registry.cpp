@@ -10,40 +10,12 @@ void TrustedRegistry::publish(const std::string& service,
   good_.insert({service, measurement.bytes()});
 }
 
-void TrustedRegistry::revoke(const std::string& service,
-                             const sevsnp::Measurement& measurement) {
-  revoked_.insert({service, measurement.bytes()});
-  good_.erase({service, measurement.bytes()});
-}
-
-std::vector<sevsnp::Measurement> TrustedRegistry::good_measurements(
-    const std::string& service) const {
-  std::vector<sevsnp::Measurement> out;
-  for (const auto& [svc, bytes] : good_) {
-    if (svc == service) out.push_back(sevsnp::Measurement::from(bytes));
-  }
-  return out;
-}
-
-bool TrustedRegistry::is_revoked(const std::string& service,
-                                 const sevsnp::Measurement& m) const {
-  return revoked_.count({service, m.bytes()}) > 0;
-}
-
 bool TrustedRegistry::is_acceptable(const std::string& service,
                                     const sevsnp::Measurement& m) const {
   obs::Span span("registry.lookup");
   span.attr("service", service);
-  const char* result = nullptr;
-  bool acceptable = false;
-  if (is_revoked(service, m)) {
-    result = "revoked";
-  } else if (good_.count({service, m.bytes()}) > 0) {
-    result = "acceptable";
-    acceptable = true;
-  } else {
-    result = "unknown";
-  }
+  const bool acceptable = good_.count({service, m.bytes()}) > 0;
+  const char* result = acceptable ? "acceptable" : "unknown";
   span.attr("result", result);
   obs::metrics().counter("registry.lookup.count", {{"result", result}}).inc();
   return acceptable;

@@ -4,14 +4,14 @@
 // of what a good measurement is: to an auditing company, or to an on-chain
 // DAO where the community votes (the paper names the Internet Computer's
 // NNS). This registry models both: direct publication by an auditor, and
-// quorum voting; plus revocation of obsolete measurements, which is what
-// stops the §6.1.4 rollback attack.
+// quorum voting. It answers only "published": revoking an obsolete release
+// (what stops the §6.1.4 rollback) is a RevocationSet entry, which every
+// relying party checks before any signature work, pinned or delegated.
 #pragma once
 
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "common/result.hpp"
 #include "sevsnp/attestation_report.hpp"
@@ -26,20 +26,10 @@ class TrustedRegistry {
   void publish(const std::string& service,
                const sevsnp::Measurement& measurement);
 
-  /// Revokes a measurement (obsolete release with known bugs). Revocation
-  /// wins over publication, permanently.
-  void revoke(const std::string& service,
-              const sevsnp::Measurement& measurement);
-
-  /// Currently acceptable measurements for a service.
-  std::vector<sevsnp::Measurement> good_measurements(
-      const std::string& service) const;
-
-  /// The check verifiers call.
+  /// The check verifiers call: has `measurement` been published for
+  /// `service`?
   bool is_acceptable(const std::string& service,
                      const sevsnp::Measurement& measurement) const;
-  bool is_revoked(const std::string& service,
-                  const sevsnp::Measurement& measurement) const;
 
   // --- DAO path: community voting --------------------------------------
 
@@ -69,7 +59,6 @@ class TrustedRegistry {
   using Key = std::pair<std::string, Bytes>;  // (service, measurement bytes)
 
   std::set<Key> good_;
-  std::set<Key> revoked_;
   std::set<std::string> voters_;
   std::map<std::uint64_t, Proposal> proposals_;
   std::uint64_t next_proposal_ = 1;

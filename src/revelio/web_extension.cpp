@@ -486,8 +486,7 @@ std::vector<Status> batch_verify_sessions(
     rejected += verdicts[j] ? 0 : 1;
     StagedAttestation& session = *sessions[slots[j]];
     obs::ScopedSessionRecord bind(session.record_);
-    out[slots[j]] = session.conclude(
-        session.verifier_.finish(verdicts[j], session.now_us()));
+    out[slots[j]] = session.conclude(session.verifier_.finish(verdicts[j]));
   }
   span.attr("rejected", static_cast<std::uint64_t>(rejected));
   return out;

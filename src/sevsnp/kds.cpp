@@ -104,21 +104,6 @@ Result<PreparedReportVerify> prepare_report_verify(
   return prepared;
 }
 
-Status finish_report_verify(const AttestationReport& report,
-                            bool signature_ok,
-                            const ReportVerifyOptions& options) {
-  if (!signature_ok) {
-    return Error::make("snp.signature_invalid",
-                       "report not signed by presented VCEK");
-  }
-  // 3. Optional TCB floor (anti-rollback for firmware, §6.1.4).
-  if (options.minimum_tcb &&
-      !report.reported_tcb.at_least(*options.minimum_tcb)) {
-    return Error::make("snp.tcb_too_old", "reported TCB below minimum");
-  }
-  return Status::success();
-}
-
 void record_report_verify_result(const Status& st) {
   const std::string result = st.ok() ? "ok" : st.error().code;
   obs::metrics()
@@ -138,10 +123,11 @@ Status verify_report(const AttestationReport& report,
   if (!prepared.ok()) {
     st = prepared.error();
   } else {
-    const bool sig_ok =
-        crypto::ecdsa_verify(crypto::p384(), prepared->vcek_pub,
-                             prepared->digest.view(), prepared->signature);
-    st = finish_report_verify(report, sig_ok, options);
+    if (!crypto::ecdsa_verify(crypto::p384(), prepared->vcek_pub,
+                              prepared->digest.view(), prepared->signature)) {
+      st = Error::make("snp.signature_invalid",
+                       "report not signed by presented VCEK");
+    }
   }
   const std::string result = st.ok() ? "ok" : st.error().code;
   span.attr("result", result);

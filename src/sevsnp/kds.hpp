@@ -53,12 +53,12 @@ class KeyDistributionServer {
   std::uint64_t vcek_not_after_us_ = 0;  // 0 = the century default
 };
 
-/// Full report verification as the paper's web extension performs it
-/// (§5.3.2): VCEK chain to the ARK, report signature against the VCEK,
-/// and optionally a minimum TCB. Returns the verified report fields.
+/// Report verification as the paper's web extension performs it (§5.3.2):
+/// the VCEK chain to the ARK, then the report signature against the VCEK.
+/// Policy on the report's contents (measurement, TCB floor) is the relying
+/// party's (revelio/relying_party).
 struct ReportVerifyOptions {
   std::uint64_t now_us = 0;
-  std::optional<TcbVersion> minimum_tcb;
   /// Optional memoization of the VCEK chain walk: verifiers that see the
   /// same ARK/ASK/VCEK every session (the web extension) skip the two
   /// chain signature checks on a hit.
@@ -91,16 +91,9 @@ Result<PreparedReportVerify> prepare_report_verify(
     const std::vector<pki::Certificate>& roots,
     const ReportVerifyOptions& options);
 
-/// Second half: folds the out-of-line signature verdict back into the
-/// single-path result (snp.signature_invalid on false) and applies the
-/// optional TCB floor. Callers pair it with record_report_verify_result so
-/// the sevsnp.report_verify counters match the blocking path.
-Status finish_report_verify(const AttestationReport& report,
-                            bool signature_ok,
-                            const ReportVerifyOptions& options);
-
 /// Emits the sevsnp.report_verify.result counter verify_report would emit
-/// for `st`. Split verifiers call this once per report.
+/// for `st`. Split verifiers call this once per report, with
+/// snp.signature_invalid when the out-of-line signature check failed.
 void record_report_verify_result(const Status& st);
 
 }  // namespace revelio::sevsnp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "crypto/ecdsa.hpp"
 #include "crypto/ecies.hpp"
 #include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
@@ -137,6 +138,43 @@ struct RevelioFixture : ::testing::Test {
     return site;
   }
 
+  /// Repoints the domain at a lookalike holding a CA-valid certificate for
+  /// a fresh key. It serves `evidence` on the well-known route and a page
+  /// everywhere else, so the blocking path's page fetch still succeeds.
+  void serve_lookalike(net::HttpResponse evidence) {
+    HmacDrbg drbg(to_bytes(std::string_view("lookalike")));
+    const auto key = crypto::ec_generate(crypto::p256(), drbg);
+    const auto csr = pki::make_csr(crypto::p256(), key,
+                                   {kDomain, "Lookalike", "US"}, {kDomain});
+    const std::string token = acme.request_challenge("lookalike", kDomain);
+    network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
+    auto cert = acme.finalize("lookalike", csr, [&](const auto& name) {
+      return network.dns_txt(name);
+    });
+    ASSERT_TRUE(cert.ok());
+    net::TlsServerIdentity identity;
+    identity.curve = &crypto::p256();
+    identity.key = key;
+    identity.certificate = *cert;
+    identity.intermediates = acme.intermediates();
+    const Bytes evidence_wire = evidence.serialize();
+    lookalike = std::make_unique<net::TlsServer>(
+        std::move(identity),
+        [evidence_wire](ByteView raw, const net::Address&) {
+          auto request = net::HttpRequest::parse(raw);
+          if (request.ok() &&
+              request->path == "/.well-known/revelio-attestation") {
+            return evidence_wire;
+          }
+          return net::HttpResponse::ok(
+                     to_bytes(std::string_view("<html>lookalike</html>")))
+              .serialize();
+        },
+        HmacDrbg(to_bytes(std::string_view("lookalike-entropy"))));
+    lookalike->install(network, {"6.6.6.6", 443});
+    network.dns_set_a(kDomain, "6.6.6.6");
+  }
+
   SimClock clock;
   net::Network network;
   HmacDrbg fixture_drbg;
@@ -151,6 +189,7 @@ struct RevelioFixture : ::testing::Test {
   std::vector<std::unique_ptr<RevelioVm>> nodes;
   std::unique_ptr<SpNode> sp;
   std::vector<NodeAttestation> fleet_outcomes;
+  std::unique_ptr<net::TlsServer> lookalike;
 };
 
 // ------------------------------------------------------------ provisioning
@@ -298,9 +337,13 @@ TEST_F(RevelioFixture, TcbFloorBlocksOldFirmware) {
   sp->approve_node(nodes[0]->bootstrap_address(), platforms[0]->chip_id());
   auto csr = sp->attest_node(nodes[0]->bootstrap_address());
   ASSERT_FALSE(csr.ok());
-  EXPECT_EQ(csr.error().code, "attest.report_verify");
+  EXPECT_EQ(csr.error().code, "attest.tcb_horizon");
   ASSERT_EQ(audit.records.size(), 1u);
-  EXPECT_EQ(audit.records[0].failure_step, "report_verify");
+  EXPECT_EQ(audit.records[0].failure_step, "tcb_horizon");
+  // The floor refuses the report before any signature work.
+  EXPECT_EQ(audit.records[0].checks & (obs::AuditRecord::kChainOk |
+                                       obs::AuditRecord::kSignatureOk),
+            0u);
 }
 
 TEST_F(RevelioFixture, KeyRequestFromUntrustedImageRefused) {
@@ -512,8 +555,12 @@ TEST_F(RevelioFixture, RegistryDelegationAndRollbackRevocation) {
   TrustedRegistry trusted;
   trusted.publish(kDomain, expected_measurement);
 
+  RevocationSet revocations;
   Browser browser = make_browser();
-  WebExtension extension = make_extension(browser);
+  WebExtensionConfig config;
+  config.kds_address = {"kds.amd.com", 443};
+  config.revocation_set = &revocations;
+  WebExtension extension(browser, config);
   SiteRegistration site;
   site.registry = &trusted;
   site.registry_service = kDomain;
@@ -521,16 +568,19 @@ TEST_F(RevelioFixture, RegistryDelegationAndRollbackRevocation) {
   ASSERT_TRUE(extension.get(kDomain, 443, "/").ok());
 
   // 6.1.4: the image is found vulnerable and revoked; users must now
-  // reject the (otherwise valid) measurement.
-  trusted.revoke(kDomain, expected_measurement);
+  // reject the (otherwise valid, still published) measurement.
+  ASSERT_TRUE(
+      revocations.revoke_measurement(expected_measurement, "CVE").ok());
   browser.drop_session(kDomain);
   extension.invalidate(kDomain);
   auto r = extension.get(kDomain, 443, "/");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, "extension.attestation_failed");
+  ASSERT_NE(extension.last_checks(kDomain), nullptr);
+  EXPECT_EQ(extension.last_checks(kDomain)->failure_step, "revocation");
 }
 
-TEST_F(RevelioFixture, RedirectToLookalikeDetectedByKeyMonitoring) {
+TEST_F(RevelioFixture, RedirectToLookalikeFailsFreshAttestation) {
   provision_standard_fleet();
   Browser browser = make_browser();
   WebExtension extension = make_extension(browser);
@@ -538,42 +588,43 @@ TEST_F(RevelioFixture, RedirectToLookalikeDetectedByKeyMonitoring) {
   ASSERT_TRUE(extension.get(kDomain, 443, "/").ok());
 
   // The malicious provider obtains a *CA-valid* certificate for the domain
-  // with a fresh key (it controls DNS) and stands up a lookalike server.
-  HmacDrbg evil_drbg(to_bytes(std::string_view("evil")));
-  const auto evil_key = crypto::ec_generate(crypto::p256(), evil_drbg);
-  const auto evil_csr = pki::make_csr(crypto::p256(), evil_key,
-                                      {kDomain, "Evil", "US"}, {kDomain});
-  const std::string token = acme.request_challenge("evil-acct", kDomain);
-  network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
-  auto evil_cert = acme.finalize("evil-acct", evil_csr, [&](const auto& n) {
-    return network.dns_txt(n);
-  });
-  ASSERT_TRUE(evil_cert.ok());
-
-  net::TlsServerIdentity evil_identity;
-  evil_identity.curve = &crypto::p256();
-  evil_identity.key = evil_key;
-  evil_identity.certificate = *evil_cert;
-  evil_identity.intermediates = acme.intermediates();
-  net::TlsServer evil_server(
-      std::move(evil_identity),
-      [](ByteView, const net::Address&) {
-        return net::HttpResponse::ok(
-                   to_bytes(std::string_view("<html>phish</html>")))
-            .serialize();
-      },
-      HmacDrbg(to_bytes(std::string_view("evil-entropy"))));
-  evil_server.install(network, {"6.6.6.6", 443});
-
-  // Reset the victim's sessions and repoint DNS: the browser reconnects to
-  // the lookalike. Plain TLS accepts it — the extension must not.
-  network.dns_set_a(kDomain, "6.6.6.6");
+  // with a fresh key (it controls DNS), stands up a lookalike server and
+  // repoints DNS at it. The victim's session is reset, so the browser
+  // reconnects to the lookalike. Plain TLS accepts it — the extension must
+  // not.
+  serve_lookalike(net::HttpResponse::not_found());
   browser.drop_session(kDomain);
   auto r = extension.get(kDomain, 443, "/");
   ASSERT_FALSE(r.ok());
   // The reconnect triggers a fresh attestation, which fails at evidence or
   // binding: the lookalike has no valid report for its key.
   EXPECT_EQ(r.error().code, "extension.attestation_failed");
+}
+
+TEST_F(RevelioFixture, SessionOpenedOutsideTheExtensionIsCaughtByMonitoring) {
+  provision_standard_fleet();
+  Browser browser = make_browser();
+  WebExtension extension = make_extension(browser);
+  extension.register_site(kDomain, manual_registration());
+  ASSERT_TRUE(extension.get(kDomain, 443, "/").ok());
+
+  // The lookalike takes over DNS, and the new session to it is opened by
+  // discovery, outside the extension's attestation. The next request rides
+  // that session, so it takes the monitoring path, not a fresh attestation.
+  serve_lookalike(net::HttpResponse::not_found());
+  browser.drop_session(kDomain);
+  ASSERT_TRUE(extension.discover(kDomain, 443).ok());
+  const std::uint64_t hijacked0 = obs::metrics().counter_value(
+      "ext.monitor.fail.count", {{"reason", "key_changed"}});
+  auto r = extension.get(kDomain, 443, "/");
+  ASSERT_FALSE(r.ok()) << "the lookalike's page must not be served";
+  EXPECT_EQ(r.error().code, "extension.connection_hijacked");
+  ASSERT_NE(extension.last_checks(kDomain), nullptr);
+  EXPECT_EQ(extension.last_checks(kDomain)->failure_step, "tls_binding");
+  EXPECT_FALSE(extension.last_checks(kDomain)->tls_binding_ok);
+  EXPECT_EQ(obs::metrics().counter_value("ext.monitor.fail.count",
+                                         {{"reason", "key_changed"}}),
+            hijacked0 + 1);
 }
 
 TEST_F(RevelioFixture, StolenEvidenceCannotCoverForeignTlsKey) {
@@ -630,22 +681,17 @@ TEST_F(RevelioFixture, StolenEvidenceCannotCoverForeignTlsKey) {
 
 // ----------------------------------------------------------- registry/misc
 
-TEST(TrustedRegistry, PublishRevokeLifecycle) {
+TEST(TrustedRegistry, PublishIsPerService) {
   TrustedRegistry registry;
   sevsnp::Measurement m1 = sevsnp::Measurement::from(
       crypto::sha384(to_bytes(std::string_view("v1"))).view());
   sevsnp::Measurement m2 = sevsnp::Measurement::from(
       crypto::sha384(to_bytes(std::string_view("v2"))).view());
+  EXPECT_FALSE(registry.is_acceptable("svc", m1));
   registry.publish("svc", m1);
   registry.publish("svc", m2);
   EXPECT_TRUE(registry.is_acceptable("svc", m1));
-  EXPECT_EQ(registry.good_measurements("svc").size(), 2u);
-  registry.revoke("svc", m1);
-  EXPECT_FALSE(registry.is_acceptable("svc", m1));
-  EXPECT_TRUE(registry.is_revoked("svc", m1));
-  // Re-publishing a revoked measurement must not resurrect it.
-  registry.publish("svc", m1);
-  EXPECT_FALSE(registry.is_acceptable("svc", m1));
+  EXPECT_TRUE(registry.is_acceptable("svc", m2));
   EXPECT_FALSE(registry.is_acceptable("other", m2));
 }
 
@@ -874,49 +920,10 @@ TEST(EvidenceBundle, ParseRequiresExactEnd) {
 
 // ------------------------------------------------------- verdict parity
 
-/// A fresh, identically seeded deployment: the standard fleet, plus an
-/// optional CA-valid lookalike server the domain can be repointed at.
+/// A fresh, identically seeded deployment: the standard fleet, plus the
+/// fixture's CA-valid lookalike server the domain can be repointed at.
 struct ParityWorld final : RevelioFixture {
   void TestBody() override {}
-
-  /// Repoints the domain at a lookalike holding a CA-valid certificate for
-  /// a fresh key. It serves `evidence` on the well-known route and a page
-  /// everywhere else, so the blocking path's page fetch still succeeds.
-  void serve_lookalike(net::HttpResponse evidence) {
-    HmacDrbg drbg(to_bytes(std::string_view("lookalike")));
-    const auto key = crypto::ec_generate(crypto::p256(), drbg);
-    const auto csr = pki::make_csr(crypto::p256(), key,
-                                   {kDomain, "Lookalike", "US"}, {kDomain});
-    const std::string token = acme.request_challenge("lookalike", kDomain);
-    network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
-    auto cert = acme.finalize("lookalike", csr, [&](const auto& name) {
-      return network.dns_txt(name);
-    });
-    ASSERT_TRUE(cert.ok());
-    net::TlsServerIdentity identity;
-    identity.curve = &crypto::p256();
-    identity.key = key;
-    identity.certificate = *cert;
-    identity.intermediates = acme.intermediates();
-    const Bytes evidence_wire = evidence.serialize();
-    lookalike = std::make_unique<net::TlsServer>(
-        std::move(identity),
-        [evidence_wire](ByteView raw, const net::Address&) {
-          auto request = net::HttpRequest::parse(raw);
-          if (request.ok() &&
-              request->path == "/.well-known/revelio-attestation") {
-            return evidence_wire;
-          }
-          return net::HttpResponse::ok(
-                     to_bytes(std::string_view("<html>lookalike</html>")))
-              .serialize();
-        },
-        HmacDrbg(to_bytes(std::string_view("lookalike-entropy"))));
-    lookalike->install(network, {"6.6.6.6", 443});
-    network.dns_set_a(kDomain, "6.6.6.6");
-  }
-
-  std::unique_ptr<net::TlsServer> lookalike;
 };
 
 /// What one attestation pass left behind, reduced to what must not depend
@@ -926,6 +933,7 @@ struct Verdict {
   std::string failure_step = "(no last_checks)";
   std::vector<obs::AuditRecord> records;
   std::vector<std::string> results;  // ext.attest.result.count keys
+  std::uint64_t fallbacks = 0;  // batch verifies that re-checked one by one
 };
 
 enum class VerifyPath { kBlocking, kStaged, kBatch };
@@ -958,6 +966,20 @@ struct ParityCase {
 
 Verdict run_parity_case(const ParityCase& c, VerifyPath path) {
   ParityRun run;
+  // The batch path verifies the case's session next to an honest companion
+  // session of a second extension (no audit log), which reaches verify
+  // before the case's fault is set up. A forged signature then meets the
+  // combined equation, and the batch falls back to per-signature checks.
+  Browser companion_browser = run.world.make_browser();
+  WebExtensionConfig companion_config;
+  companion_config.kds_address = {"kds.amd.com", 443};
+  WebExtension companion_ext(companion_browser, companion_config);
+  companion_ext.register_site(kDomain, run.world.manual_registration());
+  auto companion = companion_ext.begin_session(kDomain, 443);
+  if (path == VerifyPath::kBatch) {
+    EXPECT_TRUE(companion.handshake().ok() &&
+                companion.fetch_evidence().ok() && companion.fetch_kds().ok());
+  }
   c.setup(run);
   Verdict out;
   obs::AuditLog audit(/*checkpoint_interval=*/1024);
@@ -983,6 +1005,8 @@ Verdict run_parity_case(const ParityCase& c, VerifyPath path) {
     return counts;
   };
   const auto before = result_counts();
+  const std::uint64_t fallbacks0 =
+      obs::metrics().counter_value("crypto.ecdsa_verify_batch.fallback.count");
   if (path == VerifyPath::kBlocking) {
     (void)extension.get(kDomain, 443, "/");
   } else {
@@ -992,18 +1016,32 @@ Verdict run_parity_case(const ParityCase& c, VerifyPath path) {
       if (path == VerifyPath::kStaged) {
         (void)staged.verify();
       } else {
-        (void)batch_verify_sessions({&staged});
+        (void)batch_verify_sessions({&staged, &companion});
       }
     }
   }
+  out.fallbacks =
+      obs::metrics().counter_value("crypto.ecdsa_verify_batch.fallback.count") -
+      fallbacks0;
   if (const auto* checks = extension.last_checks(kDomain)) {
     out.failure_step = checks->failure_step;
   }
+  // The companion's own verdict moved one result counter too.
+  std::string companion_result;
+  if (const auto* checks = companion_ext.last_checks(kDomain)) {
+    companion_result = "result=" + (checks->failure_step.empty()
+                                        ? std::string("ok")
+                                        : checks->failure_step) + "}";
+  }
   for (const auto& [key, value] : result_counts()) {
     const auto it = before.find(key);
-    if (value > (it == before.end() ? 0 : it->second)) {
-      out.results.push_back(key);
+    std::uint64_t moved = value - (it == before.end() ? 0 : it->second);
+    if (!companion_result.empty() && key.size() >= companion_result.size() &&
+        key.compare(key.size() - companion_result.size(),
+                    companion_result.size(), companion_result) == 0) {
+      --moved;
     }
+    if (moved > 0) out.results.push_back(key);
   }
   return out;
 }
@@ -1047,10 +1085,33 @@ std::vector<ParityCase> parity_cases() {
                          .ok());
          r.config.tcb_horizon = &r.horizon;
        }},
+      {"tcb_horizon", [newer](ParityRun& r) { r.site.minimum_tcb = newer; }},
       {"chain",
        [](ParityRun& r) { r.world.clock.advance_us(kParityVcekLifetimeUs); }},
       {"report_verify",
-       [newer](ParityRun& r) { r.site.minimum_tcb = newer; }},
+       [](ParityRun& r) {
+         // The leader's genuine report with the lowest bit of r flipped
+         // that keeps r in [1, n-1] and an x-coordinate: only the
+         // signature equation can refuse it, and in a batch it joins the
+         // combined equation, so the per-signature fallback refuses it.
+         const crypto::Curve& p384 = crypto::p384();
+         const std::size_t r_len = p384.params().byte_length;
+         EvidenceBundle forged = r.world.nodes[0]->identity_evidence();
+         const Bytes genuine = forged.report.signature;
+         for (int bit = 0; bit < 8; ++bit) {
+           forged.report.signature = genuine;
+           forged.report.signature[r_len - 1] ^= std::uint8_t(1u << bit);
+           auto sig = crypto::EcdsaSignature::decode(p384,
+                                                     forged.report.signature);
+           ASSERT_TRUE(sig.ok());
+           if (!sig->r.is_zero() && sig->r.cmp(p384.params().n) < 0 &&
+               p384.lift_x_even(sig->r).has_value()) {
+             break;
+           }
+         }
+         ASSERT_NE(forged.report.signature, genuine);
+         r.world.serve_lookalike(net::HttpResponse::ok(forged.serialize()));
+       }},
       {"measurement",
        [](ParityRun& r) { r.site.expected_measurements[0][0] ^= 0x01; }},
       {"tls_binding",
@@ -1065,10 +1126,16 @@ std::vector<ParityCase> parity_cases() {
 // the staged verify() and batch_verify_sessions: same failure step in
 // last_checks(), same audit record, same result label. This includes a
 // staged session that fails before verify (a 404 evidence route, an
-// offline KDS): its verdict must reach last_checks() too.
+// offline KDS): its verdict must reach last_checks() too. The report_verify
+// case is a forged signature, which the batch path refuses through its
+// per-signature fallback; tcb_horizon is reached through an announced
+// horizon and through the policy's static floor.
 TEST(VerdictParity, BlockingStagedAndBatchPathsAgree) {
-  for (const ParityCase& c : parity_cases()) {
-    SCOPED_TRACE("case " + (c.step.empty() ? std::string("accept") : c.step));
+  const std::vector<ParityCase> cases = parity_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ParityCase& c = cases[i];
+    SCOPED_TRACE("case " + std::to_string(i) + " " +
+                 (c.step.empty() ? std::string("accept") : c.step));
     const std::string label =
         "result=" + (c.step.empty() ? std::string("ok") : c.step);
     const Verdict blocking = run_parity_case(c, VerifyPath::kBlocking);
@@ -1084,6 +1151,10 @@ TEST(VerdictParity, BlockingStagedAndBatchPathsAgree) {
     for (const VerifyPath path : {VerifyPath::kStaged, VerifyPath::kBatch}) {
       SCOPED_TRACE(path == VerifyPath::kStaged ? "staged" : "batch");
       const Verdict got = run_parity_case(c, path);
+      if (path == VerifyPath::kBatch && c.step == "report_verify") {
+        EXPECT_EQ(got.fallbacks, 1u) << "the forged signature must reach "
+                                        "the per-signature fallback";
+      }
       EXPECT_EQ(got.failure_step, blocking.failure_step);
       EXPECT_EQ(got.results, blocking.results);
       ASSERT_EQ(got.records.size(), 1u);
@@ -1095,6 +1166,69 @@ TEST(VerdictParity, BlockingStagedAndBatchPathsAgree) {
       EXPECT_EQ(rec.tcb, want.tcb);
       EXPECT_EQ(rec.evidence_digest, want.evidence_digest);
       EXPECT_EQ(rec.vcek_chain, want.vcek_chain);
+    }
+  }
+}
+
+// ------------------------------------------------------- revocation table
+
+// One revocation gate whichever way a relying party accepts the release:
+// a pinned measurement, a registry that publishes it, or both. A revoked
+// measurement fails at `revocation` with one audit record, also when the
+// registry publishes it again after the revocation; without the revocation
+// each policy accepts.
+TEST_F(RevelioFixture, RevocationOverridesPinAndRegistry) {
+  provision_standard_fleet();
+  const EvidenceBundle evidence = nodes[0]->identity_evidence();
+  auto kds_chain = KdsService::fetch(network, {"verifier", 1},
+                                     {"kds.amd.com", 443},
+                                     evidence.report.chip_id,
+                                     evidence.report.reported_tcb);
+  ASSERT_TRUE(kds_chain.ok());
+  enum Accepts { kPinned = 1, kRegistry = 2, kBoth = 3 };
+  for (const Accepts accepts : {kPinned, kRegistry, kBoth}) {
+    for (const bool revoked : {false, true}) {
+      SCOPED_TRACE(std::string(accepts == kPinned     ? "pinned"
+                               : accepts == kRegistry ? "registry"
+                                                      : "both") +
+                   (revoked ? ", revoked" : ", not revoked"));
+      TrustedRegistry trusted;
+      RevocationSet revocations;
+      AuditCapture audit;
+      RelyingPartyPolicy policy;
+      if (accepts & kPinned) {
+        policy.expected_measurements = {expected_measurement};
+      }
+      if (accepts & kRegistry) {
+        trusted.publish(kDomain, expected_measurement);
+        policy.registry = &trusted;
+        policy.registry_service = kDomain;
+      }
+      if (revoked) {
+        ASSERT_TRUE(
+            revocations.revoke_measurement(expected_measurement, "CVE").ok());
+        if (accepts & kRegistry) {
+          trusted.publish(kDomain, expected_measurement);  // published again
+        }
+      }
+      policy.revocation_set = &revocations;
+      policy.audit_log = &audit.log;
+      const std::uint64_t revoked0 = obs::metrics().counter_value(
+          "attest.revoked.count", {{"kind", "measurement"}});
+      const Status st = verify_evidence(evidence, *kds_chain, clock.now_us(),
+                                        std::move(policy));
+      ASSERT_EQ(audit.records.size(), 1u);
+      EXPECT_EQ(audit.records[0].accepted, !revoked);
+      EXPECT_EQ(obs::metrics().counter_value("attest.revoked.count",
+                                             {{"kind", "measurement"}}),
+                revoked0 + (revoked ? 1 : 0));
+      if (revoked) {
+        ASSERT_FALSE(st.ok());
+        EXPECT_EQ(st.error().code, "attest.revocation");
+        EXPECT_EQ(audit.records[0].failure_step, "revocation");
+      } else {
+        EXPECT_TRUE(st.ok()) << st.error().to_string();
+      }
     }
   }
 }

@@ -226,20 +226,6 @@ TEST_F(SnpFixture, FirmwareUpdateRotatesVcek) {
   EXPECT_EQ(sp.vcek_public_key(tcb(2, 0, 8, 115)), old_key);
 }
 
-TEST_F(SnpFixture, TcbFloorRejectsOldFirmware) {
-  launch_guest();
-  auto report = sp.get_report({});
-  ASSERT_TRUE(report.ok());
-  auto vcek = kds.fetch_vcek(report->chip_id, report->reported_tcb);
-  ASSERT_TRUE(vcek.ok());
-  ReportVerifyOptions options;
-  options.minimum_tcb = tcb(3, 0, 9, 120);  // higher than platform's
-  const auto st = verify_report(*report, *vcek, kds.intermediates(),
-                                kds.trusted_roots(), options);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.error().code, "snp.tcb_too_old");
-}
-
 TEST_F(SnpFixture, ReportAfterFirmwareUpdateNeedsNewVcek) {
   launch_guest();
   auto old_vcek = kds.fetch_vcek(sp.chip_id(), sp.tcb());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation checker (ctest label `docs`).
 #
-# Eight guarantees:
+# Nine guarantees:
 #   1. Every intra-repo markdown link in the maintained docs (README.md,
 #      DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md, docs/**) points
 #      at a file that exists. External links (http/https/mailto) and pure
@@ -41,6 +41,11 @@
 #      (`rng.{hpp,cpp}`, `bytes.hpp`, ...; brace lists expand) exists in
 #      src/<dir>, so the walkthrough cannot keep describing a deleted
 #      file under its bare name, which guarantee 6 does not see.
+#   9. Every failure_step literal passed to `reject("...")` in
+#      src/revelio/relying_party.cpp is passed to a `reject("...")` call
+#      exactly once in all of src/, and has a row in docs/THREAT_MODEL.md's
+#      "Gate call sites" table: each relying-party gate rejects from one
+#      call site, so one event gets one failure step and one audit cause.
 #
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's repo)
 set -euo pipefail
@@ -192,6 +197,35 @@ if os.path.exists(threat_path):
     if rows == 0:
         failures.append("docs/THREAT_MODEL.md's gate table has no rows")
     print(f"gate table: {rows} rows name functions defined where they say")
+    table_steps = set(re.findall(r"^\|\s*`([\w]+)`\s*\|", section,
+                                 re.MULTILINE))
+else:
+    table_steps = set()
+
+# --- 9. each relying-party failure_step is rejected from one call site -------
+reject_re = re.compile(r'\breject\(\s*"([\w]+)"')
+verifier_path = os.path.join(root, "src", "revelio", "relying_party.cpp")
+if not os.path.exists(verifier_path):
+    failures.append("src/revelio/relying_party.cpp is missing")
+else:
+    with open(verifier_path) as f:
+        steps = sorted(set(reject_re.findall(f.read())))
+    src_rejects = []
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for n in sorted(names):
+            if n.endswith((".cpp", ".hpp", ".h", ".cc")):
+                with open(os.path.join(dirpath, n)) as f:
+                    src_rejects += reject_re.findall(f.read())
+    for step in steps:
+        sites = src_rejects.count(step)
+        if sites != 1:
+            failures.append(f'src/: reject("{step}" appears {sites} times; '
+                            "each gate rejects from exactly one call site")
+        if step not in table_steps:
+            failures.append(f"docs/THREAT_MODEL.md's gate table has no row "
+                            f"for failure_step `{step}`")
+    print(f"relying-party failure steps: {len(steps)} with one call site "
+          "and a gate-table row")
 
 # --- 5. cited metric names exist in src/ -----------------------------------
 metric_docs = [os.path.join(root, n) for n in ("README.md", "DESIGN.md")
