@@ -23,6 +23,17 @@ bool cpu_has_sha_ni() {
 #endif
 }
 
+bool cpu_has_avx512() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  static const bool has = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512bw") &&
+                          !isa_disabled();
+  return has;
+#else
+  return false;
+#endif
+}
+
 bool cpu_has_aes_ni() {
 #if defined(__x86_64__) && defined(__GNUC__)
   static const bool has = __builtin_cpu_supports("aes") &&

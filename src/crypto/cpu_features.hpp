@@ -5,9 +5,10 @@
 // one (SHA-NI / AES-NI on x86-64). Both cores produce identical bytes — the
 // KAT suites run against whichever core the host selects, and the scalar
 // core is always compiled so non-x86 hosts and `REVELIO_NO_ISA=1` runs stay
-// covered. cpu_has_sha_ni() alone picks both SHA-256 entry points: the
-// one-stream core and the two-stream core behind Sha256::finish_2x (on the
-// scalar side, the one-stream core run once per stream).
+// covered. cpu_has_sha_ni() picks the one-stream SHA-256 core behind
+// Sha256 and sha256(); cpu_has_avx512() picks the 16-lane core behind
+// sha256_many, whose other inputs (and every input on a host without
+// AVX-512) go through the one-stream core.
 #pragma once
 
 namespace revelio::crypto {
@@ -15,6 +16,11 @@ namespace revelio::crypto {
 /// True when the CPU offers the SHA-NI SHA-256 extensions (and the build
 /// targets x86-64). Honours the REVELIO_NO_ISA=1 escape hatch.
 bool cpu_has_sha_ni();
+
+/// True when the CPU offers AVX-512F and AVX-512BW and the OS saves the
+/// opmask and zmm state (__builtin_cpu_supports checks XCR0 for it), and
+/// the build targets x86-64. Honours REVELIO_NO_ISA=1.
+bool cpu_has_avx512();
 
 /// True when the CPU offers AES-NI. Honours REVELIO_NO_ISA=1.
 bool cpu_has_aes_ni();

@@ -72,8 +72,13 @@ inline std::uint64_t rotr64(std::uint64_t x, int n) {
 // that have it. Both produce identical digests; the FIPS 180-4 KATs in
 // tests/test_crypto.cpp run against whichever core the host dispatches to,
 // and REVELIO_NO_ISA=1 forces the scalar core for differential testing.
-// Sha256::finish_2x feeds two streams' blocks to a paired core chosen by
-// the same check.
+// sha256_many runs groups of 16 equal-length messages through a third,
+// 16-lane AVX-512 core when cpu_has_avx512() says so, and everything else
+// through the one-stream cores.
+
+constexpr std::uint32_t kIv256[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                     0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                     0x1f83d9ab, 0x5be0cd19};
 
 inline std::uint32_t load_be32(const std::uint8_t* p) {
   return (static_cast<std::uint32_t>(p[0]) << 24) |
@@ -208,107 +213,179 @@ REV_SHANI void compress256_shani(std::uint32_t* state, const std::uint8_t* p,
   shani_store(state, state0, state1);
 }
 
-// Two independent streams, one block of each per pass, so one stream's
-// SHA256RNDS2 latency chain hides the other's. Each stream's schedule
-// lives in four named vectors (an indexed ring array is spilled to the
-// stack), rotated through the macro arguments over 16 unrolled quad
-// rounds: lane A in a0..a3, lane B in b0..b3.
-#define REV_QROUND2(j, a0, a1, a2, a3, b0, b1, b2, b3)                        \
-  do {                                                                        \
-    if ((j) >= 4) {                                                           \
-      a0 = _mm_sha256msg2_epu32(                                              \
-          _mm_add_epi32(_mm_sha256msg1_epu32(a0, a1),                         \
-                        _mm_alignr_epi8(a3, a2, 4)),                          \
-          a3);                                                                \
-      b0 = _mm_sha256msg2_epu32(                                              \
-          _mm_add_epi32(_mm_sha256msg1_epu32(b0, b1),                         \
-                        _mm_alignr_epi8(b3, b2, 4)),                          \
-          b3);                                                                \
-    }                                                                         \
-    const __m128i k = _mm_loadu_si128(                                        \
-        reinterpret_cast<const __m128i*>(&kK256[4 * (j)]));                   \
-    __m128i kwa = _mm_add_epi32(a0, k);                                       \
-    __m128i kwb = _mm_add_epi32(b0, k);                                       \
-    cdgh_a = _mm_sha256rnds2_epu32(cdgh_a, abef_a, kwa);                      \
-    cdgh_b = _mm_sha256rnds2_epu32(cdgh_b, abef_b, kwb);                      \
-    kwa = _mm_shuffle_epi32(kwa, 0x0E);                                       \
-    kwb = _mm_shuffle_epi32(kwb, 0x0E);                                       \
-    abef_a = _mm_sha256rnds2_epu32(abef_a, cdgh_a, kwa);                      \
-    abef_b = _mm_sha256rnds2_epu32(abef_b, cdgh_b, kwb);                      \
+#undef REV_SHANI
+
+// 16-lane AVX-512 core: lane l of every zmm holds message l's word, so one
+// pass runs the FIPS 180-4 rounds for 16 messages at once. `vprord` is a
+// rotate in one instruction and `vpternlogd` a three-input XOR, Ch or Maj
+// in one, so a round is 16 vector instructions for 16 blocks. The schedule
+// is the scalar core's rolling 16-word ring, one zmm per word.
+
+#define REV_AVX512 __attribute__((target("avx512f,avx512bw")))
+
+// GCC 12's unmasked AVX-512 intrinsics pass a self-initialized
+// _mm512_undefined_epi32() as the ignored merge source, which
+// -Wuninitialized reports once they are inlined here (a false positive
+// that later GCC releases no longer emit).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+#define REV_X_XOR3(a, b, c) _mm512_ternarylogic_epi32((a), (b), (c), 0x96)
+#define REV_X_SIG0(x)                                                       \
+  REV_X_XOR3(_mm512_ror_epi32((x), 7), _mm512_ror_epi32((x), 18),           \
+             _mm512_srli_epi32((x), 3))
+#define REV_X_SIG1(x)                                                       \
+  REV_X_XOR3(_mm512_ror_epi32((x), 17), _mm512_ror_epi32((x), 19),          \
+             _mm512_srli_epi32((x), 10))
+// t1 = h + K+W + Σ1(e) + Ch(e, f, g) and t2 = Σ0(a) + Maj(a, b, c), with
+// Ch and Maj as ternary-logic truth tables (0xCA: e ? f : g; 0xE8: the
+// majority of a, b, c).
+#define REV_X_RND(a, b, c, d, e, f, g, h, kw)                               \
+  do {                                                                      \
+    const __m512i t1 = _mm512_add_epi32(                                    \
+        _mm512_add_epi32((h), (kw)),                                        \
+        _mm512_add_epi32(                                                   \
+            REV_X_XOR3(_mm512_ror_epi32((e), 6), _mm512_ror_epi32((e), 11), \
+                       _mm512_ror_epi32((e), 25)),                          \
+            _mm512_ternarylogic_epi32((e), (f), (g), 0xCA)));               \
+    const __m512i t2 = _mm512_add_epi32(                                    \
+        REV_X_XOR3(_mm512_ror_epi32((a), 2), _mm512_ror_epi32((a), 13),     \
+                   _mm512_ror_epi32((a), 22)),                              \
+        _mm512_ternarylogic_epi32((a), (b), (c), 0xE8));                    \
+    (d) = _mm512_add_epi32((d), t1);                                        \
+    (h) = _mm512_add_epi32(t1, t2);                                         \
   } while (0)
-// Four quad rounds: the named vectors come back to a0/b0 holding the
-// oldest schedule words.
-#define REV_QROUND2X4(j)                                 \
-  do {                                                   \
-    REV_QROUND2((j), a0, a1, a2, a3, b0, b1, b2, b3);    \
-    REV_QROUND2((j) + 1, a1, a2, a3, a0, b1, b2, b3, b0); \
-    REV_QROUND2((j) + 2, a2, a3, a0, a1, b2, b3, b0, b1); \
-    REV_QROUND2((j) + 3, a3, a0, a1, a2, b3, b0, b1, b2); \
+#define REV_X_W(i) w[(i) & 15]
+#define REV_X_KW(i) _mm512_add_epi32(REV_X_W(i), _mm512_set1_epi32(kK256[i]))
+#define REV_X_SCHED_KW(i)                                                   \
+  (REV_X_W(i) = _mm512_add_epi32(                                           \
+       _mm512_add_epi32(REV_X_W(i), REV_X_SIG1(REV_X_W((i) + 14))),         \
+       _mm512_add_epi32(REV_X_W((i) + 9), REV_X_SIG0(REV_X_W((i) + 1)))),   \
+   REV_X_KW(i))
+#define REV_X_RND8(i, KW)                                                   \
+  do {                                                                      \
+    REV_X_RND(a, b, c, d, e, f, g, h, KW((i) + 0));                         \
+    REV_X_RND(h, a, b, c, d, e, f, g, KW((i) + 1));                         \
+    REV_X_RND(g, h, a, b, c, d, e, f, KW((i) + 2));                         \
+    REV_X_RND(f, g, h, a, b, c, d, e, KW((i) + 3));                         \
+    REV_X_RND(e, f, g, h, a, b, c, d, KW((i) + 4));                         \
+    REV_X_RND(d, e, f, g, h, a, b, c, KW((i) + 5));                         \
+    REV_X_RND(c, d, e, f, g, h, a, b, KW((i) + 6));                         \
+    REV_X_RND(b, c, d, e, f, g, h, a, KW((i) + 7));                         \
   } while (0)
 
-REV_SHANI void compress256_shani_2x(std::uint32_t* state_a,
-                                    std::uint32_t* state_b,
-                                    const std::uint8_t* pa,
-                                    const std::uint8_t* pb,
-                                    std::size_t blocks) {
-  __m128i abef_a, cdgh_a, abef_b, cdgh_b;
-  shani_load(state_a, abef_a, cdgh_a);
-  shani_load(state_b, abef_b, cdgh_b);
-  while (blocks-- > 0) {
-    const __m128i abef_a_save = abef_a, cdgh_a_save = cdgh_a;
-    const __m128i abef_b_save = abef_b, cdgh_b_save = cdgh_b;
-    __m128i a0 = shani_msg(pa, 0), a1 = shani_msg(pa, 1);
-    __m128i a2 = shani_msg(pa, 2), a3 = shani_msg(pa, 3);
-    __m128i b0 = shani_msg(pb, 0), b1 = shani_msg(pb, 1);
-    __m128i b2 = shani_msg(pb, 2), b3 = shani_msg(pb, 3);
-    REV_QROUND2X4(0);
-    REV_QROUND2X4(4);
-    REV_QROUND2X4(8);
-    REV_QROUND2X4(12);
-    abef_a = _mm_add_epi32(abef_a, abef_a_save);
-    cdgh_a = _mm_add_epi32(cdgh_a, cdgh_a_save);
-    abef_b = _mm_add_epi32(abef_b, abef_b_save);
-    cdgh_b = _mm_add_epi32(cdgh_b, cdgh_b_save);
-    pa += 64;
-    pb += 64;
-  }
-  shani_store(state_a, abef_a, cdgh_a);
-  shani_store(state_b, abef_b, cdgh_b);
+// Each 32-bit word's bytes reversed: big-endian words to native and back.
+REV_AVX512 inline __m512i x16_bswap(__m512i v) {
+  return _mm512_shuffle_epi8(
+      v, _mm512_broadcast_i32x4(_mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4,
+                                             5, 6, 7, 0, 1, 2, 3)));
 }
 
-#undef REV_QROUND2X4
-#undef REV_QROUND2
-#undef REV_SHANI
+// One 64-byte block of each lane, lane l's at p + l * stride (stride 0
+// gives every lane the same block), into the 16 lanes' states. The blocks
+// load as 16 rows and a 16x16 transpose of 32-bit words makes w[j] word j
+// of every lane: 32-bit unpacks pair rows, 64-bit unpacks make quads, and
+// two rounds of 128-bit lane shuffles put each column's four quads in
+// order. It measured faster than 16 gathers with 32-bit offsets
+// (EXPERIMENTS, "Sixteen dm-verity blocks per SHA-256 pass") and takes
+// any stride.
+REV_AVX512 inline void x16_block(__m512i* st, const std::uint8_t* p,
+                                 std::size_t stride) {
+  __m512i r[16];
+  for (int l = 0; l < 16; ++l) r[l] = _mm512_loadu_si512(p + l * stride);
+  __m512i s[16];
+  for (int i = 0; i < 16; i += 2) {
+    s[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
+    s[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
+  }
+  // u[4 i + c]'s 128-bit lane q: word 4 q + c of rows 4 i .. 4 i + 3.
+  __m512i u[16];
+  for (int i = 0; i < 16; i += 4) {
+    u[i] = _mm512_unpacklo_epi64(s[i], s[i + 2]);
+    u[i + 1] = _mm512_unpackhi_epi64(s[i], s[i + 2]);
+    u[i + 2] = _mm512_unpacklo_epi64(s[i + 1], s[i + 3]);
+    u[i + 3] = _mm512_unpackhi_epi64(s[i + 1], s[i + 3]);
+  }
+  __m512i w[16];
+  for (int c = 0; c < 4; ++c) {
+    const __m512i v0 = _mm512_shuffle_i32x4(u[c], u[4 + c], 0x44);
+    const __m512i v1 = _mm512_shuffle_i32x4(u[c], u[4 + c], 0xEE);
+    const __m512i v2 = _mm512_shuffle_i32x4(u[8 + c], u[12 + c], 0x44);
+    const __m512i v3 = _mm512_shuffle_i32x4(u[8 + c], u[12 + c], 0xEE);
+    w[c] = x16_bswap(_mm512_shuffle_i32x4(v0, v2, 0x88));
+    w[4 + c] = x16_bswap(_mm512_shuffle_i32x4(v0, v2, 0xDD));
+    w[8 + c] = x16_bswap(_mm512_shuffle_i32x4(v1, v3, 0x88));
+    w[12 + c] = x16_bswap(_mm512_shuffle_i32x4(v1, v3, 0xDD));
+  }
+  __m512i a = st[0], b = st[1], c = st[2], d = st[3];
+  __m512i e = st[4], f = st[5], g = st[6], h = st[7];
+  REV_X_RND8(0, REV_X_KW);
+  REV_X_RND8(8, REV_X_KW);
+  REV_X_RND8(16, REV_X_SCHED_KW);
+  REV_X_RND8(24, REV_X_SCHED_KW);
+  REV_X_RND8(32, REV_X_SCHED_KW);
+  REV_X_RND8(40, REV_X_SCHED_KW);
+  REV_X_RND8(48, REV_X_SCHED_KW);
+  REV_X_RND8(56, REV_X_SCHED_KW);
+  st[0] = _mm512_add_epi32(st[0], a);
+  st[1] = _mm512_add_epi32(st[1], b);
+  st[2] = _mm512_add_epi32(st[2], c);
+  st[3] = _mm512_add_epi32(st[3], d);
+  st[4] = _mm512_add_epi32(st[4], e);
+  st[5] = _mm512_add_epi32(st[5], f);
+  st[6] = _mm512_add_epi32(st[6], g);
+  st[7] = _mm512_add_epi32(st[7], h);
+}
+
+// out[l] = SHA-256 of the `len` bytes at p + l * len, for l < 16, where
+// len is a multiple of 64: the whole blocks, then the one padding block
+// every lane shares (0x80, zeros, the bit length). Stack only.
+REV_AVX512 void sha256_x16(const std::uint8_t* p, std::size_t len,
+                           Digest32* out) {
+  __m512i st[8];
+  for (int i = 0; i < 8; ++i) {
+    st[i] = _mm512_set1_epi32(static_cast<int>(kIv256[i]));
+  }
+  for (std::size_t off = 0; off < len; off += 64) {
+    x16_block(st, p + off, len);
+  }
+  std::uint8_t pad[64] = {0x80};
+  const std::uint64_t bit_len = static_cast<std::uint64_t>(len) * 8;
+  for (int i = 0; i < 8; ++i) {
+    pad[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  x16_block(st, pad, 0);
+  // Big-endian words, then lane l's eight words are digest l.
+  alignas(64) std::uint32_t words[8][16];
+  for (int i = 0; i < 8; ++i) _mm512_store_si512(words[i], x16_bswap(st[i]));
+  for (int l = 0; l < 16; ++l) {
+    for (int i = 0; i < 8; ++i) std::memcpy(&out[l][4 * i], &words[i][l], 4);
+  }
+}
+
+#undef REV_X_RND8
+#undef REV_X_SCHED_KW
+#undef REV_X_KW
+#undef REV_X_W
+#undef REV_X_RND
+#undef REV_X_SIG1
+#undef REV_X_SIG0
+#undef REV_X_XOR3
+#undef REV_AVX512
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif  // __x86_64__
 
 using Compress256Fn = void (*)(std::uint32_t*, const std::uint8_t*,
                                std::size_t);
-using Compress256x2Fn = void (*)(std::uint32_t*, std::uint32_t*,
-                                 const std::uint8_t*, const std::uint8_t*,
-                                 std::size_t);
-
 Compress256Fn resolve_compress256() {
 #if defined(__x86_64__)
   if (cpu_has_sha_ni()) return compress256_shani;
 #endif
   return compress256_scalar;
-}
-
-// Without SHA-NI the scalar core takes one stream, then the other: its
-// working variables and schedule ring already fill the general registers,
-// so a second interleaved stream would spill.
-void compress256_scalar_2x(std::uint32_t* state_a, std::uint32_t* state_b,
-                           const std::uint8_t* pa, const std::uint8_t* pb,
-                           std::size_t blocks) {
-  compress256_scalar(state_a, pa, blocks);
-  compress256_scalar(state_b, pb, blocks);
-}
-
-Compress256x2Fn resolve_compress256_2x() {
-#if defined(__x86_64__)
-  if (cpu_has_sha_ni()) return compress256_shani_2x;
-#endif
-  return compress256_scalar_2x;
 }
 
 void compress256(std::uint32_t* state, const std::uint8_t* p,
@@ -317,21 +394,9 @@ void compress256(std::uint32_t* state, const std::uint8_t* p,
   fn(state, p, blocks);
 }
 
-void compress256_2x(std::uint32_t* state_a, std::uint32_t* state_b,
-                    const std::uint8_t* pa, const std::uint8_t* pb,
-                    std::size_t blocks) {
-  static const Compress256x2Fn fn = resolve_compress256_2x();
-  fn(state_a, state_b, pa, pb, blocks);
-}
-
 }  // namespace
 
-Sha256::Sha256() {
-  static constexpr std::uint32_t kIv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                           0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                           0x1f83d9ab, 0x5be0cd19};
-  std::memcpy(h_, kIv, sizeof(h_));
-}
+Sha256::Sha256() { std::memcpy(h_, kIv256, sizeof(h_)); }
 
 void Sha256::compress(const std::uint8_t* block) {
   compress256(h_, block, 1);
@@ -362,28 +427,6 @@ void Sha256::update(ByteView data) {
     std::memcpy(buf_, data.data() + off, data.size() - off);
     buf_len_ = data.size() - off;
   }
-}
-
-void Sha256::finish_2x(const Sha256& ctx, ByteView a, ByteView b,
-                       Digest32& out_a, Digest32& out_b) {
-  assert(a.size() == b.size());
-  Sha256 x = ctx;
-  Sha256 y = ctx;
-  // Both streams sit at the same offset throughout: each completes the
-  // context's partial block on its own, pairs every whole block, then
-  // buffers and pads its own tail.
-  const std::size_t head =
-      ctx.buf_len_ == 0 ? 0 : std::min(a.size(), 64 - ctx.buf_len_);
-  x.update(a.first(head));
-  y.update(b.first(head));
-  const std::size_t whole = (a.size() - head) / 64;
-  compress256_2x(x.h_, y.h_, a.data() + head, b.data() + head, whole);
-  x.total_len_ += whole * 64;
-  y.total_len_ += whole * 64;
-  x.update(a.subspan(head + whole * 64));
-  y.update(b.subspan(head + whole * 64));
-  out_a = x.finish();
-  out_b = y.finish();
 }
 
 Digest32 Sha256::finish() {
@@ -505,6 +548,19 @@ Digest32 sha256(ByteView data) {
   Sha256 h;
   h.update(data);
   return h.finish();
+}
+
+void sha256_many(ByteView msgs, std::size_t len, std::span<Digest32> out) {
+  assert(msgs.size() == len * out.size());
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  if (len % 64 == 0 && cpu_has_avx512()) {
+    for (; i + 16 <= out.size(); i += 16) {
+      sha256_x16(msgs.data() + i * len, len, &out[i]);
+    }
+  }
+#endif
+  for (; i < out.size(); ++i) out[i] = sha256(msgs.subspan(i * len, len));
 }
 
 Digest48 sha384(ByteView data) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.hpp"
 
@@ -25,15 +26,6 @@ class Sha256 {
   Sha256();
   void update(ByteView data);
   Digest32 finish();
-
-  /// Two messages at once: out_a = the digest `ctx` would finish with after
-  /// update(a), out_b likewise for `b`. `a` and `b` have equal length, and
-  /// their whole 64-byte blocks go through the compression core two
-  /// streams per pass (interleaved on SHA-NI, one after the other on the
-  /// scalar core). This is the shape of Linux's `sha256_finup_2x` for
-  /// dm-verity: `ctx` holds a common prefix, there the salt.
-  static void finish_2x(const Sha256& ctx, ByteView a, ByteView b,
-                        Digest32& out_a, Digest32& out_b);
 
  private:
   void compress(const std::uint8_t* block);
@@ -99,5 +91,14 @@ class Sha512 {
 Digest32 sha256(ByteView data);
 Digest48 sha384(ByteView data);
 Digest64 sha512(ByteView data);
+
+/// Equal-length messages at once: out[i] = sha256() of bytes
+/// [i * len, (i + 1) * len) of `msgs`, which holds exactly out.size()
+/// messages. Where cpu_has_avx512() holds and `len` is a multiple of 64,
+/// each full group of 16 messages runs through one 16-lane core, one block
+/// of every message per pass; a remainder of fewer than 16, any other
+/// length and any other host take sha256() per message. This is
+/// dm-verity's block sweep (empty salt, so no prefix context).
+void sha256_many(ByteView msgs, std::size_t len, std::span<Digest32> out);
 
 }  // namespace revelio::crypto

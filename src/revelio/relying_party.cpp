@@ -131,9 +131,13 @@ bool RelyingPartyVerifier::judge(const Status& report_status) {
   }
   checks_.measurement_ok = true;
 
+  return check_tls_binding(bundle_->payload);
+}
+
+bool RelyingPartyVerifier::check_tls_binding(const Bytes& attested_key) {
   // 5. The attested key must be the one the party expected (§3.4.5).
   if (policy_.expected_payload &&
-      !(*policy_.expected_payload == bundle_->payload)) {
+      !(*policy_.expected_payload == attested_key)) {
     return reject("tls_binding",
                   "TLS connection does not terminate at the attested key");
   }

@@ -117,6 +117,12 @@ class RelyingPartyVerifier {
   /// ... then, given the out-of-line signature verdict, steps 3-5.
   bool finish(bool signature_ok);
 
+  /// Step 5, the tls_binding gate: when the policy expects a payload (the
+  /// session's TLS key), it must equal `attested_key`. verify and finish
+  /// run it on the bundle's payload; the extension's monitoring re-check
+  /// runs it on every later request of an attested session.
+  bool check_tls_binding(const Bytes& attested_key);
+
   /// Records a caller's own failed step (evidence_fetch, kds_fetch, ...)
   /// as the first failed check. Returns false.
   bool reject(const char* step, std::string failure) {

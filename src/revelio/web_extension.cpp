@@ -251,13 +251,17 @@ Result<WebExtension::Verified> WebExtension::fetch(
     return Verified{std::move(result->response), staged.checks()};
   }
 
-  // Monitoring path: every request validates that the connection still
-  // terminates at the attested key (the redirect defence).
+  // Monitoring path: every request runs the tls_binding gate, the
+  // connection must still terminate at the attested key (the redirect
+  // defence). A failure is a verdict like any attestation's: the kVerdict
+  // flight event and one audit record.
   span.attr("mode", "monitor");
   obs::metrics().counter("ext.monitor.count").inc();
-  browser_->network().clock().advance_us(
-      SimClock::from_ms(config_.connection_check_overhead_ms));
-  if (!(result->tls_server_key == state_it->second.attested_key)) {
+  clock.advance_us(SimClock::from_ms(config_.connection_check_overhead_ms));
+  RelyingPartyVerifier monitor(site_policy(domain));
+  monitor.policy().expected_payload = std::move(result->tls_server_key);
+  if (!monitor.check_tls_binding(state_it->second.attested_key)) {
+    monitor.record_verdict(false, clock.now_us());
     state_it->second.attested = false;
     state_it->second.checks.tls_binding_ok = false;
     state_it->second.checks.failure =

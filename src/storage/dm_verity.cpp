@@ -30,24 +30,12 @@ Error block_mismatch(std::uint64_t index) {
                          " failed integrity verification");
 }
 
-// out[i] = SHA-256(salt ‖ block i of `blocks`) for whole `bs`-byte blocks,
-// with the empty salt, on the calling thread. Blocks go two at a time
-// through Sha256::finish_2x, bit-identical to sha256(); an odd last one
-// goes alone.
-void hash_blocks(ByteView blocks, std::size_t bs, std::span<Digest32> out) {
-  const crypto::Sha256 salt;
-  std::size_t i = 0;
-  for (; i + 1 < out.size(); i += 2) {
-    crypto::Sha256::finish_2x(salt, blocks.subspan(i * bs, bs),
-                              blocks.subspan((i + 1) * bs, bs), out[i],
-                              out[i + 1]);
-  }
-  if (i < out.size()) out[i] = crypto::sha256(blocks.subspan(i * bs, bs));
-}
-
 // Hashes the `bs`-byte blocks of `blocks` a chunk at a time and compares
 // block i's digest with bytes [32 i, 32 i + 32) of `expected`; the index of
-// the first block that differs, if any.
+// the first block that differs, if any. A block's digest is SHA-256(salt ‖
+// block) with the empty salt, so a run of whole blocks is one sha256_many
+// call on the calling thread (here and in format): 16 blocks per pass
+// where the host has the lane core, bit-identical to sha256() of each.
 std::optional<std::uint64_t> first_mismatch(ByteView blocks, std::size_t bs,
                                             ByteView expected) {
   std::array<Digest32, kChunkBlocks> chunk;
@@ -55,7 +43,7 @@ std::optional<std::uint64_t> first_mismatch(ByteView blocks, std::size_t bs,
   for (std::size_t first = 0; first < n; first += kChunkBlocks) {
     const std::size_t count = std::min(kChunkBlocks, n - first);
     const std::span<Digest32> digests(chunk.data(), count);
-    hash_blocks(blocks.subspan(first * bs, count * bs), bs, digests);
+    crypto::sha256_many(blocks.subspan(first * bs, count * bs), bs, digests);
     for (std::size_t i = 0; i < count; ++i) {
       if (!ct_equal(digests[i].view(),
                     expected.subspan((first + i) * 32, 32))) {
@@ -143,8 +131,9 @@ Result<VerityMetadata> Verity::format(BlockDevice& data_dev,
           std::min(*fanout, below_blocks - k * *fanout);
       auto run = below->map_blocks(below_first + k * *fanout, count);
       if (!run.ok()) return run.error();
-      hash_blocks(*run, below->block_size(),
-                  std::span(digests).first(static_cast<std::size_t>(count)));
+      crypto::sha256_many(
+          *run, below->block_size(),
+          std::span(digests).first(static_cast<std::size_t>(count)));
       std::fill(digests.begin() + static_cast<std::ptrdiff_t>(count),
                 digests.end(), Digest32{});
       if (auto st = hash_dev.write_block(level.first + k, hash_block);

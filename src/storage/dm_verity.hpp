@@ -33,9 +33,10 @@
 // lazily; this device holds the whole proven level 0 from open on.)
 // `verify_all` is O(n) block hashes compared against those digests chunk
 // by chunk. Every sweep hashes read-only `map_blocks` views on the calling
-// thread, full-size blocks two at a time (Sha256::finish_2x), so both
-// devices must be mappable (a MemDisk or a slice of one); anything else
-// fails with blockdev.not_mappable.
+// thread, 16 whole blocks per pass on hosts with AVX-512 (sha256_many) and
+// one at a time elsewhere, so both devices must be mappable (a MemDisk or a
+// slice of one); anything else fails with blockdev.not_mappable. A read
+// hashes its one block alone (sha256()).
 #pragma once
 
 #include <memory>

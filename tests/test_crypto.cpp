@@ -72,24 +72,26 @@ TEST(Sha256, MillionA) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-// Sha256::finish_2x against two streaming hashes, on whichever core the
-// host dispatches to: context prefixes that leave the buffer empty, one
-// byte short of a block, or partly filled, and message lengths on every
-// padding boundary up to a 4 KiB verity block.
-TEST(Sha256, PairMatchesTwoSingleStreams) {
-  HmacDrbg drbg(to_bytes(std::string_view("sha256-pair")));
-  for (const std::size_t prefix_len : {0u, 1u, 63u, 64u, 65u}) {
-    const Bytes prefix = drbg.generate(prefix_len);
-    Sha256 ctx;
-    ctx.update(prefix);
-    for (const std::size_t len :
-         {0u, 1u, 55u, 56u, 63u, 64u, 65u, 127u, 128u, 4096u}) {
-      const Bytes a = drbg.generate(len);
-      const Bytes b = drbg.generate(len);
-      Digest32 da, db;
-      Sha256::finish_2x(ctx, a, b, da, db);
-      EXPECT_EQ(da, sha256(concat(prefix, a))) << prefix_len << "+" << len;
-      EXPECT_EQ(db, sha256(concat(prefix, b))) << prefix_len << "+" << len;
+// sha256_many against sha256() of each slice, on whichever path the host
+// dispatches to: message counts around the 16-lane group (none, a lone
+// remainder, one group, a group and a remainder, two groups), lengths of
+// whole blocks (0 hashes the shared padding block alone) up to a 4 KiB
+// verity block, a 100-byte length that always goes per message, and the
+// messages read from a base one byte off alignment.
+TEST(Sha256, ManyMatchesOneStream) {
+  HmacDrbg drbg(to_bytes(std::string_view("sha256-many")));
+  for (const std::size_t count : {0u, 1u, 15u, 16u, 17u, 32u, 33u}) {
+    for (const std::size_t len : {0u, 64u, 100u, 128u, 4096u}) {
+      for (const std::size_t skew : {0u, 1u}) {
+        const Bytes buf = drbg.generate(skew + count * len);
+        const ByteView msgs = ByteView(buf).subspan(skew);
+        std::vector<Digest32> out(count);
+        sha256_many(msgs, len, out);
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(out[i], sha256(msgs.subspan(i * len, len)))
+              << count << " x " << len << " skew " << skew << " msg " << i;
+        }
+      }
     }
   }
 }

@@ -604,9 +604,14 @@ TEST_F(RevelioFixture, RedirectToLookalikeFailsFreshAttestation) {
 TEST_F(RevelioFixture, SessionOpenedOutsideTheExtensionIsCaughtByMonitoring) {
   provision_standard_fleet();
   Browser browser = make_browser();
-  WebExtension extension = make_extension(browser);
+  AuditCapture audit;
+  WebExtensionConfig config;
+  config.kds_address = {"kds.amd.com", 443};
+  config.audit_log = &audit.log;
+  WebExtension extension(browser, config);
   extension.register_site(kDomain, manual_registration());
   ASSERT_TRUE(extension.get(kDomain, 443, "/").ok());
+  ASSERT_EQ(audit.records.size(), 1u) << "the attestation's accept";
 
   // The lookalike takes over DNS, and the new session to it is opened by
   // discovery, outside the extension's attestation. The next request rides
@@ -625,6 +630,10 @@ TEST_F(RevelioFixture, SessionOpenedOutsideTheExtensionIsCaughtByMonitoring) {
   EXPECT_EQ(obs::metrics().counter_value("ext.monitor.fail.count",
                                          {{"reason", "key_changed"}}),
             hijacked0 + 1);
+  // The hijack is a verdict on record: exactly one more audit record.
+  ASSERT_EQ(audit.records.size(), 2u);
+  EXPECT_FALSE(audit.records.back().accepted);
+  EXPECT_EQ(audit.records.back().failure_step, "tls_binding");
 }
 
 TEST_F(RevelioFixture, StolenEvidenceCannotCoverForeignTlsKey) {

@@ -644,14 +644,18 @@ TEST_F(DmVerityTest, TamperRejectedAfterAncestorsCached) {
 }
 
 TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
-  // The sweep hashes blocks in pairs, so flips land on a pair's first block
-  // (0, 8), its second (5, 15), the odd last block of a 17-block device
-  // (16), and two blocks at once, where the lowest block is named. It
-  // compares 512 blocks at a time, so on an 1100-block device flips land
-  // on both sides of a chunk edge (511, 512, 513), in the short last
-  // chunk (1024, 1099) and in two chunks at once (600 and 1099).
+  // The sweep hashes 16 blocks per pass through sha256_many's lane core
+  // (one at a time without AVX-512), so flips land in lane 0 of a pass
+  // (0, 16), in its lane 15 (15, 31), in between (5, 8), in the one-stream
+  // tail of a 17-block device (16) and of a 4,099-block one (4096, 4098),
+  // and on two blocks of one pass at once, where the lowest block is
+  // named (5 and 12, 17 and 30). It compares 512 blocks at a time, so on
+  // an 1100-block device flips land on both sides of a chunk edge (511,
+  // 512, 513), in the short last chunk (1024, 1099) and in two chunks at
+  // once (600 and 1099).
   const Formatted odd = format_patterned(17, 16);
   const Formatted wide = format_patterned(1100, 32);
+  const Formatted rootfs = format_patterned(4099, 34);
   struct Case {
     std::shared_ptr<MemDisk> data;
     std::shared_ptr<MemDisk> hash;
@@ -665,12 +669,17 @@ TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
       {data_dev_, hash_dev_, meta_.root_hash, {15}},
       {data_dev_, hash_dev_, meta_.root_hash, {5, 12}},
       {odd.data, odd.hash, odd.root, {16}},
+      {wide.data, wide.hash, wide.root, {16}},
+      {wide.data, wide.hash, wide.root, {31}},
+      {wide.data, wide.hash, wide.root, {17, 30}},
       {wide.data, wide.hash, wide.root, {511}},
       {wide.data, wide.hash, wide.root, {512}},
       {wide.data, wide.hash, wide.root, {513}},
       {wide.data, wide.hash, wide.root, {1024}},
       {wide.data, wide.hash, wide.root, {1099}},
       {wide.data, wide.hash, wide.root, {600, 1099}},
+      {rootfs.data, rootfs.hash, rootfs.root, {4096}},
+      {rootfs.data, rootfs.hash, rootfs.root, {4098}},
   };
   for (const Case& c : cases) {
     const std::uint64_t block = c.flipped.front();
@@ -692,6 +701,21 @@ TEST_F(DmVerityTest, VerifyAllNamesTheFlippedBlockAndStaysClosed) {
     EXPECT_FALSE((*dev)->verify_all().ok()) << "a second sweep still fails";
     flip();  // restore for the next case
   }
+}
+
+TEST_F(DmVerityTest, CorruptHashBlockInLaneFifteenFailsOpen) {
+  // 4,099 blocks take 33 level-0 hash blocks (device blocks 1-33, under
+  // the top block 0), which open hashes 16 per pass: level-0 block 15 is
+  // the last lane of the first pass.
+  const Formatted f = format_patterned(4099, 34);
+  ASSERT_TRUE(Verity::open(f.data, f.hash, f.root).ok());
+  f.hash->raw_tamper((1 + 15) * 4096 + 9, 0x04);
+  const auto r = Verity::open(f.data, f.hash, f.root);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "verity.corrupt_hash_device");
+  EXPECT_NE(r.error().to_string().find("level 0 hash block 15 "),
+            std::string::npos)
+      << r.error().to_string();
 }
 
 // Only Verity::open makes a VerityDevice, so every device's digests were
